@@ -8,7 +8,6 @@ trajectory vectors) and rank subsets best-first. Rankings from different
 sources are compared with exact Kendall's tau.
 """
 
-from ._kernels import BACKEND, ENV_DISABLE_NUMBA
 from .config import RunConfig, load_config, parse_config_text
 from .errors import (
     ComputationError,
@@ -60,12 +59,10 @@ __version__ = "0.1.0"
 __all__ = [
     "ActivitySet",
     "ActivityVector",
-    "BACKEND",
     "ComputationError",
     "ConfigError",
     "DEFAULT_ROSTER",
     "DataError",
-    "ENV_DISABLE_NUMBA",
     "ManifestError",
     "MotionSpec",
     "PlacementSubset",

@@ -1,124 +1,37 @@
-"""Hot numeric kernels with a numba backend and a pure-numpy fallback.
+"""The hot numeric kernel: the pairwise cosine-distance sum of one subset.
 
-The dominating cost of a ranking run is the pairwise cosine-distance sum:
-for every candidate subset, ``|1 - cos(u, v)|`` accumulated over all
-unordered activity pairs in ascending pair order. Both backends accumulate
-with Kahan compensation in that fixed order, so results are reproducible
-run to run and independent of how many worker threads score subsets.
-
-Backend selection happens at import time: numba is used when importable
-unless the environment variable ``SENSORPLACE_DISABLE_NUMBA`` is set to
-``1``/``true``/``yes``, in which case the numpy path is used. The active
-choice is exposed as ``BACKEND``.
+A subset's score is ``|1 - cos(u, v)|`` accumulated over all unordered
+activity pairs. The kernel reads it off the activities' Gram matrix, so it
+never touches the trajectories themselves. Pair terms are accumulated with
+Kahan compensation in ascending (i, j) order, so results are reproducible
+bit for bit, run to run.
 """
 
 from __future__ import annotations
 
-import os
+import math
 
 import numpy as np
 
-ENV_DISABLE_NUMBA = "SENSORPLACE_DISABLE_NUMBA"
 
+def pairwise_cosine_distance_sum(gram: np.ndarray) -> float:
+    """Sum of |1 - cos| over all unordered activity pairs.
 
-def pairwise_cosine_distance_sum_numpy(mat: np.ndarray) -> float:
-    """Sum of |1 - cos| over all unordered row pairs of ``mat`` (numpy path).
-
-    ``mat`` is (n, m) float64 with nonzero rows. Pair terms are accumulated
-    in ascending (i, j) order with Kahan compensation.
+    ``gram`` is the (n, n) float64 matrix of dot products between the
+    activities' vectors, with a positive diagonal.
     """
-    norms = np.sqrt(np.einsum("ij,ij->i", mat, mat))
-    gram = mat @ mat.T
-    n = mat.shape[0]
+    g = gram.tolist()
+    n = len(g)
+    norms = [math.sqrt(g[k][k]) for k in range(n)]
     total = 0.0
     comp = 0.0
     for i in range(n - 1):
+        row = g[i]
+        norm_i = norms[i]
         for j in range(i + 1, n):
-            term = abs(1.0 - gram[i, j] / (norms[i] * norms[j]))
+            term = abs(1.0 - row[j] / (norm_i * norms[j]))
             y = term - comp
             t = total + y
             comp = (t - total) - y
             total = t
     return total
-
-
-def _dot_lanes(u: np.ndarray, v: np.ndarray) -> float:
-    # Eight independent accumulation lanes (fixed order, so results are
-    # bitwise reproducible) let the CPU overlap the add chains that a
-    # single left-to-right sum would serialize.
-    m = u.shape[0]
-    m8 = m - (m % 8)
-    a0 = 0.0
-    a1 = 0.0
-    a2 = 0.0
-    a3 = 0.0
-    a4 = 0.0
-    a5 = 0.0
-    a6 = 0.0
-    a7 = 0.0
-    for k in range(0, m8, 8):
-        a0 += u[k] * v[k]
-        a1 += u[k + 1] * v[k + 1]
-        a2 += u[k + 2] * v[k + 2]
-        a3 += u[k + 3] * v[k + 3]
-        a4 += u[k + 4] * v[k + 4]
-        a5 += u[k + 5] * v[k + 5]
-        a6 += u[k + 6] * v[k + 6]
-        a7 += u[k + 7] * v[k + 7]
-    tail = 0.0
-    for k in range(m8, m):
-        tail += u[k] * v[k]
-    return (((a0 + a1) + (a2 + a3)) + ((a4 + a5) + (a6 + a7))) + tail
-
-
-def _pairwise_cosine_distance_sum_loops(mat: np.ndarray) -> float:
-    # Explicit-loop form compiled by numba; mirrors the numpy path except
-    # that dot products use the fixed-order lane accumulation above.
-    n = mat.shape[0]
-    norms = np.empty(n, dtype=np.float64)
-    for i in range(n):
-        norms[i] = np.sqrt(_dot_lanes(mat[i], mat[i]))
-    total = 0.0
-    comp = 0.0
-    for i in range(n - 1):
-        for j in range(i + 1, n):
-            dot = _dot_lanes(mat[i], mat[j])
-            term = abs(1.0 - dot / (norms[i] * norms[j]))
-            y = term - comp
-            t = total + y
-            comp = (t - total) - y
-            total = t
-    return total
-
-
-def _numba_requested() -> bool:
-    flag = os.environ.get(ENV_DISABLE_NUMBA, "").strip().lower()
-    return flag not in {"1", "true", "yes"}
-
-
-pairwise_cosine_distance_sum_numba = None
-if _numba_requested():
-    try:
-        from numba import njit
-    except ImportError:
-        pass
-    else:
-        # fastmath stays off: reassociation would break the fixed
-        # accumulation order the determinism contract relies on.
-        _dot_lanes = njit(cache=True, nogil=True, inline="always")(_dot_lanes)
-        pairwise_cosine_distance_sum_numba = njit(cache=True, nogil=True)(
-            _pairwise_cosine_distance_sum_loops
-        )
-
-if pairwise_cosine_distance_sum_numba is not None:
-    BACKEND = "numba"
-    pairwise_cosine_distance_sum = pairwise_cosine_distance_sum_numba
-else:
-    BACKEND = "numpy"
-    pairwise_cosine_distance_sum = pairwise_cosine_distance_sum_numpy
-
-
-def warmup() -> None:
-    """Trigger JIT compilation so first-use latency leaves the hot path."""
-    mat = np.array([[1.0, 0.0], [0.0, 1.0]])
-    pairwise_cosine_distance_sum(np.ascontiguousarray(mat))

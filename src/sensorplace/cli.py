@@ -50,16 +50,12 @@ def _add_config_flags(sub: argparse.ArgumentParser) -> None:
                      default=None, help="average scores over all full windows")
     sub.add_argument("--allow-head", action=argparse.BooleanOptionalAction,
                      default=None, help="permit HD in the roster")
-    sub.add_argument("--seed", type=int, default=None)
-    sub.add_argument("--jobs", type=int, default=None,
-                     help="worker threads for subset scoring")
 
 
 def _config_overrides(args) -> dict:
     keys = (
         "roster", "series_length", "sample_rate", "confidence_threshold",
         "max_gap", "subset_sizes", "subsample", "multi_window", "allow_head",
-        "seed", "jobs",
     )
     return {k: getattr(args, k) for k in keys if getattr(args, k, None) is not None}
 

@@ -1,9 +1,8 @@
 """Run configuration and its fingerprint.
 
 A run is fully determined by its configuration plus its inputs, so reports
-embed a sha256 fingerprint of the resolved configuration (including which
-scoring backend is active). Equal fingerprints on equal inputs mean
-byte-identical reports.
+embed a sha256 fingerprint of the resolved configuration. Equal
+fingerprints on equal inputs mean byte-identical reports.
 """
 
 from __future__ import annotations
@@ -11,7 +10,6 @@ from __future__ import annotations
 import hashlib
 from dataclasses import dataclass, fields, replace
 
-from . import _kernels
 from .errors import ConfigError
 from .skeleton import DEFAULT_ROSTER, canonical_sites
 from .synth import RNG_NAME
@@ -27,13 +25,9 @@ class RunConfig:
     confidence_threshold: float = 0.3
     max_gap: int = 10
     subset_sizes: tuple = (1, 2, 3, 4)
-    compare_scope: str = "per-size"
-    top_k: int = 3
     subsample: str = "first"
     multi_window: bool = False
     allow_head: bool = False
-    seed: int = 0
-    jobs: int = 1
 
     def __post_init__(self):
         object.__setattr__(self, "roster", canonical_sites(self.roster))
@@ -53,32 +47,20 @@ class RunConfig:
             raise ConfigError(
                 f"subset sizes {sizes} out of range for a roster of {len(self.roster)}"
             )
-        if self.compare_scope not in ("all", "per-size", "top"):
-            raise ConfigError(f"unknown compare scope {self.compare_scope!r}")
-        if self.top_k < 2:
-            raise ConfigError("top_k must be >= 2")
         if self.subsample not in ("first", "uniform"):
             raise ConfigError(f"unknown subsample mode {self.subsample!r}")
         if self.multi_window and self.subsample == "uniform":
             raise ConfigError("multi_window requires contiguous windows; "
                               "it cannot be combined with uniform subsampling")
-        if self.jobs < 1:
-            raise ConfigError("jobs must be >= 1")
 
     def with_overrides(self, **kwargs) -> "RunConfig":
         provided = {k: v for k, v in kwargs.items() if v is not None}
         return replace(self, **provided) if provided else self
 
     def fingerprint(self) -> str:
-        """sha256 over the canonical text form plus backend and RNG names.
-
-        ``jobs`` is excluded: parallelism degree never changes results, so
-        it must not change the fingerprint either.
-        """
-        parts = [f"backend={_kernels.BACKEND}", f"rng={RNG_NAME}"]
+        """sha256 over the canonical text form plus the RNG name."""
+        parts = [f"rng={RNG_NAME}"]
         for f in fields(self):
-            if f.name == "jobs":
-                continue
             value = getattr(self, f.name)
             if isinstance(value, tuple):
                 rendered = ",".join(str(v) for v in value)
@@ -99,13 +81,9 @@ _PARSERS = {
     "confidence_threshold": float,
     "max_gap": int,
     "subset_sizes": lambda v: tuple(int(p) for p in v.split(",") if p.strip()),
-    "compare_scope": str,
-    "top_k": int,
     "subsample": str,
     "multi_window": lambda v: v.strip().lower() in ("1", "true", "yes", "on"),
     "allow_head": lambda v: v.strip().lower() in ("1", "true", "yes", "on"),
-    "seed": int,
-    "jobs": int,
 }
 
 
@@ -145,8 +123,12 @@ def load_config(path, overrides=None) -> RunConfig:
     """
     kwargs = {}
     if path is not None:
-        with open(path, "r", encoding="utf-8") as fh:
-            kwargs.update(parse_config_text(fh.read(), source=str(path)))
+        try:
+            with open(path, "r", encoding="utf-8") as fh:
+                text = fh.read()
+        except OSError as exc:
+            raise ConfigError(f"cannot read config file {path}: {exc}") from exc
+        kwargs.update(parse_config_text(text, source=str(path)))
     if overrides:
         kwargs.update({k: v for k, v in overrides.items() if v is not None})
     try:

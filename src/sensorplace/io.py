@@ -41,8 +41,11 @@ FIELDS_PER_FRAME = len(KEYPOINT_FIELDS)  # 52
 def atomic_write_text(path, text: str) -> None:
     """Write ``text`` to ``path`` via a sibling temp file and rename."""
     path = Path(path)
-    path.parent.mkdir(parents=True, exist_ok=True)
-    fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=f".{path.name}.", suffix=".tmp")
+    try:
+        path.parent.mkdir(parents=True, exist_ok=True)
+        fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=f".{path.name}.", suffix=".tmp")
+    except OSError as exc:
+        raise DataError(f"cannot write {path}: {exc}") from exc
     try:
         with os.fdopen(fd, "w", encoding="utf-8", newline="\n") as fh:
             fh.write(text)

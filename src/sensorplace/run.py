@@ -14,7 +14,6 @@ from pathlib import Path
 import numpy as np
 
 from . import io as pio
-from ._kernels import BACKEND
 from .config import RunConfig
 from .errors import DataError, ManifestError, TooShortError
 from .rankcorr import compare_rankings
@@ -171,7 +170,7 @@ def rank_window_sets(window_sets, config: RunConfig) -> Ranking:
     subsets = enumerate_subsets(config.roster, config.subset_sizes)
     fingerprint = config.fingerprint()
     rankings = [
-        rank_placements(ws, subsets, fingerprint=fingerprint, jobs=config.jobs)
+        rank_placements(ws, subsets, fingerprint=fingerprint)
         for ws in window_sets
     ]
     if len(rankings) == 1:
@@ -183,7 +182,6 @@ def rank_report_payload(ranking: Ranking, config: RunConfig, diagnostics, n_wind
     return {
         "kind": "placement-ranking",
         "fingerprint": ranking.fingerprint,
-        "backend": BACKEND,
         "rng": RNG_NAME,
         "config": {
             "roster": list(config.roster),

@@ -7,11 +7,15 @@ a subset of s sites over L frames yields 2*s*L values. A subset's score is
 the sum over all unordered activity pairs of the absolute cosine distance
 |1 - cos(u, v)| between those vectors; more mutually distinct activities
 under a subset mean a higher score, and subsets are ranked score-descending.
+
+Because flattening is site-major, ``u_S . v_S`` is the sum over the sites
+s in S of ``u_s . v_s``. Scoring therefore builds the per-site Gram tensor
+once per activity set and scores each subset from the sum of its sites'
+Gram matrices, never from the flattened vectors themselves.
 """
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from itertools import combinations
 import math
@@ -125,16 +129,61 @@ def cosine_distance(u: np.ndarray, v: np.ndarray) -> float:
     return abs(1.0 - float(np.dot(u, v)) / (nu * nv))
 
 
+def _site_grams(activity_set: ActivitySet, sites) -> tuple[np.ndarray, np.ndarray]:
+    """Per-site Gram tensor of the activity set over ``sites``.
+
+    Returns ``(gram, nonzero)``: ``gram[s, i, j]`` is the dot product of
+    activities i and j restricted to site s, and ``nonzero[s, i]`` says
+    whether activity i has any nonzero coordinate at site s. The einsum runs
+    without ``optimize``, so no BLAS call is made and the bits do not depend
+    on the thread count.
+    """
+    rows = []
+    for site in sites:
+        if site not in activity_set.sites:
+            raise SiteNotPresentError(
+                f"activity {activity_set.activities[0].activity_id!r}: "
+                f"site {site!r} not in series roster"
+            )
+        rows.append(activity_set.sites.index(site))
+    stacked = np.empty((len(rows), len(activity_set), 2 * activity_set.length))
+    for i, series in enumerate(activity_set.activities):
+        stacked[:, i] = series.points[rows].reshape(len(rows), -1)
+    return np.einsum("sik,sjk->sij", stacked, stacked), stacked.any(axis=2)
+
+
+def _score_subsets(activity_set: ActivitySet, subsets) -> list[ScoredSubset]:
+    """Score each subset from per-site Gram matrices built once.
+
+    A subset's Gram matrix is the sum of its sites' matrices, added in
+    canonical site order. Its vector for an activity is zero exactly when
+    every one of its sites is zero for that activity.
+    """
+    sites = canonical_sites({site for subset in subsets for site in subset.sites})
+    gram, nonzero = _site_grams(activity_set, sites)
+    index = {site: k for k, site in enumerate(sites)}
+    scored = []
+    for subset in subsets:
+        rows = [index[site] for site in subset.sites]
+        moving = nonzero[rows].any(axis=0)
+        if not moving.all():
+            activity_id = activity_set.activities[int(np.argmin(moving))].activity_id
+            raise ZeroVectorError(f"activity {activity_id!r}: vector is identically zero")
+        total = gram[rows[0]]
+        for k in rows[1:]:
+            total = total + gram[k]
+        score = _kernels.pairwise_cosine_distance_sum(total)
+        scored.append(ScoredSubset(subset=subset, score=score))
+    return scored
+
+
 def score_subset(activity_set: ActivitySet, subset: PlacementSubset) -> ScoredSubset:
     """Score one subset: sum of pairwise absolute cosine distances.
 
-    Pairs are visited in ascending (i, j) order over the activity list so
-    the accumulated value is identical across runs and thread counts.
+    This is the same computation ``rank_placements`` does for each of its
+    subsets, so the two agree bit for bit.
     """
-    vectors = [build_activity_vector(series, subset) for series in activity_set.activities]
-    mat = np.ascontiguousarray(np.stack([v.values for v in vectors]))
-    score = float(_kernels.pairwise_cosine_distance_sum(mat))
-    return ScoredSubset(subset=subset, score=score)
+    return _score_subsets(activity_set, [subset])[0]
 
 
 def enumerate_subsets(roster, sizes=None) -> list[PlacementSubset]:
@@ -191,24 +240,13 @@ def rank_placements(
     activity_set: ActivitySet,
     subsets,
     fingerprint: str | None = None,
-    jobs: int = 1,
 ) -> Ranking:
-    """Score every subset against the activity set and rank the results.
-
-    Subsets are scored independently (optionally across ``jobs`` threads)
-    and merged in canonical order before sorting, so the ranking does not
-    depend on the degree of parallelism.
-    """
+    """Score every subset against the activity set and rank the results."""
     subsets = list(subsets)
     if not subsets:
         raise ConfigError("no subsets to rank")
-    if jobs > 1:
-        with ThreadPoolExecutor(max_workers=jobs) as pool:
-            scored = list(pool.map(lambda s: score_subset(activity_set, s), subsets))
-    else:
-        scored = [score_subset(activity_set, s) for s in subsets]
     return build_ranking(
-        scored,
+        _score_subsets(activity_set, subsets),
         n_activities=len(activity_set),
         series_length=activity_set.length,
         roster=activity_set.sites,

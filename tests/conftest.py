@@ -8,7 +8,7 @@ from sensorplace.skeleton import MERGE_SOURCES, NUM_KEYPOINTS, RawPoseFrame, SIT
 from sensorplace.skeleton import SkeletonSeries
 
 # Series-level property tests build real arrays per example; keep deadlines
-# off so first-call JIT compilation cannot flake a run.
+# off so a slow example on a loaded machine cannot flake a run.
 settings.register_profile("sensorplace", deadline=None)
 settings.load_profile("sensorplace")
 

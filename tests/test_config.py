@@ -14,9 +14,9 @@ def test_defaults_match_documented_contract():
     assert config.confidence_threshold == 0.3
     assert config.max_gap == 10
     assert config.subset_sizes == (1, 2, 3, 4)
-    assert config.compare_scope == "per-size"
     assert config.subsample == "first"
-    assert config.jobs == 1
+    assert config.multi_window is False
+    assert config.allow_head is False
 
 
 def test_roster_is_canonicalized_and_sizes_sorted():
@@ -34,11 +34,11 @@ def test_roster_is_canonicalized_and_sizes_sorted():
         {"max_gap": -1},
         {"subset_sizes": ()},
         {"subset_sizes": (6,)},
-        {"compare_scope": "sideways"},
         {"subsample": "random"},
         {"multi_window": True, "subsample": "uniform"},
-        {"jobs": 0},
-        {"top_k": 1},
+        {"subset_sizes": (0, 1)},
+        {"roster": ()},
+        {"confidence_threshold": -0.1},
     ],
 )
 def test_invalid_values_are_rejected(kwargs):
@@ -51,8 +51,17 @@ def test_fingerprint_is_stable_and_sensitive():
     assert a == RunConfig().fingerprint()
     assert len(a) == 64
     assert a != RunConfig(series_length=400).fingerprint()
-    # parallelism never changes results, so it never changes the fingerprint
-    assert a == RunConfig(jobs=2).fingerprint()
+    assert a != RunConfig(allow_head=True).fingerprint()
+
+
+@pytest.mark.parametrize("key", ["seed", "jobs", "compare_scope", "top_k"])
+def test_settings_that_cannot_change_a_ranking_are_not_config(key):
+    # every config field feeds the fingerprint, so a field that does not
+    # decide the output would give equal rankings different fingerprints
+    with pytest.raises(ConfigError):
+        parse_config_text(f"{key} = 2")
+    with pytest.raises(ConfigError):
+        load_config(None, {key: 2})
 
 
 def test_parse_config_text_happy_path():
@@ -86,10 +95,10 @@ def test_parse_config_text_rejects_bad_lines(line):
 def test_load_config_flags_override_file(tmp_path):
     path = tmp_path / "run.cfg"
     path.write_text("series_length = 200\nmax_gap = 4\n")
-    config = load_config(path, {"series_length": 300, "jobs": None})
+    config = load_config(path, {"series_length": 300, "subsample": None})
     assert config.series_length == 300  # flag wins
     assert config.max_gap == 4          # file value kept
-    assert config.jobs == 1             # None means not provided
+    assert config.subsample == "first"  # None means not provided
 
 
 def test_load_config_without_file_uses_defaults():

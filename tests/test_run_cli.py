@@ -1,10 +1,15 @@
 """End-to-end runs and the command-line surface."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import sensorplace
 from sensorplace import cli
 from sensorplace import io as pio
 from sensorplace import run as runner
@@ -83,12 +88,12 @@ def test_rank_writes_table_and_report(tmp_path):
     assert "timestamp" not in json.dumps(report).lower()
 
 
-def test_rank_output_is_byte_identical_across_runs_and_jobs(tmp_path):
+def test_rank_output_is_byte_identical_across_runs(tmp_path):
     manifest = _corpus(tmp_path)
     outs = []
-    for jobs in (1, 1, 4):
-        out = tmp_path / f"out-{len(outs)}"
-        runner.run_rank(manifest, _config(jobs=jobs), out_dir=out)
+    for k in range(3):
+        out = tmp_path / f"out-{k}"
+        runner.run_rank(manifest, _config(), out_dir=out)
         outs.append((out / runner.RANKING_FILENAME).read_bytes())
     assert outs[0] == outs[1] == outs[2]
 
@@ -194,16 +199,21 @@ def test_cli_config_file_with_flag_override(tmp_path, capsys):
     assert report["config"]["series_length"] == 500  # flag beat the file
 
 
-def test_cli_jobs_flag_gives_identical_bytes(tmp_path):
+def test_cli_rank_gives_identical_bytes_across_processes(tmp_path):
     corpus = tmp_path / "corpus"
     cli.main(["synth", str(corpus), "--length", "520"])
-    a, b = tmp_path / "a", tmp_path / "b"
-    assert cli.main(["rank", str(corpus / "manifest.txt"), "--out-dir", str(a)]) == 0
-    assert cli.main([
-        "rank", str(corpus / "manifest.txt"), "--out-dir", str(b), "--jobs", "4",
-    ]) == 0
-    assert (a / "ranking.csv").read_bytes() == (b / "ranking.csv").read_bytes()
-    assert (a / "report.json").read_bytes() == (b / "report.json").read_bytes()
+    outs = []
+    for k, threads in enumerate(("1", "1", "2")):
+        out = tmp_path / f"out-{k}"
+        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads, OMP_NUM_THREADS=threads,
+                   PYTHONPATH=str(Path(sensorplace.__file__).resolve().parents[1]))
+        subprocess.run(
+            [sys.executable, "-m", "sensorplace.cli", "rank", str(corpus / "manifest.txt"),
+             "--out-dir", str(out)],
+            env=env, check=True, capture_output=True,
+        )
+        outs.append(((out / "ranking.csv").read_bytes(), (out / "report.json").read_bytes()))
+    assert outs[0] == outs[1] == outs[2]
 
 
 def test_cli_synth_is_seed_deterministic(tmp_path):
@@ -220,6 +230,33 @@ def test_cli_input_errors_exit_1(tmp_path, capsys):
     bad.write_text("1,2,3\n")
     assert cli.main(["validate", str(bad)]) == 1
     assert "error:" in capsys.readouterr().err
+
+
+def test_cli_missing_config_file_exits_1(tmp_path, capsys):
+    corpus = tmp_path / "corpus"
+    cli.main(["synth", str(corpus), "--length", "520"])
+    capsys.readouterr()
+    code = cli.main([
+        "rank", str(corpus / "manifest.txt"), "--config", str(tmp_path / "missing.cfg"),
+        "--out-dir", str(tmp_path / "out"),
+    ])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: cannot read config file") and err.count("\n") == 1
+
+
+def test_cli_uncreatable_out_dir_exits_1(tmp_path, capsys):
+    corpus = tmp_path / "corpus"
+    cli.main(["synth", str(corpus), "--length", "520"])
+    blocker = tmp_path / "plain-file"
+    blocker.write_text("not a directory\n")
+    capsys.readouterr()
+    code = cli.main([
+        "rank", str(corpus / "manifest.txt"), "--out-dir", str(blocker / "sub"),
+    ])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: cannot write") and err.count("\n") == 1
 
 
 def test_cli_compare_universe_mismatch_exits_1(tmp_path, capsys):

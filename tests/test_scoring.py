@@ -12,6 +12,7 @@ from sensorplace.errors import (
     LengthMismatchError,
     SiteNotPresentError,
     ZeroNormError,
+    ZeroVectorError,
 )
 from sensorplace.scoring import (
     PlacementSubset,
@@ -24,7 +25,8 @@ from sensorplace.scoring import (
     score_subset,
     ScoredSubset,
 )
-from sensorplace.skeleton import ActivitySet, DEFAULT_ROSTER
+from sensorplace.skeleton import ActivitySet, DEFAULT_ROSTER, SITE_ORDER
+from sensorplace.synth import make_separable_set
 
 
 def _set_from_arrays(arrays, sites):
@@ -201,15 +203,71 @@ def test_ranking_sorts_desc_with_canonical_tie_break():
     assert ranking.labels() == ["PE", "LW", "RW", "LW+RW"]
 
 
-def test_rank_placements_parallel_matches_serial():
+def test_rank_placements_is_repeatable():
     rng = np.random.default_rng(23)
     arrays = rng.uniform(0.1, 0.9, size=(5, 5, 40, 2))
     aset = _set_from_arrays(arrays, sites=DEFAULT_ROSTER)
     subsets = enumerate_subsets(DEFAULT_ROSTER)
-    serial = rank_placements(aset, subsets, jobs=1)
-    parallel = rank_placements(aset, subsets, jobs=8)
-    assert serial.labels() == parallel.labels()
-    assert [e.score for e in serial.entries] == [e.score for e in parallel.entries]
+    first = rank_placements(aset, subsets)
+    second = rank_placements(aset, subsets)
+    assert first.labels() == second.labels()
+    assert [e.score for e in first.entries] == [e.score for e in second.entries]
+
+
+def test_rank_placements_rejects_site_missing_from_series():
+    arrays = np.random.default_rng(3).uniform(0.1, 0.9, size=(3, 2, 5, 2))
+    aset = _set_from_arrays(arrays, sites=("LW", "RW"))
+    with pytest.raises(SiteNotPresentError, match="site 'PE' not in series roster"):
+        rank_placements(aset, [PlacementSubset(("LW",)), PlacementSubset(("PE",))])
+
+
+def _full_roster_set(seed):
+    # all 12 sites, head included; activities differ only at LW, so most
+    # pair terms are tiny and cancellation would expose a sloppy sum
+    aset = make_separable_set(8, ["LW"], seed=seed, noise_sigma=0.01, length=40,
+                              roster=SITE_ORDER)
+    return aset, [series.points for series in aset.activities]
+
+
+def test_score_subset_and_rank_placements_agree_bit_for_bit():
+    aset, _ = _full_roster_set(29)
+    subsets = enumerate_subsets(SITE_ORDER)
+    ranked = {e.subset: e.score for e in rank_placements(aset, subsets).entries}
+    assert len(ranked) == 4095
+    for subset in subsets:
+        assert score_subset(aset, subset).score == ranked[subset]
+
+
+def test_full_roster_scores_match_reference():
+    aset, arrays = _full_roster_set(31)
+    subsets = enumerate_subsets(SITE_ORDER)
+    ranked = {e.subset: e.score for e in rank_placements(aset, subsets).entries}
+    rng = np.random.default_rng(37)
+    for k in rng.choice(len(subsets), size=40, replace=False):
+        subset = subsets[k]
+        rows = [SITE_ORDER.index(site) for site in subset.sites]
+        ref = pairwise_distance_sum_ref([a[rows].reshape(-1) for a in arrays])
+        assert ranked[subset] == pytest.approx(ref, rel=1e-9, abs=1e-12)
+
+
+def test_zero_vector_subsets_are_rejected_and_others_still_score():
+    rng = np.random.default_rng(41)
+    arrays = rng.uniform(0.1, 0.9, size=(3, 3, 10, 2))
+    arrays[1, 2] = 0.0  # activity a1 never moves its PE site off the origin
+    sites = ("LW", "RW", "PE")
+    aset = _set_from_arrays(arrays, sites=sites)
+    zero = PlacementSubset(("PE",))
+    with pytest.raises(ZeroVectorError, match="activity 'a1'"):
+        score_subset(aset, zero)
+    with pytest.raises(ZeroVectorError, match="activity 'a1'"):
+        rank_placements(aset, enumerate_subsets(sites))
+    others = [s for s in enumerate_subsets(sites) if s != zero]
+    ranking = rank_placements(aset, others)
+    assert len(ranking.entries) == 6
+    for entry in ranking.entries:
+        rows = [sites.index(site) for site in entry.subset.sites]
+        ref = pairwise_distance_sum_ref([a[rows].reshape(-1) for a in arrays])
+        assert entry.score == pytest.approx(ref, rel=1e-9, abs=1e-12)
 
 
 def test_subset_label_and_canonical_order():

@@ -18,11 +18,9 @@ from .errors import (
 )
 from .rankcorr import RankAssignment, TauReport, align_rankings, compare_rankings, kendall_tau
 from .scoring import (
-    ActivityVector,
     PlacementSubset,
     Ranking,
     ScoredSubset,
-    build_activity_vector,
     build_ranking,
     cosine_distance,
     enumerate_subsets,
@@ -35,8 +33,6 @@ from .skeleton import (
     SITE_NAMES,
     SITE_ORDER,
     ActivitySet,
-    RawPoseFrame,
-    SkeletonFrame,
     SkeletonSeries,
     canonical_sites,
     centralize,
@@ -58,7 +54,6 @@ __version__ = "0.1.0"
 
 __all__ = [
     "ActivitySet",
-    "ActivityVector",
     "ComputationError",
     "ConfigError",
     "DEFAULT_ROSTER",
@@ -68,18 +63,15 @@ __all__ = [
     "PlacementSubset",
     "RankAssignment",
     "Ranking",
-    "RawPoseFrame",
     "RunConfig",
     "SITE_NAMES",
     "SITE_ORDER",
     "ScoredSubset",
     "SensorPlaceError",
     "SiteMotion",
-    "SkeletonFrame",
     "SkeletonSeries",
     "TauReport",
     "align_rankings",
-    "build_activity_vector",
     "build_ranking",
     "canonical_sites",
     "centralize",

@@ -3,8 +3,8 @@
 Subcommands: ``validate`` (schema-check keypoint files), ``rank``
 (manifest -> placement ranking), ``compare`` (two rankings -> Kendall's
 tau), ``synth`` (emit a synthetic keypoint corpus), ``report`` (render a
-ranking as text). Exit codes: 0 success, 1 input/config error,
-2 computation error.
+ranking as text). Exit codes: 0 success, 1 input/config error (usage
+errors included), 2 computation error.
 """
 
 from __future__ import annotations
@@ -17,6 +17,15 @@ from . import __version__
 from . import run as runner
 from .config import load_config
 from .errors import ComputationError, DataError
+
+
+class _Parser(argparse.ArgumentParser):
+    """Usage errors are bad input, so they exit 1 like every other input
+    error; argparse's own default is 2, the numeric-failure code here."""
+
+    def error(self, message):
+        self.print_usage(sys.stderr)
+        self.exit(1, f"{self.prog}: error: {message}\n")
 
 
 def _sites(text: str) -> tuple:
@@ -120,7 +129,7 @@ def _cmd_report(args) -> int:
 
 
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="sensorplace",
         description="Rank on-body sensor placements from 2D pose keypoint recordings.",
     )

@@ -8,9 +8,10 @@ fingerprints on equal inputs mean byte-identical reports.
 from __future__ import annotations
 
 import hashlib
-from dataclasses import dataclass, fields, replace
+from dataclasses import dataclass, fields
 
 from .errors import ConfigError
+from .io import _read_text
 from .skeleton import DEFAULT_ROSTER, canonical_sites
 from .synth import RNG_NAME
 
@@ -52,10 +53,6 @@ class RunConfig:
         if self.multi_window and self.subsample == "uniform":
             raise ConfigError("multi_window requires contiguous windows; "
                               "it cannot be combined with uniform subsampling")
-
-    def with_overrides(self, **kwargs) -> "RunConfig":
-        provided = {k: v for k, v in kwargs.items() if v is not None}
-        return replace(self, **provided) if provided else self
 
     def fingerprint(self) -> str:
         """sha256 over the canonical text form plus the RNG name."""
@@ -123,11 +120,7 @@ def load_config(path, overrides=None) -> RunConfig:
     """
     kwargs = {}
     if path is not None:
-        try:
-            with open(path, "r", encoding="utf-8") as fh:
-                text = fh.read()
-        except OSError as exc:
-            raise ConfigError(f"cannot read config file {path}: {exc}") from exc
+        text = _read_text(path, "config file", ConfigError)
         kwargs.update(parse_config_text(text, source=str(path)))
     if overrides:
         kwargs.update({k: v for k, v in overrides.items() if v is not None})

@@ -3,12 +3,17 @@
 Keypoint files come in two line-oriented flavors. The plain form is CSV,
 one frame per line, 52 fields: ``t,kp0_x,kp0_y,kp0_c,...,kp16_x,kp16_y,
 kp16_c``. The labeled form carries the same 52 fields per line as
-whitespace-separated ``key=value`` tokens in any order. Ranking tables are
-CSV with header ``rank,score,sites`` (sites as ``+``-joined canonical ids);
-external rankings may omit the score column (``rank,sites``).
+whitespace-separated ``key=value`` tokens in any order. A parsed recording
+is two arrays, timestamps ``t[n]`` and keypoints ``kp[n, 17, 3]``; the
+writer takes the same arrays. Ranking tables are CSV with header
+``rank,score,sites`` (sites as ``+``-joined canonical ids); external
+rankings may omit the score column (``rank,sites``).
 
-All writers go through a write-then-rename step so consumers never observe
-a partial file, and no output embeds a timestamp.
+Every reader turns a missing, unreadable or non-UTF-8 file, and every
+malformed line, into a ``DataError`` with a one-line message; line-level
+faults carry the line number. All writers go through a write-then-rename
+step so consumers never observe a partial file, and no output embeds a
+timestamp.
 """
 
 from __future__ import annotations
@@ -29,7 +34,7 @@ from .errors import (
     ManifestError,
     NonMonotoneTimeError,
 )
-from .skeleton import NUM_KEYPOINTS, RawPoseFrame
+from .skeleton import NUM_KEYPOINTS
 
 # Field names shared by both keypoint formats, in CSV column order.
 KEYPOINT_FIELDS = ("t",) + tuple(
@@ -65,39 +70,41 @@ def format_float(x: float) -> str:
 
 # --- keypoint files ---------------------------------------------------------
 
-def _parse_float(text: str, path, line_no: int, field: str) -> float:
+def _read_text(path, what: str, error=DataError) -> str:
+    """Read a UTF-8 text file; a missing, unreadable or non-UTF-8 file
+    raises ``error`` with a one-line message."""
     try:
-        value = float(text)
+        return Path(path).read_text(encoding="utf-8")
+    except (OSError, UnicodeDecodeError) as exc:
+        raise error(f"cannot read {what} {path}: {exc}") from exc
+
+
+def _number(text: str, path, line_no: int, field: str) -> float:
+    """One field as a float; non-finite values pass, callers check them."""
+    try:
+        return float(text)
     except ValueError:
-        raise MalformedLineError(path, line_no, f"field {field!r}: not a number: {text!r}")
-    if not math.isfinite(value):
-        raise MalformedLineError(path, line_no, f"field {field!r}: non-finite value")
-    return value
+        raise MalformedLineError(
+            path, line_no, f"field {field!r}: not a number: {text.strip()!r}"
+        ) from None
 
 
-def _frame_from_values(values, path, line_no) -> RawPoseFrame:
-    t = values[0]
-    kps = np.array(values[1:], dtype=np.float64).reshape(NUM_KEYPOINTS, 3)
-    try:
-        return RawPoseFrame(t=t, keypoints=kps)
-    except (ValueError, DataError) as exc:
-        raise MalformedLineError(path, line_no, str(exc)) from exc
+def _frame_values(texts, path, line_no: int) -> list[float]:
+    """The 52 numbers of one frame in field order. ``_check_frames`` finds
+    non-finite values over the whole file at once."""
+    return [_number(x, path, line_no, f) for f, x in zip(KEYPOINT_FIELDS, texts)]
 
 
-def _parse_csv_line(line: str, path, line_no: int) -> RawPoseFrame:
+def _csv_values(line: str, path, line_no: int) -> list[float]:
     parts = line.split(",")
     if len(parts) != FIELDS_PER_FRAME:
         raise MalformedLineError(
             path, line_no, f"expected {FIELDS_PER_FRAME} fields, got {len(parts)}"
         )
-    values = [
-        _parse_float(p.strip(), path, line_no, KEYPOINT_FIELDS[i])
-        for i, p in enumerate(parts)
-    ]
-    return _frame_from_values(values, path, line_no)
+    return _frame_values(parts, path, line_no)
 
 
-def _parse_labeled_line(line: str, path, line_no: int) -> RawPoseFrame:
+def _labeled_values(line: str, path, line_no: int) -> list[float]:
     found = {}
     for token in line.split():
         key, sep, raw = token.partition("=")
@@ -107,53 +114,66 @@ def _parse_labeled_line(line: str, path, line_no: int) -> RawPoseFrame:
             raise MalformedLineError(path, line_no, f"unknown field {key!r}")
         if key in found:
             raise MalformedLineError(path, line_no, f"field {key!r} repeated")
-        found[key] = _parse_float(raw, path, line_no, key)
+        found[key] = raw
     if len(found) != FIELDS_PER_FRAME:
         missing = [f for f in KEYPOINT_FIELDS if f not in found]
         raise MalformedLineError(
             path, line_no, f"missing fields: {', '.join(missing[:5])}"
             + ("..." if len(missing) > 5 else "")
         )
-    return _frame_from_values([found[f] for f in KEYPOINT_FIELDS], path, line_no)
+    return _frame_values([found[f] for f in KEYPOINT_FIELDS], path, line_no)
 
 
 _FIELD_INDEX = {name: i for i, name in enumerate(KEYPOINT_FIELDS)}
 
 
-def parse_keypoint_file(path) -> list[RawPoseFrame]:
+def _check_frames(values: np.ndarray, line_nos: list[int], path) -> None:
+    """Raise for the first line that holds a non-finite value or a
+    timestamp that does not increase, as a line-by-line scan would."""
+    finite = np.isfinite(values)
+    t = values[:, 0]
+    stalled = np.concatenate(([False], t[1:] <= t[:-1]))
+    faults = np.flatnonzero(~finite.all(axis=1) | stalled)
+    if not faults.size:
+        return
+    row = int(faults[0])
+    if not finite[row].all():
+        field = KEYPOINT_FIELDS[int(np.argmin(finite[row]))]
+        raise MalformedLineError(path, line_nos[row], f"field {field!r}: non-finite value")
+    raise NonMonotoneTimeError(path, line_nos[row], float(t[row - 1]), float(t[row]))
+
+
+def parse_keypoint_file(path) -> tuple[np.ndarray, np.ndarray]:
     """Parse a keypoint recording in either the CSV or the labeled format.
 
-    The format is detected from the first data line: lines containing
-    ``=`` are labeled, everything else is CSV. Timestamps must strictly
-    increase; violations raise with the offending line number.
+    Returns ``(t, kp)``: timestamps ``t[n]`` and keypoints ``kp[n, 17, 3]``
+    (x, y, confidence in COCO order). The format is detected from the first
+    data line: lines containing ``=`` are labeled, everything else is CSV.
+    Every value must be a finite number and timestamps must strictly
+    increase; the first faulty line is reported by number.
     """
-    path = Path(path)
+    text = _read_text(path, "keypoint file")
+    rows: list[list[float]] = []
+    line_nos: list[int] = []
+    parse_line = None
     try:
-        text = path.read_text(encoding="utf-8")
-    except OSError as exc:
-        raise DataError(f"cannot read keypoint file {path}: {exc}") from exc
-
-    frames: list[RawPoseFrame] = []
-    labeled = None
-    prev_t = None
-    for line_no, raw in enumerate(text.splitlines(), start=1):
-        line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
-        if labeled is None:
-            labeled = "=" in line
-        frame = (
-            _parse_labeled_line(line, path, line_no)
-            if labeled
-            else _parse_csv_line(line, path, line_no)
-        )
-        if prev_t is not None and frame.t <= prev_t:
-            raise NonMonotoneTimeError(path, line_no, prev_t, frame.t)
-        prev_t = frame.t
-        frames.append(frame)
-    if not frames:
+        for line_no, raw in enumerate(text.splitlines(), start=1):
+            line = raw.strip()
+            if not line or line.startswith("#"):
+                continue
+            if parse_line is None:
+                parse_line = _labeled_values if "=" in line else _csv_values
+            rows.append(parse_line(line, path, line_no))
+            line_nos.append(line_no)
+    except MalformedLineError:
+        # a fault on an earlier line is reported first
+        _check_frames(np.array(rows).reshape(-1, FIELDS_PER_FRAME), line_nos, path)
+        raise
+    if not rows:
         raise DataError(f"keypoint file {path} contains no frames")
-    return frames
+    values = np.array(rows)
+    _check_frames(values, line_nos, path)
+    return values[:, 0].copy(), values[:, 1:].reshape(-1, NUM_KEYPOINTS, 3)
 
 
 @dataclass(frozen=True)
@@ -176,25 +196,21 @@ def validate_keypoint_file(path) -> FileCheck:
     outside [0, 1] and confidences outside [0, 1] are legal but reported,
     since they usually indicate an estimator or scaling problem.
     """
-    frames = parse_keypoint_file(path)
+    t, kp = parse_keypoint_file(path)
     warnings = []
-    out_coord = 0
-    out_conf = 0
-    for frame in frames:
-        xy = frame.keypoints[:, :2]
-        conf = frame.keypoints[:, 2]
-        out_coord += int(np.count_nonzero((xy < 0.0) | (xy > 1.0)))
-        out_conf += int(np.count_nonzero((conf < 0.0) | (conf > 1.0)))
+    out_coord = int(np.count_nonzero((kp[:, :, :2] < 0.0) | (kp[:, :, :2] > 1.0)))
+    out_conf = int(np.count_nonzero((kp[:, :, 2] < 0.0) | (kp[:, :, 2] > 1.0)))
     if out_coord:
         warnings.append(f"{out_coord} coordinate values outside [0, 1]")
     if out_conf:
         warnings.append(f"{out_conf} confidence values outside [0, 1]")
-    return FileCheck(path=str(path), n_frames=len(frames), warnings=tuple(warnings))
+    return FileCheck(path=str(path), n_frames=len(t), warnings=tuple(warnings))
 
 
-def format_keypoint_frame(frame: RawPoseFrame, style: str = "csv") -> str:
-    """Render one frame as a CSV or labeled line."""
-    values = [frame.t] + [float(v) for v in frame.keypoints.reshape(-1)]
+def format_keypoint_frame(t: float, keypoints: np.ndarray, style: str = "csv") -> str:
+    """Render one frame, a timestamp and its (17, 3) keypoint row, as a
+    CSV or labeled line."""
+    values = [float(t)] + [float(v) for v in np.reshape(keypoints, -1)]
     if style == "csv":
         return ",".join(format_float(v) for v in values)
     if style == "labeled":
@@ -204,8 +220,10 @@ def format_keypoint_frame(frame: RawPoseFrame, style: str = "csv") -> str:
     raise ValueError(f"unknown keypoint file style {style!r}")
 
 
-def write_keypoint_file(path, frames, style: str = "csv") -> None:
-    lines = [format_keypoint_frame(f, style=style) for f in frames]
+def write_keypoint_file(path, t, kp, style: str = "csv") -> None:
+    """Write timestamps ``t[n]`` and keypoints ``kp[n, 17, 3]``, one line
+    per frame."""
+    lines = [format_keypoint_frame(ti, row, style=style) for ti, row in zip(t, kp)]
     atomic_write_text(path, "\n".join(lines) + "\n")
 
 
@@ -218,10 +236,7 @@ def parse_manifest(path) -> list[tuple[str, list[Path]]]:
     appearance is preserved; duplicate activity ids are rejected.
     """
     path = Path(path)
-    try:
-        text = path.read_text(encoding="utf-8")
-    except OSError as exc:
-        raise ManifestError(f"cannot read manifest {path}: {exc}") from exc
+    text = _read_text(path, "manifest", ManifestError)
 
     base = path.parent
     entries: list[tuple[str, list[Path]]] = []
@@ -278,11 +293,7 @@ def read_ranking_file(path) -> list[RankRow]:
     ``rank,sites``; an optional header line is skipped. Ranks must be a
     permutation of 1..n; rows come back sorted by rank.
     """
-    path = Path(path)
-    try:
-        text = path.read_text(encoding="utf-8")
-    except OSError as exc:
-        raise DataError(f"cannot read ranking file {path}: {exc}") from exc
+    text = _read_text(path, "ranking file")
 
     rows: list[RankRow] = []
     for line_no, raw in enumerate(text.splitlines(), start=1):
@@ -307,7 +318,9 @@ def read_ranking_file(path) -> list[RankRow]:
             raise MalformedLineError(path, line_no, f"bad rank {rank_text!r}")
         score = None
         if score_text is not None:
-            score = _parse_float(score_text, path, line_no, "score")
+            score = _number(score_text, path, line_no, "score")
+            if not math.isfinite(score):
+                raise MalformedLineError(path, line_no, "field 'score': non-finite value")
         if not label:
             raise MalformedLineError(path, line_no, "empty sites field")
         rows.append(RankRow(rank=rank, label=label, score=score))

@@ -19,10 +19,11 @@ from .errors import DataError, ManifestError, TooShortError
 from .rankcorr import compare_rankings
 from .scoring import Ranking, ScoredSubset, build_ranking, enumerate_subsets, rank_placements
 from .skeleton import (
+    MERGE_SOURCES,
+    NUM_KEYPOINTS,
     SITE_NAMES,
     SITE_ORDER,
     ActivitySet,
-    RawPoseFrame,
     SkeletonSeries,
     preprocess_recording,
     truncate_series,
@@ -65,36 +66,24 @@ def _activity_windows(activity_id: str, paths, config: RunConfig) -> list[Skelet
     from the first recording; otherwise each recording contributes its
     consecutive disjoint windows, in manifest order.
     """
-    if config.subsample == "uniform":
-        frames = pio.parse_keypoint_file(paths[0])
-        full = preprocess_recording(
-            frames,
-            activity_id,
-            roster=config.roster,
-            length=None,
-            target_rate=config.sample_rate,
-            confidence_threshold=config.confidence_threshold,
-            max_gap=config.max_gap,
-            subsample="first",
-            allow_head=config.allow_head,
-        )
-        return [truncate_series(full, config.series_length, mode="uniform")]
-
+    uniform = config.subsample == "uniform"
     windows: list[SkeletonSeries] = []
     total = 0
-    for path in paths:
-        frames = pio.parse_keypoint_file(path)
+    for path in paths[:1] if uniform else paths:
+        t, kp = pio.parse_keypoint_file(path)
         full = preprocess_recording(
-            frames,
+            t,
+            kp,
             activity_id,
             roster=config.roster,
             length=None,
             target_rate=config.sample_rate,
             confidence_threshold=config.confidence_threshold,
             max_gap=config.max_gap,
-            subsample="first",
             allow_head=config.allow_head,
         )
+        if uniform:
+            return [truncate_series(full, config.series_length, mode="uniform")]
         total += full.length
         windows.extend(_split_windows(full, config.series_length))
     if not windows:
@@ -274,27 +263,27 @@ def render_compare_text(payload: dict) -> str:
 
 # --- synth ----------------------------------------------------------------------
 
-# Fixed detail offsets used to expand the 12 sites back to 17 keypoints.
+# Offsets of each COCO keypoint from the site point it is expanded from.
 # The facial offsets sum to zero so consolidation recovers the head point;
-# the hip offsets are symmetric around the pelvis.
-_FACE_OFFSETS = (
+# the hip offsets are symmetric around the pelvis; every other keypoint sits
+# on its site.
+_KEYPOINT_SITE = tuple(
+    next(site for site in SITE_ORDER if k in MERGE_SOURCES[site]) for k in range(NUM_KEYPOINTS)
+)
+_KEYPOINT_OFFSETS = np.zeros((NUM_KEYPOINTS, 2))
+_KEYPOINT_OFFSETS[list(MERGE_SOURCES["HD"])] = (
     (0.0, 0.0),        # nose
     (0.01, -0.01),     # left eye
     (-0.01, -0.01),    # right eye
     (0.02, 0.01),      # left ear
     (-0.02, 0.01),     # right ear
 )
-_HIP_OFFSET = 0.03
-
-# site -> COCO keypoint index for the ten pass-through sites
-_DIRECT_KEYPOINTS = {
-    "LS": 5, "RS": 6, "LE": 7, "RE": 8, "LW": 9,
-    "RW": 10, "LK": 13, "RK": 14, "LF": 15, "RF": 16,
-}
+_KEYPOINT_OFFSETS[list(MERGE_SOURCES["PE"])] = ((-0.03, 0.0), (0.03, 0.0))
 
 
-def series_to_frames(series: SkeletonSeries, drift: bool = True):
-    """Expand a 12-site series into raw 17-keypoint frames.
+def series_to_frames(series: SkeletonSeries, drift: bool = True) -> tuple[np.ndarray, np.ndarray]:
+    """Expand a 12-site series into timestamps ``t[L]`` and raw keypoints
+    ``kp[L, 17, 3]``.
 
     The five facial keypoints are placed around the head point with
     zero-sum offsets and the two hips symmetrically around the pelvis, so
@@ -304,34 +293,16 @@ def series_to_frames(series: SkeletonSeries, drift: bool = True):
     """
     if set(series.sites) != set(SITE_ORDER):
         raise ValueError("keypoint export needs a series covering all 12 sites")
-    row = {site: series.sites.index(site) for site in series.sites}
     L = series.length
     t = np.arange(L, dtype=np.float64) / series.sample_rate
+    shift = np.zeros((L, 2))
     if drift:
-        dx = 0.05 * np.sin(2.0 * np.pi * 0.2 * t) + 0.001 * t
-        dy = 0.05 * np.cos(2.0 * np.pi * 0.3 * t)
-    else:
-        dx = np.zeros(L)
-        dy = np.zeros(L)
-
-    frames = []
-    for i in range(L):
-        kps = np.ones((17, 3), dtype=np.float64)
-        head = series.points[row["HD"], i]
-        for k, (ox, oy) in enumerate(_FACE_OFFSETS):
-            kps[k, 0] = head[0] + ox + dx[i]
-            kps[k, 1] = head[1] + oy + dy[i]
-        pelvis = series.points[row["PE"], i]
-        kps[11, 0] = pelvis[0] - _HIP_OFFSET + dx[i]
-        kps[11, 1] = pelvis[1] + dy[i]
-        kps[12, 0] = pelvis[0] + _HIP_OFFSET + dx[i]
-        kps[12, 1] = pelvis[1] + dy[i]
-        for site, k in _DIRECT_KEYPOINTS.items():
-            p = series.points[row[site], i]
-            kps[k, 0] = p[0] + dx[i]
-            kps[k, 1] = p[1] + dy[i]
-        frames.append(RawPoseFrame(t=float(t[i]), keypoints=kps))
-    return frames
+        shift[:, 0] = 0.05 * np.sin(2.0 * np.pi * 0.2 * t) + 0.001 * t
+        shift[:, 1] = 0.05 * np.cos(2.0 * np.pi * 0.3 * t)
+    rows = [series.sites.index(site) for site in _KEYPOINT_SITE]
+    kp = np.ones((L, NUM_KEYPOINTS, 3), dtype=np.float64)
+    kp[:, :, :2] = (series.points[rows].transpose(1, 0, 2) + _KEYPOINT_OFFSETS) + shift[:, None]
+    return t, kp
 
 
 def run_synth(
@@ -364,10 +335,9 @@ def run_synth(
     extension = "csv" if style == "csv" else "txt"
     manifest_lines = []
     for spec in specs:
-        series = generate_activity(spec)
-        frames = series_to_frames(series, drift=drift)
+        t, kp = series_to_frames(generate_activity(spec), drift=drift)
         filename = f"{spec.activity_id}.{extension}"
-        pio.write_keypoint_file(out_dir / filename, frames, style=style)
+        pio.write_keypoint_file(out_dir / filename, t, kp, style=style)
         manifest_lines.append(f"{spec.activity_id} {filename}")
     manifest_path = out_dir / MANIFEST_FILENAME
     pio.atomic_write_text(manifest_path, "\n".join(manifest_lines) + "\n")

@@ -31,7 +31,7 @@ from .errors import (
     ZeroNormError,
     ZeroVectorError,
 )
-from .skeleton import ActivitySet, SkeletonSeries, canonical_sites, site_key
+from .skeleton import ActivitySet, canonical_sites, site_key
 
 TIE_BREAK = "score desc, then subset size asc, then canonical site order"
 
@@ -61,25 +61,6 @@ class PlacementSubset:
 
 
 @dataclass(frozen=True)
-class ActivityVector:
-    """Flattened per-activity trajectory for one subset."""
-
-    activity_id: str
-    subset: PlacementSubset
-    values: np.ndarray
-
-    def __post_init__(self):
-        v = np.ascontiguousarray(self.values, dtype=np.float64)
-        if v.ndim != 1:
-            raise ValueError("activity vector must be one-dimensional")
-        if not np.all(np.isfinite(v)):
-            raise ValueError(f"activity {self.activity_id!r}: vector has non-finite entries")
-        if not v.any():
-            raise ZeroVectorError(f"activity {self.activity_id!r}: vector is identically zero")
-        object.__setattr__(self, "values", v)
-
-
-@dataclass(frozen=True)
 class ScoredSubset:
     subset: PlacementSubset
     score: float
@@ -98,19 +79,6 @@ class Ranking:
 
     def labels(self) -> list[str]:
         return [e.subset.label for e in self.entries]
-
-
-def build_activity_vector(series: SkeletonSeries, subset: PlacementSubset) -> ActivityVector:
-    """Concatenate the subset's site trajectories into one flat vector."""
-    rows = []
-    for site in subset.sites:
-        if site not in series.sites:
-            raise SiteNotPresentError(
-                f"activity {series.activity_id!r}: site {site!r} not in series roster"
-            )
-        rows.append(series.sites.index(site))
-    values = series.points[rows].reshape(-1)
-    return ActivityVector(activity_id=series.activity_id, subset=subset, values=values)
 
 
 def cosine_distance(u: np.ndarray, v: np.ndarray) -> float:

@@ -1,13 +1,21 @@
 """Pose data model and skeleton preprocessing.
 
-Raw input is a sequence of 2D pose-estimator frames, each carrying the 17
-COCO keypoints (nose, eyes, ears, shoulders, elbows, wrists, hips, knees,
-ankles) with per-keypoint confidences. Preprocessing consolidates them to
-12 placement sites (the five facial keypoints merge into one head point,
-the two hips into one pelvis point), translates each frame so the centroid
-of its valid points sits at (0.5, 0.5), selects the configured placement
-roster, repairs short gaps by linear interpolation, optionally decimates
-to a target sample rate, and cuts every activity to one uniform length.
+A raw recording is two arrays: timestamps ``t[n]`` and keypoints
+``kp[n, 17, 3]``, the 17 COCO keypoints (nose, eyes, ears, shoulders,
+elbows, wrists, hips, knees, ankles) of each 2D pose-estimator frame as x,
+y and confidence. Preprocessing works on all frames at once. It
+consolidates them to 12 placement sites (the five facial keypoints merge
+into one head point, the two hips into one pelvis point), translates each
+frame so the centroid of its valid points sits at (0.5, 0.5), selects the
+configured placement roster, repairs short gaps by linear interpolation,
+optionally decimates to a target sample rate, and cuts every activity to
+one uniform length.
+
+Gaps are counted on the uniform grid of the recording's rate (the inverse
+of its median timestamp spacing). A spacing above 1.5 periods is a
+timestamp hole of ``round(dt / period) - 1`` frames with no valid point,
+so a single dropped frame is interpolated and a hole longer than
+``max_gap`` frames is an error, like any other gap.
 
 Coordinates are normalized image coordinates; values outside [0, 1] are
 legal (estimators can emit slightly out-of-frame points).
@@ -93,6 +101,11 @@ MERGE_SOURCES = {
 
 _SITE_INDEX = {site: i for i, site in enumerate(SITE_ORDER)}
 
+# _MERGE_MASK[s, k] says whether COCO keypoint k feeds site s.
+_MERGE_MASK = np.array(
+    [[k in MERGE_SOURCES[site] for k in range(NUM_KEYPOINTS)] for site in SITE_ORDER]
+)
+
 # Centroid offsets at or below this are treated as zero, making
 # centralization an exact projection (idempotent to the bit).
 _CENTER_SNAP = 1e-12
@@ -112,47 +125,6 @@ def canonical_sites(sites) -> tuple[str, ...]:
     if len(set(sites)) != len(sites):
         raise UnknownSiteError(f"duplicate site ids in {sites!r}")
     return tuple(sorted(sites, key=site_key))
-
-
-@dataclass(frozen=True)
-class RawPoseFrame:
-    """One pose-estimator frame: timestamp plus a (17, 3) array of
-    x, y, confidence rows in COCO keypoint order."""
-
-    t: float
-    keypoints: np.ndarray
-
-    def __post_init__(self):
-        kp = np.asarray(self.keypoints, dtype=np.float64)
-        if kp.shape != (NUM_KEYPOINTS, 3):
-            raise ValueError(f"expected ({NUM_KEYPOINTS}, 3) keypoints, got {kp.shape}")
-        object.__setattr__(self, "keypoints", kp)
-
-
-@dataclass(frozen=True)
-class SkeletonFrame:
-    """Twelve consolidated placement sites for one frame.
-
-    ``points`` is (12, 2) in canonical site order; ``valid`` marks sites
-    whose position is known (confidence gate passed at merge time).
-    """
-
-    points: np.ndarray
-    valid: np.ndarray
-
-    def __post_init__(self):
-        pts = np.asarray(self.points, dtype=np.float64)
-        ok = np.asarray(self.valid, dtype=bool)
-        if pts.shape != (len(SITE_ORDER), 2) or ok.shape != (len(SITE_ORDER),):
-            raise ValueError("skeleton frame must carry 12 points with a validity mask")
-        object.__setattr__(self, "points", pts)
-        object.__setattr__(self, "valid", ok)
-
-    def point(self, site: str) -> np.ndarray:
-        return self.points[_SITE_INDEX[site]]
-
-    def is_valid(self, site: str) -> bool:
-        return bool(self.valid[_SITE_INDEX[site]])
 
 
 @dataclass(frozen=True)
@@ -185,12 +157,6 @@ class SkeletonSeries:
     @property
     def length(self) -> int:
         return self.points.shape[1]
-
-    def site_points(self, site: str) -> np.ndarray:
-        try:
-            return self.points[self.sites.index(site)]
-        except ValueError:
-            raise UnknownSiteError(f"site {site!r} not in series {self.activity_id!r}")
 
 
 @dataclass(frozen=True)
@@ -232,52 +198,62 @@ class ActivitySet:
         return len(self.activities)
 
 
-def merge_keypoints(frame: RawPoseFrame, confidence_threshold: float = 0.3) -> SkeletonFrame:
-    """Consolidate 17 COCO keypoints into the 12 placement sites.
+def _masked_mean(values: np.ndarray, mask: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Per-frame mean of selected points.
 
-    Head is the unweighted mean of the facial keypoints (nose, eyes, ears)
-    that meet the confidence threshold; pelvis likewise averages the hips.
-    Single-source sites are copied through when confident. A site whose
-    sources all fall below the threshold is marked missing, never raised.
+    ``values`` is (n, m, 2) and ``mask`` (n, r, m); row ``j`` of the result
+    averages the points ``k`` with ``mask[:, j, k]``. Returns the (n, r, 2)
+    means, zero where nothing is selected, and the (n, r) "any selected"
+    flags. Terms are added one at a time in ascending ``k``, the order a
+    ``mean`` over just the selected points uses; numpy's own reductions may
+    sum pairwise and round differently.
     """
-    kp = frame.keypoints
-    points = np.zeros((len(SITE_ORDER), 2), dtype=np.float64)
-    valid = np.zeros(len(SITE_ORDER), dtype=bool)
-    for row, site in enumerate(SITE_ORDER):
-        sources = MERGE_SOURCES[site]
-        ok = [i for i in sources if kp[i, 2] >= confidence_threshold]
-        if ok:
-            points[row] = kp[ok, :2].mean(axis=0)
-            valid[row] = True
-    return SkeletonFrame(points=points, valid=valid)
+    total = np.zeros(mask.shape[:2] + (2,))
+    for k in range(values.shape[1]):
+        total += np.where(mask[:, :, k, None], values[:, None, k], 0.0)
+    count = mask.sum(axis=2)[..., None]
+    mean = np.divide(total, count, out=np.zeros_like(total), where=count > 0)
+    return mean, count[..., 0] > 0
 
 
-def centralize(frame: SkeletonFrame) -> SkeletonFrame:
-    """Translate all valid points so their centroid lands on (0.5, 0.5).
+def merge_keypoints(kp: np.ndarray, confidence_threshold: float = 0.3) -> tuple[np.ndarray, np.ndarray]:
+    """Consolidate 17 COCO keypoints into the 12 placement sites, for all
+    frames at once.
 
-    A single rigid offset is applied, preserving relative geometry; missing
-    points stay missing. Offsets at or below 1e-12 per coordinate snap to
-    zero so repeated centralization is exactly idempotent.
+    ``kp`` is (n, 17, 3). Returns ``(points, valid)`` of shapes (n, 12, 2)
+    and (n, 12) in canonical site order. Head is the unweighted mean of the
+    facial keypoints (nose, eyes, ears) that meet the confidence threshold;
+    pelvis likewise averages the hips. Single-source sites are copied
+    through when confident. A site whose sources all fall below the
+    threshold is marked missing (its point is zero), never raised.
     """
-    if not frame.valid.any():
+    kp = np.asarray(kp, dtype=np.float64)
+    confident = kp[:, None, :, 2] >= confidence_threshold
+    return _masked_mean(kp[:, :, :2], _MERGE_MASK & confident)
+
+
+def centralize(points: np.ndarray, valid: np.ndarray) -> np.ndarray:
+    """Translate each frame's valid points so their centroid lands on
+    (0.5, 0.5).
+
+    ``points`` is (n, sites, 2) and ``valid`` (n, sites). One rigid offset
+    per frame is applied, preserving relative geometry; missing points stay
+    as they are. Offsets at or below 1e-12 per coordinate snap to zero so
+    repeated centralization is exactly idempotent. Raises when a frame has
+    no valid point.
+    """
+    centroid, seen = _masked_mean(points, valid[:, None, :])
+    if not seen.all():
         raise EmptyFrameError("cannot centralize a frame with no valid points")
-    centroid = frame.points[frame.valid].mean(axis=0)
-    offset = centroid - _CENTER
-    if np.max(np.abs(offset)) <= _CENTER_SNAP:
-        return frame
-    points = frame.points.copy()
-    points[frame.valid] -= offset
-    return SkeletonFrame(points=points, valid=frame.valid.copy())
+    offset = centroid[:, 0] - _CENTER
+    offset[np.abs(offset).max(axis=1) <= _CENTER_SNAP] = 0.0
+    return np.where(valid[..., None], points - offset[:, None, :], points)
 
 
-def select_sites(
-    frame: SkeletonFrame,
-    roster,
-    allow_head: bool = False,
-) -> tuple[np.ndarray, np.ndarray]:
-    """Extract ``roster`` sites from a skeleton frame, in roster order.
+def select_sites(roster, allow_head: bool = False) -> np.ndarray:
+    """Rows of ``roster``'s sites in the canonical 12-site order, in roster
+    order.
 
-    Returns (points, valid) with shapes (len(roster), 2) and (len(roster),).
     The head site is excluded from placement unless ``allow_head`` is set.
     """
     roster = tuple(roster)
@@ -285,14 +261,12 @@ def select_sites(
         raise UnknownSiteError("roster must not be empty")
     if len(set(roster)) != len(roster):
         raise UnknownSiteError(f"duplicate sites in roster {roster!r}")
-    rows = []
     for site in roster:
         if site not in _SITE_INDEX:
             raise UnknownSiteError(f"unknown site id {site!r}")
         if site == "HD" and not allow_head:
             raise SiteExcludedError("the head site is excluded from placement")
-        rows.append(_SITE_INDEX[site])
-    return frame.points[rows].copy(), frame.valid[rows].copy()
+    return np.array([_SITE_INDEX[site] for site in roster], dtype=np.intp)
 
 
 def repair_gaps(
@@ -351,9 +325,7 @@ def repair_gaps(
             left = out[s, a - 1]
             right = out[s, b]
             steps = b - a + 1
-            for k in range(1, steps):
-                frac = k / steps
-                out[s, a + k - 1] = left + (right - left) * frac
+            out[s, a:b] = left + (right - left) * (np.arange(1, steps) / steps)[:, None]
     return out
 
 
@@ -415,8 +387,25 @@ def decimation_stride(input_rate: float, target_rate: float, tolerance: float = 
     return stride
 
 
+def _slot_grid(t: np.ndarray, rate: float, cap: int) -> tuple[np.ndarray, np.ndarray]:
+    """Slot of each frame on the uniform grid at ``rate``.
+
+    A spacing above 1.5 periods is a timestamp hole: it leaves
+    ``round(dt / period) - 1`` empty slots. Returns ``(slots, true_slots)``;
+    ``slots`` gives each hole at most ``cap`` empty slots, so a corrupt
+    timestamp cannot allocate a huge grid, and ``true_slots`` keeps the
+    full counts for error messages.
+    """
+    steps = np.diff(t) * rate
+    steps = np.where(steps > 1.5, np.rint(steps), 1.0)
+    true_slots = np.concatenate(([0.0], np.cumsum(steps)))
+    slots = np.concatenate(([0.0], np.cumsum(np.minimum(steps, cap + 1))))
+    return slots.astype(np.int64), true_slots
+
+
 def preprocess_recording(
-    frames,
+    t,
+    kp,
     activity_id: str,
     roster=DEFAULT_ROSTER,
     length: int | None = 500,
@@ -426,33 +415,41 @@ def preprocess_recording(
     subsample: str = "first",
     allow_head: bool = False,
 ) -> SkeletonSeries:
-    """Run the full preprocessing pipeline over raw pose frames.
+    """Run the full preprocessing pipeline over one recording.
 
-    Steps: consolidate keypoints per frame, centralize each frame's valid
-    skeleton, select the roster sites, repair gaps (at the native rate),
+    ``t`` (n,) and ``kp`` (n, 17, 3) are the arrays
+    ``io.parse_keypoint_file`` returns. Steps: consolidate keypoints to
+    sites, centralize each frame's valid skeleton, select the roster sites,
+    place the frames on the grid of the inferred rate (a timestamp hole
+    becomes frames with no valid point), repair gaps (at the native rate),
     decimate to the target rate, and truncate to ``length`` frames. Pass
     ``length=None`` to skip truncation and keep the full decimated series.
     """
-    frames = list(frames)
-    if len(frames) < 2:
-        raise TooShortError(len(frames), length if length is not None else 2)
+    t = np.asarray(t, dtype=np.float64)
+    if len(t) < 2:
+        raise TooShortError(len(t), length if length is not None else 2)
     roster = tuple(roster)
+    rows = select_sites(roster, allow_head=allow_head)
 
-    n = len(frames)
-    pts = np.zeros((len(roster), n, 2), dtype=np.float64)
-    ok = np.zeros((len(roster), n), dtype=bool)
-    for j, raw in enumerate(frames):
-        skel = merge_keypoints(raw, confidence_threshold)
-        if skel.valid.any():
-            skel = centralize(skel)
-            p, v = select_sites(skel, roster, allow_head=allow_head)
-            pts[:, j] = p
-            ok[:, j] = v
-        # frames with no valid point stay missing for every site
+    points, valid = merge_keypoints(kp, confidence_threshold)
+    seen = valid.any(axis=1)  # frames with no valid point stay missing for every site
+    points[seen] = centralize(points[seen], valid[seen])
 
-    repaired = repair_gaps(pts, ok, max_gap=max_gap, sites=roster)
+    input_rate = infer_sample_rate(t)
+    slots, true_slots = _slot_grid(t, input_rate, max_gap + 1)
+    pts = np.zeros((len(roster), slots[-1] + 1, 2), dtype=np.float64)
+    ok = np.zeros((len(roster), slots[-1] + 1), dtype=bool)
+    pts[:, slots] = points[:, rows].transpose(1, 0, 2)
+    ok[:, slots] = valid[:, rows].T
+    try:
+        repaired = repair_gaps(pts, ok, max_gap=max_gap, sites=roster)
+    except GapTooLongError as exc:
+        # report the span on the grid with every hole at its full length
+        def uncapped(slot):
+            j = np.searchsorted(slots, slot, side="right") - 1
+            return int(true_slots[j]) + slot - int(slots[j])
+        raise GapTooLongError(exc.site, uncapped(exc.start), uncapped(exc.end)) from None
 
-    input_rate = infer_sample_rate([f.t for f in frames])
     stride = decimation_stride(input_rate, target_rate)
     if stride > 1:
         repaired = repaired[:, ::stride]

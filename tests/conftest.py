@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import settings
 
-from sensorplace.skeleton import MERGE_SOURCES, NUM_KEYPOINTS, RawPoseFrame, SITE_ORDER
+from sensorplace.skeleton import MERGE_SOURCES, NUM_KEYPOINTS, SITE_ORDER
 from sensorplace.skeleton import SkeletonSeries
 
 # Series-level property tests build real arrays per example; keep deadlines
@@ -13,8 +13,8 @@ settings.register_profile("sensorplace", deadline=None)
 settings.load_profile("sensorplace")
 
 
-def make_raw_frame(t=0.0, xy=None, conf=1.0, seed=None):
-    """A RawPoseFrame with given or random keypoint coordinates.
+def make_keypoints(xy=None, conf=1.0, seed=None):
+    """One frame's (17, 3) keypoint row with given or random coordinates.
 
     ``xy`` may be a (17, 2) array; ``conf`` a scalar or (17,) array.
     """
@@ -24,7 +24,7 @@ def make_raw_frame(t=0.0, xy=None, conf=1.0, seed=None):
     kps = np.empty((NUM_KEYPOINTS, 3), dtype=np.float64)
     kps[:, :2] = np.asarray(xy, dtype=np.float64)
     kps[:, 2] = conf
-    return RawPoseFrame(t=float(t), keypoints=kps)
+    return kps
 
 
 def make_series(activity_id, points, sites=None, sample_rate=10.0):
@@ -40,15 +40,16 @@ def make_series(activity_id, points, sites=None, sample_rate=10.0):
 
 
 @pytest.fixture
-def raw_walk_frames():
-    """60 frames at 10 Hz with every keypoint drifting smoothly."""
-    frames = []
+def raw_walk():
+    """``(t, kp)`` of 60 frames at 10 Hz with every keypoint drifting
+    smoothly."""
     rng = np.random.default_rng(42)
     base = rng.uniform(0.2, 0.8, size=(NUM_KEYPOINTS, 2))
-    for i in range(60):
-        wobble = 0.01 * np.sin(0.3 * i + np.arange(NUM_KEYPOINTS))[:, None]
-        frames.append(make_raw_frame(t=i / 10.0, xy=base + wobble))
-    return frames
+    kp = np.stack([
+        make_keypoints(xy=base + 0.01 * np.sin(0.3 * i + np.arange(NUM_KEYPOINTS))[:, None])
+        for i in range(60)
+    ])
+    return np.arange(60) / 10.0, kp
 
 
 @pytest.fixture

@@ -191,14 +191,16 @@ def test_07_preprocessing_invariants():
     ok = True
     worst_centroid = 0.0
     worst_shift = 0.0
-    for _ in range(50):
-        xy = rng.uniform(-2.0, 3.0, size=(17, 2))
-        frame = centralize(merge_keypoints(_raw(xy)))
-        centroid = frame.points[frame.valid].mean(axis=0)
-        worst_centroid = max(worst_centroid, float(np.abs(centroid - 0.5).max()))
-        offset = rng.uniform(-4.0, 4.0, size=2)
-        moved = centralize(merge_keypoints(_raw(xy + offset)))
-        worst_shift = max(worst_shift, float(np.abs(moved.points - frame.points).max()))
+    draws = [(rng.uniform(-2.0, 3.0, size=(17, 2)), rng.uniform(-4.0, 4.0, size=2))
+             for _ in range(50)]
+    xy = np.array([d[0] for d in draws])
+    offset = np.array([d[1] for d in draws])[:, None, :]
+    points, valid = merge_keypoints(_raw(xy))
+    frame = centralize(points, valid)
+    centroid = np.array([f[v].mean(axis=0) for f, v in zip(frame, valid)])
+    worst_centroid = float(np.abs(centroid - 0.5).max())
+    moved = centralize(*merge_keypoints(_raw(xy + offset)))
+    worst_shift = float(np.abs(moved - frame).max())
     ok &= worst_centroid <= 1e-9 and worst_shift <= 1e-9
 
     series_500 = make_series("a", rng.uniform(size=(2, 500, 2)))
@@ -216,11 +218,9 @@ def test_07_preprocessing_invariants():
 
 
 def _raw(xy):
-    kps = np.ones((17, 3))
-    kps[:, :2] = xy
-    from sensorplace.skeleton import RawPoseFrame
-
-    return RawPoseFrame(t=0.0, keypoints=kps)
+    kps = np.ones(xy.shape[:-1] + (3,))
+    kps[..., :2] = xy
+    return kps
 
 
 def test_08_ranking_speed(tmp_path):

@@ -103,3 +103,10 @@ def test_load_config_flags_override_file(tmp_path):
 
 def test_load_config_without_file_uses_defaults():
     assert load_config(None, {}) == RunConfig()
+
+
+def test_load_config_rejects_non_utf8_file(tmp_path):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_bytes(b"series_length = 4\xff0\n")
+    with pytest.raises(ConfigError, match="cannot read config file"):
+        load_config(cfg, {})

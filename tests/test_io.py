@@ -2,8 +2,9 @@
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
-from conftest import make_raw_frame
 from sensorplace import io as pio
 from sensorplace.errors import (
     DataError,
@@ -12,39 +13,44 @@ from sensorplace.errors import (
     ManifestError,
     NonMonotoneTimeError,
 )
+from sensorplace.skeleton import SITE_ORDER
 from sensorplace.scoring import PlacementSubset, ScoredSubset, build_ranking
 
 
 def _frames(n=5, seed=0):
+    """``(t, kp)`` of ``n`` frames at 10 Hz, random coordinates, confidence 1."""
     rng = np.random.default_rng(seed)
-    return [
-        make_raw_frame(t=i / 10.0, xy=rng.uniform(0.05, 0.95, size=(17, 2)))
-        for i in range(n)
-    ]
+    kp = np.ones((n, 17, 3))
+    kp[:, :, :2] = rng.uniform(0.05, 0.95, size=(n, 17, 2))
+    return np.arange(n) / 10.0, kp
+
+
+def _line(frames, i=0, style="csv"):
+    t, kp = frames
+    return pio.format_keypoint_frame(t[i], kp[i], style=style)
 
 
 # --- keypoint files ----------------------------------------------------------
 
 @pytest.mark.parametrize("style", ["csv", "labeled"])
 def test_keypoint_round_trip_is_exact(tmp_path, style):
-    frames = _frames(seed=1)
+    t, kp = _frames(seed=1)
     path = tmp_path / "rec.dat"
-    pio.write_keypoint_file(path, frames, style=style)
-    back = pio.parse_keypoint_file(path)
-    assert len(back) == len(frames)
-    for a, b in zip(frames, back):
-        assert a.t == b.t
-        assert np.array_equal(a.keypoints, b.keypoints)
+    pio.write_keypoint_file(path, t, kp, style=style)
+    t_back, kp_back = pio.parse_keypoint_file(path)
+    assert kp_back.shape == (5, 17, 3)
+    assert np.array_equal(t_back, t)
+    assert np.array_equal(kp_back, kp)
 
 
 def test_csv_line_has_52_fields(tmp_path):
-    line = pio.format_keypoint_frame(_frames()[0], style="csv")
+    line = _line(_frames())
     assert len(line.split(",")) == pio.FIELDS_PER_FRAME == 52
 
 
 def test_short_line_reports_line_number(tmp_path):
     path = tmp_path / "bad.csv"
-    good = pio.format_keypoint_frame(_frames()[0])
+    good = _line(_frames())
     path.write_text(good + "\n" + good.rsplit(",", 1)[0] + "\n")
     with pytest.raises(MalformedLineError) as err:
         pio.parse_keypoint_file(path)
@@ -54,7 +60,7 @@ def test_short_line_reports_line_number(tmp_path):
 
 def test_bad_number_is_rejected(tmp_path):
     path = tmp_path / "bad.csv"
-    fields = pio.format_keypoint_frame(_frames()[0]).split(",")
+    fields = _line(_frames()).split(",")
     fields[3] = "abc"
     path.write_text(",".join(fields) + "\n")
     with pytest.raises(MalformedLineError):
@@ -63,7 +69,7 @@ def test_bad_number_is_rejected(tmp_path):
 
 def test_non_finite_value_is_rejected(tmp_path):
     path = tmp_path / "bad.csv"
-    fields = pio.format_keypoint_frame(_frames()[0]).split(",")
+    fields = _line(_frames()).split(",")
     fields[5] = "nan"
     path.write_text(",".join(fields) + "\n")
     with pytest.raises(MalformedLineError):
@@ -71,9 +77,8 @@ def test_non_finite_value_is_rejected(tmp_path):
 
 
 def test_non_monotone_timestamps_are_rejected(tmp_path):
-    frames = _frames(3)
     path = tmp_path / "rec.csv"
-    pio.write_keypoint_file(path, frames)
+    pio.write_keypoint_file(path, *_frames(3))
     lines = path.read_text().splitlines()
     lines.append(lines[-1])  # repeat the last timestamp
     path.write_text("\n".join(lines) + "\n")
@@ -85,9 +90,10 @@ def test_non_monotone_timestamps_are_rejected(tmp_path):
 def test_comments_and_blank_lines_are_skipped(tmp_path):
     frames = _frames(2)
     path = tmp_path / "rec.csv"
-    body = "\n".join(pio.format_keypoint_frame(f) for f in frames)
+    body = "\n".join(_line(frames, i) for i in range(2))
     path.write_text("# recording\n\n" + body + "\n")
-    assert len(pio.parse_keypoint_file(path)) == 2
+    t, kp = pio.parse_keypoint_file(path)
+    assert len(t) == len(kp) == 2
 
 
 def test_empty_file_is_rejected(tmp_path):
@@ -103,8 +109,7 @@ def test_missing_file_is_a_data_error(tmp_path):
 
 
 def test_labeled_field_errors(tmp_path):
-    frames = _frames(1)
-    line = pio.format_keypoint_frame(frames[0], style="labeled")
+    line = _line(_frames(1), style="labeled")
     path = tmp_path / "rec.txt"
 
     path.write_text(line.replace("kp3_y=", "kp99_y=") + "\n")
@@ -123,13 +128,11 @@ def test_labeled_field_errors(tmp_path):
 
 
 def test_validate_flags_out_of_range_values(tmp_path):
-    frames = _frames(3, seed=2)
-    kps = frames[1].keypoints.copy()
-    kps[4, 0] = 1.7
-    kps[6, 2] = -0.2
-    frames[1] = make_raw_frame(t=frames[1].t, xy=kps[:, :2], conf=kps[:, 2])
+    t, kp = _frames(3, seed=2)
+    kp[1, 4, 0] = 1.7
+    kp[1, 6, 2] = -0.2
     path = tmp_path / "rec.csv"
-    pio.write_keypoint_file(path, frames)
+    pio.write_keypoint_file(path, t, kp)
     check = pio.validate_keypoint_file(path)
     assert check.n_frames == 3
     assert not check.ok
@@ -139,7 +142,7 @@ def test_validate_flags_out_of_range_values(tmp_path):
 
 def test_validate_clean_file_is_ok(tmp_path):
     path = tmp_path / "rec.csv"
-    pio.write_keypoint_file(path, _frames(4, seed=3))
+    pio.write_keypoint_file(path, *_frames(4, seed=3))
     check = pio.validate_keypoint_file(path)
     assert check.ok and check.n_frames == 4
 
@@ -229,6 +232,164 @@ def test_ranking_rejects_wrong_field_counts(tmp_path):
     path.write_text("1,0.5,LW,extra\n")
     with pytest.raises(MalformedLineError):
         pio.read_ranking_file(path)
+
+
+# --- unreadable text ----------------------------------------------------------------
+
+NOT_UTF8 = b"\xff\xfe1,2,3\n"
+
+
+def test_non_utf8_keypoint_file_is_a_data_error(tmp_path):
+    path = tmp_path / "rec.csv"
+    path.write_bytes(NOT_UTF8)
+    with pytest.raises(DataError, match="cannot read keypoint file"):
+        pio.parse_keypoint_file(path)
+
+
+def test_non_utf8_manifest_is_a_manifest_error(tmp_path):
+    path = tmp_path / "manifest.txt"
+    path.write_bytes(b"walk walk.csv\nrun \xffrun.csv\n")
+    with pytest.raises(ManifestError, match="cannot read manifest"):
+        pio.parse_manifest(path)
+
+
+def test_non_utf8_ranking_file_is_a_data_error(tmp_path):
+    path = tmp_path / "ranking.csv"
+    path.write_bytes(b"rank,sites\n1,LW\n2,R\xffW\n")
+    with pytest.raises(DataError, match="cannot read ranking file"):
+        pio.read_ranking_file(path)
+
+
+# --- round trips and corrupted files ---------------------------------------------------
+
+finite = st.floats(allow_nan=False, allow_infinity=False, width=64)
+
+
+@st.composite
+def recordings(draw):
+    """``(t, kp)`` with strictly increasing timestamps and any finite values."""
+    n = draw(st.integers(1, 4))
+    t = sorted(draw(st.sets(finite, min_size=n, max_size=n)))
+    values = draw(st.lists(finite, min_size=n * 51, max_size=n * 51))
+    return np.array(t), np.array(values).reshape(n, 17, 3)
+
+
+@given(recordings(), st.sampled_from(["csv", "labeled"]))
+def test_keypoint_files_round_trip_any_finite_values(tmp_path_factory, rec, style):
+    path = tmp_path_factory.mktemp("rt") / "rec.txt"
+    pio.write_keypoint_file(path, *rec, style=style)
+    t, kp = pio.parse_keypoint_file(path)
+    assert np.array_equal(t, rec[0]) and np.array_equal(kp, rec[1])
+
+
+# Printable text without separators or line breaks.
+garbage = st.text(
+    st.characters(blacklist_categories=("Cc", "Cs", "Zs", "Zl", "Zp"), blacklist_characters=",="),
+    min_size=1, max_size=8,
+)
+
+
+def _separator(line):
+    return "," if "," in line else " "
+
+
+def _corrupt_fields(data, lines):
+    """Delete, duplicate or replace one field of one line; return the line
+    number and whether the line can no longer parse."""
+    k = data.draw(st.integers(0, len(lines) - 1))
+    sep = _separator(lines[k])
+    fields = lines[k].split(sep)
+    i = data.draw(st.integers(0, len(fields) - 1))
+    how = data.draw(st.sampled_from(["delete", "duplicate", "garbage"]))
+    if how == "delete":
+        del fields[i]
+    elif how == "duplicate":
+        fields.insert(i, fields[i])
+    else:
+        key, eq, _ = fields[i].rpartition("=")
+        fields[i] = key + eq + data.draw(garbage)
+    lines[k] = sep.join(fields)
+    return k + 1, how
+
+
+def _parse_or_data_error(parse, path, line_count):
+    """Parse, or raise a DataError; line-level faults name a line of the file."""
+    try:
+        return parse(path), None
+    except (MalformedLineError, NonMonotoneTimeError) as exc:
+        assert 1 <= exc.line_no <= line_count
+        return None, exc
+    except DataError as exc:
+        return None, exc
+
+
+@given(recordings(), st.sampled_from(["csv", "labeled"]), st.data())
+def test_corrupted_keypoint_file_parses_or_raises_data_error(tmp_path_factory, rec, style, data):
+    path = tmp_path_factory.mktemp("bad") / "rec.txt"
+    pio.write_keypoint_file(path, *rec, style=style)
+    text = path.read_text()
+    lines = text.splitlines()
+    kind = data.draw(st.sampled_from(["truncate", "field", "bytes"]))
+    if kind == "truncate":
+        path.write_text(text[: data.draw(st.integers(0, len(text) - 1))])
+    elif kind == "bytes":
+        cut = data.draw(st.integers(0, len(text)))
+        path.write_bytes(text[:cut].encode() + b"\xff\xfe" + text[cut:].encode())
+    else:
+        line_no, how = _corrupt_fields(data, lines)
+        path.write_text("\n".join(lines) + "\n")
+    result, exc = _parse_or_data_error(pio.parse_keypoint_file, path, len(lines))
+    if kind == "bytes":
+        assert "cannot read" in str(exc)
+    elif kind == "field" and how != "garbage":
+        # a line one field short or long never parses
+        assert isinstance(exc, MalformedLineError) and exc.line_no == line_no
+    elif exc is None:
+        t, kp = result
+        assert kp.shape == (len(t), 17, 3) and np.isfinite(kp).all()
+
+
+@st.composite
+def rankings(draw):
+    n = draw(st.integers(1, 6))
+    labels = draw(st.lists(
+        st.sets(st.sampled_from(SITE_ORDER), min_size=1), min_size=n, max_size=n,
+        unique_by=lambda sites: frozenset(sites),
+    ))
+    scores = draw(st.lists(finite, min_size=n, max_size=n))
+    scored = [ScoredSubset(PlacementSubset(tuple(l)), sc) for l, sc in zip(labels, scores)]
+    return build_ranking(scored, n_activities=2, series_length=10, roster=SITE_ORDER)
+
+
+@given(rankings())
+def test_ranking_files_round_trip_any_finite_scores(tmp_path_factory, ranking):
+    path = tmp_path_factory.mktemp("rt") / "ranking.csv"
+    pio.write_ranking_file(path, ranking)
+    rows = pio.read_ranking_file(path)
+    assert pio.ranking_labels(rows) == ranking.labels()
+    assert [r.score for r in rows] == [e.score for e in ranking.entries]
+
+
+@given(rankings(), st.data())
+def test_corrupted_ranking_file_parses_or_raises_data_error(tmp_path_factory, ranking, data):
+    path = tmp_path_factory.mktemp("bad") / "ranking.csv"
+    pio.write_ranking_file(path, ranking)
+    text = path.read_text()
+    lines = text.splitlines()
+    kind = data.draw(st.sampled_from(["truncate", "field", "bytes"]))
+    if kind == "truncate":
+        path.write_text(text[: data.draw(st.integers(0, len(text) - 1))])
+    elif kind == "bytes":
+        cut = data.draw(st.integers(0, len(text)))
+        path.write_bytes(text[:cut].encode() + b"\xff" + text[cut:].encode())
+    else:
+        _corrupt_fields(data, lines)
+        path.write_text("\n".join(lines) + "\n")
+    rows, exc = _parse_or_data_error(pio.read_ranking_file, path, len(lines))
+    if kind == "bytes":
+        assert "cannot read" in str(exc)
+    elif exc is None:
+        assert sorted(r.rank for r in rows) == list(range(1, len(rows) + 1))
 
 
 # --- atomic writes and reports ----------------------------------------------------

@@ -298,3 +298,67 @@ def test_exported_corpus_recovers_generated_geometry(tmp_path):
     labels = ranking.labels()
     assert labels[0] == "LW"
     assert set(labels[1:3]) <= {"LW+RW", "LW+PE", "LW+LF", "LW+RF"}
+
+
+def _one_error_line(capsys):
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1, err
+    return err
+
+
+def test_cli_timestamp_hole_exits_1(tmp_path, capsys):
+    corpus = tmp_path / "corpus"
+    cli.main(["synth", str(corpus), "--length", "500"])
+    path = corpus / "act01.csv"
+    lines = path.read_text().splitlines()
+    path.write_text("\n".join(lines[:100] + lines[300:]) + "\n")  # lines 101-300: a 20 s hole
+    capsys.readouterr()
+    code = cli.main(["rank", str(corpus / "manifest.txt"), "--length", "300",
+                     "--out-dir", str(tmp_path / "out")])
+    assert code == 1
+    assert "act01: site LW: gap of 200 frames at [100, 300)" in _one_error_line(capsys)
+
+
+def test_cli_single_dropped_frame_is_repaired(tmp_path):
+    corpus = tmp_path / "corpus"
+    cli.main(["synth", str(corpus), "--length", "500"])
+    path = corpus / "act01.csv"
+    lines = path.read_text().splitlines()
+    path.write_text("\n".join(lines[:250] + lines[251:]) + "\n")
+    _, payload = runner.run_rank(corpus / "manifest.txt", _config())
+    assert payload["entries"][0]["sites"] == "LW"
+
+
+@pytest.mark.parametrize("command", ["validate", "rank", "report", "config"])
+def test_cli_non_utf8_input_exits_1(tmp_path, capsys, command):
+    bad = tmp_path / "bad.txt"
+    bad.write_bytes(b"\xff\xfe" + b"1,2,3\n")
+    argv = {
+        "validate": ["validate", str(bad)],
+        "rank": ["rank", str(bad)],
+        "report": ["report", str(bad)],
+        "config": ["rank", str(bad), "--config", str(bad)],
+    }[command]
+    assert cli.main(argv) == 1
+    assert "codec can't decode" in _one_error_line(capsys)
+
+
+@pytest.mark.parametrize("argv", [
+    ["rank", "m.txt", "--length", "abc"],
+    ["rank", "m.txt", "--no-such-flag"],
+], ids=["bad-int", "unknown-flag"])
+def test_cli_usage_errors_exit_1(capsys, argv):
+    with pytest.raises(SystemExit) as exc:
+        cli.main(argv)
+    assert exc.value.code == 1
+    lines = capsys.readouterr().err.splitlines()
+    assert lines[0].startswith("usage: sensorplace")
+    assert [line for line in lines if "error:" in line] == lines[-1:]
+    assert lines[-1].startswith("sensorplace") and argv[-1] in lines[-1]
+
+
+@pytest.mark.parametrize("argv", [["--version"], ["-h"], ["rank", "-h"]])
+def test_cli_help_and_version_exit_0(capsys, argv):
+    with pytest.raises(SystemExit) as exc:
+        cli.main(argv)
+    assert exc.value.code == 0

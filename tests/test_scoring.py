@@ -1,4 +1,4 @@
-"""Vector building, cosine distance, subset scoring, and ranking."""
+"""Cosine distance, subset scoring, and ranking."""
 
 import numpy as np
 import pytest
@@ -16,7 +16,6 @@ from sensorplace.errors import (
 )
 from sensorplace.scoring import (
     PlacementSubset,
-    build_activity_vector,
     build_ranking,
     cosine_distance,
     enumerate_subsets,
@@ -35,38 +34,6 @@ def _set_from_arrays(arrays, sites):
             make_series(f"a{i}", arr, sites=sites) for i, arr in enumerate(arrays)
         )
     )
-
-
-# --- vector layout -----------------------------------------------------------
-
-def test_vector_layout_single_site_two_frames():
-    series = make_series("a", [[[0.1, 0.2], [0.3, 0.4]]], sites=("LW",))
-    vec = build_activity_vector(series, PlacementSubset(("LW",)))
-    assert vec.values.tolist() == [0.1, 0.2, 0.3, 0.4]
-
-
-def test_vector_layout_is_site_major():
-    series = make_series(
-        "a", [[[0.1, 0.2]], [[0.9, 0.8]]], sites=("LW", "RW")
-    )
-    vec = build_activity_vector(series, PlacementSubset(("RW", "LW")))
-    # canonical order puts LW before RW regardless of subset spelling
-    assert vec.values.tolist() == [0.1, 0.2, 0.9, 0.8]
-
-
-@given(st.integers(1, 3), st.integers(1, 40))
-def test_vector_length_is_two_s_l(s, L):
-    rng = np.random.default_rng(s * 100 + L)
-    sites = DEFAULT_ROSTER[:s]
-    series = make_series("a", rng.uniform(0.1, 1, size=(s, L, 2)), sites=sites)
-    vec = build_activity_vector(series, PlacementSubset(sites))
-    assert vec.values.shape == (2 * s * L,)
-
-
-def test_vector_missing_site_is_rejected():
-    series = make_series("a", np.full((1, 4, 2), 0.5), sites=("LW",))
-    with pytest.raises(SiteNotPresentError):
-        build_activity_vector(series, PlacementSubset(("RW",)))
 
 
 # --- cosine distance -------------------------------------------------------------

@@ -1,11 +1,13 @@
 """Keypoint consolidation, centralization, gap repair, truncation."""
 
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import make_raw_frame, make_series
+from conftest import make_keypoints, make_series
 from sensorplace.errors import (
     AllMissingSiteError,
     EmptyEnvelopeError,
@@ -34,70 +36,81 @@ FACE = MERGE_SOURCES["HD"]
 HIPS = MERGE_SOURCES["PE"]
 
 
+def _merge(kp, threshold=0.3):
+    """Merge one (17, 3) frame: its (12, 2) points and (12,) validity flags."""
+    points, valid = merge_keypoints(kp[None], threshold)
+    return points[0], valid[0]
+
+
+def _centralize(points, valid):
+    return centralize(points[None], valid[None])[0]
+
+
+def _at(points, site):
+    return points[SITE_ORDER.index(site)]
+
+
 # --- merging ----------------------------------------------------------------
 
 def test_merge_produces_twelve_sites():
-    frame = merge_keypoints(make_raw_frame(seed=1))
-    assert frame.points.shape == (12, 2)
-    assert frame.valid.all()
+    points, valid = merge_keypoints(make_keypoints(seed=1)[None])
+    assert points.shape == (1, 12, 2)
+    assert valid.shape == (1, 12)
+    assert valid.all()
 
 
 def test_merge_head_is_mean_of_facial_keypoints():
-    raw = make_raw_frame(seed=2)
-    frame = merge_keypoints(raw)
-    expected = raw.keypoints[list(FACE), :2].mean(axis=0)
-    np.testing.assert_allclose(frame.point("HD"), expected, rtol=0, atol=1e-15)
+    kp = make_keypoints(seed=2)
+    points, _ = _merge(kp)
+    expected = kp[list(FACE), :2].mean(axis=0)
+    np.testing.assert_allclose(_at(points, "HD"), expected, rtol=0, atol=1e-15)
 
 
 def test_merge_pelvis_is_mean_of_hips():
-    raw = make_raw_frame(seed=3)
-    frame = merge_keypoints(raw)
-    expected = raw.keypoints[list(HIPS), :2].mean(axis=0)
-    np.testing.assert_allclose(frame.point("PE"), expected, rtol=0, atol=1e-15)
+    kp = make_keypoints(seed=3)
+    points, _ = _merge(kp)
+    expected = kp[list(HIPS), :2].mean(axis=0)
+    np.testing.assert_allclose(_at(points, "PE"), expected, rtol=0, atol=1e-15)
 
 
 def test_merge_passthrough_sites_copy_coordinates():
-    raw = make_raw_frame(seed=4)
-    frame = merge_keypoints(raw)
-    assert frame.point("LW").tolist() == raw.keypoints[9, :2].tolist()
-    assert frame.point("RF").tolist() == raw.keypoints[16, :2].tolist()
+    kp = make_keypoints(seed=4)
+    points, _ = _merge(kp)
+    assert _at(points, "LW").tolist() == kp[9, :2].tolist()
+    assert _at(points, "RF").tolist() == kp[16, :2].tolist()
 
 
 def test_merge_low_confidence_site_is_missing():
-    raw = make_raw_frame(seed=5)
-    kps = raw.keypoints.copy()
-    kps[9, 2] = 0.1  # left wrist below the default 0.3 gate
-    frame = merge_keypoints(make_raw_frame(xy=kps[:, :2], conf=kps[:, 2]))
-    assert not frame.is_valid("LW")
-    assert frame.is_valid("RW")
+    kp = make_keypoints(seed=5)
+    kp[9, 2] = 0.1  # left wrist below the default 0.3 gate
+    _, valid = _merge(kp)
+    assert not _at(valid, "LW")
+    assert _at(valid, "RW")
 
 
 def test_merge_threshold_is_inclusive():
-    raw = make_raw_frame(seed=6)
-    conf = np.full(17, 0.3)
-    frame = merge_keypoints(make_raw_frame(xy=raw.keypoints[:, :2], conf=conf))
-    assert frame.valid.all()
+    kp = make_keypoints(seed=6, conf=0.3)
+    _, valid = _merge(kp)
+    assert valid.all()
 
 
 def test_merge_uses_only_confident_facial_sources():
-    raw = make_raw_frame(seed=7)
-    conf = np.ones(17)
-    conf[list(FACE[1:])] = 0.0  # only the nose survives
-    frame = merge_keypoints(make_raw_frame(xy=raw.keypoints[:, :2], conf=conf))
-    np.testing.assert_allclose(frame.point("HD"), raw.keypoints[FACE[0], :2])
+    kp = make_keypoints(seed=7)
+    kp[list(FACE[1:]), 2] = 0.0  # only the nose survives
+    points, _ = _merge(kp)
+    np.testing.assert_allclose(_at(points, "HD"), kp[FACE[0], :2])
 
 
 @given(st.randoms(use_true_random=False))
 def test_merge_is_permutation_invariant_in_constituents(rnd):
-    raw = make_raw_frame(seed=8)
-    xy = raw.keypoints[:, :2].copy()
+    xy = make_keypoints(seed=8)[:, :2]
     shuffled = xy.copy()
     order = list(FACE)
     rnd.shuffle(order)
     shuffled[list(FACE)] = xy[order]
-    a = merge_keypoints(make_raw_frame(xy=xy))
-    b = merge_keypoints(make_raw_frame(xy=shuffled))
-    np.testing.assert_allclose(a.point("HD"), b.point("HD"), rtol=0, atol=1e-12)
+    a, _ = _merge(make_keypoints(xy=xy))
+    b, _ = _merge(make_keypoints(xy=shuffled))
+    np.testing.assert_allclose(_at(a, "HD"), _at(b, "HD"), rtol=0, atol=1e-12)
 
 
 # --- centralization -----------------------------------------------------------
@@ -107,19 +120,18 @@ coord = st.floats(min_value=-5.0, max_value=5.0, allow_nan=False, width=64)
 
 @given(st.lists(st.tuples(coord, coord), min_size=17, max_size=17))
 def test_centralize_centroid_lands_on_center(pts):
-    frame = merge_keypoints(make_raw_frame(xy=np.array(pts)))
-    centered = centralize(frame)
-    centroid = centered.points[centered.valid].mean(axis=0)
+    points, valid = _merge(make_keypoints(xy=np.array(pts)))
+    centered = _centralize(points, valid)
+    centroid = centered[valid].mean(axis=0)
     np.testing.assert_allclose(centroid, [0.5, 0.5], rtol=0, atol=1e-9)
 
 
 @given(st.lists(st.tuples(coord, coord), min_size=17, max_size=17))
 def test_centralize_is_exactly_idempotent(pts):
-    frame = merge_keypoints(make_raw_frame(xy=np.array(pts)))
-    once = centralize(frame)
-    twice = centralize(once)
-    assert np.array_equal(once.points, twice.points)
-    assert np.array_equal(once.valid, twice.valid)
+    points, valid = _merge(make_keypoints(xy=np.array(pts)))
+    once = _centralize(points, valid)
+    twice = _centralize(once, valid)
+    assert np.array_equal(once, twice)
 
 
 @given(
@@ -128,60 +140,55 @@ def test_centralize_is_exactly_idempotent(pts):
 )
 def test_centralize_translation_invariance(pts, offset):
     xy = np.array(pts)
-    a = centralize(merge_keypoints(make_raw_frame(xy=xy)))
-    b = centralize(merge_keypoints(make_raw_frame(xy=xy + np.array(offset))))
-    np.testing.assert_allclose(a.points, b.points, rtol=0, atol=1e-9)
+    a = _centralize(*_merge(make_keypoints(xy=xy)))
+    b = _centralize(*_merge(make_keypoints(xy=xy + np.array(offset))))
+    np.testing.assert_allclose(a, b, rtol=0, atol=1e-9)
 
 
 def test_centralize_ignores_missing_points():
-    raw = make_raw_frame(seed=9)
-    conf = np.ones(17)
-    conf[9] = 0.0  # LW missing
-    frame = merge_keypoints(make_raw_frame(xy=raw.keypoints[:, :2], conf=conf))
-    before = frame.point("LW").copy()
-    centered = centralize(frame)
-    assert not centered.is_valid("LW")
-    assert centered.point("LW").tolist() == before.tolist()
+    kp = make_keypoints(seed=9)
+    kp[9, 2] = 0.0  # LW missing
+    points, valid = _merge(kp)
+    centered = _centralize(points, valid)
+    assert not _at(valid, "LW")
+    assert _at(centered, "LW").tolist() == _at(points, "LW").tolist()
 
 
 def test_centralize_rejects_empty_frame():
-    raw = make_raw_frame(seed=10)
-    frame = merge_keypoints(make_raw_frame(xy=raw.keypoints[:, :2], conf=0.0))
+    points, valid = merge_keypoints(np.stack([make_keypoints(seed=10), make_keypoints(conf=0.0)]))
     with pytest.raises(EmptyFrameError):
-        centralize(frame)
+        centralize(points, valid)
 
 
 def test_centralize_degenerate_coincident_points():
-    frame = merge_keypoints(make_raw_frame(xy=np.full((17, 2), 0.25)))
-    centered = centralize(frame)
-    np.testing.assert_allclose(centered.points, 0.5, rtol=0, atol=1e-15)
+    points, valid = _merge(make_keypoints(xy=np.full((17, 2), 0.25)))
+    np.testing.assert_allclose(_centralize(points, valid), 0.5, rtol=0, atol=1e-15)
 
 
 # --- site selection -------------------------------------------------------------
 
 def test_select_sites_follows_roster_order():
-    frame = merge_keypoints(make_raw_frame(seed=11))
-    pts, valid = select_sites(frame, ("RF", "LW"))
+    points, _ = merge_keypoints(make_keypoints(seed=11)[None])
+    rows = select_sites(("RF", "LW"))
+    pts = points[0, rows]
     assert pts.shape == (2, 2)
-    assert pts[0].tolist() == frame.point("RF").tolist()
-    assert pts[1].tolist() == frame.point("LW").tolist()
-    assert valid.all()
+    assert pts[0].tolist() == _at(points[0], "RF").tolist()
+    assert pts[1].tolist() == _at(points[0], "LW").tolist()
 
 
 def test_select_sites_excludes_head_by_default():
-    frame = merge_keypoints(make_raw_frame(seed=12))
     with pytest.raises(SiteExcludedError):
-        select_sites(frame, ("HD", "LW"))
-    pts, _ = select_sites(frame, ("HD", "LW"), allow_head=True)
-    assert pts.shape == (2, 2)
+        select_sites(("HD", "LW"))
+    assert select_sites(("HD", "LW"), allow_head=True).tolist() == [
+        SITE_ORDER.index("HD"), SITE_ORDER.index("LW")
+    ]
 
 
 def test_select_sites_rejects_unknown_and_duplicates():
-    frame = merge_keypoints(make_raw_frame(seed=13))
     with pytest.raises(UnknownSiteError):
-        select_sites(frame, ("LW", "XX"))
+        select_sites(("LW", "XX"))
     with pytest.raises(UnknownSiteError):
-        select_sites(frame, ("LW", "LW"))
+        select_sites(("LW", "LW"))
 
 
 # --- gap repair -------------------------------------------------------------------
@@ -323,56 +330,175 @@ def test_decimation_stride_rejects_bad_ratios():
 
 # --- full preprocessing --------------------------------------------------------------
 
-def test_preprocess_end_to_end(raw_walk_frames):
-    series = preprocess_recording(raw_walk_frames, "walk", length=50)
+def test_preprocess_end_to_end(raw_walk):
+    series = preprocess_recording(*raw_walk, "walk", length=50)
     assert series.activity_id == "walk"
     assert series.sites == DEFAULT_ROSTER
     assert series.length == 50
     assert series.sample_rate == pytest.approx(10.0)
 
 
-def test_preprocess_full_length_when_uncapped(raw_walk_frames):
-    series = preprocess_recording(raw_walk_frames, "walk", length=None)
+def test_preprocess_full_length_when_uncapped(raw_walk):
+    series = preprocess_recording(*raw_walk, "walk", length=None)
     assert series.length == 60
 
 
-def test_preprocess_is_deterministic(raw_walk_frames):
-    a = preprocess_recording(raw_walk_frames, "walk", length=50)
-    b = preprocess_recording(raw_walk_frames, "walk", length=50)
+def test_preprocess_is_deterministic(raw_walk):
+    a = preprocess_recording(*raw_walk, "walk", length=50)
+    b = preprocess_recording(*raw_walk, "walk", length=50)
     assert np.array_equal(a.points, b.points)
 
 
-def test_preprocess_decimates_to_target_rate(raw_walk_frames):
-    fast = [
-        make_raw_frame(t=i / 30.0, xy=f.keypoints[:, :2])
-        for i, f in enumerate(np.repeat(raw_walk_frames, 3))
-    ]
-    series = preprocess_recording(fast, "walk", length=None, target_rate=10.0)
+def test_preprocess_decimates_to_target_rate(raw_walk):
+    _, kp = raw_walk
+    fast = np.repeat(kp, 3, axis=0)
+    series = preprocess_recording(
+        np.arange(len(fast)) / 30.0, fast, "walk", length=None, target_rate=10.0
+    )
     assert series.length == 60
     assert series.sample_rate == pytest.approx(10.0)
 
 
-def test_preprocess_repairs_confidence_dropouts(raw_walk_frames):
-    frames = list(raw_walk_frames)
-    mid = frames[30]
-    conf = np.ones(17)
-    conf[9] = 0.0  # LW invisible for one frame
-    frames[30] = make_raw_frame(t=mid.t, xy=mid.keypoints[:, :2], conf=conf)
-    series = preprocess_recording(frames, "walk", length=50)
+def test_preprocess_repairs_confidence_dropouts(raw_walk):
+    t, kp = raw_walk
+    kp = kp.copy()
+    kp[30, 9, 2] = 0.0  # LW invisible for one frame
+    series = preprocess_recording(t, kp, "walk", length=50)
     assert series.length == 50
     assert np.isfinite(series.points).all()
 
 
 def test_preprocess_rejects_tiny_recordings():
     with pytest.raises(TooShortError):
-        preprocess_recording([make_raw_frame()], "walk")
+        preprocess_recording(np.zeros(1), make_keypoints()[None], "walk")
 
 
-def test_preprocess_too_few_frames_after_pipeline(raw_walk_frames):
+def test_preprocess_too_few_frames_after_pipeline(raw_walk):
     with pytest.raises(TooShortError):
-        preprocess_recording(raw_walk_frames, "walk", length=500)
+        preprocess_recording(*raw_walk, "walk", length=500)
+
+
+# --- timestamp holes -------------------------------------------------------------------
+
+def test_single_dropped_frame_is_interpolated(raw_walk):
+    t, kp = raw_walk
+    dropped = preprocess_recording(np.delete(t, 30), np.delete(kp, 30, axis=0), "walk", length=None)
+    # a dropped frame is a frame with no valid point: same slot, same repair
+    blank = kp.copy()
+    blank[30, :, 2] = 0.0
+    assert dropped.length == 60
+    assert np.array_equal(dropped.points, preprocess_recording(t, blank, "walk", length=None).points)
+
+
+def test_twenty_second_hole_is_a_gap_too_long():
+    t = np.arange(500) / 10.0
+    kp = np.repeat(make_keypoints(seed=12)[None], 500, axis=0)
+    keep = np.r_[0:100, 300:500]  # lines 101-300 of the file removed
+    with pytest.raises(GapTooLongError) as err:
+        preprocess_recording(t[keep], kp[keep], "walk", length=None)
+    assert (err.value.start, err.value.end) == (100, 300)
+
+
+def test_hole_span_is_reported_at_full_length():
+    # the grid holds max_gap + 1 empty slots per hole; the message does not
+    t = np.arange(60) / 10.0
+    t[-1] = 1e6
+    kp = np.repeat(make_keypoints(seed=13)[None], 60, axis=0)
+    with pytest.raises(GapTooLongError) as err:
+        preprocess_recording(t, kp, "walk", length=None, max_gap=3)
+    assert (err.value.start, err.value.end) == (59, 10_000_000)
+
+
+def test_hole_outside_the_envelope_is_trimmed(raw_walk):
+    t, kp = raw_walk
+    t = np.concatenate([t[:5], t[5:] + 100.0])
+    kp = kp.copy()
+    kp[:5, 9, 2] = 0.0  # LW unseen before the hole, so the envelope starts after it
+    series = preprocess_recording(t, kp, "walk", length=None)
+    assert np.array_equal(series.points, preprocess_recording(*raw_walk, "walk", length=None).points[:, 5:])
 
 
 def test_site_order_default_roster_come_first():
     assert SITE_ORDER[:5] == DEFAULT_ROSTER
     assert sorted(SITE_ORDER[5:]) == list(SITE_ORDER[5:])
+
+
+# --- against the per-frame pipeline ------------------------------------------------------
+
+def _reference_preprocess(t, kp, roster, threshold=0.3, max_gap=10, target_rate=10.0):
+    """The pipeline one frame at a time: merge, centralize and select per
+    frame, then fill each gap one sample at a time."""
+    rows = [SITE_ORDER.index(site) for site in roster]
+    n = len(t)
+    pts = np.zeros((len(roster), n, 2))
+    ok = np.zeros((len(roster), n), dtype=bool)
+    for j in range(n):
+        points = np.zeros((12, 2))
+        valid = np.zeros(12, dtype=bool)
+        for r, site in enumerate(SITE_ORDER):
+            sources = [k for k in MERGE_SOURCES[site] if kp[j, k, 2] >= threshold]
+            if sources:
+                points[r] = kp[j, sources, :2].mean(axis=0)
+                valid[r] = True
+        if not valid.any():
+            continue
+        offset = points[valid].mean(axis=0) - 0.5
+        if np.max(np.abs(offset)) > 1e-12:
+            points[valid] -= offset
+        pts[:, j] = points[rows]
+        ok[:, j] = valid[rows]
+
+    for s in range(len(roster)):
+        if not ok[s].any():
+            raise AllMissingSiteError(f"site {roster[s]} has no valid sample")
+    envelope = np.flatnonzero(ok.all(axis=0))
+    if envelope.size == 0:
+        raise EmptyEnvelopeError("no frame has every site valid")
+    lo, hi = envelope[0], envelope[-1]
+    out = pts[:, lo : hi + 1].copy()
+    for s in range(len(roster)):
+        j = 0
+        while j <= hi - lo:
+            if ok[s, lo + j]:
+                j += 1
+                continue
+            b = j
+            while not ok[s, lo + b]:
+                b += 1
+            if b - j > max_gap:
+                raise GapTooLongError(roster[s], int(lo + j), int(lo + b))
+            left, right, steps = out[s, j - 1], out[s, b], b - j + 1
+            for k in range(1, steps):
+                out[s, j + k - 1] = left + (right - left) * (k / steps)
+            j = b
+    stride = decimation_stride(infer_sample_rate(t), target_rate)
+    return out[:, ::stride]
+
+
+ROSTERS = (DEFAULT_ROSTER, SITE_ORDER, ("HD", "LW", "PE"), ("RS", "LK"))
+
+
+@pytest.mark.parametrize("roster", ROSTERS, ids=lambda r: "+".join(r))
+def test_preprocess_matches_per_frame_pipeline_bit_for_bit(roster):
+    rng = np.random.default_rng(len(roster))
+    compared = 0
+    for _ in range(60):
+        n = int(rng.integers(20, 90))
+        rate = float(rng.choice([10.0, 30.0]))
+        kp = np.empty((n, 17, 3))
+        kp[:, :, :2] = rng.uniform(-0.5, 1.5, size=(n, 17, 2))
+        kp[:, :, 2] = rng.uniform(0.3, 1.0, size=(n, 17))
+        dropout = rng.random((n, 17)) < 0.08
+        kp[:, :, 2][dropout] = rng.uniform(0.0, 0.3, size=int(dropout.sum()))
+        kp[rng.random(n) < 0.05, :, 2] = 0.0  # frames with no valid point
+        t = np.arange(n) / rate
+        try:
+            want = _reference_preprocess(t, kp, roster)
+        except (GapTooLongError, AllMissingSiteError, EmptyEnvelopeError) as exc:
+            with pytest.raises(type(exc), match=re.escape(str(exc))):
+                preprocess_recording(t, kp, "a", roster=roster, length=None, allow_head=True)
+            continue
+        got = preprocess_recording(t, kp, "a", roster=roster, length=None, allow_head=True)
+        assert got.points.tobytes() == want.tobytes()
+        compared += 1
+    assert compared >= 20

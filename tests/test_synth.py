@@ -58,7 +58,7 @@ def test_circular_motion_radius_and_period():
         "RW": SiteMotion(base=(0.6, 0.5)),
     }
     series = generate_activity(MotionSpec("turns", motions, length=500, sample_rate=10.0))
-    lw = series.site_points("LW")
+    lw = series.points[series.sites.index("LW")]
     radii = np.hypot(lw[:, 0] - 0.4, lw[:, 1] - 0.5)
     np.testing.assert_allclose(radii, 0.2, rtol=0, atol=1e-12)
     np.testing.assert_allclose(lw[:-10], lw[10:], rtol=0, atol=1e-9)
@@ -87,9 +87,9 @@ def test_centered_bases_put_roster_centroid_at_center():
 def test_static_sites_identical_across_activities():
     aset = make_separable_set(3, ["LW"], seed=11)
     for site in ("RW", "PE", "LF", "RF"):
-        first = aset.activities[0].site_points(site)
+        first = aset.activities[0].points[aset.sites.index(site)]
         for act in aset.activities[1:]:
-            np.testing.assert_array_equal(act.site_points(site), first)
+            np.testing.assert_array_equal(act.points[act.sites.index(site)], first)
 
 
 def test_non_discriminative_subset_scores_zero():

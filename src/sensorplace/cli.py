@@ -1,21 +1,22 @@
 """Command-line interface.
 
-Subcommands: ``validate`` (schema-check keypoint files), ``rank``
-(manifest -> placement ranking), ``compare`` (two rankings -> Kendall's
-tau), ``synth`` (emit a synthetic keypoint corpus), ``report`` (render a
-ranking as text). Exit codes: 0 success, 1 input/config error (usage
-errors included), 2 computation error.
+Subcommands: ``validate`` (parse and preprocess keypoint files as
+``rank`` does), ``rank`` (manifest -> placement ranking), ``compare`` (two
+rankings -> Kendall's tau), ``synth`` (emit a synthetic keypoint corpus),
+``report`` (render a ranking as text). Exit codes: 0 success, 1
+input/config error (usage errors included), 2 computation error.
 """
 
 from __future__ import annotations
 
 import argparse
 import sys
+from dataclasses import fields
 from pathlib import Path
 
 from . import __version__
 from . import run as runner
-from .config import load_config
+from .config import RunConfig, load_config, site_list, size_list
 from .errors import ComputationError, DataError
 
 
@@ -28,20 +29,12 @@ class _Parser(argparse.ArgumentParser):
         self.exit(1, f"{self.prog}: error: {message}\n")
 
 
-def _sites(text: str) -> tuple:
-    return tuple(s.strip() for s in text.split(",") if s.strip())
-
-
-def _sizes(text: str) -> tuple:
-    return tuple(int(s) for s in text.split(",") if s.strip())
-
-
 def _add_config_flags(sub: argparse.ArgumentParser) -> None:
     # All default to None so a config file can supply values; explicit
     # flags override the file.
     sub.add_argument("--config", type=Path, default=None,
                      help="key=value config file supplying defaults")
-    sub.add_argument("--roster", type=_sites, default=None, metavar="SITES",
+    sub.add_argument("--roster", type=site_list, default=None, metavar="SITES",
                      help="comma-separated site ids (default LW,RW,PE,LF,RF)")
     sub.add_argument("--length", dest="series_length", type=int, default=None,
                      help="frames per scored window (default 500)")
@@ -51,7 +44,7 @@ def _add_config_flags(sub: argparse.ArgumentParser) -> None:
                      default=None, help="keypoint confidence threshold (default 0.3)")
     sub.add_argument("--max-gap", type=int, default=None,
                      help="longest repairable gap in frames (default 10)")
-    sub.add_argument("--sizes", dest="subset_sizes", type=_sizes, default=None,
+    sub.add_argument("--sizes", dest="subset_sizes", type=size_list, default=None,
                      metavar="N,N,...", help="subset sizes to score (default 1,2,3,4)")
     sub.add_argument("--subsample", choices=("first", "uniform"), default=None,
                      help="how to cut long recordings to the window length")
@@ -61,16 +54,13 @@ def _add_config_flags(sub: argparse.ArgumentParser) -> None:
                      default=None, help="permit HD in the roster")
 
 
-def _config_overrides(args) -> dict:
-    keys = (
-        "roster", "series_length", "sample_rate", "confidence_threshold",
-        "max_gap", "subset_sizes", "subsample", "multi_window", "allow_head",
-    )
-    return {k: getattr(args, k) for k in keys if getattr(args, k, None) is not None}
+def _run_config(args) -> RunConfig:
+    # every RunConfig field has a flag; load_config drops the unset ones
+    return load_config(args.config, {f.name: getattr(args, f.name) for f in fields(RunConfig)})
 
 
 def _cmd_validate(args) -> int:
-    checks = runner.run_validate(args.paths)
+    checks = runner.run_validate(args.paths, _run_config(args))
     for check in checks:
         status = "ok" if check.ok else "ok with warnings"
         print(f"{check.path}: {status}, {check.n_frames} frames")
@@ -80,7 +70,7 @@ def _cmd_validate(args) -> int:
 
 
 def _cmd_rank(args) -> int:
-    config = load_config(args.config, _config_overrides(args))
+    config = _run_config(args)
     ranking, payload = runner.run_rank(args.manifest, config, out_dir=args.out_dir)
     best = ranking.entries[0]
     print(f"ranked {len(ranking.entries)} subsets over {ranking.n_activities} activities")
@@ -106,7 +96,7 @@ def _cmd_synth(args) -> int:
     manifest_path, payload = runner.run_synth(
         args.out_dir,
         n_activities=args.activities,
-        discriminative_sites=_sites(args.discriminative),
+        discriminative_sites=args.discriminative,
         seed=args.seed,
         noise_sigma=args.noise,
         length=args.length,
@@ -136,8 +126,9 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version", version=f"%(prog)s {__version__}")
     subs = parser.add_subparsers(dest="command", required=True)
 
-    p = subs.add_parser("validate", help="schema-check keypoint files")
+    p = subs.add_parser("validate", help="parse and preprocess keypoint files as rank does")
     p.add_argument("paths", nargs="+", type=Path)
+    _add_config_flags(p)
     p.set_defaults(func=_cmd_validate)
 
     p = subs.add_parser("rank", help="rank placement subsets from a manifest")
@@ -157,7 +148,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = subs.add_parser("synth", help="emit a synthetic keypoint corpus")
     p.add_argument("out_dir", type=Path)
     p.add_argument("--activities", type=int, default=3)
-    p.add_argument("--discriminative", default="LW",
+    p.add_argument("--discriminative", type=site_list, default="LW",
                    help="comma-separated sites that differ across activities")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--noise", type=float, default=0.0,

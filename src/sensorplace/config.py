@@ -18,7 +18,12 @@ from .synth import RNG_NAME
 
 @dataclass(frozen=True)
 class RunConfig:
-    """Resolved settings for a scoring run."""
+    """Resolved settings for a scoring run.
+
+    The fields are the one list of run settings: each is a config-file key,
+    a settings flag of ``rank`` and ``validate``, and a key of the report's
+    ``config``.
+    """
 
     roster: tuple = DEFAULT_ROSTER
     series_length: int = 500
@@ -70,17 +75,31 @@ class RunConfig:
         return hashlib.sha256(text.encode("utf-8")).hexdigest()
 
 
-# Keys accepted in config files and their parsers.
+def site_list(text: str) -> tuple:
+    """Comma-separated site ids, as config files and flags give them."""
+    return tuple(p.strip() for p in text.split(",") if p.strip())
+
+
+def size_list(text: str) -> tuple:
+    """Comma-separated subset sizes."""
+    return tuple(int(p) for p in text.split(",") if p.strip())
+
+
+def _switch(text: str) -> bool:
+    return text.strip().lower() in ("1", "true", "yes", "on")
+
+
+# Keys accepted in config files and their parsers: one per RunConfig field.
 _PARSERS = {
-    "roster": lambda v: tuple(p.strip() for p in v.split(",") if p.strip()),
+    "roster": site_list,
     "series_length": int,
     "sample_rate": float,
     "confidence_threshold": float,
     "max_gap": int,
-    "subset_sizes": lambda v: tuple(int(p) for p in v.split(",") if p.strip()),
+    "subset_sizes": size_list,
     "subsample": str,
-    "multi_window": lambda v: v.strip().lower() in ("1", "true", "yes", "on"),
-    "allow_head": lambda v: v.strip().lower() in ("1", "true", "yes", "on"),
+    "multi_window": _switch,
+    "allow_head": _switch,
 }
 
 
@@ -104,8 +123,6 @@ def parse_config_text(text: str, source: str = "<config>") -> dict:
             raise ConfigError(f"{source}:{line_no}: unknown key {key!r}")
         try:
             out[key] = _PARSERS[key](value)
-        except ConfigError:
-            raise
         except (ValueError, TypeError) as exc:
             raise ConfigError(
                 f"{source}:{line_no}: bad value for {key!r}: {exc}"

@@ -189,14 +189,13 @@ class FileCheck:
         return not self.warnings
 
 
-def validate_keypoint_file(path) -> FileCheck:
-    """Parse a keypoint file and collect soft warnings.
+def check_keypoints(path, t: np.ndarray, kp: np.ndarray) -> FileCheck:
+    """Collect soft warnings on a parsed keypoint file.
 
-    Malformed lines and non-monotone timestamps still raise; coordinates
-    outside [0, 1] and confidences outside [0, 1] are legal but reported,
-    since they usually indicate an estimator or scaling problem.
+    Coordinates outside [0, 1] and confidences outside [0, 1] are legal
+    but reported, since they usually indicate an estimator or scaling
+    problem.
     """
-    t, kp = parse_keypoint_file(path)
     warnings = []
     out_coord = int(np.count_nonzero((kp[:, :, :2] < 0.0) | (kp[:, :, :2] > 1.0)))
     out_conf = int(np.count_nonzero((kp[:, :, 2] < 0.0) | (kp[:, :, 2] > 1.0)))

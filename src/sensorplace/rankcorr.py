@@ -65,16 +65,17 @@ class TauReport:
 
 
 def kendall_tau(assignment: RankAssignment) -> TauReport:
-    """Exact Kendall's tau for a tie-free rank assignment."""
+    """Exact Kendall's tau for a tie-free rank assignment.
+
+    With ``y`` ordered by ``x``, a pair is discordant exactly when its later
+    item has the smaller ``y``; one row is counted at a time, so memory
+    stays O(n). Without ties every other pair is concordant.
+    """
     x = np.asarray(assignment.x, dtype=np.int64)
-    y = np.asarray(assignment.y, dtype=np.int64)
-    n = x.size
-    sx = np.sign(x[:, None] - x[None, :])
-    sy = np.sign(y[:, None] - y[None, :])
-    prod = sx * sy
-    upper = np.triu_indices(n, k=1)
-    concordant = int(np.count_nonzero(prod[upper] > 0))
-    discordant = int(np.count_nonzero(prod[upper] < 0))
+    order = np.asarray(assignment.y, dtype=np.int64)[np.argsort(x)]
+    n = order.size
+    discordant = sum(int(np.count_nonzero(order[i + 1 :] < order[i])) for i in range(n - 1))
+    concordant = n * (n - 1) // 2 - discordant
     tau = Fraction(concordant - discordant, n * (n - 1) // 2)
     return TauReport(tau=float(tau), n=int(n), concordant=concordant, discordant=discordant)
 

@@ -9,6 +9,7 @@ outputs.
 
 from __future__ import annotations
 
+from dataclasses import asdict
 from pathlib import Path
 
 import numpy as np
@@ -17,7 +18,7 @@ from . import io as pio
 from .config import RunConfig
 from .errors import DataError, ManifestError, TooShortError
 from .rankcorr import compare_rankings
-from .scoring import Ranking, ScoredSubset, build_ranking, enumerate_subsets, rank_placements
+from .scoring import TIE_BREAK, Ranking, ScoredSubset, build_ranking, enumerate_subsets, rank_placements
 from .skeleton import (
     MERGE_SOURCES,
     NUM_KEYPOINTS,
@@ -39,12 +40,37 @@ MANIFEST_FILENAME = "manifest.txt"
 
 # --- validate ---------------------------------------------------------------
 
-def run_validate(paths) -> list[pio.FileCheck]:
-    """Schema-check keypoint files; parse errors propagate as DataError."""
-    return [pio.validate_keypoint_file(p) for p in paths]
+def run_validate(paths, config: RunConfig) -> list[pio.FileCheck]:
+    """Parse each keypoint file once and preprocess it as ``rank`` would.
+
+    The first file that fails raises DataError naming it. Window length is
+    not checked: ``rank`` applies it per activity, across recordings.
+    """
+    checks = []
+    for path in paths:
+        t, kp = pio.parse_keypoint_file(path)
+        try:
+            _preprocess(t, kp, str(path), config)
+        except DataError as exc:
+            raise DataError(f"{path}: {exc}") from None
+        checks.append(pio.check_keypoints(path, t, kp))
+    return checks
 
 
 # --- rank --------------------------------------------------------------------
+
+def _preprocess(t, kp, activity_id: str, config: RunConfig) -> SkeletonSeries:
+    return preprocess_recording(
+        t,
+        kp,
+        activity_id,
+        roster=config.roster,
+        target_rate=config.sample_rate,
+        confidence_threshold=config.confidence_threshold,
+        max_gap=config.max_gap,
+        allow_head=config.allow_head,
+    )
+
 
 def _split_windows(series: SkeletonSeries, length: int) -> list[SkeletonSeries]:
     count = series.length // length
@@ -70,18 +96,7 @@ def _activity_windows(activity_id: str, paths, config: RunConfig) -> list[Skelet
     windows: list[SkeletonSeries] = []
     total = 0
     for path in paths[:1] if uniform else paths:
-        t, kp = pio.parse_keypoint_file(path)
-        full = preprocess_recording(
-            t,
-            kp,
-            activity_id,
-            roster=config.roster,
-            length=None,
-            target_rate=config.sample_rate,
-            confidence_threshold=config.confidence_threshold,
-            max_gap=config.max_gap,
-            allow_head=config.allow_head,
-        )
+        full = _preprocess(*pio.parse_keypoint_file(path), activity_id, config)
         if uniform:
             return [truncate_series(full, config.series_length, mode="uniform")]
         total += full.length
@@ -134,56 +149,31 @@ def load_window_sets(manifest_entries, config: RunConfig):
     return window_sets, diagnostics
 
 
-def _mean_ranking(rankings: list[Ranking], fingerprint: str) -> Ranking:
-    """Average subset scores across window rankings, then re-rank."""
-    first = rankings[0]
-    totals = {e.subset: 0.0 for e in first.entries}
+def rank_window_sets(window_sets, config: RunConfig) -> Ranking:
+    """Score all configured subsets, averaging over windows when several.
+
+    A subset's mean adds its window scores in window order, then divides by
+    the number of windows.
+    """
+    subsets = enumerate_subsets(config.roster, config.subset_sizes)
+    rankings = [rank_placements(ws, subsets) for ws in window_sets]
+    if len(rankings) == 1:
+        return rankings[0]
+    totals = dict.fromkeys(subsets, 0.0)
     for ranking in rankings:
         for entry in ranking.entries:
             totals[entry.subset] += entry.score
-    scored = [
-        ScoredSubset(subset=s, score=total / len(rankings))
-        for s, total in totals.items()
-    ]
-    return build_ranking(
-        scored,
-        n_activities=first.n_activities,
-        series_length=first.series_length,
-        roster=first.roster,
-        fingerprint=fingerprint,
-    )
-
-
-def rank_window_sets(window_sets, config: RunConfig) -> Ranking:
-    """Score all configured subsets, averaging over windows when several."""
-    subsets = enumerate_subsets(config.roster, config.subset_sizes)
-    fingerprint = config.fingerprint()
-    rankings = [
-        rank_placements(ws, subsets, fingerprint=fingerprint)
-        for ws in window_sets
-    ]
-    if len(rankings) == 1:
-        return rankings[0]
-    return _mean_ranking(rankings, fingerprint)
+    scored = [ScoredSubset(subset=s, score=total / len(rankings)) for s, total in totals.items()]
+    return build_ranking(scored, rankings[0].n_activities)
 
 
 def rank_report_payload(ranking: Ranking, config: RunConfig, diagnostics, n_windows: int) -> dict:
     return {
         "kind": "placement-ranking",
-        "fingerprint": ranking.fingerprint,
+        "fingerprint": config.fingerprint(),
         "rng": RNG_NAME,
-        "config": {
-            "roster": list(config.roster),
-            "series_length": config.series_length,
-            "sample_rate": config.sample_rate,
-            "confidence_threshold": config.confidence_threshold,
-            "max_gap": config.max_gap,
-            "subset_sizes": list(config.subset_sizes),
-            "subsample": config.subsample,
-            "multi_window": config.multi_window,
-            "allow_head": config.allow_head,
-        },
-        "tie_break": ranking.tie_break,
+        "config": asdict(config),
+        "tie_break": TIE_BREAK,
         "n_activities": ranking.n_activities,
         "n_windows": n_windows,
         "activities": diagnostics,

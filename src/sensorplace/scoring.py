@@ -68,14 +68,10 @@ class ScoredSubset:
 
 @dataclass(frozen=True)
 class Ranking:
-    """Scored subsets in strict rank order, plus provenance for audit."""
+    """Scored subsets in strict rank order (see ``TIE_BREAK``)."""
 
     entries: tuple[ScoredSubset, ...]
     n_activities: int
-    series_length: int
-    roster: tuple[str, ...]
-    fingerprint: str | None = None
-    tie_break: str = TIE_BREAK
 
     def labels(self) -> list[str]:
         return [e.subset.label for e in self.entries]
@@ -183,43 +179,21 @@ def enumerate_subsets(roster, sizes=None) -> list[PlacementSubset]:
     return subsets
 
 
-def build_ranking(
-    scored,
-    n_activities: int,
-    series_length: int,
-    roster,
-    fingerprint: str | None = None,
-) -> Ranking:
+def build_ranking(scored, n_activities: int) -> Ranking:
     """Sort scored subsets into a strict ranking under the tie-break rule."""
     ordered = sorted(
         scored,
         key=lambda e: (-e.score, e.subset.size, e.subset.sort_key()),
     )
-    return Ranking(
-        entries=tuple(ordered),
-        n_activities=n_activities,
-        series_length=series_length,
-        roster=canonical_sites(roster),
-        fingerprint=fingerprint,
-    )
+    return Ranking(entries=tuple(ordered), n_activities=n_activities)
 
 
-def rank_placements(
-    activity_set: ActivitySet,
-    subsets,
-    fingerprint: str | None = None,
-) -> Ranking:
+def rank_placements(activity_set: ActivitySet, subsets) -> Ranking:
     """Score every subset against the activity set and rank the results."""
     subsets = list(subsets)
     if not subsets:
         raise ConfigError("no subsets to rank")
-    return build_ranking(
-        _score_subsets(activity_set, subsets),
-        n_activities=len(activity_set),
-        series_length=activity_set.length,
-        roster=activity_set.sites,
-        fingerprint=fingerprint,
-    )
+    return build_ranking(_score_subsets(activity_set, subsets), len(activity_set))
 
 
 def max_score(n_activities: int) -> float:

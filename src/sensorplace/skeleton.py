@@ -408,11 +408,9 @@ def preprocess_recording(
     kp,
     activity_id: str,
     roster=DEFAULT_ROSTER,
-    length: int | None = 500,
     target_rate: float = 10.0,
     confidence_threshold: float = 0.3,
     max_gap: int = 10,
-    subsample: str = "first",
     allow_head: bool = False,
 ) -> SkeletonSeries:
     """Run the full preprocessing pipeline over one recording.
@@ -421,13 +419,13 @@ def preprocess_recording(
     ``io.parse_keypoint_file`` returns. Steps: consolidate keypoints to
     sites, centralize each frame's valid skeleton, select the roster sites,
     place the frames on the grid of the inferred rate (a timestamp hole
-    becomes frames with no valid point), repair gaps (at the native rate),
-    decimate to the target rate, and truncate to ``length`` frames. Pass
-    ``length=None`` to skip truncation and keep the full decimated series.
+    becomes frames with no valid point), repair gaps (at the native rate)
+    and decimate to the target rate. ``truncate_series`` cuts the result to
+    a window length.
     """
     t = np.asarray(t, dtype=np.float64)
     if len(t) < 2:
-        raise TooShortError(len(t), length if length is not None else 2)
+        raise TooShortError(len(t), 2)
     roster = tuple(roster)
     rows = select_sites(roster, allow_head=allow_head)
 
@@ -454,12 +452,9 @@ def preprocess_recording(
     if stride > 1:
         repaired = repaired[:, ::stride]
 
-    series = SkeletonSeries(
+    return SkeletonSeries(
         activity_id=activity_id,
         sites=roster,
         points=repaired,
         sample_rate=target_rate,
     )
-    if length is None:
-        return series
-    return truncate_series(series, length, mode=subsample)

@@ -133,7 +133,7 @@ def test_validate_flags_out_of_range_values(tmp_path):
     kp[1, 6, 2] = -0.2
     path = tmp_path / "rec.csv"
     pio.write_keypoint_file(path, t, kp)
-    check = pio.validate_keypoint_file(path)
+    check = pio.check_keypoints(path, *pio.parse_keypoint_file(path))
     assert check.n_frames == 3
     assert not check.ok
     assert any("coordinate" in w for w in check.warnings)
@@ -143,7 +143,7 @@ def test_validate_flags_out_of_range_values(tmp_path):
 def test_validate_clean_file_is_ok(tmp_path):
     path = tmp_path / "rec.csv"
     pio.write_keypoint_file(path, *_frames(4, seed=3))
-    check = pio.validate_keypoint_file(path)
+    check = pio.check_keypoints(path, *pio.parse_keypoint_file(path))
     assert check.ok and check.n_frames == 4
 
 
@@ -180,7 +180,7 @@ def _ranking():
         ScoredSubset(PlacementSubset(("LW", "RW")), 1.0 / 3.0),
         ScoredSubset(PlacementSubset(("RW",)), 0.1),
     ]
-    return build_ranking(scored, n_activities=3, series_length=10, roster=("LW", "RW"))
+    return build_ranking(scored, n_activities=3)
 
 
 def test_ranking_round_trip_preserves_order_and_scores(tmp_path):
@@ -358,7 +358,7 @@ def rankings(draw):
     ))
     scores = draw(st.lists(finite, min_size=n, max_size=n))
     scored = [ScoredSubset(PlacementSubset(tuple(l)), sc) for l, sc in zip(labels, scores)]
-    return build_ranking(scored, n_activities=2, series_length=10, roster=SITE_ORDER)
+    return build_ranking(scored, n_activities=2)
 
 
 @given(rankings())

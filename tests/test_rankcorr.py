@@ -1,8 +1,10 @@
 """Kendall's tau and ranking alignment."""
 
+import tracemalloc
 from fractions import Fraction
 from itertools import permutations
 
+import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -59,6 +61,33 @@ def test_tau_is_symmetric_and_bounded(x, y):
     b = _tau(tuple(y), tuple(x))
     assert a.tau == b.tau
     assert -1.0 <= a.tau <= 1.0
+
+
+def _seeded_assignment(n, seed):
+    rng = np.random.default_rng(seed)
+    return RankAssignment(
+        items=tuple(f"i{k}" for k in range(n)),
+        x=tuple(int(v) for v in rng.permutation(n) + 1),
+        y=tuple(int(v) for v in rng.permutation(n) + 1),
+    )
+
+
+def test_seeded_permutation_matches_pair_counting_oracle():
+    a = _seeded_assignment(301, seed=4)
+    assert kendall_tau(a).tau == pytest.approx(kendall_tau_ref(a.x, a.y), abs=1e-15)
+
+
+def test_memory_stays_linear_on_a_full_roster_ranking():
+    # 4095 = every subset of 12 sites; an n x n int64 array alone is 128 MiB
+    a = _seeded_assignment(4095, seed=5)
+    tracemalloc.start()
+    try:
+        report = kendall_tau(a)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert report.concordant + report.discordant == report.pairs
+    assert peak < 16 * 2**20
 
 
 def test_tau_is_exact_rational():

@@ -4,6 +4,7 @@ import json
 import os
 import subprocess
 import sys
+from dataclasses import fields
 from pathlib import Path
 
 import numpy as np
@@ -13,9 +14,10 @@ import sensorplace
 from sensorplace import cli
 from sensorplace import io as pio
 from sensorplace import run as runner
-from sensorplace.config import RunConfig
+from sensorplace.config import _PARSERS, RunConfig
 from sensorplace.errors import ComputationError, ManifestError
 from sensorplace.rankcorr import compare_rankings
+from sensorplace.scoring import enumerate_subsets, rank_placements
 
 
 def _corpus(tmp_path, n=3, length=520, noise=0.0, seed=0, style="csv", **kwargs):
@@ -115,6 +117,39 @@ def test_rank_multi_window_averages_over_full_windows(tmp_path):
     assert payload["entries"][0]["sites"] == "LW"
     for diag in payload["activities"]:
         assert diag["windows"] == 2
+
+
+def test_rank_multi_window_score_is_the_sequential_mean_of_window_scores(tmp_path):
+    # heavy noise spreads the window scores, so any other summation order
+    # changes the last bits of many subsets
+    manifest = _corpus(tmp_path, n=4, length=520, noise=0.3)
+    config = _config(series_length=50, multi_window=True)
+    window_sets, _ = runner.load_window_sets(pio.parse_manifest(manifest), config)
+    assert len(window_sets) == 10
+    subsets = enumerate_subsets(config.roster, config.subset_sizes)
+    per_window = [
+        {e.subset: e.score for e in rank_placements(ws, subsets).entries} for ws in window_sets
+    ]
+    ranking, _ = runner.run_rank(manifest, config)
+    assert len(ranking.entries) == len(subsets)
+    for entry in ranking.entries:
+        total = 0.0
+        for scores in per_window:
+            total += scores[entry.subset]
+        assert entry.score == total / len(per_window)
+
+
+def test_run_settings_are_named_once(tmp_path):
+    # config file keys, the settings flags and the report all follow RunConfig
+    names = [f.name for f in fields(RunConfig)]
+    assert list(_PARSERS) == names
+    for argv in (["rank", "manifest.txt"], ["validate", "a.csv"]):
+        args = vars(cli.build_parser().parse_args(argv))
+        assert set(args) - {"command", "func", "config", "manifest", "out_dir", "paths"} == set(names)
+    out = tmp_path / "out"
+    runner.run_rank(_corpus(tmp_path), _config(), out_dir=out)
+    report = json.loads((out / runner.RANK_REPORT_FILENAME).read_text())
+    assert list(report["config"]) == names
 
 
 def test_rank_uniform_subsampling_mode(tmp_path):
@@ -306,17 +341,32 @@ def _one_error_line(capsys):
     return err
 
 
-def test_cli_timestamp_hole_exits_1(tmp_path, capsys):
+def _hole_corpus(tmp_path):
     corpus = tmp_path / "corpus"
     cli.main(["synth", str(corpus), "--length", "500"])
     path = corpus / "act01.csv"
     lines = path.read_text().splitlines()
     path.write_text("\n".join(lines[:100] + lines[300:]) + "\n")  # lines 101-300: a 20 s hole
+    return corpus
+
+
+def test_cli_timestamp_hole_exits_1(tmp_path, capsys):
+    corpus = _hole_corpus(tmp_path)
     capsys.readouterr()
     code = cli.main(["rank", str(corpus / "manifest.txt"), "--length", "300",
                      "--out-dir", str(tmp_path / "out")])
     assert code == 1
     assert "act01: site LW: gap of 200 frames at [100, 300)" in _one_error_line(capsys)
+
+
+def test_cli_validate_rejects_timestamp_hole_as_rank_does(tmp_path, capsys):
+    path = _hole_corpus(tmp_path) / "act01.csv"
+    capsys.readouterr()
+    assert cli.main(["validate", str(path)]) == 1
+    assert f"{path}: site LW: gap of 200 frames at [100, 300)" in _one_error_line(capsys)
+    # validate reads the same settings as rank
+    assert cli.main(["validate", str(path), "--max-gap", "200"]) == 0
+    assert capsys.readouterr().out == f"{path}: ok, 300 frames\n"
 
 
 def test_cli_single_dropped_frame_is_repaired(tmp_path):

@@ -166,7 +166,7 @@ def test_ranking_sorts_desc_with_canonical_tie_break():
         ScoredSubset(PlacementSubset(("LW", "RW")), 1.0),
         ScoredSubset(PlacementSubset(("PE",)), 2.0),
     ]
-    ranking = build_ranking(scored, n_activities=3, series_length=10, roster=DEFAULT_ROSTER)
+    ranking = build_ranking(scored, n_activities=3)
     assert ranking.labels() == ["PE", "LW", "RW", "LW+RW"]
 
 

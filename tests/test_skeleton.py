@@ -331,7 +331,7 @@ def test_decimation_stride_rejects_bad_ratios():
 # --- full preprocessing --------------------------------------------------------------
 
 def test_preprocess_end_to_end(raw_walk):
-    series = preprocess_recording(*raw_walk, "walk", length=50)
+    series = truncate_series(preprocess_recording(*raw_walk, "walk"), 50)
     assert series.activity_id == "walk"
     assert series.sites == DEFAULT_ROSTER
     assert series.length == 50
@@ -339,13 +339,13 @@ def test_preprocess_end_to_end(raw_walk):
 
 
 def test_preprocess_full_length_when_uncapped(raw_walk):
-    series = preprocess_recording(*raw_walk, "walk", length=None)
+    series = preprocess_recording(*raw_walk, "walk")
     assert series.length == 60
 
 
 def test_preprocess_is_deterministic(raw_walk):
-    a = preprocess_recording(*raw_walk, "walk", length=50)
-    b = preprocess_recording(*raw_walk, "walk", length=50)
+    a = truncate_series(preprocess_recording(*raw_walk, "walk"), 50)
+    b = truncate_series(preprocess_recording(*raw_walk, "walk"), 50)
     assert np.array_equal(a.points, b.points)
 
 
@@ -353,7 +353,7 @@ def test_preprocess_decimates_to_target_rate(raw_walk):
     _, kp = raw_walk
     fast = np.repeat(kp, 3, axis=0)
     series = preprocess_recording(
-        np.arange(len(fast)) / 30.0, fast, "walk", length=None, target_rate=10.0
+        np.arange(len(fast)) / 30.0, fast, "walk", target_rate=10.0
     )
     assert series.length == 60
     assert series.sample_rate == pytest.approx(10.0)
@@ -363,7 +363,7 @@ def test_preprocess_repairs_confidence_dropouts(raw_walk):
     t, kp = raw_walk
     kp = kp.copy()
     kp[30, 9, 2] = 0.0  # LW invisible for one frame
-    series = preprocess_recording(t, kp, "walk", length=50)
+    series = truncate_series(preprocess_recording(t, kp, "walk"), 50)
     assert series.length == 50
     assert np.isfinite(series.points).all()
 
@@ -375,19 +375,19 @@ def test_preprocess_rejects_tiny_recordings():
 
 def test_preprocess_too_few_frames_after_pipeline(raw_walk):
     with pytest.raises(TooShortError):
-        preprocess_recording(*raw_walk, "walk", length=500)
+        truncate_series(preprocess_recording(*raw_walk, "walk"), 500)
 
 
 # --- timestamp holes -------------------------------------------------------------------
 
 def test_single_dropped_frame_is_interpolated(raw_walk):
     t, kp = raw_walk
-    dropped = preprocess_recording(np.delete(t, 30), np.delete(kp, 30, axis=0), "walk", length=None)
+    dropped = preprocess_recording(np.delete(t, 30), np.delete(kp, 30, axis=0), "walk")
     # a dropped frame is a frame with no valid point: same slot, same repair
     blank = kp.copy()
     blank[30, :, 2] = 0.0
     assert dropped.length == 60
-    assert np.array_equal(dropped.points, preprocess_recording(t, blank, "walk", length=None).points)
+    assert np.array_equal(dropped.points, preprocess_recording(t, blank, "walk").points)
 
 
 def test_twenty_second_hole_is_a_gap_too_long():
@@ -395,7 +395,7 @@ def test_twenty_second_hole_is_a_gap_too_long():
     kp = np.repeat(make_keypoints(seed=12)[None], 500, axis=0)
     keep = np.r_[0:100, 300:500]  # lines 101-300 of the file removed
     with pytest.raises(GapTooLongError) as err:
-        preprocess_recording(t[keep], kp[keep], "walk", length=None)
+        preprocess_recording(t[keep], kp[keep], "walk")
     assert (err.value.start, err.value.end) == (100, 300)
 
 
@@ -405,7 +405,7 @@ def test_hole_span_is_reported_at_full_length():
     t[-1] = 1e6
     kp = np.repeat(make_keypoints(seed=13)[None], 60, axis=0)
     with pytest.raises(GapTooLongError) as err:
-        preprocess_recording(t, kp, "walk", length=None, max_gap=3)
+        preprocess_recording(t, kp, "walk", max_gap=3)
     assert (err.value.start, err.value.end) == (59, 10_000_000)
 
 
@@ -414,8 +414,8 @@ def test_hole_outside_the_envelope_is_trimmed(raw_walk):
     t = np.concatenate([t[:5], t[5:] + 100.0])
     kp = kp.copy()
     kp[:5, 9, 2] = 0.0  # LW unseen before the hole, so the envelope starts after it
-    series = preprocess_recording(t, kp, "walk", length=None)
-    assert np.array_equal(series.points, preprocess_recording(*raw_walk, "walk", length=None).points[:, 5:])
+    series = preprocess_recording(t, kp, "walk")
+    assert np.array_equal(series.points, preprocess_recording(*raw_walk, "walk").points[:, 5:])
 
 
 def test_site_order_default_roster_come_first():
@@ -496,9 +496,9 @@ def test_preprocess_matches_per_frame_pipeline_bit_for_bit(roster):
             want = _reference_preprocess(t, kp, roster)
         except (GapTooLongError, AllMissingSiteError, EmptyEnvelopeError) as exc:
             with pytest.raises(type(exc), match=re.escape(str(exc))):
-                preprocess_recording(t, kp, "a", roster=roster, length=None, allow_head=True)
+                preprocess_recording(t, kp, "a", roster=roster, allow_head=True)
             continue
-        got = preprocess_recording(t, kp, "a", roster=roster, length=None, allow_head=True)
+        got = preprocess_recording(t, kp, "a", roster=roster, allow_head=True)
         assert got.points.tobytes() == want.tobytes()
         compared += 1
     assert compared >= 20

@@ -16,7 +16,7 @@ from .errors import (
     ManifestError,
     SensorPlaceError,
 )
-from .rankcorr import RankAssignment, TauReport, align_rankings, compare_rankings, kendall_tau
+from .rankcorr import TauReport, compare_rankings, kendall_tau
 from .scoring import (
     PlacementSubset,
     Ranking,
@@ -61,7 +61,6 @@ __all__ = [
     "ManifestError",
     "MotionSpec",
     "PlacementSubset",
-    "RankAssignment",
     "Ranking",
     "RunConfig",
     "SITE_NAMES",
@@ -71,7 +70,6 @@ __all__ = [
     "SiteMotion",
     "SkeletonSeries",
     "TauReport",
-    "align_rankings",
     "build_ranking",
     "canonical_sites",
     "centralize",

@@ -12,7 +12,7 @@ from dataclasses import dataclass, fields
 
 from .errors import ConfigError
 from .io import _read_text
-from .skeleton import DEFAULT_ROSTER, canonical_sites
+from .skeleton import DEFAULT_ROSTER, canonical_sites, select_sites
 from .synth import RNG_NAME
 
 
@@ -58,6 +58,8 @@ class RunConfig:
         if self.multi_window and self.subsample == "uniform":
             raise ConfigError("multi_window requires contiguous windows; "
                               "it cannot be combined with uniform subsampling")
+        # unknown sites and a head site not allowed fail here, before any file is read
+        select_sites(self.roster, self.allow_head)
 
     def fingerprint(self) -> str:
         """sha256 over the canonical text form plus the RNG name."""

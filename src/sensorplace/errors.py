@@ -117,12 +117,9 @@ class ZeroVectorError(ComputationError):
 
 # --- rank comparison -------------------------------------------------------
 
-class TieError(DataError):
-    """A ranking contains tied (repeated) rank values."""
-
-
 class InvalidRankError(DataError):
-    """Rank values do not form a 1..n permutation."""
+    """A ranking is not a usable ordering: its ranks are not 1..n, an item
+    repeats, or there are too few items to correlate."""
 
 
 class UniverseMismatchError(DataError):

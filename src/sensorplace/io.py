@@ -232,7 +232,8 @@ def parse_manifest(path) -> list[tuple[str, list[Path]]]:
     """Parse an activity manifest: ``activity_id path [path ...]`` per line.
 
     Relative paths resolve against the manifest's directory. Order of
-    appearance is preserved; duplicate activity ids are rejected.
+    appearance is preserved; duplicate activity ids are rejected, and so is
+    a file listed twice, under one activity or two.
     """
     path = Path(path)
     text = _read_text(path, "manifest", ManifestError)
@@ -240,6 +241,7 @@ def parse_manifest(path) -> list[tuple[str, list[Path]]]:
     base = path.parent
     entries: list[tuple[str, list[Path]]] = []
     seen = set()
+    listed: dict[Path, int] = {}
     for line_no, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()
         if not line or line.startswith("#"):
@@ -253,7 +255,15 @@ def parse_manifest(path) -> list[tuple[str, list[Path]]]:
         if activity_id in seen:
             raise ManifestError(f"{path}:{line_no}: duplicate activity id {activity_id!r}")
         seen.add(activity_id)
-        entries.append((activity_id, [base / tok for tok in tokens[1:]]))
+        paths = [base / tok for tok in tokens[1:]]
+        for recording in paths:
+            key = recording.resolve()
+            if key in listed:
+                raise ManifestError(
+                    f"{path}:{line_no}: {recording} is already listed on line {listed[key]}"
+                )
+            listed[key] = line_no
+        entries.append((activity_id, paths))
     if not entries:
         raise ManifestError(f"manifest {path} lists no activities")
     return entries
@@ -335,11 +345,6 @@ def read_ranking_file(path) -> list[RankRow]:
     if len(set(labels)) != len(labels):
         raise InvalidRankError(f"{path}: duplicate site subsets in ranking")
     return sorted(rows, key=lambda r: r.rank)
-
-
-def ranking_labels(rows: list[RankRow]) -> list[str]:
-    """Subset labels in rank order from parsed ranking rows."""
-    return [r.label for r in rows]
 
 
 # --- structured reports --------------------------------------------------------

@@ -88,21 +88,17 @@ def _split_windows(series: SkeletonSeries, length: int) -> list[SkeletonSeries]:
 def _activity_windows(activity_id: str, paths, config: RunConfig) -> list[SkeletonSeries]:
     """Preprocess one activity's recordings into L-frame windows.
 
-    Windows never span recordings. Uniform subsampling draws one window
-    from the first recording; otherwise each recording contributes its
-    consecutive disjoint windows, in manifest order.
+    Every recording is parsed and preprocessed, so a bad one is reported
+    in either mode. Windows never span recordings. Uniform subsampling
+    draws one window from the first recording; otherwise each recording
+    contributes its consecutive disjoint windows, in manifest order.
     """
-    uniform = config.subsample == "uniform"
-    windows: list[SkeletonSeries] = []
-    total = 0
-    for path in paths[:1] if uniform else paths:
-        full = _preprocess(*pio.parse_keypoint_file(path), activity_id, config)
-        if uniform:
-            return [truncate_series(full, config.series_length, mode="uniform")]
-        total += full.length
-        windows.extend(_split_windows(full, config.series_length))
+    series = [_preprocess(*pio.parse_keypoint_file(path), activity_id, config) for path in paths]
+    if config.subsample == "uniform":
+        return [truncate_series(series[0], config.series_length, mode="uniform")]
+    windows = [w for full in series for w in _split_windows(full, config.series_length)]
     if not windows:
-        raise TooShortError(total, config.series_length)
+        raise TooShortError(sum(full.length for full in series), config.series_length)
     return windows
 
 
@@ -210,8 +206,8 @@ def run_rank(manifest_path, config: RunConfig, out_dir=None):
 
 def run_compare(first_path, second_path, scope: str = "per-size", top_k: int = 3, out_dir=None):
     """Kendall's tau between two ranking files, per comparison scope."""
-    first = pio.ranking_labels(pio.read_ranking_file(first_path))
-    second = pio.ranking_labels(pio.read_ranking_file(second_path))
+    first = [row.label for row in pio.read_ranking_file(first_path)]
+    second = [row.label for row in pio.read_ranking_file(second_path)]
     reports = compare_rankings(first, second, scope=scope, top_k=top_k)
     payload = {
         "kind": "ranking-agreement",

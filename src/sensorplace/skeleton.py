@@ -15,7 +15,10 @@ Gaps are counted on the uniform grid of the recording's rate (the inverse
 of its median timestamp spacing). A spacing above 1.5 periods is a
 timestamp hole of ``round(dt / period) - 1`` frames with no valid point,
 so a single dropped frame is interpolated and a hole longer than
-``max_gap`` frames is an error, like any other gap.
+``max_gap`` frames is an error, like any other gap. A spacing of half a
+period or less is an error too (``RateMismatchError``, naming the later
+frame by index and timestamp): such a frame has no slot of its own, and
+counting it as a whole period would stretch the motion in time.
 
 Coordinates are normalized image coordinates; values outside [0, 1] are
 legal (estimators can emit slightly out-of-frame points).
@@ -111,6 +114,11 @@ _MERGE_MASK = np.array(
 _CENTER_SNAP = 1e-12
 
 _CENTER = 0.5
+
+# Timestamp spacings, in periods, at or below this are an error. The margin
+# above 0.5 keeps a spacing of exactly half a period, such as 20 Hz frames
+# in a 10 Hz file, on the error side of float rounding.
+_HALF_PERIOD = 0.5 + 1e-6
 
 
 def site_key(site: str) -> tuple[int, str]:
@@ -391,12 +399,20 @@ def _slot_grid(t: np.ndarray, rate: float, cap: int) -> tuple[np.ndarray, np.nda
     """Slot of each frame on the uniform grid at ``rate``.
 
     A spacing above 1.5 periods is a timestamp hole: it leaves
-    ``round(dt / period) - 1`` empty slots. Returns ``(slots, true_slots)``;
+    ``round(dt / period) - 1`` empty slots. A spacing of half a period or
+    less raises, naming the later frame. Returns ``(slots, true_slots)``;
     ``slots`` gives each hole at most ``cap`` empty slots, so a corrupt
     timestamp cannot allocate a huge grid, and ``true_slots`` keeps the
     full counts for error messages.
     """
     steps = np.diff(t) * rate
+    crowded = np.flatnonzero(steps <= _HALF_PERIOD)
+    if crowded.size:
+        k = int(crowded[0]) + 1
+        raise RateMismatchError(
+            f"frame {k} (t={float(t[k])!r}) is {steps[k - 1]:.3g} periods after frame {k - 1}; "
+            f"a spacing of half a period or less does not fit the {rate:.6g} Hz grid"
+        )
     steps = np.where(steps > 1.5, np.rint(steps), 1.0)
     true_slots = np.concatenate(([0.0], np.cumsum(steps)))
     slots = np.concatenate(([0.0], np.cumsum(np.minimum(steps, cap + 1))))

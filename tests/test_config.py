@@ -3,7 +3,7 @@
 import pytest
 
 from sensorplace.config import RunConfig, load_config, parse_config_text
-from sensorplace.errors import ConfigError
+from sensorplace.errors import ConfigError, SiteExcludedError, UnknownSiteError
 
 
 def test_defaults_match_documented_contract():
@@ -44,6 +44,17 @@ def test_roster_is_canonicalized_and_sizes_sorted():
 def test_invalid_values_are_rejected(kwargs):
     with pytest.raises(ConfigError):
         RunConfig(**kwargs)
+
+
+@pytest.mark.parametrize("kwargs, error", [
+    ({"roster": ("LW", "RW", "PE", "ZZ")}, UnknownSiteError),
+    ({"roster": ("LW", "HD"), "subset_sizes": (1,)}, SiteExcludedError),
+])
+def test_roster_sites_are_checked_when_the_config_is_built(kwargs, error):
+    with pytest.raises(error):
+        RunConfig(**kwargs)
+    if "HD" in kwargs["roster"]:
+        assert RunConfig(**kwargs, allow_head=True).roster == ("LW", "HD")
 
 
 def test_fingerprint_is_stable_and_sensitive():

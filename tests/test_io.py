@@ -172,6 +172,18 @@ def test_manifest_rejects_duplicates_and_bare_ids(tmp_path):
         pio.parse_manifest(manifest)
 
 
+@pytest.mark.parametrize("text, line", [
+    ("walk a.csv\nrun a.csv\n", 2),
+    ("walk a.csv\nrun b.csv data/../a.csv\n", 2),
+    ("walk a.csv b.csv ./a.csv\n", 1),
+], ids=["two-activities", "another-spelling", "one-activity"])
+def test_manifest_rejects_a_file_listed_twice(tmp_path, text, line):
+    manifest = tmp_path / "manifest.txt"
+    manifest.write_text(text)
+    with pytest.raises(ManifestError, match=rf"manifest.txt:{line}: .*a.csv is already listed on line 1"):
+        pio.parse_manifest(manifest)
+
+
 # --- ranking tables ----------------------------------------------------------------
 
 def _ranking():
@@ -188,7 +200,7 @@ def test_ranking_round_trip_preserves_order_and_scores(tmp_path):
     path = tmp_path / "ranking.csv"
     pio.write_ranking_file(path, ranking)
     rows = pio.read_ranking_file(path)
-    assert pio.ranking_labels(rows) == ranking.labels()
+    assert [r.label for r in rows] == ranking.labels()
     for row, entry in zip(rows, ranking.entries):
         assert row.score == entry.score  # repr round-trips exactly
 
@@ -203,7 +215,7 @@ def test_external_two_column_format(tmp_path):
     path = tmp_path / "truth.csv"
     path.write_text("rank,sites\n1,LW+PE\n2,RW+PE\n3,LW+RW\n")
     rows = pio.read_ranking_file(path)
-    assert pio.ranking_labels(rows) == ["LW+PE", "RW+PE", "LW+RW"]
+    assert [r.label for r in rows] == ["LW+PE", "RW+PE", "LW+RW"]
     assert all(r.score is None for r in rows)
 
 
@@ -211,7 +223,7 @@ def test_ranking_rows_sorted_by_rank(tmp_path):
     path = tmp_path / "truth.csv"
     path.write_text("2,RW\n1,LW\n3,PE\n")
     rows = pio.read_ranking_file(path)
-    assert pio.ranking_labels(rows) == ["LW", "RW", "PE"]
+    assert [r.label for r in rows] == ["LW", "RW", "PE"]
 
 
 def test_ranking_requires_rank_permutation(tmp_path):
@@ -366,7 +378,7 @@ def test_ranking_files_round_trip_any_finite_scores(tmp_path_factory, ranking):
     path = tmp_path_factory.mktemp("rt") / "ranking.csv"
     pio.write_ranking_file(path, ranking)
     rows = pio.read_ranking_file(path)
-    assert pio.ranking_labels(rows) == ranking.labels()
+    assert [r.label for r in rows] == ranking.labels()
     assert [r.score for r in rows] == [e.score for e in ranking.entries]
 
 

@@ -1,4 +1,4 @@
-"""Kendall's tau and ranking alignment."""
+"""Kendall's tau between two orderings, and comparison scopes."""
 
 import tracemalloc
 from fractions import Fraction
@@ -10,18 +10,17 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from oracles import kendall_tau_ref
-from sensorplace.errors import InvalidRankError, TieError, UniverseMismatchError
-from sensorplace.rankcorr import (
-    RankAssignment,
-    align_rankings,
-    compare_rankings,
-    kendall_tau,
-)
+from sensorplace.errors import InvalidRankError, UniverseMismatchError
+from sensorplace.rankcorr import compare_rankings, kendall_tau
+
+
+def _ordering(ranks):
+    """Items i0, i1, ... ordered so that item k sits at rank ``ranks[k]``."""
+    return [f"i{k}" for k in sorted(range(len(ranks)), key=ranks.__getitem__)]
 
 
 def _tau(x, y):
-    items = tuple(f"i{k}" for k in range(len(x)))
-    return kendall_tau(RankAssignment(items=items, x=x, y=y))
+    return kendall_tau(_ordering(x), _ordering(y))
 
 
 # --- exact values ---------------------------------------------------------------
@@ -63,26 +62,25 @@ def test_tau_is_symmetric_and_bounded(x, y):
     assert -1.0 <= a.tau <= 1.0
 
 
-def _seeded_assignment(n, seed):
+def _seeded_ranks(n, seed):
     rng = np.random.default_rng(seed)
-    return RankAssignment(
-        items=tuple(f"i{k}" for k in range(n)),
-        x=tuple(int(v) for v in rng.permutation(n) + 1),
-        y=tuple(int(v) for v in rng.permutation(n) + 1),
+    return (
+        tuple(int(v) for v in rng.permutation(n) + 1),
+        tuple(int(v) for v in rng.permutation(n) + 1),
     )
 
 
 def test_seeded_permutation_matches_pair_counting_oracle():
-    a = _seeded_assignment(301, seed=4)
-    assert kendall_tau(a).tau == pytest.approx(kendall_tau_ref(a.x, a.y), abs=1e-15)
+    x, y = _seeded_ranks(301, seed=4)
+    assert _tau(x, y).tau == pytest.approx(kendall_tau_ref(x, y), abs=1e-15)
 
 
 def test_memory_stays_linear_on_a_full_roster_ranking():
     # 4095 = every subset of 12 sites; an n x n int64 array alone is 128 MiB
-    a = _seeded_assignment(4095, seed=5)
+    first, second = (_ordering(r) for r in _seeded_ranks(4095, seed=5))
     tracemalloc.start()
     try:
-        report = kendall_tau(a)
+        report = kendall_tau(first, second)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -100,65 +98,85 @@ def test_tau_is_exact_rational():
 
 # --- validation ---------------------------------------------------------------------
 
-def test_ties_are_rejected():
-    with pytest.raises(TieError):
-        RankAssignment(items=("a", "b", "c"), x=(1, 2, 2), y=(1, 2, 3))
+def test_repeated_item_is_rejected():
+    # an ordering cannot hold a tie; a repeated item is the nearest fault
+    with pytest.raises(InvalidRankError, match="item 'b' appears twice"):
+        kendall_tau(["a", "b", "b"], ["a", "b", "c"])
+    with pytest.raises(InvalidRankError, match="item 'c' appears twice"):
+        kendall_tau(["a", "b", "c"], ["c", "b", "c"])
 
 
 def test_non_permutation_is_rejected():
-    with pytest.raises(InvalidRankError):
-        RankAssignment(items=("a", "b"), x=(1, 3), y=(1, 2))
+    # the second ordering is not a permutation of the first
+    with pytest.raises(UniverseMismatchError, match="only in first: b; only in second: c"):
+        kendall_tau(["a", "b"], ["a", "c"])
 
 
 def test_single_item_is_rejected():
-    with pytest.raises(InvalidRankError):
-        RankAssignment(items=("a",), x=(1,), y=(1,))
+    with pytest.raises(InvalidRankError, match="need at least two items"):
+        kendall_tau(["a"], ["a"])
 
 
-# --- alignment scopes -------------------------------------------------------------------
+# --- comparison scopes -------------------------------------------------------------------
 
 def test_align_all_scope_matches_by_label():
     first = ["LW", "RW", "PE"]
     second = ["RW", "LW", "PE"]
-    out = align_rankings(first, second, scope="all")
+    out = compare_rankings(first, second, scope="all")
     assert set(out) == {"all"}
-    report = kendall_tau(out["all"])
-    assert report.tau == pytest.approx(1 / 3)
+    assert out["all"].tau == pytest.approx(1 / 3)
 
 
 def test_align_per_size_groups_and_compresses_ranks():
     first = ["LW", "LW+RW", "RW", "LW+PE"]
     second = ["LW", "LW+PE", "RW", "LW+RW"]
-    out = align_rankings(first, second, scope="per-size")
+    out = compare_rankings(first, second, scope="per-size")
     assert set(out) == {"size-1", "size-2"}
-    assert kendall_tau(out["size-1"]).tau == 1.0
-    assert kendall_tau(out["size-2"]).tau == -1.0
+    assert out["size-1"].tau == 1.0
+    assert out["size-2"].tau == -1.0
 
 
 def test_align_per_size_skips_singleton_groups():
     first = ["LW", "RW", "LW+RW"]
     second = ["RW", "LW", "LW+RW"]
-    out = align_rankings(first, second, scope="per-size")
+    out = compare_rankings(first, second, scope="per-size")
     assert set(out) == {"size-1"}
 
 
 def test_align_top_scope_truncates_both():
     first = ["a1", "b1", "c1", "d1"]
     second = ["b1", "a1", "c1", "d1"]
-    out = align_rankings(first, second, scope="top", top_k=3)
+    out = compare_rankings(first, second, scope="top", top_k=3)
     assert set(out) == {"top-3"}
-    assert kendall_tau(out["top-3"]).tau == pytest.approx(1 / 3)
+    assert out["top-3"].tau == pytest.approx(1 / 3)
 
 
 def test_align_detects_universe_mismatch():
     with pytest.raises(UniverseMismatchError) as err:
-        align_rankings(["LW", "RW"], ["LW", "PE"], scope="all")
+        compare_rankings(["LW", "RW"], ["LW", "PE"], scope="all")
     assert "RW" in str(err.value) and "PE" in str(err.value)
+    # per-size checks every size group, singletons included
+    with pytest.raises(UniverseMismatchError, match="only in first: LW\\+RW"):
+        compare_rankings(["LW", "RW", "LW+RW"], ["RW", "LW", "LW+PE"], scope="per-size")
 
 
 def test_duplicate_labels_rejected():
     with pytest.raises(InvalidRankError):
-        align_rankings(["LW", "LW"], ["LW", "RW"], scope="all")
+        compare_rankings(["LW", "LW"], ["LW", "RW"], scope="all")
+    # a repeat is found even in a size group too small to be compared
+    with pytest.raises(InvalidRankError, match="'LW\\+RW' appears twice"):
+        compare_rankings(["LW", "RW", "LW+RW"], ["LW", "RW", "LW+RW", "LW+RW"], scope="per-size")
+
+
+@pytest.mark.parametrize("kwargs, message", [
+    ({"scope": "top", "top_k": 1}, "top scope needs top_k >= 2"),
+    ({"scope": "top", "top_k": None}, "top scope needs top_k >= 2"),
+    ({"scope": "bogus"}, "unknown comparison scope 'bogus'"),
+    ({"scope": "per-size"}, "no size group has two or more items"),
+])
+def test_compare_rejects_bad_scopes(kwargs, message):
+    with pytest.raises(InvalidRankError, match=message):
+        compare_rankings(["LW", "LW+RW"], ["LW", "LW+RW"], **kwargs)
 
 
 # --- frozen comparison cases ----------------------------------------------------------------

@@ -83,7 +83,7 @@ def test_rank_writes_table_and_report(tmp_path):
     out = tmp_path / "out"
     ranking, payload = runner.run_rank(manifest, _config(), out_dir=out)
     rows = pio.read_ranking_file(out / runner.RANKING_FILENAME)
-    assert pio.ranking_labels(rows) == ranking.labels()
+    assert [r.label for r in rows] == ranking.labels()
     report = json.loads((out / runner.RANK_REPORT_FILENAME).read_text())
     assert report["fingerprint"] == payload["fingerprint"]
     assert report["n_activities"] == 3
@@ -104,7 +104,7 @@ def test_rank_round_trip_agrees_with_itself(tmp_path):
     manifest = _corpus(tmp_path)
     out = tmp_path / "out"
     runner.run_rank(manifest, _config(), out_dir=out)
-    labels = pio.ranking_labels(pio.read_ranking_file(out / runner.RANKING_FILENAME))
+    labels = [r.label for r in pio.read_ranking_file(out / runner.RANKING_FILENAME)]
     for scope in ("all", "per-size"):
         reports = compare_rankings(labels, list(labels), scope=scope)
         assert all(r.tau == 1.0 for r in reports.values())
@@ -367,6 +367,72 @@ def test_cli_validate_rejects_timestamp_hole_as_rank_does(tmp_path, capsys):
     # validate reads the same settings as rank
     assert cli.main(["validate", str(path), "--max-gap", "200"]) == 0
     assert capsys.readouterr().out == f"{path}: ok, 300 frames\n"
+
+
+def _squeezed_corpus(tmp_path):
+    # frames 101-300 of act01 (a 500-frame 10 Hz file) come 0.05 s apart
+    corpus = tmp_path / "corpus"
+    cli.main(["synth", str(corpus), "--length", "500"])
+    path = corpus / "act01.csv"
+    t, kp = pio.parse_keypoint_file(path)
+    t = np.concatenate([10.0 + 0.05 * np.arange(1, 200), 20.0 + 0.1 * np.arange(200)])
+    pio.write_keypoint_file(path, np.concatenate([np.arange(101) / 10.0, t]), kp)
+    return corpus
+
+
+def test_cli_validate_rejects_spacing_of_half_a_period(tmp_path, capsys):
+    path = _squeezed_corpus(tmp_path) / "act01.csv"
+    capsys.readouterr()
+    assert cli.main(["validate", str(path)]) == 1
+    err = _one_error_line(capsys)
+    assert err.startswith(f"error: {path}: frame 101 (t=10.05) is 0.5 periods after frame 100")
+
+
+def test_cli_rank_rejects_spacing_of_half_a_period(tmp_path, capsys):
+    corpus = _squeezed_corpus(tmp_path)
+    capsys.readouterr()
+    code = cli.main(["rank", str(corpus / "manifest.txt"), "--out-dir", str(tmp_path / "out")])
+    assert code == 1
+    assert _one_error_line(capsys).startswith("error: act01: frame 101 (t=10.05)")
+
+
+def test_cli_uniform_subsampling_reads_every_recording(tmp_path, capsys):
+    corpus = tmp_path / "corpus"
+    cli.main(["synth", str(corpus), "--length", "520"])
+    (corpus / "bad.csv").write_text("garbage\n")
+    manifest = corpus / "manifest.txt"
+    lines = manifest.read_text().splitlines()
+    manifest.write_text("\n".join([lines[0] + " bad.csv"] + lines[1:]) + "\n")
+    capsys.readouterr()
+    for mode in ("first", "uniform"):
+        code = cli.main(["rank", str(manifest), "--subsample", mode,
+                         "--out-dir", str(tmp_path / "out")])
+        assert code == 1
+        assert f"error: act01: {corpus / 'bad.csv'}:1: expected 52 fields" in _one_error_line(capsys)
+
+
+def test_cli_file_listed_under_two_activities_exits_1(tmp_path, capsys):
+    corpus = tmp_path / "corpus"
+    cli.main(["synth", str(corpus), "--length", "520"])
+    manifest = corpus / "manifest.txt"
+    manifest.write_text(manifest.read_text().replace("act03 act03.csv", "act03 act02.csv"))
+    capsys.readouterr()
+    assert cli.main(["rank", str(manifest), "--out-dir", str(tmp_path / "out")]) == 1
+    assert f"{manifest}:3: {corpus / 'act02.csv'} is already listed on line 2" in _one_error_line(capsys)
+
+
+@pytest.mark.parametrize("command", ["rank", "validate"])
+@pytest.mark.parametrize("flags, message", [
+    (["--roster", "LW,RW,PE,ZZ"], "unknown site id 'ZZ'"),
+    (["--roster", "LW,HD", "--sizes", "1"], "the head site is excluded from placement"),
+], ids=["unknown-site", "head"])
+def test_cli_roster_is_checked_before_any_file_is_read(tmp_path, capsys, command, flags, message):
+    corpus = tmp_path / "corpus"
+    cli.main(["synth", str(corpus), "--length", "520"])
+    target = corpus / ("manifest.txt" if command == "rank" else "act01.csv")
+    capsys.readouterr()
+    assert cli.main([command, str(target), *flags]) == 1
+    assert _one_error_line(capsys) == f"error: {message}\n"
 
 
 def test_cli_single_dropped_frame_is_repaired(tmp_path):

@@ -380,6 +380,22 @@ def test_preprocess_too_few_frames_after_pipeline(raw_walk):
 
 # --- timestamp holes -------------------------------------------------------------------
 
+def test_spacing_of_half_a_period_is_a_rate_error(raw_walk):
+    t, kp = raw_walk
+    t = t.copy()
+    t[31:] -= 0.05  # frame 31 comes 0.05 s after frame 30: half of the 10 Hz period
+    with pytest.raises(RateMismatchError, match=re.escape("frame 31 (t=3.05")):
+        preprocess_recording(t, kp, "walk")
+
+
+def test_spacing_just_over_half_a_period_is_one_frame(raw_walk):
+    t, kp = raw_walk
+    jittered = t.copy()
+    jittered[31:] -= 0.045
+    series = preprocess_recording(jittered, kp, "walk")
+    assert np.array_equal(series.points, preprocess_recording(t, kp, "walk").points)
+
+
 def test_single_dropped_frame_is_interpolated(raw_walk):
     t, kp = raw_walk
     dropped = preprocess_recording(np.delete(t, 30), np.delete(kp, 30, axis=0), "walk")

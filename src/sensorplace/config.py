@@ -37,6 +37,11 @@ class RunConfig:
 
     def __post_init__(self):
         object.__setattr__(self, "roster", canonical_sites(self.roster))
+        if not self.roster:
+            raise ConfigError("roster must not be empty")
+        # unknown sites and a head site not allowed fail here, before any file
+        # is read and before the subset sizes are checked against the roster
+        select_sites(self.roster, self.allow_head)
         sizes = tuple(sorted(set(int(s) for s in self.subset_sizes)))
         object.__setattr__(self, "subset_sizes", sizes)
         if self.series_length < 2:
@@ -58,8 +63,6 @@ class RunConfig:
         if self.multi_window and self.subsample == "uniform":
             raise ConfigError("multi_window requires contiguous windows; "
                               "it cannot be combined with uniform subsampling")
-        # unknown sites and a head site not allowed fail here, before any file is read
-        select_sites(self.roster, self.allow_head)
 
     def fingerprint(self) -> str:
         """sha256 over the canonical text form plus the RNG name."""

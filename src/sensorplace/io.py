@@ -9,6 +9,14 @@ writer takes the same arrays. Ranking tables are CSV with header
 ``rank,score,sites`` (sites as ``+``-joined canonical ids); external
 rankings may omit the score column (``rank,sites``).
 
+A keypoint file is converted in blocks of 64 data lines: each block is
+joined and split with ``str`` methods, checked for its structure (52
+comma-separated fields per line, or 52 ``key=value`` tokens per line split
+by single ASCII spaces in the first line's key order) and converted with
+one ``np.array`` call. Any block that fails its check or its conversion
+sends the whole file to the line-by-line parser, so every error, and the
+result for a file with another layout, comes from that parser.
+
 Every reader turns a missing, unreadable or non-UTF-8 file, and every
 malformed line, into a ``DataError`` with a one-line message; line-level
 faults carry the line number. All writers go through a write-then-rename
@@ -143,21 +151,17 @@ def _check_frames(values: np.ndarray, line_nos: list[int], path) -> None:
     raise NonMonotoneTimeError(path, line_nos[row], float(t[row - 1]), float(t[row]))
 
 
-def parse_keypoint_file(path) -> tuple[np.ndarray, np.ndarray]:
-    """Parse a keypoint recording in either the CSV or the labeled format.
+def _parse_lines(lines: list[str], path) -> np.ndarray:
+    """The line-by-line parser, and the one source of every error.
 
-    Returns ``(t, kp)``: timestamps ``t[n]`` and keypoints ``kp[n, 17, 3]``
-    (x, y, confidence in COCO order). The format is detected from the first
-    data line: lines containing ``=`` are labeled, everything else is CSV.
-    Every value must be a finite number and timestamps must strictly
-    increase; the first faulty line is reported by number.
+    Returns the ``(n, 52)`` values of a file's ``lines`` in field order, or
+    raises for the first faulty line.
     """
-    text = _read_text(path, "keypoint file")
     rows: list[list[float]] = []
     line_nos: list[int] = []
     parse_line = None
     try:
-        for line_no, raw in enumerate(text.splitlines(), start=1):
+        for line_no, raw in enumerate(lines, start=1):
             line = raw.strip()
             if not line or line.startswith("#"):
                 continue
@@ -173,6 +177,102 @@ def parse_keypoint_file(path) -> tuple[np.ndarray, np.ndarray]:
         raise DataError(f"keypoint file {path} contains no frames")
     values = np.array(rows)
     _check_frames(values, line_nos, path)
+    return values
+
+
+# Data lines converted at once on the block path. A whole file at once would
+# hold the text of every value; at 64 lines the block path's allocation peak
+# stays below the line parser's.
+_BLOCK_LINES = 64
+
+# Bytes deleted to leave a labeled block's separators: every ASCII byte but
+# '=' and whitespace. Non-ASCII bytes stay, so they fail the pattern check.
+_TOKEN_BYTES = bytes(b for b in range(128) if chr(b) != "=" and not chr(b).isspace())
+
+
+def _csv_block(block: list[str]) -> list[str] | None:
+    """The block's value texts in field order, or None unless every line
+    has exactly 52 comma-separated fields."""
+    if any(line.count(",") != FIELDS_PER_FRAME - 1 for line in block):
+        return None
+    return ",".join(block).split(",")
+
+
+def _labeled_block(block: list[str], keys: list[str]) -> list[str] | None:
+    """The block's value texts in ``keys`` order, or None unless every line
+    has 52 '=' and the block is ASCII ``key=value`` tokens split by single
+    spaces, with the keys in ``keys`` order on every line.
+
+    The separators alternate '=' and ' ', so every token holds one '=' and
+    the pieces alternate key and value; 52 '=' per line puts 52 tokens on
+    every line. Empty keys fail the key check and empty values the
+    conversion. Any other whitespace, a doubled '=' or a token without one
+    breaks the alternation.
+    """
+    n = len(block)
+    if any(line.count("=") != FIELDS_PER_FRAME for line in block):
+        return None
+    text = " ".join(block)
+    tokens = FIELDS_PER_FRAME * n
+    if text.encode().translate(None, _TOKEN_BYTES) != b"= " * (tokens - 1) + b"=":
+        return None
+    pieces = text.replace("=", " ").split(" ")
+    if pieces[0::2] != keys * n:
+        return None
+    return pieces[1::2]
+
+
+def _parse_blocks(lines: list[str], line_nos: list[int]) -> np.ndarray | None:
+    """The ``(n, 52)`` values of the data lines ``line_nos`` (1-based) in
+    field order, converted ``_BLOCK_LINES`` lines at a time; None when any
+    block fails its structural check or a value is not a number.
+
+    A labeled file takes this path only when every line carries its first
+    line's key order.
+    """
+    first = lines[line_nos[0] - 1].strip()
+    keys, columns = None, slice(None)
+    if "=" in first:
+        keys = [token.partition("=")[0] for token in first.split()]
+        if sorted(keys) != sorted(KEYPOINT_FIELDS):
+            return None
+        columns = np.array([_FIELD_INDEX[key] for key in keys])
+    values = np.empty((len(line_nos), FIELDS_PER_FRAME))
+    for start in range(0, len(line_nos), _BLOCK_LINES):
+        block = [lines[i - 1].strip() for i in line_nos[start : start + _BLOCK_LINES]]
+        texts = _csv_block(block) if keys is None else _labeled_block(block, keys)
+        if texts is None:
+            return None
+        try:
+            converted = np.array(texts, dtype=np.float64)
+        except ValueError:
+            return None
+        values[start : start + len(block), columns] = converted.reshape(len(block), -1)
+    return values
+
+
+def parse_keypoint_file(path) -> tuple[np.ndarray, np.ndarray]:
+    """Parse a keypoint recording in either the CSV or the labeled format.
+
+    Returns ``(t, kp)``: timestamps ``t[n]`` and keypoints ``kp[n, 17, 3]``
+    (x, y, confidence in COCO order). The format is detected from the first
+    data line: lines containing ``=`` are labeled, everything else is CSV.
+    Every value must be a finite number and timestamps must strictly
+    increase; the first faulty line is reported by number.
+
+    Values are converted in blocks of data lines. When a block fails a
+    structural check or a conversion, the line parser reruns on the whole
+    file and raises the error it finds.
+    """
+    lines = _read_text(path, "keypoint file").splitlines()
+    line_nos = [
+        i for i, raw in enumerate(lines, start=1) if (line := raw.strip()) and line[0] != "#"
+    ]
+    values = _parse_blocks(lines, line_nos) if line_nos else None
+    if values is None:
+        values = _parse_lines(lines, path)
+    else:
+        _check_frames(values, line_nos, path)
     return values[:, 0].copy(), values[:, 1:].reshape(-1, NUM_KEYPOINTS, 3)
 
 

@@ -88,10 +88,11 @@ def compare_rankings(
     """Kendall's tau for each scope key of two orderings (best first).
 
     Scopes: ``all`` compares the whole orderings (key ``all``); ``top``
-    their first ``top_k`` items (key ``top-K``); ``per-size`` each subset
-    size's items in their order (keys ``size-1``, ``size-2``, ...),
-    skipping sizes with fewer than two items. Whenever the items under a
-    key differ, a universe-mismatch error lists the unmatched subsets.
+    their first ``top_k`` items (key ``top-K``), which both must have;
+    ``per-size`` each subset size's items in their order (keys ``size-1``,
+    ``size-2``, ...), skipping sizes with fewer than two items. Whenever
+    the items under a key differ, a universe-mismatch error lists the
+    unmatched subsets.
     """
     first, second = list(first), list(second)
     if scope == "all":
@@ -99,6 +100,9 @@ def compare_rankings(
     if scope == "top":
         if not top_k or top_k < 2:
             raise InvalidRankError("top scope needs top_k >= 2")
+        rows = min(len(first), len(second))
+        if top_k > rows:
+            raise InvalidRankError(f"top_k {top_k} exceeds the {rows} rows of the ranking")
         return {f"top-{top_k}": kendall_tau(first[:top_k], second[:top_k])}
     if scope != "per-size":
         raise InvalidRankError(f"unknown comparison scope {scope!r}")

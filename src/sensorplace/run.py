@@ -20,6 +20,7 @@ from .errors import DataError, ManifestError, TooShortError
 from .rankcorr import compare_rankings
 from .scoring import TIE_BREAK, Ranking, ScoredSubset, build_ranking, enumerate_subsets, rank_placements
 from .skeleton import (
+    KEYPOINT_SITE,
     MERGE_SOURCES,
     NUM_KEYPOINTS,
     SITE_NAMES,
@@ -253,9 +254,6 @@ def render_compare_text(payload: dict) -> str:
 # The facial offsets sum to zero so consolidation recovers the head point;
 # the hip offsets are symmetric around the pelvis; every other keypoint sits
 # on its site.
-_KEYPOINT_SITE = tuple(
-    next(site for site in SITE_ORDER if k in MERGE_SOURCES[site]) for k in range(NUM_KEYPOINTS)
-)
 _KEYPOINT_OFFSETS = np.zeros((NUM_KEYPOINTS, 2))
 _KEYPOINT_OFFSETS[list(MERGE_SOURCES["HD"])] = (
     (0.0, 0.0),        # nose
@@ -285,7 +283,7 @@ def series_to_frames(series: SkeletonSeries, drift: bool = True) -> tuple[np.nda
     if drift:
         shift[:, 0] = 0.05 * np.sin(2.0 * np.pi * 0.2 * t) + 0.001 * t
         shift[:, 1] = 0.05 * np.cos(2.0 * np.pi * 0.3 * t)
-    rows = [series.sites.index(site) for site in _KEYPOINT_SITE]
+    rows = [series.sites.index(site) for site in KEYPOINT_SITE]
     kp = np.ones((L, NUM_KEYPOINTS, 3), dtype=np.float64)
     kp[:, :, :2] = (series.points[rows].transpose(1, 0, 2) + _KEYPOINT_OFFSETS) + shift[:, None]
     return t, kp

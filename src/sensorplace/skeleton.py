@@ -104,9 +104,9 @@ MERGE_SOURCES = {
 
 _SITE_INDEX = {site: i for i, site in enumerate(SITE_ORDER)}
 
-# _MERGE_MASK[s, k] says whether COCO keypoint k feeds site s.
-_MERGE_MASK = np.array(
-    [[k in MERGE_SOURCES[site] for k in range(NUM_KEYPOINTS)] for site in SITE_ORDER]
+# The one site each COCO keypoint feeds, by keypoint index.
+KEYPOINT_SITE = tuple(
+    next(site for site in SITE_ORDER if k in MERGE_SOURCES[site]) for k in range(NUM_KEYPOINTS)
 )
 
 # Centroid offsets at or below this are treated as zero, making
@@ -206,24 +206,6 @@ class ActivitySet:
         return len(self.activities)
 
 
-def _masked_mean(values: np.ndarray, mask: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Per-frame mean of selected points.
-
-    ``values`` is (n, m, 2) and ``mask`` (n, r, m); row ``j`` of the result
-    averages the points ``k`` with ``mask[:, j, k]``. Returns the (n, r, 2)
-    means, zero where nothing is selected, and the (n, r) "any selected"
-    flags. Terms are added one at a time in ascending ``k``, the order a
-    ``mean`` over just the selected points uses; numpy's own reductions may
-    sum pairwise and round differently.
-    """
-    total = np.zeros(mask.shape[:2] + (2,))
-    for k in range(values.shape[1]):
-        total += np.where(mask[:, :, k, None], values[:, None, k], 0.0)
-    count = mask.sum(axis=2)[..., None]
-    mean = np.divide(total, count, out=np.zeros_like(total), where=count > 0)
-    return mean, count[..., 0] > 0
-
-
 def merge_keypoints(kp: np.ndarray, confidence_threshold: float = 0.3) -> tuple[np.ndarray, np.ndarray]:
     """Consolidate 17 COCO keypoints into the 12 placement sites, for all
     frames at once.
@@ -234,10 +216,23 @@ def merge_keypoints(kp: np.ndarray, confidence_threshold: float = 0.3) -> tuple[
     pelvis likewise averages the hips. Single-source sites are copied
     through when confident. A site whose sources all fall below the
     threshold is marked missing (its point is zero), never raised.
+
+    Each keypoint is added into its site's total in ascending keypoint
+    order, starting from 0.0, so a site's sum is the one a ``mean`` over
+    just its confident keypoints computes (and a -0.0 coordinate becomes
+    +0.0).
     """
     kp = np.asarray(kp, dtype=np.float64)
-    confident = kp[:, None, :, 2] >= confidence_threshold
-    return _masked_mean(kp[:, :, :2], _MERGE_MASK & confident)
+    confident = kp[:, :, 2] >= confidence_threshold
+    total = np.zeros((len(kp), len(SITE_ORDER), 2))
+    count = np.zeros((len(kp), len(SITE_ORDER)), dtype=np.int64)
+    for k, site in enumerate(KEYPOINT_SITE):
+        s = _SITE_INDEX[site]
+        total[:, s] += np.where(confident[:, k, None], kp[:, k, :2], 0.0)
+        count[:, s] += confident[:, k]
+    valid = count > 0
+    mean = np.divide(total, count[..., None], out=np.zeros_like(total), where=valid[..., None])
+    return mean, valid
 
 
 def centralize(points: np.ndarray, valid: np.ndarray) -> np.ndarray:
@@ -250,10 +245,16 @@ def centralize(points: np.ndarray, valid: np.ndarray) -> np.ndarray:
     repeated centralization is exactly idempotent. Raises when a frame has
     no valid point.
     """
-    centroid, seen = _masked_mean(points, valid[:, None, :])
-    if not seen.all():
+    # valid points are added one at a time in ascending site order, the
+    # order a mean over just those points uses; numpy's own reductions may
+    # sum pairwise and round differently
+    total = np.zeros((len(points), 2))
+    for s in range(points.shape[1]):
+        total += np.where(valid[:, s, None], points[:, s], 0.0)
+    count = valid.sum(axis=1)
+    if not count.all():
         raise EmptyFrameError("cannot centralize a frame with no valid points")
-    offset = centroid[:, 0] - _CENTER
+    offset = total / count[:, None] - _CENTER
     offset[np.abs(offset).max(axis=1) <= _CENTER_SNAP] = 0.0
     return np.where(valid[..., None], points - offset[:, None, :], points)
 

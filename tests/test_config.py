@@ -57,6 +57,14 @@ def test_roster_sites_are_checked_when_the_config_is_built(kwargs, error):
         assert RunConfig(**kwargs, allow_head=True).roster == ("LW", "HD")
 
 
+def test_roster_is_checked_before_the_subset_sizes():
+    # default sizes 1-4 do not fit a roster of 2, but the unknown site is named first
+    with pytest.raises(UnknownSiteError, match="unknown site id 'ZZ'"):
+        RunConfig(roster=("LW", "ZZ"))
+    with pytest.raises(ConfigError, match="roster must not be empty"):
+        RunConfig(roster=())
+
+
 def test_fingerprint_is_stable_and_sensitive():
     a = RunConfig().fingerprint()
     assert a == RunConfig().fingerprint()

@@ -1,5 +1,8 @@
 """Keypoint files, manifests, ranking tables, atomic writes."""
 
+import tracemalloc
+from unittest import mock
+
 import numpy as np
 import pytest
 from hypothesis import given
@@ -359,6 +362,176 @@ def test_corrupted_keypoint_file_parses_or_raises_data_error(tmp_path_factory, r
     elif exc is None:
         t, kp = result
         assert kp.shape == (len(t), 17, 3) and np.isfinite(kp).all()
+
+
+# --- block parsing against the line parser ---------------------------------------------
+
+# Value spellings float() accepts (the block path must convert them the same
+# way), ones it rejects, and ones holding other whitespace or digits.
+ACCEPTED = ["1_0", "+.5", "1e400", "infinity", "nan", "-0", "-0.0"]
+SPELLINGS = ACCEPTED + ["0x1", "1__0", "", "١٢", "\xa00.5", "0.5\xa0", "0.5\x1c1"]
+EDITS = ["value", "k==v", "k=v=w", "bare", "join", "swap", "tab", "spaces", "drop",
+         "duplicate", "wrap", "reorder", "comment", "blank"]
+
+
+def _edit(lines, i, how, sep, draw):
+    """Apply one edit to line ``i`` (a new key order also to every later
+    line). Returns True when the file must stay on the block path."""
+    fields = lines[i].split(sep)
+    plain = len(fields) == pio.FIELDS_PER_FRAME
+    j = draw(st.integers(0, len(fields) - 1))
+    key, eq, value = fields[j].rpartition("=")
+    if how == "value":
+        spelling = draw(st.sampled_from(SPELLINGS))
+        fields[j] = key + eq + spelling
+        lines[i] = sep.join(fields)
+        return plain and spelling in ACCEPTED
+    if how in ("comment", "blank"):
+        lines.insert(i, "# note" if how == "comment" else "")
+        return True
+    if how == "wrap":
+        if i + 1 < len(lines):  # the last field moves to the start of the next line
+            lines[i] = sep.join(fields[:-1])
+            lines[i + 1] = fields[-1] + sep + lines[i + 1]
+        return False
+    if how == "reorder":
+        order = draw(st.permutations(range(len(fields))))
+        for k in range(i, len(lines)):
+            parts = lines[k].split(sep)
+            if len(parts) == len(order):
+                lines[k] = sep.join(parts[o] for o in order)
+        return False
+    if how == "drop":
+        del fields[j]
+    elif how == "duplicate":
+        fields.insert(j, fields[j])
+    elif how == "join":
+        fields[j : j + 2] = ["=".join(fields[j : j + 2])]
+    elif how == "swap" and j + 1 < len(fields):
+        # 'k=v k2=v2' becomes 'k=v=k2 v2': as many of each separator as before
+        key2, _, value2 = fields[j + 1].partition("=")
+        fields[j : j + 2] = [f"{fields[j]}={key2} {value2}"]
+    elif how == "k==v":
+        fields[j] = f"{key}=={value}"
+    elif how == "k=v=w":
+        fields[j] = f"{key}={value}={value}"
+    elif how == "bare":
+        fields[j] = value
+    elif how == "tab":
+        fields[j] = "\t" + fields[j]
+    elif how == "spaces":
+        fields[j] = "  " + fields[j] + "   "
+    lines[i] = sep.join(fields)
+    return False
+
+
+@st.composite
+def keypoint_files(draw):
+    """Text of a keypoint file of up to three blocks in a drawn key order,
+    with up to three edits, and whether the block path must take it."""
+    style = draw(st.sampled_from(["csv", "labeled"]))
+    n = draw(st.integers(1, 150))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    kp = rng.uniform(-0.1, 1.1, size=(n, 17, 3)).round(draw(st.integers(1, 17)))
+    sep = "," if style == "csv" else " "
+    order = draw(st.permutations(range(pio.FIELDS_PER_FRAME)))
+    lines = []
+    for i in range(n):
+        fields = pio.format_keypoint_frame(i / 30.0, kp[i], style).split(sep)
+        lines.append(sep.join(fields[o] for o in order))
+    fast = True
+    for _ in range(draw(st.integers(0, 3))):
+        # anywhere, or in the second block when there is one
+        i = draw(st.integers(0, n - 1) | st.integers(min(64, n - 1), n - 1))
+        fast &= _edit(lines, i, draw(st.sampled_from(EDITS)), sep, draw)
+    return "\n".join(lines) + "\n", fast
+
+
+def _line_parser(path):
+    values = pio._parse_lines(pio._read_text(path, "keypoint file").splitlines(), path)
+    return values[:, 0].copy(), values[:, 1:].reshape(-1, 17, 3)
+
+
+def _outcome(parse, path):
+    """The parsed arrays' bytes, or the error's type, message and line."""
+    try:
+        t, kp = parse(path)
+    except DataError as exc:
+        return type(exc), str(exc), getattr(exc, "line_no", None)
+    return t.tobytes(), kp.shape, kp.tobytes()
+
+
+@given(keypoint_files())
+def test_block_parser_matches_line_parser(tmp_path_factory, file):
+    text, fast = file
+    path = tmp_path_factory.mktemp("blocks") / "rec.txt"
+    path.write_text(text, encoding="utf-8")
+    with mock.patch.object(pio, "_parse_lines", wraps=pio._parse_lines) as fallback:
+        outcome = _outcome(pio.parse_keypoint_file, path)
+    assert outcome == _outcome(_line_parser, path)
+    if fast:
+        assert not fallback.called
+
+
+def _line_70(edit):
+    """An edit of the 70th line, in the second block."""
+    def apply(lines, sep):
+        lines[69] = edit(lines[69])
+    return apply
+
+
+def _swap(line):
+    # 'k=v k2=v2' becomes 'k=v=k2 v2': as many of each separator as before
+    first, second, rest = line.split(" ", 2)
+    key, _, value = second.partition("=")
+    return f"{first}={key} {value} {rest}"
+
+
+def _wrap(lines, sep):
+    # the last field of one line moves to the start of the next
+    lines[69], _, last = lines[69].rpartition(sep)
+    lines[70] = last + sep + lines[70]
+
+
+def _reorder(lines, sep):
+    lines[69:] = [sep.join(reversed(line.split(sep))) for line in lines[69:]]
+
+
+@pytest.mark.parametrize("style, edit", [
+    ("labeled", _line_70(_swap)),
+    ("labeled", _wrap),
+    ("csv", _wrap),
+    ("labeled", _reorder),
+    ("labeled", _line_70(lambda line: line.replace("=", "==", 1))),
+    ("labeled", _line_70(lambda line: line.replace(" ", "\t", 1))),
+], ids=["swap", "wrap-labeled", "wrap-csv", "reorder", "k==v", "tab"])
+def test_block_parser_defers_to_the_line_parser_in_the_second_block(tmp_path, style, edit):
+    path = tmp_path / "rec.txt"
+    pio.write_keypoint_file(path, *_frames(130), style=style)
+    lines = path.read_text().splitlines()
+    edit(lines, "," if style == "csv" else " ")
+    path.write_text("\n".join(lines) + "\n")
+    assert _outcome(pio.parse_keypoint_file, path) == _outcome(_line_parser, path)
+
+
+@pytest.mark.parametrize("style", ["csv", "labeled"])
+def test_block_parser_peak_memory_is_at_most_the_line_parsers(tmp_path, style):
+    # 1700 frames is 27 blocks; converting the whole file at once peaked
+    # at 2.8 times the line parser
+    rng = np.random.default_rng(3)
+    path = tmp_path / "rec.txt"
+    pio.write_keypoint_file(path, np.arange(1700) / 30.0, rng.uniform(size=(1700, 17, 3)), style)
+
+    def peak(parse):
+        parse(path)  # warm caches outside the measurement
+        tracemalloc.start()
+        try:
+            parse(path)
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    assert peak(pio.parse_keypoint_file) <= peak(_line_parser)
 
 
 @st.composite

@@ -173,6 +173,7 @@ def test_duplicate_labels_rejected():
     ({"scope": "top", "top_k": None}, "top scope needs top_k >= 2"),
     ({"scope": "bogus"}, "unknown comparison scope 'bogus'"),
     ({"scope": "per-size"}, "no size group has two or more items"),
+    ({"scope": "top", "top_k": 3}, "top_k 3 exceeds the 2 rows of the ranking"),
 ])
 def test_compare_rejects_bad_scopes(kwargs, message):
     with pytest.raises(InvalidRankError, match=message):

@@ -303,6 +303,13 @@ def test_cli_compare_universe_mismatch_exits_1(tmp_path, capsys):
     assert "different subsets" in capsys.readouterr().err
 
 
+def test_cli_compare_top_k_beyond_the_table_exits_1(tmp_path, capsys):
+    a = tmp_path / "a.csv"
+    a.write_text("1,LW\n2,RW\n3,PE\n")
+    assert cli.main(["compare", str(a), str(a), "--scope", "top", "--top-k", "4"]) == 1
+    assert _one_error_line(capsys) == "error: top_k 4 exceeds the 3 rows of the ranking\n"
+
+
 def test_cli_computation_errors_exit_2(monkeypatch, tmp_path):
     def boom(*args, **kwargs):
         raise ComputationError("numeric failure")
@@ -425,7 +432,8 @@ def test_cli_file_listed_under_two_activities_exits_1(tmp_path, capsys):
 @pytest.mark.parametrize("flags, message", [
     (["--roster", "LW,RW,PE,ZZ"], "unknown site id 'ZZ'"),
     (["--roster", "LW,HD", "--sizes", "1"], "the head site is excluded from placement"),
-], ids=["unknown-site", "head"])
+    (["--roster", "LW,ZZ"], "unknown site id 'ZZ'"),
+], ids=["unknown-site", "head", "unknown-site-in-short-roster"])
 def test_cli_roster_is_checked_before_any_file_is_read(tmp_path, capsys, command, flags, message):
     corpus = tmp_path / "corpus"
     cli.main(["synth", str(corpus), "--length", "520"])

@@ -80,6 +80,15 @@ def test_merge_passthrough_sites_copy_coordinates():
     assert _at(points, "RF").tolist() == kp[16, :2].tolist()
 
 
+def test_merge_turns_negative_zero_into_positive_zero():
+    # a site's total starts from 0.0, as a mean over its confident sources does
+    kp = make_keypoints(seed=4)
+    kp[9, :2] = -0.0  # left wrist, a single-source site
+    points, valid = _merge(kp)
+    assert _at(valid, "LW")
+    assert not np.signbit(_at(points, "LW")).any()
+
+
 def test_merge_low_confidence_site_is_missing():
     kp = make_keypoints(seed=5)
     kp[9, 2] = 0.1  # left wrist below the default 0.3 gate

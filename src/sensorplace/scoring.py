@@ -11,7 +11,10 @@ under a subset mean a higher score, and subsets are ranked score-descending.
 Because flattening is site-major, ``u_S . v_S`` is the sum over the sites
 s in S of ``u_s . v_s``. Scoring therefore builds the per-site Gram tensor
 once per activity set and scores each subset from the sum of its sites'
-Gram matrices, never from the flattened vectors themselves.
+Gram matrices, never from the flattened vectors themselves. Subsets are
+scored in chunks of ``SUBSET_CHUNK``: one stack of subset Gram matrices
+and one Kahan pass of the kernel per chunk, the same bits as scoring each
+subset alone.
 """
 
 from __future__ import annotations
@@ -34,6 +37,9 @@ from .errors import (
 from .skeleton import ActivitySet, canonical_sites, site_key
 
 TIE_BREAK = "score desc, then subset size asc, then canonical site order"
+
+# Subsets scored per kernel call; bounds the Gram stack a call holds.
+SUBSET_CHUNK = 256
 
 
 @dataclass(frozen=True)
@@ -117,27 +123,40 @@ def _site_grams(activity_set: ActivitySet, sites) -> tuple[np.ndarray, np.ndarra
 
 
 def _score_subsets(activity_set: ActivitySet, subsets) -> list[ScoredSubset]:
-    """Score each subset from per-site Gram matrices built once.
+    """Score the subsets from per-site Gram matrices built once.
 
-    A subset's Gram matrix is the sum of its sites' matrices, added in
-    canonical site order. Its vector for an activity is zero exactly when
-    every one of its sites is zero for that activity.
+    Subsets are scored ``SUBSET_CHUNK`` at a time. A subset's Gram matrix is
+    the sum of its sites' matrices, added in canonical site order: position
+    k of every subset with more than k sites is added in one step. Its
+    vector for an activity is zero exactly when every one of its sites is
+    zero for that activity; the first such subset in list order raises.
     """
     sites = canonical_sites({site for subset in subsets for site in subset.sites})
     gram, nonzero = _site_grams(activity_set, sites)
     index = {site: k for k, site in enumerate(sites)}
     scored = []
-    for subset in subsets:
-        rows = [index[site] for site in subset.sites]
-        moving = nonzero[rows].any(axis=0)
+    for begin in range(0, len(subsets), SUBSET_CHUNK):
+        chunk = subsets[begin:begin + SUBSET_CHUNK]
+        sizes = np.array([subset.size for subset in chunk])
+        rows = np.fromiter(
+            (index[site] for subset in chunk for site in subset.sites),
+            dtype=np.intp, count=int(sizes.sum()),
+        )
+        starts = np.cumsum(sizes) - sizes
+        picked = rows[starts]
+        total = gram[picked]
+        moving = nonzero[picked]
+        for k in range(1, int(sizes.max())):
+            longer = sizes > k
+            picked = rows[starts[longer] + k]
+            total[longer] += gram[picked]
+            moving[longer] |= nonzero[picked]
         if not moving.all():
-            activity_id = activity_set.activities[int(np.argmin(moving))].activity_id
+            first = int(np.argmin(moving.all(axis=1)))
+            activity_id = activity_set.activities[int(np.argmin(moving[first]))].activity_id
             raise ZeroVectorError(f"activity {activity_id!r}: vector is identically zero")
-        total = gram[rows[0]]
-        for k in rows[1:]:
-            total = total + gram[k]
-        score = _kernels.pairwise_cosine_distance_sum(total)
-        scored.append(ScoredSubset(subset=subset, score=score))
+        scores = _kernels.pairwise_cosine_distance_sum(total).tolist()
+        scored.extend(map(ScoredSubset, chunk, scores))
     return scored
 
 

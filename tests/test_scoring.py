@@ -1,5 +1,8 @@
 """Cosine distance, subset scoring, and ranking."""
 
+import math
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given
@@ -7,6 +10,7 @@ from hypothesis import strategies as st
 
 from conftest import make_series
 from oracles import pairwise_distance_sum_ref
+from sensorplace import _kernels
 from sensorplace.errors import (
     ConfigError,
     LengthMismatchError,
@@ -15,7 +19,9 @@ from sensorplace.errors import (
     ZeroVectorError,
 )
 from sensorplace.scoring import (
+    SUBSET_CHUNK,
     PlacementSubset,
+    _site_grams,
     build_ranking,
     cosine_distance,
     enumerate_subsets,
@@ -24,7 +30,7 @@ from sensorplace.scoring import (
     score_subset,
     ScoredSubset,
 )
-from sensorplace.skeleton import ActivitySet, DEFAULT_ROSTER, SITE_ORDER
+from sensorplace.skeleton import ActivitySet, DEFAULT_ROSTER, SITE_ORDER, canonical_sites
 from sensorplace.synth import make_separable_set
 
 
@@ -242,3 +248,141 @@ def test_subset_label_and_canonical_order():
     assert subset.sites == ("LW", "PE", "RF")
     assert subset.label == "LW+PE+RF"
     assert subset.size == 3
+
+
+# --- against the per-subset loop -----------------------------------------------------
+
+def _reference_kernel(gram):
+    """The kernel one subset at a time: Python floats, Kahan in ascending
+    (i, j) order."""
+    g = gram.tolist()
+    n = len(g)
+    norms = [math.sqrt(g[k][k]) for k in range(n)]
+    total = 0.0
+    comp = 0.0
+    for i in range(n - 1):
+        row = g[i]
+        norm_i = norms[i]
+        for j in range(i + 1, n):
+            term = abs(1.0 - row[j] / (norm_i * norms[j]))
+            y = term - comp
+            t = total + y
+            comp = (t - total) - y
+            total = t
+    return total
+
+
+def _reference_scores(aset, subsets):
+    """Each subset's Gram matrix summed site by site, then scored alone."""
+    sites = canonical_sites({site for subset in subsets for site in subset.sites})
+    gram, nonzero = _site_grams(aset, sites)
+    scored = []
+    for subset in subsets:
+        rows = [sites.index(site) for site in subset.sites]
+        moving = nonzero[rows].any(axis=0)
+        if not moving.all():
+            activity_id = aset.activities[int(np.argmin(moving))].activity_id
+            raise ZeroVectorError(f"activity {activity_id!r}: vector is identically zero")
+        total = gram[rows[0]]
+        for k in rows[1:]:
+            total = total + gram[k]
+        scored.append(ScoredSubset(subset=subset, score=_reference_kernel(total)))
+    return scored
+
+
+def _assert_same_ranking(aset, subsets):
+    got = rank_placements(aset, subsets)
+    want = build_ranking(_reference_scores(aset, subsets), len(aset))
+    assert got.labels() == want.labels()
+    assert [e.score for e in got.entries] == [e.score for e in want.entries]
+    assert all(type(e.score) is float for e in got.entries)
+
+
+@pytest.mark.parametrize("n_activities", [13, 40])
+def test_rank_placements_matches_per_subset_loop_bit_for_bit(n_activities):
+    # 4095 subsets: fifteen full chunks and one of 255
+    aset = make_separable_set(n_activities, ["LW", "RK"], seed=n_activities,
+                              noise_sigma=0.01, length=60, roster=SITE_ORDER)
+    subsets = enumerate_subsets(SITE_ORDER)
+    assert len(subsets) == 15 * SUBSET_CHUNK + 255
+    _assert_same_ranking(aset, subsets)
+
+
+def test_shuffled_mixed_sizes_match_per_subset_loop_bit_for_bit():
+    aset, _ = _full_roster_set(43)
+    subsets = enumerate_subsets(SITE_ORDER)
+    order = np.random.default_rng(47).permutation(len(subsets))[:700]
+    _assert_same_ranking(aset, [subsets[k] for k in order])
+
+
+def test_batch_of_one_matches_per_subset_loop_bit_for_bit():
+    aset, _ = _full_roster_set(53)
+    for subset in enumerate_subsets(SITE_ORDER)[::97]:
+        assert score_subset(aset, subset) == _reference_scores(aset, [subset])[0]
+        _assert_same_ranking(aset, [subset])
+
+
+def test_kernel_scores_a_stack_like_its_matrices_one_by_one():
+    aset, _ = _full_roster_set(59)
+    gram, _ = _site_grams(aset, SITE_ORDER)
+    stacked = _kernels.pairwise_cosine_distance_sum(gram.reshape(3, 4, 8, 8))
+    assert stacked.shape == (3, 4)
+    assert stacked.reshape(-1).tolist() == [_reference_kernel(g) for g in gram]
+    single = _kernels.pairwise_cosine_distance_sum(gram[5])
+    assert type(single) is float and single == _reference_kernel(gram[5])
+
+
+def _zero_at(sites, zeros, n_activities=7, seed=61):
+    """Activity set over ``sites`` where activity ``zeros[site]`` never moves
+    that site off the origin."""
+    rng = np.random.default_rng(seed)
+    arrays = rng.uniform(0.1, 0.9, size=(n_activities, len(sites), 6, 2))
+    for site, activity in zeros.items():
+        arrays[activity, sites.index(site)] = 0.0
+    return _set_from_arrays(arrays, sites=sites)
+
+
+@pytest.mark.parametrize("rk_at,rs_at", [(3, 300), (3, 200), (300, 3)])
+def test_zero_vector_error_names_the_first_zero_subset_in_list_order(rk_at, rs_at):
+    # RK alone is zero for a5, RS alone for a1; whichever comes first names
+    # its activity, even when a later subset's activity sorts first
+    aset = _zero_at(SITE_ORDER, {"RK": 5, "RS": 1})
+    rk, rs = PlacementSubset(("RK",)), PlacementSubset(("RS",))
+    subsets = [s for s in enumerate_subsets(SITE_ORDER) if s not in (rk, rs)]
+    for position, subset in sorted([(rk_at, rk), (rs_at, rs)]):
+        subsets.insert(position, subset)
+    want = "a5" if rk_at < rs_at else "a1"
+    with pytest.raises(ZeroVectorError, match=f"^activity '{want}': vector is identically zero$"):
+        rank_placements(aset, subsets)
+    with pytest.raises(ZeroVectorError, match=f"activity '{want}'"):
+        _reference_scores(aset, subsets)
+
+
+def test_missing_site_is_reported_before_any_zero_subset():
+    sites = tuple(s for s in SITE_ORDER if s != "HD")
+    aset = _zero_at(sites, {"RK": 5})
+    subsets = enumerate_subsets(sites)
+    subsets.insert(3, PlacementSubset(("RK",)))
+    subsets.insert(300, PlacementSubset(("HD",)))
+    with pytest.raises(SiteNotPresentError,
+                       match="^activity 'a0': site 'HD' not in series roster$"):
+        rank_placements(aset, subsets)
+
+
+def test_peak_memory_is_at_most_twice_the_per_subset_loops():
+    # the Gram stack of 4095 subsets at once would be 5.5 MB; chunks hold
+    # a few hundred kB beside the 1.25 MB of trajectories the Grams read
+    aset = make_separable_set(13, ["LW"], seed=67, noise_sigma=0.01, roster=SITE_ORDER)
+    subsets = enumerate_subsets(SITE_ORDER)
+
+    def peak(fn):
+        tracemalloc.start()
+        try:
+            fn()
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    want = peak(lambda: build_ranking(_reference_scores(aset, subsets), len(aset)))
+    got = peak(lambda: rank_placements(aset, subsets))
+    assert got <= 2 * want, (got, want)

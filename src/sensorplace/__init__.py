@@ -27,6 +27,7 @@ from .scoring import (
     max_score,
     rank_placements,
     score_subset,
+    score_subsets,
 )
 from .skeleton import (
     DEFAULT_ROSTER,
@@ -87,6 +88,7 @@ __all__ = [
     "rank_placements",
     "repair_gaps",
     "score_subset",
+    "score_subsets",
     "select_sites",
     "separable_specs",
     "truncate_series",

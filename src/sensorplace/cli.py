@@ -93,7 +93,7 @@ def _cmd_compare(args) -> int:
 
 
 def _cmd_synth(args) -> int:
-    manifest_path, payload = runner.run_synth(
+    manifest_path = runner.run_synth(
         args.out_dir,
         n_activities=args.activities,
         discriminative_sites=args.discriminative,
@@ -104,7 +104,7 @@ def _cmd_synth(args) -> int:
         style=args.style,
         drift=args.drift,
     )
-    print(f"wrote {payload['activities']} activities to {args.out_dir}")
+    print(f"wrote {args.activities} activities to {args.out_dir}")
     print(f"manifest: {manifest_path}")
     return 0
 

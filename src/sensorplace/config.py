@@ -8,6 +8,7 @@ fingerprints on equal inputs mean byte-identical reports.
 from __future__ import annotations
 
 import hashlib
+import math
 from dataclasses import dataclass, fields
 
 from .errors import ConfigError
@@ -46,8 +47,8 @@ class RunConfig:
         object.__setattr__(self, "subset_sizes", sizes)
         if self.series_length < 2:
             raise ConfigError("series length must be at least 2")
-        if self.sample_rate <= 0:
-            raise ConfigError("sample rate must be positive")
+        if not (self.sample_rate > 0 and math.isfinite(self.sample_rate)):
+            raise ConfigError("sample rate must be positive and finite")
         if not 0.0 <= self.confidence_threshold <= 1.0:
             raise ConfigError("confidence threshold must be within [0, 1]")
         if self.max_gap < 0:

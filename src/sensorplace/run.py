@@ -9,16 +9,16 @@ outputs.
 
 from __future__ import annotations
 
-from dataclasses import asdict
+from dataclasses import asdict, replace
 from pathlib import Path
 
 import numpy as np
 
 from . import io as pio
 from .config import RunConfig
-from .errors import DataError, ManifestError, TooShortError
+from .errors import ConfigError, DataError, ManifestError, TooShortError
 from .rankcorr import compare_rankings
-from .scoring import TIE_BREAK, Ranking, ScoredSubset, build_ranking, enumerate_subsets, rank_placements
+from .scoring import TIE_BREAK, Ranking, ScoredSubset, build_ranking, enumerate_subsets, score_subsets
 from .skeleton import (
     KEYPOINT_SITE,
     MERGE_SOURCES,
@@ -30,7 +30,7 @@ from .skeleton import (
     preprocess_recording,
     truncate_series,
 )
-from .synth import RNG_NAME, generate_activity, separable_specs
+from .synth import RNG_NAME, make_separable_set
 
 RANKING_FILENAME = "ranking.csv"
 RANK_REPORT_FILENAME = "report.json"
@@ -73,19 +73,6 @@ def _preprocess(t, kp, activity_id: str, config: RunConfig) -> SkeletonSeries:
     )
 
 
-def _split_windows(series: SkeletonSeries, length: int) -> list[SkeletonSeries]:
-    count = series.length // length
-    return [
-        SkeletonSeries(
-            activity_id=series.activity_id,
-            sites=series.sites,
-            points=series.points[:, w * length : (w + 1) * length].copy(),
-            sample_rate=series.sample_rate,
-        )
-        for w in range(count)
-    ]
-
-
 def _activity_windows(activity_id: str, paths, config: RunConfig) -> list[SkeletonSeries]:
     """Preprocess one activity's recordings into L-frame windows.
 
@@ -97,9 +84,16 @@ def _activity_windows(activity_id: str, paths, config: RunConfig) -> list[Skelet
     series = [_preprocess(*pio.parse_keypoint_file(path), activity_id, config) for path in paths]
     if config.subsample == "uniform":
         return [truncate_series(series[0], config.series_length, mode="uniform")]
-    windows = [w for full in series for w in _split_windows(full, config.series_length)]
+    L = config.series_length
+    # a decimated series is a strided view of its native-rate array, so each
+    # window is copied: a view would keep that whole array alive
+    windows = [
+        replace(full, points=full.points[:, a:a + L].copy())
+        for full in series
+        for a in range(0, full.length - L + 1, L)
+    ]
     if not windows:
-        raise TooShortError(sum(full.length for full in series), config.series_length)
+        raise TooShortError(sum(full.length for full in series), L)
     return windows
 
 
@@ -147,21 +141,17 @@ def load_window_sets(manifest_entries, config: RunConfig):
 
 
 def rank_window_sets(window_sets, config: RunConfig) -> Ranking:
-    """Score all configured subsets, averaging over windows when several.
+    """Score all configured subsets and rank them by their mean over windows.
 
     A subset's mean adds its window scores in window order, then divides by
-    the number of windows.
+    the number of windows; one window is its own mean.
     """
     subsets = enumerate_subsets(config.roster, config.subset_sizes)
-    rankings = [rank_placements(ws, subsets) for ws in window_sets]
-    if len(rankings) == 1:
-        return rankings[0]
-    totals = dict.fromkeys(subsets, 0.0)
-    for ranking in rankings:
-        for entry in ranking.entries:
-            totals[entry.subset] += entry.score
-    scored = [ScoredSubset(subset=s, score=total / len(rankings)) for s, total in totals.items()]
-    return build_ranking(scored, rankings[0].n_activities)
+    total = np.zeros(len(subsets))
+    for ws in window_sets:
+        total += score_subsets(ws, subsets)
+    means = (total / len(window_sets)).tolist()
+    return build_ranking(map(ScoredSubset, subsets, means), len(window_sets[0]))
 
 
 def rank_report_payload(ranking: Ranking, config: RunConfig, diagnostics, n_windows: int) -> dict:
@@ -304,41 +294,31 @@ def run_synth(
 
     Activities are generated over all 12 sites (so the full 17-keypoint
     expansion is well-defined) and written one file per activity. Returns
-    the manifest path and a summary payload.
+    the manifest path. Generator arguments it cannot use raise ConfigError.
     """
     out_dir = Path(out_dir)
-    specs = separable_specs(
-        n_activities,
-        discriminative_sites,
-        seed=seed,
-        noise_sigma=noise_sigma,
-        length=length,
-        sample_rate=sample_rate,
-        roster=SITE_ORDER,
-    )
+    try:
+        activity_set = make_separable_set(
+            n_activities,
+            discriminative_sites,
+            seed=seed,
+            noise_sigma=noise_sigma,
+            length=length,
+            sample_rate=sample_rate,
+            roster=SITE_ORDER,
+        )
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from None
     extension = "csv" if style == "csv" else "txt"
     manifest_lines = []
-    for spec in specs:
-        t, kp = series_to_frames(generate_activity(spec), drift=drift)
-        filename = f"{spec.activity_id}.{extension}"
+    for series in activity_set.activities:
+        t, kp = series_to_frames(series, drift=drift)
+        filename = f"{series.activity_id}.{extension}"
         pio.write_keypoint_file(out_dir / filename, t, kp, style=style)
-        manifest_lines.append(f"{spec.activity_id} {filename}")
+        manifest_lines.append(f"{series.activity_id} {filename}")
     manifest_path = out_dir / MANIFEST_FILENAME
     pio.atomic_write_text(manifest_path, "\n".join(manifest_lines) + "\n")
-    payload = {
-        "kind": "synthetic-corpus",
-        "rng": RNG_NAME,
-        "seed": seed,
-        "activities": n_activities,
-        "discriminative_sites": list(discriminative_sites),
-        "noise_sigma": noise_sigma,
-        "length": length,
-        "sample_rate": sample_rate,
-        "style": style,
-        "drift": drift,
-        "manifest": str(manifest_path),
-    }
-    return manifest_path, payload
+    return manifest_path
 
 
 # --- report ----------------------------------------------------------------------

@@ -14,7 +14,9 @@ once per activity set and scores each subset from the sum of its sites'
 Gram matrices, never from the flattened vectors themselves. Subsets are
 scored in chunks of ``SUBSET_CHUNK``: one stack of subset Gram matrices
 and one Kahan pass of the kernel per chunk, the same bits as scoring each
-subset alone.
+subset alone. ``score_subsets`` returns the scores as one float64 array in
+subset order; a mean over windows adds those arrays in window order and
+divides by the window count, so one window is its own mean.
 """
 
 from __future__ import annotations
@@ -122,19 +124,20 @@ def _site_grams(activity_set: ActivitySet, sites) -> tuple[np.ndarray, np.ndarra
     return np.einsum("sik,sjk->sij", stacked, stacked), stacked.any(axis=2)
 
 
-def _score_subsets(activity_set: ActivitySet, subsets) -> list[ScoredSubset]:
+def score_subsets(activity_set: ActivitySet, subsets) -> np.ndarray:
     """Score the subsets from per-site Gram matrices built once.
 
-    Subsets are scored ``SUBSET_CHUNK`` at a time. A subset's Gram matrix is
-    the sum of its sites' matrices, added in canonical site order: position
-    k of every subset with more than k sites is added in one step. Its
-    vector for an activity is zero exactly when every one of its sites is
-    zero for that activity; the first such subset in list order raises.
+    Returns one float64 score per subset, in subset order. Subsets are
+    scored ``SUBSET_CHUNK`` at a time. A subset's Gram matrix is the sum of
+    its sites' matrices, added in canonical site order: position k of every
+    subset with more than k sites is added in one step. Its vector for an
+    activity is zero exactly when every one of its sites is zero for that
+    activity; the first such subset in list order raises.
     """
     sites = canonical_sites({site for subset in subsets for site in subset.sites})
     gram, nonzero = _site_grams(activity_set, sites)
     index = {site: k for k, site in enumerate(sites)}
-    scored = []
+    scores = np.empty(len(subsets))
     for begin in range(0, len(subsets), SUBSET_CHUNK):
         chunk = subsets[begin:begin + SUBSET_CHUNK]
         sizes = np.array([subset.size for subset in chunk])
@@ -155,9 +158,8 @@ def _score_subsets(activity_set: ActivitySet, subsets) -> list[ScoredSubset]:
             first = int(np.argmin(moving.all(axis=1)))
             activity_id = activity_set.activities[int(np.argmin(moving[first]))].activity_id
             raise ZeroVectorError(f"activity {activity_id!r}: vector is identically zero")
-        scores = _kernels.pairwise_cosine_distance_sum(total).tolist()
-        scored.extend(map(ScoredSubset, chunk, scores))
-    return scored
+        scores[begin:begin + len(chunk)] = _kernels.pairwise_cosine_distance_sum(total)
+    return scores
 
 
 def score_subset(activity_set: ActivitySet, subset: PlacementSubset) -> ScoredSubset:
@@ -166,7 +168,7 @@ def score_subset(activity_set: ActivitySet, subset: PlacementSubset) -> ScoredSu
     This is the same computation ``rank_placements`` does for each of its
     subsets, so the two agree bit for bit.
     """
-    return _score_subsets(activity_set, [subset])[0]
+    return ScoredSubset(subset, float(score_subsets(activity_set, [subset])[0]))
 
 
 def enumerate_subsets(roster, sizes=None) -> list[PlacementSubset]:
@@ -212,7 +214,8 @@ def rank_placements(activity_set: ActivitySet, subsets) -> Ranking:
     subsets = list(subsets)
     if not subsets:
         raise ConfigError("no subsets to rank")
-    return build_ranking(_score_subsets(activity_set, subsets), len(activity_set))
+    scores = score_subsets(activity_set, subsets).tolist()
+    return build_ranking(map(ScoredSubset, subsets, scores), len(activity_set))
 
 
 def max_score(n_activities: int) -> float:

@@ -120,6 +120,10 @@ _CENTER = 0.5
 # in a 10 Hz file, on the error side of float rounding.
 _HALF_PERIOD = 0.5 + 1e-6
 
+# Relative distance from an integer multiple within which an input rate is
+# accepted as that multiple of the target rate.
+_RATE_TOLERANCE = 0.01
+
 
 def site_key(site: str) -> tuple[int, str]:
     """Sort key realizing the canonical site order; unknown ids sort last,
@@ -377,18 +381,23 @@ def infer_sample_rate(timestamps) -> float:
     return 1.0 / float(dt)
 
 
-def decimation_stride(input_rate: float, target_rate: float, tolerance: float = 0.01) -> int:
+def decimation_stride(input_rate: float, target_rate: float) -> int:
     """Integer stride mapping ``input_rate`` onto ``target_rate``.
 
-    Rates within ``tolerance`` (relative) of an integer multiple are
+    Rates within ``_RATE_TOLERANCE`` (relative) of an integer multiple are
     accepted; anything else is rejected rather than resampled, including
-    recordings slower than the target.
+    recordings slower than the target and rates whose ratio is not finite.
     """
     if target_rate <= 0:
         raise RateMismatchError("target rate must be positive")
     ratio = input_rate / target_rate
+    if not np.isfinite(ratio):
+        raise RateMismatchError(
+            f"input rate {input_rate:.6g} Hz over the target rate {target_rate:.6g} Hz "
+            "is not a finite ratio"
+        )
     stride = int(round(ratio))
-    if stride < 1 or abs(ratio - stride) > tolerance * ratio:
+    if stride < 1 or abs(ratio - stride) > _RATE_TOLERANCE * ratio:
         raise RateMismatchError(
             f"input rate {input_rate:.6g} Hz is not an integer multiple of "
             f"the target rate {target_rate:.6g} Hz"

@@ -68,8 +68,8 @@ class MotionSpec:
     def __post_init__(self):
         if self.length < 1:
             raise ValueError("length must be at least 1")
-        if self.sample_rate <= 0:
-            raise ValueError("sample rate must be positive")
+        if not (self.sample_rate > 0 and np.isfinite(self.sample_rate)):
+            raise ValueError("sample rate must be positive and finite")
         if not self.motions:
             raise ValueError("at least one site motion is required")
         object.__setattr__(self, "motions", dict(self.motions))
@@ -129,6 +129,9 @@ def separable_specs(
     """
     if n_activities < 2:
         raise ValueError("need at least two activities")
+    # checked before the frequencies are derived from it, as MotionSpec does
+    if not (sample_rate > 0 and np.isfinite(sample_rate)):
+        raise ValueError("sample rate must be positive and finite")
     roster = canonical_sites(roster)
     discriminative = canonical_sites(discriminative_sites)
     unknown = [s for s in discriminative if s not in roster]

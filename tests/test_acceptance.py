@@ -231,7 +231,7 @@ def test_08_ranking_speed(tmp_path):
     rank_placements(aset, subsets)
     core = time.perf_counter() - start
 
-    manifest, _ = runner.run_synth(
+    manifest = runner.run_synth(
         tmp_path / "corpus", n_activities=13, discriminative_sites=("LW",),
         seed=1, noise_sigma=0.01, length=500,
     )
@@ -247,7 +247,7 @@ def test_08_ranking_speed(tmp_path):
 
 
 def test_09_rank_output_is_deterministic(tmp_path):
-    manifest, _ = runner.run_synth(
+    manifest = runner.run_synth(
         tmp_path / "corpus", n_activities=5, discriminative_sites=("LW",),
         seed=2, noise_sigma=0.005, length=500,
     )

@@ -21,7 +21,7 @@ from sensorplace.scoring import enumerate_subsets, rank_placements
 
 
 def _corpus(tmp_path, n=3, length=520, noise=0.0, seed=0, style="csv", **kwargs):
-    manifest, _ = runner.run_synth(
+    manifest = runner.run_synth(
         tmp_path / "corpus",
         n_activities=n,
         discriminative_sites=("LW",),
@@ -137,6 +137,16 @@ def test_rank_multi_window_score_is_the_sequential_mean_of_window_scores(tmp_pat
         for scores in per_window:
             total += scores[entry.subset]
         assert entry.score == total / len(per_window)
+
+
+def test_rank_single_window_is_the_ranking_of_its_window_set(tmp_path):
+    manifest = _corpus(tmp_path, n=4, noise=0.3)
+    config = _config(series_length=50)
+    window_sets, _ = runner.load_window_sets(pio.parse_manifest(manifest), config)
+    assert len(window_sets) == 1
+    subsets = enumerate_subsets(config.roster, config.subset_sizes)
+    ranking, _ = runner.run_rank(manifest, config)
+    assert ranking == rank_placements(window_sets[0], subsets)
 
 
 def test_run_settings_are_named_once(tmp_path):
@@ -441,6 +451,47 @@ def test_cli_roster_is_checked_before_any_file_is_read(tmp_path, capsys, command
     capsys.readouterr()
     assert cli.main([command, str(target), *flags]) == 1
     assert _one_error_line(capsys) == f"error: {message}\n"
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["rank", "{corpus}/manifest.txt", "--rate", "nan"], "sample rate must be positive and finite"),
+    (["validate", "{corpus}/act01.csv", "--rate", "nan"], "sample rate must be positive and finite"),
+    (["rank", "{corpus}/manifest.txt", "--config", "{corpus}/nan.cfg"],
+     "sample rate must be positive and finite"),
+    (["validate", "{corpus}/act01.csv", "--rate", "1e-320"],
+     "{corpus}/act01.csv: input rate 10 Hz over the target rate 9.99989e-321 Hz "
+     "is not a finite ratio"),
+    (["synth", "{corpus}/s", "--activities", "1"], "need at least two activities"),
+    (["synth", "{corpus}/s", "--discriminative", "ZZ"], "discriminative sites ['ZZ'] not in roster"),
+    (["synth", "{corpus}/s", "--length", "0"], "length must be at least 1"),
+    (["synth", "{corpus}/s", "--rate", "0"], "sample rate must be positive and finite"),
+    (["synth", "{corpus}/s", "--noise", "-1"], "noise_sigma must be >= 0"),
+    (["synth", "{corpus}/s", "--rate", "nan"], "sample rate must be positive and finite"),
+    (["synth", "{corpus}/s", "--rate", "inf"], "sample rate must be positive and finite"),
+], ids=["rank-rate-nan", "validate-rate-nan", "config-rate-nan", "validate-rate-tiny",
+        "synth-one-activity", "synth-unknown-site", "synth-length-0", "synth-rate-0",
+        "synth-negative-noise", "synth-rate-nan", "synth-rate-inf"])
+def test_cli_bad_rate_and_synth_arguments_exit_1(tmp_path, capsys, argv, message):
+    corpus = tmp_path / "corpus"
+    cli.main(["synth", str(corpus), "--length", "520"])
+    (corpus / "nan.cfg").write_text("sample_rate = nan\n")
+    capsys.readouterr()
+    assert cli.main([arg.format(corpus=corpus) for arg in argv]) == 1
+    assert message.format(corpus=corpus) in _one_error_line(capsys)
+
+
+def test_cli_rank_rate_with_no_finite_ratio_names_every_activity(tmp_path, capsys):
+    # rank reports every failed activity, one line each
+    corpus = tmp_path / "corpus"
+    cli.main(["synth", str(corpus), "--length", "520"])
+    capsys.readouterr()
+    assert cli.main(["rank", str(corpus / "manifest.txt"), "--rate", "1e-320",
+                     "--out-dir", str(tmp_path / "out")]) == 1
+    assert capsys.readouterr().err.splitlines() == [
+        f"{prefix}act0{k}: input rate 10 Hz over the target rate 9.99989e-321 Hz "
+        "is not a finite ratio"
+        for k, prefix in zip((1, 2, 3), ("error: ", "", ""))
+    ]
 
 
 def test_cli_single_dropped_frame_is_repaired(tmp_path):

@@ -28,6 +28,7 @@ from sensorplace.scoring import (
     max_score,
     rank_placements,
     score_subset,
+    score_subsets,
     ScoredSubset,
 )
 from sensorplace.skeleton import ActivitySet, DEFAULT_ROSTER, SITE_ORDER, canonical_sites
@@ -312,7 +313,10 @@ def test_shuffled_mixed_sizes_match_per_subset_loop_bit_for_bit():
     aset, _ = _full_roster_set(43)
     subsets = enumerate_subsets(SITE_ORDER)
     order = np.random.default_rng(47).permutation(len(subsets))[:700]
-    _assert_same_ranking(aset, [subsets[k] for k in order])
+    shuffled = [subsets[k] for k in order]
+    _assert_same_ranking(aset, shuffled)
+    # three chunks, scores in list order
+    assert score_subsets(aset, shuffled).tolist() == [score_subset(aset, s).score for s in shuffled]
 
 
 def test_batch_of_one_matches_per_subset_loop_bit_for_bit():

@@ -6,91 +6,71 @@ then score every candidate site subset by how mutually distinct it makes
 the activities (summed pairwise absolute cosine distance between flattened
 trajectory vectors) and rank subsets best-first. Rankings from different
 sources are compared with exact Kendall's tau.
+
+The public names below are imported from their modules on first use
+(PEP 562), so importing the package loads no numpy; only the modules that
+compute on arrays do.
 """
 
-from .config import RunConfig, load_config, parse_config_text
-from .errors import (
-    ComputationError,
-    ConfigError,
-    DataError,
-    ManifestError,
-    SensorPlaceError,
-)
-from .rankcorr import TauReport, compare_rankings, kendall_tau
-from .scoring import (
-    PlacementSubset,
-    Ranking,
-    ScoredSubset,
-    build_ranking,
-    cosine_distance,
-    enumerate_subsets,
-    max_score,
-    rank_placements,
-    score_subset,
-    score_subsets,
-)
-from .skeleton import (
-    DEFAULT_ROSTER,
-    SITE_NAMES,
-    SITE_ORDER,
-    ActivitySet,
-    SkeletonSeries,
-    canonical_sites,
-    centralize,
-    merge_keypoints,
-    preprocess_recording,
-    repair_gaps,
-    select_sites,
-    truncate_series,
-)
-from .synth import (
-    MotionSpec,
-    SiteMotion,
-    generate_activity,
-    make_separable_set,
-    separable_specs,
-)
+import importlib
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "ActivitySet",
-    "ComputationError",
-    "ConfigError",
-    "DEFAULT_ROSTER",
-    "DataError",
-    "ManifestError",
-    "MotionSpec",
-    "PlacementSubset",
-    "Ranking",
-    "RunConfig",
-    "SITE_NAMES",
-    "SITE_ORDER",
-    "ScoredSubset",
-    "SensorPlaceError",
-    "SiteMotion",
-    "SkeletonSeries",
-    "TauReport",
-    "build_ranking",
-    "canonical_sites",
-    "centralize",
-    "compare_rankings",
-    "cosine_distance",
-    "enumerate_subsets",
-    "generate_activity",
-    "kendall_tau",
-    "load_config",
-    "make_separable_set",
-    "max_score",
-    "merge_keypoints",
-    "parse_config_text",
-    "preprocess_recording",
-    "rank_placements",
-    "repair_gaps",
-    "score_subset",
-    "score_subsets",
-    "select_sites",
-    "separable_specs",
-    "truncate_series",
-    "__version__",
-]
+# Public names by the module that defines them.
+_EXPORTS = {
+    "config": ("RunConfig", "load_config", "parse_config_text"),
+    "errors": (
+        "ComputationError",
+        "ConfigError",
+        "DataError",
+        "ManifestError",
+        "SensorPlaceError",
+    ),
+    "rankcorr": ("TauReport", "compare_rankings", "kendall_tau"),
+    "scoring": (
+        "PlacementSubset",
+        "Ranking",
+        "ScoredSubset",
+        "build_ranking",
+        "cosine_distance",
+        "enumerate_subsets",
+        "max_score",
+        "rank_placements",
+        "score_subset",
+        "score_subsets",
+    ),
+    "sites": ("DEFAULT_ROSTER", "SITE_NAMES", "SITE_ORDER", "canonical_sites"),
+    "skeleton": (
+        "ActivitySet",
+        "SkeletonSeries",
+        "centralize",
+        "merge_keypoints",
+        "preprocess_recording",
+        "repair_gaps",
+        "select_sites",
+        "truncate_series",
+    ),
+    "synth": (
+        "MotionSpec",
+        "SiteMotion",
+        "generate_activity",
+        "make_separable_set",
+        "separable_specs",
+    ),
+}
+_MODULE_OF = {name: module for module, names in _EXPORTS.items() for name in names}
+
+__all__ = sorted(_MODULE_OF) + ["__version__"]
+
+
+def __getattr__(name):
+    module = _MODULE_OF.get(name)
+    if module is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(importlib.import_module(f".{module}", __name__), name)
+    globals()[name] = value
+    return value
+
+
+def __dir__():
+    return sorted(set(globals()) | set(__all__))

@@ -5,19 +5,38 @@ Subcommands: ``validate`` (parse and preprocess keypoint files as
 rankings -> Kendall's tau), ``synth`` (emit a synthetic keypoint corpus),
 ``report`` (render a ranking as text). Exit codes: 0 success, 1
 input/config error (usage errors included), 2 computation error.
+
+Only ``validate``, ``rank`` and ``synth`` compute on arrays. Their runs
+live in ``run``, which this module loads on first use, so ``compare``,
+``report``, ``--version``, ``--help`` and usage errors never load numpy.
 """
 
 from __future__ import annotations
 
 import argparse
+import importlib.util
 import sys
 from dataclasses import fields
 from pathlib import Path
 
-from . import __version__
-from . import run as runner
+from . import __version__, tablerun
 from .config import RunConfig, load_config, site_list, size_list
 from .errors import ComputationError, DataError
+
+
+def _lazy_module(name: str):
+    """The module ``name``, executed on its first attribute access."""
+    if name in sys.modules:
+        return sys.modules[name]
+    spec = importlib.util.find_spec(name)
+    spec.loader = importlib.util.LazyLoader(spec.loader)
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[name] = module
+    spec.loader.exec_module(module)
+    return module
+
+
+runner = _lazy_module(f"{__package__}.run")
 
 
 class _Parser(argparse.ArgumentParser):
@@ -81,14 +100,14 @@ def _cmd_rank(args) -> int:
 
 
 def _cmd_compare(args) -> int:
-    reports, payload = runner.run_compare(
+    reports, payload = tablerun.run_compare(
         args.first, args.second, scope=args.scope, top_k=args.top_k,
         out_dir=args.out_dir,
     )
-    sys.stdout.write(runner.render_compare_text(payload))
+    sys.stdout.write(tablerun.render_compare_text(payload))
     if args.out_dir is not None:
         out_dir = Path(args.out_dir)
-        print(f"wrote {out_dir / runner.TAU_TABLE_FILENAME} and {out_dir / runner.TAU_REPORT_FILENAME}")
+        print(f"wrote {out_dir / tablerun.TAU_TABLE_FILENAME} and {out_dir / tablerun.TAU_REPORT_FILENAME}")
     return 0
 
 
@@ -110,7 +129,7 @@ def _cmd_synth(args) -> int:
 
 
 def _cmd_report(args) -> int:
-    text = runner.run_report(args.ranking, out_path=args.out)
+    text = tablerun.run_report(args.ranking, out_path=args.out)
     if args.out is None:
         sys.stdout.write(text)
     else:

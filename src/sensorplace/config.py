@@ -12,9 +12,12 @@ import math
 from dataclasses import dataclass, fields
 
 from .errors import ConfigError
-from .io import _read_text
-from .skeleton import DEFAULT_ROSTER, canonical_sites, select_sites
-from .synth import RNG_NAME
+from .sites import DEFAULT_ROSTER, canonical_sites, check_roster
+from .textio import _read_text
+
+# The one random generator the package uses (numpy's PCG64, in ``synth``);
+# named in every fingerprint and report.
+RNG_NAME = "pcg64"
 
 
 @dataclass(frozen=True)
@@ -42,7 +45,7 @@ class RunConfig:
             raise ConfigError("roster must not be empty")
         # unknown sites and a head site not allowed fail here, before any file
         # is read and before the subset sizes are checked against the roster
-        select_sites(self.roster, self.allow_head)
+        check_roster(self.roster, self.allow_head)
         sizes = tuple(sorted(set(int(s) for s in self.subset_sizes)))
         object.__setattr__(self, "subset_sizes", sizes)
         if self.series_length < 2:

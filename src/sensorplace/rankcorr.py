@@ -4,14 +4,15 @@ A ranking is an ordering of subset labels, best first. tau =
 (concordant - discordant) / (n(n-1)/2) over all item pairs, computed with
 exact integer pair counting; 1 means identical orderings, -1 exactly
 reversed. An ordering holds each item once, so there are no ties.
+
+Discordant pairs are counted in O(n log n) time and O(n) memory with a
+Fenwick tree over positions, in plain Python: ``compare`` needs no numpy.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-
-import numpy as np
 
 from .errors import InvalidRankError, UniverseMismatchError
 
@@ -50,13 +51,36 @@ def _check_same_items(first, second) -> None:
         raise UniverseMismatchError(first - second, second - first)
 
 
+def _discordant_pairs(order: list[int]) -> int:
+    """Pairs ``i < j`` with ``order[j] < order[i]``, for a permutation
+    ``order`` of ``0..n-1``.
+
+    A Fenwick tree counts, for each value in turn, how many earlier values
+    lie at or below it; the rest of the earlier values lie above it.
+    """
+    n = len(order)
+    tree = [0] * (n + 1)
+    discordant = 0
+    for seen, value in enumerate(order):
+        i = value + 1
+        at_or_below = 0
+        while i:
+            at_or_below += tree[i]
+            i &= i - 1
+        discordant += seen - at_or_below
+        i = value + 1
+        while i <= n:
+            tree[i] += 1
+            i += i & -i
+    return discordant
+
+
 def kendall_tau(first, second) -> TauReport:
     """Exact Kendall's tau between two orderings of the same items.
 
     With ``first``'s items replaced by their positions in ``second``, a
     pair is discordant exactly when its later item has the smaller
-    position; one row is counted at a time, so memory stays O(n). Every
-    other pair is concordant.
+    position. Every other pair is concordant.
     """
     first_pos = _positions(first)
     second_pos = _positions(second)
@@ -64,8 +88,7 @@ def kendall_tau(first, second) -> TauReport:
     n = len(first_pos)
     if n < 2:
         raise InvalidRankError("need at least two items to correlate")
-    order = np.fromiter((second_pos[item] for item in first_pos), dtype=np.int64, count=n)
-    discordant = sum(int(np.count_nonzero(order[i + 1 :] < order[i])) for i in range(n - 1))
+    discordant = _discordant_pairs([second_pos[item] for item in first_pos])
     concordant = n * (n - 1) // 2 - discordant
     tau = Fraction(concordant - discordant, n * (n - 1) // 2)
     return TauReport(tau=float(tau), n=n, concordant=concordant, discordant=discordant)

@@ -4,7 +4,8 @@ Each run function is pure apart from its explicit output files: it parses
 inputs, executes the pipeline, and returns the result plus a JSON-ready
 report payload. Reports carry the resolved configuration fingerprint and
 never embed timestamps, so equal inputs and config give byte-identical
-outputs.
+outputs. The ``compare`` and ``report`` runs live in ``tablerun``, which
+needs no numpy, and are imported back here.
 """
 
 from __future__ import annotations
@@ -15,27 +16,31 @@ from pathlib import Path
 import numpy as np
 
 from . import io as pio
-from .config import RunConfig
+from .config import RNG_NAME, RunConfig
 from .errors import ConfigError, DataError, ManifestError, TooShortError
-from .rankcorr import compare_rankings
 from .scoring import TIE_BREAK, Ranking, ScoredSubset, build_ranking, enumerate_subsets, score_subsets
 from .skeleton import (
     KEYPOINT_SITE,
     MERGE_SOURCES,
     NUM_KEYPOINTS,
-    SITE_NAMES,
     SITE_ORDER,
     ActivitySet,
     SkeletonSeries,
     preprocess_recording,
     truncate_series,
 )
-from .synth import RNG_NAME, make_separable_set
+from .synth import make_separable_set
+from .tablerun import (
+    TAU_REPORT_FILENAME,
+    TAU_TABLE_FILENAME,
+    render_compare_text,
+    render_ranking_text,
+    run_compare,
+    run_report,
+)
 
 RANKING_FILENAME = "ranking.csv"
 RANK_REPORT_FILENAME = "report.json"
-TAU_TABLE_FILENAME = "tau.csv"
-TAU_REPORT_FILENAME = "tau.json"
 MANIFEST_FILENAME = "manifest.txt"
 
 
@@ -104,7 +109,7 @@ def load_window_sets(manifest_entries, config: RunConfig):
     is built from each activity's first window; with ``multi_window`` every
     activity contributes its first W windows, W being the smallest window
     count across activities. Per-activity failures are collected and
-    reported together, one diagnostic per failed activity.
+    reported together on one line, joined by ``; ``.
     """
     if len(manifest_entries) < 2:
         raise ManifestError(
@@ -128,7 +133,7 @@ def load_window_sets(manifest_entries, config: RunConfig):
             }
         )
     if failures:
-        raise ManifestError("\n".join(failures))
+        raise ManifestError("; ".join(failures))
 
     n_windows = min(len(w) for w in per_activity.values()) if config.multi_window else 1
     window_sets = [
@@ -191,51 +196,6 @@ def run_rank(manifest_path, config: RunConfig, out_dir=None):
         pio.write_ranking_file(out_dir / RANKING_FILENAME, ranking)
         pio.write_json_report(out_dir / RANK_REPORT_FILENAME, payload)
     return ranking, payload
-
-
-# --- compare -------------------------------------------------------------------
-
-def run_compare(first_path, second_path, scope: str = "per-size", top_k: int = 3, out_dir=None):
-    """Kendall's tau between two ranking files, per comparison scope."""
-    first = [row.label for row in pio.read_ranking_file(first_path)]
-    second = [row.label for row in pio.read_ranking_file(second_path)]
-    reports = compare_rankings(first, second, scope=scope, top_k=top_k)
-    payload = {
-        "kind": "ranking-agreement",
-        "scope": scope,
-        "first": str(first_path),
-        "second": str(second_path),
-        "results": {
-            key: {
-                "tau": r.tau,
-                "n": r.n,
-                "pairs": r.pairs,
-                "concordant": r.concordant,
-                "discordant": r.discordant,
-            }
-            for key, r in sorted(reports.items())
-        },
-    }
-    if out_dir is not None:
-        out_dir = Path(out_dir)
-        pio.write_tau_table(out_dir / TAU_TABLE_FILENAME, reports)
-        pio.write_json_report(out_dir / TAU_REPORT_FILENAME, payload)
-    return reports, payload
-
-
-def render_compare_text(payload: dict) -> str:
-    lines = [
-        "ranking agreement (Kendall's tau)",
-        f"  first:  {payload['first']}",
-        f"  second: {payload['second']}",
-        f"  scope:  {payload['scope']}",
-    ]
-    for key, r in payload["results"].items():
-        lines.append(
-            f"  {key}: tau={r['tau']:+.6f}  n={r['n']}"
-            f"  concordant={r['concordant']}  discordant={r['discordant']}"
-        )
-    return "\n".join(lines) + "\n"
 
 
 # --- synth ----------------------------------------------------------------------
@@ -319,25 +279,3 @@ def run_synth(
     manifest_path = out_dir / MANIFEST_FILENAME
     pio.atomic_write_text(manifest_path, "\n".join(manifest_lines) + "\n")
     return manifest_path
-
-
-# --- report ----------------------------------------------------------------------
-
-def render_ranking_text(rows, title: str = "placement ranking") -> str:
-    """Human-readable table for parsed ranking rows."""
-    lines = [title, ""]
-    width = max(len(r.label) for r in rows)
-    for r in rows:
-        names = ", ".join(SITE_NAMES.get(s, s) for s in r.label.split("+"))
-        score = "" if r.score is None else f"  score={format(r.score, '.6f')}"
-        lines.append(f"  {r.rank:>3}. {r.label:<{width}}{score}  ({names})")
-    return "\n".join(lines) + "\n"
-
-
-def run_report(ranking_path, out_path=None) -> str:
-    """Render a ranking table as human-readable text."""
-    rows = pio.read_ranking_file(ranking_path)
-    text = render_ranking_text(rows, title=f"placement ranking: {ranking_path}")
-    if out_path is not None:
-        pio.atomic_write_text(out_path, text)
-    return text

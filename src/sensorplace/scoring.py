@@ -22,7 +22,8 @@ divides by the window count, so one window is its own mean.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import combinations
+from itertools import combinations, groupby
+from operator import attrgetter
 import math
 
 import numpy as np
@@ -36,7 +37,8 @@ from .errors import (
     ZeroNormError,
     ZeroVectorError,
 )
-from .skeleton import ActivitySet, canonical_sites, site_key
+from .sites import canonical_sites, site_key
+from .skeleton import ActivitySet
 
 TIE_BREAK = "score desc, then subset size asc, then canonical site order"
 
@@ -65,7 +67,15 @@ class PlacementSubset:
         return "+".join(self.sites)
 
     def sort_key(self):
-        return tuple(site_key(s) for s in self.sites)
+        return tuple(map(site_key, self.sites))
+
+    @classmethod
+    def _of_canonical(cls, sites: tuple[str, ...]) -> "PlacementSubset":
+        """A subset of ``sites`` that are already distinct and in canonical
+        order, built without checking them again."""
+        subset = object.__new__(cls)
+        object.__setattr__(subset, "sites", sites)
+        return subset
 
 
 @dataclass(frozen=True)
@@ -190,8 +200,9 @@ def enumerate_subsets(roster, sizes=None) -> list[PlacementSubset]:
                 raise ConfigError(
                     f"subset size {s} outside valid range 1..{len(roster)}"
                 )
+    # combinations of a canonical roster are canonical themselves
     subsets = [
-        PlacementSubset(sites=combo)
+        PlacementSubset._of_canonical(combo)
         for s in wanted
         for combo in combinations(roster, s)
     ]
@@ -200,12 +211,23 @@ def enumerate_subsets(roster, sizes=None) -> list[PlacementSubset]:
     return subsets
 
 
+def _tie_key(entry: ScoredSubset):
+    return entry.subset.size, entry.subset.sort_key()
+
+
 def build_ranking(scored, n_activities: int) -> Ranking:
-    """Sort scored subsets into a strict ranking under the tie-break rule."""
-    ordered = sorted(
-        scored,
-        key=lambda e: (-e.score, e.subset.size, e.subset.sort_key()),
-    )
+    """Sort scored subsets into a strict ranking under the tie-break rule.
+
+    One sort by score, best first; only a run of equal scores is sorted
+    again, by size and canonical site order.
+    """
+    ordered = []
+    by_score = sorted(scored, key=attrgetter("score"), reverse=True)
+    for _, run in groupby(by_score, key=attrgetter("score")):
+        run = list(run)
+        if len(run) > 1:
+            run.sort(key=_tie_key)
+        ordered.extend(run)
     return Ranking(entries=tuple(ordered), n_activities=n_activities)
 
 

@@ -36,10 +36,10 @@ from .errors import (
     EmptyFrameError,
     GapTooLongError,
     RateMismatchError,
-    SiteExcludedError,
     TooShortError,
-    UnknownSiteError,
 )
+# canonical_sites is not used here; it stays importable from this module
+from .sites import _SITE_INDEX, DEFAULT_ROSTER, SITE_ORDER, canonical_sites, check_roster
 
 # COCO-17 keypoint indices
 NOSE = 0
@@ -62,29 +62,6 @@ RIGHT_ANKLE = 16
 
 NUM_KEYPOINTS = 17
 
-# Placement sites in canonical order: the five-site evaluation roster first
-# (left wrist, right wrist, pelvis, left ankle, right ankle), then the
-# remaining sites alphabetically. Subset labels, tie-breaks, and vector
-# layouts all follow this order.
-SITE_ORDER = ("LW", "RW", "PE", "LF", "RF", "HD", "LE", "LK", "LS", "RE", "RK", "RS")
-
-SITE_NAMES = {
-    "LW": "left wrist",
-    "RW": "right wrist",
-    "PE": "pelvis",
-    "LF": "left ankle",
-    "RF": "right ankle",
-    "HD": "head",
-    "LE": "left elbow",
-    "LK": "left knee",
-    "LS": "left shoulder",
-    "RE": "right elbow",
-    "RK": "right knee",
-    "RS": "right shoulder",
-}
-
-DEFAULT_ROSTER = ("LW", "RW", "PE", "LF", "RF")
-
 # Keypoints averaged into each site. Head and pelvis are consolidations;
 # every other site passes a single keypoint through.
 MERGE_SOURCES = {
@@ -101,8 +78,6 @@ MERGE_SOURCES = {
     "RK": (RIGHT_KNEE,),
     "RS": (RIGHT_SHOULDER,),
 }
-
-_SITE_INDEX = {site: i for i, site in enumerate(SITE_ORDER)}
 
 # The one site each COCO keypoint feeds, by keypoint index.
 KEYPOINT_SITE = tuple(
@@ -123,20 +98,6 @@ _HALF_PERIOD = 0.5 + 1e-6
 # Relative distance from an integer multiple within which an input rate is
 # accepted as that multiple of the target rate.
 _RATE_TOLERANCE = 0.01
-
-
-def site_key(site: str) -> tuple[int, str]:
-    """Sort key realizing the canonical site order; unknown ids sort last,
-    alphabetically."""
-    return (_SITE_INDEX.get(site, len(SITE_ORDER)), site)
-
-
-def canonical_sites(sites) -> tuple[str, ...]:
-    """Return ``sites`` sorted canonically, rejecting duplicates."""
-    sites = tuple(sites)
-    if len(set(sites)) != len(sites):
-        raise UnknownSiteError(f"duplicate site ids in {sites!r}")
-    return tuple(sorted(sites, key=site_key))
 
 
 @dataclass(frozen=True)
@@ -269,16 +230,7 @@ def select_sites(roster, allow_head: bool = False) -> np.ndarray:
 
     The head site is excluded from placement unless ``allow_head`` is set.
     """
-    roster = tuple(roster)
-    if not roster:
-        raise UnknownSiteError("roster must not be empty")
-    if len(set(roster)) != len(roster):
-        raise UnknownSiteError(f"duplicate sites in roster {roster!r}")
-    for site in roster:
-        if site not in _SITE_INDEX:
-            raise UnknownSiteError(f"unknown site id {site!r}")
-        if site == "HD" and not allow_head:
-            raise SiteExcludedError("the head site is excluded from placement")
+    roster = check_roster(roster, allow_head)
     return np.array([_SITE_INDEX[site] for site in roster], dtype=np.intp)
 
 

@@ -19,9 +19,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .skeleton import DEFAULT_ROSTER, SkeletonSeries, canonical_sites
-
-RNG_NAME = "pcg64"
+from .sites import DEFAULT_ROSTER, canonical_sites
+from .skeleton import SkeletonSeries
 
 # Rough humanoid layout in normalized image coordinates (y grows downward).
 DEFAULT_POSE = {
@@ -132,6 +131,9 @@ def separable_specs(
     # checked before the frequencies are derived from it, as MotionSpec does
     if not (sample_rate > 0 and np.isfinite(sample_rate)):
         raise ValueError("sample rate must be positive and finite")
+    # the top frequency below, nyquist - 0.5, is negative under 1 Hz
+    if sample_rate < 1.0:
+        raise ValueError(f"sample rate must be at least 1 Hz, got {sample_rate:g} Hz")
     roster = canonical_sites(roster)
     discriminative = canonical_sites(discriminative_sites)
     unknown = [s for s in discriminative if s not in roster]

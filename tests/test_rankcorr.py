@@ -6,7 +6,7 @@ from itertools import permutations
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 from oracles import kendall_tau_ref
@@ -73,6 +73,28 @@ def _seeded_ranks(n, seed):
 def test_seeded_permutation_matches_pair_counting_oracle():
     x, y = _seeded_ranks(301, seed=4)
     assert _tau(x, y).tau == pytest.approx(kendall_tau_ref(x, y), abs=1e-15)
+
+
+@given(
+    n=st.integers(2, 150),
+    kind=st.sampled_from(["identity", "reversal", "seeded"]),
+    seed=st.integers(0, 2**32 - 1),
+)
+@example(n=2, kind="identity", seed=0)
+@example(n=2, kind="reversal", seed=0)
+def test_discordant_count_matches_pair_counting_oracle(n, kind, seed):
+    x = tuple(range(1, n + 1))
+    if kind == "identity":
+        y = x
+    elif kind == "reversal":
+        y = x[::-1]
+    else:
+        y = tuple(int(v) for v in np.random.default_rng(seed).permutation(n) + 1)
+    report = _tau(x, y)
+    want = kendall_tau_ref(x, y)
+    assert report.tau == pytest.approx(want, abs=1e-15)
+    assert report.concordant - report.discordant == round(want * report.pairs)
+    assert report.concordant + report.discordant == report.pairs
 
 
 def test_memory_stays_linear_on_a_full_roster_ranking():

@@ -468,9 +468,11 @@ def test_cli_roster_is_checked_before_any_file_is_read(tmp_path, capsys, command
     (["synth", "{corpus}/s", "--noise", "-1"], "noise_sigma must be >= 0"),
     (["synth", "{corpus}/s", "--rate", "nan"], "sample rate must be positive and finite"),
     (["synth", "{corpus}/s", "--rate", "inf"], "sample rate must be positive and finite"),
+    (["synth", "{corpus}/s", "--rate", "0.5", "--length", "20"],
+     "sample rate must be at least 1 Hz, got 0.5 Hz"),
 ], ids=["rank-rate-nan", "validate-rate-nan", "config-rate-nan", "validate-rate-tiny",
         "synth-one-activity", "synth-unknown-site", "synth-length-0", "synth-rate-0",
-        "synth-negative-noise", "synth-rate-nan", "synth-rate-inf"])
+        "synth-negative-noise", "synth-rate-nan", "synth-rate-inf", "synth-rate-below-1"])
 def test_cli_bad_rate_and_synth_arguments_exit_1(tmp_path, capsys, argv, message):
     corpus = tmp_path / "corpus"
     cli.main(["synth", str(corpus), "--length", "520"])
@@ -480,18 +482,24 @@ def test_cli_bad_rate_and_synth_arguments_exit_1(tmp_path, capsys, argv, message
     assert message.format(corpus=corpus) in _one_error_line(capsys)
 
 
+def test_cli_synth_at_1_hz_succeeds(tmp_path):
+    # 1 Hz is the lowest rate whose frequencies, 0 .. nyquist - 0.5, are all >= 0
+    assert cli.main(["synth", str(tmp_path / "s"), "--rate", "1", "--length", "20"]) == 0
+    assert len((tmp_path / "s" / "act01.csv").read_text().splitlines()) == 20
+
+
 def test_cli_rank_rate_with_no_finite_ratio_names_every_activity(tmp_path, capsys):
-    # rank reports every failed activity, one line each
+    # rank reports every failed activity on one error line
     corpus = tmp_path / "corpus"
     cli.main(["synth", str(corpus), "--length", "520"])
     capsys.readouterr()
     assert cli.main(["rank", str(corpus / "manifest.txt"), "--rate", "1e-320",
                      "--out-dir", str(tmp_path / "out")]) == 1
-    assert capsys.readouterr().err.splitlines() == [
-        f"{prefix}act0{k}: input rate 10 Hz over the target rate 9.99989e-321 Hz "
+    assert _one_error_line(capsys) == "error: " + "; ".join(
+        f"act0{k}: input rate 10 Hz over the target rate 9.99989e-321 Hz "
         "is not a finite ratio"
-        for k, prefix in zip((1, 2, 3), ("error: ", "", ""))
-    ]
+        for k in (1, 2, 3)
+    ) + "\n"
 
 
 def test_cli_single_dropped_frame_is_repaired(tmp_path):
@@ -537,3 +545,47 @@ def test_cli_help_and_version_exit_0(capsys, argv):
     with pytest.raises(SystemExit) as exc:
         cli.main(argv)
     assert exc.value.code == 0
+
+
+def test_every_public_name_resolves_and_is_listed():
+    listed = dir(sensorplace)
+    for name in sensorplace.__all__:
+        assert getattr(sensorplace, name) is not None
+        assert name in listed
+
+
+# Runs cli.main in a fresh interpreter and prints its exit code and whether
+# numpy was loaded.
+_NUMPY_PROBE = """
+import sys
+from sensorplace import cli
+try:
+    code = cli.main(sys.argv[1:])
+except SystemExit as exc:
+    code = exc.code
+print(code, "numpy" in sys.modules)
+"""
+
+
+@pytest.mark.parametrize("argv, outcome", [
+    (["compare", "{t}", "{t}", "--scope", "all"], "0 False"),
+    (["compare", "{t}", "{t}", "--scope", "per-size", "--out-dir", "{tmp}/tau"], "0 False"),
+    (["compare", "{t}", "{t}", "--scope", "top", "--top-k", "2"], "0 False"),
+    (["report", "{t}"], "0 False"),
+    (["report", "{t}", "--out", "{tmp}/report.txt"], "0 False"),
+    (["--version"], "0 False"),
+    (["--help"], "0 False"),
+    (["rank", "{corpus}/manifest.txt", "--length", "abc"], "1 False"),
+    (["rank", "{corpus}/manifest.txt", "--length", "50", "--out-dir", "{tmp}/out"], "0 True"),
+], ids=["compare-all", "compare-per-size", "compare-top", "report", "report-out",
+        "version", "help", "usage-error", "rank"])
+def test_only_commands_that_compute_on_arrays_load_numpy(tmp_path, argv, outcome):
+    table = tmp_path / "ranking.csv"
+    table.write_text("rank,score,sites\n1,0.5,LW\n2,0.25,RW\n3,0.125,LW+RW\n")
+    cli.main(["synth", str(tmp_path / "corpus"), "--length", "60"])
+    argv = [a.format(t=table, tmp=tmp_path, corpus=tmp_path / "corpus") for a in argv]
+    env = dict(os.environ, PYTHONPATH=str(Path(sensorplace.__file__).resolve().parents[1]))
+    proc = subprocess.run([sys.executable, "-c", _NUMPY_PROBE, *argv],
+                          env=env, capture_output=True, text=True)
+    assert "Traceback" not in proc.stderr
+    assert proc.stdout.splitlines()[-1] == outcome

@@ -6,8 +6,7 @@ kp16_c``. The labeled form carries the same 52 fields per line as
 whitespace-separated ``key=value`` tokens in any order. A parsed recording
 is two arrays, timestamps ``t[n]`` and keypoints ``kp[n, 17, 3]``; the
 writer takes the same arrays. Ranking tables, tau tables and JSON reports
-live in ``textio``, which needs no numpy; their readers and writers are
-imported back here, and ``rank`` calls them through this module.
+live in ``textio``, which needs no numpy.
 
 A keypoint file is converted in blocks of 64 data lines: each block is
 joined and split with ``str`` methods, checked for its structure (52
@@ -33,18 +32,10 @@ import numpy as np
 
 from .errors import DataError, MalformedLineError, ManifestError, NonMonotoneTimeError
 from .skeleton import NUM_KEYPOINTS
-# the table readers and writers are imported back: the rank run and callers
-# of this module use them from here
-from .textio import (
-    _number,
-    _read_text,
-    atomic_write_text,
-    format_float,
-    read_ranking_file,
-    write_json_report,
-    write_ranking_file,
-    write_tau_table,
-)
+from .textio import _number, _read_text, atomic_write_text, format_float
+
+# re-exported because perfbench's tracer times rank's two writes here
+from .textio import write_json_report, write_ranking_file  # noqa: F401
 
 # Field names shared by both keypoint formats, in CSV column order.
 KEYPOINT_FIELDS = ("t",) + tuple(

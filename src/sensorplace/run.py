@@ -5,7 +5,7 @@ inputs, executes the pipeline, and returns the result plus a JSON-ready
 report payload. Reports carry the resolved configuration fingerprint and
 never embed timestamps, so equal inputs and config give byte-identical
 outputs. The ``compare`` and ``report`` runs live in ``tablerun``, which
-needs no numpy, and are imported back here.
+needs no numpy.
 """
 
 from __future__ import annotations
@@ -19,25 +19,18 @@ from . import io as pio
 from .config import RNG_NAME, RunConfig
 from .errors import ConfigError, DataError, ManifestError, TooShortError
 from .scoring import TIE_BREAK, Ranking, ScoredSubset, build_ranking, enumerate_subsets, score_subsets
+from .sites import SITE_ORDER
 from .skeleton import (
     KEYPOINT_SITE,
     MERGE_SOURCES,
     NUM_KEYPOINTS,
-    SITE_ORDER,
     ActivitySet,
     SkeletonSeries,
     preprocess_recording,
     truncate_series,
 )
 from .synth import make_separable_set
-from .tablerun import (
-    TAU_REPORT_FILENAME,
-    TAU_TABLE_FILENAME,
-    render_compare_text,
-    render_ranking_text,
-    run_compare,
-    run_report,
-)
+from .textio import atomic_write_text
 
 RANKING_FILENAME = "ranking.csv"
 RANK_REPORT_FILENAME = "report.json"
@@ -78,28 +71,29 @@ def _preprocess(t, kp, activity_id: str, config: RunConfig) -> SkeletonSeries:
     )
 
 
-def _activity_windows(activity_id: str, paths, config: RunConfig) -> list[SkeletonSeries]:
-    """Preprocess one activity's recordings into L-frame windows.
+def _activity_windows(activity_id: str, paths, config: RunConfig) -> tuple[list[SkeletonSeries], int]:
+    """Preprocess one activity's recordings into the L-frame windows the
+    run scores, and count the windows they hold.
 
     Every recording is parsed and preprocessed, so a bad one is reported
     in either mode. Windows never span recordings. Uniform subsampling
     draws one window from the first recording; otherwise each recording
-    contributes its consecutive disjoint windows, in manifest order.
+    holds its consecutive disjoint windows, in manifest order.
     """
     series = [_preprocess(*pio.parse_keypoint_file(path), activity_id, config) for path in paths]
     if config.subsample == "uniform":
-        return [truncate_series(series[0], config.series_length, mode="uniform")]
+        return [truncate_series(series[0], config.series_length, mode="uniform")], 1
     L = config.series_length
+    starts = [(full, a) for full in series for a in range(0, full.length - L + 1, L)]
+    if not starts:
+        raise TooShortError(sum(full.length for full in series), L)
     # a decimated series is a strided view of its native-rate array, so each
     # window is copied: a view would keep that whole array alive
     windows = [
         replace(full, points=full.points[:, a:a + L].copy())
-        for full in series
-        for a in range(0, full.length - L + 1, L)
+        for full, a in (starts if config.multi_window else starts[:1])
     ]
-    if not windows:
-        raise TooShortError(sum(full.length for full in series), L)
-    return windows
+    return windows, len(starts)
 
 
 def load_window_sets(manifest_entries, config: RunConfig):
@@ -120,7 +114,7 @@ def load_window_sets(manifest_entries, config: RunConfig):
     diagnostics = []
     for activity_id, paths in manifest_entries:
         try:
-            windows = _activity_windows(activity_id, paths, config)
+            windows, available = _activity_windows(activity_id, paths, config)
         except DataError as exc:
             failures.append(f"{activity_id}: {exc}")
             continue
@@ -129,7 +123,7 @@ def load_window_sets(manifest_entries, config: RunConfig):
             {
                 "activity": activity_id,
                 "recordings": len(paths),
-                "windows": len(windows),
+                "windows": available,
             }
         )
     if failures:
@@ -277,5 +271,5 @@ def run_synth(
         pio.write_keypoint_file(out_dir / filename, t, kp, style=style)
         manifest_lines.append(f"{series.activity_id} {filename}")
     manifest_path = out_dir / MANIFEST_FILENAME
-    pio.atomic_write_text(manifest_path, "\n".join(manifest_lines) + "\n")
+    atomic_write_text(manifest_path, "\n".join(manifest_lines) + "\n")
     return manifest_path

@@ -7,6 +7,9 @@ without loading numpy.
 
 from __future__ import annotations
 
+from functools import cache
+from itertools import combinations
+
 from .errors import SiteExcludedError, UnknownSiteError
 
 # Placement sites in canonical order: the five-site evaluation roster first
@@ -49,6 +52,13 @@ def canonical_sites(sites) -> tuple[str, ...]:
     return tuple(sorted(sites, key=site_key))
 
 
+@cache
+def subset_labels() -> frozenset[str]:
+    """The label of every subset of the 12 sites, in canonical order."""
+    sizes = range(1, len(SITE_ORDER) + 1)
+    return frozenset("+".join(c) for k in sizes for c in combinations(SITE_ORDER, k))
+
+
 def check_roster(roster, allow_head: bool = False) -> tuple[str, ...]:
     """Return ``roster`` as a tuple after checking that it is a non-empty
     set of known placement sites.
@@ -59,7 +69,7 @@ def check_roster(roster, allow_head: bool = False) -> tuple[str, ...]:
     if not roster:
         raise UnknownSiteError("roster must not be empty")
     if len(set(roster)) != len(roster):
-        raise UnknownSiteError(f"duplicate sites in roster {roster!r}")
+        raise UnknownSiteError(f"duplicate site ids in {roster!r}")
     for site in roster:
         if site not in _SITE_INDEX:
             raise UnknownSiteError(f"unknown site id {site!r}")

@@ -38,8 +38,7 @@ from .errors import (
     RateMismatchError,
     TooShortError,
 )
-# canonical_sites is not used here; it stays importable from this module
-from .sites import _SITE_INDEX, DEFAULT_ROSTER, SITE_ORDER, canonical_sites, check_roster
+from .sites import _SITE_INDEX, DEFAULT_ROSTER, SITE_ORDER, check_roster
 
 # COCO-17 keypoint indices
 NOSE = 0

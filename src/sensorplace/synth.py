@@ -15,12 +15,12 @@ static motion, giving ground truth for which placements should rank first.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .sites import DEFAULT_ROSTER, canonical_sites
-from .skeleton import SkeletonSeries
+from .skeleton import ActivitySet, SkeletonSeries
 
 # Rough humanoid layout in normalized image coordinates (y grows downward).
 DEFAULT_POSE = {
@@ -180,11 +180,9 @@ def make_separable_set(
     length: int = 500,
     sample_rate: float = 10.0,
     roster=DEFAULT_ROSTER,
-) -> "ActivitySet":
+) -> ActivitySet:
     """Generate an activity set whose activities differ only at the
     discriminative sites."""
-    from .skeleton import ActivitySet
-
     specs = separable_specs(
         n_activities,
         discriminative_sites,

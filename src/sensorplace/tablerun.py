@@ -71,7 +71,7 @@ def render_ranking_text(rows, title: str = "placement ranking") -> str:
     lines = [title, ""]
     width = max(len(r.label) for r in rows)
     for r in rows:
-        names = ", ".join(SITE_NAMES.get(s, s) for s in r.label.split("+"))
+        names = ", ".join(SITE_NAMES[s] for s in r.label.split("+"))
         score = "" if r.score is None else f"  score={format(r.score, '.6f')}"
         lines.append(f"  {r.rank:>3}. {r.label:<{width}}{score}  ({names})")
     return "\n".join(lines) + "\n"

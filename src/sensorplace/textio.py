@@ -4,10 +4,10 @@ ranking and tau tables, and JSON reports.
 Ranking tables are CSV with header ``rank,score,sites`` (sites as
 ``+``-joined canonical ids); external rankings may omit the score column
 (``rank,sites``). Tau tables hold one row per comparison scope. Readers
-turn a missing, unreadable or non-UTF-8 file, and every malformed line,
-into a ``DataError`` with a one-line message. All writers go through a
-write-then-rename step so consumers never observe a partial file, and no
-output embeds a timestamp.
+drop a leading byte-order mark and turn a missing, unreadable or
+non-UTF-8 file, and every malformed line, into a ``DataError`` with a
+one-line message. All writers go through a write-then-rename step so
+consumers never observe a partial file, and no output embeds a timestamp.
 
 This module and its imports load no numpy, so ``compare`` and ``report``
 start without it.
@@ -22,14 +22,16 @@ import tempfile
 from dataclasses import dataclass
 from pathlib import Path
 
-from .errors import DataError, InvalidRankError, MalformedLineError
+from .errors import DataError, InvalidRankError, MalformedLineError, UnknownSiteError
+from .sites import canonical_sites, check_roster, subset_labels
 
 
 def _read_text(path, what: str, error=DataError) -> str:
-    """Read a UTF-8 text file; a missing, unreadable or non-UTF-8 file
-    raises ``error`` with a one-line message."""
+    """Read a UTF-8 text file, dropping a leading byte-order mark; a
+    missing, unreadable or non-UTF-8 file raises ``error`` with a one-line
+    message."""
     try:
-        return Path(path).read_text(encoding="utf-8")
+        return Path(path).read_text(encoding="utf-8-sig")
     except (OSError, UnicodeDecodeError) as exc:
         raise error(f"cannot read {what} {path}: {exc}") from exc
 
@@ -100,11 +102,14 @@ def read_ranking_file(path) -> list[RankRow]:
 
     Accepts 3-field rows ``rank,score,sites`` or 2-field rows
     ``rank,sites``; an optional header line is skipped. Ranks must be a
-    permutation of 1..n; rows come back sorted by rank.
+    permutation of 1..n; rows come back sorted by rank. A label names
+    known sites, each once, and is read in canonical site order; no subset
+    may be ranked twice.
     """
     text = _read_text(path, "ranking file")
 
-    rows: list[RankRow] = []
+    rows: dict[str, RankRow] = {}
+    known = subset_labels()
     for line_no, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()
         if not line or line.startswith("#"):
@@ -130,21 +135,23 @@ def read_ranking_file(path) -> list[RankRow]:
             score = _number(score_text, path, line_no, "score")
             if not math.isfinite(score):
                 raise MalformedLineError(path, line_no, "field 'score': non-finite value")
-        if not label:
-            raise MalformedLineError(path, line_no, "empty sites field")
-        rows.append(RankRow(rank=rank, label=label, score=score))
+        if label not in known:
+            try:
+                label = "+".join(canonical_sites(check_roster(label.split("+"), allow_head=True)))
+            except UnknownSiteError as exc:
+                raise MalformedLineError(path, line_no, f"sites {label!r}: {exc}") from None
+        if label in rows:
+            raise InvalidRankError(f"{path}:{line_no}: {label} already has rank {rows[label].rank}")
+        rows[label] = RankRow(rank=rank, label=label, score=score)
 
     if not rows:
         raise DataError(f"ranking file {path} contains no rows")
-    ranks = sorted(r.rank for r in rows)
+    ranks = sorted(r.rank for r in rows.values())
     if ranks != list(range(1, len(rows) + 1)):
         raise InvalidRankError(
             f"{path}: ranks must be a permutation of 1..{len(rows)}, got {ranks}"
         )
-    labels = [r.label for r in rows]
-    if len(set(labels)) != len(labels):
-        raise InvalidRankError(f"{path}: duplicate site subsets in ranking")
-    return sorted(rows, key=lambda r: r.rank)
+    return sorted(rows.values(), key=lambda r: r.rank)
 
 
 # --- structured reports --------------------------------------------------------

@@ -18,6 +18,7 @@ import pytest
 from conftest import make_series
 from oracles import kendall_tau_ref, pairwise_distance_sum_ref
 from sensorplace import run as runner
+from sensorplace import tablerun
 from sensorplace.config import RunConfig
 from sensorplace.errors import TooShortError
 from sensorplace.rankcorr import kendall_tau
@@ -161,7 +162,7 @@ def test_05_rank_correlation_is_exact(tmp_path):
     ):
         a = tmp_path / f"a-{scope}.csv"
         a.write_text("\n".join(rows) + "\n")
-        reports, _ = runner.run_compare(a, a, scope=scope)
+        reports, _ = tablerun.run_compare(a, a, scope=scope)
         ok &= all(r.tau == 1.0 for r in reports.values())
     detail.append("identical rankings -> tau=1.0 via compare")
     _verdict("Kendall's tau is exact", ok, "; ".join(detail))

@@ -129,3 +129,9 @@ def test_load_config_rejects_non_utf8_file(tmp_path):
     cfg.write_bytes(b"series_length = 4\xff0\n")
     with pytest.raises(ConfigError, match="cannot read config file"):
         load_config(cfg, {})
+
+
+def test_load_config_drops_a_byte_order_mark(tmp_path):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("\ufeffseries_length = 40\n", encoding="utf-8")
+    assert load_config(cfg, {}).series_length == 40

@@ -9,6 +9,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from sensorplace import io as pio
+from sensorplace import textio
 from sensorplace.errors import (
     DataError,
     InvalidRankError,
@@ -202,7 +203,7 @@ def test_ranking_round_trip_preserves_order_and_scores(tmp_path):
     ranking = _ranking()
     path = tmp_path / "ranking.csv"
     pio.write_ranking_file(path, ranking)
-    rows = pio.read_ranking_file(path)
+    rows = textio.read_ranking_file(path)
     assert [r.label for r in rows] == ranking.labels()
     for row, entry in zip(rows, ranking.entries):
         assert row.score == entry.score  # repr round-trips exactly
@@ -217,7 +218,7 @@ def test_ranking_file_starts_with_header(tmp_path):
 def test_external_two_column_format(tmp_path):
     path = tmp_path / "truth.csv"
     path.write_text("rank,sites\n1,LW+PE\n2,RW+PE\n3,LW+RW\n")
-    rows = pio.read_ranking_file(path)
+    rows = textio.read_ranking_file(path)
     assert [r.label for r in rows] == ["LW+PE", "RW+PE", "LW+RW"]
     assert all(r.score is None for r in rows)
 
@@ -225,7 +226,7 @@ def test_external_two_column_format(tmp_path):
 def test_ranking_rows_sorted_by_rank(tmp_path):
     path = tmp_path / "truth.csv"
     path.write_text("2,RW\n1,LW\n3,PE\n")
-    rows = pio.read_ranking_file(path)
+    rows = textio.read_ranking_file(path)
     assert [r.label for r in rows] == ["LW", "RW", "PE"]
 
 
@@ -233,20 +234,43 @@ def test_ranking_requires_rank_permutation(tmp_path):
     path = tmp_path / "bad.csv"
     path.write_text("1,LW\n3,RW\n")
     with pytest.raises(InvalidRankError):
-        pio.read_ranking_file(path)
+        textio.read_ranking_file(path)
     path.write_text("1,LW\n1,RW\n")
     with pytest.raises(InvalidRankError):
-        pio.read_ranking_file(path)
+        textio.read_ranking_file(path)
     path.write_text("1,LW\n2,LW\n")
     with pytest.raises(InvalidRankError):
-        pio.read_ranking_file(path)
+        textio.read_ranking_file(path)
 
 
 def test_ranking_rejects_wrong_field_counts(tmp_path):
     path = tmp_path / "bad.csv"
     path.write_text("1,0.5,LW,extra\n")
     with pytest.raises(MalformedLineError):
-        pio.read_ranking_file(path)
+        textio.read_ranking_file(path)
+
+
+@pytest.mark.parametrize("text, line, message", [
+    ("1,LW\n2,LW+ZZ\n", 2, r"sites 'LW\+ZZ': unknown site id 'ZZ'"),
+    ("rank,sites\n1,LW\n2,lw\n", 3, "unknown site id 'lw'"),
+    ("1,0.5,LW+\n", 1, "unknown site id ''"),
+    ("1,RW\n2,RW+LW+RW\n", 2, "duplicate site ids"),
+], ids=["unknown", "lower-case", "trailing-plus", "repeated"])
+def test_ranking_labels_must_be_site_subsets(tmp_path, text, line, message):
+    path = tmp_path / "bad.csv"
+    path.write_text(text)
+    with pytest.raises(MalformedLineError, match=message) as info:
+        textio.read_ranking_file(path)
+    assert info.value.line_no == line
+
+
+def test_ranking_labels_are_read_in_canonical_site_order(tmp_path):
+    path = tmp_path / "truth.csv"
+    path.write_text("rank,sites\n1,RW+LW\n2,RF+PE+LW\n3,HD\n")
+    assert [r.label for r in textio.read_ranking_file(path)] == ["LW+RW", "LW+PE+RF", "HD"]
+    path.write_text("1,RW+LW\n2,PE\n3,LW+RW\n")
+    with pytest.raises(InvalidRankError, match=r"truth.csv:3: LW\+RW already has rank 1"):
+        textio.read_ranking_file(path)
 
 
 # --- unreadable text ----------------------------------------------------------------
@@ -272,7 +296,35 @@ def test_non_utf8_ranking_file_is_a_data_error(tmp_path):
     path = tmp_path / "ranking.csv"
     path.write_bytes(b"rank,sites\n1,LW\n2,R\xffW\n")
     with pytest.raises(DataError, match="cannot read ranking file"):
-        pio.read_ranking_file(path)
+        textio.read_ranking_file(path)
+
+
+# A UTF-8 byte-order mark, as spreadsheet exports write it, is not content.
+BOM = "\ufeff"
+
+
+@pytest.mark.parametrize("style", ["csv", "labeled"])
+def test_keypoint_file_with_a_byte_order_mark_parses_alike(tmp_path, style):
+    path = tmp_path / "rec.txt"
+    pio.write_keypoint_file(path, *_frames(), style=style)
+    t, kp = pio.parse_keypoint_file(path)
+    path.write_text(BOM + path.read_text(), encoding="utf-8")
+    t_bom, kp_bom = pio.parse_keypoint_file(path)
+    assert np.array_equal(t_bom, t) and np.array_equal(kp_bom, kp)
+
+
+def test_manifest_with_a_byte_order_mark_keeps_its_first_activity_id(tmp_path):
+    manifest = tmp_path / "manifest.txt"
+    manifest.write_text(BOM + "walk walk.csv\nrun run.csv\n", encoding="utf-8")
+    assert [e[0] for e in pio.parse_manifest(manifest)] == ["walk", "run"]
+
+
+def test_ranking_file_with_a_byte_order_mark_reads_alike(tmp_path):
+    path = tmp_path / "ranking.csv"
+    pio.write_ranking_file(path, _ranking())
+    rows = textio.read_ranking_file(path)
+    path.write_text(BOM + path.read_text(), encoding="utf-8")
+    assert textio.read_ranking_file(path) == rows
 
 
 # --- round trips and corrupted files ---------------------------------------------------
@@ -550,7 +602,7 @@ def rankings(draw):
 def test_ranking_files_round_trip_any_finite_scores(tmp_path_factory, ranking):
     path = tmp_path_factory.mktemp("rt") / "ranking.csv"
     pio.write_ranking_file(path, ranking)
-    rows = pio.read_ranking_file(path)
+    rows = textio.read_ranking_file(path)
     assert [r.label for r in rows] == ranking.labels()
     assert [r.score for r in rows] == [e.score for e in ranking.entries]
 
@@ -570,7 +622,7 @@ def test_corrupted_ranking_file_parses_or_raises_data_error(tmp_path_factory, ra
     else:
         _corrupt_fields(data, lines)
         path.write_text("\n".join(lines) + "\n")
-    rows, exc = _parse_or_data_error(pio.read_ranking_file, path, len(lines))
+    rows, exc = _parse_or_data_error(textio.read_ranking_file, path, len(lines))
     if kind == "bytes":
         assert "cannot read" in str(exc)
     elif exc is None:
@@ -598,7 +650,7 @@ def test_tau_table_layout(tmp_path):
     from sensorplace.rankcorr import TauReport
 
     path = tmp_path / "tau.csv"
-    pio.write_tau_table(path, {"size-1": TauReport(1.0, 3, 3, 0)})
+    textio.write_tau_table(path, {"size-1": TauReport(1.0, 3, 3, 0)})
     lines = path.read_text().splitlines()
     assert lines[0] == "scope,tau,n,pairs,concordant,discordant"
     assert lines[1] == "size-1,1.0,3,3,3,0"

@@ -14,6 +14,7 @@ import sensorplace
 from sensorplace import cli
 from sensorplace import io as pio
 from sensorplace import run as runner
+from sensorplace import tablerun, textio
 from sensorplace.config import _PARSERS, RunConfig
 from sensorplace.errors import ComputationError, ManifestError
 from sensorplace.rankcorr import compare_rankings
@@ -82,7 +83,7 @@ def test_rank_writes_table_and_report(tmp_path):
     manifest = _corpus(tmp_path)
     out = tmp_path / "out"
     ranking, payload = runner.run_rank(manifest, _config(), out_dir=out)
-    rows = pio.read_ranking_file(out / runner.RANKING_FILENAME)
+    rows = textio.read_ranking_file(out / runner.RANKING_FILENAME)
     assert [r.label for r in rows] == ranking.labels()
     report = json.loads((out / runner.RANK_REPORT_FILENAME).read_text())
     assert report["fingerprint"] == payload["fingerprint"]
@@ -104,7 +105,7 @@ def test_rank_round_trip_agrees_with_itself(tmp_path):
     manifest = _corpus(tmp_path)
     out = tmp_path / "out"
     runner.run_rank(manifest, _config(), out_dir=out)
-    labels = [r.label for r in pio.read_ranking_file(out / runner.RANKING_FILENAME)]
+    labels = [r.label for r in textio.read_ranking_file(out / runner.RANKING_FILENAME)]
     for scope in ("all", "per-size"):
         reports = compare_rankings(labels, list(labels), scope=scope)
         assert all(r.tau == 1.0 for r in reports.values())
@@ -149,6 +150,49 @@ def test_rank_single_window_is_the_ranking_of_its_window_set(tmp_path):
     assert ranking == rank_placements(window_sets[0], subsets)
 
 
+def test_windows_are_cut_per_recording_in_manifest_order(tmp_path):
+    # every activity lists a recording shorter than L, one holding two
+    # windows and 30 spare frames, then one holding 1, 2 or 3 windows
+    L = 50
+    source = _corpus(tmp_path, noise=0.3, length=400).parent
+    recordings, windows = [], {}
+    for a, n_last in enumerate((1, 2, 3), start=1):
+        lines = (source / f"act{a:02d}.csv").read_text().splitlines()
+        cuts = [(0, 30), (30, 160), (160, 160 + n_last * L + 10)]
+        names = []
+        for r, (start, end) in enumerate(cuts):
+            names.append(f"act{a:02d}_{r}.csv")
+            (tmp_path / names[-1]).write_text("\n".join(lines[start:end]) + "\n")
+        recordings.append(f"act{a:02d} {' '.join(names)}")
+        starts = [30, 80] + [160 + k * L for k in range(n_last)]
+        windows[f"act{a:02d}"] = [lines[w:w + L] for w in starts]
+    manifest = tmp_path / "manifest.txt"
+    manifest.write_text("\n".join(recordings) + "\n")
+
+    def window_scores(w):
+        # the ranking of a manifest whose recordings are exactly window w
+        listed = []
+        for aid, cut in windows.items():
+            (tmp_path / f"{aid}_w{w}.csv").write_text("\n".join(cut[w]) + "\n")
+            listed.append(f"{aid} {aid}_w{w}.csv")
+        (tmp_path / f"window{w}.txt").write_text("\n".join(listed) + "\n")
+        ranking, _ = runner.run_rank(tmp_path / f"window{w}.txt", _config(series_length=L))
+        return {e.subset: e.score for e in ranking.entries}
+
+    per_window = [window_scores(w) for w in range(3)]
+    ranking, payload = runner.run_rank(manifest, _config(series_length=L))
+    assert {e.subset: e.score for e in ranking.entries} == per_window[0]
+    assert [d["windows"] for d in payload["activities"]] == [3, 4, 5]
+    ranking, payload = runner.run_rank(manifest, _config(series_length=L, multi_window=True))
+    assert payload["n_windows"] == 3
+    assert [d["windows"] for d in payload["activities"]] == [3, 4, 5]
+    for entry in ranking.entries:
+        total = 0.0
+        for scores in per_window:
+            total += scores[entry.subset]
+        assert entry.score == total / 3
+
+
 def test_run_settings_are_named_once(tmp_path):
     # config file keys, the settings flags and the report all follow RunConfig
     names = [f.name for f in fields(RunConfig)]
@@ -189,13 +233,13 @@ def test_compare_identical_files_all_scopes(tmp_path):
     out = tmp_path / "out"
     runner.run_rank(manifest, _config(), out_dir=out)
     table = out / runner.RANKING_FILENAME
-    reports, payload = runner.run_compare(table, table, scope="per-size", out_dir=out)
+    reports, payload = tablerun.run_compare(table, table, scope="per-size", out_dir=out)
     # size-5 holds a single subset, so there is no pair to correlate
     assert set(reports) == {"size-1", "size-2", "size-3", "size-4"}
     assert all(r.tau == 1.0 for r in reports.values())
-    tau_lines = (out / runner.TAU_TABLE_FILENAME).read_text().splitlines()
+    tau_lines = (out / tablerun.TAU_TABLE_FILENAME).read_text().splitlines()
     assert len(tau_lines) == 5
-    saved = json.loads((out / runner.TAU_REPORT_FILENAME).read_text())
+    saved = json.loads((out / tablerun.TAU_REPORT_FILENAME).read_text())
     assert saved["results"]["size-2"]["tau"] == 1.0
 
 
@@ -204,7 +248,7 @@ def test_compare_against_external_truth(tmp_path):
     truth.write_text("rank,sites\n1,LW+PE\n2,RW+PE\n3,LW+RW\n")
     predicted = tmp_path / "predicted.csv"
     predicted.write_text("rank,score,sites\n1,0.9,LW+RW\n2,0.5,LW+PE\n3,0.1,RW+PE\n")
-    reports, _ = runner.run_compare(truth, predicted, scope="per-size")
+    reports, _ = tablerun.run_compare(truth, predicted, scope="per-size")
     assert reports["size-2"].tau == pytest.approx(-1 / 3, abs=1e-15)
 
 
@@ -238,7 +282,7 @@ def test_cli_config_file_with_flag_override(tmp_path, capsys):
         "rank", str(corpus / "manifest.txt"), "--config", str(cfg),
         "--out-dir", str(out), "--length", "500",
     ]) == 0
-    rows = pio.read_ranking_file(out / "ranking.csv")
+    rows = textio.read_ranking_file(out / "ranking.csv")
     assert len(rows) == 5  # sizes filter came from the file
     report = json.loads((out / "report.json").read_text())
     assert report["config"]["series_length"] == 500  # flag beat the file
@@ -311,6 +355,22 @@ def test_cli_compare_universe_mismatch_exits_1(tmp_path, capsys):
     b.write_text("1,LW\n2,PE\n")
     assert cli.main(["compare", str(a), str(b), "--scope", "all"]) == 1
     assert "different subsets" in capsys.readouterr().err
+
+
+def test_cli_compare_reads_labels_in_any_site_order(tmp_path, capsys):
+    a = tmp_path / "a.csv"
+    a.write_text("1,LW+RW\n2,PE\n")
+    b = tmp_path / "b.csv"
+    b.write_text("1,RW+LW\n2,PE\n")
+    assert cli.main(["compare", str(a), str(b), "--scope", "all"]) == 0
+    assert "all: tau=+1.000000" in capsys.readouterr().out
+
+
+def test_cli_report_rejects_an_unknown_site(tmp_path, capsys):
+    table = tmp_path / "ranking.csv"
+    table.write_text("rank,sites\n1,LW\n2,LW+ZZ\n")
+    assert cli.main(["report", str(table)]) == 1
+    assert _one_error_line(capsys) == f"error: {table}:3: sites 'LW+ZZ': unknown site id 'ZZ'\n"
 
 
 def test_cli_compare_top_k_beyond_the_table_exits_1(tmp_path, capsys):

@@ -31,7 +31,8 @@ from sensorplace.scoring import (
     score_subsets,
     ScoredSubset,
 )
-from sensorplace.skeleton import ActivitySet, DEFAULT_ROSTER, SITE_ORDER, canonical_sites
+from sensorplace.sites import canonical_sites
+from sensorplace.skeleton import ActivitySet, DEFAULT_ROSTER, SITE_ORDER
 from sensorplace.synth import make_separable_set
 
 

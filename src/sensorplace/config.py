@@ -95,7 +95,11 @@ def size_list(text: str) -> tuple:
 
 
 def _switch(text: str) -> bool:
-    return text.strip().lower() in ("1", "true", "yes", "on")
+    """An on/off value: 1/0, true/false, yes/no or on/off, in any case."""
+    value = text.strip().lower()
+    if value not in ("1", "true", "yes", "on", "0", "false", "no", "off"):
+        raise ValueError(f"expected 1/0, true/false, yes/no or on/off, got {text!r}")
+    return value in ("1", "true", "yes", "on")
 
 
 # Keys accepted in config files and their parsers: one per RunConfig field.

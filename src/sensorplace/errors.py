@@ -112,7 +112,7 @@ class ZeroNormError(ComputationError):
 
 
 class ZeroVectorError(ComputationError):
-    """An activity vector is identically zero."""
+    """An activity vector is zero, or its squared norm rounds to zero."""
 
 
 # --- rank comparison -------------------------------------------------------

@@ -30,6 +30,7 @@ import numpy as np
 
 from . import _kernels
 from .errors import (
+    ComputationError,
     ConfigError,
     LengthMismatchError,
     SiteNotPresentError,
@@ -111,14 +112,12 @@ def cosine_distance(u: np.ndarray, v: np.ndarray) -> float:
     return abs(1.0 - float(np.dot(u, v)) / (nu * nv))
 
 
-def _site_grams(activity_set: ActivitySet, sites) -> tuple[np.ndarray, np.ndarray]:
+def _site_grams(activity_set: ActivitySet, sites) -> np.ndarray:
     """Per-site Gram tensor of the activity set over ``sites``.
 
-    Returns ``(gram, nonzero)``: ``gram[s, i, j]`` is the dot product of
-    activities i and j restricted to site s, and ``nonzero[s, i]`` says
-    whether activity i has any nonzero coordinate at site s. The einsum runs
-    without ``optimize``, so no BLAS call is made and the bits do not depend
-    on the thread count.
+    ``gram[s, i, j]`` is the dot product of activities i and j restricted
+    to site s. The einsum runs without ``optimize``, so no BLAS call is made
+    and the bits do not depend on the thread count.
     """
     rows = []
     for site in sites:
@@ -128,10 +127,22 @@ def _site_grams(activity_set: ActivitySet, sites) -> tuple[np.ndarray, np.ndarra
                 f"site {site!r} not in series roster"
             )
         rows.append(activity_set.sites.index(site))
-    stacked = np.empty((len(rows), len(activity_set), 2 * activity_set.length))
-    for i, series in enumerate(activity_set.activities):
-        stacked[:, i] = series.points[rows].reshape(len(rows), -1)
-    return np.einsum("sik,sjk->sij", stacked, stacked), stacked.any(axis=2)
+    stacked = np.stack(
+        [series.points[rows].reshape(len(rows), -1) for series in activity_set.activities], axis=1
+    )
+    return np.einsum("sik,sjk->sij", stacked, stacked)
+
+
+def _bad_norm(activity_set: ActivitySet, subset: PlacementSubset, activity: int, norm2: float):
+    """The error for an activity whose squared norm under ``subset`` is
+    zero or not finite."""
+    series = activity_set.activities[activity]
+    name = repr(series.activity_id)
+    if norm2 != 0:
+        return ComputationError(f"activity {name}: vector norm is not finite (squared norm {norm2})")
+    if series.points[[activity_set.sites.index(site) for site in subset.sites]].any():
+        return ZeroVectorError(f"activity {name}: squared vector norm underflows to zero")
+    return ZeroVectorError(f"activity {name}: vector is identically zero")
 
 
 def score_subsets(activity_set: ActivitySet, subsets) -> np.ndarray:
@@ -140,12 +151,12 @@ def score_subsets(activity_set: ActivitySet, subsets) -> np.ndarray:
     Returns one float64 score per subset, in subset order. Subsets are
     scored ``SUBSET_CHUNK`` at a time. A subset's Gram matrix is the sum of
     its sites' matrices, added in canonical site order: position k of every
-    subset with more than k sites is added in one step. Its vector for an
-    activity is zero exactly when every one of its sites is zero for that
-    activity; the first such subset in list order raises.
+    subset with more than k sites is added in one step. Its diagonal holds
+    each activity's squared norm; the first subset in list order with a
+    zero or non-finite one raises, naming the first such activity.
     """
     sites = canonical_sites({site for subset in subsets for site in subset.sites})
-    gram, nonzero = _site_grams(activity_set, sites)
+    gram = _site_grams(activity_set, sites)
     index = {site: k for k, site in enumerate(sites)}
     scores = np.empty(len(subsets))
     for begin in range(0, len(subsets), SUBSET_CHUNK):
@@ -156,18 +167,16 @@ def score_subsets(activity_set: ActivitySet, subsets) -> np.ndarray:
             dtype=np.intp, count=int(sizes.sum()),
         )
         starts = np.cumsum(sizes) - sizes
-        picked = rows[starts]
-        total = gram[picked]
-        moving = nonzero[picked]
+        total = gram[rows[starts]]
         for k in range(1, int(sizes.max())):
             longer = sizes > k
-            picked = rows[starts[longer] + k]
-            total[longer] += gram[picked]
-            moving[longer] |= nonzero[picked]
-        if not moving.all():
-            first = int(np.argmin(moving.all(axis=1)))
-            activity_id = activity_set.activities[int(np.argmin(moving[first]))].activity_id
-            raise ZeroVectorError(f"activity {activity_id!r}: vector is identically zero")
+            total[longer] += gram[rows[starts[longer] + k]]
+        norm2 = np.diagonal(total, axis1=1, axis2=2)
+        usable = (norm2 > 0) & (norm2 < np.inf)
+        if not usable.all():
+            first = int(np.argmin(usable.all(axis=1)))
+            activity = int(np.argmin(usable[first]))
+            raise _bad_norm(activity_set, chunk[first], activity, float(norm2[first, activity]))
         scores[begin:begin + len(chunk)] = _kernels.pairwise_cosine_distance_sum(total)
     return scores
 

@@ -26,7 +26,7 @@ legal (estimators can emit slightly out-of-frame points).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -40,26 +40,12 @@ from .errors import (
 )
 from .sites import _SITE_INDEX, DEFAULT_ROSTER, SITE_ORDER, check_roster
 
-# COCO-17 keypoint indices
-NOSE = 0
-LEFT_EYE = 1
-RIGHT_EYE = 2
-LEFT_EAR = 3
-RIGHT_EAR = 4
-LEFT_SHOULDER = 5
-RIGHT_SHOULDER = 6
-LEFT_ELBOW = 7
-RIGHT_ELBOW = 8
-LEFT_WRIST = 9
-RIGHT_WRIST = 10
-LEFT_HIP = 11
-RIGHT_HIP = 12
-LEFT_KNEE = 13
-RIGHT_KNEE = 14
-LEFT_ANKLE = 15
-RIGHT_ANKLE = 16
-
 NUM_KEYPOINTS = 17
+
+# COCO-17 keypoint indices, in order
+(NOSE, LEFT_EYE, RIGHT_EYE, LEFT_EAR, RIGHT_EAR, LEFT_SHOULDER, RIGHT_SHOULDER,
+ LEFT_ELBOW, RIGHT_ELBOW, LEFT_WRIST, RIGHT_WRIST, LEFT_HIP, RIGHT_HIP,
+ LEFT_KNEE, RIGHT_KNEE, LEFT_ANKLE, RIGHT_ANKLE) = range(NUM_KEYPOINTS)
 
 # Keypoints averaged into each site. Head and pelvis are consolidations;
 # every other site passes a single keypoint through.
@@ -313,12 +299,7 @@ def truncate_series(series: SkeletonSeries, length: int = 500, mode: str = "firs
         pts = series.points[:, idx]
     else:
         raise ValueError(f"unknown truncation mode {mode!r}")
-    return SkeletonSeries(
-        activity_id=series.activity_id,
-        sites=series.sites,
-        points=pts.copy(),
-        sample_rate=series.sample_rate,
-    )
+    return replace(series, points=pts.copy())
 
 
 def infer_sample_rate(timestamps) -> float:

@@ -172,24 +172,9 @@ def separable_specs(
     return specs
 
 
-def make_separable_set(
-    n_activities: int,
-    discriminative_sites,
-    seed: int = 0,
-    noise_sigma: float = 0.0,
-    length: int = 500,
-    sample_rate: float = 10.0,
-    roster=DEFAULT_ROSTER,
-) -> ActivitySet:
+def make_separable_set(n_activities: int, discriminative_sites, **options) -> ActivitySet:
     """Generate an activity set whose activities differ only at the
-    discriminative sites."""
-    specs = separable_specs(
-        n_activities,
-        discriminative_sites,
-        seed=seed,
-        noise_sigma=noise_sigma,
-        length=length,
-        sample_rate=sample_rate,
-        roster=roster,
-    )
+    discriminative sites; ``options`` are the keyword arguments of
+    ``separable_specs``."""
+    specs = separable_specs(n_activities, discriminative_sites, **options)
     return ActivitySet(activities=tuple(generate_activity(s) for s in specs))

@@ -1,5 +1,7 @@
 """The runs behind ``compare`` and ``report``, which only read and write
-ranking tables.
+ranking tables. Both read a table as one ordering, ``(labels, scores)``
+best first, through ``textio.read_ranking_file``: ``compare`` uses the
+labels alone, and ``report`` numbers its rows by position.
 
 Neither run computes on arrays, and neither this module nor its imports
 load numpy, so both commands start without it. Like the runs in ``run``,
@@ -23,8 +25,8 @@ TAU_REPORT_FILENAME = "tau.json"
 
 def run_compare(first_path, second_path, scope: str = "per-size", top_k: int = 3, out_dir=None):
     """Kendall's tau between two ranking files, per comparison scope."""
-    first = [row.label for row in textio.read_ranking_file(first_path)]
-    second = [row.label for row in textio.read_ranking_file(second_path)]
+    first, _ = textio.read_ranking_file(first_path)
+    second, _ = textio.read_ranking_file(second_path)
     reports = compare_rankings(first, second, scope=scope, top_k=top_k)
     payload = {
         "kind": "ranking-agreement",
@@ -66,21 +68,22 @@ def render_compare_text(payload: dict) -> str:
 
 # --- report ----------------------------------------------------------------------
 
-def render_ranking_text(rows, title: str = "placement ranking") -> str:
-    """Human-readable table for parsed ranking rows."""
+def render_ranking_text(labels, scores, title: str = "placement ranking") -> str:
+    """Human-readable table of a ranking read as ``(labels, scores)``, best
+    first; rows are numbered by position."""
     lines = [title, ""]
-    width = max(len(r.label) for r in rows)
-    for r in rows:
-        names = ", ".join(SITE_NAMES[s] for s in r.label.split("+"))
-        score = "" if r.score is None else f"  score={format(r.score, '.6f')}"
-        lines.append(f"  {r.rank:>3}. {r.label:<{width}}{score}  ({names})")
+    width = max(map(len, labels))
+    for rank, (label, score) in enumerate(zip(labels, scores), start=1):
+        names = ", ".join(SITE_NAMES[s] for s in label.split("+"))
+        shown = "" if score is None else f"  score={format(score, '.6f')}"
+        lines.append(f"  {rank:>3}. {label:<{width}}{shown}  ({names})")
     return "\n".join(lines) + "\n"
 
 
 def run_report(ranking_path, out_path=None) -> str:
     """Render a ranking table as human-readable text."""
-    rows = textio.read_ranking_file(ranking_path)
-    text = render_ranking_text(rows, title=f"placement ranking: {ranking_path}")
+    labels, scores = textio.read_ranking_file(ranking_path)
+    text = render_ranking_text(labels, scores, title=f"placement ranking: {ranking_path}")
     if out_path is not None:
         textio.atomic_write_text(out_path, text)
     return text

@@ -3,7 +3,8 @@ ranking and tau tables, and JSON reports.
 
 Ranking tables are CSV with header ``rank,score,sites`` (sites as
 ``+``-joined canonical ids); external rankings may omit the score column
-(``rank,sites``). Tau tables hold one row per comparison scope. Readers
+(``rank,sites``). A table is read as one ordering: its labels best first
+and their scores. Tau tables hold one row per comparison scope. Readers
 drop a leading byte-order mark and turn a missing, unreadable or
 non-UTF-8 file, and every malformed line, into a ``DataError`` with a
 one-line message. All writers go through a write-then-rename step so
@@ -19,7 +20,6 @@ import json
 import math
 import os
 import tempfile
-from dataclasses import dataclass
 from pathlib import Path
 
 from .errors import DataError, InvalidRankError, MalformedLineError, UnknownSiteError
@@ -77,15 +77,6 @@ RANKING_HEADER = "rank,score,sites"
 EXTERNAL_HEADER = "rank,sites"
 
 
-@dataclass(frozen=True)
-class RankRow:
-    """One parsed row of a ranking table."""
-
-    rank: int
-    label: str
-    score: float | None = None
-
-
 def render_ranking_table(ranking) -> str:
     lines = [RANKING_HEADER]
     for pos, entry in enumerate(ranking.entries, start=1):
@@ -97,26 +88,29 @@ def write_ranking_file(path, ranking) -> None:
     atomic_write_text(path, render_ranking_table(ranking))
 
 
-def read_ranking_file(path) -> list[RankRow]:
+def read_ranking_file(path) -> tuple[list[str], list[float | None]]:
     """Read a ranking table in either the scored or the external format.
 
     Accepts 3-field rows ``rank,score,sites`` or 2-field rows
-    ``rank,sites``; an optional header line is skipped. Ranks must be a
-    permutation of 1..n; rows come back sorted by rank. A label names
-    known sites, each once, and is read in canonical site order; no subset
-    may be ranked twice.
+    ``rank,sites``; an optional header line is skipped. Returns ``(labels,
+    scores)`` best first: a row's rank is its position once the ranks are
+    checked to be a permutation of 1..n, and ``scores`` holds each row's
+    score or ``None`` for a row without one. A label names known sites,
+    each once, and is read in canonical site order; no subset may be
+    ranked twice. In rank order, no score may be above the previous scored
+    row's score; equal scores are ties.
     """
     text = _read_text(path, "ranking file")
 
-    rows: dict[str, RankRow] = {}
     known = subset_labels()
+    ranks: dict[str, int] = {}  # label -> rank, in file order
+    scores: list[float | None] = []
+    line_nos: list[int] = []
     for line_no, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()
-        if not line or line.startswith("#"):
+        if not line or line[0] == "#" or line in (RANKING_HEADER, EXTERNAL_HEADER):
             continue
-        if line in (RANKING_HEADER, EXTERNAL_HEADER):
-            continue
-        parts = [p.strip() for p in line.split(",")]
+        parts = line.split(",")
         if len(parts) == 3:
             rank_text, score_text, label = parts
         elif len(parts) == 2:
@@ -126,32 +120,47 @@ def read_ranking_file(path) -> list[RankRow]:
             raise MalformedLineError(
                 path, line_no, f"expected 2 or 3 comma-separated fields, got {len(parts)}"
             )
+        # int() and float() skip surrounding whitespace themselves
         try:
             rank = int(rank_text)
         except ValueError:
-            raise MalformedLineError(path, line_no, f"bad rank {rank_text!r}")
+            raise MalformedLineError(path, line_no, f"bad rank {rank_text.strip()!r}") from None
         score = None
         if score_text is not None:
             score = _number(score_text, path, line_no, "score")
             if not math.isfinite(score):
                 raise MalformedLineError(path, line_no, "field 'score': non-finite value")
+        label = label.strip()
         if label not in known:
             try:
                 label = "+".join(canonical_sites(check_roster(label.split("+"), allow_head=True)))
             except UnknownSiteError as exc:
                 raise MalformedLineError(path, line_no, f"sites {label!r}: {exc}") from None
-        if label in rows:
-            raise InvalidRankError(f"{path}:{line_no}: {label} already has rank {rows[label].rank}")
-        rows[label] = RankRow(rank=rank, label=label, score=score)
+        if label in ranks:
+            raise InvalidRankError(f"{path}:{line_no}: {label} already has rank {ranks[label]}")
+        ranks[label] = rank
+        scores.append(score)
+        line_nos.append(line_no)
 
-    if not rows:
+    if not ranks:
         raise DataError(f"ranking file {path} contains no rows")
-    ranks = sorted(r.rank for r in rows.values())
-    if ranks != list(range(1, len(rows) + 1)):
+    given = list(ranks.values())
+    if sorted(given) != list(range(1, len(given) + 1)):
         raise InvalidRankError(
-            f"{path}: ranks must be a permutation of 1..{len(rows)}, got {ranks}"
+            f"{path}: ranks must be a permutation of 1..{len(given)}, got {sorted(given)}"
         )
-    return sorted(rows.values(), key=lambda r: r.rank)
+    order = sorted(range(len(given)), key=given.__getitem__)
+    in_file_order = list(ranks)
+    labels = [in_file_order[i] for i in order]
+    scores = [scores[i] for i in order]
+    scored = [k for k, score in enumerate(scores) if score is not None]
+    for before, k in zip(scored, scored[1:]):
+        if scores[k] > scores[before]:
+            raise InvalidRankError(
+                f"{path}:{line_nos[order[k]]}: score {scores[k]!r} at rank {k + 1} is above "
+                f"score {scores[before]!r} at rank {before + 1}; scores must not rise with rank"
+            )
+    return labels, scores
 
 
 # --- structured reports --------------------------------------------------------

@@ -111,6 +111,20 @@ def test_parse_config_text_rejects_bad_lines(line):
         parse_config_text(line)
 
 
+@pytest.mark.parametrize("value, want", [
+    ("1", True), ("true", True), ("Yes", True), ("ON", True),
+    ("0", False), ("FALSE", False), ("no", False), ("Off", False),
+])
+def test_switches_accept_the_four_on_off_spellings_in_any_case(value, want):
+    assert parse_config_text(f"multi_window = {value}") == {"multi_window": want}
+
+
+@pytest.mark.parametrize("value", ["ture", "", "2", "enabled", "y"])
+def test_switches_reject_any_other_value(value):
+    with pytest.raises(ConfigError, match=r"^run.cfg:2: bad value for 'allow_head': expected "):
+        parse_config_text(f"series_length = 60\nallow_head = {value}\n", source="run.cfg")
+
+
 def test_load_config_flags_override_file(tmp_path):
     path = tmp_path / "run.cfg"
     path.write_text("series_length = 200\nmax_gap = 4\n")

@@ -203,10 +203,10 @@ def test_ranking_round_trip_preserves_order_and_scores(tmp_path):
     ranking = _ranking()
     path = tmp_path / "ranking.csv"
     pio.write_ranking_file(path, ranking)
-    rows = textio.read_ranking_file(path)
-    assert [r.label for r in rows] == ranking.labels()
-    for row, entry in zip(rows, ranking.entries):
-        assert row.score == entry.score  # repr round-trips exactly
+    labels, scores = textio.read_ranking_file(path)
+    assert labels == ranking.labels()
+    for score, entry in zip(scores, ranking.entries):
+        assert score == entry.score  # repr round-trips exactly
 
 
 def test_ranking_file_starts_with_header(tmp_path):
@@ -218,16 +218,16 @@ def test_ranking_file_starts_with_header(tmp_path):
 def test_external_two_column_format(tmp_path):
     path = tmp_path / "truth.csv"
     path.write_text("rank,sites\n1,LW+PE\n2,RW+PE\n3,LW+RW\n")
-    rows = textio.read_ranking_file(path)
-    assert [r.label for r in rows] == ["LW+PE", "RW+PE", "LW+RW"]
-    assert all(r.score is None for r in rows)
+    labels, scores = textio.read_ranking_file(path)
+    assert labels == ["LW+PE", "RW+PE", "LW+RW"]
+    assert scores == [None, None, None]
 
 
 def test_ranking_rows_sorted_by_rank(tmp_path):
     path = tmp_path / "truth.csv"
     path.write_text("2,RW\n1,LW\n3,PE\n")
-    rows = textio.read_ranking_file(path)
-    assert [r.label for r in rows] == ["LW", "RW", "PE"]
+    labels, _ = textio.read_ranking_file(path)
+    assert labels == ["LW", "RW", "PE"]
 
 
 def test_ranking_requires_rank_permutation(tmp_path):
@@ -267,10 +267,52 @@ def test_ranking_labels_must_be_site_subsets(tmp_path, text, line, message):
 def test_ranking_labels_are_read_in_canonical_site_order(tmp_path):
     path = tmp_path / "truth.csv"
     path.write_text("rank,sites\n1,RW+LW\n2,RF+PE+LW\n3,HD\n")
-    assert [r.label for r in textio.read_ranking_file(path)] == ["LW+RW", "LW+PE+RF", "HD"]
+    assert textio.read_ranking_file(path)[0] == ["LW+RW", "LW+PE+RF", "HD"]
     path.write_text("1,RW+LW\n2,PE\n3,LW+RW\n")
     with pytest.raises(InvalidRankError, match=r"truth.csv:3: LW\+RW already has rank 1"):
         textio.read_ranking_file(path)
+
+
+def test_ranking_scores_must_not_rise_with_rank(tmp_path):
+    path = tmp_path / "ranking.csv"
+    path.write_text("rank,score,sites\n1,0.5,LW\n2,0.75,RW\n")
+    with pytest.raises(InvalidRankError, match=(
+        r"ranking.csv:3: score 0.75 at rank 2 is above score 0.5 at rank 1; "
+        "scores must not rise with rank$"
+    )):
+        textio.read_ranking_file(path)
+
+
+def test_rising_score_is_found_in_rank_order_past_unscored_rows(tmp_path):
+    path = tmp_path / "ranking.csv"
+    path.write_text("3,0.75,PE\n1,0.5,LW\n2,RW\n")
+    with pytest.raises(InvalidRankError, match=r"ranking.csv:1: score 0.75 at rank 3 .* at rank 1;"):
+        textio.read_ranking_file(path)
+
+
+def test_tied_scores_and_unscored_rows_are_valid(tmp_path):
+    path = tmp_path / "ranking.csv"
+    path.write_text("1,0.5,LW\n2,0.5,RW\n3,PE\n4,0.25,LW+RW\n5,RF\n")
+    assert textio.read_ranking_file(path) == (
+        ["LW", "RW", "PE", "LW+RW", "RF"], [0.5, 0.5, None, 0.25, None]
+    )
+
+
+@pytest.mark.parametrize("line, message", [
+    (" 2 , 0.5 , RW ", None),
+    (" x ,0.5,RW", "bad rank 'x'"),
+    ("1, abc ,RW", "field 'score': not a number: 'abc'"),
+    ("1, inf ,RW", "field 'score': non-finite value"),
+], ids=["spaces", "rank", "score", "non-finite"])
+def test_ranking_fields_may_carry_spaces_and_errors_quote_them_stripped(tmp_path, line, message):
+    path = tmp_path / "ranking.csv"
+    path.write_text(f"1,0.75,LW\n{line}\n")
+    if message is None:
+        assert textio.read_ranking_file(path) == (["LW", "RW"], [0.75, 0.5])
+        return
+    with pytest.raises(MalformedLineError) as info:
+        textio.read_ranking_file(path)
+    assert info.value.line_no == 2 and info.value.reason == message
 
 
 # --- unreadable text ----------------------------------------------------------------
@@ -322,9 +364,9 @@ def test_manifest_with_a_byte_order_mark_keeps_its_first_activity_id(tmp_path):
 def test_ranking_file_with_a_byte_order_mark_reads_alike(tmp_path):
     path = tmp_path / "ranking.csv"
     pio.write_ranking_file(path, _ranking())
-    rows = textio.read_ranking_file(path)
+    table = textio.read_ranking_file(path)
     path.write_text(BOM + path.read_text(), encoding="utf-8")
-    assert textio.read_ranking_file(path) == rows
+    assert textio.read_ranking_file(path) == table
 
 
 # --- round trips and corrupted files ---------------------------------------------------
@@ -602,9 +644,9 @@ def rankings(draw):
 def test_ranking_files_round_trip_any_finite_scores(tmp_path_factory, ranking):
     path = tmp_path_factory.mktemp("rt") / "ranking.csv"
     pio.write_ranking_file(path, ranking)
-    rows = textio.read_ranking_file(path)
-    assert [r.label for r in rows] == ranking.labels()
-    assert [r.score for r in rows] == [e.score for e in ranking.entries]
+    labels, scores = textio.read_ranking_file(path)
+    assert labels == ranking.labels()
+    assert scores == [e.score for e in ranking.entries]
 
 
 @given(rankings(), st.data())
@@ -622,11 +664,12 @@ def test_corrupted_ranking_file_parses_or_raises_data_error(tmp_path_factory, ra
     else:
         _corrupt_fields(data, lines)
         path.write_text("\n".join(lines) + "\n")
-    rows, exc = _parse_or_data_error(textio.read_ranking_file, path, len(lines))
+    table, exc = _parse_or_data_error(textio.read_ranking_file, path, len(lines))
     if kind == "bytes":
         assert "cannot read" in str(exc)
     elif exc is None:
-        assert sorted(r.rank for r in rows) == list(range(1, len(rows) + 1))
+        labels, scores = table
+        assert len(labels) == len(set(labels)) == len(scores)
 
 
 # --- atomic writes and reports ----------------------------------------------------

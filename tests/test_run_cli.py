@@ -1,5 +1,7 @@
 """End-to-end runs and the command-line surface."""
 
+import contextlib
+import io
 import json
 import os
 import subprocess
@@ -9,6 +11,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import sensorplace
 from sensorplace import cli
@@ -19,6 +23,7 @@ from sensorplace.config import _PARSERS, RunConfig
 from sensorplace.errors import ComputationError, ManifestError
 from sensorplace.rankcorr import compare_rankings
 from sensorplace.scoring import enumerate_subsets, rank_placements
+from sensorplace.sites import SITE_ORDER
 
 
 def _corpus(tmp_path, n=3, length=520, noise=0.0, seed=0, style="csv", **kwargs):
@@ -83,8 +88,8 @@ def test_rank_writes_table_and_report(tmp_path):
     manifest = _corpus(tmp_path)
     out = tmp_path / "out"
     ranking, payload = runner.run_rank(manifest, _config(), out_dir=out)
-    rows = textio.read_ranking_file(out / runner.RANKING_FILENAME)
-    assert [r.label for r in rows] == ranking.labels()
+    labels, _ = textio.read_ranking_file(out / runner.RANKING_FILENAME)
+    assert labels == ranking.labels()
     report = json.loads((out / runner.RANK_REPORT_FILENAME).read_text())
     assert report["fingerprint"] == payload["fingerprint"]
     assert report["n_activities"] == 3
@@ -105,7 +110,7 @@ def test_rank_round_trip_agrees_with_itself(tmp_path):
     manifest = _corpus(tmp_path)
     out = tmp_path / "out"
     runner.run_rank(manifest, _config(), out_dir=out)
-    labels = [r.label for r in textio.read_ranking_file(out / runner.RANKING_FILENAME)]
+    labels, _ = textio.read_ranking_file(out / runner.RANKING_FILENAME)
     for scope in ("all", "per-size"):
         reports = compare_rankings(labels, list(labels), scope=scope)
         assert all(r.tau == 1.0 for r in reports.values())
@@ -282,8 +287,8 @@ def test_cli_config_file_with_flag_override(tmp_path, capsys):
         "rank", str(corpus / "manifest.txt"), "--config", str(cfg),
         "--out-dir", str(out), "--length", "500",
     ]) == 0
-    rows = textio.read_ranking_file(out / "ranking.csv")
-    assert len(rows) == 5  # sizes filter came from the file
+    labels, _ = textio.read_ranking_file(out / "ranking.csv")
+    assert len(labels) == 5  # sizes filter came from the file
     report = json.loads((out / "report.json").read_text())
     assert report["config"]["series_length"] == 500  # flag beat the file
 
@@ -371,6 +376,108 @@ def test_cli_report_rejects_an_unknown_site(tmp_path, capsys):
     table.write_text("rank,sites\n1,LW\n2,LW+ZZ\n")
     assert cli.main(["report", str(table)]) == 1
     assert _one_error_line(capsys) == f"error: {table}:3: sites 'LW+ZZ': unknown site id 'ZZ'\n"
+
+
+def test_cli_report_rejects_a_score_that_rises_with_rank(tmp_path, capsys):
+    table = tmp_path / "ranking.csv"
+    table.write_text("rank,score,sites\n1,0.5,LW\n2,0.75,RW\n")
+    assert cli.main(["report", str(table)]) == 1
+    assert _one_error_line(capsys) == (
+        f"error: {table}:3: score 0.75 at rank 2 is above score 0.5 at rank 1; "
+        "scores must not rise with rank\n"
+    )
+
+
+def test_cli_config_switch_with_a_typo_exits_1(tmp_path, capsys):
+    corpus = tmp_path / "corpus"
+    cli.main(["synth", str(corpus), "--length", "60"])
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("multi_window = ture\n")
+    capsys.readouterr()
+    code = cli.main(["rank", str(corpus / "manifest.txt"), "--config", str(cfg),
+                     "--length", "50", "--out-dir", str(tmp_path / "out")])
+    assert code == 1
+    assert _one_error_line(capsys).startswith(f"error: {cfg}:1: bad value for 'multi_window'")
+
+
+def test_cli_norm_overflow_exits_2(tmp_path, capsys):
+    # act02's coordinates scaled by 1e200: every squared norm it enters is inf
+    corpus = tmp_path / "corpus"
+    cli.main(["synth", str(corpus), "--length", "60"])
+    t, kp = pio.parse_keypoint_file(corpus / "act02.csv")
+    kp[:, :, :2] *= 1e200
+    pio.write_keypoint_file(corpus / "act02.csv", t, kp)
+    capsys.readouterr()
+    code = cli.main(["rank", str(corpus / "manifest.txt"), "--length", "50",
+                     "--out-dir", str(tmp_path / "out")])
+    assert code == 2
+    assert capsys.readouterr().err.startswith("computation error: activity 'act02': ")
+    assert not (tmp_path / "out").exists()
+
+
+# --- ranking tables as untrusted input ------------------------------------------------
+
+_ODD_LABELS = ["RW+LW", " LW ", "lw", "LW+", "+LW", "LW+LW", "ZZ", "", "LW RW", "HD"]
+_STRAY = [",", "#", "x", "nan", "inf", "1e400", "+", " ", "\t", "\x00", "\ufeff", "\u00e9", "-"]
+
+
+@st.composite
+def _mutated_tables(draw):
+    """A valid ranking table, then a few of the faults an external table
+    may carry; returns the table's bytes."""
+    subsets = [s.label for s in enumerate_subsets(SITE_ORDER[:4])]
+    labels = draw(st.lists(st.sampled_from(subsets), min_size=1, max_size=6, unique=True))
+    scored = draw(st.booleans())
+    scores = sorted(draw(st.lists(st.floats(0, 10), min_size=len(labels),
+                                  max_size=len(labels))), reverse=True)
+    rows = [f"{r},{sc!r},{l}" if scored else f"{r},{l}"
+            for r, (sc, l) in enumerate(zip(scores, labels), 1)]
+    lines = ["rank,score,sites" if scored else "rank,sites"] + rows
+    for _ in range(draw(st.integers(0, 2))):
+        k = draw(st.integers(0, len(lines) - 1))
+        fields = lines[k].split(",")
+        how = draw(st.sampled_from(["fields", "label", "rank", "stray", "reorder", "bom"]))
+        if how == "fields":  # a 2-field row among 3-field ones, or the reverse
+            lines[k] = ",".join(fields[:1] + fields[2:] if len(fields) == 3
+                                else fields[:1] + ["0.5"] + fields[1:])
+        elif how == "label":
+            lines[k] = ",".join(fields[:-1] + [draw(st.sampled_from(_ODD_LABELS))])
+        elif how == "rank":
+            rank = draw(st.sampled_from(["0", "-1", "2" * 20, "9" * 5000, " 1 "]))
+            lines[k] = ",".join([rank] + fields[1:])
+        elif how == "stray":
+            at = draw(st.integers(0, len(lines[k])))
+            lines[k] = lines[k][:at] + draw(st.sampled_from(_STRAY)) + lines[k][at:]
+        elif how == "reorder":
+            lines = draw(st.permutations(lines))
+        else:
+            lines[0] = "\ufeff" + lines[0]
+    data = ("\n".join(lines) + "\n").encode()
+    truncate = draw(st.sampled_from([False, False, True]))
+    return data[:draw(st.integers(0, len(data)))] if truncate else data
+
+
+def _run_cli(argv):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = cli.main(argv)
+    return code, out.getvalue(), err.getvalue()
+
+
+@settings(max_examples=80)
+@given(_mutated_tables())
+def test_any_ranking_table_exits_0_or_1_with_one_error_line(tmp_path_factory, data):
+    table = tmp_path_factory.mktemp("table") / "table.csv"
+    table.write_bytes(data)
+    for argv in (["report", str(table)], ["compare", str(table), str(table), "--scope", "all"]):
+        code, out, err = _run_cli(argv)
+        assert code in (0, 1), (argv, code, err)
+        if code == 1:
+            assert err.startswith("error: ") and err.count("\n") == 1, err
+            assert "Traceback" not in err
+        else:
+            assert err == ""
+            assert _run_cli(argv) == (0, out, "")
 
 
 def test_cli_compare_top_k_beyond_the_table_exits_1(tmp_path, capsys):

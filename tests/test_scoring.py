@@ -12,6 +12,7 @@ from conftest import make_series
 from oracles import pairwise_distance_sum_ref
 from sensorplace import _kernels
 from sensorplace.errors import (
+    ComputationError,
     ConfigError,
     LengthMismatchError,
     SiteNotPresentError,
@@ -277,17 +278,17 @@ def _reference_kernel(gram):
 def _reference_scores(aset, subsets):
     """Each subset's Gram matrix summed site by site, then scored alone."""
     sites = canonical_sites({site for subset in subsets for site in subset.sites})
-    gram, nonzero = _site_grams(aset, sites)
+    gram = _site_grams(aset, sites)
     scored = []
     for subset in subsets:
         rows = [sites.index(site) for site in subset.sites]
-        moving = nonzero[rows].any(axis=0)
-        if not moving.all():
-            activity_id = aset.activities[int(np.argmin(moving))].activity_id
-            raise ZeroVectorError(f"activity {activity_id!r}: vector is identically zero")
         total = gram[rows[0]]
         for k in rows[1:]:
             total = total + gram[k]
+        moving = np.diagonal(total) > 0
+        if not moving.all():
+            activity_id = aset.activities[int(np.argmin(moving))].activity_id
+            raise ZeroVectorError(f"activity {activity_id!r}: vector is identically zero")
         scored.append(ScoredSubset(subset=subset, score=_reference_kernel(total)))
     return scored
 
@@ -329,12 +330,28 @@ def test_batch_of_one_matches_per_subset_loop_bit_for_bit():
 
 def test_kernel_scores_a_stack_like_its_matrices_one_by_one():
     aset, _ = _full_roster_set(59)
-    gram, _ = _site_grams(aset, SITE_ORDER)
+    gram = _site_grams(aset, SITE_ORDER)
     stacked = _kernels.pairwise_cosine_distance_sum(gram.reshape(3, 4, 8, 8))
     assert stacked.shape == (3, 4)
     assert stacked.reshape(-1).tolist() == [_reference_kernel(g) for g in gram]
     single = _kernels.pairwise_cosine_distance_sum(gram[5])
     assert type(single) is float and single == _reference_kernel(gram[5])
+
+
+@pytest.mark.parametrize("scale, error, message", [
+    (1e-170, ZeroVectorError, "squared vector norm underflows to zero"),
+    (1e200, ComputationError, r"vector norm is not finite \(squared norm inf\)"),
+], ids=["underflow", "overflow"])
+def test_a_norm_out_of_float_range_is_an_error_not_a_score(scale, error, message):
+    # a1's squared norm rounds to 0 or to inf: its cosines would read nan or 0
+    rng = np.random.default_rng(71)
+    arrays = rng.uniform(0.1, 0.9, size=(3, 2, 10, 2))
+    arrays[1] *= scale
+    aset = _set_from_arrays(arrays, sites=("LW", "RW"))
+    with pytest.raises(error, match=f"^activity 'a1': {message}$"):
+        score_subset(aset, PlacementSubset(("LW",)))
+    with pytest.raises(error, match="^activity 'a1'"):
+        rank_placements(aset, enumerate_subsets(("LW", "RW")))
 
 
 def _zero_at(sites, zeros, n_activities=7, seed=61):

@@ -28,18 +28,14 @@ _EXPORTS = {
     ),
     "rankcorr": ("TauReport", "compare_rankings", "kendall_tau"),
     "scoring": (
-        "PlacementSubset",
-        "Ranking",
-        "ScoredSubset",
-        "build_ranking",
         "cosine_distance",
         "enumerate_subsets",
         "max_score",
         "rank_placements",
-        "score_subset",
         "score_subsets",
+        "sort_ranking",
     ),
-    "sites": ("DEFAULT_ROSTER", "SITE_NAMES", "SITE_ORDER", "canonical_sites"),
+    "sites": ("DEFAULT_ROSTER", "SITE_NAMES", "SITE_ORDER", "canonical_label", "canonical_sites"),
     "skeleton": (
         "ActivitySet",
         "SkeletonSeries",

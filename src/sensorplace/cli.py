@@ -90,10 +90,9 @@ def _cmd_validate(args) -> int:
 
 def _cmd_rank(args) -> int:
     config = _run_config(args)
-    ranking, payload = runner.run_rank(args.manifest, config, out_dir=args.out_dir)
-    best = ranking.entries[0]
-    print(f"ranked {len(ranking.entries)} subsets over {ranking.n_activities} activities")
-    print(f"best placement: {best.subset.label} (score {best.score:.6f})")
+    (labels, scores), payload = runner.run_rank(args.manifest, config, out_dir=args.out_dir)
+    print(f"ranked {len(labels)} subsets over {payload['n_activities']} activities")
+    print(f"best placement: {labels[0]} (score {scores[0]:.6f})")
     out_dir = Path(args.out_dir)
     print(f"wrote {out_dir / runner.RANKING_FILENAME} and {out_dir / runner.RANK_REPORT_FILENAME}")
     return 0

@@ -11,8 +11,9 @@ live in ``textio``, which needs no numpy.
 A keypoint file is converted in blocks of 64 data lines: each block is
 joined and split with ``str`` methods, checked for its structure (52
 comma-separated fields per line, or 52 ``key=value`` tokens per line split
-by single ASCII spaces in the first line's key order) and converted with
-one ``np.array`` call. Any block that fails its check or its conversion
+by single ASCII spaces in the first line's key order) and for the one
+number spelling, ASCII without ``_``, and converted with one ``np.array``
+call. Any block that fails its check or its conversion
 sends the whole file to the line-by-line parser, so every error, and the
 result for a file with another layout, comes from that parser.
 
@@ -138,19 +139,27 @@ _BLOCK_LINES = 64
 # '=' and whitespace. Non-ASCII bytes stay, so they fail the pattern check.
 _TOKEN_BYTES = bytes(b for b in range(128) if chr(b) != "=" and not chr(b).isspace())
 
+# The '_' of one line's keys; a labeled block with more has one in a value.
+_KEY_UNDERSCORES = "".join(KEYPOINT_FIELDS).count("_")
+
 
 def _csv_block(block: list[str]) -> list[str] | None:
     """The block's value texts in field order, or None unless every line
-    has exactly 52 comma-separated fields."""
+    has exactly 52 comma-separated fields and the block is ASCII without
+    ``_``, the one number spelling the line parser accepts."""
     if any(line.count(",") != FIELDS_PER_FRAME - 1 for line in block):
         return None
-    return ",".join(block).split(",")
+    text = ",".join(block)
+    if not text.isascii() or "_" in text:
+        return None
+    return text.split(",")
 
 
 def _labeled_block(block: list[str], keys: list[str]) -> list[str] | None:
     """The block's value texts in ``keys`` order, or None unless every line
     has 52 '=' and the block is ASCII ``key=value`` tokens split by single
-    spaces, with the keys in ``keys`` order on every line.
+    spaces, with the keys in ``keys`` order on every line and no ``_`` but
+    the keys' own.
 
     The separators alternate '=' and ' ', so every token holds one '=' and
     the pieces alternate key and value; 52 '=' per line puts 52 tokens on
@@ -164,6 +173,8 @@ def _labeled_block(block: list[str], keys: list[str]) -> list[str] | None:
     text = " ".join(block)
     tokens = FIELDS_PER_FRAME * n
     if text.encode().translate(None, _TOKEN_BYTES) != b"= " * (tokens - 1) + b"=":
+        return None
+    if text.count("_") != _KEY_UNDERSCORES * n:
         return None
     pieces = text.replace("=", " ").split(" ")
     if pieces[0::2] != keys * n:

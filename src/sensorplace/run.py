@@ -18,7 +18,7 @@ import numpy as np
 from . import io as pio
 from .config import RNG_NAME, RunConfig
 from .errors import ConfigError, DataError, ManifestError, TooShortError
-from .scoring import TIE_BREAK, Ranking, ScoredSubset, build_ranking, enumerate_subsets, score_subsets
+from .scoring import TIE_BREAK, enumerate_subsets, score_subsets, sort_ranking
 from .sites import SITE_ORDER
 from .skeleton import (
     KEYPOINT_SITE,
@@ -139,38 +139,35 @@ def load_window_sets(manifest_entries, config: RunConfig):
     return window_sets, diagnostics
 
 
-def rank_window_sets(window_sets, config: RunConfig) -> Ranking:
-    """Score all configured subsets and rank them by their mean over windows.
+def rank_window_sets(window_sets, config: RunConfig) -> tuple[list[str], list[float]]:
+    """Score all configured subsets and rank them by their mean over
+    windows: ``(labels, scores)`` best first.
 
     A subset's mean adds its window scores in window order, then divides by
     the number of windows; one window is its own mean.
     """
-    subsets = enumerate_subsets(config.roster, config.subset_sizes)
-    total = np.zeros(len(subsets))
+    labels = enumerate_subsets(config.roster, config.subset_sizes)
+    total = np.zeros(len(labels))
     for ws in window_sets:
-        total += score_subsets(ws, subsets)
-    means = (total / len(window_sets)).tolist()
-    return build_ranking(map(ScoredSubset, subsets, means), len(window_sets[0]))
+        total += score_subsets(ws, labels)
+    return sort_ranking(labels, (total / len(window_sets)).tolist())
 
 
-def rank_report_payload(ranking: Ranking, config: RunConfig, diagnostics, n_windows: int) -> dict:
+def rank_report_payload(labels, scores, config: RunConfig, diagnostics, n_windows: int) -> dict:
+    """The report of a ranking; ``diagnostics`` holds one entry per
+    activity."""
     return {
         "kind": "placement-ranking",
         "fingerprint": config.fingerprint(),
         "rng": RNG_NAME,
         "config": asdict(config),
         "tie_break": TIE_BREAK,
-        "n_activities": ranking.n_activities,
+        "n_activities": len(diagnostics),
         "n_windows": n_windows,
         "activities": diagnostics,
         "entries": [
-            {
-                "rank": pos,
-                "sites": entry.subset.label,
-                "size": entry.subset.size,
-                "score": entry.score,
-            }
-            for pos, entry in enumerate(ranking.entries, start=1)
+            {"rank": rank, "sites": label, "size": label.count("+") + 1, "score": score}
+            for rank, (label, score) in enumerate(zip(labels, scores), start=1)
         ],
     }
 
@@ -178,18 +175,19 @@ def rank_report_payload(ranking: Ranking, config: RunConfig, diagnostics, n_wind
 def run_rank(manifest_path, config: RunConfig, out_dir=None):
     """Full pipeline: manifest -> preprocess -> score -> ranked placements.
 
-    Returns ``(ranking, payload)``; when ``out_dir`` is given, also writes
-    the ranking table and the structured report there.
+    Returns ``((labels, scores), payload)``, the ranking best first; when
+    ``out_dir`` is given, also writes the ranking table and the structured
+    report there.
     """
     entries = pio.parse_manifest(manifest_path)
     window_sets, diagnostics = load_window_sets(entries, config)
-    ranking = rank_window_sets(window_sets, config)
-    payload = rank_report_payload(ranking, config, diagnostics, len(window_sets))
+    labels, scores = rank_window_sets(window_sets, config)
+    payload = rank_report_payload(labels, scores, config, diagnostics, len(window_sets))
     if out_dir is not None:
         out_dir = Path(out_dir)
-        pio.write_ranking_file(out_dir / RANKING_FILENAME, ranking)
+        pio.write_ranking_file(out_dir / RANKING_FILENAME, labels, scores)
         pio.write_json_report(out_dir / RANK_REPORT_FILENAME, payload)
-    return ranking, payload
+    return (labels, scores), payload
 
 
 # --- synth ----------------------------------------------------------------------

@@ -53,10 +53,22 @@ def canonical_sites(sites) -> tuple[str, ...]:
 
 
 @cache
-def subset_labels() -> frozenset[str]:
-    """The label of every subset of the 12 sites, in canonical order."""
+def subset_labels() -> dict[str, int]:
+    """The label of every subset of the 12 sites, in canonical order, mapped
+    to its place in the tie-break order: size ascending, then canonical
+    site order."""
     sizes = range(1, len(SITE_ORDER) + 1)
-    return frozenset("+".join(c) for k in sizes for c in combinations(SITE_ORDER, k))
+    labels = ("+".join(c) for k in sizes for c in combinations(SITE_ORDER, k))
+    return {label: place for place, label in enumerate(labels)}
+
+
+def canonical_label(label: str) -> str:
+    """The canonical label of the subset ``label`` names: its sites joined
+    by ``+`` in canonical order. Each site must be known and given once, in
+    any order; otherwise ``UnknownSiteError``."""
+    if label in subset_labels():
+        return label
+    return "+".join(canonical_sites(check_roster(label.split("+"), allow_head=True)))
 
 
 def check_roster(roster, allow_head: bool = False) -> tuple[str, ...]:

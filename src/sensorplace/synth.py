@@ -50,6 +50,9 @@ class SiteMotion:
     noise_sigma: float = 0.0
 
     def __post_init__(self):
+        values = (*self.base, self.amplitude, self.frequency, self.phase, self.noise_sigma)
+        if not np.isfinite(values).all():
+            raise ValueError("base, amplitude, frequency, phase, and noise_sigma must be finite")
         if self.amplitude < 0 or self.frequency < 0 or self.noise_sigma < 0:
             raise ValueError("amplitude, frequency, and noise_sigma must be >= 0")
 

@@ -3,12 +3,14 @@ ranking and tau tables, and JSON reports.
 
 Ranking tables are CSV with header ``rank,score,sites`` (sites as
 ``+``-joined canonical ids); external rankings may omit the score column
-(``rank,sites``). A table is read as one ordering: its labels best first
-and their scores. Tau tables hold one row per comparison scope. Readers
-drop a leading byte-order mark and turn a missing, unreadable or
-non-UTF-8 file, and every malformed line, into a ``DataError`` with a
-one-line message. All writers go through a write-then-rename step so
-consumers never observe a partial file, and no output embeds a timestamp.
+(``rank,sites``). A table is written and read as one ordering, ``(labels,
+scores)``: its labels best first and their scores. Ranks are ASCII
+digits, and every number read is ASCII without ``_``. Tau tables hold one
+row per comparison scope. Readers drop a leading byte-order mark and turn
+a missing, unreadable or non-UTF-8 file, and every malformed line, into a
+``DataError`` with a one-line message. All writers go through a
+write-then-rename step so consumers never observe a partial file, and no
+output embeds a timestamp.
 
 This module and its imports load no numpy, so ``compare`` and ``report``
 start without it.
@@ -23,7 +25,7 @@ import tempfile
 from pathlib import Path
 
 from .errors import DataError, InvalidRankError, MalformedLineError, UnknownSiteError
-from .sites import canonical_sites, check_roster, subset_labels
+from .sites import canonical_label, subset_labels
 
 
 def _read_text(path, what: str, error=DataError) -> str:
@@ -37,13 +39,25 @@ def _read_text(path, what: str, error=DataError) -> str:
 
 
 def _number(text: str, path, line_no: int, field: str) -> float:
-    """One field as a float; non-finite values pass, callers check them."""
-    try:
-        return float(text)
-    except ValueError:
-        raise MalformedLineError(
-            path, line_no, f"field {field!r}: not a number: {text.strip()!r}"
-        ) from None
+    """One field as a float, spelled in ASCII without ``_``; non-finite
+    values pass, callers check them."""
+    if text.isascii() and "_" not in text:
+        try:
+            return float(text)
+        except ValueError:
+            pass
+    raise MalformedLineError(path, line_no, f"field {field!r}: not a number: {text.strip()!r}")
+
+
+def _rank(text: str, path, line_no: int) -> int:
+    """A rank field as an int, spelled in ASCII digits."""
+    text = text.strip()
+    if text.isascii() and text.isdigit():
+        try:
+            return int(text)
+        except ValueError:  # more digits than int() converts
+            pass
+    raise MalformedLineError(path, line_no, f"field 'rank': not a rank: {text!r}")
 
 
 def atomic_write_text(path, text: str) -> None:
@@ -77,15 +91,18 @@ RANKING_HEADER = "rank,score,sites"
 EXTERNAL_HEADER = "rank,sites"
 
 
-def render_ranking_table(ranking) -> str:
-    lines = [RANKING_HEADER]
-    for pos, entry in enumerate(ranking.entries, start=1):
-        lines.append(f"{pos},{format_float(entry.score)},{entry.subset.label}")
-    return "\n".join(lines) + "\n"
+def render_ranking_table(labels, scores) -> str:
+    """A scored ranking table of ``(labels, scores)`` best first, ranked by
+    position."""
+    rows = (
+        f"{rank},{format_float(score)},{label}"
+        for rank, (label, score) in enumerate(zip(labels, scores), start=1)
+    )
+    return "\n".join([RANKING_HEADER, *rows]) + "\n"
 
 
-def write_ranking_file(path, ranking) -> None:
-    atomic_write_text(path, render_ranking_table(ranking))
+def write_ranking_file(path, labels, scores) -> None:
+    atomic_write_text(path, render_ranking_table(labels, scores))
 
 
 def read_ranking_file(path) -> tuple[list[str], list[float | None]]:
@@ -93,12 +110,12 @@ def read_ranking_file(path) -> tuple[list[str], list[float | None]]:
 
     Accepts 3-field rows ``rank,score,sites`` or 2-field rows
     ``rank,sites``; an optional header line is skipped. Returns ``(labels,
-    scores)`` best first: a row's rank is its position once the ranks are
-    checked to be a permutation of 1..n, and ``scores`` holds each row's
-    score or ``None`` for a row without one. A label names known sites,
-    each once, and is read in canonical site order; no subset may be
-    ranked twice. In rank order, no score may be above the previous scored
-    row's score; equal scores are ties.
+    scores)`` best first: a row's rank, ASCII digits, is its position once
+    the ranks are checked to be a permutation of 1..n, and ``scores`` holds
+    each row's score or ``None`` for a row without one. A label names
+    known sites, each once, and is read in canonical site order; no subset
+    may be ranked twice. In rank order, no score may be above the previous
+    scored row's score; equal scores are ties.
     """
     text = _read_text(path, "ranking file")
 
@@ -120,11 +137,7 @@ def read_ranking_file(path) -> tuple[list[str], list[float | None]]:
             raise MalformedLineError(
                 path, line_no, f"expected 2 or 3 comma-separated fields, got {len(parts)}"
             )
-        # int() and float() skip surrounding whitespace themselves
-        try:
-            rank = int(rank_text)
-        except ValueError:
-            raise MalformedLineError(path, line_no, f"bad rank {rank_text.strip()!r}") from None
+        rank = _rank(rank_text, path, line_no)
         score = None
         if score_text is not None:
             score = _number(score_text, path, line_no, "score")
@@ -133,7 +146,7 @@ def read_ranking_file(path) -> tuple[list[str], list[float | None]]:
         label = label.strip()
         if label not in known:
             try:
-                label = "+".join(canonical_sites(check_roster(label.split("+"), allow_head=True)))
+                label = canonical_label(label)
             except UnknownSiteError as exc:
                 raise MalformedLineError(path, line_no, f"sites {label!r}: {exc}") from None
         if label in ranks:

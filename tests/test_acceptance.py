@@ -23,11 +23,10 @@ from sensorplace.config import RunConfig
 from sensorplace.errors import TooShortError
 from sensorplace.rankcorr import kendall_tau
 from sensorplace.scoring import (
-    PlacementSubset,
     cosine_distance,
     enumerate_subsets,
     rank_placements,
-    score_subset,
+    score_subsets,
 )
 from sensorplace.skeleton import (
     DEFAULT_ROSTER,
@@ -67,7 +66,7 @@ def test_01_subset_score_matches_brute_force_oracle():
     start = time.perf_counter()
     for _ in range(instances):
         aset, sites, arrays = _random_activity_set(rng)
-        got = score_subset(aset, PlacementSubset(sites)).score
+        got = score_subsets(aset, ["+".join(sites)])[0]
         want = pairwise_distance_sum_ref([a.reshape(-1) for a in arrays])
         rel = abs(got - want) / max(abs(want), 1e-300)
         worst = max(worst, rel)
@@ -116,10 +115,10 @@ def test_03_scaling_an_activity_changes_nothing():
                 )
             )
             r = rank_placements(sset, subsets)
-            orders_equal &= r.labels() == base.labels()
-            for a, b in zip(base.entries, r.entries):
-                denom = max(abs(a.score), 1e-300)
-                worst = max(worst, abs(a.score - b.score) / denom)
+            orders_equal &= r[0] == base[0]
+            for a, b in zip(base[1], r[1]):
+                denom = max(abs(a), 1e-300)
+                worst = max(worst, abs(a - b) / denom)
     _verdict(
         "per-activity scaling preserves scores and ranking order",
         worst <= 1e-9 and orders_equal,
@@ -129,7 +128,7 @@ def test_03_scaling_an_activity_changes_nothing():
 
 def test_04_subset_enumeration_counts():
     subsets = enumerate_subsets(DEFAULT_ROSTER)
-    pairs = [s for s in subsets if s.size == 2]
+    pairs = [s for s in subsets if s.count("+") + 1 == 2]
     _verdict(
         "5-site roster enumerates 31 subsets, 10 of size 2",
         len(subsets) == 31 and len(pairs) == 10,
@@ -175,10 +174,10 @@ def test_06_discriminative_site_is_recovered():
     runs = 100
     for k in range(runs):
         aset = make_separable_set(13, ["LW"], seed=k, noise_sigma=0.0)
-        if rank_placements(aset, singletons).labels()[0] == "LW":
+        if rank_placements(aset, singletons)[0][0] == "LW":
             clean_hits += 1
         noisy = make_separable_set(13, ["LW"], seed=10_000 + k, noise_sigma=0.01)
-        if rank_placements(noisy, singletons).labels()[0] == "LW":
+        if rank_placements(noisy, singletons)[0][0] == "LW":
             noisy_hits += 1
     _verdict(
         "discriminative wrist site ranks first",

@@ -17,8 +17,7 @@ from sensorplace.errors import (
     ManifestError,
     NonMonotoneTimeError,
 )
-from sensorplace.skeleton import SITE_ORDER
-from sensorplace.scoring import PlacementSubset, ScoredSubset, build_ranking
+from sensorplace.sites import subset_labels
 
 
 def _frames(n=5, seed=0):
@@ -191,27 +190,18 @@ def test_manifest_rejects_a_file_listed_twice(tmp_path, text, line):
 # --- ranking tables ----------------------------------------------------------------
 
 def _ranking():
-    scored = [
-        ScoredSubset(PlacementSubset(("LW",)), 0.75),
-        ScoredSubset(PlacementSubset(("LW", "RW")), 1.0 / 3.0),
-        ScoredSubset(PlacementSubset(("RW",)), 0.1),
-    ]
-    return build_ranking(scored, n_activities=3)
+    return ["LW", "LW+RW", "RW"], [0.75, 1.0 / 3.0, 0.1]
 
 
 def test_ranking_round_trip_preserves_order_and_scores(tmp_path):
-    ranking = _ranking()
     path = tmp_path / "ranking.csv"
-    pio.write_ranking_file(path, ranking)
-    labels, scores = textio.read_ranking_file(path)
-    assert labels == ranking.labels()
-    for score, entry in zip(scores, ranking.entries):
-        assert score == entry.score  # repr round-trips exactly
+    pio.write_ranking_file(path, *_ranking())
+    assert textio.read_ranking_file(path) == _ranking()  # repr round-trips exactly
 
 
 def test_ranking_file_starts_with_header(tmp_path):
     path = tmp_path / "ranking.csv"
-    pio.write_ranking_file(path, _ranking())
+    pio.write_ranking_file(path, *_ranking())
     assert path.read_text().splitlines()[0] == "rank,score,sites"
 
 
@@ -300,10 +290,17 @@ def test_tied_scores_and_unscored_rows_are_valid(tmp_path):
 
 @pytest.mark.parametrize("line, message", [
     (" 2 , 0.5 , RW ", None),
-    (" x ,0.5,RW", "bad rank 'x'"),
+    (" x ,0.5,RW", "field 'rank': not a rank: 'x'"),
     ("1, abc ,RW", "field 'score': not a number: 'abc'"),
     ("1, inf ,RW", "field 'score': non-finite value"),
-], ids=["spaces", "rank", "score", "non-finite"])
+    # spellings int() and float() accept but the writer never emits
+    ("+2,0.5,RW", "field 'rank': not a rank: '+2'"),
+    ("\u0662,0.5,RW", "field 'rank': not a rank: '\u0662'"),
+    ("2,0_0.5,RW", "field 'score': not a number: '0_0.5'"),
+    ("2,\u0660.5,RW", "field 'score': not a number: '\u0660.5'"),
+    ("9" * 5000 + ",0.5,RW", f"field 'rank': not a rank: '{'9' * 5000}'"),
+], ids=["spaces", "rank", "score", "non-finite", "plus-rank", "arabic-indic-rank",
+        "underscore-score", "arabic-indic-score", "huge-rank"])
 def test_ranking_fields_may_carry_spaces_and_errors_quote_them_stripped(tmp_path, line, message):
     path = tmp_path / "ranking.csv"
     path.write_text(f"1,0.75,LW\n{line}\n")
@@ -363,7 +360,7 @@ def test_manifest_with_a_byte_order_mark_keeps_its_first_activity_id(tmp_path):
 
 def test_ranking_file_with_a_byte_order_mark_reads_alike(tmp_path):
     path = tmp_path / "ranking.csv"
-    pio.write_ranking_file(path, _ranking())
+    pio.write_ranking_file(path, *_ranking())
     table = textio.read_ranking_file(path)
     path.write_text(BOM + path.read_text(), encoding="utf-8")
     assert textio.read_ranking_file(path) == table
@@ -460,10 +457,12 @@ def test_corrupted_keypoint_file_parses_or_raises_data_error(tmp_path_factory, r
 
 # --- block parsing against the line parser ---------------------------------------------
 
-# Value spellings float() accepts (the block path must convert them the same
-# way), ones it rejects, and ones holding other whitespace or digits.
-ACCEPTED = ["1_0", "+.5", "1e400", "infinity", "nan", "-0", "-0.0"]
-SPELLINGS = ACCEPTED + ["0x1", "1__0", "", "١٢", "\xa00.5", "0.5\xa0", "0.5\x1c1"]
+# Value spellings the program accepts (the block path must convert them the
+# same way), ones it rejects although float() or numpy reads them ('_' and
+# other digits), and ones holding other whitespace.
+ACCEPTED = ["+.5", "1e400", "infinity", "nan", "-0", "-0.0"]
+SPELLINGS = ACCEPTED + ["1_0", "0.1_0", "\u0660.5", "0x1", "1__0", "", "١٢", "\xa00.5",
+                        "0.5\xa0", "0.5\x1c1"]
 EDITS = ["value", "k==v", "k=v=w", "bare", "join", "swap", "tab", "spaces", "drop",
          "duplicate", "wrap", "reorder", "comment", "blank"]
 
@@ -591,6 +590,25 @@ def _reorder(lines, sep):
     lines[69:] = [sep.join(reversed(line.split(sep))) for line in lines[69:]]
 
 
+@pytest.mark.parametrize("style", ["csv", "labeled"])
+@pytest.mark.parametrize("spelling", ["0.1_0", "\u0660.5"], ids=["underscore", "arabic-indic"])
+def test_keypoint_values_are_ascii_without_underscores(tmp_path, style, spelling):
+    # numpy reads both spellings on the block path; the line parser names the field
+    path = tmp_path / "rec.txt"
+    pio.write_keypoint_file(path, *_frames(130), style=style)
+    lines = path.read_text().splitlines()
+    sep = "," if style == "csv" else " "
+    fields = lines[69].split(sep)
+    key, eq, _ = fields[4].rpartition("=")
+    fields[4] = key + eq + spelling
+    lines[69] = sep.join(fields)
+    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    with pytest.raises(MalformedLineError) as info:
+        pio.parse_keypoint_file(path)
+    assert info.value.line_no == 70
+    assert info.value.reason == f"field 'kp1_x': not a number: {spelling!r}"
+
+
 @pytest.mark.parametrize("style, edit", [
     ("labeled", _line_70(_swap)),
     ("labeled", _wrap),
@@ -628,31 +646,33 @@ def test_block_parser_peak_memory_is_at_most_the_line_parsers(tmp_path, style):
     assert peak(pio.parse_keypoint_file) <= peak(_line_parser)
 
 
+# floats whose text is easy to get wrong, drawn often enough to tie
+odd_floats = st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 1e16, -1e16, 0.1])
+
+
 @st.composite
 def rankings(draw):
-    n = draw(st.integers(1, 6))
-    labels = draw(st.lists(
-        st.sets(st.sampled_from(SITE_ORDER), min_size=1), min_size=n, max_size=n,
-        unique_by=lambda sites: frozenset(sites),
-    ))
-    scores = draw(st.lists(finite, min_size=n, max_size=n))
-    scored = [ScoredSubset(PlacementSubset(tuple(l)), sc) for l, sc in zip(labels, scores)]
-    return build_ranking(scored, n_activities=2)
+    """Distinct canonical labels and non-increasing finite scores."""
+    labels = draw(st.lists(st.sampled_from(list(subset_labels())), min_size=1, max_size=6,
+                           unique=True))
+    scores = draw(st.lists(odd_floats | finite, min_size=len(labels), max_size=len(labels)))
+    return labels, sorted(scores, reverse=True)
 
 
 @given(rankings())
 def test_ranking_files_round_trip_any_finite_scores(tmp_path_factory, ranking):
+    labels, scores = ranking
     path = tmp_path_factory.mktemp("rt") / "ranking.csv"
-    pio.write_ranking_file(path, ranking)
-    labels, scores = textio.read_ranking_file(path)
-    assert labels == ranking.labels()
-    assert scores == [e.score for e in ranking.entries]
+    pio.write_ranking_file(path, labels, scores)
+    got_labels, got_scores = textio.read_ranking_file(path)
+    assert got_labels == labels
+    assert list(map(repr, got_scores)) == list(map(repr, scores))  # -0.0 stays -0.0
 
 
 @given(rankings(), st.data())
 def test_corrupted_ranking_file_parses_or_raises_data_error(tmp_path_factory, ranking, data):
     path = tmp_path_factory.mktemp("bad") / "ranking.csv"
-    pio.write_ranking_file(path, ranking)
+    pio.write_ranking_file(path, *ranking)
     text = path.read_text()
     lines = text.splitlines()
     kind = data.draw(st.sampled_from(["truncate", "field", "bytes"]))

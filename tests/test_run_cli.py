@@ -50,15 +50,15 @@ def _config(**kwargs):
 
 def test_rank_places_discriminative_singleton_first(tmp_path):
     manifest = _corpus(tmp_path)
-    ranking, payload = runner.run_rank(manifest, _config(subset_sizes=(1,)))
-    assert ranking.labels()[0] == "LW"
+    (labels, _), payload = runner.run_rank(manifest, _config(subset_sizes=(1,)))
+    assert labels[0] == "LW"
     assert payload["entries"][0]["sites"] == "LW"
 
 
 def test_rank_all_sizes_yields_31_rows(tmp_path):
     manifest = _corpus(tmp_path, n=4)
-    ranking, payload = runner.run_rank(manifest, _config())
-    assert len(ranking.entries) == 31
+    (labels, _), payload = runner.run_rank(manifest, _config())
+    assert len(labels) == 31
     assert [e["rank"] for e in payload["entries"]] == list(range(1, 32))
 
 
@@ -88,8 +88,7 @@ def test_rank_writes_table_and_report(tmp_path):
     manifest = _corpus(tmp_path)
     out = tmp_path / "out"
     ranking, payload = runner.run_rank(manifest, _config(), out_dir=out)
-    labels, _ = textio.read_ranking_file(out / runner.RANKING_FILENAME)
-    assert labels == ranking.labels()
+    assert textio.read_ranking_file(out / runner.RANKING_FILENAME) == ranking
     report = json.loads((out / runner.RANK_REPORT_FILENAME).read_text())
     assert report["fingerprint"] == payload["fingerprint"]
     assert report["n_activities"] == 3
@@ -133,16 +132,14 @@ def test_rank_multi_window_score_is_the_sequential_mean_of_window_scores(tmp_pat
     window_sets, _ = runner.load_window_sets(pio.parse_manifest(manifest), config)
     assert len(window_sets) == 10
     subsets = enumerate_subsets(config.roster, config.subset_sizes)
-    per_window = [
-        {e.subset: e.score for e in rank_placements(ws, subsets).entries} for ws in window_sets
-    ]
-    ranking, _ = runner.run_rank(manifest, config)
-    assert len(ranking.entries) == len(subsets)
-    for entry in ranking.entries:
+    per_window = [dict(zip(*rank_placements(ws, subsets))) for ws in window_sets]
+    (labels, scores), _ = runner.run_rank(manifest, config)
+    assert len(labels) == len(subsets)
+    for label, score in zip(labels, scores):
         total = 0.0
-        for scores in per_window:
-            total += scores[entry.subset]
-        assert entry.score == total / len(per_window)
+        for window in per_window:
+            total += window[label]
+        assert score == total / len(per_window)
 
 
 def test_rank_single_window_is_the_ranking_of_its_window_set(tmp_path):
@@ -182,20 +179,21 @@ def test_windows_are_cut_per_recording_in_manifest_order(tmp_path):
             listed.append(f"{aid} {aid}_w{w}.csv")
         (tmp_path / f"window{w}.txt").write_text("\n".join(listed) + "\n")
         ranking, _ = runner.run_rank(tmp_path / f"window{w}.txt", _config(series_length=L))
-        return {e.subset: e.score for e in ranking.entries}
+        return dict(zip(*ranking))
 
     per_window = [window_scores(w) for w in range(3)]
     ranking, payload = runner.run_rank(manifest, _config(series_length=L))
-    assert {e.subset: e.score for e in ranking.entries} == per_window[0]
+    assert dict(zip(*ranking)) == per_window[0]
     assert [d["windows"] for d in payload["activities"]] == [3, 4, 5]
-    ranking, payload = runner.run_rank(manifest, _config(series_length=L, multi_window=True))
+    config = _config(series_length=L, multi_window=True)
+    (labels, scores), payload = runner.run_rank(manifest, config)
     assert payload["n_windows"] == 3
     assert [d["windows"] for d in payload["activities"]] == [3, 4, 5]
-    for entry in ranking.entries:
+    for label, score in zip(labels, scores):
         total = 0.0
-        for scores in per_window:
-            total += scores[entry.subset]
-        assert entry.score == total / 3
+        for window in per_window:
+            total += window[label]
+        assert score == total / 3
 
 
 def test_run_settings_are_named_once(tmp_path):
@@ -213,22 +211,22 @@ def test_run_settings_are_named_once(tmp_path):
 
 def test_rank_uniform_subsampling_mode(tmp_path):
     manifest = _corpus(tmp_path, length=1000)
-    ranking, payload = runner.run_rank(manifest, _config(subsample="uniform"))
-    assert ranking.entries[0].subset.label == "LW"
+    (labels, _), payload = runner.run_rank(manifest, _config(subsample="uniform"))
+    assert labels[0] == "LW"
     assert payload["n_windows"] == 1
 
 
 def test_rank_ingests_labeled_corpus(tmp_path):
     manifest = _corpus(tmp_path, style="labeled")
-    ranking, _ = runner.run_rank(manifest, _config(subset_sizes=(1,)))
-    assert ranking.labels()[0] == "LW"
+    (labels, _), _ = runner.run_rank(manifest, _config(subset_sizes=(1,)))
+    assert labels[0] == "LW"
 
 
 def test_rank_without_drift_matches_direct_generation_ordering(tmp_path):
     # export -> parse -> preprocess must preserve which site wins
     manifest = _corpus(tmp_path, drift=False)
-    ranking, _ = runner.run_rank(manifest, _config(subset_sizes=(1,)))
-    assert ranking.labels()[0] == "LW"
+    (labels, _), _ = runner.run_rank(manifest, _config(subset_sizes=(1,)))
+    assert labels[0] == "LW"
 
 
 # --- run_compare -----------------------------------------------------------------
@@ -425,7 +423,7 @@ _STRAY = [",", "#", "x", "nan", "inf", "1e400", "+", " ", "\t", "\x00", "\ufeff"
 def _mutated_tables(draw):
     """A valid ranking table, then a few of the faults an external table
     may carry; returns the table's bytes."""
-    subsets = [s.label for s in enumerate_subsets(SITE_ORDER[:4])]
+    subsets = enumerate_subsets(SITE_ORDER[:4])
     labels = draw(st.lists(st.sampled_from(subsets), min_size=1, max_size=6, unique=True))
     scored = draw(st.booleans())
     scores = sorted(draw(st.lists(st.floats(0, 10), min_size=len(labels),
@@ -513,8 +511,7 @@ def test_exported_corpus_recovers_generated_geometry(tmp_path):
     # parse -> merge -> centralize must undo the synthetic drift exactly
     # enough that the discriminative structure survives
     manifest = _corpus(tmp_path, n=2, length=520)
-    ranking, _ = runner.run_rank(manifest, _config(subset_sizes=(1, 2)))
-    labels = ranking.labels()
+    (labels, _), _ = runner.run_rank(manifest, _config(subset_sizes=(1, 2)))
     assert labels[0] == "LW"
     assert set(labels[1:3]) <= {"LW+RW", "LW+PE", "LW+LF", "LW+RF"}
 
@@ -637,9 +634,11 @@ def test_cli_roster_is_checked_before_any_file_is_read(tmp_path, capsys, command
     (["synth", "{corpus}/s", "--rate", "inf"], "sample rate must be positive and finite"),
     (["synth", "{corpus}/s", "--rate", "0.5", "--length", "20"],
      "sample rate must be at least 1 Hz, got 0.5 Hz"),
+    (["synth", "{corpus}/s", "--noise", "nan"], "noise_sigma must be finite"),
 ], ids=["rank-rate-nan", "validate-rate-nan", "config-rate-nan", "validate-rate-tiny",
         "synth-one-activity", "synth-unknown-site", "synth-length-0", "synth-rate-0",
-        "synth-negative-noise", "synth-rate-nan", "synth-rate-inf", "synth-rate-below-1"])
+        "synth-negative-noise", "synth-rate-nan", "synth-rate-inf", "synth-rate-below-1",
+        "synth-noise-nan"])
 def test_cli_bad_rate_and_synth_arguments_exit_1(tmp_path, capsys, argv, message):
     corpus = tmp_path / "corpus"
     cli.main(["synth", str(corpus), "--length", "520"])

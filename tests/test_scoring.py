@@ -16,23 +16,21 @@ from sensorplace.errors import (
     ConfigError,
     LengthMismatchError,
     SiteNotPresentError,
+    UnknownSiteError,
     ZeroNormError,
     ZeroVectorError,
 )
 from sensorplace.scoring import (
     SUBSET_CHUNK,
-    PlacementSubset,
     _site_grams,
-    build_ranking,
     cosine_distance,
     enumerate_subsets,
     max_score,
     rank_placements,
-    score_subset,
     score_subsets,
-    ScoredSubset,
+    sort_ranking,
 )
-from sensorplace.sites import canonical_sites
+from sensorplace.sites import canonical_label, canonical_sites, subset_labels
 from sensorplace.skeleton import ActivitySet, DEFAULT_ROSTER, SITE_ORDER
 from sensorplace.synth import make_separable_set
 
@@ -98,15 +96,13 @@ def test_score_three_orthogonal_activities_sums_to_three():
         [[[0.0, 0.0], [1.0, 0.0]]],
     ]
     aset = _set_from_arrays(arrays, sites=("LW",))
-    scored = score_subset(aset, PlacementSubset(("LW",)))
-    assert scored.score == pytest.approx(3.0, abs=1e-12)
+    assert score_subsets(aset, ["LW"])[0] == pytest.approx(3.0, abs=1e-12)
 
 
 def test_score_identical_activities_is_zero():
     arr = np.random.default_rng(5).uniform(0.1, 0.9, size=(2, 20, 2))
     aset = _set_from_arrays([arr, arr.copy(), arr.copy()], sites=("LW", "RW"))
-    scored = score_subset(aset, PlacementSubset(("LW", "RW")))
-    assert scored.score <= 1e-12
+    assert score_subsets(aset, ["LW+RW"])[0] <= 1e-12
 
 
 @given(st.integers(0, 500))
@@ -118,9 +114,9 @@ def test_score_matches_reference_implementation(seed):
     arrays = rng.normal(size=(n, s, L, 2)) + 2.0
     sites = DEFAULT_ROSTER[:s]
     aset = _set_from_arrays(arrays, sites=sites)
-    scored = score_subset(aset, PlacementSubset(sites))
+    score = score_subsets(aset, ["+".join(sites)])[0]
     ref = pairwise_distance_sum_ref([a.reshape(-1) for a in arrays])
-    assert scored.score == pytest.approx(ref, rel=1e-9, abs=1e-12)
+    assert score == pytest.approx(ref, rel=1e-9, abs=1e-12)
 
 
 @given(st.integers(0, 300))
@@ -129,8 +125,7 @@ def test_score_within_pair_bound(seed):
     n = int(rng.integers(2, 7))
     arrays = rng.normal(size=(n, 1, 6, 2)) + 1.5
     aset = _set_from_arrays(arrays, sites=("PE",))
-    scored = score_subset(aset, PlacementSubset(("PE",)))
-    assert 0.0 <= scored.score <= max_score(n) + 1e-12
+    assert 0.0 <= score_subsets(aset, ["PE"])[0] <= max_score(n) + 1e-12
 
 
 def test_scale_one_activity_leaves_scores_and_order(seed=17):
@@ -142,10 +137,9 @@ def test_scale_one_activity_leaves_scores_and_order(seed=17):
     for c in (1e-3, 1.0, 1e3):
         scaled = arrays.copy()
         scaled[2] *= c
-        r = rank_placements(_set_from_arrays(scaled, sites), subsets)
-        assert r.labels() == base.labels()
-        for a, b in zip(base.entries, r.entries):
-            assert b.score == pytest.approx(a.score, rel=1e-9, abs=1e-12)
+        labels, scores = rank_placements(_set_from_arrays(scaled, sites), subsets)
+        assert labels == base[0]
+        assert scores == pytest.approx(base[1], rel=1e-9, abs=1e-12)
 
 
 # --- enumeration and ranking -----------------------------------------------------------
@@ -153,12 +147,27 @@ def test_scale_one_activity_leaves_scores_and_order(seed=17):
 def test_enumerate_five_site_roster_gives_31():
     subsets = enumerate_subsets(DEFAULT_ROSTER)
     assert len(subsets) == 31
-    assert len([s for s in subsets if s.size == 2]) == 10
+    assert len([s for s in subsets if s.count("+") == 1]) == 10
 
 
 def test_enumerate_orders_by_size_then_canonically():
-    labels = [s.label for s in enumerate_subsets(("LW", "RW", "PE"), sizes=(1, 2))]
+    labels = enumerate_subsets(("RW", "PE", "LW"), sizes=(1, 2))
     assert labels == ["LW", "RW", "PE", "LW+RW", "LW+PE", "RW+PE"]
+
+
+def test_enumeration_and_the_label_table_share_the_tie_break_order():
+    # the table's order is TIE_BREAK's: size ascending, then canonical site order
+    def tie_key(label):
+        return label.count("+"), [SITE_ORDER.index(site) for site in label.split("+")]
+
+    table = list(subset_labels())
+    assert list(subset_labels().values()) == list(range(4095))
+    assert table == sorted(table, key=tie_key) == enumerate_subsets(SITE_ORDER)
+    rng = np.random.default_rng(73)
+    for _ in range(50):
+        roster = list(rng.choice(SITE_ORDER, size=rng.integers(1, 13), replace=False))
+        labels = enumerate_subsets(roster)
+        assert labels == sorted(labels, key=subset_labels().__getitem__)
 
 
 def test_enumerate_rejects_bad_sizes():
@@ -169,14 +178,37 @@ def test_enumerate_rejects_bad_sizes():
 
 
 def test_ranking_sorts_desc_with_canonical_tie_break():
-    scored = [
-        ScoredSubset(PlacementSubset(("RW",)), 1.0),
-        ScoredSubset(PlacementSubset(("LW",)), 1.0),
-        ScoredSubset(PlacementSubset(("LW", "RW")), 1.0),
-        ScoredSubset(PlacementSubset(("PE",)), 2.0),
-    ]
-    ranking = build_ranking(scored, n_activities=3)
-    assert ranking.labels() == ["PE", "LW", "RW", "LW+RW"]
+    ranking = sort_ranking(["RW", "LW", "LW+RW", "PE", "RF"], [1.0, 1.0, 1.0, 2.0, -0.0])
+    assert ranking == (["PE", "LW", "RW", "LW+RW", "RF"], [2.0, 1.0, 1.0, 1.0, -0.0])
+
+
+def test_rank_placements_breaks_ties_in_tie_break_order_from_any_input_order():
+    # activity i moves only in frame i at every site, so the three are
+    # orthogonal under every subset and each subset scores exactly 3: the
+    # order is the tie-break alone, whatever order the labels come in
+    arrays = np.zeros((3, len(SITE_ORDER), 3, 2))
+    for i in range(3):
+        arrays[i, :, i, 0] = 1.0
+    aset = _set_from_arrays(arrays, sites=SITE_ORDER)
+    labels = enumerate_subsets(SITE_ORDER)
+    rng = np.random.default_rng(83)
+    for _ in range(3):
+        shuffled = [labels[k] for k in rng.permutation(len(labels))]
+        got_labels, got_scores = rank_placements(aset, shuffled)
+        assert set(got_scores) == {3.0}
+        assert got_labels == labels
+
+
+def test_rank_placements_reads_labels_in_any_site_order():
+    arrays = np.random.default_rng(89).uniform(0.1, 0.9, size=(4, 3, 6, 2))
+    aset = _set_from_arrays(arrays, sites=("LW", "RW", "PE"))
+    canonical = rank_placements(aset, ["LW+PE", "RW", "LW+RW+PE"])
+    assert rank_placements(aset, ["PE+LW", "RW", "PE+RW+LW"]) == canonical
+    assert sorted(canonical[0]) == ["LW+PE", "LW+RW+PE", "RW"]
+    with pytest.raises(UnknownSiteError, match="unknown site id 'ZZ'"):
+        rank_placements(aset, ["LW", "LW+ZZ"])
+    with pytest.raises(UnknownSiteError, match="duplicate site ids"):
+        score_subsets(aset, ["LW+LW"])
 
 
 def test_rank_placements_is_repeatable():
@@ -184,17 +216,14 @@ def test_rank_placements_is_repeatable():
     arrays = rng.uniform(0.1, 0.9, size=(5, 5, 40, 2))
     aset = _set_from_arrays(arrays, sites=DEFAULT_ROSTER)
     subsets = enumerate_subsets(DEFAULT_ROSTER)
-    first = rank_placements(aset, subsets)
-    second = rank_placements(aset, subsets)
-    assert first.labels() == second.labels()
-    assert [e.score for e in first.entries] == [e.score for e in second.entries]
+    assert rank_placements(aset, subsets) == rank_placements(aset, subsets)
 
 
 def test_rank_placements_rejects_site_missing_from_series():
     arrays = np.random.default_rng(3).uniform(0.1, 0.9, size=(3, 2, 5, 2))
     aset = _set_from_arrays(arrays, sites=("LW", "RW"))
     with pytest.raises(SiteNotPresentError, match="site 'PE' not in series roster"):
-        rank_placements(aset, [PlacementSubset(("LW",)), PlacementSubset(("PE",))])
+        rank_placements(aset, ["LW", "PE"])
 
 
 def _full_roster_set(seed):
@@ -205,23 +234,23 @@ def _full_roster_set(seed):
     return aset, [series.points for series in aset.activities]
 
 
-def test_score_subset_and_rank_placements_agree_bit_for_bit():
+def test_one_subset_scores_as_rank_placements_scores_it_bit_for_bit():
     aset, _ = _full_roster_set(29)
     subsets = enumerate_subsets(SITE_ORDER)
-    ranked = {e.subset: e.score for e in rank_placements(aset, subsets).entries}
+    ranked = dict(zip(*rank_placements(aset, subsets)))
     assert len(ranked) == 4095
     for subset in subsets:
-        assert score_subset(aset, subset).score == ranked[subset]
+        assert score_subsets(aset, [subset])[0] == ranked[subset]
 
 
 def test_full_roster_scores_match_reference():
     aset, arrays = _full_roster_set(31)
     subsets = enumerate_subsets(SITE_ORDER)
-    ranked = {e.subset: e.score for e in rank_placements(aset, subsets).entries}
+    ranked = dict(zip(*rank_placements(aset, subsets)))
     rng = np.random.default_rng(37)
     for k in rng.choice(len(subsets), size=40, replace=False):
         subset = subsets[k]
-        rows = [SITE_ORDER.index(site) for site in subset.sites]
+        rows = [SITE_ORDER.index(site) for site in subset.split("+")]
         ref = pairwise_distance_sum_ref([a[rows].reshape(-1) for a in arrays])
         assert ranked[subset] == pytest.approx(ref, rel=1e-9, abs=1e-12)
 
@@ -232,25 +261,23 @@ def test_zero_vector_subsets_are_rejected_and_others_still_score():
     arrays[1, 2] = 0.0  # activity a1 never moves its PE site off the origin
     sites = ("LW", "RW", "PE")
     aset = _set_from_arrays(arrays, sites=sites)
-    zero = PlacementSubset(("PE",))
     with pytest.raises(ZeroVectorError, match="activity 'a1'"):
-        score_subset(aset, zero)
+        score_subsets(aset, ["PE"])
     with pytest.raises(ZeroVectorError, match="activity 'a1'"):
         rank_placements(aset, enumerate_subsets(sites))
-    others = [s for s in enumerate_subsets(sites) if s != zero]
-    ranking = rank_placements(aset, others)
-    assert len(ranking.entries) == 6
-    for entry in ranking.entries:
-        rows = [sites.index(site) for site in entry.subset.sites]
+    others = [s for s in enumerate_subsets(sites) if s != "PE"]
+    labels, scores = rank_placements(aset, others)
+    assert len(labels) == 6
+    for label, score in zip(labels, scores):
+        rows = [sites.index(site) for site in label.split("+")]
         ref = pairwise_distance_sum_ref([a[rows].reshape(-1) for a in arrays])
-        assert entry.score == pytest.approx(ref, rel=1e-9, abs=1e-12)
+        assert score == pytest.approx(ref, rel=1e-9, abs=1e-12)
 
 
-def test_subset_label_and_canonical_order():
-    subset = PlacementSubset(("RF", "LW", "PE"))
-    assert subset.sites == ("LW", "PE", "RF")
-    assert subset.label == "LW+PE+RF"
-    assert subset.size == 3
+def test_canonical_label():
+    assert canonical_label("RF+LW+PE") == "LW+PE+RF"
+    assert canonical_label("LW+PE+RF") == "LW+PE+RF"
+    assert canonical_label("HD") == "HD"
 
 
 # --- against the per-subset loop -----------------------------------------------------
@@ -277,11 +304,11 @@ def _reference_kernel(gram):
 
 def _reference_scores(aset, subsets):
     """Each subset's Gram matrix summed site by site, then scored alone."""
-    sites = canonical_sites({site for subset in subsets for site in subset.sites})
+    sites = canonical_sites({site for subset in subsets for site in subset.split("+")})
     gram = _site_grams(aset, sites)
-    scored = []
+    scores = []
     for subset in subsets:
-        rows = [sites.index(site) for site in subset.sites]
+        rows = [sites.index(site) for site in subset.split("+")]
         total = gram[rows[0]]
         for k in rows[1:]:
             total = total + gram[k]
@@ -289,16 +316,25 @@ def _reference_scores(aset, subsets):
         if not moving.all():
             activity_id = aset.activities[int(np.argmin(moving))].activity_id
             raise ZeroVectorError(f"activity {activity_id!r}: vector is identically zero")
-        scored.append(ScoredSubset(subset=subset, score=_reference_kernel(total)))
-    return scored
+        scores.append(_reference_kernel(total))
+    return scores
+
+
+def _reference_ranking(aset, subsets):
+    """The reference scores sorted by score descending, then subset size,
+    then canonical site order."""
+    def key(pair):
+        label, score = pair
+        return -score, label.count("+"), [SITE_ORDER.index(s) for s in label.split("+")]
+
+    ranked = sorted(zip(subsets, _reference_scores(aset, subsets)), key=key)
+    return [label for label, _ in ranked], [score for _, score in ranked]
 
 
 def _assert_same_ranking(aset, subsets):
-    got = rank_placements(aset, subsets)
-    want = build_ranking(_reference_scores(aset, subsets), len(aset))
-    assert got.labels() == want.labels()
-    assert [e.score for e in got.entries] == [e.score for e in want.entries]
-    assert all(type(e.score) is float for e in got.entries)
+    labels, scores = rank_placements(aset, subsets)
+    assert (labels, scores) == _reference_ranking(aset, subsets)
+    assert all(type(score) is float for score in scores)
 
 
 @pytest.mark.parametrize("n_activities", [13, 40])
@@ -318,13 +354,13 @@ def test_shuffled_mixed_sizes_match_per_subset_loop_bit_for_bit():
     shuffled = [subsets[k] for k in order]
     _assert_same_ranking(aset, shuffled)
     # three chunks, scores in list order
-    assert score_subsets(aset, shuffled).tolist() == [score_subset(aset, s).score for s in shuffled]
+    assert score_subsets(aset, shuffled).tolist() == [score_subsets(aset, [s])[0] for s in shuffled]
 
 
 def test_batch_of_one_matches_per_subset_loop_bit_for_bit():
     aset, _ = _full_roster_set(53)
     for subset in enumerate_subsets(SITE_ORDER)[::97]:
-        assert score_subset(aset, subset) == _reference_scores(aset, [subset])[0]
+        assert score_subsets(aset, [subset]).tolist() == _reference_scores(aset, [subset])
         _assert_same_ranking(aset, [subset])
 
 
@@ -349,7 +385,7 @@ def test_a_norm_out_of_float_range_is_an_error_not_a_score(scale, error, message
     arrays[1] *= scale
     aset = _set_from_arrays(arrays, sites=("LW", "RW"))
     with pytest.raises(error, match=f"^activity 'a1': {message}$"):
-        score_subset(aset, PlacementSubset(("LW",)))
+        score_subsets(aset, ["LW"])
     with pytest.raises(error, match="^activity 'a1'"):
         rank_placements(aset, enumerate_subsets(("LW", "RW")))
 
@@ -369,7 +405,7 @@ def test_zero_vector_error_names_the_first_zero_subset_in_list_order(rk_at, rs_a
     # RK alone is zero for a5, RS alone for a1; whichever comes first names
     # its activity, even when a later subset's activity sorts first
     aset = _zero_at(SITE_ORDER, {"RK": 5, "RS": 1})
-    rk, rs = PlacementSubset(("RK",)), PlacementSubset(("RS",))
+    rk, rs = "RK", "RS"
     subsets = [s for s in enumerate_subsets(SITE_ORDER) if s not in (rk, rs)]
     for position, subset in sorted([(rk_at, rk), (rs_at, rs)]):
         subsets.insert(position, subset)
@@ -384,8 +420,8 @@ def test_missing_site_is_reported_before_any_zero_subset():
     sites = tuple(s for s in SITE_ORDER if s != "HD")
     aset = _zero_at(sites, {"RK": 5})
     subsets = enumerate_subsets(sites)
-    subsets.insert(3, PlacementSubset(("RK",)))
-    subsets.insert(300, PlacementSubset(("HD",)))
+    subsets.insert(3, "RK")
+    subsets.insert(300, "HD")
     with pytest.raises(SiteNotPresentError,
                        match="^activity 'a0': site 'HD' not in series roster$"):
         rank_placements(aset, subsets)
@@ -405,6 +441,6 @@ def test_peak_memory_is_at_most_twice_the_per_subset_loops():
         finally:
             tracemalloc.stop()
 
-    want = peak(lambda: build_ranking(_reference_scores(aset, subsets), len(aset)))
+    want = peak(lambda: _reference_ranking(aset, subsets))
     got = peak(lambda: rank_placements(aset, subsets))
     assert got <= 2 * want, (got, want)

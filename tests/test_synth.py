@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from sensorplace.scoring import PlacementSubset, score_subset
+from sensorplace.scoring import score_subsets
 from sensorplace.skeleton import DEFAULT_ROSTER, SITE_ORDER
 from sensorplace.synth import (
     DEFAULT_POSE,
@@ -76,6 +76,19 @@ def test_spec_validation():
         MotionSpec("a", {"LW": SiteMotion(base=(0.5, 0.5))}, length=0)
 
 
+@pytest.mark.parametrize("field, value", [
+    ("base", (0.5, float("inf"))),
+    ("amplitude", float("nan")),
+    ("frequency", float("inf")),
+    ("phase", float("nan")),
+    ("noise_sigma", float("nan")),
+])
+def test_site_motion_rejects_non_finite_values(field, value):
+    # nan passes every `< 0` check, so `--noise nan` once wrote a noise-free corpus
+    with pytest.raises(ValueError, match="must be finite"):
+        SiteMotion(**{"base": (0.5, 0.5), field: value})
+
+
 # --- separable sets ------------------------------------------------------------------
 
 def test_centered_bases_put_roster_centroid_at_center():
@@ -94,23 +107,18 @@ def test_static_sites_identical_across_activities():
 
 def test_non_discriminative_subset_scores_zero():
     aset = make_separable_set(2, ["LW"], seed=3)
-    scored = score_subset(aset, PlacementSubset(("RW",)))
-    assert scored.score <= 1e-12
+    assert score_subsets(aset, ["RW"])[0] <= 1e-12
 
 
 def test_discriminative_pair_beats_static_pair():
     aset = make_separable_set(4, ["LW", "RW"], seed=5)
-    moving = score_subset(aset, PlacementSubset(("LW", "RW"))).score
-    still = score_subset(aset, PlacementSubset(("PE", "LF"))).score
+    moving, still = score_subsets(aset, ["LW+RW", "PE+LF"])
     assert moving > still
 
 
 def test_separability_ordering_over_singletons():
     aset = make_separable_set(5, ["LW", "RF"], seed=8)
-    scores = {
-        site: score_subset(aset, PlacementSubset((site,))).score
-        for site in DEFAULT_ROSTER
-    }
+    scores = dict(zip(DEFAULT_ROSTER, score_subsets(aset, DEFAULT_ROSTER)))
     for inside in ("LW", "RF"):
         for outside in ("RW", "PE", "LF"):
             assert scores[inside] > scores[outside]

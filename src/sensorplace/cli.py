@@ -6,9 +6,12 @@ rankings -> Kendall's tau), ``synth`` (emit a synthetic keypoint corpus),
 ``report`` (render a ranking as text). Exit codes: 0 success, 1
 input/config error (usage errors included), 2 computation error.
 
-Only ``validate``, ``rank`` and ``synth`` compute on arrays. Their runs
-live in ``run``, which this module loads on first use, so ``compare``,
-``report``, ``--version``, ``--help`` and usage errors never load numpy.
+Each command loads only its own modules, on first use: ``validate``,
+``rank`` and ``synth`` compute on arrays, and their runs live in ``run``;
+``compare`` and ``report`` live in ``tablerun``; ``validate`` and ``rank``
+read their settings through ``config``. Building the parser needs only
+``sites``, so ``--version``, ``--help`` and usage errors load none of
+them, and ``compare`` and ``report`` never load numpy or ``config``.
 """
 
 from __future__ import annotations
@@ -16,12 +19,11 @@ from __future__ import annotations
 import argparse
 import importlib.util
 import sys
-from dataclasses import fields
 from pathlib import Path
 
-from . import __version__, tablerun
-from .config import RunConfig, load_config, site_list, size_list
+from . import __version__
 from .errors import ComputationError, DataError
+from .sites import integer, number, site_list, size_list
 
 
 def _lazy_module(name: str):
@@ -37,6 +39,8 @@ def _lazy_module(name: str):
 
 
 runner = _lazy_module(f"{__package__}.run")
+tablerun = _lazy_module(f"{__package__}.tablerun")
+config = _lazy_module(f"{__package__}.config")
 
 
 class _Parser(argparse.ArgumentParser):
@@ -55,13 +59,13 @@ def _add_config_flags(sub: argparse.ArgumentParser) -> None:
                      help="key=value config file supplying defaults")
     sub.add_argument("--roster", type=site_list, default=None, metavar="SITES",
                      help="comma-separated site ids (default LW,RW,PE,LF,RF)")
-    sub.add_argument("--length", dest="series_length", type=int, default=None,
+    sub.add_argument("--length", dest="series_length", type=integer, default=None,
                      help="frames per scored window (default 500)")
-    sub.add_argument("--rate", dest="sample_rate", type=float, default=None,
+    sub.add_argument("--rate", dest="sample_rate", type=number, default=None,
                      help="target sample rate in Hz (default 10)")
-    sub.add_argument("--threshold", dest="confidence_threshold", type=float,
+    sub.add_argument("--threshold", dest="confidence_threshold", type=number,
                      default=None, help="keypoint confidence threshold (default 0.3)")
-    sub.add_argument("--max-gap", type=int, default=None,
+    sub.add_argument("--max-gap", type=integer, default=None,
                      help="longest repairable gap in frames (default 10)")
     sub.add_argument("--sizes", dest="subset_sizes", type=size_list, default=None,
                      metavar="N,N,...", help="subset sizes to score (default 1,2,3,4)")
@@ -73,9 +77,10 @@ def _add_config_flags(sub: argparse.ArgumentParser) -> None:
                      default=None, help="permit HD in the roster")
 
 
-def _run_config(args) -> RunConfig:
+def _run_config(args):
     # every RunConfig field has a flag; load_config drops the unset ones
-    return load_config(args.config, {f.name: getattr(args, f.name) for f in fields(RunConfig)})
+    names = config.RunConfig.__match_args__
+    return config.load_config(args.config, {name: getattr(args, name) for name in names})
 
 
 def _cmd_validate(args) -> int:
@@ -89,8 +94,8 @@ def _cmd_validate(args) -> int:
 
 
 def _cmd_rank(args) -> int:
-    config = _run_config(args)
-    (labels, scores), payload = runner.run_rank(args.manifest, config, out_dir=args.out_dir)
+    (labels, scores), payload = runner.run_rank(args.manifest, _run_config(args),
+                                                out_dir=args.out_dir)
     print(f"ranked {len(labels)} subsets over {payload['n_activities']} activities")
     print(f"best placement: {labels[0]} (score {scores[0]:.6f})")
     out_dir = Path(args.out_dir)
@@ -159,20 +164,20 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("first", type=Path)
     p.add_argument("second", type=Path)
     p.add_argument("--scope", choices=("all", "per-size", "top"), default="per-size")
-    p.add_argument("--top-k", type=int, default=3)
+    p.add_argument("--top-k", type=integer, default=3)
     p.add_argument("--out-dir", type=Path, default=None)
     p.set_defaults(func=_cmd_compare)
 
     p = subs.add_parser("synth", help="emit a synthetic keypoint corpus")
     p.add_argument("out_dir", type=Path)
-    p.add_argument("--activities", type=int, default=3)
+    p.add_argument("--activities", type=integer, default=3)
     p.add_argument("--discriminative", type=site_list, default="LW",
                    help="comma-separated sites that differ across activities")
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--noise", type=float, default=0.0,
+    p.add_argument("--seed", type=integer, default=0)
+    p.add_argument("--noise", type=number, default=0.0,
                    help="per-coordinate Gaussian noise sigma")
-    p.add_argument("--length", type=int, default=500)
-    p.add_argument("--rate", type=float, default=10.0)
+    p.add_argument("--length", type=integer, default=500)
+    p.add_argument("--rate", type=number, default=10.0)
     p.add_argument("--style", choices=("csv", "labeled"), default="csv")
     p.add_argument("--drift", action=argparse.BooleanOptionalAction, default=True,
                    help="add whole-body drift removed by centralization")

@@ -12,7 +12,15 @@ import math
 from dataclasses import dataclass, fields
 
 from .errors import ConfigError
-from .sites import DEFAULT_ROSTER, canonical_sites, check_roster
+from .sites import (
+    DEFAULT_ROSTER,
+    canonical_sites,
+    check_roster,
+    integer,
+    number,
+    site_list,
+    size_list,
+)
 from .textio import _read_text
 
 # The one random generator the package uses (numpy's PCG64, in ``synth``);
@@ -84,16 +92,6 @@ class RunConfig:
         return hashlib.sha256(text.encode("utf-8")).hexdigest()
 
 
-def site_list(text: str) -> tuple:
-    """Comma-separated site ids, as config files and flags give them."""
-    return tuple(p.strip() for p in text.split(",") if p.strip())
-
-
-def size_list(text: str) -> tuple:
-    """Comma-separated subset sizes."""
-    return tuple(int(p) for p in text.split(",") if p.strip())
-
-
 def _switch(text: str) -> bool:
     """An on/off value: 1/0, true/false, yes/no or on/off, in any case."""
     value = text.strip().lower()
@@ -105,10 +103,10 @@ def _switch(text: str) -> bool:
 # Keys accepted in config files and their parsers: one per RunConfig field.
 _PARSERS = {
     "roster": site_list,
-    "series_length": int,
-    "sample_rate": float,
-    "confidence_threshold": float,
-    "max_gap": int,
+    "series_length": integer,
+    "sample_rate": number,
+    "confidence_threshold": number,
+    "max_gap": integer,
     "subset_sizes": size_list,
     "subsample": str,
     "multi_window": _switch,

@@ -11,24 +11,19 @@ Fenwick tree over positions, in plain Python: ``compare`` needs no numpy.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from fractions import Fraction
+from collections import namedtuple
 
 from .errors import InvalidRankError, UniverseMismatchError
 
 
-@dataclass(frozen=True)
-class TauReport:
+class TauReport(namedtuple("TauReport", "tau n concordant discordant")):
     """Kendall's tau with its exact pair counts.
 
     Per-size breakdowns are reported as one TauReport per size group; see
     ``compare_rankings``.
     """
 
-    tau: float
-    n: int
-    concordant: int
-    discordant: int
+    __slots__ = ()
 
     @property
     def pairs(self) -> int:
@@ -90,8 +85,9 @@ def kendall_tau(first, second) -> TauReport:
         raise InvalidRankError("need at least two items to correlate")
     discordant = _discordant_pairs([second_pos[item] for item in first_pos])
     concordant = n * (n - 1) // 2 - discordant
-    tau = Fraction(concordant - discordant, n * (n - 1) // 2)
-    return TauReport(tau=float(tau), n=n, concordant=concordant, discordant=discordant)
+    # int / int is the correctly rounded quotient, as float(Fraction(...)) is
+    tau = (concordant - discordant) / (n * (n - 1) // 2)
+    return TauReport(tau=tau, n=n, concordant=concordant, discordant=discordant)
 
 
 def _by_size(ordering) -> dict[int, list[str]]:

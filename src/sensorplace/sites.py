@@ -1,8 +1,10 @@
-"""Placement sites: their ids, names and canonical order.
+"""Placement sites: their ids, names and canonical order, and the parsers
+of the values flags and config files give: site lists, subset sizes and
+numbers.
 
 Plain Python with no array code, so the commands that only read and write
-rankings (``compare``, ``report``) and the run configuration can use it
-without loading numpy.
+rankings (``compare``, ``report``) and the CLI's parser can use it without
+loading numpy or the run configuration.
 """
 
 from __future__ import annotations
@@ -88,3 +90,31 @@ def check_roster(roster, allow_head: bool = False) -> tuple[str, ...]:
         if site == "HD" and not allow_head:
             raise SiteExcludedError("the head site is excluded from placement")
     return roster
+
+
+def integer(text: str) -> int:
+    """An int spelled as ASCII digits with an optional leading ``-``;
+    surrounding whitespace is dropped."""
+    digits = text.strip()
+    if digits.isascii() and digits.removeprefix("-").isdigit():
+        return int(digits)  # ValueError past int()'s digit limit
+    raise ValueError(f"not an integer: {text!r}")
+
+
+def number(text: str) -> float:
+    """A float spelled in ASCII without ``_``: the one number spelling of
+    ranking tables, keypoint files, config values and flags. Non-finite
+    values pass; callers check them."""
+    if text.isascii() and "_" not in text:
+        return float(text)
+    raise ValueError(f"not a number: {text!r}")
+
+
+def site_list(text: str) -> tuple:
+    """Comma-separated site ids, as config files and flags give them."""
+    return tuple(p.strip() for p in text.split(",") if p.strip())
+
+
+def size_list(text: str) -> tuple:
+    """Comma-separated subset sizes."""
+    return tuple(integer(p) for p in text.split(",") if p.strip())

@@ -302,12 +302,25 @@ def truncate_series(series: SkeletonSeries, length: int = 500, mode: str = "firs
     return replace(series, points=pts.copy())
 
 
+def _median(values: np.ndarray) -> np.float64:
+    """``np.median`` of a non-empty 1-D float64 array, bit for bit: the
+    middle value, ``(a + b) / 2`` of the two middle values for an even
+    count, and nan if any value is nan. Unlike ``np.median`` it does not
+    import ``numpy.ma``."""
+    n = values.size
+    lo, hi = (n - 1) // 2, n // 2  # one index for an odd count
+    part = np.partition(values, [lo, hi, n - 1])  # nan sorts last
+    if np.isnan(part[-1]):
+        return part[-1]
+    return part[hi] if lo == hi else (part[lo] + part[hi]) / 2
+
+
 def infer_sample_rate(timestamps) -> float:
     """Nominal sample rate from the median timestamp spacing."""
     t = np.asarray(timestamps, dtype=np.float64)
     if t.size < 2:
         raise RateMismatchError("need at least two timestamps to infer a rate")
-    dt = np.median(np.diff(t))
+    dt = _median(np.diff(t))
     if dt <= 0:
         raise RateMismatchError("non-positive timestamp spacing")
     return 1.0 / float(dt)

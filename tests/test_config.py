@@ -4,6 +4,7 @@ import pytest
 
 from sensorplace.config import RunConfig, load_config, parse_config_text
 from sensorplace.errors import ConfigError, SiteExcludedError, UnknownSiteError
+from sensorplace.sites import integer, number, size_list
 
 
 def test_defaults_match_documented_contract():
@@ -104,11 +105,36 @@ def test_parse_config_text_happy_path():
 
 @pytest.mark.parametrize(
     "line",
-    ["series_length", "mystery = 4", "series_length = many"],
+    ["series_length", "mystery = 4", "series_length = many", "series_length = 5_00",
+     "series_length = \u0665\u0660\u0660", "max_gap = +3", "sample_rate = 1_0",
+     "confidence_threshold = \u0660.5", "subset_sizes = 1,\u0662"],
 )
 def test_parse_config_text_rejects_bad_lines(line):
     with pytest.raises(ConfigError):
         parse_config_text(line)
+
+
+@pytest.mark.parametrize("parse, text, want", [
+    (integer, "500", 500), (integer, "-3", -3), (integer, " 60 ", 60), (integer, "007", 7),
+    (number, "10", 10.0), (number, "-0.5", -0.5), (number, "1e1", 10.0), (number, " 2 ", 2.0),
+    (size_list, "1, 2,3,", (1, 2, 3)),
+])
+def test_numbers_are_ascii(parse, text, want):
+    # an int is ASCII digits with an optional leading '-'; a float is ASCII
+    # without '_'
+    assert parse(text) == want
+
+
+@pytest.mark.parametrize("parse, text", [
+    (integer, "5_00"), (integer, "\u0665\u0660\u0660"), (integer, "+5"), (integer, "--5"),
+    (integer, "5.0"), (integer, ""), (integer, "-"),
+    pytest.param(integer, "9" * 5000, id="integer-past-the-digit-limit"),
+    (number, "1_0"), (number, "\u0660.5"), (number, "ten"), (number, ""),
+    (size_list, "1,2_0"),
+])
+def test_numbers_in_other_spellings_are_rejected(parse, text):
+    with pytest.raises(ValueError):
+        parse(text)
 
 
 @pytest.mark.parametrize("value, want", [

@@ -1,11 +1,12 @@
 """Keypoint files, manifests, ranking tables, atomic writes."""
 
+import json
 import tracemalloc
 from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from sensorplace import io as pio
@@ -692,6 +693,71 @@ def test_corrupted_ranking_file_parses_or_raises_data_error(tmp_path_factory, ra
         assert len(labels) == len(set(labels)) == len(scores)
 
 
+_TABLE_MUTATIONS = ("none", "reorder", "no-header", "no-final-newline", "header-in-middle",
+                    "space", "empty-rank", "huge-rank", "repeat-label", "rising-score", "nan",
+                    "site-order", "shift-field")
+
+
+def _read_or_message(read):
+    """A read's ``(labels, score reprs)``, or its error message."""
+    try:
+        labels, scores = read()
+    except DataError as exc:
+        return str(exc)
+    return labels, list(map(repr, scores))
+
+
+@settings(max_examples=300)
+@given(rankings(), st.booleans(), st.sampled_from(_TABLE_MUTATIONS), st.data())
+def test_one_pass_read_returns_what_the_row_loop_returns(
+    tmp_path_factory, ranking, scored, mutation, data
+):
+    labels, scores = ranking
+    scored = scored or mutation == "rising-score"
+    rows = [[str(rank), repr(score), label] if scored else [str(rank), label]
+            for rank, (label, score) in enumerate(zip(labels, scores), start=1)]
+    header = textio.RANKING_HEADER if scored else textio.EXTERNAL_HEADER
+    # the row a mutation changes; a rising score needs a row above it, and a
+    # shifted field a row below
+    k = data.draw(st.integers(mutation == "rising-score", max(len(rows) - 1, 1)))
+    assume(k < len(rows) - (mutation == "shift-field"))
+    if mutation == "reorder":
+        rows = data.draw(st.permutations(rows))
+    elif mutation == "space":
+        field = data.draw(st.integers(0, len(rows[k]) - 1))
+        rows[k][field] = data.draw(st.sampled_from([" ", "\t"])) + rows[k][field]
+    elif mutation == "empty-rank":
+        rows[k][0] = ""
+    elif mutation == "huge-rank":
+        rows[k][0] = "1" + "0" * data.draw(st.sampled_from([20, 5000]))
+    elif mutation == "repeat-label":
+        rows[k][-1] = rows[data.draw(st.integers(0, len(rows) - 1))][-1]
+    elif mutation == "rising-score":
+        rows[k][1] = repr(abs(float(rows[k - 1][1])) * 2 + 1)
+    elif mutation == "nan":
+        rows[k][1 if scored else 0] = "nan"
+    elif mutation == "site-order":
+        rows[k][-1] = "+".join(reversed(rows[k][-1].split("+")))
+    elif mutation == "shift-field":  # the same fields, split at another line
+        rows[k].append(rows[k + 1].pop(0))
+    lines = [",".join(row) for row in rows]
+    if mutation == "header-in-middle":
+        lines.insert(k + 1, header)
+    if mutation != "no-header":
+        lines.insert(0, header)
+    text = "\n".join(lines) + ("" if mutation == "no-final-newline" else "\n")
+    path = tmp_path_factory.mktemp("table") / "ranking.csv"
+    path.write_text(text)
+
+    expected = _read_or_message(lambda: textio._read_table_rows(text, path))
+    clean = textio._read_clean_table(text)
+    if clean is not None:
+        assert _read_or_message(lambda: clean) == expected
+    if mutation in ("none", "reorder", "no-header", "no-final-newline"):
+        assert clean is not None  # a clean table takes the one-pass read
+    assert _read_or_message(lambda: textio.read_ranking_file(path)) == expected
+
+
 # --- atomic writes and reports ----------------------------------------------------
 
 def test_atomic_write_leaves_no_temp_files(tmp_path):
@@ -707,6 +773,37 @@ def test_json_report_is_stable(tmp_path):
     first = path.read_bytes()
     pio.write_json_report(path, {"b": 1, "a": [1, 2]})
     assert path.read_bytes() == first
+
+
+@st.composite
+def rank_reports(draw):
+    """A ranking report's shape: header keys, then ``entries`` last."""
+    n = draw(st.integers(1, 5))
+    entries = [
+        {"rank": rank, "sites": draw(st.text(max_size=6) | st.sampled_from(["LW", "LW+RW"])),
+         "size": draw(st.integers(1, 12)), "score": draw(odd_floats | finite)}
+        for rank in range(1, n + 1)
+    ]
+    head = draw(st.dictionaries(st.text(max_size=4).filter(lambda k: k != "entries"),
+                                st.integers() | st.text(max_size=4) | st.lists(finite, max_size=2)
+                                | st.dictionaries(st.text(max_size=3), finite, max_size=2),
+                                min_size=1, max_size=3))
+    return {**head, "entries": entries}
+
+
+@given(rank_reports())
+def test_json_report_renders_as_json_dumps_indent_2(report):
+    assert textio.render_json_report(report) == json.dumps(report, indent=2)
+
+
+@pytest.mark.parametrize("payload", [
+    {"entries": [{"rank": 1, "sites": "LW", "size": 1, "score": 0.5}]},
+    {"entries": [], "kind": "x"},
+    {"entries": [{"rank": 1}], "kind": "x"},
+    {"kind": "ranking-agreement", "results": {"all": {"tau": -0.0, "n": 2}}},
+])
+def test_json_report_other_shapes_render_as_json_dumps_indent_2(payload):
+    assert textio.render_json_report(payload) == json.dumps(payload, indent=2)
 
 
 def test_tau_table_layout(tmp_path):

@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 
 from oracles import kendall_tau_ref
 from sensorplace.errors import InvalidRankError, UniverseMismatchError
-from sensorplace.rankcorr import compare_rankings, kendall_tau
+from sensorplace.rankcorr import TauReport, compare_rankings, kendall_tau
 
 
 def _ordering(ranks):
@@ -116,6 +116,22 @@ def test_tau_is_exact_rational():
     assert report.tau == float(
         Fraction(report.concordant - report.discordant, report.pairs)
     )
+
+
+@given(st.integers(2, 300).flatmap(lambda n: st.permutations(range(n))))
+def test_tau_is_the_correctly_rounded_fraction(order):
+    # int true division rounds c - d over the pair count as Fraction does
+    report = kendall_tau(list(range(len(order))), list(order))
+    assert report.tau == float(Fraction(report.concordant - report.discordant, report.pairs))
+
+
+def test_tau_report_is_a_positional_record():
+    report = TauReport(0.5, 4, 4, 2)
+    assert (report.tau, report.n, report.concordant, report.discordant, report.pairs) == (
+        0.5, 4, 4, 2, 6
+    )
+    with pytest.raises(AttributeError):
+        report.tau = 1.0
 
 
 # --- validation ---------------------------------------------------------------------

@@ -386,6 +386,48 @@ def test_cli_report_rejects_a_score_that_rises_with_rank(tmp_path, capsys):
     )
 
 
+@pytest.mark.parametrize("argv", [
+    ["rank", "{m}", "--length", "5_00"],
+    ["rank", "{m}", "--length", "\u0665\u0660"],
+    ["rank", "{m}", "--length", "+50"],
+    ["rank", "{m}", "--rate", "1_0"],
+    ["rank", "{m}", "--threshold", "\u0660.5"],
+    ["rank", "{m}", "--sizes", "1,2_0"],
+    ["validate", "{m}", "--max-gap", "1_0"],
+    ["compare", "{m}", "{m}", "--top-k", "1_0"],
+    ["synth", "{m}", "--seed", "1_0"],
+    ["synth", "{m}", "--noise", "0_0.1"],
+], ids=["length-underscore", "length-arabic-indic", "length-plus", "rate-underscore",
+        "threshold-arabic-indic", "sizes-underscore", "max-gap", "top-k", "seed", "noise"])
+def test_cli_numeric_flags_take_one_spelling(tmp_path, capsys, argv):
+    # an int is ASCII digits with an optional leading '-'; a float is ASCII
+    # without '_', as in ranking tables and keypoint files
+    argv = [arg.format(m=tmp_path / "manifest.txt") for arg in argv]
+    with pytest.raises(SystemExit) as exc:
+        cli.main(argv)
+    assert exc.value.code == 1
+    err = capsys.readouterr().err
+    assert err.splitlines()[-1].startswith(f"sensorplace {argv[0]}: error: argument --")
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("line", [
+    "series_length = 5_00", "series_length = \u0665\u0660\u0660", "sample_rate = 1_0",
+])
+def test_cli_config_numbers_take_one_spelling(tmp_path, capsys, line):
+    corpus = tmp_path / "corpus"
+    cli.main(["synth", str(corpus), "--length", "60"])
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(f"# settings\n{line}\n", encoding="utf-8")
+    capsys.readouterr()
+    code = cli.main(["rank", str(corpus / "manifest.txt"), "--config", str(cfg),
+                     "--length", "50", "--out-dir", str(tmp_path / "out")])
+    assert code == 1
+    key = line.split(" = ")[0]
+    assert _one_error_line(capsys).startswith(f"error: {cfg}:2: bad value for {key!r}: ")
+    assert not (tmp_path / "out").exists()
+
+
 def test_cli_config_switch_with_a_typo_exits_1(tmp_path, capsys):
     corpus = tmp_path / "corpus"
     cli.main(["synth", str(corpus), "--length", "60"])
@@ -720,8 +762,8 @@ def test_every_public_name_resolves_and_is_listed():
         assert name in listed
 
 
-# Runs cli.main in a fresh interpreter and prints its exit code and whether
-# numpy was loaded.
+# Runs cli.main in a fresh interpreter and prints its exit code and which
+# of the modules a command may not need it loaded ("-" for none).
 _NUMPY_PROBE = """
 import sys
 from sensorplace import cli
@@ -729,20 +771,22 @@ try:
     code = cli.main(sys.argv[1:])
 except SystemExit as exc:
     code = exc.code
-print(code, "numpy" in sys.modules)
+heavy = ("numpy", "numpy.ma", "dataclasses", "hashlib", "fractions")
+print(code, " ".join(name for name in heavy if name in sys.modules) or "-")
 """
 
 
 @pytest.mark.parametrize("argv, outcome", [
-    (["compare", "{t}", "{t}", "--scope", "all"], "0 False"),
-    (["compare", "{t}", "{t}", "--scope", "per-size", "--out-dir", "{tmp}/tau"], "0 False"),
-    (["compare", "{t}", "{t}", "--scope", "top", "--top-k", "2"], "0 False"),
-    (["report", "{t}"], "0 False"),
-    (["report", "{t}", "--out", "{tmp}/report.txt"], "0 False"),
-    (["--version"], "0 False"),
-    (["--help"], "0 False"),
-    (["rank", "{corpus}/manifest.txt", "--length", "abc"], "1 False"),
-    (["rank", "{corpus}/manifest.txt", "--length", "50", "--out-dir", "{tmp}/out"], "0 True"),
+    (["compare", "{t}", "{t}", "--scope", "all"], "0 -"),
+    (["compare", "{t}", "{t}", "--scope", "per-size", "--out-dir", "{tmp}/tau"], "0 -"),
+    (["compare", "{t}", "{t}", "--scope", "top", "--top-k", "2"], "0 -"),
+    (["report", "{t}"], "0 -"),
+    (["report", "{t}", "--out", "{tmp}/report.txt"], "0 -"),
+    (["--version"], "0 -"),
+    (["--help"], "0 -"),
+    (["rank", "{corpus}/manifest.txt", "--length", "abc"], "1 -"),
+    (["rank", "{corpus}/manifest.txt", "--length", "50", "--out-dir", "{tmp}/out"],
+     "0 numpy dataclasses hashlib"),
 ], ids=["compare-all", "compare-per-size", "compare-top", "report", "report-out",
         "version", "help", "usage-error", "rank"])
 def test_only_commands_that_compute_on_arrays_load_numpy(tmp_path, argv, outcome):

@@ -22,6 +22,7 @@ from sensorplace.skeleton import (
     DEFAULT_ROSTER,
     MERGE_SOURCES,
     SITE_ORDER,
+    _median,
     centralize,
     decimation_stride,
     infer_sample_rate,
@@ -322,6 +323,24 @@ def test_infer_sample_rate_uses_median_spacing():
     t = np.arange(50) / 10.0
     t[10] += 0.003  # one jittered stamp should not shift the median
     assert infer_sample_rate(t) == pytest.approx(10.0, rel=1e-6)
+
+
+@pytest.mark.parametrize("seed", range(40))
+def test_median_equals_np_median_bit_for_bit(seed):
+    # timestamp spacings as rank sees them: jittered, repeated and with
+    # holes, at odd and even counts
+    rng = np.random.default_rng(seed)
+    n = int(rng.integers(1, 80)) + seed % 2
+    steps = rng.choice([1.0, 1.0, 1.0, 2.0, 7.0], size=n)  # holes of 1 and 6 frames
+    t = np.cumsum(steps) / rng.choice([10.0, 30.0, 29.97])
+    if seed % 3:
+        t = t + rng.normal(0.0, 1e-4, size=n)  # jitter: few exact repeats
+    spacings = [np.diff(t), np.round(np.diff(t), 2), np.abs(np.diff(t))[::-1]]
+    for values in spacings:
+        if values.size:
+            assert _median(values).tobytes() == np.median(values).tobytes()
+    with_nan = np.append(spacings[0], np.nan)
+    assert np.isnan(_median(with_nan)) and np.isnan(np.median(with_nan))
 
 
 def test_decimation_stride_accepts_integer_multiples():

@@ -6,12 +6,13 @@ rankings -> Kendall's tau), ``synth`` (emit a synthetic keypoint corpus),
 ``report`` (render a ranking as text). Exit codes: 0 success, 1
 input/config error (usage errors included), 2 computation error.
 
-Each command loads only its own modules, on first use: ``validate``,
-``rank`` and ``synth`` compute on arrays, and their runs live in ``run``;
-``compare`` and ``report`` live in ``tablerun``; ``validate`` and ``rank``
-read their settings through ``config``. Building the parser needs only
-``sites``, so ``--version``, ``--help`` and usage errors load none of
-them, and ``compare`` and ``report`` never load numpy or ``config``.
+Each command loads only its own modules, on first use: ``validate`` and
+``rank`` compute on arrays, and their runs live in ``run``; ``synth``
+lives in ``synth``; ``compare`` and ``report`` live in ``tablerun``;
+``validate`` and ``rank`` read their settings through ``config``.
+Building the parser needs only ``sites``, so ``--version``, ``--help``
+and usage errors load none of them, and ``compare`` and ``report`` never
+load numpy or ``config``.
 """
 
 from __future__ import annotations
@@ -21,9 +22,8 @@ import importlib.util
 import sys
 from pathlib import Path
 
-from . import __version__
+from . import __version__, sites
 from .errors import ComputationError, DataError
-from .sites import integer, number, site_list, size_list
 
 
 def _lazy_module(name: str):
@@ -41,6 +41,21 @@ def _lazy_module(name: str):
 runner = _lazy_module(f"{__package__}.run")
 tablerun = _lazy_module(f"{__package__}.tablerun")
 config = _lazy_module(f"{__package__}.config")
+synth = _lazy_module(f"{__package__}.synth")
+
+
+def _flag_type(parse):
+    """``parse`` as a flag's type: a usage error carries its ValueError's
+    message, where argparse would name the function (``invalid size_list``)."""
+    def convert(text):
+        try:
+            return parse(text)
+        except ValueError as exc:
+            raise argparse.ArgumentTypeError(str(exc)) from None
+    return convert
+
+
+integer, number, size_list = map(_flag_type, (sites.integer, sites.number, sites.size_list))
 
 
 class _Parser(argparse.ArgumentParser):
@@ -57,7 +72,7 @@ def _add_config_flags(sub: argparse.ArgumentParser) -> None:
     # flags override the file.
     sub.add_argument("--config", type=Path, default=None,
                      help="key=value config file supplying defaults")
-    sub.add_argument("--roster", type=site_list, default=None, metavar="SITES",
+    sub.add_argument("--roster", type=sites.site_list, default=None, metavar="SITES",
                      help="comma-separated site ids (default LW,RW,PE,LF,RF)")
     sub.add_argument("--length", dest="series_length", type=integer, default=None,
                      help="frames per scored window (default 500)")
@@ -84,11 +99,9 @@ def _run_config(args):
 
 
 def _cmd_validate(args) -> int:
-    checks = runner.run_validate(args.paths, _run_config(args))
-    for check in checks:
-        status = "ok" if check.ok else "ok with warnings"
-        print(f"{check.path}: {status}, {check.n_frames} frames")
-        for warning in check.warnings:
+    for path, frames, warnings in runner.run_validate(args.paths, _run_config(args)):
+        print(f"{path}: {'ok with warnings' if warnings else 'ok'}, {frames} frames")
+        for warning in warnings:
             print(f"  warning: {warning}")
     return 0
 
@@ -116,7 +129,7 @@ def _cmd_compare(args) -> int:
 
 
 def _cmd_synth(args) -> int:
-    manifest_path = runner.run_synth(
+    manifest_path = synth.run_synth(
         args.out_dir,
         n_activities=args.activities,
         discriminative_sites=args.discriminative,
@@ -171,7 +184,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = subs.add_parser("synth", help="emit a synthetic keypoint corpus")
     p.add_argument("out_dir", type=Path)
     p.add_argument("--activities", type=integer, default=3)
-    p.add_argument("--discriminative", type=site_list, default="LW",
+    p.add_argument("--discriminative", type=sites.site_list, default="LW",
                    help="comma-separated sites that differ across activities")
     p.add_argument("--seed", type=integer, default=0)
     p.add_argument("--noise", type=number, default=0.0,

@@ -2,7 +2,7 @@
 
 Two families, matching the CLI exit-code contract: ``DataError`` (exit 1)
 for anything traceable to user-supplied files, flags, or recordings, and
-``ComputationError`` (exit 2) for numeric failures during scoring.
+``ComputationError`` (exit 2) for numeric failures.
 """
 
 
@@ -15,7 +15,7 @@ class DataError(SensorPlaceError):
 
 
 class ComputationError(SensorPlaceError):
-    """Numeric failure while scoring (CLI exit code 2)."""
+    """Numeric failure while preprocessing or scoring (CLI exit code 2)."""
 
 
 # --- ingestion -----------------------------------------------------------

@@ -5,7 +5,8 @@ one frame per line, 52 fields: ``t,kp0_x,kp0_y,kp0_c,...,kp16_x,kp16_y,
 kp16_c``. The labeled form carries the same 52 fields per line as
 whitespace-separated ``key=value`` tokens in any order. A parsed recording
 is two arrays, timestamps ``t[n]`` and keypoints ``kp[n, 17, 3]``; the
-writer takes the same arrays. Ranking tables, tau tables and JSON reports
+writer, which ``synth`` uses, takes the same arrays. ``validate`` makes
+its own checks of the values. Ranking tables, tau tables and JSON reports
 live in ``textio``, which needs no numpy.
 
 A keypoint file is converted in blocks of 64 data lines: each block is
@@ -26,7 +27,6 @@ timestamp.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -234,36 +234,6 @@ def parse_keypoint_file(path) -> tuple[np.ndarray, np.ndarray]:
     else:
         _check_frames(values, line_nos, path)
     return values[:, 0].copy(), values[:, 1:].reshape(-1, NUM_KEYPOINTS, 3)
-
-
-@dataclass(frozen=True)
-class FileCheck:
-    """Validation result for one keypoint file."""
-
-    path: str
-    n_frames: int
-    warnings: tuple[str, ...]
-
-    @property
-    def ok(self) -> bool:
-        return not self.warnings
-
-
-def check_keypoints(path, t: np.ndarray, kp: np.ndarray) -> FileCheck:
-    """Collect soft warnings on a parsed keypoint file.
-
-    Coordinates outside [0, 1] and confidences outside [0, 1] are legal
-    but reported, since they usually indicate an estimator or scaling
-    problem.
-    """
-    warnings = []
-    out_coord = int(np.count_nonzero((kp[:, :, :2] < 0.0) | (kp[:, :, :2] > 1.0)))
-    out_conf = int(np.count_nonzero((kp[:, :, 2] < 0.0) | (kp[:, :, 2] > 1.0)))
-    if out_coord:
-        warnings.append(f"{out_coord} coordinate values outside [0, 1]")
-    if out_conf:
-        warnings.append(f"{out_conf} confidence values outside [0, 1]")
-    return FileCheck(path=str(path), n_frames=len(t), warnings=tuple(warnings))
 
 
 def format_keypoint_frame(t: float, keypoints: np.ndarray, style: str = "csv") -> str:

@@ -1,11 +1,11 @@
-"""End-to-end pipeline runs behind the CLI subcommands.
+"""The ``validate`` and ``rank`` runs behind the CLI.
 
 Each run function is pure apart from its explicit output files: it parses
 inputs, executes the pipeline, and returns the result plus a JSON-ready
 report payload. Reports carry the resolved configuration fingerprint and
 never embed timestamps, so equal inputs and config give byte-identical
-outputs. The ``compare`` and ``report`` runs live in ``tablerun``, which
-needs no numpy.
+outputs. ``compare`` and ``report`` run in ``tablerun``, which needs no
+numpy, and ``synth`` runs in ``synth``.
 """
 
 from __future__ import annotations
@@ -17,33 +17,25 @@ import numpy as np
 
 from . import io as pio
 from .config import RNG_NAME, RunConfig
-from .errors import ConfigError, DataError, ManifestError, TooShortError
+from .errors import DataError, ManifestError, TooShortError
 from .scoring import TIE_BREAK, enumerate_subsets, score_subsets, sort_ranking
-from .sites import SITE_ORDER
-from .skeleton import (
-    KEYPOINT_SITE,
-    MERGE_SOURCES,
-    NUM_KEYPOINTS,
-    ActivitySet,
-    SkeletonSeries,
-    preprocess_recording,
-    truncate_series,
-)
-from .synth import make_separable_set
-from .textio import atomic_write_text
+from .skeleton import ActivitySet, SkeletonSeries, preprocess_recording, truncate_series
+from .textio import ranking_entries
 
 RANKING_FILENAME = "ranking.csv"
 RANK_REPORT_FILENAME = "report.json"
-MANIFEST_FILENAME = "manifest.txt"
 
 
 # --- validate ---------------------------------------------------------------
 
-def run_validate(paths, config: RunConfig) -> list[pio.FileCheck]:
+def run_validate(paths, config: RunConfig) -> list[tuple]:
     """Parse each keypoint file once and preprocess it as ``rank`` would.
 
-    The first file that fails raises DataError naming it. Window length is
-    not checked: ``rank`` applies it per activity, across recordings.
+    Returns ``(path, frames, warnings)`` per file: its frame count and a
+    warning for coordinate and for confidence values outside [0, 1], which
+    are legal but usually mean an estimator or scaling problem. The first
+    file that fails raises DataError naming it. Window length is not
+    checked: ``rank`` applies it per activity, across recordings.
     """
     checks = []
     for path in paths:
@@ -52,7 +44,10 @@ def run_validate(paths, config: RunConfig) -> list[pio.FileCheck]:
             _preprocess(t, kp, str(path), config)
         except DataError as exc:
             raise DataError(f"{path}: {exc}") from None
-        checks.append(pio.check_keypoints(path, t, kp))
+        outside = np.count_nonzero((kp < 0.0) | (kp > 1.0), axis=(0, 1))  # x, y, confidence
+        counts = {"coordinate": outside[0] + outside[1], "confidence": outside[2]}
+        warnings = [f"{n} {what} values outside [0, 1]" for what, n in counts.items() if n]
+        checks.append((path, len(t), warnings))
     return checks
 
 
@@ -165,10 +160,7 @@ def rank_report_payload(labels, scores, config: RunConfig, diagnostics, n_window
         "n_activities": len(diagnostics),
         "n_windows": n_windows,
         "activities": diagnostics,
-        "entries": [
-            {"rank": rank, "sites": label, "size": label.count("+") + 1, "score": score}
-            for rank, (label, score) in enumerate(zip(labels, scores), start=1)
-        ],
+        "entries": ranking_entries(labels, scores),
     }
 
 
@@ -188,86 +180,3 @@ def run_rank(manifest_path, config: RunConfig, out_dir=None):
         pio.write_ranking_file(out_dir / RANKING_FILENAME, labels, scores)
         pio.write_json_report(out_dir / RANK_REPORT_FILENAME, payload)
     return (labels, scores), payload
-
-
-# --- synth ----------------------------------------------------------------------
-
-# Offsets of each COCO keypoint from the site point it is expanded from.
-# The facial offsets sum to zero so consolidation recovers the head point;
-# the hip offsets are symmetric around the pelvis; every other keypoint sits
-# on its site.
-_KEYPOINT_OFFSETS = np.zeros((NUM_KEYPOINTS, 2))
-_KEYPOINT_OFFSETS[list(MERGE_SOURCES["HD"])] = (
-    (0.0, 0.0),        # nose
-    (0.01, -0.01),     # left eye
-    (-0.01, -0.01),    # right eye
-    (0.02, 0.01),      # left ear
-    (-0.02, 0.01),     # right ear
-)
-_KEYPOINT_OFFSETS[list(MERGE_SOURCES["PE"])] = ((-0.03, 0.0), (0.03, 0.0))
-
-
-def series_to_frames(series: SkeletonSeries, drift: bool = True) -> tuple[np.ndarray, np.ndarray]:
-    """Expand a 12-site series into timestamps ``t[L]`` and raw keypoints
-    ``kp[L, 17, 3]``.
-
-    The five facial keypoints are placed around the head point with
-    zero-sum offsets and the two hips symmetrically around the pelvis, so
-    consolidation recovers the original sites. With ``drift`` a smooth
-    whole-body translation is added per frame; per-frame centralization
-    removes it on ingestion. All confidences are 1.0.
-    """
-    if set(series.sites) != set(SITE_ORDER):
-        raise ValueError("keypoint export needs a series covering all 12 sites")
-    L = series.length
-    t = np.arange(L, dtype=np.float64) / series.sample_rate
-    shift = np.zeros((L, 2))
-    if drift:
-        shift[:, 0] = 0.05 * np.sin(2.0 * np.pi * 0.2 * t) + 0.001 * t
-        shift[:, 1] = 0.05 * np.cos(2.0 * np.pi * 0.3 * t)
-    rows = [series.sites.index(site) for site in KEYPOINT_SITE]
-    kp = np.ones((L, NUM_KEYPOINTS, 3), dtype=np.float64)
-    kp[:, :, :2] = (series.points[rows].transpose(1, 0, 2) + _KEYPOINT_OFFSETS) + shift[:, None]
-    return t, kp
-
-
-def run_synth(
-    out_dir,
-    n_activities: int = 3,
-    discriminative_sites=("LW",),
-    seed: int = 0,
-    noise_sigma: float = 0.0,
-    length: int = 500,
-    sample_rate: float = 10.0,
-    style: str = "csv",
-    drift: bool = True,
-):
-    """Emit a synthetic keypoint corpus plus its manifest.
-
-    Activities are generated over all 12 sites (so the full 17-keypoint
-    expansion is well-defined) and written one file per activity. Returns
-    the manifest path. Generator arguments it cannot use raise ConfigError.
-    """
-    out_dir = Path(out_dir)
-    try:
-        activity_set = make_separable_set(
-            n_activities,
-            discriminative_sites,
-            seed=seed,
-            noise_sigma=noise_sigma,
-            length=length,
-            sample_rate=sample_rate,
-            roster=SITE_ORDER,
-        )
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from None
-    extension = "csv" if style == "csv" else "txt"
-    manifest_lines = []
-    for series in activity_set.activities:
-        t, kp = series_to_frames(series, drift=drift)
-        filename = f"{series.activity_id}.{extension}"
-        pio.write_keypoint_file(out_dir / filename, t, kp, style=style)
-        manifest_lines.append(f"{series.activity_id} {filename}")
-    manifest_path = out_dir / MANIFEST_FILENAME
-    atomic_write_text(manifest_path, "\n".join(manifest_lines) + "\n")
-    return manifest_path

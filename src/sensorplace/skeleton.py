@@ -32,6 +32,7 @@ import numpy as np
 
 from .errors import (
     AllMissingSiteError,
+    ComputationError,
     EmptyEnvelopeError,
     EmptyFrameError,
     GapTooLongError,
@@ -374,6 +375,9 @@ def _slot_grid(t: np.ndarray, rate: float, cap: int) -> tuple[np.ndarray, np.nda
     return slots.astype(np.int64), true_slots
 
 
+# coordinates near the float limit can overflow in the site means, the
+# centroids or the interpolation; the result is checked instead
+@np.errstate(over="ignore", invalid="ignore")
 def preprocess_recording(
     t,
     kp,
@@ -392,7 +396,7 @@ def preprocess_recording(
     place the frames on the grid of the inferred rate (a timestamp hole
     becomes frames with no valid point), repair gaps (at the native rate)
     and decimate to the target rate. ``truncate_series`` cuts the result to
-    a window length.
+    a window length. Coordinates that overflow raise ComputationError.
     """
     t = np.asarray(t, dtype=np.float64)
     if len(t) < 2:
@@ -422,6 +426,8 @@ def preprocess_recording(
     stride = decimation_stride(input_rate, target_rate)
     if stride > 1:
         repaired = repaired[:, ::stride]
+    if not np.isfinite(repaired).all():
+        raise ComputationError(f"activity {activity_id!r}: coordinates overflow in preprocessing")
 
     return SkeletonSeries(
         activity_id=activity_id,

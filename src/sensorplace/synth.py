@@ -11,16 +11,21 @@ across activities.
 Separable sets make one group of "discriminative" sites move with distinct
 frequency and phase per activity while every other site keeps the same
 static motion, giving ground truth for which placements should rank first.
+
+The ``synth`` command, ``run_synth``, writes each activity as a 17-keypoint
+file plus a manifest; it loads the file writers only when called.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from pathlib import Path
 
 import numpy as np
 
-from .sites import DEFAULT_ROSTER, canonical_sites
-from .skeleton import ActivitySet, SkeletonSeries
+from .errors import ConfigError
+from .sites import DEFAULT_ROSTER, SITE_ORDER, canonical_sites
+from .skeleton import KEYPOINT_SITE, MERGE_SOURCES, NUM_KEYPOINTS, ActivitySet, SkeletonSeries
 
 # Rough humanoid layout in normalized image coordinates (y grows downward).
 DEFAULT_POSE = {
@@ -181,3 +186,91 @@ def make_separable_set(n_activities: int, discriminative_sites, **options) -> Ac
     ``separable_specs``."""
     specs = separable_specs(n_activities, discriminative_sites, **options)
     return ActivitySet(activities=tuple(generate_activity(s) for s in specs))
+
+
+# --- the synth command ------------------------------------------------------
+
+MANIFEST_FILENAME = "manifest.txt"
+
+# Offsets of each COCO keypoint from the site point it is expanded from.
+# The facial offsets sum to zero so consolidation recovers the head point;
+# the hip offsets are symmetric around the pelvis; every other keypoint sits
+# on its site.
+_KEYPOINT_OFFSETS = np.zeros((NUM_KEYPOINTS, 2))
+_KEYPOINT_OFFSETS[list(MERGE_SOURCES["HD"])] = (
+    (0.0, 0.0),        # nose
+    (0.01, -0.01),     # left eye
+    (-0.01, -0.01),    # right eye
+    (0.02, 0.01),      # left ear
+    (-0.02, 0.01),     # right ear
+)
+_KEYPOINT_OFFSETS[list(MERGE_SOURCES["PE"])] = ((-0.03, 0.0), (0.03, 0.0))
+
+
+def series_to_frames(series: SkeletonSeries, drift: bool = True) -> tuple[np.ndarray, np.ndarray]:
+    """Expand a 12-site series into timestamps ``t[L]`` and raw keypoints
+    ``kp[L, 17, 3]``.
+
+    The five facial keypoints are placed around the head point with
+    zero-sum offsets and the two hips symmetrically around the pelvis, so
+    consolidation recovers the original sites. With ``drift`` a smooth
+    whole-body translation is added per frame; per-frame centralization
+    removes it on ingestion. All confidences are 1.0.
+    """
+    if set(series.sites) != set(SITE_ORDER):
+        raise ValueError("keypoint export needs a series covering all 12 sites")
+    L = series.length
+    t = np.arange(L, dtype=np.float64) / series.sample_rate
+    shift = np.zeros((L, 2))
+    if drift:
+        shift[:, 0] = 0.05 * np.sin(2.0 * np.pi * 0.2 * t) + 0.001 * t
+        shift[:, 1] = 0.05 * np.cos(2.0 * np.pi * 0.3 * t)
+    rows = [series.sites.index(site) for site in KEYPOINT_SITE]
+    kp = np.ones((L, NUM_KEYPOINTS, 3), dtype=np.float64)
+    kp[:, :, :2] = (series.points[rows].transpose(1, 0, 2) + _KEYPOINT_OFFSETS) + shift[:, None]
+    return t, kp
+
+
+def run_synth(
+    out_dir,
+    n_activities: int = 3,
+    discriminative_sites=("LW",),
+    seed: int = 0,
+    noise_sigma: float = 0.0,
+    length: int = 500,
+    sample_rate: float = 10.0,
+    style: str = "csv",
+    drift: bool = True,
+):
+    """Emit a synthetic keypoint corpus plus its manifest.
+
+    Activities are generated over all 12 sites (so the full 17-keypoint
+    expansion is well-defined) and written one file per activity. Returns
+    the manifest path. Generator arguments it cannot use raise ConfigError.
+    """
+    from . import io as pio
+    from .textio import atomic_write_text
+
+    out_dir = Path(out_dir)
+    try:
+        activity_set = make_separable_set(
+            n_activities,
+            discriminative_sites,
+            seed=seed,
+            noise_sigma=noise_sigma,
+            length=length,
+            sample_rate=sample_rate,
+            roster=SITE_ORDER,
+        )
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from None
+    extension = "csv" if style == "csv" else "txt"
+    manifest_lines = []
+    for series in activity_set.activities:
+        t, kp = series_to_frames(series, drift=drift)
+        filename = f"{series.activity_id}.{extension}"
+        pio.write_keypoint_file(out_dir / filename, t, kp, style=style)
+        manifest_lines.append(f"{series.activity_id} {filename}")
+    manifest_path = out_dir / MANIFEST_FILENAME
+    atomic_write_text(manifest_path, "\n".join(manifest_lines) + "\n")
+    return manifest_path

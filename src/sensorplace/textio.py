@@ -241,6 +241,15 @@ def read_ranking_file(path) -> tuple[list[str], list[float | None]]:
 
 # --- structured reports --------------------------------------------------------
 
+def ranking_entries(labels, scores) -> list[dict]:
+    """A ranking report's ``entries``, best first, with the keys, types and
+    key order that ``render_json_report``'s template writes."""
+    return [
+        {"rank": rank, "sites": label, "size": label.count("+") + 1, "score": score}
+        for rank, (label, score) in enumerate(zip(labels, scores), start=1)
+    ]
+
+
 def render_json_report(payload: dict) -> str:
     """The text of ``json.dumps(payload, indent=2)``, made several times
     faster for a ranking report.
@@ -252,7 +261,7 @@ def render_json_report(payload: dict) -> str:
     ``json`` writes for a finite float) and ``str`` for ``rank`` and
     ``size``. Such entries must hold an int ``rank``, str ``sites``, int
     ``size`` and finite float ``score``, in that order, as
-    ``run.rank_report_payload`` builds them.
+    ``ranking_entries`` builds them.
     """
     entries = payload.get("entries")
     if not entries or len(payload) < 2 or list(payload)[-1] != "entries":

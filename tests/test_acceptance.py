@@ -18,7 +18,7 @@ import pytest
 from conftest import make_series
 from oracles import kendall_tau_ref, pairwise_distance_sum_ref
 from sensorplace import run as runner
-from sensorplace import tablerun
+from sensorplace import synth, tablerun
 from sensorplace.config import RunConfig
 from sensorplace.errors import TooShortError
 from sensorplace.rankcorr import kendall_tau
@@ -231,7 +231,7 @@ def test_08_ranking_speed(tmp_path):
     rank_placements(aset, subsets)
     core = time.perf_counter() - start
 
-    manifest = runner.run_synth(
+    manifest = synth.run_synth(
         tmp_path / "corpus", n_activities=13, discriminative_sites=("LW",),
         seed=1, noise_sigma=0.01, length=500,
     )
@@ -247,7 +247,7 @@ def test_08_ranking_speed(tmp_path):
 
 
 def test_09_rank_output_is_deterministic(tmp_path):
-    manifest = runner.run_synth(
+    manifest = synth.run_synth(
         tmp_path / "corpus", n_activities=5, discriminative_sites=("LW",),
         seed=2, noise_sigma=0.005, length=500,
     )

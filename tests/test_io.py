@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 
 from sensorplace import io as pio
 from sensorplace import textio
+from sensorplace.config import RunConfig
 from sensorplace.errors import (
     DataError,
     InvalidRankError,
@@ -18,6 +19,7 @@ from sensorplace.errors import (
     ManifestError,
     NonMonotoneTimeError,
 )
+from sensorplace.run import run_validate
 from sensorplace.sites import subset_labels
 
 
@@ -137,18 +139,18 @@ def test_validate_flags_out_of_range_values(tmp_path):
     kp[1, 6, 2] = -0.2
     path = tmp_path / "rec.csv"
     pio.write_keypoint_file(path, t, kp)
-    check = pio.check_keypoints(path, *pio.parse_keypoint_file(path))
-    assert check.n_frames == 3
-    assert not check.ok
-    assert any("coordinate" in w for w in check.warnings)
-    assert any("confidence" in w for w in check.warnings)
+    [(checked, frames, warnings)] = run_validate([path], RunConfig())
+    assert (checked, frames) == (path, 3)
+    assert warnings == [
+        "1 coordinate values outside [0, 1]",
+        "1 confidence values outside [0, 1]",
+    ]
 
 
 def test_validate_clean_file_is_ok(tmp_path):
     path = tmp_path / "rec.csv"
     pio.write_keypoint_file(path, *_frames(4, seed=3))
-    check = pio.check_keypoints(path, *pio.parse_keypoint_file(path))
-    assert check.ok and check.n_frames == 4
+    assert run_validate([path], RunConfig()) == [(path, 4, [])]
 
 
 # --- manifests -----------------------------------------------------------------

@@ -6,6 +6,7 @@ import json
 import os
 import subprocess
 import sys
+import warnings
 from dataclasses import fields
 from pathlib import Path
 
@@ -18,7 +19,7 @@ import sensorplace
 from sensorplace import cli
 from sensorplace import io as pio
 from sensorplace import run as runner
-from sensorplace import tablerun, textio
+from sensorplace import synth, tablerun, textio
 from sensorplace.config import _PARSERS, RunConfig
 from sensorplace.errors import ComputationError, ManifestError
 from sensorplace.rankcorr import compare_rankings
@@ -27,7 +28,7 @@ from sensorplace.sites import SITE_ORDER
 
 
 def _corpus(tmp_path, n=3, length=520, noise=0.0, seed=0, style="csv", **kwargs):
-    manifest = runner.run_synth(
+    manifest = synth.run_synth(
         tmp_path / "corpus",
         n_activities=n,
         discriminative_sites=("LW",),
@@ -386,28 +387,30 @@ def test_cli_report_rejects_a_score_that_rises_with_rank(tmp_path, capsys):
     )
 
 
-@pytest.mark.parametrize("argv", [
-    ["rank", "{m}", "--length", "5_00"],
-    ["rank", "{m}", "--length", "\u0665\u0660"],
-    ["rank", "{m}", "--length", "+50"],
-    ["rank", "{m}", "--rate", "1_0"],
-    ["rank", "{m}", "--threshold", "\u0660.5"],
-    ["rank", "{m}", "--sizes", "1,2_0"],
-    ["validate", "{m}", "--max-gap", "1_0"],
-    ["compare", "{m}", "{m}", "--top-k", "1_0"],
-    ["synth", "{m}", "--seed", "1_0"],
-    ["synth", "{m}", "--noise", "0_0.1"],
+@pytest.mark.parametrize("argv, expected", [
+    (["rank", "{m}", "--length", "5_00"], "--length: not an integer: '5_00'"),
+    (["rank", "{m}", "--length", "\u0665\u0660"], "--length: not an integer: '\u0665\u0660'"),
+    (["rank", "{m}", "--length", "+50"], "--length: not an integer: '+50'"),
+    (["rank", "{m}", "--rate", "1_0"], "--rate: not a number: '1_0'"),
+    (["rank", "{m}", "--threshold", "\u0660.5"], "--threshold: not a number: '\u0660.5'"),
+    (["rank", "{m}", "--sizes", "1,2_0"], "--sizes: not an integer: '2_0'"),
+    (["validate", "{m}", "--max-gap", "1_0"], "--max-gap: not an integer: '1_0'"),
+    (["compare", "{m}", "{m}", "--top-k", "1_0"], "--top-k: not an integer: '1_0'"),
+    (["synth", "{m}", "--seed", "1_0"], "--seed: not an integer: '1_0'"),
+    (["synth", "{m}", "--noise", "0_0.1"], "--noise: not a number: '0_0.1'"),
 ], ids=["length-underscore", "length-arabic-indic", "length-plus", "rate-underscore",
         "threshold-arabic-indic", "sizes-underscore", "max-gap", "top-k", "seed", "noise"])
-def test_cli_numeric_flags_take_one_spelling(tmp_path, capsys, argv):
+def test_cli_numeric_flags_take_one_spelling(tmp_path, capsys, argv, expected):
     # an int is ASCII digits with an optional leading '-'; a float is ASCII
-    # without '_', as in ranking tables and keypoint files
+    # without '_', as in ranking tables and keypoint files. The usage error
+    # carries the flag parser's message, not argparse's "invalid size_list
+    # value"
     argv = [arg.format(m=tmp_path / "manifest.txt") for arg in argv]
     with pytest.raises(SystemExit) as exc:
         cli.main(argv)
     assert exc.value.code == 1
     err = capsys.readouterr().err
-    assert err.splitlines()[-1].startswith(f"sensorplace {argv[0]}: error: argument --")
+    assert err.splitlines()[-1] == f"sensorplace {argv[0]}: error: argument {expected}"
     assert "Traceback" not in err
 
 
@@ -452,6 +455,46 @@ def test_cli_norm_overflow_exits_2(tmp_path, capsys):
                      "--out-dir", str(tmp_path / "out")])
     assert code == 2
     assert capsys.readouterr().err.startswith("computation error: activity 'act02': ")
+    assert not (tmp_path / "out").exists()
+
+
+def test_cli_validate_passes_coordinates_near_1e200_with_warnings(tmp_path, capsys):
+    # finite through preprocessing; only scoring's squared norms overflow
+    corpus = tmp_path / "corpus"
+    cli.main(["synth", str(corpus), "--length", "60"])
+    t, kp = pio.parse_keypoint_file(corpus / "act02.csv")
+    kp[:, :, :2] *= 1e200
+    pio.write_keypoint_file(corpus / "act02.csv", t, kp)
+    capsys.readouterr()
+    assert cli.main(["validate", str(corpus / "act02.csv")]) == 0
+    assert capsys.readouterr().out == (
+        f"{corpus / 'act02.csv'}: ok with warnings, 60 frames\n"
+        "  warning: 2040 coordinate values outside [0, 1]\n"
+    )
+
+
+@pytest.mark.parametrize("command", ["rank", "validate"])
+def test_cli_preprocessing_overflow_exits_2(tmp_path, capsys, command):
+    # both hips' x at 1.5e308: their mean, the pelvis, overflows to inf
+    corpus = tmp_path / "corpus"
+    cli.main(["synth", str(corpus), "--activities", "3", "--length", "60"])
+    t, kp = pio.parse_keypoint_file(corpus / "act02.csv")
+    kp[:, [11, 12], 0] = 1.5e308
+    pio.write_keypoint_file(corpus / "act02.csv", t, kp)
+    capsys.readouterr()
+    if command == "rank":
+        argv, activity = ["rank", str(corpus / "manifest.txt"), "--length", "50",
+                          "--out-dir", str(tmp_path / "out")], "act02"
+    else:
+        argv, activity = ["validate", str(corpus / "act02.csv")], str(corpus / "act02.csv")
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code = cli.main(argv)
+    assert code == 2
+    assert capsys.readouterr().err == (
+        f"computation error: activity {activity!r}: coordinates overflow in preprocessing\n"
+    )
+    assert not caught  # numpy's overflow warnings would add lines to stderr
     assert not (tmp_path / "out").exists()
 
 
@@ -766,29 +809,36 @@ def test_every_public_name_resolves_and_is_listed():
 # of the modules a command may not need it loaded ("-" for none).
 _NUMPY_PROBE = """
 import sys
+import types
 from sensorplace import cli
 try:
     code = cli.main(sys.argv[1:])
 except SystemExit as exc:
     code = exc.code
 heavy = ("numpy", "numpy.ma", "dataclasses", "hashlib", "fractions")
-print(code, " ".join(name for name in heavy if name in sys.modules) or "-")
+# cli puts its lazy modules in sys.modules when it is imported; LazyLoader
+# makes one a plain module when it runs
+ran = [name for name in ("config", "run", "synth")
+       if type(sys.modules.get(f"sensorplace.{name}")) is types.ModuleType]
+print(code, " ".join(name for name in heavy if name in sys.modules) or "-", " ".join(ran) or "-")
 """
 
 
 @pytest.mark.parametrize("argv, outcome", [
-    (["compare", "{t}", "{t}", "--scope", "all"], "0 -"),
-    (["compare", "{t}", "{t}", "--scope", "per-size", "--out-dir", "{tmp}/tau"], "0 -"),
-    (["compare", "{t}", "{t}", "--scope", "top", "--top-k", "2"], "0 -"),
-    (["report", "{t}"], "0 -"),
-    (["report", "{t}", "--out", "{tmp}/report.txt"], "0 -"),
-    (["--version"], "0 -"),
-    (["--help"], "0 -"),
-    (["rank", "{corpus}/manifest.txt", "--length", "abc"], "1 -"),
+    (["compare", "{t}", "{t}", "--scope", "all"], "0 - -"),
+    (["compare", "{t}", "{t}", "--scope", "per-size", "--out-dir", "{tmp}/tau"], "0 - -"),
+    (["compare", "{t}", "{t}", "--scope", "top", "--top-k", "2"], "0 - -"),
+    (["report", "{t}"], "0 - -"),
+    (["report", "{t}", "--out", "{tmp}/report.txt"], "0 - -"),
+    (["--version"], "0 - -"),
+    (["--help"], "0 - -"),
+    (["rank", "{corpus}/manifest.txt", "--length", "abc"], "1 - -"),
     (["rank", "{corpus}/manifest.txt", "--length", "50", "--out-dir", "{tmp}/out"],
-     "0 numpy dataclasses hashlib"),
+     "0 numpy dataclasses hashlib config run"),
+    (["validate", "{corpus}/act01.csv"], "0 numpy dataclasses hashlib config run"),
+    (["synth", "{tmp}/other", "--length", "60"], "0 numpy dataclasses hashlib synth"),
 ], ids=["compare-all", "compare-per-size", "compare-top", "report", "report-out",
-        "version", "help", "usage-error", "rank"])
+        "version", "help", "usage-error", "rank", "validate", "synth"])
 def test_only_commands_that_compute_on_arrays_load_numpy(tmp_path, argv, outcome):
     table = tmp_path / "ranking.csv"
     table.write_text("rank,score,sites\n1,0.5,LW\n2,0.25,RW\n3,0.125,LW+RW\n")

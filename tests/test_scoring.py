@@ -177,6 +177,15 @@ def test_enumerate_rejects_bad_sizes():
         enumerate_subsets(DEFAULT_ROSTER, sizes=(6,))
 
 
+def test_nothing_to_enumerate_or_rank_is_an_error():
+    with pytest.raises(ConfigError, match="^roster must not be empty$"):
+        enumerate_subsets(())
+    with pytest.raises(ConfigError, match="^subset size filter selects nothing$"):
+        enumerate_subsets(DEFAULT_ROSTER, sizes=())
+    with pytest.raises(ConfigError, match="^no subsets to rank$"):
+        rank_placements(make_separable_set(3, ["LW"], length=20), [])
+
+
 def test_ranking_sorts_desc_with_canonical_tie_break():
     ranking = sort_ranking(["RW", "LW", "LW+RW", "PE", "RF"], [1.0, 1.0, 1.0, 2.0, -0.0])
     assert ranking == (["PE", "LW", "RW", "LW+RW", "RF"], [2.0, 1.0, 1.0, 1.0, -0.0])

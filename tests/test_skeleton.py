@@ -1,6 +1,7 @@
 """Keypoint consolidation, centralization, gap repair, truncation."""
 
 import re
+import warnings
 
 import numpy as np
 import pytest
@@ -10,6 +11,7 @@ from hypothesis import strategies as st
 from conftest import make_keypoints, make_series
 from sensorplace.errors import (
     AllMissingSiteError,
+    ComputationError,
     EmptyEnvelopeError,
     EmptyFrameError,
     GapTooLongError,
@@ -22,6 +24,7 @@ from sensorplace.skeleton import (
     DEFAULT_ROSTER,
     MERGE_SOURCES,
     SITE_ORDER,
+    ActivitySet,
     _median,
     centralize,
     decimation_stride,
@@ -49,6 +52,32 @@ def _centralize(points, valid):
 
 def _at(points, site):
     return points[SITE_ORDER.index(site)]
+
+
+# --- containers -------------------------------------------------------------
+
+@pytest.mark.parametrize("points, rate, message", [
+    (np.zeros((2, 5)), 10.0, "expected (n_sites, length, 2) points, got (2, 5)"),
+    (np.zeros((2, 5, 3)), 10.0, "expected (n_sites, length, 2) points, got (2, 5, 3)"),
+    (np.zeros((1, 0, 2)), 10.0, "series must contain at least one frame"),
+    (np.full((1, 3, 2), np.inf), 10.0, "series contains non-finite points"),
+    (np.zeros((1, 3, 2)), 0.0, "sample rate must be positive"),
+], ids=["two-dims", "three-coordinates", "no-frame", "non-finite", "rate-zero"])
+def test_skeleton_series_rejects_bad_contents(points, rate, message):
+    with pytest.raises(ValueError, match=re.escape(message)):
+        make_series("a", points, sites=("LW",) * len(points), sample_rate=rate)
+
+
+@pytest.mark.parametrize("series, message", [
+    ([("a", 1, 3)], "an activity set needs at least two activities"),
+    ([("a", 1, 3), ("a", 1, 3)], "duplicate activity ids: ['a', 'a']"),
+    ([("a", 2, 3), ("b", 1, 3)], "site roster mismatch: 'b' has ('LW',), 'a' has ('LW', 'RW')"),
+    ([("a", 1, 4), ("b", 1, 3)], "length mismatch: 'b' has 3 frames, 'a' has 4"),
+], ids=["one-activity", "duplicate-ids", "roster-mismatch", "length-mismatch"])
+def test_activity_set_rejects_inconsistent_activities(series, message):
+    activities = tuple(make_series(aid, np.ones((n, length, 2))) for aid, n, length in series)
+    with pytest.raises(ValueError, match=re.escape(message)):
+        ActivitySet(activities=activities)
 
 
 # --- merging ----------------------------------------------------------------
@@ -356,6 +385,27 @@ def test_decimation_stride_rejects_bad_ratios():
         decimation_stride(5.0, 10.0)
 
 
+@pytest.mark.parametrize("call, error, message", [
+    (lambda: repair_gaps(np.zeros((1, 0, 2)), np.zeros((1, 0), dtype=bool)), ValueError,
+     "expected a non-empty (n_sites, n_frames) validity mask"),
+    (lambda: repair_gaps(np.zeros((3, 2)), np.ones(3, dtype=bool)), ValueError,
+     "expected a non-empty (n_sites, n_frames) validity mask"),
+    (lambda: truncate_series(make_series("a", np.zeros((1, 4, 2))), 0), ValueError,
+     "length must be at least 1"),
+    (lambda: truncate_series(make_series("a", np.zeros((1, 4, 2))), 2, mode="last"), ValueError,
+     "unknown truncation mode 'last'"),
+    (lambda: infer_sample_rate([0.0]), RateMismatchError,
+     "need at least two timestamps to infer a rate"),
+    (lambda: infer_sample_rate([0.0, 0.1, 0.0, -0.1]), RateMismatchError,
+     "non-positive timestamp spacing"),
+    (lambda: decimation_stride(10.0, 0.0), RateMismatchError, "target rate must be positive"),
+], ids=["mask-empty", "mask-one-dim", "truncate-length-0", "truncate-mode", "rate-one-timestamp",
+        "rate-falling-timestamps", "stride-target-0"])
+def test_preprocessing_steps_reject_bad_arguments(call, error, message):
+    with pytest.raises(error, match=re.escape(message)):
+        call()
+
+
 # --- full preprocessing --------------------------------------------------------------
 
 def test_preprocess_end_to_end(raw_walk):
@@ -460,6 +510,17 @@ def test_hole_outside_the_envelope_is_trimmed(raw_walk):
     kp[:5, 9, 2] = 0.0  # LW unseen before the hole, so the envelope starts after it
     series = preprocess_recording(t, kp, "walk")
     assert np.array_equal(series.points, preprocess_recording(*raw_walk, "walk").points[:, 5:])
+
+
+def test_coordinate_overflow_is_a_computation_error(raw_walk):
+    # two hips at 1.5e308 overflow their mean, the pelvis; numpy stays quiet
+    t, kp = raw_walk
+    kp = kp.copy()
+    kp[:, list(HIPS), 0] = 1.5e308
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ComputationError, match="^activity 'walk': coordinates overflow in"):
+            preprocess_recording(t, kp, "walk")
 
 
 def test_site_order_default_roster_come_first():

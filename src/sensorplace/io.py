@@ -9,14 +9,15 @@ writer, which ``synth`` uses, takes the same arrays. ``validate`` makes
 its own checks of the values. Ranking tables, tau tables and JSON reports
 live in ``textio``, which needs no numpy.
 
-A keypoint file is converted in blocks of 64 data lines: each block is
-joined and split with ``str`` methods, checked for its structure (52
-comma-separated fields per line, or 52 ``key=value`` tokens per line split
-by single ASCII spaces in the first line's key order) and for the one
-number spelling, ASCII without ``_``, and converted with one ``np.array``
-call. Any block that fails its check or its conversion
-sends the whole file to the line-by-line parser, so every error, and the
-result for a file with another layout, comes from that parser.
+A keypoint file's data lines are converted by numpy's C text reader,
+``np.loadtxt``, once they pass the checks that keep it to what the line
+parser accepts: printable ASCII without ``_`` (numpy skips some control
+bytes that ``float()`` rejects), 52 comma-separated fields per CSV line,
+and for the labeled form 52 ``key=value`` tokens per line split by single
+spaces in the first line's key order, read 64 lines at a time. A file that
+fails a check or a conversion goes to the line-by-line parser, so every
+error, and the result for a file with another layout, comes from that
+parser.
 
 Every reader turns a missing, unreadable or non-UTF-8 file, and every
 malformed line, into a ``DataError`` with a one-line message; line-level
@@ -63,8 +64,9 @@ def _csv_values(line: str, path, line_no: int) -> list[float]:
 
 
 def _labeled_values(line: str, path, line_no: int) -> list[float]:
+    # split by spaces and tabs only: any other byte stays in a value
     found = {}
-    for token in line.split():
+    for token in filter(None, line.replace("\t", " ").split(" ")):
         key, sep, raw = token.partition("=")
         if not sep or not key:
             raise MalformedLineError(path, line_no, f"expected key=value, got {token!r}")
@@ -130,84 +132,66 @@ def _parse_lines(lines: list[str], path) -> np.ndarray:
     return values
 
 
-# Data lines converted at once on the block path. A whole file at once would
-# hold the text of every value; at 64 lines the block path's allocation peak
-# stays below the line parser's.
-_BLOCK_LINES = 64
+# Bytes deleted to leave what numpy's reader may read differently from the
+# line parser: every printable ASCII byte but '_'. Non-ASCII bytes, '_' and
+# control bytes stay; numpy skips '\x1f' as whitespace where float() rejects it.
+_VALUE_BYTES = bytes(range(0x20, 0x7F)).replace(b"_", b"")
 
-# Bytes deleted to leave a labeled block's separators: every ASCII byte but
-# '=' and whitespace. Non-ASCII bytes stay, so they fail the pattern check.
-_TOKEN_BYTES = bytes(b for b in range(128) if chr(b) != "=" and not chr(b).isspace())
+# Bytes deleted to leave a labeled block's separators: every printable ASCII
+# byte but '=' and ' '.
+_TOKEN_BYTES = bytes(range(0x21, 0x7F)).replace(b"=", b"")
 
 # The '_' of one line's keys; a labeled block with more has one in a value.
 _KEY_UNDERSCORES = "".join(KEYPOINT_FIELDS).count("_")
 
+# One labeled line with each '=' read as a space: 52 (key, value) pairs. A
+# key longer than the longest field name stays longer after the truncation.
+_PAIRS = np.dtype([("pairs", [("key", "S7"), ("value", "f8")], (FIELDS_PER_FRAME,))])
 
-def _csv_block(block: list[str]) -> list[str] | None:
-    """The block's value texts in field order, or None unless every line
-    has exactly 52 comma-separated fields and the block is ASCII without
-    ``_``, the one number spelling the line parser accepts."""
-    if any(line.count(",") != FIELDS_PER_FRAME - 1 for line in block):
+# Labeled lines read at once: a whole file would hold its text twice more,
+# and at 64 lines the peak stays below the line parser's.
+_LABELED_LINES = 64
+
+
+def _read_csv(data: list[str]) -> np.ndarray | None:
+    """The ``(n, 52)`` values of CSV data lines, or None unless they are
+    ASCII without ``_`` or control bytes and hold 52 fields each."""
+    if any(line.encode().translate(None, _VALUE_BYTES) for line in data):
         return None
-    text = ",".join(block)
-    if not text.isascii() or "_" in text:
-        return None
-    return text.split(",")
+    values = np.loadtxt(data, delimiter=",", comments=None, ndmin=2)
+    return values if values.shape[1] == FIELDS_PER_FRAME else None
 
 
-def _labeled_block(block: list[str], keys: list[str]) -> list[str] | None:
-    """The block's value texts in ``keys`` order, or None unless every line
-    has 52 '=' and the block is ASCII ``key=value`` tokens split by single
-    spaces, with the keys in ``keys`` order on every line and no ``_`` but
-    the keys' own.
+def _read_labeled(data: list[str]) -> np.ndarray | None:
+    """The ``(n, 52)`` values of labeled data lines in field order, or None
+    unless every line is 52 ASCII ``key=value`` tokens split by single
+    spaces, in the first line's key order, with no ``_`` but the keys' own.
 
     The separators alternate '=' and ' ', so every token holds one '=' and
-    the pieces alternate key and value; 52 '=' per line puts 52 tokens on
-    every line. Empty keys fail the key check and empty values the
-    conversion. Any other whitespace, a doubled '=' or a token without one
-    breaks the alternation.
+    the pieces alternate key and value; numpy's reader takes exactly 104
+    pieces per line. Empty keys fail the key check and empty values the
+    conversion. Any other whitespace or control byte, a doubled '=' or a
+    token without one breaks the alternation.
     """
-    n = len(block)
-    if any(line.count("=") != FIELDS_PER_FRAME for line in block):
+    keys = [token.partition("=")[0] for token in data[0].split()]
+    if sorted(keys) != sorted(KEYPOINT_FIELDS):
         return None
-    text = " ".join(block)
-    tokens = FIELDS_PER_FRAME * n
-    if text.encode().translate(None, _TOKEN_BYTES) != b"= " * (tokens - 1) + b"=":
-        return None
-    if text.count("_") != _KEY_UNDERSCORES * n:
-        return None
-    pieces = text.replace("=", " ").split(" ")
-    if pieces[0::2] != keys * n:
-        return None
-    return pieces[1::2]
-
-
-def _parse_blocks(lines: list[str], line_nos: list[int]) -> np.ndarray | None:
-    """The ``(n, 52)`` values of the data lines ``line_nos`` (1-based) in
-    field order, converted ``_BLOCK_LINES`` lines at a time; None when any
-    block fails its structural check or a value is not a number.
-
-    A labeled file takes this path only when every line carries its first
-    line's key order.
-    """
-    first = lines[line_nos[0] - 1].strip()
-    keys, columns = None, slice(None)
-    if "=" in first:
-        keys = [token.partition("=")[0] for token in first.split()]
-        if sorted(keys) != sorted(KEYPOINT_FIELDS):
+    columns = np.array([_FIELD_INDEX[key] for key in keys])
+    keys = np.array(keys, dtype="S7")
+    values = np.empty((len(data), FIELDS_PER_FRAME))
+    for start in range(0, len(data), _LABELED_LINES):
+        block = data[start : start + _LABELED_LINES]
+        text = " ".join(block)
+        separators = b"= " * (FIELDS_PER_FRAME * len(block) - 1) + b"="
+        if text.encode().translate(None, _TOKEN_BYTES) != separators:
             return None
-        columns = np.array([_FIELD_INDEX[key] for key in keys])
-    values = np.empty((len(line_nos), FIELDS_PER_FRAME))
-    for start in range(0, len(line_nos), _BLOCK_LINES):
-        block = [lines[i - 1].strip() for i in line_nos[start : start + _BLOCK_LINES]]
-        texts = _csv_block(block) if keys is None else _labeled_block(block, keys)
-        if texts is None:
+        if text.count("_") != _KEY_UNDERSCORES * len(block):
             return None
-        try:
-            converted = np.array(texts, dtype=np.float64)
-        except ValueError:
+        pairs = np.loadtxt((line.replace("=", " ") for line in block), dtype=_PAIRS,
+                           delimiter=" ", comments=None, ndmin=1)["pairs"]
+        if not (pairs["key"] == keys).all():
             return None
-        values[start : start + len(block), columns] = converted.reshape(len(block), -1)
+        values[start : start + len(block), columns] = pairs["value"]
     return values
 
 
@@ -220,15 +204,19 @@ def parse_keypoint_file(path) -> tuple[np.ndarray, np.ndarray]:
     Every value must be a finite number and timestamps must strictly
     increase; the first faulty line is reported by number.
 
-    Values are converted in blocks of data lines. When a block fails a
-    structural check or a conversion, the line parser reruns on the whole
+    numpy's text reader converts the data lines. When they fail its
+    structural checks or a conversion, the line parser reruns on the whole
     file and raises the error it finds.
     """
     lines = _read_text(path, "keypoint file").splitlines()
     line_nos = [
         i for i, raw in enumerate(lines, start=1) if (line := raw.strip()) and line[0] != "#"
     ]
-    values = _parse_blocks(lines, line_nos) if line_nos else None
+    data = [lines[i - 1].strip() for i in line_nos]
+    try:
+        values = (_read_labeled if "=" in data[0] else _read_csv)(data) if data else None
+    except ValueError:
+        values = None
     if values is None:
         values = _parse_lines(lines, path)
     else:

@@ -104,9 +104,13 @@ def integer(text: str) -> int:
 def number(text: str) -> float:
     """A float spelled in ASCII without ``_``: the one number spelling of
     ranking tables, keypoint files, config values and flags. Non-finite
-    values pass; callers check them."""
+    values pass; callers check them. Any other text raises ``ValueError``
+    with one message."""
     if text.isascii() and "_" not in text:
-        return float(text)
+        try:
+            return float(text)
+        except ValueError:
+            pass
     raise ValueError(f"not a number: {text!r}")
 
 

@@ -14,7 +14,6 @@ from __future__ import annotations
 from pathlib import Path
 
 from . import textio
-from .rankcorr import compare_rankings
 from .sites import SITE_NAMES
 
 TAU_TABLE_FILENAME = "tau.csv"
@@ -25,6 +24,8 @@ TAU_REPORT_FILENAME = "tau.json"
 
 def run_compare(first_path, second_path, scope: str = "per-size", top_k: int = 3, out_dir=None):
     """Kendall's tau between two ranking files, per comparison scope."""
+    from .rankcorr import compare_rankings  # here, so that report does not load it
+
     first, _ = textio.read_ranking_file(first_path)
     second, _ = textio.read_ranking_file(second_path)
     reports = compare_rankings(first, second, scope=scope, top_k=top_k)

@@ -18,12 +18,10 @@ start without it.
 
 from __future__ import annotations
 
-import json
 import math
 import operator
 import os
 import tempfile
-from json.encoder import encode_basestring_ascii as _json_string
 from pathlib import Path
 
 from .errors import DataError, InvalidRankError, MalformedLineError, UnknownSiteError
@@ -42,12 +40,14 @@ def _read_text(path, what: str, error=DataError) -> str:
 
 def _number(text: str, path, line_no: int, field: str) -> float:
     """One field as a float, spelled as ``sites.number`` reads it;
-    non-finite values pass, callers check them."""
+    non-finite values pass, callers check them. The message shows the field
+    without the spaces and tabs float() drops, but with any other byte."""
     try:
         return number(text)
     except ValueError:
+        shown = text.strip(" \t")
         raise MalformedLineError(
-            path, line_no, f"field {field!r}: not a number: {text.strip()!r}"
+            path, line_no, f"field {field!r}: not a number: {shown!r}"
         ) from None
 
 
@@ -263,12 +263,15 @@ def render_json_report(payload: dict) -> str:
     ``size`` and finite float ``score``, in that order, as
     ``ranking_entries`` builds them.
     """
+    import json  # here, so that report does not load it
+
+    quote = json.encoder.encode_basestring_ascii
     entries = payload.get("entries")
     if not entries or len(payload) < 2 or list(payload)[-1] != "entries":
         return json.dumps(payload, indent=2)
     head = json.dumps({k: v for k, v in payload.items() if k != "entries"}, indent=2)
     rows = ",\n".join(
-        f'    {{\n      "rank": {e["rank"]},\n      "sites": {_json_string(e["sites"])},\n'
+        f'    {{\n      "rank": {e["rank"]},\n      "sites": {quote(e["sites"])},\n'
         f'      "size": {e["size"]},\n      "score": {e["score"]!r}\n    }}'
         for e in entries
     )

@@ -137,6 +137,16 @@ def test_numbers_in_other_spellings_are_rejected(parse, text):
         parse(text)
 
 
+@pytest.mark.parametrize("text", ["abc", "1_0", "0x1", "", "\u0660.5"])
+def test_every_rejected_number_has_one_message(text):
+    with pytest.raises(ValueError) as info:
+        number(text)
+    assert str(info.value) == f"not a number: {text!r}"
+    with pytest.raises(ConfigError) as info:
+        parse_config_text(f"sample_rate = {text}")
+    assert str(info.value) == f"<config>:1: bad value for 'sample_rate': not a number: {text!r}"
+
+
 @pytest.mark.parametrize("value, want", [
     ("1", True), ("true", True), ("Yes", True), ("ON", True),
     ("0", False), ("FALSE", False), ("no", False), ("Off", False),

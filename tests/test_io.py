@@ -465,7 +465,7 @@ def test_corrupted_keypoint_file_parses_or_raises_data_error(tmp_path_factory, r
 # other digits), and ones holding other whitespace.
 ACCEPTED = ["+.5", "1e400", "infinity", "nan", "-0", "-0.0"]
 SPELLINGS = ACCEPTED + ["1_0", "0.1_0", "\u0660.5", "0x1", "1__0", "", "١٢", "\xa00.5",
-                        "0.5\xa0", "0.5\x1c1"]
+                        "0.5\xa0", "0.5\x1c1", "0.5\x1f", "\x1f1"]
 EDITS = ["value", "k==v", "k=v=w", "bare", "join", "swap", "tab", "spaces", "drop",
          "duplicate", "wrap", "reorder", "comment", "blank"]
 
@@ -597,6 +597,27 @@ def _reorder(lines, sep):
 @pytest.mark.parametrize("spelling", ["0.1_0", "\u0660.5"], ids=["underscore", "arabic-indic"])
 def test_keypoint_values_are_ascii_without_underscores(tmp_path, style, spelling):
     # numpy reads both spellings on the block path; the line parser names the field
+    path = tmp_path / "rec.txt"
+    pio.write_keypoint_file(path, *_frames(130), style=style)
+    lines = path.read_text().splitlines()
+    sep = "," if style == "csv" else " "
+    fields = lines[69].split(sep)
+    key, eq, _ = fields[4].rpartition("=")
+    fields[4] = key + eq + spelling
+    lines[69] = sep.join(fields)
+    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    with pytest.raises(MalformedLineError) as info:
+        pio.parse_keypoint_file(path)
+    assert info.value.line_no == 70
+    assert info.value.reason == f"field 'kp1_x': not a number: {spelling!r}"
+
+
+@pytest.mark.parametrize("style", ["csv", "labeled"])
+@pytest.mark.parametrize("spelling", ["0.5\x1f", "\x1f1", "0.5\xa0"],
+                         ids=["trailing-unit-separator", "leading-unit-separator", "no-break-space"])
+def test_keypoint_values_hold_only_the_whitespace_float_drops(tmp_path, style, spelling):
+    # numpy's reader skips '\x1f' as whitespace and str.split() splits on it,
+    # but float() rejects it: both formats name the field, with the byte
     path = tmp_path / "rec.txt"
     pio.write_keypoint_file(path, *_frames(130), style=style)
     lines = path.read_text().splitlines()

@@ -392,6 +392,7 @@ def test_cli_report_rejects_a_score_that_rises_with_rank(tmp_path, capsys):
     (["rank", "{m}", "--length", "\u0665\u0660"], "--length: not an integer: '\u0665\u0660'"),
     (["rank", "{m}", "--length", "+50"], "--length: not an integer: '+50'"),
     (["rank", "{m}", "--rate", "1_0"], "--rate: not a number: '1_0'"),
+    (["rank", "{m}", "--rate", "abc"], "--rate: not a number: 'abc'"),
     (["rank", "{m}", "--threshold", "\u0660.5"], "--threshold: not a number: '\u0660.5'"),
     (["rank", "{m}", "--sizes", "1,2_0"], "--sizes: not an integer: '2_0'"),
     (["validate", "{m}", "--max-gap", "1_0"], "--max-gap: not an integer: '1_0'"),
@@ -399,7 +400,7 @@ def test_cli_report_rejects_a_score_that_rises_with_rank(tmp_path, capsys):
     (["synth", "{m}", "--seed", "1_0"], "--seed: not an integer: '1_0'"),
     (["synth", "{m}", "--noise", "0_0.1"], "--noise: not a number: '0_0.1'"),
 ], ids=["length-underscore", "length-arabic-indic", "length-plus", "rate-underscore",
-        "threshold-arabic-indic", "sizes-underscore", "max-gap", "top-k", "seed", "noise"])
+        "rate-letters", "threshold-arabic-indic", "sizes-underscore", "max-gap", "top-k", "seed", "noise"])
 def test_cli_numeric_flags_take_one_spelling(tmp_path, capsys, argv, expected):
     # an int is ASCII digits with an optional leading '-'; a float is ASCII
     # without '_', as in ranking tables and keypoint files. The usage error
@@ -849,3 +850,18 @@ def test_only_commands_that_compute_on_arrays_load_numpy(tmp_path, argv, outcome
                           env=env, capture_output=True, text=True)
     assert "Traceback" not in proc.stderr
     assert proc.stdout.splitlines()[-1] == outcome
+
+
+@pytest.mark.parametrize("argv", [["report", "{t}"], ["report", "{t}", "--out", "{tmp}/out.txt"]],
+                         ids=["report", "report-out"])
+def test_report_loads_neither_json_nor_rankcorr(tmp_path, argv):
+    # report reads a table and writes text; json and rankcorr serve rank and compare
+    table = tmp_path / "ranking.csv"
+    table.write_text("rank,score,sites\n1,0.5,LW\n2,0.25,RW\n")
+    argv = [a.format(t=table, tmp=tmp_path) for a in argv]
+    probe = ("import sys\nfrom sensorplace import cli\ncode = cli.main(sys.argv[1:])\n"
+             "print(code, *(m for m in ('json', 'sensorplace.rankcorr') if m in sys.modules))")
+    env = dict(os.environ, PYTHONPATH=str(Path(sensorplace.__file__).resolve().parents[1]))
+    proc = subprocess.run([sys.executable, "-c", probe, *argv],
+                          env=env, capture_output=True, text=True)
+    assert proc.stdout.splitlines()[-1] == "0"

@@ -13,6 +13,7 @@ from dataclasses import dataclass, fields
 
 from .errors import ConfigError
 from .sites import (
+    BLANKS,
     DEFAULT_ROSTER,
     canonical_sites,
     check_roster,
@@ -21,7 +22,7 @@ from .sites import (
     site_list,
     size_list,
 )
-from .textio import _read_text
+from .textio import _read_text, data_lines
 
 # The one random generator the package uses (numpy's PCG64, in ``synth``);
 # named in every fingerprint and report.
@@ -94,7 +95,7 @@ class RunConfig:
 
 def _switch(text: str) -> bool:
     """An on/off value: 1/0, true/false, yes/no or on/off, in any case."""
-    value = text.strip().lower()
+    value = text.lower()
     if value not in ("1", "true", "yes", "on", "0", "false", "no", "off"):
         raise ValueError(f"expected 1/0, true/false, yes/no or on/off, got {text!r}")
     return value in ("1", "true", "yes", "on")
@@ -115,21 +116,15 @@ _PARSERS = {
 
 
 def parse_config_text(text: str, source: str = "<config>") -> dict:
-    """Parse ``key = value`` lines into RunConfig keyword arguments.
-
-    Blank lines and lines starting with ``#`` are ignored. Unknown keys and
-    unparseable values raise ConfigError.
+    """Parse ``key = value`` data lines (see ``textio.data_lines``) into
+    RunConfig keyword arguments; blanks around keys and values are dropped.
+    Unknown keys and unparseable values raise ConfigError.
     """
     out = {}
-    for line_no, raw in enumerate(text.splitlines(), start=1):
-        line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
+    for line_no, line in zip(*data_lines(text)):
         if "=" not in line:
             raise ConfigError(f"{source}:{line_no}: expected key=value, got {line!r}")
-        key, _, value = line.partition("=")
-        key = key.strip()
-        value = value.strip()
+        key, _, value = (part.strip(BLANKS) for part in line.partition("="))
         if key not in _PARSERS:
             raise ConfigError(f"{source}:{line_no}: unknown key {key!r}")
         try:

@@ -3,7 +3,7 @@
 Keypoint files come in two line-oriented flavors. The plain form is CSV,
 one frame per line, 52 fields: ``t,kp0_x,kp0_y,kp0_c,...,kp16_x,kp16_y,
 kp16_c``. The labeled form carries the same 52 fields per line as
-whitespace-separated ``key=value`` tokens in any order. A parsed recording
+``key=value`` tokens split by blanks, in any order. A parsed recording
 is two arrays, timestamps ``t[n]`` and keypoints ``kp[n, 17, 3]``; the
 writer, which ``synth`` uses, takes the same arrays. ``validate`` makes
 its own checks of the values. Ranking tables, tau tables and JSON reports
@@ -19,11 +19,11 @@ fails a check or a conversion goes to the line-by-line parser, so every
 error, and the result for a file with another layout, comes from that
 parser.
 
-Every reader turns a missing, unreadable or non-UTF-8 file, and every
-malformed line, into a ``DataError`` with a one-line message; line-level
-faults carry the line number. All writers go through a write-then-rename
-step so consumers never observe a partial file, and no output embeds a
-timestamp.
+Every reader takes its data lines from ``textio.data_lines`` and turns a
+missing, unreadable or non-UTF-8 file, and every malformed line, into a
+``DataError`` with a one-line message; line-level faults carry the line
+number. All writers go through a write-then-rename step so consumers
+never observe a partial file, and no output embeds a timestamp.
 """
 
 from __future__ import annotations
@@ -34,7 +34,7 @@ import numpy as np
 
 from .errors import DataError, MalformedLineError, ManifestError, NonMonotoneTimeError
 from .skeleton import NUM_KEYPOINTS
-from .textio import _number, _read_text, atomic_write_text, format_float
+from .textio import _number, _read_text, atomic_write_text, data_lines, format_float, words
 
 # re-exported because perfbench's tracer times rank's two writes here
 from .textio import write_json_report, write_ranking_file  # noqa: F401
@@ -64,9 +64,8 @@ def _csv_values(line: str, path, line_no: int) -> list[float]:
 
 
 def _labeled_values(line: str, path, line_no: int) -> list[float]:
-    # split by spaces and tabs only: any other byte stays in a value
     found = {}
-    for token in filter(None, line.replace("\t", " ").split(" ")):
+    for token in words(line):
         key, sep, raw = token.partition("=")
         if not sep or not key:
             raise MalformedLineError(path, line_no, f"expected key=value, got {token!r}")
@@ -103,30 +102,21 @@ def _check_frames(values: np.ndarray, line_nos: list[int], path) -> None:
     raise NonMonotoneTimeError(path, line_nos[row], float(t[row - 1]), float(t[row]))
 
 
-def _parse_lines(lines: list[str], path) -> np.ndarray:
+def _parse_lines(line_nos: list[int], lines: list[str], path, parse_line) -> np.ndarray:
     """The line-by-line parser, and the one source of every error.
 
-    Returns the ``(n, 52)`` values of a file's ``lines`` in field order, or
-    raises for the first faulty line.
+    Returns the ``(n, 52)`` values of a file's numbered data ``lines`` in
+    field order, each read by ``parse_line`` (``_csv_values`` or
+    ``_labeled_values``), or raises for the first faulty line.
     """
     rows: list[list[float]] = []
-    line_nos: list[int] = []
-    parse_line = None
     try:
-        for line_no, raw in enumerate(lines, start=1):
-            line = raw.strip()
-            if not line or line.startswith("#"):
-                continue
-            if parse_line is None:
-                parse_line = _labeled_values if "=" in line else _csv_values
+        for line_no, line in zip(line_nos, lines):
             rows.append(parse_line(line, path, line_no))
-            line_nos.append(line_no)
     except MalformedLineError:
         # a fault on an earlier line is reported first
         _check_frames(np.array(rows).reshape(-1, FIELDS_PER_FRAME), line_nos, path)
         raise
-    if not rows:
-        raise DataError(f"keypoint file {path} contains no frames")
     values = np.array(rows)
     _check_frames(values, line_nos, path)
     return values
@@ -173,7 +163,7 @@ def _read_labeled(data: list[str]) -> np.ndarray | None:
     conversion. Any other whitespace or control byte, a doubled '=' or a
     token without one breaks the alternation.
     """
-    keys = [token.partition("=")[0] for token in data[0].split()]
+    keys = [token.partition("=")[0] for token in data[0].split(" ")]
     if sorted(keys) != sorted(KEYPOINT_FIELDS):
         return None
     columns = np.array([_FIELD_INDEX[key] for key in keys])
@@ -205,20 +195,19 @@ def parse_keypoint_file(path) -> tuple[np.ndarray, np.ndarray]:
     increase; the first faulty line is reported by number.
 
     numpy's text reader converts the data lines. When they fail its
-    structural checks or a conversion, the line parser reruns on the whole
-    file and raises the error it finds.
+    structural checks or a conversion, the line parser reruns on them and
+    raises the error it finds.
     """
-    lines = _read_text(path, "keypoint file").splitlines()
-    line_nos = [
-        i for i, raw in enumerate(lines, start=1) if (line := raw.strip()) and line[0] != "#"
-    ]
-    data = [lines[i - 1].strip() for i in line_nos]
+    line_nos, lines = data_lines(_read_text(path, "keypoint file"))
+    if not lines:
+        raise DataError(f"keypoint file {path} contains no frames")
+    labeled = "=" in lines[0]
     try:
-        values = (_read_labeled if "=" in data[0] else _read_csv)(data) if data else None
+        values = (_read_labeled if labeled else _read_csv)(lines)
     except ValueError:
         values = None
     if values is None:
-        values = _parse_lines(lines, path)
+        values = _parse_lines(line_nos, lines, path, _labeled_values if labeled else _csv_values)
     else:
         _check_frames(values, line_nos, path)
     return values[:, 0].copy(), values[:, 1:].reshape(-1, NUM_KEYPOINTS, 3)
@@ -251,7 +240,8 @@ def parse_manifest(path) -> list[tuple[str, list[Path]]]:
 
     Relative paths resolve against the manifest's directory. Order of
     appearance is preserved; duplicate activity ids are rejected, and so is
-    a file listed twice, under one activity or two.
+    a file listed twice, under one activity or two. Tokens are split by
+    blanks and hold only printable characters.
     """
     path = Path(path)
     text = _read_text(path, "manifest", ManifestError)
@@ -260,12 +250,9 @@ def parse_manifest(path) -> list[tuple[str, list[Path]]]:
     entries: list[tuple[str, list[Path]]] = []
     seen = set()
     listed: dict[Path, int] = {}
-    for line_no, raw in enumerate(text.splitlines(), start=1):
-        line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
-        tokens = line.split()
-        if len(tokens) < 2:
+    for line_no, line in zip(*data_lines(text)):
+        tokens = words(line)
+        if len(tokens) < 2 or not "".join(tokens).isprintable():
             raise ManifestError(
                 f"{path}:{line_no}: expected 'activity_id path [path ...]', got {line!r}"
             )

@@ -37,6 +37,8 @@ SITE_NAMES = {
 
 DEFAULT_ROSTER = ("LW", "RW", "PE", "LF", "RF")
 
+BLANKS = " \t"  # the only blanks in any input, see ``textio.data_lines``
+
 _SITE_INDEX = {site: i for i, site in enumerate(SITE_ORDER)}
 
 
@@ -94,31 +96,33 @@ def check_roster(roster, allow_head: bool = False) -> tuple[str, ...]:
 
 def integer(text: str) -> int:
     """An int spelled as ASCII digits with an optional leading ``-``;
-    surrounding whitespace is dropped."""
-    digits = text.strip()
+    surrounding blanks are dropped."""
+    digits = text.strip(BLANKS)
     if digits.isascii() and digits.removeprefix("-").isdigit():
         return int(digits)  # ValueError past int()'s digit limit
     raise ValueError(f"not an integer: {text!r}")
 
 
 def number(text: str) -> float:
-    """A float spelled in ASCII without ``_``: the one number spelling of
-    ranking tables, keypoint files, config values and flags. Non-finite
-    values pass; callers check them. Any other text raises ``ValueError``
-    with one message."""
-    if text.isascii() and "_" not in text:
+    """A float spelled in printable ASCII without ``_``, surrounding blanks
+    dropped: the one number spelling of ranking tables, keypoint files,
+    config values and flags. Non-finite values pass; callers check them.
+    Any other text raises ``ValueError`` with one message, which shows the
+    text without its surrounding blanks."""
+    value = text.strip(BLANKS)
+    if value.isascii() and value.isprintable() and "_" not in value:
         try:
-            return float(text)
+            return float(value)
         except ValueError:
             pass
-    raise ValueError(f"not a number: {text!r}")
+    raise ValueError(f"not a number: {value!r}")
 
 
 def site_list(text: str) -> tuple:
     """Comma-separated site ids, as config files and flags give them."""
-    return tuple(p.strip() for p in text.split(",") if p.strip())
+    return tuple(p.strip(BLANKS) for p in text.split(",") if p.strip(BLANKS))
 
 
 def size_list(text: str) -> tuple:
     """Comma-separated subset sizes."""
-    return tuple(integer(p) for p in text.split(",") if p.strip())
+    return tuple(integer(p) for p in text.split(",") if p.strip(BLANKS))

@@ -376,7 +376,8 @@ def _slot_grid(t: np.ndarray, rate: float, cap: int) -> tuple[np.ndarray, np.nda
 
 
 # coordinates near the float limit can overflow in the site means, the
-# centroids or the interpolation; the result is checked instead
+# centroids or the interpolation, and those above about 1e154 in scoring's
+# squared norms; the result's sum of squares is checked instead
 @np.errstate(over="ignore", invalid="ignore")
 def preprocess_recording(
     t,
@@ -396,7 +397,7 @@ def preprocess_recording(
     place the frames on the grid of the inferred rate (a timestamp hole
     becomes frames with no valid point), repair gaps (at the native rate)
     and decimate to the target rate. ``truncate_series`` cuts the result to
-    a window length. Coordinates that overflow raise ComputationError.
+    a window length. Coordinates too large to square and sum raise ComputationError.
     """
     t = np.asarray(t, dtype=np.float64)
     if len(t) < 2:
@@ -426,7 +427,7 @@ def preprocess_recording(
     stride = decimation_stride(input_rate, target_rate)
     if stride > 1:
         repaired = repaired[:, ::stride]
-    if not np.isfinite(repaired).all():
+    if not np.isfinite(np.square(repaired).sum()):
         raise ComputationError(f"activity {activity_id!r}: coordinates overflow in preprocessing")
 
     return SkeletonSeries(

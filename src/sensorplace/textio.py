@@ -6,11 +6,11 @@ Ranking tables are CSV with header ``rank,score,sites`` (sites as
 (``rank,sites``). A table is written and read as one ordering, ``(labels,
 scores)``: its labels best first and their scores. Ranks are ASCII
 digits, and every number read is ASCII without ``_``. Tau tables hold one
-row per comparison scope. Readers drop a leading byte-order mark and turn
-a missing, unreadable or non-UTF-8 file, and every malformed line, into a
-``DataError`` with a one-line message. All writers go through a
-write-then-rename step so consumers never observe a partial file, and no
-output embeds a timestamp.
+row per comparison scope. Every input file is read by ``_read_text`` and
+``data_lines``, the one line grammar. Readers turn a missing, unreadable
+or non-UTF-8 file, and every malformed line, into a ``DataError`` with a
+one-line message. All writers go through a write-then-rename step so
+consumers never observe a partial file, and no output embeds a timestamp.
 
 This module and its imports load no numpy, so ``compare`` and ``report``
 start without it.
@@ -25,35 +25,51 @@ import tempfile
 from pathlib import Path
 
 from .errors import DataError, InvalidRankError, MalformedLineError, UnknownSiteError
-from .sites import canonical_label, number, subset_labels
+from .sites import BLANKS, canonical_label, number, subset_labels
 
 
 def _read_text(path, what: str, error=DataError) -> str:
     """Read a UTF-8 text file, dropping a leading byte-order mark; a
     missing, unreadable or non-UTF-8 file raises ``error`` with a one-line
-    message."""
+    message. Universal newlines read ``\\r\\n`` and ``\\r`` as ``\\n``."""
     try:
         return Path(path).read_text(encoding="utf-8-sig")
     except (OSError, UnicodeDecodeError) as exc:
         raise error(f"cannot read {what} {path}: {exc}") from exc
 
 
+def data_lines(text: str) -> tuple[list[int], list[str]]:
+    """The line grammar of every input file: the numbers (from 1) and texts
+    of the data lines of ``text`` as ``_read_text`` returns it. Only
+    ``\\n`` ends a line. Blanks (spaces and tabs) around a line are
+    dropped; blank lines and lines starting with ``#`` are not data. Any
+    other whitespace or control byte stays, for the reader to reject."""
+    line_nos, lines = [], []
+    for line_no, raw in enumerate(text.split("\n"), start=1):
+        line = raw.strip(BLANKS)
+        if line and line[0] != "#":
+            line_nos.append(line_no)
+            lines.append(line)
+    return line_nos, lines
+
+
+def words(line: str) -> list[str]:
+    """The tokens of a data line: its text split by runs of blanks."""
+    return [word for word in line.replace("\t", " ").split(" ") if word]
+
+
 def _number(text: str, path, line_no: int, field: str) -> float:
     """One field as a float, spelled as ``sites.number`` reads it;
-    non-finite values pass, callers check them. The message shows the field
-    without the spaces and tabs float() drops, but with any other byte."""
+    non-finite values pass, callers check them."""
     try:
         return number(text)
-    except ValueError:
-        shown = text.strip(" \t")
-        raise MalformedLineError(
-            path, line_no, f"field {field!r}: not a number: {shown!r}"
-        ) from None
+    except ValueError as exc:
+        raise MalformedLineError(path, line_no, f"field {field!r}: {exc}") from None
 
 
 def _rank(text: str, path, line_no: int) -> int:
     """A rank field as an int, spelled in ASCII digits."""
-    text = text.strip()
+    text = text.strip(BLANKS)
     if text.isascii() and text.isdigit():
         try:
             return int(text)
@@ -107,34 +123,32 @@ def write_ranking_file(path, labels, scores) -> None:
     atomic_write_text(path, render_ranking_table(labels, scores))
 
 
-# The bytes of a clean table: ASCII letters, digits, '+', ',', '.', '-' and
-# line breaks, so no other whitespace and no '_' or '#'.
-_CLEAN_BYTES = b"0123456789ABCDEFGHIJKLMNOPQRSTUVWXYZabcdefghijklmnopqrstuvwxyz+,.-\n"
+# The bytes of a clean table's rows: ASCII letters, digits, '+', ',', '.'
+# and '-', so no whitespace and no '_'.
+_CLEAN_BYTES = b"0123456789ABCDEFGHIJKLMNOPQRSTUVWXYZabcdefghijklmnopqrstuvwxyz+,.-"
 
 
-def _read_clean_table(text: str) -> tuple[list[str], list[float | None]] | None:
-    """The ordering of a clean ranking table, checked with whole-table
-    string operations, or None for any other table.
+def _read_clean_table(lines: list[str]) -> tuple[list[str], list[float | None]] | None:
+    """The ordering of a clean ranking table, from its data lines, checked
+    with whole-table string operations, or None for any other table.
 
-    A clean table has an optional header on its first line only, then rows
-    that all have the first row's 2 or 3 fields, with no blank line. Its
-    ranks are ASCII digits forming a permutation of 1..n, its labels are
-    canonical and distinct, and its scores are finite and do not rise
-    with rank. Whatever it accepts, the row loop returns alike.
+    A clean table has an optional header on its first data line only, then
+    rows that all have the first row's 2 or 3 fields. Its ranks are ASCII
+    digits forming a permutation of 1..n, its labels are canonical and
+    distinct, and its scores are finite and do not rise with rank.
+    Whatever it accepts, the row loop returns alike.
     """
-    if text.encode().translate(None, _CLEAN_BYTES):
-        return None
-    lines = text.split("\n")
-    if lines[-1] == "":
-        lines.pop()
     if lines and lines[0] in (RANKING_HEADER, EXTERNAL_HEADER):
-        del lines[0]
+        lines = lines[1:]
     if not lines:
+        return None
+    text = ",".join(lines)
+    if text.encode().translate(None, _CLEAN_BYTES):
         return None
     width = lines[0].count(",") + 1
     if width not in (2, 3) or any(line.count(",") != width - 1 for line in lines):
         return None
-    fields = ",".join(lines).split(",")
+    fields = text.split(",")
     rank_texts, labels = fields[0::width], fields[width - 1::width]
     if not all(map(str.isdigit, rank_texts)):  # also rejects an empty rank
         return None
@@ -160,16 +174,15 @@ def _read_clean_table(text: str) -> tuple[list[str], list[float | None]] | None:
     return labels, scores
 
 
-def _read_table_rows(text: str, path) -> tuple[list[str], list[float | None]]:
+def _read_table_rows(line_nos, lines, path) -> tuple[list[str], list[float | None]]:
     """The row loop behind ``read_ranking_file``: reads any table it
     accepts and is the one source of every error."""
     known = subset_labels()
     ranks: dict[str, int] = {}  # label -> rank, in file order
     scores: list[float | None] = []
-    line_nos: list[int] = []
-    for line_no, raw in enumerate(text.splitlines(), start=1):
-        line = raw.strip()
-        if not line or line[0] == "#" or line in (RANKING_HEADER, EXTERNAL_HEADER):
+    row_line_nos: list[int] = []
+    for line_no, line in zip(line_nos, lines):
+        if line in (RANKING_HEADER, EXTERNAL_HEADER):
             continue
         parts = line.split(",")
         if len(parts) == 3:
@@ -187,7 +200,7 @@ def _read_table_rows(text: str, path) -> tuple[list[str], list[float | None]]:
             score = _number(score_text, path, line_no, "score")
             if not math.isfinite(score):
                 raise MalformedLineError(path, line_no, "field 'score': non-finite value")
-        label = label.strip()
+        label = label.strip(BLANKS)
         if label not in known:
             try:
                 label = canonical_label(label)
@@ -197,7 +210,7 @@ def _read_table_rows(text: str, path) -> tuple[list[str], list[float | None]]:
             raise InvalidRankError(f"{path}:{line_no}: {label} already has rank {ranks[label]}")
         ranks[label] = rank
         scores.append(score)
-        line_nos.append(line_no)
+        row_line_nos.append(line_no)
 
     if not ranks:
         raise DataError(f"ranking file {path} contains no rows")
@@ -214,7 +227,7 @@ def _read_table_rows(text: str, path) -> tuple[list[str], list[float | None]]:
     for before, k in zip(scored, scored[1:]):
         if scores[k] > scores[before]:
             raise InvalidRankError(
-                f"{path}:{line_nos[order[k]]}: score {scores[k]!r} at rank {k + 1} is above "
+                f"{path}:{row_line_nos[order[k]]}: score {scores[k]!r} at rank {k + 1} is above "
                 f"score {scores[before]!r} at rank {before + 1}; scores must not rise with rank"
             )
     return labels, scores
@@ -235,8 +248,8 @@ def read_ranking_file(path) -> tuple[list[str], list[float | None]]:
     A clean table is read in one pass over the whole text; any other goes
     through the row loop, which names the line of the first fault.
     """
-    text = _read_text(path, "ranking file")
-    return _read_clean_table(text) or _read_table_rows(text, path)
+    line_nos, lines = data_lines(_read_text(path, "ranking file"))
+    return _read_clean_table(lines) or _read_table_rows(line_nos, lines, path)
 
 
 # --- structured reports --------------------------------------------------------

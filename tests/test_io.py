@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 
 from sensorplace import io as pio
 from sensorplace import textio
-from sensorplace.config import RunConfig
+from sensorplace.config import RunConfig, load_config
 from sensorplace.errors import (
     DataError,
     InvalidRankError,
@@ -369,6 +369,81 @@ def test_ranking_file_with_a_byte_order_mark_reads_alike(tmp_path):
     assert textio.read_ranking_file(path) == table
 
 
+# --- one line grammar for every input -------------------------------------------------
+
+def _keypoint_text(style):
+    frames = _frames(4, seed=5)
+    return "".join(_line(frames, i, style) + "\n" for i in range(4))
+
+
+# Each input kind: a valid file's text, its name and its reader. Line 2 of
+# every file is a data line.
+_INPUTS = {
+    "csv": (_keypoint_text("csv"), "rec.csv", pio.parse_keypoint_file),
+    "labeled": (_keypoint_text("labeled"), "rec.txt", pio.parse_keypoint_file),
+    "manifest": ("walk walk.csv\nrun run1.csv\trun2.csv\nsit sit.csv\n", "manifest.txt",
+                 pio.parse_manifest),
+    "config": ("series_length = 60\nsample_rate = 20\nmax_gap = 4\n", "run.cfg", load_config),
+    "ranking": (textio.render_ranking_table(*_ranking()), "ranking.csv",
+                textio.read_ranking_file),
+}
+
+
+def _read_input(kind, path):
+    """What the reader of ``kind`` makes of ``path``, arrays as bytes."""
+    result = _INPUTS[kind][2](path)
+    return [x.tobytes() for x in result] if kind in ("csv", "labeled") else result
+
+
+def _write_input(tmp_path, kind, lines, newline="\n"):
+    path = tmp_path / _INPUTS[kind][1]
+    path.write_bytes(newline.join(lines).encode() + newline.encode())
+    return path
+
+
+@pytest.mark.parametrize("char", ["\xa0", "\x1f", "\x0c"], ids=["nbsp", "unit-sep", "form-feed"])
+@pytest.mark.parametrize("kind", list(_INPUTS))
+def test_other_whitespace_is_an_error_wherever_it_sits_in_a_line(tmp_path, kind, char):
+    # only spaces and tabs are blanks: the byte is kept, at a line's edge as
+    # inside it, and its reader names the line
+    lines = _INPUTS[kind][0].splitlines()
+    line = lines[1]
+    middle = len(line) // 2
+    for edited in (char + line, line + char, line[:middle] + char + line[middle:]):
+        lines[1] = edited
+        with pytest.raises(DataError, match=r"(cfg|csv|txt):2: "):
+            _read_input(kind, _write_input(tmp_path, kind, lines))
+
+
+@pytest.mark.parametrize("char", ["\x0c", "\x85", "\u2028"], ids=["form-feed", "nel", "line-sep"])
+@pytest.mark.parametrize("kind", list(_INPUTS))
+def test_only_line_feeds_and_carriage_returns_break_lines(tmp_path, kind, char):
+    # a comment holding another line-break character stays one line, so the
+    # malformed line after it keeps its number
+    lines = _INPUTS[kind][0].splitlines()
+    lines[1:1] = [f"# edited{char}# by hand"]
+    lines[2] = "x"
+    with pytest.raises(DataError, match=r"(cfg|csv|txt):3: "):
+        _read_input(kind, _write_input(tmp_path, kind, lines))
+
+
+@pytest.mark.parametrize("newline", ["\r\n", "\r"], ids=["crlf", "cr"])
+@pytest.mark.parametrize("kind", list(_INPUTS))
+def test_crlf_and_cr_files_read_as_the_lf_file(tmp_path, kind, newline):
+    lines = ["# exported", *_INPUTS[kind][0].splitlines(), "", "\t"]
+    want = _read_input(kind, _write_input(tmp_path, kind, lines))
+    assert _read_input(kind, _write_input(tmp_path, kind, lines, newline)) == want
+
+
+def test_manifest_tokens_are_split_by_blanks_only(tmp_path):
+    # a next-line character joins two entries into one line with an
+    # unprintable token; it is not read as a second activity
+    manifest = tmp_path / "manifest.txt"
+    manifest.write_text("act01 act01.csv\x85act02 act02.csv\n", encoding="utf-8")
+    with pytest.raises(ManifestError, match=r"manifest.txt:1: expected 'activity_id path"):
+        pio.parse_manifest(manifest)
+
+
 # --- round trips and corrupted files ---------------------------------------------------
 
 finite = st.floats(allow_nan=False, allow_infinity=False, width=64)
@@ -544,7 +619,9 @@ def keypoint_files(draw):
 
 
 def _line_parser(path):
-    values = pio._parse_lines(pio._read_text(path, "keypoint file").splitlines(), path)
+    line_nos, lines = textio.data_lines(textio._read_text(path, "keypoint file"))
+    parse_line = pio._labeled_values if "=" in lines[0] else pio._csv_values
+    values = pio._parse_lines(line_nos, lines, path, parse_line)
     return values[:, 0].copy(), values[:, 1:].reshape(-1, 17, 3)
 
 
@@ -772,8 +849,9 @@ def test_one_pass_read_returns_what_the_row_loop_returns(
     path = tmp_path_factory.mktemp("table") / "ranking.csv"
     path.write_text(text)
 
-    expected = _read_or_message(lambda: textio._read_table_rows(text, path))
-    clean = textio._read_clean_table(text)
+    line_nos, data = textio.data_lines(text)
+    expected = _read_or_message(lambda: textio._read_table_rows(line_nos, data, path))
+    clean = textio._read_clean_table(data)
     if clean is not None:
         assert _read_or_message(lambda: clean) == expected
     if mutation in ("none", "reorder", "no-header", "no-final-newline"):

@@ -459,19 +459,25 @@ def test_cli_norm_overflow_exits_2(tmp_path, capsys):
     assert not (tmp_path / "out").exists()
 
 
-def test_cli_validate_passes_coordinates_near_1e200_with_warnings(tmp_path, capsys):
-    # finite through preprocessing; only scoring's squared norms overflow
+def test_cli_validate_fails_coordinates_near_1e200_as_rank_does(tmp_path, capsys):
+    # finite coordinates whose squares overflow: preprocessing rejects them,
+    # so validate fails the file as rank does
     corpus = tmp_path / "corpus"
-    cli.main(["synth", str(corpus), "--length", "60"])
+    cli.main(["synth", str(corpus), "--activities", "3", "--length", "60"])
     t, kp = pio.parse_keypoint_file(corpus / "act02.csv")
     kp[:, :, :2] *= 1e200
     pio.write_keypoint_file(corpus / "act02.csv", t, kp)
-    capsys.readouterr()
-    assert cli.main(["validate", str(corpus / "act02.csv")]) == 0
-    assert capsys.readouterr().out == (
-        f"{corpus / 'act02.csv'}: ok with warnings, 60 frames\n"
-        "  warning: 2040 coordinate values outside [0, 1]\n"
-    )
+    for argv, activity in [
+        (["validate", str(corpus / "act02.csv")], str(corpus / "act02.csv")),
+        (["rank", str(corpus / "manifest.txt"), "--length", "50",
+          "--out-dir", str(tmp_path / "out")], "act02"),
+    ]:
+        capsys.readouterr()
+        assert cli.main(argv) == 2
+        assert capsys.readouterr().err == (
+            f"computation error: activity {activity!r}: coordinates overflow in preprocessing\n"
+        )
+    assert not (tmp_path / "out").exists()
 
 
 @pytest.mark.parametrize("command", ["rank", "validate"])

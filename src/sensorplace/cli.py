@@ -45,17 +45,18 @@ synth = _lazy_module(f"{__package__}.synth")
 
 
 def _flag_type(parse):
-    """``parse`` as a flag's type: a usage error carries its ValueError's
-    message, where argparse would name the function (``invalid size_list``)."""
+    """``parse`` as a flag's type: a usage error carries the message of its
+    ValueError or DataError, where argparse would name the function
+    (``invalid size_list``)."""
     def convert(text):
         try:
             return parse(text)
-        except ValueError as exc:
+        except (ValueError, DataError) as exc:
             raise argparse.ArgumentTypeError(str(exc)) from None
     return convert
 
 
-integer, number, size_list = map(_flag_type, (sites.integer, sites.number, sites.size_list))
+integer, number, site_list = map(_flag_type, (sites.integer, sites.number, sites.site_list))
 
 
 class _Parser(argparse.ArgumentParser):
@@ -72,30 +73,18 @@ def _add_config_flags(sub: argparse.ArgumentParser) -> None:
     # flags override the file.
     sub.add_argument("--config", type=Path, default=None,
                      help="key=value config file supplying defaults")
-    sub.add_argument("--roster", type=sites.site_list, default=None, metavar="SITES",
-                     help="comma-separated site ids (default LW,RW,PE,LF,RF)")
-    sub.add_argument("--length", dest="series_length", type=integer, default=None,
-                     help="frames per scored window (default 500)")
-    sub.add_argument("--rate", dest="sample_rate", type=number, default=None,
-                     help="target sample rate in Hz (default 10)")
-    sub.add_argument("--threshold", dest="confidence_threshold", type=number,
-                     default=None, help="keypoint confidence threshold (default 0.3)")
-    sub.add_argument("--max-gap", type=integer, default=None,
-                     help="longest repairable gap in frames (default 10)")
-    sub.add_argument("--sizes", dest="subset_sizes", type=size_list, default=None,
-                     metavar="N,N,...", help="subset sizes to score (default 1,2,3,4)")
-    sub.add_argument("--subsample", choices=("first", "uniform"), default=None,
-                     help="how to cut long recordings to the window length")
-    sub.add_argument("--multi-window", action=argparse.BooleanOptionalAction,
-                     default=None, help="average scores over all full windows")
-    sub.add_argument("--allow-head", action=argparse.BooleanOptionalAction,
-                     default=None, help="permit HD in the roster")
+    for setting in sites.SETTINGS:
+        if setting.parse is sites.switch:
+            kind = {"action": argparse.BooleanOptionalAction}
+        else:
+            kind = {"type": _flag_type(setting.parse), "metavar": setting.metavar}
+        sub.add_argument(setting.flag, dest=setting.key, default=None, help=setting.help, **kind)
 
 
 def _run_config(args):
-    # every RunConfig field has a flag; load_config drops the unset ones
-    names = config.RunConfig.__match_args__
-    return config.load_config(args.config, {name: getattr(args, name) for name in names})
+    # every setting has a flag; load_config drops the unset ones
+    overrides = {setting.key: getattr(args, setting.key) for setting in sites.SETTINGS}
+    return config.load_config(args.config, overrides)
 
 
 def _cmd_validate(args) -> int:
@@ -184,7 +173,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = subs.add_parser("synth", help="emit a synthetic keypoint corpus")
     p.add_argument("out_dir", type=Path)
     p.add_argument("--activities", type=integer, default=3)
-    p.add_argument("--discriminative", type=sites.site_list, default="LW",
+    p.add_argument("--discriminative", type=site_list, default="LW",
                    help="comma-separated sites that differ across activities")
     p.add_argument("--seed", type=integer, default=0)
     p.add_argument("--noise", type=number, default=0.0,

@@ -8,20 +8,10 @@ fingerprints on equal inputs mean byte-identical reports.
 from __future__ import annotations
 
 import hashlib
-import math
 from dataclasses import dataclass, fields
 
-from .errors import ConfigError
-from .sites import (
-    BLANKS,
-    DEFAULT_ROSTER,
-    canonical_sites,
-    check_roster,
-    integer,
-    number,
-    site_list,
-    size_list,
-)
+from .errors import ConfigError, DataError
+from .sites import BLANKS, DEFAULT_ROSTER, SETTINGS, check_head
 from .textio import _read_text, data_lines
 
 # The one random generator the package uses (numpy's PCG64, in ``synth``);
@@ -33,9 +23,9 @@ RNG_NAME = "pcg64"
 class RunConfig:
     """Resolved settings for a scoring run.
 
-    The fields are the one list of run settings: each is a config-file key,
-    a settings flag of ``rank`` and ``validate``, and a key of the report's
-    ``config``.
+    The fields are the run settings of ``sites.SETTINGS``, in its order:
+    each is a config-file key, a settings flag of ``rank`` and
+    ``validate``, and a key of the report's ``config``.
     """
 
     roster: tuple = DEFAULT_ROSTER
@@ -49,30 +39,14 @@ class RunConfig:
     allow_head: bool = False
 
     def __post_init__(self):
-        object.__setattr__(self, "roster", canonical_sites(self.roster))
-        if not self.roster:
-            raise ConfigError("roster must not be empty")
-        # unknown sites and a head site not allowed fail here, before any file
-        # is read and before the subset sizes are checked against the roster
-        check_roster(self.roster, self.allow_head)
-        sizes = tuple(sorted(set(int(s) for s in self.subset_sizes)))
-        object.__setattr__(self, "subset_sizes", sizes)
-        if self.series_length < 2:
-            raise ConfigError("series length must be at least 2")
-        if not (self.sample_rate > 0 and math.isfinite(self.sample_rate)):
-            raise ConfigError("sample rate must be positive and finite")
-        if not 0.0 <= self.confidence_threshold <= 1.0:
-            raise ConfigError("confidence threshold must be within [0, 1]")
-        if self.max_gap < 0:
-            raise ConfigError("max gap must be >= 0")
-        if not sizes:
-            raise ConfigError("at least one subset size is required")
-        if sizes[0] < 1 or sizes[-1] > len(self.roster):
-            raise ConfigError(
-                f"subset sizes {sizes} out of range for a roster of {len(self.roster)}"
-            )
-        if self.subsample not in ("first", "uniform"):
-            raise ConfigError(f"unknown subsample mode {self.subsample!r}")
+        # each setting on its own, then across settings: a head site not
+        # allowed is named before subset sizes too large for the roster
+        for setting in SETTINGS:
+            object.__setattr__(self, setting.key, setting.check(getattr(self, setting.key)))
+        check_head(self.roster, self.allow_head)
+        sizes, n = self.subset_sizes, len(self.roster)
+        if sizes[-1] > n:
+            raise ConfigError(f"subset sizes {sizes} out of range for a roster of {n}")
         if self.multi_window and self.subsample == "uniform":
             raise ConfigError("multi_window requires contiguous windows; "
                               "it cannot be combined with uniform subsampling")
@@ -81,55 +55,36 @@ class RunConfig:
         """sha256 over the canonical text form plus the RNG name."""
         parts = [f"rng={RNG_NAME}"]
         for f in fields(self):
-            value = getattr(self, f.name)
-            if isinstance(value, tuple):
-                rendered = ",".join(str(v) for v in value)
-            elif isinstance(value, float):
-                rendered = repr(value)
-            else:
-                rendered = str(value)
+            value = getattr(self, f.name)  # str of a float is its repr
+            rendered = ",".join(map(str, value)) if isinstance(value, tuple) else str(value)
             parts.append(f"{f.name}={rendered}")
-        text = "\n".join(parts)
-        return hashlib.sha256(text.encode("utf-8")).hexdigest()
+        return hashlib.sha256("\n".join(parts).encode("utf-8")).hexdigest()
 
 
-def _switch(text: str) -> bool:
-    """An on/off value: 1/0, true/false, yes/no or on/off, in any case."""
-    value = text.lower()
-    if value not in ("1", "true", "yes", "on", "0", "false", "no", "off"):
-        raise ValueError(f"expected 1/0, true/false, yes/no or on/off, got {text!r}")
-    return value in ("1", "true", "yes", "on")
-
-
-# Keys accepted in config files and their parsers: one per RunConfig field.
-_PARSERS = {
-    "roster": site_list,
-    "series_length": integer,
-    "sample_rate": number,
-    "confidence_threshold": number,
-    "max_gap": integer,
-    "subset_sizes": size_list,
-    "subsample": str,
-    "multi_window": _switch,
-    "allow_head": _switch,
-}
+# Config-file keys and their settings, in RunConfig field order.
+_PARSERS = {setting.key: setting for setting in SETTINGS}
 
 
 def parse_config_text(text: str, source: str = "<config>") -> dict:
     """Parse ``key = value`` data lines (see ``textio.data_lines``) into
     RunConfig keyword arguments; blanks around keys and values are dropped.
-    Unknown keys and unparseable values raise ConfigError.
+    Each value is parsed and checked on its own as it is read. An unknown
+    or repeated key, and a bad value, raise ConfigError naming the line.
     """
-    out = {}
+    out, seen = {}, {}
     for line_no, line in zip(*data_lines(text)):
         if "=" not in line:
             raise ConfigError(f"{source}:{line_no}: expected key=value, got {line!r}")
         key, _, value = (part.strip(BLANKS) for part in line.partition("="))
         if key not in _PARSERS:
             raise ConfigError(f"{source}:{line_no}: unknown key {key!r}")
+        if key in seen:
+            raise ConfigError(f"{source}:{line_no}: {key!r} is already set on line {seen[key]}")
+        seen[key] = line_no
+        setting = _PARSERS[key]
         try:
-            out[key] = _PARSERS[key](value)
-        except (ValueError, TypeError) as exc:
+            out[key] = setting.check(setting.parse(value))
+        except (ValueError, DataError) as exc:
             raise ConfigError(
                 f"{source}:{line_no}: bad value for {key!r}: {exc}"
             ) from exc
@@ -143,8 +98,7 @@ def load_config(path, overrides=None) -> RunConfig:
     """
     kwargs = {}
     if path is not None:
-        text = _read_text(path, "config file", ConfigError)
-        kwargs.update(parse_config_text(text, source=str(path)))
+        kwargs = parse_config_text(_read_text(path, "config file", ConfigError), str(path))
     if overrides:
         kwargs.update({k: v for k, v in overrides.items() if v is not None})
     try:

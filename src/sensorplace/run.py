@@ -55,13 +55,8 @@ def run_validate(paths, config: RunConfig) -> list[tuple]:
 
 def _preprocess(t, kp, activity_id: str, config: RunConfig) -> SkeletonSeries:
     return preprocess_recording(
-        t,
-        kp,
-        activity_id,
-        roster=config.roster,
-        target_rate=config.sample_rate,
-        confidence_threshold=config.confidence_threshold,
-        max_gap=config.max_gap,
+        t, kp, activity_id, roster=config.roster, target_rate=config.sample_rate,
+        confidence_threshold=config.confidence_threshold, max_gap=config.max_gap,
         allow_head=config.allow_head,
     )
 

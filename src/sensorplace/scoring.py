@@ -42,7 +42,7 @@ from .errors import (
     ZeroNormError,
     ZeroVectorError,
 )
-from .sites import canonical_label, canonical_sites, subset_labels
+from .sites import canonical_label, canonical_sites, check_roster, subset_labels
 from .skeleton import ActivitySet
 
 TIE_BREAK = "score desc, then subset size asc, then canonical site order"
@@ -146,18 +146,11 @@ def enumerate_subsets(roster, sizes=None) -> list[str]:
     ascending, then lexicographic in canonical site order, which is the
     tie-break order; a 5-site roster with all sizes yields 31 labels.
     """
-    roster = canonical_sites(roster)
-    if not roster:
-        raise ConfigError("roster must not be empty")
-    if sizes is None:
-        wanted = range(1, len(roster) + 1)
-    else:
-        wanted = sorted(set(int(s) for s in sizes))
-        for s in wanted:
-            if s < 1 or s > len(roster):
-                raise ConfigError(
-                    f"subset size {s} outside valid range 1..{len(roster)}"
-                )
+    roster = check_roster(roster)
+    wanted = range(1, len(roster) + 1) if sizes is None else sorted(set(map(int, sizes)))
+    for s in wanted:
+        if not 1 <= s <= len(roster):
+            raise ConfigError(f"subset size {s} outside valid range 1..{len(roster)}")
     # combinations of a canonical roster are canonical themselves
     labels = ["+".join(combo) for s in wanted for combo in combinations(roster, s)]
     if not labels:

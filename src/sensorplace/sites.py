@@ -1,6 +1,6 @@
-"""Placement sites: their ids, names and canonical order, and the parsers
-of the values flags and config files give: site lists, subset sizes and
-numbers.
+"""Placement sites: their ids, names and canonical order; the parsers of
+the values flags and config files give (site lists, subset sizes, numbers,
+on/off switches); and ``SETTINGS``, the one table of run settings.
 
 Plain Python with no array code, so the commands that only read and write
 rankings (``compare``, ``report``) and the CLI's parser can use it without
@@ -9,10 +9,12 @@ loading numpy or the run configuration.
 
 from __future__ import annotations
 
+import math
+from collections import namedtuple
 from functools import cache
 from itertools import combinations
 
-from .errors import SiteExcludedError, UnknownSiteError
+from .errors import ConfigError, SiteExcludedError, UnknownSiteError
 
 # Placement sites in canonical order: the five-site evaluation roster first
 # (left wrist, right wrist, pelvis, left ankle, right ankle), then the
@@ -42,18 +44,15 @@ BLANKS = " \t"  # the only blanks in any input, see ``textio.data_lines``
 _SITE_INDEX = {site: i for i, site in enumerate(SITE_ORDER)}
 
 
-def site_key(site: str) -> tuple[int, str]:
-    """Sort key realizing the canonical site order; unknown ids sort last,
-    alphabetically."""
-    return (_SITE_INDEX.get(site, len(SITE_ORDER)), site)
-
-
 def canonical_sites(sites) -> tuple[str, ...]:
-    """Return ``sites`` sorted canonically, rejecting duplicates."""
+    """Return ``sites`` sorted canonically; repeated or unknown ids raise UnknownSiteError."""
     sites = tuple(sites)
     if len(set(sites)) != len(sites):
         raise UnknownSiteError(f"duplicate site ids in {sites!r}")
-    return tuple(sorted(sites, key=site_key))
+    for site in sites:
+        if site not in _SITE_INDEX:
+            raise UnknownSiteError(f"unknown site id {site!r}")
+    return tuple(sorted(sites, key=_SITE_INDEX.__getitem__))
 
 
 @cache
@@ -72,26 +71,21 @@ def canonical_label(label: str) -> str:
     any order; otherwise ``UnknownSiteError``."""
     if label in subset_labels():
         return label
-    return "+".join(canonical_sites(check_roster(label.split("+"), allow_head=True)))
+    return "+".join(canonical_sites(label.split("+")))
 
 
-def check_roster(roster, allow_head: bool = False) -> tuple[str, ...]:
-    """Return ``roster`` as a tuple after checking that it is a non-empty
-    set of known placement sites.
-
-    The head site is excluded from placement unless ``allow_head`` is set.
-    """
-    roster = tuple(roster)
+def check_roster(roster) -> tuple[str, ...]:
+    """Return ``roster`` sorted canonically: a non-empty set of known sites."""
+    roster = canonical_sites(roster)
     if not roster:
-        raise UnknownSiteError("roster must not be empty")
-    if len(set(roster)) != len(roster):
-        raise UnknownSiteError(f"duplicate site ids in {roster!r}")
-    for site in roster:
-        if site not in _SITE_INDEX:
-            raise UnknownSiteError(f"unknown site id {site!r}")
-        if site == "HD" and not allow_head:
-            raise SiteExcludedError("the head site is excluded from placement")
+        raise ConfigError("roster must not be empty")
     return roster
+
+
+def check_head(roster, allow_head: bool) -> None:
+    """The head site is excluded from placement unless ``allow_head``."""
+    if "HD" in roster and not allow_head:
+        raise SiteExcludedError("the head site is excluded from placement")
 
 
 def integer(text: str) -> int:
@@ -119,10 +113,82 @@ def number(text: str) -> float:
 
 
 def site_list(text: str) -> tuple:
-    """Comma-separated site ids, as config files and flags give them."""
-    return tuple(p.strip(BLANKS) for p in text.split(",") if p.strip(BLANKS))
+    """Comma-separated site ids, as config files and flags give them. One
+    trailing comma is allowed; any other empty item raises ValueError."""
+    items = [item.strip(BLANKS) for item in text.split(",")]
+    if not items[-1]:
+        items.pop()
+    if "" in items:
+        raise ValueError(f"empty item in {text.strip(BLANKS)!r}")
+    return tuple(items)
 
 
 def size_list(text: str) -> tuple:
-    """Comma-separated subset sizes."""
-    return tuple(integer(p) for p in text.split(",") if p.strip(BLANKS))
+    """Comma-separated subset sizes, split as ``site_list`` splits sites."""
+    return tuple(map(integer, site_list(text)))
+
+
+def switch(text: str) -> bool:
+    """An on/off value: 1/0, true/false, yes/no or on/off, in any case."""
+    value = text.lower()
+    if value not in ("1", "true", "yes", "on", "0", "false", "no", "off"):
+        raise ValueError(f"expected 1/0, true/false, yes/no or on/off, got {text!r}")
+    return value in ("1", "true", "yes", "on")
+
+
+def subsample_mode(mode: str) -> str:
+    """The ``subsample`` setting, parsed and checked in one step."""
+    if mode not in ("first", "uniform"):
+        raise ConfigError(f"subsample mode must be first or uniform, got {mode!r}")
+    return mode
+
+
+# --- checks of one setting on its own ---------------------------------------
+# Each returns a setting's value as RunConfig keeps it, or raises ConfigError
+# (UnknownSiteError for a site id). Checks across settings are RunConfig's.
+
+def _rule(holds, message):
+    """The check that passes a value ``holds`` accepts, unchanged."""
+    def check(value):
+        if not holds(value):
+            raise ConfigError(message)
+        return value
+    return check
+
+
+def _subset_sizes(sizes) -> tuple[int, ...]:
+    sizes = tuple(sorted(set(int(s) for s in sizes)))
+    if not sizes:
+        raise ConfigError("at least one subset size is required")
+    if sizes[0] < 1:
+        raise ConfigError(f"subset sizes must be at least 1, got {sizes}")
+    return sizes
+
+
+# A run setting: its RunConfig field (also its config-file and report key),
+# flag, parser (text to value, raising on a bad spelling), check, and the
+# flag's help and metavar. A ``switch`` setting is an on/off flag.
+Setting = namedtuple("Setting", "key flag parse check help metavar", defaults=(None,))
+
+# The run settings, in RunConfig field order.
+SETTINGS = (
+    Setting("roster", "--roster", site_list, check_roster,
+            "comma-separated site ids (default LW,RW,PE,LF,RF)", "SITES"),
+    Setting("series_length", "--length", integer,
+            _rule(lambda n: n >= 2, "series length must be at least 2"),
+            "frames per scored window (default 500)"),
+    Setting("sample_rate", "--rate", number,
+            _rule(lambda r: r > 0 and math.isfinite(r), "sample rate must be positive and finite"),
+            "target sample rate in Hz (default 10)"),
+    Setting("confidence_threshold", "--threshold", number,
+            _rule(lambda c: 0.0 <= c <= 1.0, "confidence threshold must be within [0, 1]"),
+            "keypoint confidence threshold (default 0.3)"),
+    Setting("max_gap", "--max-gap", integer, _rule(lambda n: n >= 0, "max gap must be >= 0"),
+            "longest repairable gap in frames (default 10)"),
+    Setting("subset_sizes", "--sizes", size_list, _subset_sizes,
+            "subset sizes to score (default 1,2,3,4)", "N,N,..."),
+    Setting("subsample", "--subsample", subsample_mode, subsample_mode,
+            "how to cut long recordings to the window length", "{first,uniform}"),
+    Setting("multi_window", "--multi-window", switch, bool, "average scores over all full windows"),
+    Setting("allow_head", "--allow-head", switch, bool, "permit HD in the roster"),
+)

@@ -39,7 +39,7 @@ from .errors import (
     RateMismatchError,
     TooShortError,
 )
-from .sites import _SITE_INDEX, DEFAULT_ROSTER, SITE_ORDER, check_roster
+from .sites import _SITE_INDEX, DEFAULT_ROSTER, SITE_ORDER, check_head, check_roster
 
 NUM_KEYPOINTS = 17
 
@@ -216,7 +216,8 @@ def select_sites(roster, allow_head: bool = False) -> np.ndarray:
 
     The head site is excluded from placement unless ``allow_head`` is set.
     """
-    roster = check_roster(roster, allow_head)
+    roster = tuple(roster)
+    check_head(check_roster(roster), allow_head)
     return np.array([_SITE_INDEX[site] for site in roster], dtype=np.intp)
 
 

@@ -143,10 +143,11 @@ def separable_specs(
     if sample_rate < 1.0:
         raise ValueError(f"sample rate must be at least 1 Hz, got {sample_rate:g} Hz")
     roster = canonical_sites(roster)
-    discriminative = canonical_sites(discriminative_sites)
+    discriminative = tuple(discriminative_sites)
     unknown = [s for s in discriminative if s not in roster]
     if unknown:
         raise ValueError(f"discriminative sites {unknown} not in roster {roster}")
+    canonical_sites(discriminative)  # a repeated site is bad input
 
     bases = centered_bases(roster)
     nyquist = sample_rate / 2.0

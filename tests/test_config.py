@@ -4,7 +4,7 @@ import pytest
 
 from sensorplace.config import RunConfig, load_config, parse_config_text
 from sensorplace.errors import ConfigError, SiteExcludedError, UnknownSiteError
-from sensorplace.sites import integer, number, size_list
+from sensorplace.sites import integer, number, site_list, size_list
 
 
 def test_defaults_match_documented_contract():
@@ -135,6 +135,26 @@ def test_numbers_are_ascii(parse, text, want):
 def test_numbers_in_other_spellings_are_rejected(parse, text):
     with pytest.raises(ValueError):
         parse(text)
+
+
+@pytest.mark.parametrize("parse, text", [
+    (site_list, "LW,,RW"), (site_list, ",LW"), (site_list, ","), (site_list, "LW,,"),
+    (size_list, "1,,2"), (size_list, " ,1"), (size_list, "1, ,"),
+])
+def test_lists_reject_an_empty_item(parse, text):
+    with pytest.raises(ValueError, match=f"^empty item in {text.strip()!r}$"):
+        parse(text)
+
+
+def test_lists_allow_one_trailing_comma():
+    assert site_list("LW, RW,") == ("LW", "RW")
+    assert site_list("") == size_list(" ") == ()
+    assert size_list("2,") == (2,)
+
+
+def test_config_key_set_twice_is_an_error():
+    with pytest.raises(ConfigError, match=r"^run.cfg:3: 'max_gap' is already set on line 1$"):
+        parse_config_text("max_gap = 4\nseries_length = 60\nmax_gap = 4\n", source="run.cfg")
 
 
 @pytest.mark.parametrize("text", ["abc", "1_0", "0x1", "", "\u0660.5"])

@@ -444,6 +444,81 @@ def test_cli_config_switch_with_a_typo_exits_1(tmp_path, capsys):
     assert _one_error_line(capsys).startswith(f"error: {cfg}:1: bad value for 'multi_window'")
 
 
+# Each setting a config file can get wrong on its own, with the check's message
+_BAD_CONFIG_VALUES = [
+    ("series_length = 1", "series length must be at least 2"),
+    ("max_gap = -1", "max gap must be >= 0"),
+    ("sample_rate = 0", "sample rate must be positive and finite"),
+    ("sample_rate = inf", "sample rate must be positive and finite"),
+    ("confidence_threshold = 2", "confidence threshold must be within [0, 1]"),
+    ("subsample = unifrom", "subsample mode must be first or uniform, got 'unifrom'"),
+    ("roster = LW,ZZ", "unknown site id 'ZZ'"),
+    ("roster = LW,LW", "duplicate site ids in ('LW', 'LW')"),
+    ("roster =", "roster must not be empty"),
+    ("roster = LW,,RW", "empty item in 'LW,,RW'"),
+    ("subset_sizes =", "at least one subset size is required"),
+    ("subset_sizes = 0", "subset sizes must be at least 1, got (0,)"),
+    ("subset_sizes = 1,,2", "empty item in '1,,2'"),
+]
+
+
+@pytest.mark.parametrize("line, message", _BAD_CONFIG_VALUES,
+                         ids=[line for line, _ in _BAD_CONFIG_VALUES])
+def test_cli_config_value_wrong_on_its_own_names_its_line(tmp_path, capsys, line, message):
+    # the config is checked before the manifest is opened
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(f"# settings\n{line}\n")
+    code = cli.main(["rank", str(tmp_path / "manifest.txt"), "--config", str(cfg)])
+    assert code == 1
+    key = line.partition(" =")[0]
+    assert _one_error_line(capsys) == f"error: {cfg}:2: bad value for {key!r}: {message}\n"
+
+
+@pytest.mark.parametrize("text, message", [
+    ("roster = LW,HD\nsubset_sizes = 1\n", "the head site is excluded from placement"),
+    ("roster = LW,RW\n", "subset sizes (1, 2, 3, 4) out of range for a roster of 2"),
+    ("multi_window = yes\nsubsample = uniform\n",
+     "multi_window requires contiguous windows; it cannot be combined with uniform subsampling"),
+], ids=["head", "sizes-over-roster", "multi-window-uniform"])
+def test_cli_config_values_wrong_together_keep_their_message(tmp_path, capsys, text, message):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(text)
+    assert cli.main(["rank", str(tmp_path / "manifest.txt"), "--config", str(cfg)]) == 1
+    assert _one_error_line(capsys) == f"error: {message}\n"
+
+
+def test_cli_config_value_a_flag_overrides_is_still_checked(tmp_path, capsys):
+    # a file value is checked as it is read, whichever value the run uses
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("series_length = 1\n")
+    assert cli.main(["rank", str(tmp_path / "manifest.txt"), "--config", str(cfg),
+                     "--length", "50"]) == 1
+    assert _one_error_line(capsys) == (
+        f"error: {cfg}:1: bad value for 'series_length': series length must be at least 2\n"
+    )
+
+
+def test_cli_config_key_set_twice_names_both_lines(tmp_path, capsys):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("series_length = 40\nmax_gap = 3\n\nseries_length = 50\n")
+    assert cli.main(["rank", str(tmp_path / "manifest.txt"), "--config", str(cfg)]) == 1
+    assert _one_error_line(capsys) == f"error: {cfg}:4: 'series_length' is already set on line 1\n"
+
+
+@pytest.mark.parametrize("flags, expected", [
+    (["--roster", "LW,,RW"], "--roster: empty item in 'LW,,RW'"),
+    (["--sizes", "1,,2"], "--sizes: empty item in '1,,2'"),
+    (["--sizes", ","], "--sizes: empty item in ','"),
+    (["--subsample", "unifrom"], "--subsample: subsample mode must be first or uniform, got 'unifrom'"),
+], ids=["roster", "sizes", "sizes-comma", "subsample"])
+def test_cli_settings_flags_reject_what_config_files_reject(tmp_path, capsys, flags, expected):
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["rank", str(tmp_path / "manifest.txt"), *flags])
+    assert exc.value.code == 1
+    err = capsys.readouterr().err
+    assert err.splitlines()[-1] == f"sensorplace rank: error: argument {expected}"
+
+
 def test_cli_norm_overflow_exits_2(tmp_path, capsys):
     # act02's coordinates scaled by 1e200: every squared norm it enters is inf
     corpus = tmp_path / "corpus"
@@ -568,6 +643,71 @@ def test_any_ranking_table_exits_0_or_1_with_one_error_line(tmp_path_factory, da
         else:
             assert err == ""
             assert _run_cli(argv) == (0, out, "")
+
+
+# --- config files as untrusted input ------------------------------------------------
+
+_CONFIG_VALUES = {
+    "roster": ["LW,RW,PE", "RF, LW", "LW,HD", "LW,ZZ", "LW,LW", "LW,,RW", "", "lw"],
+    "series_length": ["40", "1", "abc", "4_0", "-3"],
+    "sample_rate": ["10", "5", "0", "nan", "3"],
+    "confidence_threshold": ["0.3", "2", "-0.1"],
+    "max_gap": ["10", "-1", "0"],
+    "subset_sizes": ["1,2", "0", "", "1,,2", "9", "1,"],
+    "subsample": ["first", "uniform", "unifrom"],
+    "multi_window": ["yes", "off", "ture"],
+    "allow_head": ["1", "no", "2"],
+}
+_CONFIG_STRAY = ["\f", "\x85", "\u2028", "\u00a0", "\x00", "=", "#", " ", "\t", "\ufeff", "key"]
+
+
+@st.composite
+def _mutated_configs(draw):
+    """A config file of drawn settings, then a few of the faults a config
+    file may carry; returns the file's bytes."""
+    keys = draw(st.lists(st.sampled_from(sorted(_CONFIG_VALUES)), max_size=4, unique=True))
+    lines = [f"{key} = {draw(st.sampled_from(_CONFIG_VALUES[key]))}" for key in keys]
+    lines.insert(0, "# lab settings")
+    end = "\n"
+    for _ in range(draw(st.integers(0, 2))):
+        k = draw(st.integers(0, len(lines) - 1))
+        how = draw(st.sampled_from(["stray", "repeat", "odd", "bom", "crlf", "cr"]))
+        if how == "stray":
+            at = draw(st.integers(0, len(lines[k])))
+            lines[k] = lines[k][:at] + draw(st.sampled_from(_CONFIG_STRAY)) + lines[k][at:]
+        elif how == "repeat":
+            lines.append(lines[k])
+        elif how == "odd":
+            lines.insert(k, draw(st.sampled_from(["= 3", "roster", "[run]", "seed = 1", "x = y = z"])))
+        elif how == "bom":
+            lines[0] = "\ufeff" + lines[0]
+        else:
+            end = "\r\n" if how == "crlf" else "\r"
+    data = (end.join(lines) + end).encode()
+    truncate = draw(st.sampled_from([False, False, True]))
+    return data[:draw(st.integers(0, len(data)))] if truncate else data
+
+
+@pytest.fixture(scope="module")
+def _keypoint_file(tmp_path_factory):
+    corpus = tmp_path_factory.mktemp("config-corpus")
+    cli.main(["synth", str(corpus), "--activities", "2", "--length", "60"])
+    return corpus / "act01.csv"
+
+
+@settings(max_examples=60, deadline=None)
+@given(_mutated_configs())
+def test_any_config_file_exits_0_or_1_with_one_error_line(tmp_path_factory, _keypoint_file, data):
+    cfg = tmp_path_factory.mktemp("config") / "run.cfg"
+    cfg.write_bytes(data)
+    argv = ["validate", str(_keypoint_file), "--config", str(cfg)]
+    code, out, err = _run_cli(argv)
+    assert code in (0, 1), (code, err)
+    if code == 1:
+        assert err.startswith("error: ") and err.count("\n") == 1, err
+    else:
+        assert err == ""
+    assert _run_cli(argv) == (code, out, err)
 
 
 def test_cli_compare_top_k_beyond_the_table_exits_1(tmp_path, capsys):

@@ -170,6 +170,14 @@ def test_enumeration_and_the_label_table_share_the_tie_break_order():
         assert labels == sorted(labels, key=subset_labels().__getitem__)
 
 
+def test_unknown_sites_are_rejected_by_name():
+    # an unknown id once sorted last and came out as a label
+    with pytest.raises(UnknownSiteError, match="^unknown site id 'ZZ'$"):
+        enumerate_subsets(("LW", "ZZ"))
+    with pytest.raises(UnknownSiteError, match="^unknown site id 'ZZ'$"):
+        canonical_sites(("ZZ", "LW"))
+
+
 def test_enumerate_rejects_bad_sizes():
     with pytest.raises(ConfigError):
         enumerate_subsets(DEFAULT_ROSTER, sizes=(0,))

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from sensorplace.errors import UnknownSiteError
 from sensorplace.scoring import score_subsets
 from sensorplace.skeleton import DEFAULT_ROSTER, SITE_ORDER
 from sensorplace.synth import (
@@ -95,6 +96,15 @@ def test_centered_bases_put_roster_centroid_at_center():
     bases = centered_bases(DEFAULT_ROSTER)
     centroid = np.mean([bases[s] for s in DEFAULT_ROSTER], axis=0)
     np.testing.assert_allclose(centroid, [0.5, 0.5], rtol=0, atol=1e-12)
+
+
+@pytest.mark.parametrize("call", [
+    lambda: separable_specs(3, ["LW"], roster=("LW", "ZZ")),
+    lambda: centered_bases(("LW", "ZZ")),
+], ids=["separable-specs", "centered-bases"])
+def test_an_unknown_roster_site_is_named(call):
+    with pytest.raises(UnknownSiteError, match="^unknown site id 'ZZ'$"):
+        call()
 
 
 def test_static_sites_identical_across_activities():

@@ -152,11 +152,6 @@ def test_lists_allow_one_trailing_comma():
     assert size_list("2,") == (2,)
 
 
-def test_config_key_set_twice_is_an_error():
-    with pytest.raises(ConfigError, match=r"^run.cfg:3: 'max_gap' is already set on line 1$"):
-        parse_config_text("max_gap = 4\nseries_length = 60\nmax_gap = 4\n", source="run.cfg")
-
-
 @pytest.mark.parametrize("text", ["abc", "1_0", "0x1", "", "\u0660.5"])
 def test_every_rejected_number_has_one_message(text):
     with pytest.raises(ValueError) as info:

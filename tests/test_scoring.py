@@ -171,7 +171,6 @@ def test_enumeration_and_the_label_table_share_the_tie_break_order():
 
 
 def test_unknown_sites_are_rejected_by_name():
-    # an unknown id once sorted last and came out as a label
     with pytest.raises(UnknownSiteError, match="^unknown site id 'ZZ'$"):
         enumerate_subsets(("LW", "ZZ"))
     with pytest.raises(UnknownSiteError, match="^unknown site id 'ZZ'$"):

@@ -23,7 +23,7 @@ import sys
 from pathlib import Path
 
 from . import __version__, sites
-from .errors import ComputationError, DataError
+from .errors import ComputationError, ConfigError, DataError
 
 
 def _lazy_module(name: str):
@@ -46,12 +46,12 @@ synth = _lazy_module(f"{__package__}.synth")
 
 def _flag_type(parse):
     """``parse`` as a flag's type: a usage error carries the message of its
-    ValueError or DataError, where argparse would name the function
-    (``invalid size_list``)."""
+    ValueError, where argparse would name the function (``invalid
+    size_list``)."""
     def convert(text):
         try:
             return parse(text)
-        except (ValueError, DataError) as exc:
+        except ValueError as exc:
             raise argparse.ArgumentTypeError(str(exc)) from None
     return convert
 
@@ -78,12 +78,19 @@ def _add_config_flags(sub: argparse.ArgumentParser) -> None:
             kind = {"action": argparse.BooleanOptionalAction}
         else:
             kind = {"type": _flag_type(setting.parse), "metavar": setting.metavar}
-        sub.add_argument(setting.flag, dest=setting.key, default=None, help=setting.help, **kind)
+        sub.add_argument(setting.flag, dest=setting.key, default=None,
+                         help=f"{setting.help} (default {sites.shown(setting.default)})", **kind)
 
 
 def _run_config(args):
-    # every setting has a flag; load_config drops the unset ones
-    overrides = {setting.key: getattr(args, setting.key) for setting in sites.SETTINGS}
+    # each flag given is checked on its own first, so its error names it
+    overrides = {}
+    for setting in sites.SETTINGS:
+        if (value := getattr(args, setting.key)) is not None:
+            try:
+                overrides[setting.key] = setting.check(value)
+            except DataError as exc:
+                raise ConfigError(f"argument {setting.flag}: {exc}") from None
     return config.load_config(args.config, overrides)
 
 
@@ -118,18 +125,11 @@ def _cmd_compare(args) -> int:
 
 
 def _cmd_synth(args) -> int:
-    manifest_path = synth.run_synth(
-        args.out_dir,
-        n_activities=args.activities,
-        discriminative_sites=args.discriminative,
-        seed=args.seed,
-        noise_sigma=args.noise,
-        length=args.length,
-        sample_rate=args.rate,
-        style=args.style,
-        drift=args.drift,
-    )
-    print(f"wrote {args.activities} activities to {args.out_dir}")
+    # the synth flags not given are not in args, so run_synth's defaults apply
+    options = {k: v for k, v in vars(args).items() if k not in ("command", "func", "out_dir")}
+    manifest_path = synth.run_synth(args.out_dir, **options)
+    activities = len(manifest_path.read_text(encoding="utf-8").splitlines())
+    print(f"wrote {activities} activities to {args.out_dir}")
     print(f"manifest: {manifest_path}")
     return 0
 
@@ -170,18 +170,20 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out-dir", type=Path, default=None)
     p.set_defaults(func=_cmd_compare)
 
-    p = subs.add_parser("synth", help="emit a synthetic keypoint corpus")
+    p = subs.add_parser("synth", help="emit a synthetic keypoint corpus",
+                        argument_default=argparse.SUPPRESS)
     p.add_argument("out_dir", type=Path)
-    p.add_argument("--activities", type=integer, default=3)
-    p.add_argument("--discriminative", type=site_list, default="LW",
+    p.add_argument("--activities", dest="n_activities", type=integer, metavar="ACTIVITIES")
+    p.add_argument("--discriminative", dest="discriminative_sites", type=site_list,
+                   metavar="DISCRIMINATIVE",
                    help="comma-separated sites that differ across activities")
-    p.add_argument("--seed", type=integer, default=0)
-    p.add_argument("--noise", type=number, default=0.0,
+    p.add_argument("--seed", type=integer)
+    p.add_argument("--noise", dest="noise_sigma", type=number, metavar="NOISE",
                    help="per-coordinate Gaussian noise sigma")
-    p.add_argument("--length", type=integer, default=500)
-    p.add_argument("--rate", type=number, default=10.0)
-    p.add_argument("--style", choices=("csv", "labeled"), default="csv")
-    p.add_argument("--drift", action=argparse.BooleanOptionalAction, default=True,
+    p.add_argument("--length", type=integer)
+    p.add_argument("--rate", dest="sample_rate", type=number, metavar="RATE")
+    p.add_argument("--style", choices=("csv", "labeled"))
+    p.add_argument("--drift", action=argparse.BooleanOptionalAction,
                    help="add whole-body drift removed by centralization")
     p.set_defaults(func=_cmd_synth)
 

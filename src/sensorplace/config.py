@@ -8,10 +8,10 @@ fingerprints on equal inputs mean byte-identical reports.
 from __future__ import annotations
 
 import hashlib
-from dataclasses import dataclass, fields
+from dataclasses import field, fields, make_dataclass
 
 from .errors import ConfigError, DataError
-from .sites import BLANKS, DEFAULT_ROSTER, SETTINGS, check_head
+from .sites import BLANKS, SETTINGS, check_head, shown
 from .textio import _read_text, data_lines
 
 # The one random generator the package uses (numpy's PCG64, in ``synth``);
@@ -19,46 +19,37 @@ from .textio import _read_text, data_lines
 RNG_NAME = "pcg64"
 
 
-@dataclass(frozen=True)
-class RunConfig:
-    """Resolved settings for a scoring run.
+def _check(self):
+    # each setting on its own, then across settings: a head site not
+    # allowed is named before subset sizes too large for the roster
+    for setting in SETTINGS:
+        object.__setattr__(self, setting.key, setting.check(getattr(self, setting.key)))
+    check_head(self.roster, self.allow_head)
+    sizes, n = self.subset_sizes, len(self.roster)
+    if sizes[-1] > n:
+        raise ConfigError(f"subset sizes {sizes} out of range for a roster of {n}")
+    if self.multi_window and self.subsample == "uniform":
+        raise ConfigError("multi_window requires contiguous windows; "
+                          "it cannot be combined with uniform subsampling")
 
-    The fields are the run settings of ``sites.SETTINGS``, in its order:
-    each is a config-file key, a settings flag of ``rank`` and
-    ``validate``, and a key of the report's ``config``.
-    """
 
-    roster: tuple = DEFAULT_ROSTER
-    series_length: int = 500
-    sample_rate: float = 10.0
-    confidence_threshold: float = 0.3
-    max_gap: int = 10
-    subset_sizes: tuple = (1, 2, 3, 4)
-    subsample: str = "first"
-    multi_window: bool = False
-    allow_head: bool = False
+def _fingerprint(self) -> str:
+    """sha256 over the canonical text form plus the RNG name."""
+    parts = [f"rng={RNG_NAME}"]
+    parts += (f"{f.name}={shown(getattr(self, f.name))}" for f in fields(self))
+    return hashlib.sha256("\n".join(parts).encode("utf-8")).hexdigest()
 
-    def __post_init__(self):
-        # each setting on its own, then across settings: a head site not
-        # allowed is named before subset sizes too large for the roster
-        for setting in SETTINGS:
-            object.__setattr__(self, setting.key, setting.check(getattr(self, setting.key)))
-        check_head(self.roster, self.allow_head)
-        sizes, n = self.subset_sizes, len(self.roster)
-        if sizes[-1] > n:
-            raise ConfigError(f"subset sizes {sizes} out of range for a roster of {n}")
-        if self.multi_window and self.subsample == "uniform":
-            raise ConfigError("multi_window requires contiguous windows; "
-                              "it cannot be combined with uniform subsampling")
 
-    def fingerprint(self) -> str:
-        """sha256 over the canonical text form plus the RNG name."""
-        parts = [f"rng={RNG_NAME}"]
-        for f in fields(self):
-            value = getattr(self, f.name)  # str of a float is its repr
-            rendered = ",".join(map(str, value)) if isinstance(value, tuple) else str(value)
-            parts.append(f"{f.name}={rendered}")
-        return hashlib.sha256("\n".join(parts).encode("utf-8")).hexdigest()
+# The run settings of ``sites.SETTINGS`` as frozen fields, in its order and
+# with its defaults: each is a config-file key, a settings flag of ``rank``
+# and ``validate``, and a key of the report's ``config``.
+RunConfig = make_dataclass(
+    "RunConfig",
+    [(s.key, type(s.default), field(default=s.default)) for s in SETTINGS],
+    frozen=True,
+    namespace={"__module__": __name__, "__doc__": "Resolved settings for a scoring run.",
+               "__post_init__": _check, "fingerprint": _fingerprint},
+)
 
 
 # Config-file keys and their settings, in RunConfig field order.

@@ -45,8 +45,8 @@ class ManifestError(DataError):
     """An activity manifest is malformed or references bad recordings."""
 
 
-class ConfigError(DataError):
-    """A run configuration value is out of range or inconsistent."""
+class ConfigError(DataError, ValueError):
+    """A setting or argument value is out of range or inconsistent."""
 
 
 class RateMismatchError(DataError):

@@ -42,7 +42,7 @@ from .errors import (
     ZeroNormError,
     ZeroVectorError,
 )
-from .sites import canonical_label, canonical_sites, check_roster, subset_labels
+from .sites import canonical_label, canonical_sites, check_roster, subset_labels, whole
 from .skeleton import ActivitySet
 
 TIE_BREAK = "score desc, then subset size asc, then canonical site order"
@@ -147,7 +147,8 @@ def enumerate_subsets(roster, sizes=None) -> list[str]:
     tie-break order; a 5-site roster with all sizes yields 31 labels.
     """
     roster = check_roster(roster)
-    wanted = range(1, len(roster) + 1) if sizes is None else sorted(set(map(int, sizes)))
+    wanted = (range(1, len(roster) + 1) if sizes is None
+              else sorted({whole(s, "subset size") for s in sizes}))
     for s in wanted:
         if not 1 <= s <= len(roster):
             raise ConfigError(f"subset size {s} outside valid range 1..{len(roster)}")

@@ -1,6 +1,7 @@
 """Placement sites: their ids, names and canonical order; the parsers of
 the values flags and config files give (site lists, subset sizes, numbers,
-on/off switches); and ``SETTINGS``, the one table of run settings.
+on/off switches); and ``SETTINGS``, the one table of run settings, with
+their defaults and value rules.
 
 Plain Python with no array code, so the commands that only read and write
 rankings (``compare``, ``report``) and the CLI's parser can use it without
@@ -10,6 +11,7 @@ loading numpy or the run configuration.
 from __future__ import annotations
 
 import math
+import operator
 from collections import namedtuple
 from functools import cache
 from itertools import combinations
@@ -136,28 +138,42 @@ def switch(text: str) -> bool:
     return value in ("1", "true", "yes", "on")
 
 
-def subsample_mode(mode: str) -> str:
-    """The ``subsample`` setting, parsed and checked in one step."""
-    if mode not in ("first", "uniform"):
-        raise ConfigError(f"subsample mode must be first or uniform, got {mode!r}")
-    return mode
+def shown(value) -> str:
+    """A setting's value as ``--help`` and the fingerprint show it."""
+    return ",".join(map(str, value)) if isinstance(value, tuple) else str(value)
 
 
 # --- checks of one setting on its own ---------------------------------------
 # Each returns a setting's value as RunConfig keeps it, or raises ConfigError
 # (UnknownSiteError for a site id). Checks across settings are RunConfig's.
+# The library's checks of a rate, a subsample mode or a size use them too.
+
+def whole(value, what: str) -> int:
+    """``value`` as an int; a value of no integer type raises ConfigError."""
+    try:
+        return operator.index(value)
+    except TypeError:
+        raise ConfigError(f"{what} must be an integer, got {value!r}") from None
+
 
 def _rule(holds, message):
-    """The check that passes a value ``holds`` accepts, unchanged."""
+    """The check that passes a value ``holds`` accepts, unchanged, and
+    raises ``message``, formatted with the value, for any other."""
     def check(value):
         if not holds(value):
-            raise ConfigError(message)
+            raise ConfigError(message.format(value))
         return value
     return check
 
 
+# a sample rate in Hz; the ``subsample`` setting, parsed and checked in one step
+check_rate = _rule(lambda r: r > 0 and math.isfinite(r), "sample rate must be positive and finite")
+subsample_mode = _rule(lambda m: m in ("first", "uniform"),
+                       "subsample mode must be first or uniform, got {!r}")
+
+
 def _subset_sizes(sizes) -> tuple[int, ...]:
-    sizes = tuple(sorted(set(int(s) for s in sizes)))
+    sizes = tuple(sorted(set(whole(s, "subset size") for s in sizes)))
     if not sizes:
         raise ConfigError("at least one subset size is required")
     if sizes[0] < 1:
@@ -166,29 +182,31 @@ def _subset_sizes(sizes) -> tuple[int, ...]:
 
 
 # A run setting: its RunConfig field (also its config-file and report key),
-# flag, parser (text to value, raising on a bad spelling), check, and the
-# flag's help and metavar. A ``switch`` setting is an on/off flag.
-Setting = namedtuple("Setting", "key flag parse check help metavar", defaults=(None,))
+# flag, parser (text to value, raising on a bad spelling), check, default,
+# and the flag's help and metavar. A ``switch`` setting is an on/off flag.
+Setting = namedtuple("Setting", "key flag parse check default help metavar", defaults=(None,))
 
 # The run settings, in RunConfig field order.
 SETTINGS = (
-    Setting("roster", "--roster", site_list, check_roster,
-            "comma-separated site ids (default LW,RW,PE,LF,RF)", "SITES"),
+    Setting("roster", "--roster", site_list, check_roster, DEFAULT_ROSTER,
+            "comma-separated site ids", "SITES"),
     Setting("series_length", "--length", integer,
-            _rule(lambda n: n >= 2, "series length must be at least 2"),
-            "frames per scored window (default 500)"),
-    Setting("sample_rate", "--rate", number,
-            _rule(lambda r: r > 0 and math.isfinite(r), "sample rate must be positive and finite"),
-            "target sample rate in Hz (default 10)"),
+            _rule(lambda n: whole(n, "series length") >= 2, "series length must be at least 2"),
+            500, "frames per scored window"),
+    Setting("sample_rate", "--rate", number, check_rate, 10.0, "target sample rate in Hz"),
     Setting("confidence_threshold", "--threshold", number,
             _rule(lambda c: 0.0 <= c <= 1.0, "confidence threshold must be within [0, 1]"),
-            "keypoint confidence threshold (default 0.3)"),
-    Setting("max_gap", "--max-gap", integer, _rule(lambda n: n >= 0, "max gap must be >= 0"),
-            "longest repairable gap in frames (default 10)"),
-    Setting("subset_sizes", "--sizes", size_list, _subset_sizes,
-            "subset sizes to score (default 1,2,3,4)", "N,N,..."),
-    Setting("subsample", "--subsample", subsample_mode, subsample_mode,
+            0.3, "keypoint confidence threshold"),
+    Setting("max_gap", "--max-gap", integer,
+            _rule(lambda n: whole(n, "max gap") >= 0, "max gap must be >= 0"),
+            10, "longest repairable gap in frames"),
+    Setting("subset_sizes", "--sizes", size_list, _subset_sizes, (1, 2, 3, 4),
+            "subset sizes to score", "N,N,..."),
+    Setting("subsample", "--subsample", subsample_mode, subsample_mode, "first",
             "how to cut long recordings to the window length", "{first,uniform}"),
-    Setting("multi_window", "--multi-window", switch, bool, "average scores over all full windows"),
-    Setting("allow_head", "--allow-head", switch, bool, "permit HD in the roster"),
+    Setting("multi_window", "--multi-window", switch, bool, False,
+            "average scores over all full windows"),
+    Setting("allow_head", "--allow-head", switch, bool, False, "permit HD in the roster"),
 )
+
+DEFAULTS = {setting.key: setting.default for setting in SETTINGS}

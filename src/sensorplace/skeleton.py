@@ -39,7 +39,8 @@ from .errors import (
     RateMismatchError,
     TooShortError,
 )
-from .sites import _SITE_INDEX, DEFAULT_ROSTER, SITE_ORDER, check_head, check_roster
+from .sites import (_SITE_INDEX, DEFAULT_ROSTER, DEFAULTS, SITE_ORDER, check_head, check_rate,
+                    check_roster, subsample_mode)
 
 NUM_KEYPOINTS = 17
 
@@ -108,8 +109,7 @@ class SkeletonSeries:
             raise ValueError("series must contain at least one frame")
         if not np.all(np.isfinite(pts)):
             raise ValueError("series contains non-finite points")
-        if self.sample_rate <= 0:
-            raise ValueError("sample rate must be positive")
+        check_rate(self.sample_rate)
         object.__setattr__(self, "points", pts)
         object.__setattr__(self, "sites", sites)
 
@@ -157,7 +157,9 @@ class ActivitySet:
         return len(self.activities)
 
 
-def merge_keypoints(kp: np.ndarray, confidence_threshold: float = 0.3) -> tuple[np.ndarray, np.ndarray]:
+def merge_keypoints(
+    kp: np.ndarray, confidence_threshold: float = DEFAULTS["confidence_threshold"]
+) -> tuple[np.ndarray, np.ndarray]:
     """Consolidate 17 COCO keypoints into the 12 placement sites, for all
     frames at once.
 
@@ -210,7 +212,7 @@ def centralize(points: np.ndarray, valid: np.ndarray) -> np.ndarray:
     return np.where(valid[..., None], points - offset[:, None, :], points)
 
 
-def select_sites(roster, allow_head: bool = False) -> np.ndarray:
+def select_sites(roster, allow_head: bool = DEFAULTS["allow_head"]) -> np.ndarray:
     """Rows of ``roster``'s sites in the canonical 12-site order, in roster
     order.
 
@@ -224,7 +226,7 @@ def select_sites(roster, allow_head: bool = False) -> np.ndarray:
 def repair_gaps(
     points: np.ndarray,
     valid: np.ndarray,
-    max_gap: int = 10,
+    max_gap: int = DEFAULTS["max_gap"],
     sites: tuple[str, ...] | None = None,
 ) -> np.ndarray:
     """Fill interior missing samples by per-coordinate linear interpolation.
@@ -281,13 +283,15 @@ def repair_gaps(
     return out
 
 
-def truncate_series(series: SkeletonSeries, length: int = 500, mode: str = "first") -> SkeletonSeries:
+def truncate_series(series: SkeletonSeries, length: int = DEFAULTS["series_length"],
+                    mode: str = DEFAULTS["subsample"]) -> SkeletonSeries:
     """Cut a series to a uniform length.
 
     ``mode="first"`` keeps the first ``length`` frames; ``mode="uniform"``
     keeps ``length`` evenly spaced frames across the whole recording.
     Raises when the series is shorter than ``length``.
     """
+    subsample_mode(mode)
     if length < 1:
         raise ValueError("length must be at least 1")
     if series.length < length:
@@ -296,11 +300,9 @@ def truncate_series(series: SkeletonSeries, length: int = 500, mode: str = "firs
         return series
     if mode == "first":
         pts = series.points[:, :length]
-    elif mode == "uniform":
+    else:
         idx = (np.arange(length, dtype=np.int64) * series.length) // length
         pts = series.points[:, idx]
-    else:
-        raise ValueError(f"unknown truncation mode {mode!r}")
     return replace(series, points=pts.copy())
 
 
@@ -385,10 +387,10 @@ def preprocess_recording(
     kp,
     activity_id: str,
     roster=DEFAULT_ROSTER,
-    target_rate: float = 10.0,
-    confidence_threshold: float = 0.3,
-    max_gap: int = 10,
-    allow_head: bool = False,
+    target_rate: float = DEFAULTS["sample_rate"],
+    confidence_threshold: float = DEFAULTS["confidence_threshold"],
+    max_gap: int = DEFAULTS["max_gap"],
+    allow_head: bool = DEFAULTS["allow_head"],
 ) -> SkeletonSeries:
     """Run the full preprocessing pipeline over one recording.
 

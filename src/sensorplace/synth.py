@@ -13,7 +13,9 @@ frequency and phase per activity while every other site keeps the same
 static motion, giving ground truth for which placements should rank first.
 
 The ``synth`` command, ``run_synth``, writes each activity as a 17-keypoint
-file plus a manifest; it loads the file writers only when called.
+file plus a manifest; it loads the file writers only when called. A
+series' length and rate default to the run settings' window length and
+rate, so a corpus written with no options ranks at default settings.
 """
 
 from __future__ import annotations
@@ -24,7 +26,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import ConfigError
-from .sites import DEFAULT_ROSTER, SITE_ORDER, canonical_sites
+from .sites import DEFAULT_ROSTER, DEFAULTS, SITE_ORDER, canonical_sites, check_rate
 from .skeleton import KEYPOINT_SITE, MERGE_SOURCES, NUM_KEYPOINTS, ActivitySet, SkeletonSeries
 
 # Rough humanoid layout in normalized image coordinates (y grows downward).
@@ -68,15 +70,14 @@ class MotionSpec:
 
     activity_id: str
     motions: dict  # site id -> SiteMotion
-    length: int = 500
-    sample_rate: float = 10.0
+    length: int = DEFAULTS["series_length"]
+    sample_rate: float = DEFAULTS["sample_rate"]
     seed: int = 0
 
     def __post_init__(self):
         if self.length < 1:
             raise ValueError("length must be at least 1")
-        if not (self.sample_rate > 0 and np.isfinite(self.sample_rate)):
-            raise ValueError("sample rate must be positive and finite")
+        check_rate(self.sample_rate)
         if not self.motions:
             raise ValueError("at least one site motion is required")
         object.__setattr__(self, "motions", dict(self.motions))
@@ -122,8 +123,8 @@ def separable_specs(
     discriminative_sites,
     seed: int = 0,
     noise_sigma: float = 0.0,
-    length: int = 500,
-    sample_rate: float = 10.0,
+    length: int = DEFAULTS["series_length"],
+    sample_rate: float = DEFAULTS["sample_rate"],
     roster=DEFAULT_ROSTER,
     amplitude: float = 0.12,
 ) -> list[MotionSpec]:
@@ -136,9 +137,7 @@ def separable_specs(
     """
     if n_activities < 2:
         raise ValueError("need at least two activities")
-    # checked before the frequencies are derived from it, as MotionSpec does
-    if not (sample_rate > 0 and np.isfinite(sample_rate)):
-        raise ValueError("sample rate must be positive and finite")
+    check_rate(sample_rate)  # before the frequencies are derived from it
     # the top frequency below, nyquist - 0.5, is negative under 1 Hz
     if sample_rate < 1.0:
         raise ValueError(f"sample rate must be at least 1 Hz, got {sample_rate:g} Hz")
@@ -232,18 +231,10 @@ def series_to_frames(series: SkeletonSeries, drift: bool = True) -> tuple[np.nda
     return t, kp
 
 
-def run_synth(
-    out_dir,
-    n_activities: int = 3,
-    discriminative_sites=("LW",),
-    seed: int = 0,
-    noise_sigma: float = 0.0,
-    length: int = 500,
-    sample_rate: float = 10.0,
-    style: str = "csv",
-    drift: bool = True,
-):
-    """Emit a synthetic keypoint corpus plus its manifest.
+def run_synth(out_dir, n_activities: int = 3, discriminative_sites=("LW",), style: str = "csv",
+              drift: bool = True, **options):
+    """Emit a synthetic keypoint corpus plus its manifest; ``options`` are
+    the other keyword arguments of ``separable_specs``.
 
     Activities are generated over all 12 sites (so the full 17-keypoint
     expansion is well-defined) and written one file per activity. Returns
@@ -254,15 +245,8 @@ def run_synth(
 
     out_dir = Path(out_dir)
     try:
-        activity_set = make_separable_set(
-            n_activities,
-            discriminative_sites,
-            seed=seed,
-            noise_sigma=noise_sigma,
-            length=length,
-            sample_rate=sample_rate,
-            roster=SITE_ORDER,
-        )
+        activity_set = make_separable_set(n_activities, discriminative_sites,
+                                          roster=SITE_ORDER, **options)
     except ValueError as exc:
         raise ConfigError(str(exc)) from None
     extension = "csv" if style == "csv" else "txt"

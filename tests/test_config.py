@@ -1,5 +1,7 @@
 """Run configuration parsing, validation, and fingerprinting."""
 
+import re
+
 import pytest
 
 from sensorplace.config import RunConfig, load_config, parse_config_text
@@ -44,6 +46,19 @@ def test_roster_is_canonicalized_and_sizes_sorted():
 )
 def test_invalid_values_are_rejected(kwargs):
     with pytest.raises(ConfigError):
+        RunConfig(**kwargs)
+
+
+@pytest.mark.parametrize("kwargs, message", [
+    ({"subset_sizes": (1.5, 2.9)}, "subset size must be an integer, got 1.5"),
+    ({"series_length": 50.5}, "series length must be an integer, got 50.5"),
+    ({"max_gap": 2.0}, "max gap must be an integer, got 2.0"),
+])
+def test_integer_settings_reject_other_numbers(kwargs, message):
+    # a ConfigError, which library callers may also catch as a ValueError
+    with pytest.raises(ConfigError, match=f"^{re.escape(message)}$"):
+        RunConfig(**kwargs)
+    with pytest.raises(ValueError):
         RunConfig(**kwargs)
 
 

@@ -19,12 +19,12 @@ import sensorplace
 from sensorplace import cli
 from sensorplace import io as pio
 from sensorplace import run as runner
-from sensorplace import synth, tablerun, textio
+from sensorplace import sites, synth, tablerun, textio
 from sensorplace.config import _PARSERS, RunConfig
 from sensorplace.errors import ComputationError, ManifestError
 from sensorplace.rankcorr import compare_rankings
 from sensorplace.scoring import enumerate_subsets, rank_placements
-from sensorplace.sites import SITE_ORDER
+from sensorplace.sites import SETTINGS, SITE_ORDER
 
 
 def _corpus(tmp_path, n=3, length=520, noise=0.0, seed=0, style="csv", **kwargs):
@@ -710,6 +710,89 @@ def test_any_config_file_exits_0_or_1_with_one_error_line(tmp_path_factory, _key
     assert _run_cli(argv) == (code, out, err)
 
 
+# --- manifests and keypoint files as untrusted input ---------------------------------
+
+_HUGE_TIMES = ["1e308", "-1e308", "1e20", "-5", "9" * 400, "-0"]
+_HUGE_COORDINATES = ["1e154", "1.5e154", "-3e154", "1e308", "1.7976931348623157e308", "-1.5e308"]
+
+
+@pytest.fixture(scope="module")
+def _corpus_texts(tmp_path_factory):
+    """The files of a 3-activity CSV corpus, by name, plus the labeled
+    form of each keypoint file (``act01.txt``, ...): the same seed and
+    values."""
+    root = tmp_path_factory.mktemp("corpus-texts")
+    for style in ("csv", "labeled"):
+        cli.main(["synth", str(root / style), "--length", "60", "--noise", "0.01",
+                  "--style", style])
+    texts = {p.name: p.read_text() for p in (root / "csv").iterdir()}
+    texts.update((p.name, p.read_text()) for p in (root / "labeled").glob("*.txt")
+                 if p.name != "manifest.txt")
+    return texts
+
+
+@st.composite
+def _mutated_corpora(draw, texts):
+    """The corpus files after one to three of the faults a manifest or an
+    exported keypoint file may carry."""
+    files = dict(texts)
+    for _ in range(draw(st.integers(1, 3))):
+        name = draw(st.sampled_from(["manifest.txt", "act01.csv", "act02.csv", "act03.csv"]))
+        text = files[name]
+        numeric = ["time", "coordinate"] if name.endswith(".csv") else []
+        how = draw(st.sampled_from(["truncate", "bom", "crlf", "nbsp", "mixed", *numeric]))
+        if how == "truncate":
+            files[name] = text[:draw(st.integers(0, len(text)))]
+        elif how == "bom":
+            files[name] = "\ufeff" + text
+        elif how == "crlf":
+            files[name] = text.replace("\n", "\r\n")
+        elif how == "nbsp":
+            at = draw(st.integers(0, len(text)))
+            files[name] = text[:at] + "\u00a0" + text[at:]
+        elif name == "manifest.txt":  # one activity read from its labeled file
+            k = draw(st.integers(1, 3))
+            files[name] = text.replace(f"act0{k}.csv", f"act0{k}.txt")
+        else:
+            lines = text.split("\n")
+            k = draw(st.integers(0, len(lines) - 1))
+            if how == "mixed":  # one line in the other format
+                lines[k] = files[name.replace(".csv", ".txt")].split("\n")[k]
+            else:
+                cells = lines[k].split(",")
+                j = 0 if how == "time" else draw(st.integers(1, 51))
+                values = _HUGE_TIMES if how == "time" else _HUGE_COORDINATES
+                cells[j:j + 1] = [draw(st.sampled_from(values))]
+                lines[k] = ",".join(cells)
+            files[name] = "\n".join(lines)
+    return files
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_any_corpus_exits_0_1_or_2_with_one_message_line(tmp_path_factory, _corpus_texts, data):
+    files = data.draw(_mutated_corpora(_corpus_texts))
+    corpus = tmp_path_factory.mktemp("mutated")
+    for name, text in files.items():
+        (corpus / name).write_bytes(text.encode())
+    out = corpus / "out"
+    for argv in (["validate", *(str(corpus / f"act0{k}.csv") for k in (1, 2, 3))],
+                 ["rank", str(corpus / "manifest.txt"), "--length", "50", "--out-dir", str(out)]):
+        runs = []
+        for _ in range(2):
+            code, stdout, err = _run_cli(argv)
+            written = [p.read_bytes() for p in sorted(out.glob("*"))]
+            runs.append((code, stdout, err, written))
+        code, _, err, _ = runs[0]
+        assert code in (0, 1, 2), (argv, code, err)
+        if code == 0:
+            assert err == ""
+        else:
+            prefix = "computation error: " if code == 2 else "error: "
+            assert err.startswith(prefix) and err.count("\n") == 1, err
+        assert runs[1] == runs[0]
+
+
 def test_cli_compare_top_k_beyond_the_table_exits_1(tmp_path, capsys):
     a = tmp_path / "a.csv"
     a.write_text("1,LW\n2,RW\n3,PE\n")
@@ -836,10 +919,15 @@ def test_cli_file_listed_under_two_activities_exits_1(tmp_path, capsys):
 
 @pytest.mark.parametrize("command", ["rank", "validate"])
 @pytest.mark.parametrize("flags, message", [
-    (["--roster", "LW,RW,PE,ZZ"], "unknown site id 'ZZ'"),
+    (["--roster", "LW,RW,PE,ZZ"], "argument --roster: unknown site id 'ZZ'"),
     (["--roster", "LW,HD", "--sizes", "1"], "the head site is excluded from placement"),
-    (["--roster", "LW,ZZ"], "unknown site id 'ZZ'"),
-], ids=["unknown-site", "head", "unknown-site-in-short-roster"])
+    (["--roster", "LW,ZZ"], "argument --roster: unknown site id 'ZZ'"),
+    (["--sizes", "0"], "argument --sizes: subset sizes must be at least 1, got (0,)"),
+    (["--length", "1"], "argument --length: series length must be at least 2"),
+    (["--threshold", "2"], "argument --threshold: confidence threshold must be within [0, 1]"),
+    (["--max-gap", "-1"], "argument --max-gap: max gap must be >= 0"),
+], ids=["unknown-site", "head", "unknown-site-in-short-roster", "sizes-0", "length-1",
+        "threshold-2", "max-gap-negative"])
 def test_cli_roster_is_checked_before_any_file_is_read(tmp_path, capsys, command, flags, message):
     corpus = tmp_path / "corpus"
     cli.main(["synth", str(corpus), "--length", "520"])
@@ -943,6 +1031,29 @@ def test_cli_help_and_version_exit_0(capsys, argv):
     with pytest.raises(SystemExit) as exc:
         cli.main(argv)
     assert exc.value.code == 0
+
+
+@pytest.mark.parametrize("command", ["rank", "validate"])
+def test_cli_help_states_each_settings_default(capsys, command):
+    with pytest.raises(SystemExit):
+        cli.main([command, "--help"])
+    # one entry per option, its wrapped lines joined
+    entries = {}
+    for line in capsys.readouterr().out.split("\n  -")[1:]:
+        flag, _, text = line.partition(" ")
+        entries["-" + flag.split(",")[0]] = " ".join(text.split())
+    defaults = RunConfig()
+    for setting in SETTINGS:
+        shown = sites.shown(getattr(defaults, setting.key))
+        assert entries[setting.flag].endswith(f"(default {shown})"), setting.flag
+
+
+def test_cli_synth_without_flags_writes_a_corpus_rank_takes_at_defaults(tmp_path, capsys):
+    assert cli.main(["synth", str(tmp_path / "corpus")]) == 0
+    assert capsys.readouterr().out.startswith(f"wrote 3 activities to {tmp_path / 'corpus'}\n")
+    assert cli.main(["rank", str(tmp_path / "corpus" / "manifest.txt"),
+                     "--out-dir", str(tmp_path / "out")]) == 0
+    assert capsys.readouterr().out.startswith("ranked 30 subsets over 3 activities\n")
 
 
 def test_every_public_name_resolves_and_is_listed():

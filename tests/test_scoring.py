@@ -182,6 +182,8 @@ def test_enumerate_rejects_bad_sizes():
         enumerate_subsets(DEFAULT_ROSTER, sizes=(0,))
     with pytest.raises(ConfigError):
         enumerate_subsets(DEFAULT_ROSTER, sizes=(6,))
+    with pytest.raises(ConfigError, match="^subset size must be an integer, got 1.7$"):
+        enumerate_subsets(DEFAULT_ROSTER, sizes=(1.7,))
 
 
 def test_nothing_to_enumerate_or_rank_is_an_error():

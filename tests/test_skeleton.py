@@ -1,5 +1,6 @@
 """Keypoint consolidation, centralization, gap repair, truncation."""
 
+import inspect
 import re
 import warnings
 
@@ -9,6 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import make_keypoints, make_series
+from sensorplace.config import RunConfig
 from sensorplace.errors import (
     AllMissingSiteError,
     ComputationError,
@@ -62,7 +64,8 @@ def _at(points, site):
     (np.zeros((1, 0, 2)), 10.0, "series must contain at least one frame"),
     (np.full((1, 3, 2), np.inf), 10.0, "series contains non-finite points"),
     (np.zeros((1, 3, 2)), 0.0, "sample rate must be positive"),
-], ids=["two-dims", "three-coordinates", "no-frame", "non-finite", "rate-zero"])
+    (np.zeros((1, 3, 2)), np.nan, "sample rate must be positive and finite"),
+], ids=["two-dims", "three-coordinates", "no-frame", "non-finite", "rate-zero", "rate-nan"])
 def test_skeleton_series_rejects_bad_contents(points, rate, message):
     with pytest.raises(ValueError, match=re.escape(message)):
         make_series("a", points, sites=("LW",) * len(points), sample_rate=rate)
@@ -385,6 +388,23 @@ def test_decimation_stride_rejects_bad_ratios():
         decimation_stride(5.0, 10.0)
 
 
+def test_preprocessing_defaults_are_the_run_settings_defaults():
+    # library parameter -> RunConfig field
+    taken = {
+        merge_keypoints: {"confidence_threshold": "confidence_threshold"},
+        repair_gaps: {"max_gap": "max_gap"},
+        truncate_series: {"length": "series_length", "mode": "subsample"},
+        preprocess_recording: {"roster": "roster", "target_rate": "sample_rate",
+                               "confidence_threshold": "confidence_threshold",
+                               "max_gap": "max_gap", "allow_head": "allow_head"},
+    }
+    defaults = RunConfig()
+    for function, fields in taken.items():
+        parameters = inspect.signature(function).parameters
+        for name, field in fields.items():
+            assert parameters[name].default == getattr(defaults, field), (function, name)
+
+
 @pytest.mark.parametrize("call, error, message", [
     (lambda: repair_gaps(np.zeros((1, 0, 2)), np.zeros((1, 0), dtype=bool)), ValueError,
      "expected a non-empty (n_sites, n_frames) validity mask"),
@@ -393,7 +413,7 @@ def test_decimation_stride_rejects_bad_ratios():
     (lambda: truncate_series(make_series("a", np.zeros((1, 4, 2))), 0), ValueError,
      "length must be at least 1"),
     (lambda: truncate_series(make_series("a", np.zeros((1, 4, 2))), 2, mode="last"), ValueError,
-     "unknown truncation mode 'last'"),
+     "subsample mode must be first or uniform, got 'last'"),
     (lambda: infer_sample_rate([0.0]), RateMismatchError,
      "need at least two timestamps to infer a rate"),
     (lambda: infer_sample_rate([0.0, 0.1, 0.0, -0.1]), RateMismatchError,

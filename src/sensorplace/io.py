@@ -10,14 +10,16 @@ its own checks of the values. Ranking tables, tau tables and JSON reports
 live in ``textio``, which needs no numpy.
 
 A keypoint file's data lines are converted by numpy's C text reader,
-``np.loadtxt``, once they pass the checks that keep it to what the line
-parser accepts: printable ASCII without ``_`` (numpy skips some control
-bytes that ``float()`` rejects), 52 comma-separated fields per CSV line,
-and for the labeled form 52 ``key=value`` tokens per line split by single
-spaces in the first line's key order, read 64 lines at a time. A file that
-fails a check or a conversion goes to the line-by-line parser, so every
-error, and the result for a file with another layout, comes from that
-parser.
+``np.loadtxt``, once one ``bytes.translate`` per block keeps it to what
+the line parser accepts: deleting every printable ASCII byte but ``_``
+and the separators must leave each line the format's separators alone,
+so values are printable ASCII without ``_`` (numpy skips some control
+bytes that ``float()`` rejects). A CSV line leaves 51 commas; a labeled
+line, read 64 lines at a time, leaves the first line's ``_=`` or ``=``
+per token split by single spaces, and its keys must come in the first
+line's order. A file that fails a check or a conversion goes to the
+line-by-line parser, so every error, and the result for a file with
+another layout, comes from that parser.
 
 Every reader takes its data lines from ``textio.data_lines`` and turns a
 missing, unreadable or non-UTF-8 file, and every malformed line, into a
@@ -34,7 +36,8 @@ import numpy as np
 
 from .errors import DataError, MalformedLineError, ManifestError, NonMonotoneTimeError
 from .skeleton import NUM_KEYPOINTS
-from .textio import _number, _read_text, atomic_write_text, data_lines, format_float, words
+from .textio import (_lines_leave, _number, _read_text, atomic_write_text, data_lines,
+                     format_float, words)
 
 # re-exported because perfbench's tracer times rank's two writes here
 from .textio import write_json_report, write_ranking_file  # noqa: F401
@@ -123,16 +126,11 @@ def _parse_lines(line_nos: list[int], lines: list[str], path, parse_line) -> np.
 
 
 # Bytes deleted to leave what numpy's reader may read differently from the
-# line parser: every printable ASCII byte but '_'. Non-ASCII bytes, '_' and
-# control bytes stay; numpy skips '\x1f' as whitespace where float() rejects it.
-_VALUE_BYTES = bytes(range(0x20, 0x7F)).replace(b"_", b"")
-
-# Bytes deleted to leave a labeled block's separators: every printable ASCII
-# byte but '=' and ' '.
-_TOKEN_BYTES = bytes(range(0x21, 0x7F)).replace(b"=", b"")
-
-# The '_' of one line's keys; a labeled block with more has one in a value.
-_KEY_UNDERSCORES = "".join(KEYPOINT_FIELDS).count("_")
+# line parser, and a format's separators: every printable ASCII byte but '_'
+# and the separators. Non-ASCII bytes, '_' and control bytes stay; numpy
+# skips '\x1f' as whitespace where float() rejects it.
+_CSV_BYTES = bytes(range(0x20, 0x7F)).translate(None, b"_,")
+_TOKEN_BYTES = bytes(range(0x20, 0x7F)).translate(None, b"_= ")
 
 # One labeled line with each '=' read as a space: 52 (key, value) pairs. A
 # key longer than the longest field name stays longer after the truncation.
@@ -144,12 +142,11 @@ _LABELED_LINES = 64
 
 
 def _read_csv(data: list[str]) -> np.ndarray | None:
-    """The ``(n, 52)`` values of CSV data lines, or None unless they are
-    ASCII without ``_`` or control bytes and hold 52 fields each."""
-    if any(line.encode().translate(None, _VALUE_BYTES) for line in data):
+    """The ``(n, 52)`` values of CSV data lines, or None unless every line
+    is ASCII without ``_`` or control bytes and holds 52 fields."""
+    if not _lines_leave(data, _CSV_BYTES, b"," * (FIELDS_PER_FRAME - 1)):
         return None
-    values = np.loadtxt(data, delimiter=",", comments=None, ndmin=2)
-    return values if values.shape[1] == FIELDS_PER_FRAME else None
+    return np.loadtxt(data, delimiter=",", comments=None, ndmin=2)
 
 
 def _read_labeled(data: list[str]) -> np.ndarray | None:
@@ -157,25 +154,24 @@ def _read_labeled(data: list[str]) -> np.ndarray | None:
     unless every line is 52 ASCII ``key=value`` tokens split by single
     spaces, in the first line's key order, with no ``_`` but the keys' own.
 
-    The separators alternate '=' and ' ', so every token holds one '=' and
-    the pieces alternate key and value; numpy's reader takes exactly 104
+    Each line must leave the first line's skeleton once all but ``_``,
+    ``=`` and the space are deleted: ``_=`` for a key with ``_``, ``=`` for
+    ``t``, and single spaces between. So every token holds one '=' and the
+    pieces alternate key and value; numpy's reader takes exactly 104
     pieces per line. Empty keys fail the key check and empty values the
-    conversion. Any other whitespace or control byte, a doubled '=' or a
-    token without one breaks the alternation.
+    conversion. Any other whitespace or control byte, a doubled '=', a
+    token without one, or a ``_`` outside a key breaks the skeleton.
     """
     keys = [token.partition("=")[0] for token in data[0].split(" ")]
     if sorted(keys) != sorted(KEYPOINT_FIELDS):
         return None
     columns = np.array([_FIELD_INDEX[key] for key in keys])
+    skeleton = " ".join("_=" if "_" in key else "=" for key in keys).encode()
     keys = np.array(keys, dtype="S7")
     values = np.empty((len(data), FIELDS_PER_FRAME))
     for start in range(0, len(data), _LABELED_LINES):
         block = data[start : start + _LABELED_LINES]
-        text = " ".join(block)
-        separators = b"= " * (FIELDS_PER_FRAME * len(block) - 1) + b"="
-        if text.encode().translate(None, _TOKEN_BYTES) != separators:
-            return None
-        if text.count("_") != _KEY_UNDERSCORES * len(block):
+        if not _lines_leave(block, _TOKEN_BYTES, skeleton):
             return None
         pairs = np.loadtxt((line.replace("=", " ") for line in block), dtype=_PAIRS,
                            delimiter=" ", comments=None, ndmin=1)["pairs"]

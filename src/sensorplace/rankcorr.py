@@ -5,12 +5,13 @@ A ranking is an ordering of subset labels, best first. tau =
 exact integer pair counting; 1 means identical orderings, -1 exactly
 reversed. An ordering holds each item once, so there are no ties.
 
-Discordant pairs are counted in O(n log n) time and O(n) memory with a
-Fenwick tree over positions, in plain Python: ``compare`` needs no numpy.
+Discordant pairs are counted exactly with ``bisect`` over a sorted list, in
+O(n) memory and plain Python: ``compare`` needs no numpy.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from collections import namedtuple
 
 from .errors import InvalidRankError, UniverseMismatchError
@@ -50,23 +51,18 @@ def _discordant_pairs(order: list[int]) -> int:
     """Pairs ``i < j`` with ``order[j] < order[i]``, for a permutation
     ``order`` of ``0..n-1``.
 
-    A Fenwick tree counts, for each value in turn, how many earlier values
-    lie at or below it; the rest of the earlier values lie above it.
+    The earlier values are kept sorted: ``bisect_right`` counts those at or
+    below each value, and the rest lie above it. That is n log n
+    comparisons plus at most n(n-1)/2 entries moved by ``list.insert``, one
+    memmove per value: 8 382 465 for the 4095 labels a ranking table holds
+    at most, one per subset of 12 sites.
     """
-    n = len(order)
-    tree = [0] * (n + 1)
+    earlier: list[int] = []
     discordant = 0
     for seen, value in enumerate(order):
-        i = value + 1
-        at_or_below = 0
-        while i:
-            at_or_below += tree[i]
-            i &= i - 1
+        at_or_below = bisect_right(earlier, value)
         discordant += seen - at_or_below
-        i = value + 1
-        while i <= n:
-            tree[i] += 1
-            i += i & -i
+        earlier.insert(at_or_below, value)
     return discordant
 
 

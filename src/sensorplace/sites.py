@@ -156,20 +156,21 @@ def whole(value, what: str) -> int:
         raise ConfigError(f"{what} must be an integer, got {value!r}") from None
 
 
-def _rule(holds, message):
-    """The check that passes a value ``holds`` accepts, unchanged, and
+def _rule(holds, message, kind):
+    """The check that passes a value ``holds`` accepts as a plain ``kind``
+    (a numpy number becomes the Python number a report can write), and
     raises ``message``, formatted with the value, for any other."""
     def check(value):
         if not holds(value):
             raise ConfigError(message.format(value))
-        return value
+        return kind(value)
     return check
 
 
 # a sample rate in Hz; the ``subsample`` setting, parsed and checked in one step
-check_rate = _rule(lambda r: r > 0 and math.isfinite(r), "sample rate must be positive and finite")
+check_rate = _rule(lambda r: 0 < r < math.inf, "sample rate must be positive and finite", float)
 subsample_mode = _rule(lambda m: m in ("first", "uniform"),
-                       "subsample mode must be first or uniform, got {!r}")
+                       "subsample mode must be first or uniform, got {!r}", str)
 
 
 def _subset_sizes(sizes) -> tuple[int, ...]:
@@ -191,14 +192,15 @@ SETTINGS = (
     Setting("roster", "--roster", site_list, check_roster, DEFAULT_ROSTER,
             "comma-separated site ids", "SITES"),
     Setting("series_length", "--length", integer,
-            _rule(lambda n: whole(n, "series length") >= 2, "series length must be at least 2"),
+            _rule(lambda n: whole(n, "series length") >= 2, "series length must be at least 2",
+                  int),
             500, "frames per scored window"),
     Setting("sample_rate", "--rate", number, check_rate, 10.0, "target sample rate in Hz"),
     Setting("confidence_threshold", "--threshold", number,
-            _rule(lambda c: 0.0 <= c <= 1.0, "confidence threshold must be within [0, 1]"),
+            _rule(lambda c: 0.0 <= c <= 1.0, "confidence threshold must be within [0, 1]", float),
             0.3, "keypoint confidence threshold"),
     Setting("max_gap", "--max-gap", integer,
-            _rule(lambda n: whole(n, "max gap") >= 0, "max gap must be >= 0"),
+            _rule(lambda n: whole(n, "max gap") >= 0, "max gap must be >= 0", int),
             10, "longest repairable gap in frames"),
     Setting("subset_sizes", "--sizes", size_list, _subset_sizes, (1, 2, 3, 4),
             "subset sizes to score", "N,N,..."),

@@ -58,6 +58,12 @@ def words(line: str) -> list[str]:
     return [word for word in line.replace("\t", " ").split(" ") if word]
 
 
+def _lines_leave(lines: list[str], delete: bytes, skeleton: bytes) -> bool:
+    """Whether every line leaves exactly ``skeleton`` once the bytes in
+    ``delete`` are deleted: one ``bytes.translate`` over the joined lines."""
+    return "\n".join(lines).encode().translate(None, delete) == b"\n".join([skeleton] * len(lines))
+
+
 def _number(text: str, path, line_no: int, field: str) -> float:
     """One field as a float, spelled as ``sites.number`` reads it;
     non-finite values pass, callers check them."""
@@ -123,9 +129,9 @@ def write_ranking_file(path, labels, scores) -> None:
     atomic_write_text(path, render_ranking_table(labels, scores))
 
 
-# The bytes of a clean table's rows: ASCII letters, digits, '+', ',', '.'
-# and '-', so no whitespace and no '_'.
-_CLEAN_BYTES = b"0123456789ABCDEFGHIJKLMNOPQRSTUVWXYZabcdefghijklmnopqrstuvwxyz+,.-"
+# The bytes of a clean table's fields: ASCII letters, digits, '+', '.' and
+# '-', so no whitespace and no '_'.
+_CLEAN_BYTES = b"0123456789ABCDEFGHIJKLMNOPQRSTUVWXYZabcdefghijklmnopqrstuvwxyz+.-"
 
 
 def _read_clean_table(lines: list[str]) -> tuple[list[str], list[float | None]] | None:
@@ -142,13 +148,10 @@ def _read_clean_table(lines: list[str]) -> tuple[list[str], list[float | None]] 
         lines = lines[1:]
     if not lines:
         return None
-    text = ",".join(lines)
-    if text.encode().translate(None, _CLEAN_BYTES):
-        return None
     width = lines[0].count(",") + 1
-    if width not in (2, 3) or any(line.count(",") != width - 1 for line in lines):
+    if width not in (2, 3) or not _lines_leave(lines, _CLEAN_BYTES, b"," * (width - 1)):
         return None
-    fields = text.split(",")
+    fields = ",".join(lines).split(",")
     rank_texts, labels = fields[0::width], fields[width - 1::width]
     if not all(map(str.isdigit, rank_texts)):  # also rejects an empty rank
         return None

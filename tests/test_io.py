@@ -670,6 +670,21 @@ def _reorder(lines, sep):
     lines[69:] = [sep.join(reversed(line.split(sep))) for line in lines[69:]]
 
 
+def _short_and_long(lines, sep):
+    # line 70 loses its sixth field and line 71 holds its sixth twice: the
+    # block keeps its field count
+    fields = lines[69].split(sep)
+    lines[69] = sep.join(fields[:5] + fields[6:])
+    fields = lines[70].split(sep)
+    lines[70] = sep.join(fields[:6] + fields[5:])
+
+
+def _underscore_to_value(line):
+    # 'kp0_x=v' becomes 'kp0x=v_': as many '_' in the line as before
+    first, second, rest = line.split(" ", 2)
+    return f"{first} {second.replace('_', '', 1)}_ {rest}"
+
+
 @pytest.mark.parametrize("style", ["csv", "labeled"])
 @pytest.mark.parametrize("spelling", ["0.1_0", "\u0660.5"], ids=["underscore", "arabic-indic"])
 def test_keypoint_values_are_ascii_without_underscores(tmp_path, style, spelling):
@@ -717,7 +732,11 @@ def test_keypoint_values_hold_only_the_whitespace_float_drops(tmp_path, style, s
     ("labeled", _reorder),
     ("labeled", _line_70(lambda line: line.replace("=", "==", 1))),
     ("labeled", _line_70(lambda line: line.replace(" ", "\t", 1))),
-], ids=["swap", "wrap-labeled", "wrap-csv", "reorder", "k==v", "tab"])
+    ("csv", _short_and_long),
+    ("labeled", _short_and_long),
+    ("labeled", _line_70(_underscore_to_value)),
+], ids=["swap", "wrap-labeled", "wrap-csv", "reorder", "k==v", "tab", "short-long-csv",
+        "short-long-labeled", "underscore-in-value"])
 def test_block_parser_defers_to_the_line_parser_in_the_second_block(tmp_path, style, edit):
     path = tmp_path / "rec.txt"
     pio.write_keypoint_file(path, *_frames(130), style=style)

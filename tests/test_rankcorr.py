@@ -97,16 +97,28 @@ def test_discordant_count_matches_pair_counting_oracle(n, kind, seed):
     assert report.concordant + report.discordant == report.pairs
 
 
-def test_memory_stays_linear_on_a_full_roster_ranking():
-    # 4095 = every subset of 12 sites; an n x n int64 array alone is 128 MiB
-    first, second = (_ordering(r) for r in _seeded_ranks(4095, seed=5))
+def _tau_and_peak(first, second):
+    """Kendall's tau of two orderings and the traced memory peak it took."""
     tracemalloc.start()
     try:
         report = kendall_tau(first, second)
-        peak = tracemalloc.get_traced_memory()[1]
+        return report, tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
+
+
+def test_memory_stays_linear_on_a_full_roster_ranking():
+    # 4095 = every subset of 12 sites; an n x n int64 array alone is 128 MiB
+    report, peak = _tau_and_peak(*(_ordering(r) for r in _seeded_ranks(4095, seed=5)))
     assert report.concordant + report.discordant == report.pairs
+    assert peak < 16 * 2**20
+
+
+def test_memory_stays_linear_on_a_reversed_full_roster_ranking():
+    # a reversed pair is the most entries the discordant count moves
+    items = [f"i{k}" for k in range(4095)]
+    report, peak = _tau_and_peak(items, items[::-1])
+    assert report.discordant == report.pairs == 8382465
     assert peak < 16 * 2**20
 
 

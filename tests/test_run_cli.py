@@ -210,6 +210,20 @@ def test_run_settings_are_named_once(tmp_path):
     assert list(report["config"]) == names
 
 
+def test_numpy_typed_settings_write_what_their_plain_values_write(tmp_path):
+    manifest = _corpus(tmp_path)
+    plain = dict(series_length=100, sample_rate=10.0, confidence_threshold=0.25, max_gap=3)
+    typed = dict(series_length=np.int64(100), sample_rate=np.float32(10.0),
+                 confidence_threshold=np.float32(0.25), max_gap=np.int64(3))
+    reports = []
+    for kind, settings_ in (("plain", plain), ("typed", typed)):
+        config = _config(**settings_)
+        runner.run_rank(manifest, config, out_dir=tmp_path / kind)
+        reports.append((config.fingerprint(),
+                        (tmp_path / kind / runner.RANK_REPORT_FILENAME).read_bytes()))
+    assert reports[1] == reports[0]
+
+
 def test_rank_uniform_subsampling_mode(tmp_path):
     manifest = _corpus(tmp_path, length=1000)
     (labels, _), payload = runner.run_rank(manifest, _config(subsample="uniform"))
@@ -625,7 +639,10 @@ def _mutated_tables(draw):
 def _run_cli(argv):
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-        code = cli.main(argv)
+        try:
+            code = cli.main(argv)
+        except SystemExit as exc:  # a usage error
+            code = exc.code
     return code, out.getvalue(), err.getvalue()
 
 
@@ -714,6 +731,7 @@ def test_any_config_file_exits_0_or_1_with_one_error_line(tmp_path_factory, _key
 
 _HUGE_TIMES = ["1e308", "-1e308", "1e20", "-5", "9" * 400, "-0"]
 _HUGE_COORDINATES = ["1e154", "1.5e154", "-3e154", "1e308", "1.7976931348623157e308", "-1.5e308"]
+_CORPUS_STRAY = ["\u00a0", "\f", "\x85", "\u2028"]
 
 
 @pytest.fixture(scope="module")
@@ -734,22 +752,22 @@ def _corpus_texts(tmp_path_factory):
 @st.composite
 def _mutated_corpora(draw, texts):
     """The corpus files after one to three of the faults a manifest or an
-    exported keypoint file may carry."""
+    exported keypoint file, CSV or labeled, may carry."""
     files = dict(texts)
     for _ in range(draw(st.integers(1, 3))):
-        name = draw(st.sampled_from(["manifest.txt", "act01.csv", "act02.csv", "act03.csv"]))
+        name = draw(st.sampled_from(sorted(files)))
         text = files[name]
         numeric = ["time", "coordinate"] if name.endswith(".csv") else []
-        how = draw(st.sampled_from(["truncate", "bom", "crlf", "nbsp", "mixed", *numeric]))
+        how = draw(st.sampled_from(["truncate", "bom", "crlf", "cr", "stray", "mixed", *numeric]))
         if how == "truncate":
             files[name] = text[:draw(st.integers(0, len(text)))]
         elif how == "bom":
             files[name] = "\ufeff" + text
-        elif how == "crlf":
-            files[name] = text.replace("\n", "\r\n")
-        elif how == "nbsp":
+        elif how in ("crlf", "cr"):
+            files[name] = text.replace("\n", "\r\n" if how == "crlf" else "\r")
+        elif how == "stray":
             at = draw(st.integers(0, len(text)))
-            files[name] = text[:at] + "\u00a0" + text[at:]
+            files[name] = text[:at] + draw(st.sampled_from(_CORPUS_STRAY)) + text[at:]
         elif name == "manifest.txt":  # one activity read from its labeled file
             k = draw(st.integers(1, 3))
             files[name] = text.replace(f"act0{k}.csv", f"act0{k}.txt")
@@ -757,7 +775,8 @@ def _mutated_corpora(draw, texts):
             lines = text.split("\n")
             k = draw(st.integers(0, len(lines) - 1))
             if how == "mixed":  # one line in the other format
-                lines[k] = files[name.replace(".csv", ".txt")].split("\n")[k]
+                other = name[:-3] + ("txt" if name.endswith(".csv") else "csv")
+                lines[k] = texts[other].split("\n")[k]
             else:
                 cells = lines[k].split(",")
                 j = 0 if how == "time" else draw(st.integers(1, 51))
@@ -776,7 +795,8 @@ def test_any_corpus_exits_0_1_or_2_with_one_message_line(tmp_path_factory, _corp
     for name, text in files.items():
         (corpus / name).write_bytes(text.encode())
     out = corpus / "out"
-    for argv in (["validate", *(str(corpus / f"act0{k}.csv") for k in (1, 2, 3))],
+    for argv in (["validate", *(str(corpus / f"act0{k}.{ext}") for ext in ("csv", "txt")
+                                for k in (1, 2, 3))],
                  ["rank", str(corpus / "manifest.txt"), "--length", "50", "--out-dir", str(out)]):
         runs = []
         for _ in range(2):
@@ -790,6 +810,66 @@ def test_any_corpus_exits_0_1_or_2_with_one_message_line(tmp_path_factory, _corp
         else:
             prefix = "computation error: " if code == 2 else "error: "
             assert err.startswith(prefix) and err.count("\n") == 1, err
+        assert runs[1] == runs[0]
+
+
+# --- settings flags as untrusted input ------------------------------------------------
+
+# each settings flag's values: some a run takes, then odd ones
+_FLAG_VALUES = {
+    "--roster": (["LW,RW,PE,LF", "RF, LW, PE, RW", ",".join(s for s in SITE_ORDER if s != "HD")],
+                 ["LW,HD", "LW,ZZ", "LW,LW", "LW,,RW", "", ",", "lw", "-LW", "LW+RW", "LW\u00a0"]),
+    "--sizes": (["1,2", "1", "3,1,"],
+                ["0", "", "1,,2", "9", "-1", "1.5", "2_0", "1e3", "\u0663", "9" * 5000]),
+    "--length": (["20", "2", "60"], ["61", "1", "0", "-3", "abc", "5_0", "1e2", "9" * 5000]),
+    "--rate": (["10", "5", "2.5"], ["3", "0", "-1", "nan", "inf", "-inf", "1e-320", "1e308",
+                                    "1_0", "0x10"]),
+    "--threshold": (["0.3", "0", "1", "-0", "1e-400"], ["2", "-0.1", "nan", "0,3"]),
+    "--max-gap": (["10", "0", "9" * 30], ["-1", "x", "1.0"]),
+    "--subsample": (["first", "uniform"], ["unifrom", "", "FIRST"]),
+}
+
+
+@st.composite
+def _odd_flags(draw):
+    """Settings flags with drawn values, each given at most once."""
+    flags = draw(st.lists(st.sampled_from(sorted(_FLAG_VALUES)), min_size=1, max_size=3,
+                          unique=True))
+    return [(flag, draw(st.one_of(*map(st.sampled_from, _FLAG_VALUES[flag]))))
+            for flag in flags]
+
+
+@pytest.fixture(scope="module")
+def _flag_corpus(tmp_path_factory):
+    corpus = tmp_path_factory.mktemp("flag-corpus")
+    cli.main(["synth", str(corpus), "--length", "60", "--noise", "0.01"])
+    return corpus
+
+
+@settings(max_examples=60, deadline=None)
+@given(_odd_flags())
+def test_any_settings_flag_value_exits_0_1_or_2_with_one_message_line(
+        tmp_path_factory, _flag_corpus, flags):
+    out = tmp_path_factory.mktemp("flags")
+    given_flags = [part for flag, value in flags for part in (flag, value)]
+    for argv in (["validate", str(_flag_corpus / "act01.csv"), "--length", "20", *given_flags],
+                 ["rank", str(_flag_corpus / "manifest.txt"), "--out-dir", str(out),
+                  "--length", "20", *given_flags]):
+        runs = []
+        for _ in range(2):
+            code, stdout, err = _run_cli(argv)
+            runs.append((code, stdout, err, [p.read_bytes() for p in sorted(out.glob("*"))]))
+        code, _, err, _ = runs[0]
+        assert code in (0, 1, 2), (argv, code, err)
+        assert "Traceback" not in err
+        if code == 0:
+            assert err == ""
+        elif code == 2:
+            assert err.startswith("computation error: ") and err.count("\n") == 1, err
+        else:
+            last = err.splitlines()[-1]
+            assert last.startswith("error: ") or any(
+                f"argument {flag}:" in last for flag, _ in flags), (argv, err)
         assert runs[1] == runs[0]
 
 

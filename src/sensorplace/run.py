@@ -61,72 +61,46 @@ def _preprocess(t, kp, activity_id: str, config: RunConfig) -> SkeletonSeries:
     )
 
 
-def _activity_windows(activity_id: str, paths, config: RunConfig) -> tuple[list[SkeletonSeries], int]:
-    """Preprocess one activity's recordings into the L-frame windows the
-    run scores, and count the windows they hold.
-
-    Every recording is parsed and preprocessed, so a bad one is reported
-    in either mode. Windows never span recordings. Uniform subsampling
-    draws one window from the first recording; otherwise each recording
-    holds its consecutive disjoint windows, in manifest order.
-    """
-    series = [_preprocess(*pio.parse_keypoint_file(path), activity_id, config) for path in paths]
-    if config.subsample == "uniform":
-        return [truncate_series(series[0], config.series_length, mode="uniform")], 1
-    L = config.series_length
-    starts = [(full, a) for full in series for a in range(0, full.length - L + 1, L)]
-    if not starts:
-        raise TooShortError(sum(full.length for full in series), L)
-    # a decimated series is a strided view of its native-rate array, so each
-    # window is copied: a view would keep that whole array alive
-    windows = [
-        replace(full, points=full.points[:, a:a + L].copy())
-        for full, a in (starts if config.multi_window else starts[:1])
-    ]
-    return windows, len(starts)
-
-
 def load_window_sets(manifest_entries, config: RunConfig):
-    """Build per-window activity sets from parsed manifest entries.
+    """Preprocess each activity's recordings and cut the windows the run
+    scores: ``(window_sets, diagnostics)``, one diagnostic per activity.
 
-    Returns ``(window_sets, diagnostics)``. In single-window mode one set
-    is built from each activity's first window; with ``multi_window`` every
-    activity contributes its first W windows, W being the smallest window
-    count across activities. Per-activity failures are collected and
-    reported together on one line, joined by ``; ``.
+    Every recording is parsed and preprocessed, so a bad one is reported in
+    any mode. Windows are L-frame views of the recordings' points, L being
+    ``series_length``, and never span recordings. With ``subsample="uniform"``
+    an activity's one window is drawn evenly across its first recording;
+    otherwise each recording holds consecutive disjoint windows from its
+    first frame, in manifest order, and the activity keeps its first window,
+    or all of them with ``multi_window``. Window set w pairs window w of
+    every activity, for w below the smallest count kept. Per-activity
+    failures are reported together on one line, joined by ``; ``.
     """
     if len(manifest_entries) < 2:
         raise ManifestError(
             f"need at least two activities to rank, manifest lists {len(manifest_entries)}"
         )
-    per_activity: dict[str, list[SkeletonSeries]] = {}
-    failures = []
-    diagnostics = []
+    L = config.series_length
+    kept, failures, diagnostics = [], [], []
     for activity_id, paths in manifest_entries:
         try:
-            windows, available = _activity_windows(activity_id, paths, config)
+            series = [_preprocess(*pio.parse_keypoint_file(path), activity_id, config)
+                      for path in paths]
+            if config.subsample == "uniform":
+                windows = [truncate_series(series[0], L, mode="uniform")]
+            else:
+                windows = [replace(full, points=full.points[:, a:a + L])
+                           for full in series for a in range(0, full.length - L + 1, L)]
+                if not windows:
+                    raise TooShortError(sum(full.length for full in series), L)
         except DataError as exc:
             failures.append(f"{activity_id}: {exc}")
             continue
-        per_activity[activity_id] = windows
-        diagnostics.append(
-            {
-                "activity": activity_id,
-                "recordings": len(paths),
-                "windows": available,
-            }
-        )
+        kept.append(windows if config.multi_window else windows[:1])
+        diagnostics.append({"activity": activity_id, "recordings": len(paths),
+                            "windows": len(windows)})
     if failures:
         raise ManifestError("; ".join(failures))
-
-    n_windows = min(len(w) for w in per_activity.values()) if config.multi_window else 1
-    window_sets = [
-        ActivitySet(
-            activities=tuple(per_activity[aid][w] for aid, _ in manifest_entries)
-        )
-        for w in range(n_windows)
-    ]
-    return window_sets, diagnostics
+    return [ActivitySet(activities=ws) for ws in zip(*kept)], diagnostics
 
 
 def rank_window_sets(window_sets, config: RunConfig) -> tuple[list[str], list[float]]:
@@ -137,9 +111,7 @@ def rank_window_sets(window_sets, config: RunConfig) -> tuple[list[str], list[fl
     the number of windows; one window is its own mean.
     """
     labels = enumerate_subsets(config.roster, config.subset_sizes)
-    total = np.zeros(len(labels))
-    for ws in window_sets:
-        total += score_subsets(ws, labels)
+    total = sum(score_subsets(ws, labels) for ws in window_sets)
     return sort_ranking(labels, (total / len(window_sets)).tolist())
 
 

@@ -11,7 +11,7 @@ loading numpy or the run configuration.
 from __future__ import annotations
 
 import math
-import operator
+import numbers
 from collections import namedtuple
 from functools import cache
 from itertools import combinations
@@ -77,8 +77,10 @@ def canonical_label(label: str) -> str:
 
 
 def check_roster(roster) -> tuple[str, ...]:
-    """Return ``roster`` sorted canonically: a non-empty set of known sites."""
-    roster = canonical_sites(roster)
+    """Return ``roster`` sorted canonically: a non-empty tuple or list of known site ids."""
+    if not (isinstance(roster, (tuple, list)) and all(isinstance(site, str) for site in roster)):
+        raise ConfigError(f"roster must be a tuple or list of site ids, got {roster!r}")
+    roster = canonical_sites(map(str, roster))  # a numpy string becomes a plain one
     if not roster:
         raise ConfigError("roster must not be empty")
     return roster
@@ -145,15 +147,31 @@ def shown(value) -> str:
 
 # --- checks of one setting on its own ---------------------------------------
 # Each returns a setting's value as RunConfig keeps it, or raises ConfigError
-# (UnknownSiteError for a site id). Checks across settings are RunConfig's.
-# The library's checks of a rate, a subsample mode or a size use them too.
+# (UnknownSiteError for a site id), which names the setting for a value of
+# the wrong kind. Checks across settings are RunConfig's. The library's
+# checks of a rate, a subsample mode or a size use them too.
+
+def _is_bool(value) -> bool:
+    """Whether ``value`` is a bool, Python's or numpy's (matched by type name: no numpy import)."""
+    kind = type(value)
+    return kind is bool or (kind.__module__ == "numpy" and kind.__name__ in ("bool", "bool_"))
+
 
 def whole(value, what: str) -> int:
-    """``value`` as an int; a value of no integer type raises ConfigError."""
-    try:
-        return operator.index(value)
-    except TypeError:
-        raise ConfigError(f"{what} must be an integer, got {value!r}") from None
+    """``value`` as an int; a bool or a value of no integer type raises ConfigError."""
+    if isinstance(value, numbers.Integral) and not _is_bool(value):
+        return int(value)
+    raise ConfigError(f"{what} must be an integer, got {value!r}")
+
+
+def real(value, what: str) -> float:
+    """``value`` as a float, infinite past its range; a bool or a non-real raises ConfigError."""
+    if isinstance(value, numbers.Real) and not _is_bool(value):
+        try:
+            return float(value)
+        except OverflowError:  # an int or fraction too large for a float
+            return math.inf if value > 0 else -math.inf
+    raise ConfigError(f"{what} must be a number, got {value!r}")
 
 
 def _rule(holds, message, kind):
@@ -168,13 +186,16 @@ def _rule(holds, message, kind):
 
 
 # a sample rate in Hz; the ``subsample`` setting, parsed and checked in one step
-check_rate = _rule(lambda r: 0 < r < math.inf, "sample rate must be positive and finite", float)
+check_rate = _rule(lambda r: 0 < real(r, "sample rate") < math.inf,
+                   "sample rate must be positive and finite", float)
 subsample_mode = _rule(lambda m: m in ("first", "uniform"),
                        "subsample mode must be first or uniform, got {!r}", str)
 
 
 def _subset_sizes(sizes) -> tuple[int, ...]:
-    sizes = tuple(sorted(set(whole(s, "subset size") for s in sizes)))
+    if not isinstance(sizes, (tuple, list)):
+        raise ConfigError(f"subset sizes must be a tuple or list of integers, got {sizes!r}")
+    sizes = tuple(sorted({whole(s, "subset size") for s in sizes}))
     if not sizes:
         raise ConfigError("at least one subset size is required")
     if sizes[0] < 1:
@@ -197,7 +218,8 @@ SETTINGS = (
             500, "frames per scored window"),
     Setting("sample_rate", "--rate", number, check_rate, 10.0, "target sample rate in Hz"),
     Setting("confidence_threshold", "--threshold", number,
-            _rule(lambda c: 0.0 <= c <= 1.0, "confidence threshold must be within [0, 1]", float),
+            _rule(lambda c: 0.0 <= real(c, "confidence threshold") <= 1.0,
+                  "confidence threshold must be within [0, 1]", float),
             0.3, "keypoint confidence threshold"),
     Setting("max_gap", "--max-gap", integer,
             _rule(lambda n: whole(n, "max gap") >= 0, "max gap must be >= 0", int),
@@ -206,9 +228,12 @@ SETTINGS = (
             "subset sizes to score", "N,N,..."),
     Setting("subsample", "--subsample", subsample_mode, subsample_mode, "first",
             "how to cut long recordings to the window length", "{first,uniform}"),
-    Setting("multi_window", "--multi-window", switch, bool, False,
+    Setting("multi_window", "--multi-window", switch,
+            _rule(_is_bool, "multi_window must be True or False, got {!r}", bool), False,
             "average scores over all full windows"),
-    Setting("allow_head", "--allow-head", switch, bool, False, "permit HD in the roster"),
+    Setting("allow_head", "--allow-head", switch,
+            _rule(_is_bool, "allow_head must be True or False, got {!r}", bool), False,
+            "permit HD in the roster"),
 )
 
 DEFAULTS = {setting.key: setting.default for setting in SETTINGS}

@@ -287,9 +287,9 @@ def truncate_series(series: SkeletonSeries, length: int = DEFAULTS["series_lengt
                     mode: str = DEFAULTS["subsample"]) -> SkeletonSeries:
     """Cut a series to a uniform length.
 
-    ``mode="first"`` keeps the first ``length`` frames; ``mode="uniform"``
-    keeps ``length`` evenly spaced frames across the whole recording.
-    Raises when the series is shorter than ``length``.
+    ``mode="first"`` keeps a view of the first ``length`` frames;
+    ``mode="uniform"`` keeps ``length`` evenly spaced frames across the
+    whole recording. Raises when the series is shorter than ``length``.
     """
     subsample_mode(mode)
     if length < 1:
@@ -299,11 +299,9 @@ def truncate_series(series: SkeletonSeries, length: int = DEFAULTS["series_lengt
     if series.length == length:
         return series
     if mode == "first":
-        pts = series.points[:, :length]
-    else:
-        idx = (np.arange(length, dtype=np.int64) * series.length) // length
-        pts = series.points[:, idx]
-    return replace(series, points=pts.copy())
+        return replace(series, points=series.points[:, :length])
+    idx = (np.arange(length, dtype=np.int64) * series.length) // length
+    return replace(series, points=series.points[:, idx])
 
 
 def _median(values: np.ndarray) -> np.float64:
@@ -359,7 +357,8 @@ def _slot_grid(t: np.ndarray, rate: float, cap: int) -> tuple[np.ndarray, np.nda
 
     A spacing above 1.5 periods is a timestamp hole: it leaves
     ``round(dt / period) - 1`` empty slots. A spacing of half a period or
-    less raises, naming the later frame. Returns ``(slots, true_slots)``;
+    less raises, naming the later frame, as does a frame more periods from
+    the first than a float counts. Returns ``(slots, true_slots)``;
     ``slots`` gives each hole at most ``cap`` empty slots, so a corrupt
     timestamp cannot allocate a huge grid, and ``true_slots`` keeps the
     full counts for error messages.
@@ -374,6 +373,9 @@ def _slot_grid(t: np.ndarray, rate: float, cap: int) -> tuple[np.ndarray, np.nda
         )
     steps = np.where(steps > 1.5, np.rint(steps), 1.0)
     true_slots = np.concatenate(([0.0], np.cumsum(steps)))
+    if true_slots[-1] == np.inf:
+        k = int(np.argmax(true_slots == np.inf))
+        raise RateMismatchError(f"frame {k} (t={float(t[k])!r}) is too many periods from frame 0")
     slots = np.concatenate(([0.0], np.cumsum(np.minimum(steps, cap + 1))))
     return slots.astype(np.int64), true_slots
 
@@ -394,13 +396,13 @@ def preprocess_recording(
 ) -> SkeletonSeries:
     """Run the full preprocessing pipeline over one recording.
 
-    ``t`` (n,) and ``kp`` (n, 17, 3) are the arrays
-    ``io.parse_keypoint_file`` returns. Steps: consolidate keypoints to
-    sites, centralize each frame's valid skeleton, select the roster sites,
-    place the frames on the grid of the inferred rate (a timestamp hole
-    becomes frames with no valid point), repair gaps (at the native rate)
-    and decimate to the target rate. ``truncate_series`` cuts the result to
-    a window length. Coordinates too large to square and sum raise ComputationError.
+    ``t`` (n,) and ``kp`` (n, 17, 3) are the arrays ``io.parse_keypoint_file``
+    returns. Steps: consolidate keypoints to sites, centralize each frame's
+    valid skeleton, select the roster sites, place the frames on the grid of
+    the inferred rate (a timestamp hole becomes frames with no valid point),
+    repair gaps (at the native rate) and decimate to the target rate, into
+    one compact array, so windows cut from it as views hold no native-rate
+    frames. Coordinates too large to square and sum raise ComputationError.
     """
     t = np.asarray(t, dtype=np.float64)
     if len(t) < 2:
@@ -427,9 +429,7 @@ def preprocess_recording(
             return int(true_slots[j]) + slot - int(slots[j])
         raise GapTooLongError(exc.site, uncapped(exc.start), uncapped(exc.end)) from None
 
-    stride = decimation_stride(input_rate, target_rate)
-    if stride > 1:
-        repaired = repaired[:, ::stride]
+    repaired = np.ascontiguousarray(repaired[:, ::decimation_stride(input_rate, target_rate)])
     if not np.isfinite(np.square(repaired).sum()):
         raise ComputationError(f"activity {activity_id!r}: coordinates overflow in preprocessing")
 

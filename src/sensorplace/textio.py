@@ -18,6 +18,7 @@ start without it.
 
 from __future__ import annotations
 
+import contextlib
 import math
 import operator
 import os
@@ -85,7 +86,8 @@ def _rank(text: str, path, line_no: int) -> int:
 
 
 def atomic_write_text(path, text: str) -> None:
-    """Write ``text`` to ``path`` via a sibling temp file and rename."""
+    """Write ``text`` to ``path`` via a sibling temp file and rename; a
+    failure removes the temp file, and an OSError raises DataError."""
     path = Path(path)
     try:
         path.parent.mkdir(parents=True, exist_ok=True)
@@ -96,11 +98,11 @@ def atomic_write_text(path, text: str) -> None:
         with os.fdopen(fd, "w", encoding="utf-8", newline="\n") as fh:
             fh.write(text)
         os.replace(tmp, path)
-    except BaseException:
-        try:
+    except BaseException as exc:
+        with contextlib.suppress(OSError):
             os.unlink(tmp)
-        except OSError:
-            pass
+        if isinstance(exc, OSError):  # its own text would name the temp file
+            raise DataError(f"cannot write {path}: {exc.strerror or exc}") from exc
         raise
 
 

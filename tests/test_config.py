@@ -1,12 +1,16 @@
 """Run configuration parsing, validation, and fingerprinting."""
 
 import re
+from dataclasses import fields
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from sensorplace.config import RunConfig, load_config, parse_config_text
 from sensorplace.errors import ConfigError, SiteExcludedError, UnknownSiteError
-from sensorplace.sites import integer, number, site_list, size_list
+from sensorplace.sites import SETTINGS, SITE_ORDER, integer, number, site_list, size_list
 
 
 def test_defaults_match_documented_contract():
@@ -60,6 +64,79 @@ def test_integer_settings_reject_other_numbers(kwargs, message):
         RunConfig(**kwargs)
     with pytest.raises(ValueError):
         RunConfig(**kwargs)
+
+
+@pytest.mark.parametrize("kwargs, message", [
+    ({"multi_window": "no"}, "multi_window must be True or False, got 'no'"),
+    ({"allow_head": "no", "roster": ("HD",)}, "allow_head must be True or False, got 'no'"),
+    ({"multi_window": 1}, "multi_window must be True or False, got 1"),
+    ({"confidence_threshold": True}, "confidence threshold must be a number, got True"),
+    ({"sample_rate": 10**400}, "sample rate must be positive and finite"),
+    ({"sample_rate": "10"}, "sample rate must be a number, got '10'"),
+    ({"series_length": True}, "series length must be an integer, got True"),
+    ({"max_gap": np.True_}, f"max gap must be an integer, got {np.True_!r}"),
+    ({"subset_sizes": 3}, "subset sizes must be a tuple or list of integers, got 3"),
+    ({"subset_sizes": (1, True)}, "subset size must be an integer, got True"),
+    ({"roster": 5}, "roster must be a tuple or list of site ids, got 5"),
+    ({"roster": "LW"}, "roster must be a tuple or list of site ids, got 'LW'"),
+    ({"roster": ["LW", ["RW"]]}, "roster must be a tuple or list of site ids, got ['LW', ['RW']]"),
+])
+def test_settings_accept_only_their_own_kind(kwargs, message):
+    with pytest.raises(ConfigError, match=f"^{re.escape(message)}$"):
+        RunConfig(**kwargs)
+
+
+def _outcome(build):
+    """The config ``build`` returns, or the type and text of its error,
+    which must be one of the package's errors for bad values."""
+    try:
+        config = build()
+    except (ConfigError, UnknownSiteError, SiteExcludedError) as exc:
+        return type(exc), str(exc)
+    assert [type(getattr(config, f.name)) for f in fields(config)] == [
+        type(s.default) for s in SETTINGS]
+    assert {type(v) for v in config.roster + config.subset_sizes} <= {str, int}
+    return config
+
+
+def test_settings_take_numpy_values_as_plain_python_ones():
+    config = _outcome(lambda: RunConfig(
+        roster=["RF", np.str_("LW")], series_length=np.int64(40), sample_rate=np.float32(20.0),
+        subset_sizes=[np.int8(2)], multi_window=np.True_))
+    assert config == RunConfig(roster=("LW", "RF"), series_length=40, sample_rate=20.0,
+                               subset_sizes=(2,), multi_window=True)
+
+
+# Every setting gets a value of its own kind or of another one.
+_KIND_VALUES = {
+    "roster": st.lists(st.sampled_from(SITE_ORDER[:6]), min_size=1, max_size=4),
+    "series_length": st.integers(-1, 600),
+    "sample_rate": st.floats(-1.0, 1e3),
+    "confidence_threshold": st.floats(-0.5, 1.5),
+    "max_gap": st.integers(-1, 20),
+    "subset_sizes": st.lists(st.integers(0, 3), max_size=3).map(tuple),
+    "subsample": st.sampled_from(["first", "uniform", "last"]),
+    "multi_window": st.booleans(),
+    "allow_head": st.booleans().map(np.bool_),
+}
+_OTHER_VALUES = st.one_of(
+    st.none(), st.booleans(), st.integers(), st.integers(min_value=10**308), st.floats(),
+    st.text(max_size=3),
+    st.sampled_from([np.True_, np.int64(3), np.float64(0.5), "LW", "yes", b"LW", (), {}]),
+    st.lists(st.one_of(st.sampled_from(SITE_ORDER), st.integers(-1, 13), st.none()), max_size=3),
+)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.fixed_dictionaries(
+    {}, optional={key: st.one_of(values, _OTHER_VALUES) for key, values in _KIND_VALUES.items()}
+))
+def test_any_setting_values_give_a_plain_config_or_a_config_error(kwargs):
+    _outcome(lambda: RunConfig(**kwargs))
+    # load_config takes None as a setting not given
+    given_kwargs = {k: v for k, v in kwargs.items() if v is not None}
+    assert _outcome(lambda: load_config(None, kwargs)) == _outcome(
+        lambda: RunConfig(**given_kwargs))
 
 
 @pytest.mark.parametrize("kwargs, error", [

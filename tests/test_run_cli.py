@@ -25,6 +25,7 @@ from sensorplace.errors import ComputationError, ManifestError
 from sensorplace.rankcorr import compare_rankings
 from sensorplace.scoring import enumerate_subsets, rank_placements
 from sensorplace.sites import SETTINGS, SITE_ORDER
+from sensorplace.skeleton import preprocess_recording
 
 
 def _corpus(tmp_path, n=3, length=520, noise=0.0, seed=0, style="csv", **kwargs):
@@ -197,6 +198,29 @@ def test_windows_are_cut_per_recording_in_manifest_order(tmp_path):
         assert score == total / 3
 
 
+@pytest.mark.parametrize("multi_window, n_sets", [(True, 3), (False, 1)])
+def test_windows_are_views_of_their_recordings(tmp_path, monkeypatch, multi_window, n_sets):
+    # the points preprocessing gives each recording, in manifest order
+    recorded = []
+
+    def preprocess(*args, **kwargs):
+        recorded.append(preprocess_recording(*args, **kwargs))
+        return recorded[-1]
+
+    monkeypatch.setattr(runner, "preprocess_recording", preprocess)
+    manifest = _corpus(tmp_path, length=160)
+    config = _config(series_length=50, multi_window=multi_window)
+    window_sets, diagnostics = runner.load_window_sets(pio.parse_manifest(manifest), config)
+    assert len(window_sets) == n_sets
+    assert [d["windows"] for d in diagnostics] == [3, 3, 3]
+    for ws in window_sets:
+        assert len(ws) == len(recorded)
+    for w, ws in enumerate(window_sets):
+        for window, full in zip(ws.activities, recorded):
+            assert np.shares_memory(window.points, full.points)
+            assert np.array_equal(window.points, full.points[:, 50 * w:50 * (w + 1)])
+
+
 def test_run_settings_are_named_once(tmp_path):
     # config file keys, the settings flags and the report all follow RunConfig
     names = [f.name for f in fields(RunConfig)]
@@ -364,6 +388,28 @@ def test_cli_uncreatable_out_dir_exits_1(tmp_path, capsys):
     assert code == 1
     err = capsys.readouterr().err
     assert err.startswith("error: cannot write") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("command, blocked", [
+    ("rank", "out/ranking.csv"), ("compare", "out/tau.csv"), ("report", "out"),
+])
+def test_cli_unwritable_output_path_exits_1(tmp_path, capsys, command, blocked):
+    # a directory stands where the command writes a file
+    (tmp_path / blocked).mkdir(parents=True)
+    table = tmp_path / "table.csv"
+    table.write_text("rank,sites\n1,LW\n2,RW\n")
+    out = str(tmp_path / "out")
+    if command == "rank":
+        argv = ["rank", str(_corpus(tmp_path)), "--out-dir", out]
+    elif command == "compare":
+        argv = ["compare", str(table), str(table), "--out-dir", out]
+    else:
+        argv = ["report", str(table), "--out", out]
+    capsys.readouterr()
+    assert cli.main(argv) == 1
+    err = capsys.readouterr().err
+    assert err == f"error: cannot write {tmp_path / blocked}: Is a directory\n"
+    assert not list(tmp_path.rglob("*.tmp"))
 
 
 def test_cli_compare_universe_mismatch_exits_1(tmp_path, capsys):

@@ -486,12 +486,31 @@ def test_spacing_of_half_a_period_is_a_rate_error(raw_walk):
         preprocess_recording(t, kp, "walk")
 
 
+def test_frame_too_far_to_count_periods_is_a_rate_error(raw_walk):
+    # 1e308 s after frame 0 is more than 1e308 periods: the hole's true
+    # length is no finite frame count
+    t, kp = raw_walk
+    t = t.copy()
+    t[0] = -1e308
+    with pytest.raises(RateMismatchError, match=re.escape("frame 1 (t=0.1) is too many periods")):
+        preprocess_recording(t, kp, "walk")
+
+
 def test_spacing_just_over_half_a_period_is_one_frame(raw_walk):
     t, kp = raw_walk
     jittered = t.copy()
     jittered[31:] -= 0.045
     series = preprocess_recording(jittered, kp, "walk")
     assert np.array_equal(series.points, preprocess_recording(t, kp, "walk").points)
+
+
+def test_decimated_points_own_a_target_rate_buffer():
+    # windows cut from the points keep no native-rate frames alive
+    t = np.arange(90) / 30.0
+    kp = np.repeat(make_keypoints(seed=3)[None], 90, axis=0)
+    series = preprocess_recording(t, kp, "walk", target_rate=10.0)
+    assert series.points.shape == (5, 30, 2)
+    assert series.points.base is None and series.points.flags.c_contiguous
 
 
 def test_single_dropped_frame_is_interpolated(raw_walk):

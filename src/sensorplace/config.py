@@ -11,7 +11,7 @@ import hashlib
 from dataclasses import field, fields, make_dataclass
 
 from .errors import ConfigError, DataError
-from .sites import BLANKS, SETTINGS, check_head, shown
+from .sites import BLANKS, SETTINGS, check_head, check_sizes, shown
 from .textio import _read_text, data_lines
 
 # The one random generator the package uses (numpy's PCG64, in ``synth``);
@@ -25,9 +25,7 @@ def _check(self):
     for setting in SETTINGS:
         object.__setattr__(self, setting.key, setting.check(getattr(self, setting.key)))
     check_head(self.roster, self.allow_head)
-    sizes, n = self.subset_sizes, len(self.roster)
-    if sizes[-1] > n:
-        raise ConfigError(f"subset sizes {sizes} out of range for a roster of {n}")
+    check_sizes(self.subset_sizes, self.roster)
     if self.multi_window and self.subsample == "uniform":
         raise ConfigError("multi_window requires contiguous windows; "
                           "it cannot be combined with uniform subsampling")

@@ -15,6 +15,7 @@ from bisect import bisect_right
 from collections import namedtuple
 
 from .errors import InvalidRankError, UniverseMismatchError
+from .sites import whole
 
 
 class TauReport(namedtuple("TauReport", "tau n concordant discordant")):
@@ -113,7 +114,8 @@ def compare_rankings(
     if scope == "all":
         return {"all": kendall_tau(first, second)}
     if scope == "top":
-        if not top_k or top_k < 2:
+        top_k = 0 if top_k is None else whole(top_k, "top_k")
+        if top_k < 2:
             raise InvalidRankError("top scope needs top_k >= 2")
         rows = min(len(first), len(second))
         if top_k > rows:

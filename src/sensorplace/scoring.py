@@ -42,7 +42,8 @@ from .errors import (
     ZeroNormError,
     ZeroVectorError,
 )
-from .sites import canonical_label, canonical_sites, check_roster, subset_labels, whole
+from .rankcorr import _positions
+from .sites import canonical_label, canonical_sites, check_roster, check_sizes, subset_labels
 from .skeleton import ActivitySet
 
 TIE_BREAK = "score desc, then subset size asc, then canonical site order"
@@ -83,7 +84,7 @@ def _site_grams(activity_set: ActivitySet, sites) -> np.ndarray:
             )
         rows.append(activity_set.sites.index(site))
     stacked = np.stack(
-        [series.points[rows].reshape(len(rows), -1) for series in activity_set.activities], axis=1
+        [a.points[rows].reshape(len(rows), 2 * a.length) for a in activity_set.activities], axis=1
     )
     return np.einsum("sik,sjk->sij", stacked, stacked)
 
@@ -147,21 +148,14 @@ def enumerate_subsets(roster, sizes=None) -> list[str]:
     tie-break order; a 5-site roster with all sizes yields 31 labels.
     """
     roster = check_roster(roster)
-    wanted = (range(1, len(roster) + 1) if sizes is None
-              else sorted({whole(s, "subset size") for s in sizes}))
-    for s in wanted:
-        if not 1 <= s <= len(roster):
-            raise ConfigError(f"subset size {s} outside valid range 1..{len(roster)}")
+    wanted = range(1, len(roster) + 1) if sizes is None else check_sizes(sizes, roster)
     # combinations of a canonical roster are canonical themselves
-    labels = ["+".join(combo) for s in wanted for combo in combinations(roster, s)]
-    if not labels:
-        raise ConfigError("subset size filter selects nothing")
-    return labels
+    return ["+".join(combo) for s in wanted for combo in combinations(roster, s)]
 
 
 def sort_ranking(labels, scores) -> tuple[list[str], list[float]]:
-    """Order canonical ``labels`` and their ``scores`` best first under
-    ``TIE_BREAK``.
+    """Order ``labels`` and their ``scores`` best first under ``TIE_BREAK``,
+    with canonical labels; a subset named twice raises InvalidRankError.
 
     The pairs are put in tie-break order, the order of ``subset_labels``,
     which takes linear time for labels already in it, as
@@ -169,6 +163,9 @@ def sort_ranking(labels, scores) -> tuple[list[str], list[float]]:
     then keeps equal scores in that order.
     """
     position = subset_labels()
+    labels = [canonical_label(label) for label in labels]
+    if len(set(labels)) < len(labels):
+        _positions(labels)  # raises, naming the first subset given twice
     pairs = sorted(zip(labels, scores), key=lambda pair: position[pair[0]])
     pairs.sort(key=itemgetter(1), reverse=True)
     return [label for label, _ in pairs], [score for _, score in pairs]
@@ -177,7 +174,7 @@ def sort_ranking(labels, scores) -> tuple[list[str], list[float]]:
 def rank_placements(activity_set: ActivitySet, labels) -> tuple[list[str], list[float]]:
     """Score the subsets named by ``labels`` against the activity set and
     rank them: ``(labels, scores)`` best first, with canonical labels."""
-    labels = [canonical_label(label) for label in labels]
+    labels = list(labels)
     if not labels:
         raise ConfigError("no subsets to rank")
     return sort_ranking(labels, score_subsets(activity_set, labels).tolist())

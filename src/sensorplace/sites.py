@@ -148,8 +148,8 @@ def shown(value) -> str:
 # --- checks of one setting on its own ---------------------------------------
 # Each returns a setting's value as RunConfig keeps it, or raises ConfigError
 # (UnknownSiteError for a site id), which names the setting for a value of
-# the wrong kind. Checks across settings are RunConfig's. The library's
-# checks of a rate, a subsample mode or a size use them too.
+# the wrong kind. The library steps check the settings they take with them,
+# and RunConfig checks across settings with ``check_head`` and ``check_sizes``.
 
 def _is_bool(value) -> bool:
     """Whether ``value`` is a bool, Python's or numpy's (matched by type name: no numpy import)."""
@@ -190,6 +190,12 @@ check_rate = _rule(lambda r: 0 < real(r, "sample rate") < math.inf,
                    "sample rate must be positive and finite", float)
 subsample_mode = _rule(lambda m: m in ("first", "uniform"),
                        "subsample mode must be first or uniform, got {!r}", str)
+check_length = _rule(lambda n: whole(n, "series length") >= 2,
+                     "series length must be at least 2", int)
+check_threshold = _rule(lambda c: 0.0 <= real(c, "confidence threshold") <= 1.0,
+                        "confidence threshold must be within [0, 1]", float)
+check_gap = _rule(lambda n: whole(n, "max gap") >= 0, "max gap must be >= 0", int)
+check_allow_head = _rule(_is_bool, "allow_head must be True or False, got {!r}", bool)
 
 
 def _subset_sizes(sizes) -> tuple[int, ...]:
@@ -203,6 +209,14 @@ def _subset_sizes(sizes) -> tuple[int, ...]:
     return sizes
 
 
+def check_sizes(sizes, roster) -> tuple[int, ...]:
+    """``sizes`` checked alone, then against a checked ``roster``'s length."""
+    sizes = _subset_sizes(sizes)
+    if sizes[-1] > len(roster):
+        raise ConfigError(f"subset sizes {sizes} out of range for a roster of {len(roster)}")
+    return sizes
+
+
 # A run setting: its RunConfig field (also its config-file and report key),
 # flag, parser (text to value, raising on a bad spelling), check, default,
 # and the flag's help and metavar. A ``switch`` setting is an on/off flag.
@@ -212,18 +226,11 @@ Setting = namedtuple("Setting", "key flag parse check default help metavar", def
 SETTINGS = (
     Setting("roster", "--roster", site_list, check_roster, DEFAULT_ROSTER,
             "comma-separated site ids", "SITES"),
-    Setting("series_length", "--length", integer,
-            _rule(lambda n: whole(n, "series length") >= 2, "series length must be at least 2",
-                  int),
-            500, "frames per scored window"),
+    Setting("series_length", "--length", integer, check_length, 500, "frames per scored window"),
     Setting("sample_rate", "--rate", number, check_rate, 10.0, "target sample rate in Hz"),
-    Setting("confidence_threshold", "--threshold", number,
-            _rule(lambda c: 0.0 <= real(c, "confidence threshold") <= 1.0,
-                  "confidence threshold must be within [0, 1]", float),
-            0.3, "keypoint confidence threshold"),
-    Setting("max_gap", "--max-gap", integer,
-            _rule(lambda n: whole(n, "max gap") >= 0, "max gap must be >= 0", int),
-            10, "longest repairable gap in frames"),
+    Setting("confidence_threshold", "--threshold", number, check_threshold, 0.3,
+            "keypoint confidence threshold"),
+    Setting("max_gap", "--max-gap", integer, check_gap, 10, "longest repairable gap in frames"),
     Setting("subset_sizes", "--sizes", size_list, _subset_sizes, (1, 2, 3, 4),
             "subset sizes to score", "N,N,..."),
     Setting("subsample", "--subsample", subsample_mode, subsample_mode, "first",
@@ -231,8 +238,7 @@ SETTINGS = (
     Setting("multi_window", "--multi-window", switch,
             _rule(_is_bool, "multi_window must be True or False, got {!r}", bool), False,
             "average scores over all full windows"),
-    Setting("allow_head", "--allow-head", switch,
-            _rule(_is_bool, "allow_head must be True or False, got {!r}", bool), False,
+    Setting("allow_head", "--allow-head", switch, check_allow_head, False,
             "permit HD in the roster"),
 )
 

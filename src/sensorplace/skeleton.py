@@ -39,8 +39,9 @@ from .errors import (
     RateMismatchError,
     TooShortError,
 )
-from .sites import (_SITE_INDEX, DEFAULT_ROSTER, DEFAULTS, SITE_ORDER, check_head, check_rate,
-                    check_roster, subsample_mode)
+from .sites import (_SITE_INDEX, DEFAULT_ROSTER, DEFAULTS, SITE_ORDER, check_allow_head, check_gap,
+                    check_head, check_length, check_rate, check_roster, check_threshold,
+                    subsample_mode)
 
 NUM_KEYPOINTS = 17
 
@@ -176,7 +177,7 @@ def merge_keypoints(
     +0.0).
     """
     kp = np.asarray(kp, dtype=np.float64)
-    confident = kp[:, :, 2] >= confidence_threshold
+    confident = kp[:, :, 2] >= check_threshold(confidence_threshold)
     total = np.zeros((len(kp), len(SITE_ORDER), 2))
     count = np.zeros((len(kp), len(SITE_ORDER)), dtype=np.int64)
     for k, site in enumerate(KEYPOINT_SITE):
@@ -218,8 +219,7 @@ def select_sites(roster, allow_head: bool = DEFAULTS["allow_head"]) -> np.ndarra
 
     The head site is excluded from placement unless ``allow_head`` is set.
     """
-    roster = tuple(roster)
-    check_head(check_roster(roster), allow_head)
+    check_head(check_roster(roster), check_allow_head(allow_head))
     return np.array([_SITE_INDEX[site] for site in roster], dtype=np.intp)
 
 
@@ -247,6 +247,7 @@ def repair_gaps(
     reporting the offending site and frame span. Valid samples are never
     altered.
     """
+    max_gap = check_gap(max_gap)
     points = np.asarray(points, dtype=np.float64)
     valid = np.asarray(valid, dtype=bool)
     if valid.ndim != 2 or valid.size == 0:
@@ -291,9 +292,7 @@ def truncate_series(series: SkeletonSeries, length: int = DEFAULTS["series_lengt
     ``mode="uniform"`` keeps ``length`` evenly spaced frames across the
     whole recording. Raises when the series is shorter than ``length``.
     """
-    subsample_mode(mode)
-    if length < 1:
-        raise ValueError("length must be at least 1")
+    mode, length = subsample_mode(mode), check_length(length)
     if series.length < length:
         raise TooShortError(series.length, length)
     if series.length == length:
@@ -335,9 +334,7 @@ def decimation_stride(input_rate: float, target_rate: float) -> int:
     accepted; anything else is rejected rather than resampled, including
     recordings slower than the target and rates whose ratio is not finite.
     """
-    if target_rate <= 0:
-        raise RateMismatchError("target rate must be positive")
-    ratio = input_rate / target_rate
+    ratio = input_rate / check_rate(target_rate)
     if not np.isfinite(ratio):
         raise RateMismatchError(
             f"input rate {input_rate:.6g} Hz over the target rate {target_rate:.6g} Hz "
@@ -407,7 +404,6 @@ def preprocess_recording(
     t = np.asarray(t, dtype=np.float64)
     if len(t) < 2:
         raise TooShortError(len(t), 2)
-    roster = tuple(roster)
     rows = select_sites(roster, allow_head=allow_head)
 
     points, valid = merge_keypoints(kp, confidence_threshold)
@@ -415,7 +411,7 @@ def preprocess_recording(
     points[seen] = centralize(points[seen], valid[seen])
 
     input_rate = infer_sample_rate(t)
-    slots, true_slots = _slot_grid(t, input_rate, max_gap + 1)
+    slots, true_slots = _slot_grid(t, input_rate, check_gap(max_gap) + 1)
     pts = np.zeros((len(roster), slots[-1] + 1, 2), dtype=np.float64)
     ok = np.zeros((len(roster), slots[-1] + 1), dtype=bool)
     pts[:, slots] = points[:, rows].transpose(1, 0, 2)

@@ -8,8 +8,10 @@ from sensorplace.skeleton import MERGE_SOURCES, NUM_KEYPOINTS, SITE_ORDER
 from sensorplace.skeleton import SkeletonSeries
 
 # Series-level property tests build real arrays per example; keep deadlines
-# off so a slow example on a loaded machine cannot flake a run.
-settings.register_profile("sensorplace", deadline=None)
+# off so a slow example on a loaded machine cannot flake a run. Examples are
+# drawn from a fixed seed, and no example database is read or written, so a
+# run's result depends on the tree alone.
+settings.register_profile("sensorplace", deadline=None, derandomize=True, database=None)
 settings.load_profile("sensorplace")
 
 

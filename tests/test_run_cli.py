@@ -859,6 +859,21 @@ def test_any_corpus_exits_0_1_or_2_with_one_message_line(tmp_path_factory, _corp
         assert runs[1] == runs[0]
 
 
+def test_a_first_timestamp_too_far_back_to_count_exits_1_naming_the_frame(tmp_path):
+    # frame 1 lies more periods after a first timestamp of -1e308 than a
+    # float counts; the hole is named, never sized
+    manifest = _corpus(tmp_path, length=60)
+    path = manifest.parent / "act01.csv"
+    _, rest = path.read_text().split(",", 1)
+    path.write_text("-1e308," + rest)
+    for argv in (["validate", str(path)],
+                 ["rank", str(manifest), "--length", "50", "--out-dir", str(tmp_path / "out")]):
+        code, out, err = _run_cli(argv)
+        assert (code, out) == (1, ""), (argv, err)
+        assert err.count("\n") == 1
+        assert "frame 1 (t=0.1) is too many periods from frame 0" in err, err
+
+
 # --- settings flags as untrusted input ------------------------------------------------
 
 # each settings flag's values: some a run takes, then odd ones

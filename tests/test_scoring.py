@@ -1,6 +1,7 @@
 """Cosine distance, subset scoring, and ranking."""
 
 import math
+import re
 import tracemalloc
 
 import numpy as np
@@ -14,12 +15,14 @@ from sensorplace import _kernels
 from sensorplace.errors import (
     ComputationError,
     ConfigError,
+    InvalidRankError,
     LengthMismatchError,
     SiteNotPresentError,
     UnknownSiteError,
     ZeroNormError,
     ZeroVectorError,
 )
+from sensorplace.rankcorr import compare_rankings
 from sensorplace.scoring import (
     SUBSET_CHUNK,
     _site_grams,
@@ -178,21 +181,36 @@ def test_unknown_sites_are_rejected_by_name():
 
 
 def test_enumerate_rejects_bad_sizes():
+    # the sizes are checked as RunConfig checks them against its roster
     with pytest.raises(ConfigError):
         enumerate_subsets(DEFAULT_ROSTER, sizes=(0,))
     with pytest.raises(ConfigError):
         enumerate_subsets(DEFAULT_ROSTER, sizes=(6,))
     with pytest.raises(ConfigError, match="^subset size must be an integer, got 1.7$"):
         enumerate_subsets(DEFAULT_ROSTER, sizes=(1.7,))
+    with pytest.raises(ConfigError, match="^subset sizes must be a tuple or list of integers"):
+        enumerate_subsets(DEFAULT_ROSTER, 3)
+    with pytest.raises(ConfigError, match=re.escape("sizes (2, 7) out of range for a roster of 5")):
+        enumerate_subsets(DEFAULT_ROSTER, sizes=(7, 2))
 
 
 def test_nothing_to_enumerate_or_rank_is_an_error():
+    aset = make_separable_set(3, ["LW"], length=20)
     with pytest.raises(ConfigError, match="^roster must not be empty$"):
         enumerate_subsets(())
-    with pytest.raises(ConfigError, match="^subset size filter selects nothing$"):
+    with pytest.raises(ConfigError, match="^at least one subset size is required$"):
         enumerate_subsets(DEFAULT_ROSTER, sizes=())
     with pytest.raises(ConfigError, match="^no subsets to rank$"):
-        rank_placements(make_separable_set(3, ["LW"], length=20), [])
+        rank_placements(aset, [])
+    assert score_subsets(aset, []).shape == (0,)
+    # a subset named twice raises the error Kendall's tau raises for a repeat
+    with pytest.raises(InvalidRankError, match="^item 'LW' appears twice in one ranking$"):
+        rank_placements(aset, ["LW", "LW"])
+    with pytest.raises(InvalidRankError, match=re.escape("item 'LW+RW' appears twice")):
+        sort_ranking(["LW+RW", "RW+LW"], [1.0, 0.5])
+    assert sort_ranking(["RW+LW"], [1.0]) == (["LW+RW"], [1.0])
+    with pytest.raises(ConfigError, match="^top_k must be an integer, got 2.5$"):
+        compare_rankings(["LW", "RW", "PE"], ["LW", "RW", "PE"], scope="top", top_k=2.5)
 
 
 def test_ranking_sorts_desc_with_canonical_tie_break():

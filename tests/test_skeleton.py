@@ -14,6 +14,7 @@ from sensorplace.config import RunConfig
 from sensorplace.errors import (
     AllMissingSiteError,
     ComputationError,
+    ConfigError,
     EmptyEnvelopeError,
     EmptyFrameError,
     GapTooLongError,
@@ -405,22 +406,49 @@ def test_preprocessing_defaults_are_the_run_settings_defaults():
             assert parameters[name].default == getattr(defaults, field), (function, name)
 
 
+_SHORT = make_series("a", np.zeros((1, 4, 2)))
+_T3, _KP3 = np.arange(3) / 10.0, np.full((3, 17, 3), 0.5)  # three frames, every keypoint valid
+
+
+# a step checks each setting it takes with the rule RunConfig runs, so a value
+# of the wrong kind or out of range raises ConfigError in that rule's words
 @pytest.mark.parametrize("call, error, message", [
     (lambda: repair_gaps(np.zeros((1, 0, 2)), np.zeros((1, 0), dtype=bool)), ValueError,
      "expected a non-empty (n_sites, n_frames) validity mask"),
     (lambda: repair_gaps(np.zeros((3, 2)), np.ones(3, dtype=bool)), ValueError,
      "expected a non-empty (n_sites, n_frames) validity mask"),
-    (lambda: truncate_series(make_series("a", np.zeros((1, 4, 2))), 0), ValueError,
-     "length must be at least 1"),
-    (lambda: truncate_series(make_series("a", np.zeros((1, 4, 2))), 2, mode="last"), ValueError,
+    (lambda: truncate_series(_SHORT, 0), ConfigError, "series length must be at least 2"),
+    (lambda: truncate_series(_SHORT, 2, mode="last"), ValueError,
      "subsample mode must be first or uniform, got 'last'"),
     (lambda: infer_sample_rate([0.0]), RateMismatchError,
      "need at least two timestamps to infer a rate"),
     (lambda: infer_sample_rate([0.0, 0.1, 0.0, -0.1]), RateMismatchError,
      "non-positive timestamp spacing"),
-    (lambda: decimation_stride(10.0, 0.0), RateMismatchError, "target rate must be positive"),
+    (lambda: decimation_stride(10.0, 0.0), ConfigError, "sample rate must be positive and finite"),
+    (lambda: decimation_stride(10.0, "10"), ConfigError, "sample rate must be a number, got '10'"),
+    (lambda: truncate_series(_SHORT, True), ConfigError,
+     "series length must be an integer, got True"),
+    (lambda: truncate_series(_SHORT, 1), ConfigError, "series length must be at least 2"),
+    (lambda: select_sites("LW"), ConfigError,
+     "roster must be a tuple or list of site ids, got 'LW'"),
+    (lambda: select_sites(("LW", "HD"), allow_head="no"), ConfigError,
+     "allow_head must be True or False, got 'no'"),
+    (lambda: merge_keypoints(_KP3, "0.3"), ConfigError,
+     "confidence threshold must be a number, got '0.3'"),
+    (lambda: merge_keypoints(_KP3, 1.5), ConfigError, "confidence threshold must be within [0, 1]"),
+    (lambda: repair_gaps(np.zeros((1, 3, 2)), np.array([[True, False, True]]), max_gap=1.0),
+     ConfigError, "max gap must be an integer, got 1.0"),
+    (lambda: repair_gaps(np.zeros((1, 3, 2)), np.array([[True, False, True]]), max_gap=-1),
+     ConfigError, "max gap must be >= 0"),
+    (lambda: preprocess_recording(_T3, _KP3, "a", roster="LW"), ConfigError,
+     "roster must be a tuple or list of site ids, got 'LW'"),
+    (lambda: preprocess_recording(_T3, _KP3, "a", max_gap=-5), ConfigError,
+     "max gap must be >= 0"),
 ], ids=["mask-empty", "mask-one-dim", "truncate-length-0", "truncate-mode", "rate-one-timestamp",
-        "rate-falling-timestamps", "stride-target-0"])
+        "rate-falling-timestamps", "stride-target-0", "stride-target-text", "truncate-length-bool",
+        "truncate-length-1", "select-roster-text", "select-allow-head-text",
+        "merge-threshold-text", "merge-threshold-1.5", "repair-gap-float", "repair-gap-negative",
+        "preprocess-roster-text", "preprocess-gap-negative"])
 def test_preprocessing_steps_reject_bad_arguments(call, error, message):
     with pytest.raises(error, match=re.escape(message)):
         call()

@@ -6,42 +6,24 @@ rankings -> Kendall's tau), ``synth`` (emit a synthetic keypoint corpus),
 ``report`` (render a ranking as text). Exit codes: 0 success, 1
 input/config error (usage errors included), 2 computation error.
 
-Each command loads only its own modules, on first use: ``validate`` and
-``rank`` compute on arrays, and their runs live in ``run``; ``synth``
-lives in ``synth``; ``compare`` and ``report`` live in ``tablerun``;
-``validate`` and ``rank`` read their settings through ``config``.
-Building the parser needs only ``sites``, so ``--version``, ``--help``
-and usage errors load none of them, and ``compare`` and ``report`` never
-load numpy or ``config``.
+Each command imports its modules when it runs. ``validate`` and ``rank``
+compute on arrays in ``run`` and read their settings through ``config``,
+which loads only once every flag has passed its ``sites`` check, so a bad
+settings value is reported before numpy loads. ``synth`` lives in
+``synth``, and ``compare`` and ``report`` in ``tablerun``. Building the
+parser needs only ``sites``, so ``--version``, ``--help`` and usage errors
+load none of them, and ``compare`` and ``report`` never load numpy or
+``config``.
 """
 
 from __future__ import annotations
 
 import argparse
-import importlib.util
 import sys
 from pathlib import Path
 
 from . import __version__, sites
 from .errors import ComputationError, ConfigError, DataError
-
-
-def _lazy_module(name: str):
-    """The module ``name``, executed on its first attribute access."""
-    if name in sys.modules:
-        return sys.modules[name]
-    spec = importlib.util.find_spec(name)
-    spec.loader = importlib.util.LazyLoader(spec.loader)
-    module = importlib.util.module_from_spec(spec)
-    sys.modules[name] = module
-    spec.loader.exec_module(module)
-    return module
-
-
-runner = _lazy_module(f"{__package__}.run")
-tablerun = _lazy_module(f"{__package__}.tablerun")
-config = _lazy_module(f"{__package__}.config")
-synth = _lazy_module(f"{__package__}.synth")
 
 
 def _flag_type(parse):
@@ -91,11 +73,16 @@ def _run_config(args):
                 overrides[setting.key] = setting.check(value)
             except DataError as exc:
                 raise ConfigError(f"argument {setting.flag}: {exc}") from None
-    return config.load_config(args.config, overrides)
+    from .config import load_config
+
+    return load_config(args.config, overrides)
 
 
 def _cmd_validate(args) -> int:
-    for path, frames, warnings in runner.run_validate(args.paths, _run_config(args)):
+    config = _run_config(args)
+    from .run import run_validate
+
+    for path, frames, warnings in run_validate(args.paths, config):
         print(f"{path}: {'ok with warnings' if warnings else 'ok'}, {frames} frames")
         for warning in warnings:
             print(f"  warning: {warning}")
@@ -103,16 +90,20 @@ def _cmd_validate(args) -> int:
 
 
 def _cmd_rank(args) -> int:
-    (labels, scores), payload = runner.run_rank(args.manifest, _run_config(args),
-                                                out_dir=args.out_dir)
+    config = _run_config(args)
+    from . import run
+
+    (labels, scores), payload = run.run_rank(args.manifest, config, out_dir=args.out_dir)
     print(f"ranked {len(labels)} subsets over {payload['n_activities']} activities")
     print(f"best placement: {labels[0]} (score {scores[0]:.6f})")
     out_dir = Path(args.out_dir)
-    print(f"wrote {out_dir / runner.RANKING_FILENAME} and {out_dir / runner.RANK_REPORT_FILENAME}")
+    print(f"wrote {out_dir / run.RANKING_FILENAME} and {out_dir / run.RANK_REPORT_FILENAME}")
     return 0
 
 
 def _cmd_compare(args) -> int:
+    from . import tablerun
+
     reports, payload = tablerun.run_compare(
         args.first, args.second, scope=args.scope, top_k=args.top_k,
         out_dir=args.out_dir,
@@ -125,17 +116,21 @@ def _cmd_compare(args) -> int:
 
 
 def _cmd_synth(args) -> int:
+    from .io import parse_manifest
+    from .synth import run_synth
+
     # the synth flags not given are not in args, so run_synth's defaults apply
     options = {k: v for k, v in vars(args).items() if k not in ("command", "func", "out_dir")}
-    manifest_path = synth.run_synth(args.out_dir, **options)
-    activities = len(manifest_path.read_text(encoding="utf-8").splitlines())
-    print(f"wrote {activities} activities to {args.out_dir}")
+    manifest_path = run_synth(args.out_dir, **options)
+    print(f"wrote {len(parse_manifest(manifest_path))} activities to {args.out_dir}")
     print(f"manifest: {manifest_path}")
     return 0
 
 
 def _cmd_report(args) -> int:
-    text = tablerun.run_report(args.ranking, out_path=args.out)
+    from .tablerun import run_report
+
+    text = run_report(args.ranking, out_path=args.out)
     if args.out is None:
         sys.stdout.write(text)
     else:

@@ -177,6 +177,8 @@ def merge_keypoints(
     +0.0).
     """
     kp = np.asarray(kp, dtype=np.float64)
+    if kp.ndim != 3 or kp.shape[1:] != (NUM_KEYPOINTS, 3):
+        raise ValueError(f"expected (n, {NUM_KEYPOINTS}, 3) keypoints, got {kp.shape}")
     confident = kp[:, :, 2] >= check_threshold(confidence_threshold)
     total = np.zeros((len(kp), len(SITE_ORDER), 2))
     count = np.zeros((len(kp), len(SITE_ORDER)), dtype=np.int64)
@@ -402,6 +404,8 @@ def preprocess_recording(
     frames. Coordinates too large to square and sum raise ComputationError.
     """
     t = np.asarray(t, dtype=np.float64)
+    if t.shape != np.shape(kp)[:1]:
+        raise ValueError(f"expected {np.shape(kp)[:1]} timestamps, one per frame, got {t.shape}")
     if len(t) < 2:
         raise TooShortError(len(t), 2)
     rows = select_sites(roster, allow_head=allow_head)

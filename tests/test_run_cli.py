@@ -946,7 +946,6 @@ def test_cli_computation_errors_exit_2(monkeypatch, tmp_path):
         raise ComputationError("numeric failure")
 
     monkeypatch.setattr(runner, "run_rank", boom)
-    monkeypatch.setattr(cli.runner, "run_rank", boom)
     manifest = tmp_path / "m.txt"
     manifest.write_text("a a.csv\nb b.csv\n")
     assert cli.main(["rank", str(manifest)]) == 2
@@ -1208,17 +1207,13 @@ def test_every_public_name_resolves_and_is_listed():
 # of the modules a command may not need it loaded ("-" for none).
 _NUMPY_PROBE = """
 import sys
-import types
 from sensorplace import cli
 try:
     code = cli.main(sys.argv[1:])
 except SystemExit as exc:
     code = exc.code
 heavy = ("numpy", "numpy.ma", "dataclasses", "hashlib", "fractions")
-# cli puts its lazy modules in sys.modules when it is imported; LazyLoader
-# makes one a plain module when it runs
-ran = [name for name in ("config", "run", "synth")
-       if type(sys.modules.get(f"sensorplace.{name}")) is types.ModuleType]
+ran = [name for name in ("config", "run", "synth") if f"sensorplace.{name}" in sys.modules]
 print(code, " ".join(name for name in heavy if name in sys.modules) or "-", " ".join(ran) or "-")
 """
 
@@ -1232,15 +1227,20 @@ print(code, " ".join(name for name in heavy if name in sys.modules) or "-", " ".
     (["--version"], "0 - -"),
     (["--help"], "0 - -"),
     (["rank", "{corpus}/manifest.txt", "--length", "abc"], "1 - -"),
+    (["rank", "{corpus}/manifest.txt", "--length", "1"], "1 - -"),
+    (["rank", "{corpus}/manifest.txt", "--config", "{tmp}/short.cfg"],
+     "1 dataclasses hashlib config"),
     (["rank", "{corpus}/manifest.txt", "--length", "50", "--out-dir", "{tmp}/out"],
      "0 numpy dataclasses hashlib config run"),
     (["validate", "{corpus}/act01.csv"], "0 numpy dataclasses hashlib config run"),
     (["synth", "{tmp}/other", "--length", "60"], "0 numpy dataclasses hashlib synth"),
 ], ids=["compare-all", "compare-per-size", "compare-top", "report", "report-out",
-        "version", "help", "usage-error", "rank", "validate", "synth"])
+        "version", "help", "usage-error", "bad-flag-value", "bad-config-value", "rank",
+        "validate", "synth"])
 def test_only_commands_that_compute_on_arrays_load_numpy(tmp_path, argv, outcome):
     table = tmp_path / "ranking.csv"
     table.write_text("rank,score,sites\n1,0.5,LW\n2,0.25,RW\n3,0.125,LW+RW\n")
+    (tmp_path / "short.cfg").write_text("series_length = 1\n")
     cli.main(["synth", str(tmp_path / "corpus"), "--length", "60"])
     argv = [a.format(t=table, tmp=tmp_path, corpus=tmp_path / "corpus") for a in argv]
     env = dict(os.environ, PYTHONPATH=str(Path(sensorplace.__file__).resolve().parents[1]))
@@ -1248,6 +1248,15 @@ def test_only_commands_that_compute_on_arrays_load_numpy(tmp_path, argv, outcome
                           env=env, capture_output=True, text=True)
     assert "Traceback" not in proc.stderr
     assert proc.stdout.splitlines()[-1] == outcome
+
+
+def test_importing_cli_loads_no_command_module():
+    probe = ("import sys\nimport sensorplace.cli\nprint(*(m for m in ('run', 'config', 'tablerun', "
+             "'synth') if f'sensorplace.{m}' in sys.modules))")
+    env = dict(os.environ, PYTHONPATH=str(Path(sensorplace.__file__).resolve().parents[1]))
+    proc = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "\n"
 
 
 @pytest.mark.parametrize("argv", [["report", "{t}"], ["report", "{t}", "--out", "{tmp}/out.txt"]],

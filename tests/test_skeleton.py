@@ -444,11 +444,15 @@ _T3, _KP3 = np.arange(3) / 10.0, np.full((3, 17, 3), 0.5)  # three frames, every
      "roster must be a tuple or list of site ids, got 'LW'"),
     (lambda: preprocess_recording(_T3, _KP3, "a", max_gap=-5), ConfigError,
      "max gap must be >= 0"),
+    (lambda: merge_keypoints(_KP3[:, :, 0]), ValueError, "expected (n, 17, 3) keypoints, got (3, 17)"),
+    (lambda: preprocess_recording(_T3, _KP3[:2], "a"), ValueError,
+     "expected (2,) timestamps, one per frame, got (3,)"),
 ], ids=["mask-empty", "mask-one-dim", "truncate-length-0", "truncate-mode", "rate-one-timestamp",
         "rate-falling-timestamps", "stride-target-0", "stride-target-text", "truncate-length-bool",
         "truncate-length-1", "select-roster-text", "select-allow-head-text",
         "merge-threshold-text", "merge-threshold-1.5", "repair-gap-float", "repair-gap-negative",
-        "preprocess-roster-text", "preprocess-gap-negative"])
+        "preprocess-roster-text", "preprocess-gap-negative", "merge-keypoints-2d",
+        "preprocess-timestamps-mismatch"])
 def test_preprocessing_steps_reject_bad_arguments(call, error, message):
     with pytest.raises(error, match=re.escape(message)):
         call()

@@ -14,11 +14,17 @@ settings value is reported before numpy loads. ``synth`` lives in
 parser needs only ``sites``, so ``--version``, ``--help`` and usage errors
 load none of them, and ``compare`` and ``report`` never load numpy or
 ``config``.
+
+``main`` returns the exit code. ``console_main``, the process entry, ends
+the process with it once standard output and error are flushed.
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
+import errno
+import os
 import sys
 from pathlib import Path
 
@@ -48,6 +54,28 @@ class _Parser(argparse.ArgumentParser):
     def error(self, message):
         self.print_usage(sys.stderr)
         self.exit(1, f"{self.prog}: error: {message}\n")
+
+
+def _complain(line: str) -> None:
+    # without a writable standard error (a closed pipe, ``2>&-``) the exit
+    # code alone tells
+    with contextlib.suppress(AttributeError, OSError):
+        sys.stderr.write(line + "\n")
+
+
+def _stdout_error(exc: OSError) -> DataError:
+    return DataError(f"cannot write standard output: {exc.strerror or exc}")
+
+
+def _write(text: str) -> None:
+    """Write ``text`` to standard output; a failed write exits 1 with one
+    error line, as an output file that cannot be written does."""
+    try:
+        if sys.stdout is None:  # the process started without one (``>&-``)
+            raise OSError(errno.EBADF, os.strerror(errno.EBADF))
+        sys.stdout.write(text)
+    except OSError as exc:
+        raise _stdout_error(exc) from None
 
 
 def _add_config_flags(sub: argparse.ArgumentParser) -> None:
@@ -83,9 +111,9 @@ def _cmd_validate(args) -> int:
     from .run import run_validate
 
     for path, frames, warnings in run_validate(args.paths, config):
-        print(f"{path}: {'ok with warnings' if warnings else 'ok'}, {frames} frames")
+        _write(f"{path}: {'ok with warnings' if warnings else 'ok'}, {frames} frames\n")
         for warning in warnings:
-            print(f"  warning: {warning}")
+            _write(f"  warning: {warning}\n")
     return 0
 
 
@@ -94,10 +122,10 @@ def _cmd_rank(args) -> int:
     from . import run
 
     (labels, scores), payload = run.run_rank(args.manifest, config, out_dir=args.out_dir)
-    print(f"ranked {len(labels)} subsets over {payload['n_activities']} activities")
-    print(f"best placement: {labels[0]} (score {scores[0]:.6f})")
     out_dir = Path(args.out_dir)
-    print(f"wrote {out_dir / run.RANKING_FILENAME} and {out_dir / run.RANK_REPORT_FILENAME}")
+    _write(f"ranked {len(labels)} subsets over {payload['n_activities']} activities\n"
+           f"best placement: {labels[0]} (score {scores[0]:.6f})\n"
+           f"wrote {out_dir / run.RANKING_FILENAME} and {out_dir / run.RANK_REPORT_FILENAME}\n")
     return 0
 
 
@@ -108,10 +136,10 @@ def _cmd_compare(args) -> int:
         args.first, args.second, scope=args.scope, top_k=args.top_k,
         out_dir=args.out_dir,
     )
-    sys.stdout.write(tablerun.render_compare_text(payload))
+    _write(tablerun.render_compare_text(payload))
     if args.out_dir is not None:
         out_dir = Path(args.out_dir)
-        print(f"wrote {out_dir / tablerun.TAU_TABLE_FILENAME} and {out_dir / tablerun.TAU_REPORT_FILENAME}")
+        _write(f"wrote {out_dir / tablerun.TAU_TABLE_FILENAME} and {out_dir / tablerun.TAU_REPORT_FILENAME}\n")
     return 0
 
 
@@ -122,8 +150,8 @@ def _cmd_synth(args) -> int:
     # the synth flags not given are not in args, so run_synth's defaults apply
     options = {k: v for k, v in vars(args).items() if k not in ("command", "func", "out_dir")}
     manifest_path = run_synth(args.out_dir, **options)
-    print(f"wrote {len(parse_manifest(manifest_path))} activities to {args.out_dir}")
-    print(f"manifest: {manifest_path}")
+    _write(f"wrote {len(parse_manifest(manifest_path))} activities to {args.out_dir}\n"
+           f"manifest: {manifest_path}\n")
     return 0
 
 
@@ -132,9 +160,9 @@ def _cmd_report(args) -> int:
 
     text = run_report(args.ranking, out_path=args.out)
     if args.out is None:
-        sys.stdout.write(text)
+        _write(text)
     else:
-        print(f"wrote {args.out}")
+        _write(f"wrote {args.out}\n")
     return 0
 
 
@@ -196,12 +224,36 @@ def main(argv=None) -> int:
     try:
         return args.func(args)
     except DataError as exc:
-        print(f"error: {exc}", file=sys.stderr)
+        _complain(f"error: {exc}")
         return 1
     except ComputationError as exc:
-        print(f"computation error: {exc}", file=sys.stderr)
+        _complain(f"computation error: {exc}")
         return 2
 
 
+def console_main():
+    """The process entry (``python -m sensorplace.cli``, the ``sensorplace``
+    script): run ``main``, flush standard output and error, and end the
+    process with ``os._exit``. That skips the interpreter's teardown, which
+    frees numpy and every module: 24-28 ms after a ``rank`` and 11 ms after
+    a ``compare`` on 2 vCPUs. Output files are closed and renamed before
+    ``main`` returns; ``atexit`` handlers do not run. An exception ``main``
+    does not handle ends the process the normal way, with its traceback."""
+    try:
+        code = main()
+    except SystemExit as exc:  # argparse: --help, --version and usage errors
+        code = exc.code
+    try:
+        if sys.stdout is not None:
+            sys.stdout.flush()
+    except OSError as exc:
+        if code == 0:  # a failed command has said why already
+            _complain(f"error: {_stdout_error(exc)}")
+            code = 1
+    with contextlib.suppress(AttributeError, OSError):
+        sys.stderr.flush()
+    os._exit(code)
+
+
 if __name__ == "__main__":
-    sys.exit(main())
+    console_main()

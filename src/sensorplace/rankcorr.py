@@ -15,7 +15,7 @@ from bisect import bisect_right
 from collections import namedtuple
 
 from .errors import InvalidRankError, UniverseMismatchError
-from .sites import whole
+from .sites import positions, whole
 
 
 class TauReport(namedtuple("TauReport", "tau n concordant discordant")):
@@ -30,16 +30,6 @@ class TauReport(namedtuple("TauReport", "tau n concordant discordant")):
     @property
     def pairs(self) -> int:
         return self.n * (self.n - 1) // 2
-
-
-def _positions(ordering) -> dict[str, int]:
-    """Each item's position in ``ordering``; an item may appear only once."""
-    positions = {}
-    for pos, item in enumerate(ordering):
-        if item in positions:
-            raise InvalidRankError(f"item {item!r} appears twice in one ranking")
-        positions[item] = pos
-    return positions
 
 
 def _check_same_items(first, second) -> None:
@@ -74,8 +64,8 @@ def kendall_tau(first, second) -> TauReport:
     pair is discordant exactly when its later item has the smaller
     position. Every other pair is concordant.
     """
-    first_pos = _positions(first)
-    second_pos = _positions(second)
+    first_pos = positions(first)
+    second_pos = positions(second)
     _check_same_items(first_pos, second_pos)
     n = len(first_pos)
     if n < 2:
@@ -123,8 +113,8 @@ def compare_rankings(
         return {f"top-{top_k}": kendall_tau(first[:top_k], second[:top_k])}
     if scope != "per-size":
         raise InvalidRankError(f"unknown comparison scope {scope!r}")
-    _positions(first)  # a repeated item is reported before any size group
-    _positions(second)
+    positions(first)  # a repeated item is reported before any size group
+    positions(second)
     groups_first, groups_second = _by_size(first), _by_size(second)
     out = {}
     for size in sorted(groups_first.keys() | groups_second.keys()):

@@ -42,8 +42,9 @@ from .errors import (
     ZeroNormError,
     ZeroVectorError,
 )
-from .rankcorr import _positions
-from .sites import canonical_label, canonical_sites, check_roster, check_sizes, subset_labels
+from .sites import (
+    canonical_label, canonical_sites, check_roster, check_sizes, positions, subset_labels,
+)
 from .skeleton import ActivitySet
 
 TIE_BREAK = "score desc, then subset size asc, then canonical site order"
@@ -165,7 +166,7 @@ def sort_ranking(labels, scores) -> tuple[list[str], list[float]]:
     position = subset_labels()
     labels = [canonical_label(label) for label in labels]
     if len(set(labels)) < len(labels):
-        _positions(labels)  # raises, naming the first subset given twice
+        positions(labels)  # raises, naming the first subset given twice
     pairs = sorted(zip(labels, scores), key=lambda pair: position[pair[0]])
     pairs.sort(key=itemgetter(1), reverse=True)
     return [label for label, _ in pairs], [score for _, score in pairs]

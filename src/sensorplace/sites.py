@@ -1,7 +1,8 @@
-"""Placement sites: their ids, names and canonical order; the parsers of
-the values flags and config files give (site lists, subset sizes, numbers,
-on/off switches); and ``SETTINGS``, the one table of run settings, with
-their defaults and value rules.
+"""Placement sites: their ids, names and canonical order; the check that
+a ranking names each subset once; the parsers of the values flags and
+config files give (site lists, subset sizes, numbers, on/off switches);
+and ``SETTINGS``, the one table of run settings, with their defaults and
+value rules.
 
 Plain Python with no array code, so the commands that only read and write
 rankings (``compare``, ``report``) and the CLI's parser can use it without
@@ -16,7 +17,7 @@ from collections import namedtuple
 from functools import cache
 from itertools import combinations
 
-from .errors import ConfigError, SiteExcludedError, UnknownSiteError
+from .errors import ConfigError, InvalidRankError, SiteExcludedError, UnknownSiteError
 
 # Placement sites in canonical order: the five-site evaluation roster first
 # (left wrist, right wrist, pelvis, left ankle, right ankle), then the
@@ -74,6 +75,17 @@ def canonical_label(label: str) -> str:
     if label in subset_labels():
         return label
     return "+".join(canonical_sites(label.split("+")))
+
+
+
+def positions(ordering) -> dict[str, int]:
+    """Each item's position in ``ordering``; an item may appear only once."""
+    places = {}
+    for place, item in enumerate(ordering):
+        if item in places:
+            raise InvalidRankError(f"item {item!r} appears twice in one ranking")
+        places[item] = place
+    return places
 
 
 def check_roster(roster) -> tuple[str, ...]:

@@ -1,6 +1,7 @@
 """End-to-end runs and the command-line surface."""
 
 import contextlib
+import errno
 import io
 import json
 import os
@@ -1213,15 +1214,16 @@ try:
 except SystemExit as exc:
     code = exc.code
 heavy = ("numpy", "numpy.ma", "dataclasses", "hashlib", "fractions")
-ran = [name for name in ("config", "run", "synth") if f"sensorplace.{name}" in sys.modules]
+ran = [name for name in ("config", "run", "synth", "rankcorr")
+       if f"sensorplace.{name}" in sys.modules]
 print(code, " ".join(name for name in heavy if name in sys.modules) or "-", " ".join(ran) or "-")
 """
 
 
 @pytest.mark.parametrize("argv, outcome", [
-    (["compare", "{t}", "{t}", "--scope", "all"], "0 - -"),
-    (["compare", "{t}", "{t}", "--scope", "per-size", "--out-dir", "{tmp}/tau"], "0 - -"),
-    (["compare", "{t}", "{t}", "--scope", "top", "--top-k", "2"], "0 - -"),
+    (["compare", "{t}", "{t}", "--scope", "all"], "0 - rankcorr"),
+    (["compare", "{t}", "{t}", "--scope", "per-size", "--out-dir", "{tmp}/tau"], "0 - rankcorr"),
+    (["compare", "{t}", "{t}", "--scope", "top", "--top-k", "2"], "0 - rankcorr"),
     (["report", "{t}"], "0 - -"),
     (["report", "{t}", "--out", "{tmp}/report.txt"], "0 - -"),
     (["--version"], "0 - -"),
@@ -1272,3 +1274,114 @@ def test_report_loads_neither_json_nor_rankcorr(tmp_path, argv):
     proc = subprocess.run([sys.executable, "-c", probe, *argv],
                           env=env, capture_output=True, text=True)
     assert proc.stdout.splitlines()[-1] == "0"
+
+
+# --- the process entry --------------------------------------------------------------
+
+def _process_env():
+    # standard output block-buffered, as it is by default, so that the
+    # entry's final flush is what writes a short output
+    env = dict(os.environ, PYTHONPATH=str(Path(sensorplace.__file__).resolve().parents[1]))
+    env.pop("PYTHONUNBUFFERED", None)
+    return env
+
+
+def _full_table(path):
+    # every subset of the 12 sites: a report larger than the stdout buffer
+    rows = (f"{rank},{(4096 - rank) / 4096!r},{label}"
+            for rank, label in enumerate(sites.subset_labels(), 1))
+    path.write_text("\n".join(["rank,score,sites", *rows]) + "\n")
+    return path
+
+
+@pytest.fixture(scope="module")
+def _entry_inputs(tmp_path_factory):
+    tmp = tmp_path_factory.mktemp("entry")
+    synth.run_synth(tmp / "corpus", length=60)
+    huge = synth.run_synth(tmp / "huge", n_activities=3, length=60).parent
+    t, kp = pio.parse_keypoint_file(huge / "act02.csv")
+    kp[:, [11, 12], 0] = 1.5e308  # the pelvis, their mean, overflows
+    pio.write_keypoint_file(huge / "act02.csv", t, kp)
+    (tmp / "small.csv").write_text("rank,score,sites\n1,0.5,LW\n2,0.25,RW\n3,0.125,LW+RW\n")
+    _full_table(tmp / "full.csv")
+    return tmp
+
+
+@pytest.mark.parametrize("argv", [
+    ["compare", "{tmp}/small.csv", "{tmp}/small.csv", "--scope", "per-size"],
+    ["rank", "{tmp}/corpus/manifest.txt", "--length", "50", "--out-dir", "{tmp}/out"],
+    ["report", "{tmp}/full.csv"],
+    ["--version"],
+    ["--help"],
+    ["rank", "{tmp}/corpus/manifest.txt", "--length", "abc"],
+    ["report", "{tmp}/missing.csv"],
+    ["rank", "{tmp}/huge/manifest.txt", "--length", "50", "--out-dir", "{tmp}/out-huge"],
+], ids=["compare", "rank", "report-4095", "version", "help", "usage-error", "data-error",
+        "computation-error"])
+def test_the_process_entry_writes_what_main_writes(_entry_inputs, monkeypatch, capsys, argv):
+    monkeypatch.setenv("COLUMNS", "80")  # --help wraps at one width in both runs
+    argv = [a.format(tmp=_entry_inputs) for a in argv]
+    capsys.readouterr()
+    try:
+        code = cli.main(argv)
+    except SystemExit as exc:
+        code = exc.code
+    out, err = capsys.readouterr()
+    stdout = _entry_inputs / "stdout.bin"
+    with open(stdout, "wb") as fh:
+        proc = subprocess.run([sys.executable, "-m", "sensorplace.cli", *argv],
+                              stdout=fh, stderr=subprocess.PIPE, env=_process_env())
+    assert (proc.returncode, stdout.read_bytes(), proc.stderr) == (code, out.encode(), err.encode())
+    assert code in (0, 1, 2) and (out or err)
+
+
+@pytest.mark.parametrize("stderr_closed", [False, True], ids=["stderr-open", "stderr-closed"])
+@pytest.mark.parametrize("command", ["rank", "report", "compare"])
+def test_a_closed_standard_output_exits_1_with_one_error_line(tmp_path, command, stderr_closed):
+    table = _full_table(tmp_path / "full.csv")
+    argv = {
+        "rank": ["rank", str(synth.run_synth(tmp_path / "corpus", length=60)), "--length", "50",
+                 "--out-dir", str(tmp_path / "out")],
+        "report": ["report", str(table)],
+        "compare": ["compare", str(table), str(table)],
+    }[command]
+    pipes = [os.pipe() for _ in range(2)]
+    for read_end, _ in pipes:
+        os.close(read_end)
+    (_, stdout), (_, stderr) = pipes
+    try:
+        proc = subprocess.run([sys.executable, "-m", "sensorplace.cli", *argv], stdout=stdout,
+                              stderr=stderr if stderr_closed else subprocess.PIPE,
+                              env=_process_env())
+    finally:
+        for _, write_end in pipes:
+            os.close(write_end)
+    assert proc.returncode == 1
+    if not stderr_closed:
+        assert proc.stderr.decode() == (
+            f"error: cannot write standard output: {os.strerror(errno.EPIPE)}\n")
+    if command == "rank":  # the output files are written first
+        assert (tmp_path / "out" / "ranking.csv").exists()
+
+
+def test_a_failed_write_to_standard_output_returns_1(tmp_path, monkeypatch, capsys):
+    class Full(io.StringIO):
+        def write(self, text):
+            raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+
+    table = _full_table(tmp_path / "full.csv")
+    monkeypatch.setattr(sys, "stdout", Full())
+    assert cli.main(["report", str(table)]) == 1
+    assert capsys.readouterr().err == (
+        f"error: cannot write standard output: {os.strerror(errno.ENOSPC)}\n")
+
+
+def test_a_process_started_without_standard_output_exits_1_with_one_error_line(tmp_path):
+    # ``sensorplace report table >&-``: Python then sets sys.stdout to None
+    table = _full_table(tmp_path / "full.csv")
+    proc = subprocess.run([sys.executable, "-m", "sensorplace.cli", "report", str(table)],
+                          stderr=subprocess.PIPE, env=_process_env(),
+                          preexec_fn=lambda: os.close(1))
+    assert proc.returncode == 1
+    assert proc.stderr.decode() == (
+        f"error: cannot write standard output: {os.strerror(errno.EBADF)}\n")

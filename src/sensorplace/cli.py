@@ -55,6 +55,12 @@ class _Parser(argparse.ArgumentParser):
         self.print_usage(sys.stderr)
         self.exit(1, f"{self.prog}: error: {message}\n")
 
+    def _print_message(self, message, file=None):
+        if file is sys.stdout:  # --help, --version: argparse drops a failed write
+            _write(message)
+        else:
+            super()._print_message(message, file)
+
 
 def _complain(line: str) -> None:
     # without a writable standard error (a closed pipe, ``2>&-``) the exit
@@ -219,9 +225,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
     try:
+        args = build_parser().parse_args(argv)
         return args.func(args)
     except DataError as exc:
         _complain(f"error: {exc}")

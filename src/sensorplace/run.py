@@ -18,7 +18,7 @@ import numpy as np
 from . import io as pio
 from .config import RNG_NAME, RunConfig
 from .errors import DataError, ManifestError, TooShortError
-from .scoring import TIE_BREAK, enumerate_subsets, score_subsets, sort_ranking
+from .scoring import TIE_BREAK, enumerate_subsets, mean_scores, sort_ranking
 from .skeleton import ActivitySet, SkeletonSeries, preprocess_recording, truncate_series
 from .textio import ranking_entries
 
@@ -105,14 +105,9 @@ def load_window_sets(manifest_entries, config: RunConfig):
 
 def rank_window_sets(window_sets, config: RunConfig) -> tuple[list[str], list[float]]:
     """Score all configured subsets and rank them by their mean over
-    windows: ``(labels, scores)`` best first.
-
-    A subset's mean adds its window scores in window order, then divides by
-    the number of windows; one window is its own mean.
-    """
+    windows (``scoring.mean_scores``): ``(labels, scores)`` best first."""
     labels = enumerate_subsets(config.roster, config.subset_sizes)
-    total = sum(score_subsets(ws, labels) for ws in window_sets)
-    return sort_ranking(labels, (total / len(window_sets)).tolist())
+    return sort_ranking(labels, mean_scores(window_sets, labels).tolist())
 
 
 def rank_report_payload(labels, scores, config: RunConfig, diagnostics, n_windows: int) -> dict:

@@ -13,12 +13,15 @@ higher score.
 Because flattening is site-major, ``u_S . v_S`` is the sum over the sites
 s in S of ``u_s . v_s``. Scoring therefore builds the per-site Gram tensor
 once per activity set and scores each subset from the sum of its sites'
-Gram matrices, never from the flattened vectors themselves. Subsets are
-scored in chunks of ``SUBSET_CHUNK``: one stack of subset Gram matrices
-and one Kahan pass of the kernel per chunk, the same bits as scoring each
-subset alone. ``score_subsets`` returns the scores as one float64 array in
-label order; a mean over windows adds those arrays in window order and
-divides by the window count, so one window is its own mean.
+Gram matrices, never from the flattened vectors themselves. The labels
+are read once per run, into a boolean membership matrix of which subset
+holds which site. Subsets are scored in chunks of ``SUBSET_CHUNK``: each
+chunk's stack of Gram matrices starts at zero and takes every site's
+matrix in canonical site order, masked to the subsets that hold the site,
+then one Kahan pass of the kernel scores it, the same bits as scoring each
+subset alone. ``mean_scores`` adds each window set's scores in window
+order and divides by the window count; ``score_subsets`` is its one
+window.
 
 A ranking is two lists, ``(labels, scores)``, best first, as ranking
 tables are read and written; ``sort_ranking`` puts one in ``TIE_BREAK``
@@ -27,7 +30,7 @@ order.
 
 from __future__ import annotations
 
-from itertools import combinations
+from itertools import combinations, compress
 from operator import itemgetter
 import math
 
@@ -102,43 +105,39 @@ def _bad_norm(activity_set: ActivitySet, sites, activity: int, norm2: float):
     return ZeroVectorError(f"activity {name}: vector is identically zero")
 
 
-def score_subsets(activity_set: ActivitySet, labels) -> np.ndarray:
-    """Score the subsets named by ``labels`` from per-site Gram matrices
-    built once.
+def mean_scores(window_sets, labels) -> np.ndarray:
+    """Each subset's mean score over the activity sets ``window_sets``, one
+    float64 per label of ``labels`` in label order. The first subset in list
+    order with a zero or non-finite squared norm raises, naming the first
+    such activity."""
+    labels = [canonical_label(label) for label in labels]
+    tokens = "+".join(labels).split("+") if labels else []
+    sites = canonical_sites(set(tokens))
+    columns = np.fromiter(map(positions(sites).__getitem__, tokens), np.intp, len(tokens))
+    owners = np.repeat(np.arange(len(labels)), [label.count("+") + 1 for label in labels])
+    member = np.zeros((len(labels), len(sites)), dtype=bool)
+    member[owners, columns] = True
+    total = np.zeros(len(labels))
+    for activity_set in window_sets:
+        gram = _site_grams(activity_set, sites)
+        for begin in range(0, len(labels), SUBSET_CHUNK):
+            chunk = member[begin:begin + SUBSET_CHUNK]
+            stack = np.zeros((len(chunk), *gram.shape[1:]))
+            for s, site_gram in enumerate(gram):
+                np.add(stack, site_gram, out=stack, where=chunk[:, s, None, None])
+            norm2 = np.diagonal(stack, axis1=1, axis2=2)
+            usable = (norm2 > 0) & (norm2 < np.inf)
+            if not usable.all():
+                first, activity = np.argwhere(~usable)[0]  # row-major: first subset first
+                held = compress(sites, chunk[first])
+                raise _bad_norm(activity_set, held, activity, float(norm2[first, activity]))
+            total[begin:begin + len(chunk)] += _kernels.pairwise_cosine_distance_sum(stack)
+    return total / len(window_sets)
 
-    Labels are read as ``canonical_label`` reads them. Returns one float64
-    score per label, in label order. Subsets are scored ``SUBSET_CHUNK`` at
-    a time. A subset's Gram matrix is the sum of its sites' matrices, added
-    in canonical site order: position k of every subset with more than k
-    sites is added in one step. Its diagonal holds each activity's squared
-    norm; the first subset in list order with a zero or non-finite one
-    raises, naming the first such activity.
-    """
-    subsets = [canonical_label(label).split("+") for label in labels]
-    sites = canonical_sites({site for subset in subsets for site in subset})
-    gram = _site_grams(activity_set, sites)
-    index = {site: k for k, site in enumerate(sites)}
-    scores = np.empty(len(subsets))
-    for begin in range(0, len(subsets), SUBSET_CHUNK):
-        chunk = subsets[begin:begin + SUBSET_CHUNK]
-        sizes = np.array([len(subset) for subset in chunk])
-        rows = np.fromiter(
-            (index[site] for subset in chunk for site in subset),
-            dtype=np.intp, count=int(sizes.sum()),
-        )
-        starts = np.cumsum(sizes) - sizes
-        total = gram[rows[starts]]
-        for k in range(1, int(sizes.max())):
-            longer = sizes > k
-            total[longer] += gram[rows[starts[longer] + k]]
-        norm2 = np.diagonal(total, axis1=1, axis2=2)
-        usable = (norm2 > 0) & (norm2 < np.inf)
-        if not usable.all():
-            first = int(np.argmin(usable.all(axis=1)))
-            activity = int(np.argmin(usable[first]))
-            raise _bad_norm(activity_set, chunk[first], activity, float(norm2[first, activity]))
-        scores[begin:begin + len(chunk)] = _kernels.pairwise_cosine_distance_sum(total)
-    return scores
+
+def score_subsets(activity_set: ActivitySet, labels) -> np.ndarray:
+    """``mean_scores`` of the one activity set: its score of each subset."""
+    return mean_scores([activity_set], labels)
 
 
 def enumerate_subsets(roster, sizes=None) -> list[str]:

@@ -1335,24 +1335,31 @@ def test_the_process_entry_writes_what_main_writes(_entry_inputs, monkeypatch, c
     assert code in (0, 1, 2) and (out or err)
 
 
-@pytest.mark.parametrize("stderr_closed", [False, True], ids=["stderr-open", "stderr-closed"])
-@pytest.mark.parametrize("command", ["rank", "report", "compare"])
-def test_a_closed_standard_output_exits_1_with_one_error_line(tmp_path, command, stderr_closed):
+@pytest.mark.parametrize("stderr_closed, unbuffered", [
+    (False, False), (True, False), (False, True), (True, True),
+], ids=["stderr-open", "stderr-closed", "stderr-open-unbuffered", "stderr-closed-unbuffered"])
+@pytest.mark.parametrize("command", ["rank", "report", "compare", "version", "help"])
+def test_a_closed_standard_output_exits_1_with_one_error_line(tmp_path, command, stderr_closed,
+                                                              unbuffered):
     table = _full_table(tmp_path / "full.csv")
     argv = {
         "rank": ["rank", str(synth.run_synth(tmp_path / "corpus", length=60)), "--length", "50",
                  "--out-dir", str(tmp_path / "out")],
         "report": ["report", str(table)],
         "compare": ["compare", str(table), str(table)],
+        "version": ["--version"],
+        "help": ["--help"],
     }[command]
+    env = _process_env()
+    if unbuffered:  # each write reaches the pipe at once, so the write itself fails
+        env["PYTHONUNBUFFERED"] = "1"
     pipes = [os.pipe() for _ in range(2)]
     for read_end, _ in pipes:
         os.close(read_end)
     (_, stdout), (_, stderr) = pipes
     try:
         proc = subprocess.run([sys.executable, "-m", "sensorplace.cli", *argv], stdout=stdout,
-                              stderr=stderr if stderr_closed else subprocess.PIPE,
-                              env=_process_env())
+                              stderr=stderr if stderr_closed else subprocess.PIPE, env=env)
     finally:
         for _, write_end in pipes:
             os.close(write_end)

@@ -410,18 +410,22 @@ def test_kernel_scores_a_stack_like_its_matrices_one_by_one():
     assert type(single) is float and single == _reference_kernel(gram[5])
 
 
-@pytest.mark.parametrize("scale, error, message", [
-    (1e-170, ZeroVectorError, "squared vector norm underflows to zero"),
-    (1e200, ComputationError, r"vector norm is not finite \(squared norm inf\)"),
+@pytest.mark.parametrize("scale, error, message, inputs", [
+    (1e-170, ZeroVectorError, "squared vector norm underflows to zero", [["LW"]]),
+    # a first subset without LW never takes in LW's infinite Gram: 0 x inf
+    # would make its norm nan
+    (1e200, ComputationError, r"vector norm is not finite \(squared norm inf\)",
+     [["LW"], ["RW", "LW"], ["RW", "LW+RW"]]),
 ], ids=["underflow", "overflow"])
-def test_a_norm_out_of_float_range_is_an_error_not_a_score(scale, error, message):
+def test_a_norm_out_of_float_range_is_an_error_not_a_score(scale, error, message, inputs):
     # a1's squared norm rounds to 0 or to inf: its cosines would read nan or 0
     rng = np.random.default_rng(71)
     arrays = rng.uniform(0.1, 0.9, size=(3, 2, 10, 2))
     arrays[1] *= scale
     aset = _set_from_arrays(arrays, sites=("LW", "RW"))
-    with pytest.raises(error, match=f"^activity 'a1': {message}$"):
-        score_subsets(aset, ["LW"])
+    for labels in inputs:
+        with pytest.raises(error, match=f"^activity 'a1': {message}$"):
+            score_subsets(aset, labels)
     with pytest.raises(error, match="^activity 'a1'"):
         rank_placements(aset, enumerate_subsets(("LW", "RW")))
 

@@ -11,7 +11,7 @@ import hashlib
 from dataclasses import field, fields, make_dataclass
 
 from .errors import ConfigError, DataError
-from .sites import BLANKS, SETTINGS, check_head, check_sizes, shown
+from .sites import BLANKS, SETTINGS, check_head, shown
 from .textio import _read_text, data_lines
 
 # The one random generator the package uses (numpy's PCG64, in ``synth``);
@@ -20,12 +20,11 @@ RNG_NAME = "pcg64"
 
 
 def _check(self):
-    # each setting on its own, then across settings: a head site not
-    # allowed is named before subset sizes too large for the roster
+    # each setting on its own, then the rules across settings every command
+    # needs; subset sizes meet the roster where ``rank`` enumerates subsets
     for setting in SETTINGS:
         object.__setattr__(self, setting.key, setting.check(getattr(self, setting.key)))
     check_head(self.roster, self.allow_head)
-    check_sizes(self.subset_sizes, self.roster)
     if self.multi_window and self.subsample == "uniform":
         raise ConfigError("multi_window requires contiguous windows; "
                           "it cannot be combined with uniform subsampling")

@@ -103,10 +103,9 @@ def load_window_sets(manifest_entries, config: RunConfig):
     return [ActivitySet(activities=ws) for ws in zip(*kept)], diagnostics
 
 
-def rank_window_sets(window_sets, config: RunConfig) -> tuple[list[str], list[float]]:
-    """Score all configured subsets and rank them by their mean over
+def rank_window_sets(window_sets, labels) -> tuple[list[str], list[float]]:
+    """Score the subsets ``labels`` and rank them by their mean over
     windows (``scoring.mean_scores``): ``(labels, scores)`` best first."""
-    labels = enumerate_subsets(config.roster, config.subset_sizes)
     return sort_ranking(labels, mean_scores(window_sets, labels).tolist())
 
 
@@ -131,11 +130,12 @@ def run_rank(manifest_path, config: RunConfig, out_dir=None):
 
     Returns ``((labels, scores), payload)``, the ranking best first; when
     ``out_dir`` is given, also writes the ranking table and the structured
-    report there.
+    report there. Subsets are enumerated before the manifest is opened.
     """
+    labels = enumerate_subsets(config.roster, config.subset_sizes)
     entries = pio.parse_manifest(manifest_path)
     window_sets, diagnostics = load_window_sets(entries, config)
-    labels, scores = rank_window_sets(window_sets, config)
+    labels, scores = rank_window_sets(window_sets, labels)
     payload = rank_report_payload(labels, scores, config, diagnostics, len(window_sets))
     if out_dir is not None:
         out_dir = Path(out_dir)

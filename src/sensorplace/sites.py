@@ -160,8 +160,8 @@ def shown(value) -> str:
 # --- checks of one setting on its own ---------------------------------------
 # Each returns a setting's value as RunConfig keeps it, or raises ConfigError
 # (UnknownSiteError for a site id), which names the setting for a value of
-# the wrong kind. The library steps check the settings they take with them,
-# and RunConfig checks across settings with ``check_head`` and ``check_sizes``.
+# the wrong kind. The library steps check the settings they take with them;
+# across settings, RunConfig checks the head rule, ``enumerate_subsets`` the sizes.
 
 def _is_bool(value) -> bool:
     """Whether ``value`` is a bool, Python's or numpy's (matched by type name: no numpy import)."""

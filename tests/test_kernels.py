@@ -19,13 +19,14 @@ def _random_mat(seed, n=None, m=None):
 
 
 def _gram(mat):
-    return np.einsum("ik,jk->ij", mat, mat)
+    """The stack of one Gram matrix of ``mat``'s rows."""
+    return np.einsum("ik,jk->ij", mat, mat)[None]
 
 
 @given(st.integers(0, 400))
 def test_kernel_matches_reference(seed):
     mat = _random_mat(seed)
-    got = _kernels.pairwise_cosine_distance_sum(_gram(mat))
+    [got] = _kernels.pairwise_cosine_distance_sum(_gram(mat))
     want = pairwise_distance_sum_ref([row for row in mat])
     assert got == pytest.approx(want, rel=1e-9, abs=1e-12)
 
@@ -33,7 +34,8 @@ def test_kernel_matches_reference(seed):
 @given(st.integers(0, 200))
 def test_kernel_is_bitwise_repeatable(seed):
     gram = _gram(_random_mat(seed))
-    assert _kernels.pairwise_cosine_distance_sum(gram) == _kernels.pairwise_cosine_distance_sum(gram)
+    first, second = (_kernels.pairwise_cosine_distance_sum(gram).tolist() for _ in range(2))
+    assert first == second
 
 
 def test_accumulation_stays_accurate_over_many_tiny_terms():
@@ -44,8 +46,8 @@ def test_accumulation_stays_accurate_over_many_tiny_terms():
     rng = np.random.default_rng(7)
     base = rng.normal(size=40)
     mat = np.tile(base, (50, 1)) + rng.normal(scale=1e-9, size=(50, 40))
-    gram = _gram(mat)
-    got = _kernels.pairwise_cosine_distance_sum(gram)
+    [gram] = _gram(mat)
+    [got] = _kernels.pairwise_cosine_distance_sum(gram[None])
     norms = np.sqrt(np.diagonal(gram))
     terms = [
         abs(1.0 - float(gram[i, j]) / (norms[i] * norms[j]))

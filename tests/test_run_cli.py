@@ -22,7 +22,7 @@ from sensorplace import io as pio
 from sensorplace import run as runner
 from sensorplace import sites, synth, tablerun, textio
 from sensorplace.config import _PARSERS, RunConfig
-from sensorplace.errors import ComputationError, ManifestError
+from sensorplace.errors import ComputationError, ConfigError, ManifestError
 from sensorplace.rankcorr import compare_rankings
 from sensorplace.scoring import enumerate_subsets, rank_placements
 from sensorplace.sites import SETTINGS, SITE_ORDER
@@ -1076,6 +1076,24 @@ def test_cli_roster_is_checked_before_any_file_is_read(tmp_path, capsys, command
     capsys.readouterr()
     assert cli.main([command, str(target), *flags]) == 1
     assert _one_error_line(capsys) == f"error: {message}\n"
+
+
+@pytest.mark.parametrize("roster", ["LW,RW", "LW"])
+def test_cli_validate_takes_a_roster_shorter_than_the_subset_sizes(tmp_path, capsys, roster):
+    # only rank enumerates subsets, so only rank holds the sizes to the roster
+    corpus = tmp_path / "corpus"
+    cli.main(["synth", str(corpus), "--length", "520"])
+    capsys.readouterr()
+    assert cli.main(["validate", str(corpus / "act01.csv"), "--roster", roster]) == 0
+    assert capsys.readouterr() == (f"{corpus / 'act01.csv'}: ok, 520 frames\n", "")
+
+
+def test_run_rank_checks_the_sizes_against_the_roster_before_the_manifest(tmp_path):
+    config = RunConfig(roster=("LW", "RW"))
+    assert config.subset_sizes == (1, 2, 3, 4)
+    with pytest.raises(ConfigError) as excinfo:
+        runner.run_rank(tmp_path / "missing.txt", config)
+    assert str(excinfo.value) == "subset sizes (1, 2, 3, 4) out of range for a roster of 2"
 
 
 @pytest.mark.parametrize("argv, message", [

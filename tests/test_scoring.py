@@ -403,11 +403,11 @@ def test_batch_of_one_matches_per_subset_loop_bit_for_bit():
 def test_kernel_scores_a_stack_like_its_matrices_one_by_one():
     aset, _ = _full_roster_set(59)
     gram = _site_grams(aset, SITE_ORDER)
-    stacked = _kernels.pairwise_cosine_distance_sum(gram.reshape(3, 4, 8, 8))
-    assert stacked.shape == (3, 4)
-    assert stacked.reshape(-1).tolist() == [_reference_kernel(g) for g in gram]
-    single = _kernels.pairwise_cosine_distance_sum(gram[5])
-    assert type(single) is float and single == _reference_kernel(gram[5])
+    stacked = _kernels.pairwise_cosine_distance_sum(gram)
+    assert stacked.shape == (12,)
+    assert stacked.tolist() == [_reference_kernel(g) for g in gram]
+    assert stacked.tolist() == [
+        _kernels.pairwise_cosine_distance_sum(gram[k:k + 1])[0] for k in range(12)]
 
 
 @pytest.mark.parametrize("scale, error, message, inputs", [

@@ -13,15 +13,19 @@ higher score.
 Because flattening is site-major, ``u_S . v_S`` is the sum over the sites
 s in S of ``u_s . v_s``. Scoring therefore builds the per-site Gram tensor
 once per activity set and scores each subset from the sum of its sites'
-Gram matrices, never from the flattened vectors themselves. The labels
-are read once per run, into a boolean membership matrix of which subset
-holds which site. Subsets are scored in chunks of ``SUBSET_CHUNK``: each
-chunk's stack of Gram matrices starts at zero and takes every site's
-matrix in canonical site order, masked to the subsets that hold the site,
-then one Kahan pass of the kernel scores it, the same bits as scoring each
-subset alone. ``mean_scores`` adds each window set's scores in window
-order and divides by the window count; ``score_subsets`` is its one
-window.
+Gram entries, never from the flattened vectors themselves. Each site's
+Gram matrix is packed into one row: the n activities' squared norms, then
+the n(n-1)/2 pair dots in ascending (i, j) order, the only entries a score
+reads. The labels are read once per run, into a boolean membership matrix
+of which subset holds which site. Subsets are scored in chunks of
+``SUBSET_CHUNK``: each chunk's stack of packed rows starts at zero and
+takes every site's row in canonical site order, masked to the subsets
+that hold the site, then one Kahan pass in ascending pair order scores
+it, each step one elementwise operation across the chunk. IEEE
+``+ - * / sqrt abs`` round the same in numpy as in Python floats, so
+every score has the bits of scoring its subset alone, the same in every
+run. ``mean_scores`` adds each window set's scores in window order and
+divides by the window count; ``score_subsets`` is its one window.
 
 A ranking is two lists, ``(labels, scores)``, best first, as ranking
 tables are read and written; ``sort_ranking`` puts one in ``TIE_BREAK``
@@ -36,7 +40,6 @@ import math
 
 import numpy as np
 
-from . import _kernels
 from .errors import (
     ComputationError,
     ConfigError,
@@ -52,7 +55,7 @@ from .skeleton import ActivitySet
 
 TIE_BREAK = "score desc, then subset size asc, then canonical site order"
 
-# Subsets scored per kernel call; bounds the Gram stack a call holds.
+# Subsets scored per Kahan pass; bounds the packed stack a pass holds.
 SUBSET_CHUNK = 256
 
 
@@ -105,11 +108,37 @@ def _bad_norm(activity_set: ActivitySet, sites, activity: int, norm2: float):
     return ZeroVectorError(f"activity {name}: vector is identically zero")
 
 
+def _cosine_distance_sums(stack: np.ndarray, first, second) -> np.ndarray:
+    """Sum of |1 - cos| over all unordered activity pairs, per row of the
+    packed stack: n squared norms, then the pair dots of activities
+    ``first[p]`` and ``second[p]`` in ascending (i, j) order."""
+    n = stack.shape[1] - len(first)
+    norms = np.sqrt(stack[:, :n])
+    terms = np.abs(1.0 - stack[:, n:] / (norms[:, first] * norms[:, second]))
+    total = np.zeros(len(stack))
+    comp = np.zeros_like(total)
+    y = np.empty_like(total)
+    t = np.empty_like(total)
+    for pair in range(len(first)):
+        np.subtract(terms[:, pair], comp, out=y)
+        np.add(total, y, out=t)
+        np.subtract(t, total, out=comp)
+        np.subtract(comp, y, out=comp)
+        total, t = t, total
+    return total
+
+
 def mean_scores(window_sets, labels) -> np.ndarray:
     """Each subset's mean score over the activity sets ``window_sets``, one
     float64 per label of ``labels`` in label order. The first subset in list
     order with a zero or non-finite squared norm raises, naming the first
-    such activity."""
+    such activity. Every window set holds the first set's activity ids."""
+    if not window_sets:
+        raise ConfigError("no window sets to score")
+    ids = [series.activity_id for series in window_sets[0].activities]
+    for index, activity_set in enumerate(window_sets):
+        if [series.activity_id for series in activity_set.activities] != ids:
+            raise ConfigError(f"window set {index}: activity ids differ from window set 0's")
     labels = [canonical_label(label) for label in labels]
     tokens = "+".join(labels).split("+") if labels else []
     sites = canonical_sites(set(tokens))
@@ -117,21 +146,25 @@ def mean_scores(window_sets, labels) -> np.ndarray:
     owners = np.repeat(np.arange(len(labels)), [label.count("+") + 1 for label in labels])
     member = np.zeros((len(labels), len(sites)), dtype=bool)
     member[owners, columns] = True
+    n = len(ids)
+    first, second = np.triu_indices(n, 1)
     total = np.zeros(len(labels))
     for activity_set in window_sets:
         gram = _site_grams(activity_set, sites)
+        norms2 = np.diagonal(gram, axis1=1, axis2=2)
+        packed = np.concatenate([norms2, gram[:, first, second]], axis=1)
         for begin in range(0, len(labels), SUBSET_CHUNK):
             chunk = member[begin:begin + SUBSET_CHUNK]
-            stack = np.zeros((len(chunk), *gram.shape[1:]))
-            for s, site_gram in enumerate(gram):
-                np.add(stack, site_gram, out=stack, where=chunk[:, s, None, None])
-            norm2 = np.diagonal(stack, axis1=1, axis2=2)
+            stack = np.zeros((len(chunk), packed.shape[1]))
+            for s, row in enumerate(packed):
+                np.add(stack, row, out=stack, where=chunk[:, s, None])
+            norm2 = stack[:, :n]
             usable = (norm2 > 0) & (norm2 < np.inf)
             if not usable.all():
-                first, activity = np.argwhere(~usable)[0]  # row-major: first subset first
-                held = compress(sites, chunk[first])
-                raise _bad_norm(activity_set, held, activity, float(norm2[first, activity]))
-            total[begin:begin + len(chunk)] += _kernels.pairwise_cosine_distance_sum(stack)
+                first_bad, activity = np.argwhere(~usable)[0]  # row-major: first subset first
+                held = compress(sites, chunk[first_bad])
+                raise _bad_norm(activity_set, held, activity, float(norm2[first_bad, activity]))
+            total[begin:begin + len(chunk)] += _cosine_distance_sums(stack, first, second)
     return total / len(window_sets)
 
 

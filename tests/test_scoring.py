@@ -11,7 +11,6 @@ from hypothesis import strategies as st
 
 from conftest import make_series
 from oracles import pairwise_distance_sum_ref
-from sensorplace import _kernels
 from sensorplace.errors import (
     ComputationError,
     ConfigError,
@@ -29,6 +28,7 @@ from sensorplace.scoring import (
     cosine_distance,
     enumerate_subsets,
     max_score,
+    mean_scores,
     rank_placements,
     score_subsets,
     sort_ranking,
@@ -211,6 +211,21 @@ def test_nothing_to_enumerate_or_rank_is_an_error():
     assert sort_ranking(["RW+LW"], [1.0]) == (["LW+RW"], [1.0])
     with pytest.raises(ConfigError, match="^top_k must be an integer, got 2.5$"):
         compare_rankings(["LW", "RW", "PE"], ["LW", "RW", "PE"], scope="top", top_k=2.5)
+
+
+def test_no_window_sets_to_score_is_an_error():
+    with pytest.raises(ConfigError, match="^no window sets to score$"):
+        mean_scores([], ["LW"])
+
+
+def test_window_sets_of_other_activities_are_an_error():
+    three = make_separable_set(3, ["LW"], seed=1, length=20)
+    four = make_separable_set(4, ["LW"], seed=2, length=20)
+    renamed = _set_from_arrays([series.points for series in three.activities], sites=three.sites)
+    for window_sets in ([three, three, four], [three, three, renamed]):
+        with pytest.raises(ConfigError,
+                           match="^window set 2: activity ids differ from window set 0's$"):
+            mean_scores(window_sets, ["LW"])
 
 
 def test_ranking_sorts_desc_with_canonical_tie_break():
@@ -403,11 +418,61 @@ def test_batch_of_one_matches_per_subset_loop_bit_for_bit():
 def test_kernel_scores_a_stack_like_its_matrices_one_by_one():
     aset, _ = _full_roster_set(59)
     gram = _site_grams(aset, SITE_ORDER)
-    stacked = _kernels.pairwise_cosine_distance_sum(gram)
+    stacked = score_subsets(aset, list(SITE_ORDER))
     assert stacked.shape == (12,)
     assert stacked.tolist() == [_reference_kernel(g) for g in gram]
-    assert stacked.tolist() == [
-        _kernels.pairwise_cosine_distance_sum(gram[k:k + 1])[0] for k in range(12)]
+    assert stacked.tolist() == [score_subsets(aset, [site])[0] for site in SITE_ORDER]
+
+
+def _random_mat(seed, n=None, m=None):
+    rng = np.random.default_rng(seed)
+    n = n or int(rng.integers(2, 8))
+    m = m or int(rng.integers(2, 60))
+    return np.ascontiguousarray(rng.normal(size=(n, m)) + 1.0)
+
+
+def _set_from_rows(mat):
+    """One-site activity set whose activity vectors are ``mat``'s rows; an
+    odd row length takes a trailing 0, which moves no dot product."""
+    if mat.shape[1] % 2:
+        mat = np.pad(mat, ((0, 0), (0, 1)))
+    return _set_from_arrays(mat.reshape(len(mat), 1, -1, 2), sites=("LW",))
+
+
+@given(st.integers(0, 400))
+def test_kernel_matches_reference(seed):
+    mat = _random_mat(seed)
+    [got] = score_subsets(_set_from_rows(mat), ["LW"])
+    want = pairwise_distance_sum_ref([row for row in mat])
+    assert got == pytest.approx(want, rel=1e-9, abs=1e-12)
+
+
+@given(st.integers(0, 200))
+def test_kernel_is_bitwise_repeatable(seed):
+    aset = _set_from_rows(_random_mat(seed))
+    first, second = (score_subsets(aset, ["LW"]).tolist() for _ in range(2))
+    assert first == second
+
+
+def test_accumulation_stays_accurate_over_many_tiny_terms():
+    # many near-identical rows: each pair term is ~1e-16, so naive float
+    # summation noise would be visible against math.fsum. The terms are
+    # rounding noise of the Gram matrix itself, so the exact sum is taken
+    # over the terms of the Gram matrix the score reads.
+    rng = np.random.default_rng(7)
+    base = rng.normal(size=40)
+    mat = np.tile(base, (50, 1)) + rng.normal(scale=1e-9, size=(50, 40))
+    aset = _set_from_rows(mat)
+    [gram] = _site_grams(aset, ["LW"])
+    [got] = score_subsets(aset, ["LW"])
+    norms = np.sqrt(np.diagonal(gram))
+    terms = [
+        abs(1.0 - float(gram[i, j]) / (norms[i] * norms[j]))
+        for i in range(49)
+        for j in range(i + 1, 50)
+    ]
+    want = math.fsum(terms)
+    assert got == pytest.approx(want, rel=1e-6, abs=1e-12)
 
 
 @pytest.mark.parametrize("scale, error, message, inputs", [
@@ -468,8 +533,8 @@ def test_missing_site_is_reported_before_any_zero_subset():
 
 
 def test_peak_memory_is_at_most_twice_the_per_subset_loops():
-    # the Gram stack of 4095 subsets at once would be 5.5 MB; chunks hold
-    # a few hundred kB beside the 1.25 MB of trajectories the Grams read
+    # the packed stack of 4095 subsets at once would be about 3.0 MB; chunks
+    # hold a few hundred kB beside the 1.25 MB of trajectories the Grams read
     aset = make_separable_set(13, ["LW"], seed=67, noise_sigma=0.01, roster=SITE_ORDER)
     subsets = enumerate_subsets(SITE_ORDER)
 

@@ -9,17 +9,17 @@ writer, which ``synth`` uses, takes the same arrays. ``validate`` makes
 its own checks of the values. Ranking tables, tau tables and JSON reports
 live in ``textio``, which needs no numpy.
 
-A keypoint file's data lines are converted by numpy's C text reader,
-``np.loadtxt``, once one ``bytes.translate`` per block keeps it to what
-the line parser accepts: deleting every printable ASCII byte but ``_``
-and the separators must leave each line the format's separators alone,
-so values are printable ASCII without ``_`` (numpy skips some control
-bytes that ``float()`` rejects). A CSV line leaves 51 commas; a labeled
-line, read 64 lines at a time, leaves the first line's ``_=`` or ``=``
-per token split by single spaces, and its keys must come in the first
-line's order. A file that fails a check or a conversion goes to the
-line-by-line parser, so every error, and the result for a file with
-another layout, comes from that parser.
+A keypoint file's data lines are converted by one call to numpy's C text
+reader, ``np.loadtxt``, once ``bytes.translate`` keeps them to what the
+line parser accepts: deleting every printable ASCII byte but ``_`` and
+the separators must leave each line the format's separators alone, so
+values are printable ASCII without ``_`` (numpy skips some control bytes
+that ``float()`` rejects). A CSV line leaves 51 commas; a labeled line
+leaves the first line's ``_=`` or ``=`` per token split by single spaces,
+and its keys must come in the first line's order. A reader declines a
+file that fails a check or a conversion by raising ``ValueError``; the
+line-by-line parser then reads it, so every error, and the result for a
+file with another layout, comes from that parser.
 
 Every reader takes its data lines from ``textio.data_lines`` and turns a
 missing, unreadable or non-UTF-8 file, and every malformed line, into a
@@ -47,6 +47,7 @@ KEYPOINT_FIELDS = ("t",) + tuple(
     f"kp{i}_{axis}" for i in range(NUM_KEYPOINTS) for axis in ("x", "y", "c")
 )
 FIELDS_PER_FRAME = len(KEYPOINT_FIELDS)  # 52
+_FIELD_INDEX = {name: i for i, name in enumerate(KEYPOINT_FIELDS)}
 
 
 # --- keypoint files ---------------------------------------------------------
@@ -84,9 +85,6 @@ def _labeled_values(line: str, path, line_no: int) -> list[float]:
             + ("..." if len(missing) > 5 else "")
         )
     return _frame_values([found[f] for f in KEYPOINT_FIELDS], path, line_no)
-
-
-_FIELD_INDEX = {name: i for i, name in enumerate(KEYPOINT_FIELDS)}
 
 
 def _check_frames(values: np.ndarray, line_nos: list[int], path) -> None:
@@ -136,23 +134,19 @@ _TOKEN_BYTES = bytes(range(0x20, 0x7F)).translate(None, b"_= ")
 # key longer than the longest field name stays longer after the truncation.
 _PAIRS = np.dtype([("pairs", [("key", "S7"), ("value", "f8")], (FIELDS_PER_FRAME,))])
 
-# Labeled lines read at once: a whole file would hold its text twice more,
-# and at 64 lines the peak stays below the line parser's.
-_LABELED_LINES = 64
 
-
-def _read_csv(data: list[str]) -> np.ndarray | None:
-    """The ``(n, 52)`` values of CSV data lines, or None unless every line
-    is ASCII without ``_`` or control bytes and holds 52 fields."""
+def _read_csv(data: list[str]) -> np.ndarray:
+    """The ``(n, 52)`` values of CSV data lines; raises ValueError unless
+    every line is 52 numbers in ASCII without ``_`` or control bytes."""
     if not _lines_leave(data, _CSV_BYTES, b"," * (FIELDS_PER_FRAME - 1)):
-        return None
+        raise ValueError("not 52 ASCII fields per line")
     return np.loadtxt(data, delimiter=",", comments=None, ndmin=2)
 
 
-def _read_labeled(data: list[str]) -> np.ndarray | None:
-    """The ``(n, 52)`` values of labeled data lines in field order, or None
-    unless every line is 52 ASCII ``key=value`` tokens split by single
-    spaces, in the first line's key order, with no ``_`` but the keys' own.
+def _read_labeled(data: list[str]) -> np.ndarray:
+    """The ``(n, 52)`` values of labeled data lines in field order; raises
+    ValueError unless every line is 52 ASCII ``key=value`` tokens split by
+    single spaces, in the first line's key order, with no ``_`` in a value.
 
     Each line must leave the first line's skeleton once all but ``_``,
     ``=`` and the space are deleted: ``_=`` for a key with ``_``, ``=`` for
@@ -164,20 +158,17 @@ def _read_labeled(data: list[str]) -> np.ndarray | None:
     """
     keys = [token.partition("=")[0] for token in data[0].split(" ")]
     if sorted(keys) != sorted(KEYPOINT_FIELDS):
-        return None
-    columns = np.array([_FIELD_INDEX[key] for key in keys])
+        raise ValueError("the first line does not hold the 52 fields")
     skeleton = " ".join("_=" if "_" in key else "=" for key in keys).encode()
-    keys = np.array(keys, dtype="S7")
+    if not _lines_leave(data, _TOKEN_BYTES, skeleton):
+        raise ValueError("a line leaves another skeleton")
+    pairs = np.loadtxt((line.replace("=", " ") for line in data), dtype=_PAIRS,
+                       delimiter=" ", comments=None, ndmin=1)["pairs"]
+    if not (pairs["key"] == np.array(keys, dtype="S7")).all():
+        del pairs  # the line parser runs while this error's traceback lives
+        raise ValueError("a line's keys are not in the first line's order")
     values = np.empty((len(data), FIELDS_PER_FRAME))
-    for start in range(0, len(data), _LABELED_LINES):
-        block = data[start : start + _LABELED_LINES]
-        if not _lines_leave(block, _TOKEN_BYTES, skeleton):
-            return None
-        pairs = np.loadtxt((line.replace("=", " ") for line in block), dtype=_PAIRS,
-                           delimiter=" ", comments=None, ndmin=1)["pairs"]
-        if not (pairs["key"] == keys).all():
-            return None
-        values[start : start + len(block), columns] = pairs["value"]
+    values[:, [_FIELD_INDEX[key] for key in keys]] = pairs["value"]
     return values
 
 
@@ -201,8 +192,6 @@ def parse_keypoint_file(path) -> tuple[np.ndarray, np.ndarray]:
     try:
         values = (_read_labeled if labeled else _read_csv)(lines)
     except ValueError:
-        values = None
-    if values is None:
         values = _parse_lines(line_nos, lines, path, _labeled_values if labeled else _csv_values)
     else:
         _check_frames(values, line_nos, path)

@@ -19,7 +19,9 @@ from . import io as pio
 from .config import RNG_NAME, RunConfig
 from .errors import DataError, ManifestError, TooShortError
 from .scoring import TIE_BREAK, enumerate_subsets, mean_scores, sort_ranking
-from .skeleton import ActivitySet, SkeletonSeries, preprocess_recording, truncate_series
+from .sites import SITE_ORDER
+from .skeleton import (ActivitySet, SkeletonSeries, merge_keypoints, preprocess_recording,
+                       truncate_series)
 from .textio import ranking_entries
 
 RANKING_FILENAME = "ranking.csv"
@@ -28,14 +30,30 @@ RANK_REPORT_FILENAME = "report.json"
 
 # --- validate ---------------------------------------------------------------
 
+_HEAD = SITE_ORDER.index("HD")
+_ANKLES = [SITE_ORDER.index("LF"), SITE_ORDER.index("RF")]
+
+
+def _head_below_ankles(kp, confidence_threshold: float) -> tuple[int, int]:
+    """``(below, frames)``: of the frames where the head site and at least
+    one ankle site are confident, those where the head's y is greater than
+    every confident ankle's, which in image coordinates puts it lower."""
+    points, valid = merge_keypoints(kp, confidence_threshold)
+    frames = valid[:, _HEAD] & valid[:, _ANKLES].any(axis=1)
+    ankle_y = np.where(valid[:, _ANKLES], points[:, _ANKLES, 1], -np.inf).max(axis=1)
+    return int(np.count_nonzero(frames & (points[:, _HEAD, 1] > ankle_y))), int(frames.sum())
+
+
 def run_validate(paths, config: RunConfig) -> list[tuple]:
     """Parse each keypoint file once and preprocess it as ``rank`` would.
 
     Returns ``(path, frames, warnings)`` per file: its frame count and a
     warning for coordinate and for confidence values outside [0, 1], which
-    are legal but usually mean an estimator or scaling problem. The first
-    file that fails raises DataError naming it. Window length is not
-    checked: ``rank`` applies it per activity, across recordings.
+    are legal but usually mean an estimator or scaling problem, and one
+    when the head lies below the ankles in more than half the frames that
+    show both, which usually means y points up. The first file that fails
+    raises DataError naming it. Window length is not checked: ``rank``
+    applies it per activity, across recordings.
     """
     checks = []
     for path in paths:
@@ -47,6 +65,10 @@ def run_validate(paths, config: RunConfig) -> list[tuple]:
         outside = np.count_nonzero((kp < 0.0) | (kp > 1.0), axis=(0, 1))  # x, y, confidence
         counts = {"coordinate": outside[0] + outside[1], "confidence": outside[2]}
         warnings = [f"{n} {what} values outside [0, 1]" for what, n in counts.items() if n]
+        below, frames = _head_below_ankles(kp, config.confidence_threshold)
+        if 2 * below > frames:
+            warnings.append(f"head below the ankles in {below} of {frames} frames "
+                            "(is y pointing up?)")
         checks.append((path, len(t), warnings))
     return checks
 

@@ -128,6 +128,20 @@ def _cosine_distance_sums(stack: np.ndarray, first, second) -> np.ndarray:
     return total
 
 
+def _membership(labels) -> tuple[tuple[str, ...], np.ndarray]:
+    """The sites ``labels`` name, in canonical order, and the boolean
+    matrix of which label holds which of them. Its label tokens are freed
+    on return, before any Gram is built."""
+    labels = [canonical_label(label) for label in labels]
+    tokens = "+".join(labels).split("+") if labels else []
+    sites = canonical_sites(set(tokens))
+    columns = np.fromiter(map(positions(sites).__getitem__, tokens), np.intp, len(tokens))
+    owners = np.repeat(np.arange(len(labels)), [label.count("+") + 1 for label in labels])
+    member = np.zeros((len(labels), len(sites)), dtype=bool)
+    member[owners, columns] = True
+    return sites, member
+
+
 def mean_scores(window_sets, labels) -> np.ndarray:
     """Each subset's mean score over the activity sets ``window_sets``, one
     float64 per label of ``labels`` in label order. The first subset in list
@@ -139,21 +153,15 @@ def mean_scores(window_sets, labels) -> np.ndarray:
     for index, activity_set in enumerate(window_sets):
         if [series.activity_id for series in activity_set.activities] != ids:
             raise ConfigError(f"window set {index}: activity ids differ from window set 0's")
-    labels = [canonical_label(label) for label in labels]
-    tokens = "+".join(labels).split("+") if labels else []
-    sites = canonical_sites(set(tokens))
-    columns = np.fromiter(map(positions(sites).__getitem__, tokens), np.intp, len(tokens))
-    owners = np.repeat(np.arange(len(labels)), [label.count("+") + 1 for label in labels])
-    member = np.zeros((len(labels), len(sites)), dtype=bool)
-    member[owners, columns] = True
+    sites, member = _membership(labels)
     n = len(ids)
     first, second = np.triu_indices(n, 1)
-    total = np.zeros(len(labels))
+    total = np.zeros(len(member))
     for activity_set in window_sets:
         gram = _site_grams(activity_set, sites)
         norms2 = np.diagonal(gram, axis1=1, axis2=2)
         packed = np.concatenate([norms2, gram[:, first, second]], axis=1)
-        for begin in range(0, len(labels), SUBSET_CHUNK):
+        for begin in range(0, len(member), SUBSET_CHUNK):
             chunk = member[begin:begin + SUBSET_CHUNK]
             stack = np.zeros((len(chunk), packed.shape[1]))
             for s, row in enumerate(packed):

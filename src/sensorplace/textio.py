@@ -59,10 +59,20 @@ def words(line: str) -> list[str]:
     return [word for word in line.replace("\t", " ").split(" ") if word]
 
 
+# Lines joined per check: a whole keypoint file would hold its text twice
+# more, and at 64 lines a reader's peak stays below the line parser's.
+_GUARD_LINES = 64
+
+
 def _lines_leave(lines: list[str], delete: bytes, skeleton: bytes) -> bool:
     """Whether every line leaves exactly ``skeleton`` once the bytes in
-    ``delete`` are deleted: one ``bytes.translate`` over the joined lines."""
-    return "\n".join(lines).encode().translate(None, delete) == b"\n".join([skeleton] * len(lines))
+    ``delete`` are deleted: one ``bytes.translate`` over each
+    ``_GUARD_LINES`` lines joined."""
+    for start in range(0, len(lines), _GUARD_LINES):
+        block = lines[start : start + _GUARD_LINES]
+        if "\n".join(block).encode().translate(None, delete) != b"\n".join([skeleton] * len(block)):
+            return False
+    return True
 
 
 def _number(text: str, path, line_no: int, field: str) -> float:

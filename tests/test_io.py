@@ -10,6 +10,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from sensorplace import io as pio
+from sensorplace import synth
 from sensorplace import textio
 from sensorplace.config import RunConfig, load_config
 from sensorplace.errors import (
@@ -148,9 +149,27 @@ def test_validate_flags_out_of_range_values(tmp_path):
 
 
 def test_validate_clean_file_is_ok(tmp_path):
+    # random keypoints have no body layout: 3 of these 4 frames put the head
+    # below the ankles
     path = tmp_path / "rec.csv"
     pio.write_keypoint_file(path, *_frames(4, seed=3))
-    assert run_validate([path], RunConfig()) == [(path, 4, [])]
+    assert run_validate([path], RunConfig()) == [
+        (path, 4, ["head below the ankles in 3 of 4 frames (is y pointing up?)"])
+    ]
+
+
+@pytest.mark.parametrize("flip, warnings", [
+    (False, []),
+    (True, ["head below the ankles in 520 of 520 frames (is y pointing up?)"]),
+], ids=["original", "y-flipped"])
+def test_validate_warns_about_a_recording_with_y_pointing_up(tmp_path, flip, warnings):
+    corpus = synth.run_synth(tmp_path / "corpus", n_activities=2, length=520).parent
+    t, kp = pio.parse_keypoint_file(corpus / "act01.csv")
+    if flip:
+        kp[:, :, 1] = 1.0 - kp[:, :, 1]
+    path = tmp_path / "rec.csv"
+    pio.write_keypoint_file(path, t, kp)
+    assert run_validate([path], RunConfig()) == [(path, len(t), warnings)]
 
 
 # --- manifests -----------------------------------------------------------------
@@ -646,10 +665,11 @@ def test_block_parser_matches_line_parser(tmp_path_factory, file):
         assert not fallback.called
 
 
-def _line_70(edit):
-    """An edit of the 70th line, in the second block."""
+def _on_line(index, edit):
+    """An edit of one line: index 69 is in the second block, and -1 in the
+    last, partial one."""
     def apply(lines, sep):
-        lines[69] = edit(lines[69])
+        lines[index] = edit(lines[index])
     return apply
 
 
@@ -677,6 +697,11 @@ def _short_and_long(lines, sep):
     lines[69] = sep.join(fields[:5] + fields[6:])
     fields = lines[70].split(sep)
     lines[70] = sep.join(fields[:6] + fields[5:])
+
+
+def _drop_sixth_field(line):
+    fields = line.split(",")
+    return ",".join(fields[:5] + fields[6:])
 
 
 def _underscore_to_value(line):
@@ -726,17 +751,22 @@ def test_keypoint_values_hold_only_the_whitespace_float_drops(tmp_path, style, s
 
 
 @pytest.mark.parametrize("style, edit", [
-    ("labeled", _line_70(_swap)),
+    ("labeled", _on_line(69, _swap)),
     ("labeled", _wrap),
     ("csv", _wrap),
     ("labeled", _reorder),
-    ("labeled", _line_70(lambda line: line.replace("=", "==", 1))),
-    ("labeled", _line_70(lambda line: line.replace(" ", "\t", 1))),
+    ("labeled", _on_line(69, lambda line: line.replace("=", "==", 1))),
+    ("labeled", _on_line(69, lambda line: line.replace(" ", "\t", 1))),
     ("csv", _short_and_long),
     ("labeled", _short_and_long),
-    ("labeled", _line_70(_underscore_to_value)),
+    ("labeled", _on_line(69, _underscore_to_value)),
+    ("labeled", _on_line(-1, _swap)),
+    ("labeled", _on_line(-1, lambda line: line.replace("=", "==", 1))),
+    ("labeled", _on_line(-1, lambda line: " ".join(reversed(line.split(" "))))),
+    ("csv", _on_line(-1, _drop_sixth_field)),
 ], ids=["swap", "wrap-labeled", "wrap-csv", "reorder", "k==v", "tab", "short-long-csv",
-        "short-long-labeled", "underscore-in-value"])
+        "short-long-labeled", "underscore-in-value", "swap-last", "k==v-last", "reorder-last",
+        "short-last-csv"])
 def test_block_parser_defers_to_the_line_parser_in_the_second_block(tmp_path, style, edit):
     path = tmp_path / "rec.txt"
     pio.write_keypoint_file(path, *_frames(130), style=style)
@@ -875,6 +905,22 @@ def test_one_pass_read_returns_what_the_row_loop_returns(
         assert _read_or_message(lambda: clean) == expected
     if mutation in ("none", "reorder", "no-header", "no-final-newline"):
         assert clean is not None  # a clean table takes the one-pass read
+    assert _read_or_message(lambda: textio.read_ranking_file(path)) == expected
+
+
+def test_one_pass_read_defers_to_the_row_loop_in_the_last_block(tmp_path):
+    # 130 rows are checked in blocks of 64, 64 and 2; float() reads the '_'
+    # in the last row's score, and the row loop names it
+    path = tmp_path / "ranking.csv"
+    pio.write_ranking_file(path, list(subset_labels())[:130], [1 - k / 1000 for k in range(130)])
+    lines = path.read_text().splitlines()
+    lines[-1] = lines[-1].replace("0.8", "0.8_", 1)
+    text = "\n".join(lines) + "\n"
+    path.write_text(text)
+    line_nos, data = textio.data_lines(text)
+    assert textio._read_clean_table(data) is None
+    expected = _read_or_message(lambda: textio._read_table_rows(line_nos, data, path))
+    assert expected == f"{path}:131: field 'score': not a number: '0.8_71'"
     assert _read_or_message(lambda: textio.read_ranking_file(path)) == expected
 
 

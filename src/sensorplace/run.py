@@ -28,6 +28,24 @@ RANKING_FILENAME = "ranking.csv"
 RANK_REPORT_FILENAME = "report.json"
 
 
+def _load_recording(path, activity_id: str,
+                    config: RunConfig) -> tuple[np.ndarray, SkeletonSeries]:
+    """Parse one keypoint file and preprocess it: ``(kp, series)``.
+
+    A preprocessing DataError is raised again with the file's path in front;
+    a parse error names the file already.
+    """
+    t, kp = pio.parse_keypoint_file(path)
+    try:
+        return kp, preprocess_recording(
+            t, kp, activity_id, roster=config.roster, target_rate=config.sample_rate,
+            confidence_threshold=config.confidence_threshold, max_gap=config.max_gap,
+            allow_head=config.allow_head,
+        )
+    except DataError as exc:
+        raise DataError(f"{path}: {exc}") from None
+
+
 # --- validate ---------------------------------------------------------------
 
 _HEAD = SITE_ORDER.index("HD")
@@ -52,16 +70,12 @@ def run_validate(paths, config: RunConfig) -> list[tuple]:
     are legal but usually mean an estimator or scaling problem, and one
     when the head lies below the ankles in more than half the frames that
     show both, which usually means y points up. The first file that fails
-    raises DataError naming it. Window length is not checked: ``rank``
-    applies it per activity, across recordings.
+    raises DataError naming it (``_load_recording``). Window length is not
+    checked: ``rank`` applies it per activity, across recordings.
     """
     checks = []
     for path in paths:
-        t, kp = pio.parse_keypoint_file(path)
-        try:
-            _preprocess(t, kp, str(path), config)
-        except DataError as exc:
-            raise DataError(f"{path}: {exc}") from None
+        kp, _ = _load_recording(path, str(path), config)
         outside = np.count_nonzero((kp < 0.0) | (kp > 1.0), axis=(0, 1))  # x, y, confidence
         counts = {"coordinate": outside[0] + outside[1], "confidence": outside[2]}
         warnings = [f"{n} {what} values outside [0, 1]" for what, n in counts.items() if n]
@@ -69,60 +83,66 @@ def run_validate(paths, config: RunConfig) -> list[tuple]:
         if 2 * below > frames:
             warnings.append(f"head below the ankles in {below} of {frames} frames "
                             "(is y pointing up?)")
-        checks.append((path, len(t), warnings))
+        checks.append((path, len(kp), warnings))
     return checks
 
 
 # --- rank --------------------------------------------------------------------
-
-def _preprocess(t, kp, activity_id: str, config: RunConfig) -> SkeletonSeries:
-    return preprocess_recording(
-        t, kp, activity_id, roster=config.roster, target_rate=config.sample_rate,
-        confidence_threshold=config.confidence_threshold, max_gap=config.max_gap,
-        allow_head=config.allow_head,
-    )
-
 
 def load_window_sets(manifest_entries, config: RunConfig):
     """Preprocess each activity's recordings and cut the windows the run
     scores: ``(window_sets, diagnostics)``, one diagnostic per activity.
 
     Every recording is parsed and preprocessed, so a bad one is reported in
-    any mode. Windows are L-frame views of the recordings' points, L being
-    ``series_length``, and never span recordings. With ``subsample="uniform"``
-    an activity's one window is drawn evenly across its first recording;
-    otherwise each recording holds consecutive disjoint windows from its
-    first frame, in manifest order, and the activity keeps its first window,
-    or all of them with ``multi_window``. Window set w pairs window w of
-    every activity, for w below the smallest count kept. Per-activity
+    any mode, naming its file. Windows are L-frame views of the recordings'
+    points, L being ``series_length``, and never span recordings. With
+    ``subsample="uniform"`` an activity's one window is drawn evenly across
+    its first recording; otherwise each recording holds consecutive disjoint
+    windows from its first frame, and the activity keeps its first full
+    window in manifest order. With ``multi_window`` the k-th listed
+    recordings of all activities are paired: window set (k, w) holds window
+    w of each, for w below the smallest count at position k, and sets come
+    in (k, w) order. Every activity must then list as many recordings, and
+    some position must hold a full window of every activity. Per-activity
     failures are reported together on one line, joined by ``; ``.
     """
     if len(manifest_entries) < 2:
         raise ManifestError(
             f"need at least two activities to rank, manifest lists {len(manifest_entries)}"
         )
+    if config.multi_window:
+        first_id, first_paths = manifest_entries[0]
+        for activity_id, paths in manifest_entries[1:]:
+            if len(paths) != len(first_paths):
+                raise ManifestError(
+                    f"multi_window pairs recordings by manifest position, but {activity_id} "
+                    f"lists {len(paths)} and {first_id} lists {len(first_paths)}"
+                )
     L = config.series_length
     kept, failures, diagnostics = [], [], []
     for activity_id, paths in manifest_entries:
         try:
-            series = [_preprocess(*pio.parse_keypoint_file(path), activity_id, config)
-                      for path in paths]
+            series = [_load_recording(path, activity_id, config)[1] for path in paths]
             if config.subsample == "uniform":
-                windows = [truncate_series(series[0], L, mode="uniform")]
+                windows = [[truncate_series(series[0], L, mode="uniform")]]
             else:
-                windows = [replace(full, points=full.points[:, a:a + L])
-                           for full in series for a in range(0, full.length - L + 1, L)]
-                if not windows:
-                    raise TooShortError(sum(full.length for full in series), L)
+                windows = [[replace(full, points=full.points[:, a:a + L])
+                            for a in range(0, full.length - L + 1, L)] for full in series]
+            flat = [w for ws in windows for w in ws]
+            if not flat:
+                raise TooShortError(sum(full.length for full in series), L)
         except DataError as exc:
             failures.append(f"{activity_id}: {exc}")
             continue
-        kept.append(windows if config.multi_window else windows[:1])
+        kept.append(windows if config.multi_window else [flat[:1]])
         diagnostics.append({"activity": activity_id, "recordings": len(paths),
-                            "windows": len(windows)})
+                            "windows": len(flat)})
     if failures:
         raise ManifestError("; ".join(failures))
-    return [ActivitySet(activities=ws) for ws in zip(*kept)], diagnostics
+    window_sets = [ActivitySet(activities=ws) for position in zip(*kept) for ws in zip(*position)]
+    if not window_sets:
+        raise ManifestError("no manifest position holds a full window of every activity")
+    return window_sets, diagnostics
 
 
 def rank_window_sets(window_sets, labels) -> tuple[list[str], list[float]]:

@@ -244,9 +244,10 @@ def repair_gaps(
     sites : optional site ids used in error messages.
 
     The series is first trimmed to the envelope bounded by the first and
-    last frames where every site is valid, so each remaining gap has valid
-    neighbors on both sides; interior gaps longer than ``max_gap`` raise,
-    reporting the offending site and frame span. Valid samples are never
+    last frames where every site is valid, so each missing sample has valid
+    neighbors on both sides. The first gap longer than ``max_gap``, in site
+    order and then in time, raises, reporting its site and frame span.
+    Otherwise all gaps are filled in one pass. Valid samples are never
     altered.
     """
     max_gap = check_gap(max_gap)
@@ -267,22 +268,18 @@ def repair_gaps(
 
     out = points[:, lo : hi + 1].copy()
     mask = valid[:, lo : hi + 1]
-    for s in range(n_sites):
-        missing = ~mask[s]
-        if not missing.any():
-            continue
-        # Endpoint frames are valid for every site, so missing runs are
-        # interior and transition edges pair up as (start, end).
-        edges = np.flatnonzero(np.diff(missing.astype(np.int8)))
-        run_starts = edges[::2] + 1
-        run_ends = edges[1::2] + 1
-        for a, b in zip(run_starts, run_ends):
-            if b - a > max_gap:
-                raise GapTooLongError(labels[s], int(lo + a), int(lo + b))
-            left = out[s, a - 1]
-            right = out[s, b]
-            steps = b - a + 1
-            out[s, a:b] = left + (right - left) * (np.arange(1, steps) / steps)[:, None]
+    # each sample's nearest known frame at or before it, and at or after it
+    frames = np.arange(hi - lo + 1)
+    before = np.maximum.accumulate(np.where(mask, frames, 0), axis=1)
+    after = np.minimum.accumulate(np.where(mask, frames, hi - lo)[:, ::-1], axis=1)[:, ::-1]
+    s, f = np.nonzero(~mask)  # site by site, then in time
+    b, a = before[s, f], after[s, f]
+    too_long = np.flatnonzero(a - b - 1 > max_gap)
+    if too_long.size:
+        k = too_long[0]
+        raise GapTooLongError(labels[s[k]], int(lo + b[k] + 1), int(lo + a[k]))
+    left, right = out[s, b], out[s, a]
+    out[s, f] = left + (right - left) * ((f - b) / (a - b))[:, None]
     return out
 
 

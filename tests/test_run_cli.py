@@ -222,6 +222,56 @@ def test_windows_are_views_of_their_recordings(tmp_path, monkeypatch, multi_wind
             assert np.array_equal(window.points, full.points[:, 50 * w:50 * (w + 1)])
 
 
+def _two_corpora_manifest(tmp_path, act01, act02):
+    # corpus a holds 200 frames (4 windows of 50), corpus b 150 (3 windows);
+    # each activity lists its files from the corpora named, in that order
+    cli.main(["synth", str(tmp_path / "a"), "--noise", "0.01", "--activities", "2",
+              "--length", "200"])
+    cli.main(["synth", str(tmp_path / "b"), "--noise", "0.01", "--activities", "2",
+              "--length", "150", "--seed", "1"])
+    manifest = tmp_path / "manifest.txt"
+    manifest.write_text(f"act01 {' '.join(c + '/act01.csv' for c in act01)}\n"
+                        f"act02 {' '.join(c + '/act02.csv' for c in act02)}\n")
+    return manifest
+
+
+def test_multi_window_pairs_recordings_by_manifest_position(tmp_path, monkeypatch):
+    # act01 lists a then b, act02 lists b then a: position 0 pairs a 4-window
+    # recording with a 3-window one, and so does position 1
+    recorded = []
+
+    def preprocess(*args, **kwargs):
+        recorded.append(preprocess_recording(*args, **kwargs))
+        return recorded[-1]
+
+    monkeypatch.setattr(runner, "preprocess_recording", preprocess)
+    manifest = _two_corpora_manifest(tmp_path, "ab", "ba")
+    config = _config(series_length=50, subset_sizes=(1,), multi_window=True)
+    window_sets, diagnostics = runner.load_window_sets(pio.parse_manifest(manifest), config)
+    assert [d["windows"] for d in diagnostics] == [7, 7]
+    act01, act02 = recorded[:2], recorded[2:]
+    expected = [(k, w) for k in range(2) for w in range(3)]
+    assert len(window_sets) == len(expected)
+    for ws, (k, w) in zip(window_sets, expected):
+        for window, full in zip(ws.activities, (act01[k], act02[k])):
+            assert np.shares_memory(window.points, full.points)
+            assert np.array_equal(window.points, full.points[:, 50 * w:50 * (w + 1)])
+
+
+@pytest.mark.parametrize("act02, length, message", [
+    ("b", "50", "multi_window pairs recordings by manifest position, but act02 lists 1 and "
+                "act01 lists 2"),
+    ("ba", "160", "no manifest position holds a full window of every activity"),
+], ids=["recording-count", "no-common-position"])
+def test_cli_multi_window_rejects_unpaired_recordings(tmp_path, capsys, act02, length, message):
+    manifest = _two_corpora_manifest(tmp_path, "ab", act02)
+    capsys.readouterr()
+    code = cli.main(["rank", str(manifest), "--length", length, "--sizes", "1", "--multi-window",
+                     "--out-dir", str(tmp_path / "out")])
+    assert code == 1
+    assert _one_error_line(capsys) == f"error: {message}\n"
+
+
 def test_run_settings_are_named_once(tmp_path):
     # config file keys, the settings flags and the report all follow RunConfig
     names = [f.name for f in fields(RunConfig)]
@@ -993,7 +1043,8 @@ def test_cli_timestamp_hole_exits_1(tmp_path, capsys):
     code = cli.main(["rank", str(corpus / "manifest.txt"), "--length", "300",
                      "--out-dir", str(tmp_path / "out")])
     assert code == 1
-    assert "act01: site LW: gap of 200 frames at [100, 300)" in _one_error_line(capsys)
+    assert (f"act01: {corpus / 'act01.csv'}: site LW: gap of 200 frames at [100, 300)"
+            in _one_error_line(capsys))
 
 
 def test_cli_validate_rejects_timestamp_hole_as_rank_does(tmp_path, capsys):
@@ -1030,7 +1081,8 @@ def test_cli_rank_rejects_spacing_of_half_a_period(tmp_path, capsys):
     capsys.readouterr()
     code = cli.main(["rank", str(corpus / "manifest.txt"), "--out-dir", str(tmp_path / "out")])
     assert code == 1
-    assert _one_error_line(capsys).startswith("error: act01: frame 101 (t=10.05)")
+    assert _one_error_line(capsys).startswith(
+        f"error: act01: {corpus / 'act01.csv'}: frame 101 (t=10.05)")
 
 
 def test_cli_uniform_subsampling_reads_every_recording(tmp_path, capsys):
@@ -1141,8 +1193,8 @@ def test_cli_rank_rate_with_no_finite_ratio_names_every_activity(tmp_path, capsy
     assert cli.main(["rank", str(corpus / "manifest.txt"), "--rate", "1e-320",
                      "--out-dir", str(tmp_path / "out")]) == 1
     assert _one_error_line(capsys) == "error: " + "; ".join(
-        f"act0{k}: input rate 10 Hz over the target rate 9.99989e-321 Hz "
-        "is not a finite ratio"
+        f"act0{k}: {corpus / f'act0{k}.csv'}: input rate 10 Hz over the target rate "
+        "9.99989e-321 Hz is not a finite ratio"
         for k in (1, 2, 3)
     ) + "\n"
 

@@ -654,27 +654,45 @@ def _reference_preprocess(t, kp, roster, threshold=0.3, max_gap=10, target_rate=
 ROSTERS = (DEFAULT_ROSTER, SITE_ORDER, ("HD", "LW", "PE"), ("RS", "LK"))
 
 
+def _random_recording(rng, n, dropout=0.08):
+    rate = float(rng.choice([10.0, 30.0]))
+    kp = np.empty((n, 17, 3))
+    kp[:, :, :2] = rng.uniform(-0.5, 1.5, size=(n, 17, 2))
+    kp[:, :, 2] = rng.uniform(0.3, 1.0, size=(n, 17))
+    dropped = rng.random((n, 17)) < dropout
+    kp[:, :, 2][dropped] = rng.uniform(0.0, 0.3, size=int(dropped.sum()))
+    kp[rng.random(n) < 0.05, :, 2] = 0.0  # frames with no valid point
+    return np.arange(n) / rate, kp
+
+
+def _matches_reference(t, kp, roster):
+    """Whether preprocessing gave the per-frame pipeline's bytes; where the
+    reference raises, preprocessing raises the same error."""
+    try:
+        want = _reference_preprocess(t, kp, roster)
+    except (GapTooLongError, AllMissingSiteError, EmptyEnvelopeError) as exc:
+        with pytest.raises(type(exc), match=re.escape(str(exc))):
+            preprocess_recording(t, kp, "a", roster=roster, allow_head=True)
+        return False
+    got = preprocess_recording(t, kp, "a", roster=roster, allow_head=True)
+    assert got.points.tobytes() == want.tobytes()
+    return True
+
+
 @pytest.mark.parametrize("roster", ROSTERS, ids=lambda r: "+".join(r))
 def test_preprocess_matches_per_frame_pipeline_bit_for_bit(roster):
     rng = np.random.default_rng(len(roster))
-    compared = 0
-    for _ in range(60):
-        n = int(rng.integers(20, 90))
-        rate = float(rng.choice([10.0, 30.0]))
-        kp = np.empty((n, 17, 3))
-        kp[:, :, :2] = rng.uniform(-0.5, 1.5, size=(n, 17, 2))
-        kp[:, :, 2] = rng.uniform(0.3, 1.0, size=(n, 17))
-        dropout = rng.random((n, 17)) < 0.08
-        kp[:, :, 2][dropout] = rng.uniform(0.0, 0.3, size=int(dropout.sum()))
-        kp[rng.random(n) < 0.05, :, 2] = 0.0  # frames with no valid point
-        t = np.arange(n) / rate
-        try:
-            want = _reference_preprocess(t, kp, roster)
-        except (GapTooLongError, AllMissingSiteError, EmptyEnvelopeError) as exc:
-            with pytest.raises(type(exc), match=re.escape(str(exc))):
-                preprocess_recording(t, kp, "a", roster=roster, allow_head=True)
-            continue
-        got = preprocess_recording(t, kp, "a", roster=roster, allow_head=True)
-        assert got.points.tobytes() == want.tobytes()
-        compared += 1
+    compared = sum(_matches_reference(*_random_recording(rng, int(rng.integers(20, 90))), roster)
+                   for _ in range(60))
     assert compared >= 20
+    # long recordings at 10% dropouts: thousands of gaps, each filled alike
+    for n in (2000, 2400):
+        assert _matches_reference(*_random_recording(rng, n, dropout=0.1), roster)
+    # the last site's too-long gap comes first in time, yet the first
+    # site's is the one reported
+    t, kp = _random_recording(rng, 120, dropout=0.0)
+    kp[20:40, list(MERGE_SOURCES[roster[-1]]), 2] = 0.0
+    kp[60:80, list(MERGE_SOURCES[roster[0]]), 2] = 0.0
+    with pytest.raises(GapTooLongError, match=f"^site {roster[0]}: "):
+        _reference_preprocess(t, kp, roster)
+    assert not _matches_reference(t, kp, roster)

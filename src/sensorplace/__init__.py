@@ -44,7 +44,6 @@ _EXPORTS = {
         "preprocess_recording",
         "repair_gaps",
         "select_sites",
-        "truncate_series",
     ),
     "synth": (
         "MotionSpec",

@@ -25,9 +25,6 @@ def _check(self):
     for setting in SETTINGS:
         object.__setattr__(self, setting.key, setting.check(getattr(self, setting.key)))
     check_head(self.roster, self.allow_head)
-    if self.multi_window and self.subsample == "uniform":
-        raise ConfigError("multi_window requires contiguous windows; "
-                          "it cannot be combined with uniform subsampling")
 
 
 def _fingerprint(self) -> str:

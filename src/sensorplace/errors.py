@@ -89,7 +89,7 @@ class EmptyEnvelopeError(DataError):
 
 
 class TooShortError(DataError):
-    """A recording is shorter than the required uniform length."""
+    """A recording is shorter than the required window length."""
 
     def __init__(self, length, required):
         self.length = length

@@ -11,6 +11,7 @@ numpy, and ``synth`` runs in ``synth``.
 from __future__ import annotations
 
 from dataclasses import asdict, replace
+from itertools import islice
 from pathlib import Path
 
 import numpy as np
@@ -20,8 +21,7 @@ from .config import RNG_NAME, RunConfig
 from .errors import DataError, ManifestError, TooShortError
 from .scoring import TIE_BREAK, enumerate_subsets, mean_scores, sort_ranking
 from .sites import SITE_ORDER
-from .skeleton import (ActivitySet, SkeletonSeries, merge_keypoints, preprocess_recording,
-                       truncate_series)
+from .skeleton import ActivitySet, SkeletonSeries, merge_keypoints, preprocess_recording
 from .textio import ranking_entries
 
 RANKING_FILENAME = "ranking.csv"
@@ -93,18 +93,17 @@ def load_window_sets(manifest_entries, config: RunConfig):
     """Preprocess each activity's recordings and cut the windows the run
     scores: ``(window_sets, diagnostics)``, one diagnostic per activity.
 
-    Every recording is parsed and preprocessed, so a bad one is reported in
-    any mode, naming its file. Windows are L-frame views of the recordings'
-    points, L being ``series_length``, and never span recordings. With
-    ``subsample="uniform"`` an activity's one window is drawn evenly across
-    its first recording; otherwise each recording holds consecutive disjoint
-    windows from its first frame, and the activity keeps its first full
-    window in manifest order. With ``multi_window`` the k-th listed
-    recordings of all activities are paired: window set (k, w) holds window
-    w of each, for w below the smallest count at position k, and sets come
-    in (k, w) order. Every activity must then list as many recordings, and
-    some position must hold a full window of every activity. Per-activity
-    failures are reported together on one line, joined by ``; ``.
+    Every recording is parsed and preprocessed, so a bad one is reported
+    naming its file. Windows are L-frame views of the recordings' points,
+    L being ``series_length``: each recording holds consecutive disjoint
+    windows from its first frame, and none spans recordings. The k-th
+    listed recordings of all activities are paired: window set (k, w) holds
+    window w of each, for w below the smallest count at position k, and
+    sets come in (k, w) order. With ``multi_window`` every set is scored,
+    and every activity must list as many recordings; otherwise only the
+    first set is built. Either way some position must hold a full window
+    of every activity. Per-activity failures are reported together on one
+    line, joined by ``; ``.
     """
     if len(manifest_entries) < 2:
         raise ManifestError(
@@ -123,23 +122,21 @@ def load_window_sets(manifest_entries, config: RunConfig):
     for activity_id, paths in manifest_entries:
         try:
             series = [_load_recording(path, activity_id, config)[1] for path in paths]
-            if config.subsample == "uniform":
-                windows = [[truncate_series(series[0], L, mode="uniform")]]
-            else:
-                windows = [[replace(full, points=full.points[:, a:a + L])
-                            for a in range(0, full.length - L + 1, L)] for full in series]
-            flat = [w for ws in windows for w in ws]
-            if not flat:
+            windows = [[replace(full, points=full.points[:, a:a + L])
+                        for a in range(0, full.length - L + 1, L)] for full in series]
+            n_windows = sum(map(len, windows))
+            if not n_windows:
                 raise TooShortError(sum(full.length for full in series), L)
         except DataError as exc:
             failures.append(f"{activity_id}: {exc}")
             continue
-        kept.append(windows if config.multi_window else [flat[:1]])
+        kept.append(windows)
         diagnostics.append({"activity": activity_id, "recordings": len(paths),
-                            "windows": len(flat)})
+                            "windows": n_windows})
     if failures:
         raise ManifestError("; ".join(failures))
-    window_sets = [ActivitySet(activities=ws) for position in zip(*kept) for ws in zip(*position)]
+    sets = (ActivitySet(activities=ws) for position in zip(*kept) for ws in zip(*position))
+    window_sets = list(sets if config.multi_window else islice(sets, 1))
     if not window_sets:
         raise ManifestError("no manifest position holds a full window of every activity")
     return window_sets, diagnostics

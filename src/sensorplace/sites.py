@@ -197,11 +197,9 @@ def _rule(holds, message, kind):
     return check
 
 
-# a sample rate in Hz; the ``subsample`` setting, parsed and checked in one step
+# a sample rate in Hz
 check_rate = _rule(lambda r: 0 < real(r, "sample rate") < math.inf,
                    "sample rate must be positive and finite", float)
-subsample_mode = _rule(lambda m: m in ("first", "uniform"),
-                       "subsample mode must be first or uniform, got {!r}", str)
 check_length = _rule(lambda n: whole(n, "series length") >= 2,
                      "series length must be at least 2", int)
 check_threshold = _rule(lambda c: 0.0 <= real(c, "confidence threshold") <= 1.0,
@@ -245,8 +243,6 @@ SETTINGS = (
     Setting("max_gap", "--max-gap", integer, check_gap, 10, "longest repairable gap in frames"),
     Setting("subset_sizes", "--sizes", size_list, _subset_sizes, (1, 2, 3, 4),
             "subset sizes to score", "N,N,..."),
-    Setting("subsample", "--subsample", subsample_mode, subsample_mode, "first",
-            "how to cut long recordings to the window length", "{first,uniform}"),
     Setting("multi_window", "--multi-window", switch,
             _rule(_is_bool, "multi_window must be True or False, got {!r}", bool), False,
             "average scores over all full windows"),

@@ -8,8 +8,8 @@ consolidates them to 12 placement sites (the five facial keypoints merge
 into one head point, the two hips into one pelvis point), translates each
 frame so the centroid of its valid points sits at (0.5, 0.5), selects the
 configured placement roster, repairs short gaps by linear interpolation,
-optionally decimates to a target sample rate, and cuts every activity to
-one uniform length.
+and optionally decimates to a target sample rate. ``run`` then cuts the
+preprocessed recordings into windows of one length.
 
 Gaps are counted on the uniform grid of the recording's rate (the inverse
 of its median timestamp spacing). A spacing above 1.5 periods is a
@@ -26,7 +26,7 @@ legal (estimators can emit slightly out-of-frame points).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -40,8 +40,7 @@ from .errors import (
     TooShortError,
 )
 from .sites import (_SITE_INDEX, DEFAULT_ROSTER, DEFAULTS, SITE_ORDER, check_allow_head, check_gap,
-                    check_head, check_length, check_rate, check_roster, check_threshold,
-                    subsample_mode)
+                    check_head, check_rate, check_roster, check_threshold)
 
 NUM_KEYPOINTS = 17
 
@@ -281,25 +280,6 @@ def repair_gaps(
     left, right = out[s, b], out[s, a]
     out[s, f] = left + (right - left) * ((f - b) / (a - b))[:, None]
     return out
-
-
-def truncate_series(series: SkeletonSeries, length: int = DEFAULTS["series_length"],
-                    mode: str = DEFAULTS["subsample"]) -> SkeletonSeries:
-    """Cut a series to a uniform length.
-
-    ``mode="first"`` keeps a view of the first ``length`` frames;
-    ``mode="uniform"`` keeps ``length`` evenly spaced frames across the
-    whole recording. Raises when the series is shorter than ``length``.
-    """
-    mode, length = subsample_mode(mode), check_length(length)
-    if series.length < length:
-        raise TooShortError(series.length, length)
-    if series.length == length:
-        return series
-    if mode == "first":
-        return replace(series, points=series.points[:, :length])
-    idx = (np.arange(length, dtype=np.int64) * series.length) // length
-    return replace(series, points=series.points[:, idx])
 
 
 def _median(values: np.ndarray) -> np.float64:

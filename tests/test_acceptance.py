@@ -17,10 +17,11 @@ import pytest
 
 from conftest import make_series
 from oracles import kendall_tau_ref, pairwise_distance_sum_ref
+from sensorplace import io as pio
 from sensorplace import run as runner
 from sensorplace import synth, tablerun
 from sensorplace.config import RunConfig
-from sensorplace.errors import TooShortError
+from sensorplace.errors import ManifestError, TooShortError
 from sensorplace.rankcorr import kendall_tau
 from sensorplace.scoring import (
     cosine_distance,
@@ -33,7 +34,7 @@ from sensorplace.skeleton import (
     ActivitySet,
     centralize,
     merge_keypoints,
-    truncate_series,
+    preprocess_recording,
 )
 from sensorplace.synth import make_separable_set
 
@@ -186,7 +187,7 @@ def test_06_discriminative_site_is_recovered():
     )
 
 
-def test_07_preprocessing_invariants():
+def test_07_preprocessing_invariants(tmp_path):
     rng = np.random.default_rng(11)
     ok = True
     worst_centroid = 0.0
@@ -203,13 +204,25 @@ def test_07_preprocessing_invariants():
     worst_shift = float(np.abs(moved - frame).max())
     ok &= worst_centroid <= 1e-9 and worst_shift <= 1e-9
 
-    series_500 = make_series("a", rng.uniform(size=(2, 500, 2)))
-    ok &= truncate_series(series_500, 500).length == 500
-    try:
-        truncate_series(make_series("a", rng.uniform(size=(2, 499, 2))), 500)
-        ok = False
-    except TooShortError:
-        pass
+    # two activities recorded for 500 frames give one 500-frame window each,
+    # the whole preprocessed recording; at 499 frames neither has a window
+    for frames in (500, 499):
+        entries = []
+        for name in ("a", "b"):
+            path = tmp_path / f"{name}{frames}.csv"
+            pio.write_keypoint_file(path, np.arange(frames) / 10.0,
+                                    _raw(rng.uniform(size=(frames, 17, 2))))
+            entries.append((name, [path]))
+        try:
+            window_sets, _ = runner.load_window_sets(entries, RunConfig())
+        except ManifestError as exc:
+            ok &= frames == 499 and str(exc) == "; ".join(
+                f"{name}: {TooShortError(499, 500)}" for name in ("a", "b"))
+            continue
+        ok &= frames == 500 and len(window_sets) == 1
+        for window, (_, [path]) in zip(window_sets[0].activities, entries):
+            full = preprocess_recording(*pio.parse_keypoint_file(path), window.activity_id)
+            ok &= window.length == 500 and np.array_equal(window.points, full.points)
     _verdict(
         "centralization and 500-frame boundary behave",
         ok,

@@ -21,7 +21,6 @@ def test_defaults_match_documented_contract():
     assert config.confidence_threshold == 0.3
     assert config.max_gap == 10
     assert config.subset_sizes == (1, 2, 3, 4)
-    assert config.subsample == "first"
     assert config.multi_window is False
     assert config.allow_head is False
 
@@ -40,8 +39,8 @@ def test_roster_is_canonicalized_and_sizes_sorted():
         {"confidence_threshold": 1.5},
         {"max_gap": -1},
         {"subset_sizes": ()},
-        {"subsample": "random"},
-        {"multi_window": True, "subsample": "uniform"},
+        {"sample_rate": float("nan")},
+        {"max_gap": float("inf")},
         {"subset_sizes": (0, 1)},
         {"roster": ()},
         {"confidence_threshold": -0.1},
@@ -114,7 +113,6 @@ _KIND_VALUES = {
     "confidence_threshold": st.floats(-0.5, 1.5),
     "max_gap": st.integers(-1, 20),
     "subset_sizes": st.lists(st.integers(0, 3), max_size=3).map(tuple),
-    "subsample": st.sampled_from(["first", "uniform", "last"]),
     "multi_window": st.booleans(),
     "allow_head": st.booleans().map(np.bool_),
 }
@@ -270,10 +268,10 @@ def test_switches_reject_any_other_value(value):
 def test_load_config_flags_override_file(tmp_path):
     path = tmp_path / "run.cfg"
     path.write_text("series_length = 200\nmax_gap = 4\n")
-    config = load_config(path, {"series_length": 300, "subsample": None})
-    assert config.series_length == 300  # flag wins
-    assert config.max_gap == 4          # file value kept
-    assert config.subsample == "first"  # None means not provided
+    config = load_config(path, {"series_length": 300, "confidence_threshold": None})
+    assert config.series_length == 300        # flag wins
+    assert config.max_gap == 4                # file value kept
+    assert config.confidence_threshold == 0.3  # None means not provided
 
 
 def test_load_config_without_file_uses_defaults():

@@ -26,7 +26,7 @@ from sensorplace.errors import ComputationError, ConfigError, ManifestError
 from sensorplace.rankcorr import compare_rankings
 from sensorplace.scoring import enumerate_subsets, rank_placements
 from sensorplace.sites import SETTINGS, SITE_ORDER
-from sensorplace.skeleton import preprocess_recording
+from sensorplace.skeleton import ActivitySet, preprocess_recording
 
 
 def _corpus(tmp_path, n=3, length=520, noise=0.0, seed=0, style="csv", **kwargs):
@@ -272,6 +272,55 @@ def test_cli_multi_window_rejects_unpaired_recordings(tmp_path, capsys, act02, l
     assert _one_error_line(capsys) == f"error: {message}\n"
 
 
+def _offset_manifest(tmp_path, act02):
+    # corpora c1 and c2 of 200 frames (4 windows of 50); short01.csv and
+    # short02.csv hold c1's act01 and act02 for 30 frames, no window; act01
+    # lists short01.csv then c1's file
+    for corpus, seed in (("c1", "0"), ("c2", "1")):
+        cli.main(["synth", str(tmp_path / corpus), "--noise", "0.01", "--activities", "2",
+                  "--length", "200", "--seed", seed])
+    for name in ("act01", "act02"):
+        lines = (tmp_path / "c1" / f"{name}.csv").read_text().splitlines()
+        (tmp_path / f"short{name[3:]}.csv").write_text("\n".join(lines[:30]) + "\n")
+    manifest = tmp_path / "manifest.txt"
+    manifest.write_text(f"act01 short01.csv c1/act01.csv\nact02 {act02}\n")
+    return manifest
+
+
+def test_single_window_scores_the_first_window_set_of_the_position_pairing(
+        tmp_path, capsys, monkeypatch):
+    # act01's first full window is at position 1, so act02's is taken there
+    # too: c1 against c1, where the first full window in manifest order
+    # would score c1's act01 against c2's act02
+    manifest = _offset_manifest(tmp_path, "c2/act02.csv c1/act02.csv")
+    (tmp_path / "c1.txt").write_text("act01 c1/act01.csv\nact02 c1/act02.csv\n")
+    for name in ("manifest", "c1"):
+        assert cli.main(["rank", str(tmp_path / f"{name}.txt"), "--length", "50", "--sizes", "1",
+                         "--out-dir", str(tmp_path / name)]) == 0
+    assert "best placement: LW (score 0.031996)" in capsys.readouterr().out
+    ranking = (tmp_path / "manifest" / runner.RANKING_FILENAME).read_bytes()
+    assert ranking == (tmp_path / "c1" / runner.RANKING_FILENAME).read_bytes()
+    # the one set scored is the only one built
+    built = []
+    monkeypatch.setattr(runner, "ActivitySet", lambda **kw: built.append(kw) or ActivitySet(**kw))
+    entries = pio.parse_manifest(manifest)
+    window_sets, _ = runner.load_window_sets(entries, _config(series_length=50))
+    assert len(window_sets) == len(built) == 1
+    window_sets, _ = runner.load_window_sets(entries, _config(series_length=50, multi_window=True))
+    assert len(window_sets) == len(built) - 1 == 4
+
+
+def test_cli_single_window_needs_a_position_holding_every_activity(tmp_path, capsys):
+    # act02's file at position 1 holds no window, so no position holds both
+    manifest = _offset_manifest(tmp_path, "c2/act02.csv short02.csv")
+    capsys.readouterr()
+    code = cli.main(["rank", str(manifest), "--length", "50", "--sizes", "1",
+                     "--out-dir", str(tmp_path / "out")])
+    assert code == 1
+    assert _one_error_line(capsys) == (
+        "error: no manifest position holds a full window of every activity\n")
+
+
 def test_run_settings_are_named_once(tmp_path):
     # config file keys, the settings flags and the report all follow RunConfig
     names = [f.name for f in fields(RunConfig)]
@@ -297,13 +346,6 @@ def test_numpy_typed_settings_write_what_their_plain_values_write(tmp_path):
         reports.append((config.fingerprint(),
                         (tmp_path / kind / runner.RANK_REPORT_FILENAME).read_bytes()))
     assert reports[1] == reports[0]
-
-
-def test_rank_uniform_subsampling_mode(tmp_path):
-    manifest = _corpus(tmp_path, length=1000)
-    (labels, _), payload = runner.run_rank(manifest, _config(subsample="uniform"))
-    assert labels[0] == "LW"
-    assert payload["n_windows"] == 1
 
 
 def test_rank_ingests_labeled_corpus(tmp_path):
@@ -562,7 +604,6 @@ _BAD_CONFIG_VALUES = [
     ("sample_rate = 0", "sample rate must be positive and finite"),
     ("sample_rate = inf", "sample rate must be positive and finite"),
     ("confidence_threshold = 2", "confidence threshold must be within [0, 1]"),
-    ("subsample = unifrom", "subsample mode must be first or uniform, got 'unifrom'"),
     ("roster = LW,ZZ", "unknown site id 'ZZ'"),
     ("roster = LW,LW", "duplicate site ids in ('LW', 'LW')"),
     ("roster =", "roster must not be empty"),
@@ -588,9 +629,7 @@ def test_cli_config_value_wrong_on_its_own_names_its_line(tmp_path, capsys, line
 @pytest.mark.parametrize("text, message", [
     ("roster = LW,HD\nsubset_sizes = 1\n", "the head site is excluded from placement"),
     ("roster = LW,RW\n", "subset sizes (1, 2, 3, 4) out of range for a roster of 2"),
-    ("multi_window = yes\nsubsample = uniform\n",
-     "multi_window requires contiguous windows; it cannot be combined with uniform subsampling"),
-], ids=["head", "sizes-over-roster", "multi-window-uniform"])
+], ids=["head", "sizes-over-roster"])
 def test_cli_config_values_wrong_together_keep_their_message(tmp_path, capsys, text, message):
     cfg = tmp_path / "run.cfg"
     cfg.write_text(text)
@@ -620,8 +659,7 @@ def test_cli_config_key_set_twice_names_both_lines(tmp_path, capsys):
     (["--roster", "LW,,RW"], "--roster: empty item in 'LW,,RW'"),
     (["--sizes", "1,,2"], "--sizes: empty item in '1,,2'"),
     (["--sizes", ","], "--sizes: empty item in ','"),
-    (["--subsample", "unifrom"], "--subsample: subsample mode must be first or uniform, got 'unifrom'"),
-], ids=["roster", "sizes", "sizes-comma", "subsample"])
+], ids=["roster", "sizes", "sizes-comma"])
 def test_cli_settings_flags_reject_what_config_files_reject(tmp_path, capsys, flags, expected):
     with pytest.raises(SystemExit) as exc:
         cli.main(["rank", str(tmp_path / "manifest.txt"), *flags])
@@ -768,7 +806,6 @@ _CONFIG_VALUES = {
     "confidence_threshold": ["0.3", "2", "-0.1"],
     "max_gap": ["10", "-1", "0"],
     "subset_sizes": ["1,2", "0", "", "1,,2", "9", "1,"],
-    "subsample": ["first", "uniform", "unifrom"],
     "multi_window": ["yes", "off", "ture"],
     "allow_head": ["1", "no", "2"],
 }
@@ -938,7 +975,6 @@ _FLAG_VALUES = {
                                     "1_0", "0x10"]),
     "--threshold": (["0.3", "0", "1", "-0", "1e-400"], ["2", "-0.1", "nan", "0,3"]),
     "--max-gap": (["10", "0", "9" * 30], ["-1", "x", "1.0"]),
-    "--subsample": (["first", "uniform"], ["unifrom", "", "FIRST"]),
 }
 
 
@@ -1085,7 +1121,8 @@ def test_cli_rank_rejects_spacing_of_half_a_period(tmp_path, capsys):
         f"error: act01: {corpus / 'act01.csv'}: frame 101 (t=10.05)")
 
 
-def test_cli_uniform_subsampling_reads_every_recording(tmp_path, capsys):
+def test_cli_rank_reads_every_recording(tmp_path, capsys):
+    # act01's first recording holds a window, yet its second is still read
     corpus = tmp_path / "corpus"
     cli.main(["synth", str(corpus), "--length", "520"])
     (corpus / "bad.csv").write_text("garbage\n")
@@ -1093,11 +1130,21 @@ def test_cli_uniform_subsampling_reads_every_recording(tmp_path, capsys):
     lines = manifest.read_text().splitlines()
     manifest.write_text("\n".join([lines[0] + " bad.csv"] + lines[1:]) + "\n")
     capsys.readouterr()
-    for mode in ("first", "uniform"):
-        code = cli.main(["rank", str(manifest), "--subsample", mode,
-                         "--out-dir", str(tmp_path / "out")])
-        assert code == 1
-        assert f"error: act01: {corpus / 'bad.csv'}:1: expected 52 fields" in _one_error_line(capsys)
+    code = cli.main(["rank", str(manifest), "--out-dir", str(tmp_path / "out")])
+    assert code == 1
+    assert f"error: act01: {corpus / 'bad.csv'}:1: expected 52 fields" in _one_error_line(capsys)
+
+
+def test_cli_subsample_is_no_setting(tmp_path, capsys):
+    # windows are cut one way only: the key and the flag are unknown
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("subsample = first\n")
+    assert cli.main(["rank", str(tmp_path / "manifest.txt"), "--config", str(cfg)]) == 1
+    assert _one_error_line(capsys) == f"error: {cfg}:1: unknown key 'subsample'\n"
+    code, out, err = _run_cli(["rank", str(tmp_path / "manifest.txt"), "--subsample", "first"])
+    assert (code, out) == (1, "")
+    assert [line for line in err.splitlines() if "error:" in line] == [
+        "sensorplace: error: unrecognized arguments: --subsample first"]
 
 
 def test_cli_file_listed_under_two_activities_exits_1(tmp_path, capsys):

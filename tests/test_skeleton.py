@@ -1,4 +1,4 @@
-"""Keypoint consolidation, centralization, gap repair, truncation."""
+"""Keypoint consolidation, centralization, gap repair, windows."""
 
 import inspect
 import re
@@ -10,6 +10,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import make_keypoints, make_series
+from sensorplace import io as pio
+from sensorplace import run as runner
 from sensorplace.config import RunConfig
 from sensorplace.errors import (
     AllMissingSiteError,
@@ -18,6 +20,7 @@ from sensorplace.errors import (
     EmptyEnvelopeError,
     EmptyFrameError,
     GapTooLongError,
+    ManifestError,
     RateMismatchError,
     SiteExcludedError,
     TooShortError,
@@ -36,7 +39,6 @@ from sensorplace.skeleton import (
     preprocess_recording,
     repair_gaps,
     select_sites,
-    truncate_series,
 )
 
 FACE = MERGE_SOURCES["HD"]
@@ -325,31 +327,47 @@ def test_repair_output_is_gap_free_and_preserves_valid(data):
     )
 
 
-# --- truncation and rates ------------------------------------------------------------
+# --- windows and rates ---------------------------------------------------------------
 
-def test_truncate_exact_length_is_identity():
-    series = make_series("a", np.zeros((2, 500, 2)) + 0.5)
-    assert truncate_series(series, 500) is series
-
-
-def test_truncate_too_short_raises():
-    series = make_series("a", np.zeros((2, 499, 2)) + 0.5)
-    with pytest.raises(TooShortError):
-        truncate_series(series, 500)
-
-
-def test_truncate_first_keeps_prefix():
-    pts = np.arange(2 * 10 * 2, dtype=np.float64).reshape(2, 10, 2)
-    series = make_series("a", pts)
-    cut = truncate_series(series, 4, mode="first")
-    np.testing.assert_array_equal(cut.points, pts[:, :4])
+def _recordings(tmp_path, frames):
+    """One 10 Hz keypoint file per activity ``a``, ``b``, ... of ``frames``
+    random, fully confident frames each: the manifest entries and each
+    file's preprocessed points."""
+    rng = np.random.default_rng(frames)
+    entries, points = [], []
+    for name in "ab":
+        kp = np.ones((frames, 17, 3))
+        kp[:, :, :2] = rng.uniform(0.1, 0.9, size=(frames, 17, 2))
+        path = tmp_path / f"{name}.csv"
+        pio.write_keypoint_file(path, np.arange(frames) / 10.0, kp)
+        entries.append((name, [path]))
+        points.append(preprocess_recording(*pio.parse_keypoint_file(path), name).points)
+    return entries, points
 
 
-def test_truncate_uniform_spans_whole_series():
-    pts = np.arange(1 * 10 * 2, dtype=np.float64).reshape(1, 10, 2)
-    series = make_series("a", pts)
-    cut = truncate_series(series, 5, mode="uniform")
-    np.testing.assert_array_equal(cut.points, pts[:, [0, 2, 4, 6, 8]])
+def test_truncate_exact_length_is_identity(tmp_path):
+    # a recording of exactly the window length is one window over all of it
+    entries, points = _recordings(tmp_path, 500)
+    window_sets, diagnostics = runner.load_window_sets(entries, RunConfig(series_length=500))
+    assert len(window_sets) == 1 and [d["windows"] for d in diagnostics] == [1, 1]
+    for window, full in zip(window_sets[0].activities, points):
+        assert window.points.shape == full.shape
+        np.testing.assert_array_equal(window.points, full)
+
+
+def test_truncate_too_short_raises(tmp_path):
+    entries, _ = _recordings(tmp_path, 499)
+    message = str(TooShortError(499, 500))
+    with pytest.raises(ManifestError, match=f"^a: {message}; b: {message}$"):
+        runner.load_window_sets(entries, RunConfig(series_length=500))
+
+
+def test_truncate_first_keeps_prefix(tmp_path):
+    entries, points = _recordings(tmp_path, 10)
+    window_sets, _ = runner.load_window_sets(entries, RunConfig(series_length=4))
+    assert len(window_sets) == 1
+    for window, full in zip(window_sets[0].activities, points):
+        np.testing.assert_array_equal(window.points, full[:, :4])
 
 
 def test_infer_sample_rate_uses_median_spacing():
@@ -394,7 +412,6 @@ def test_preprocessing_defaults_are_the_run_settings_defaults():
     taken = {
         merge_keypoints: {"confidence_threshold": "confidence_threshold"},
         repair_gaps: {"max_gap": "max_gap"},
-        truncate_series: {"length": "series_length", "mode": "subsample"},
         preprocess_recording: {"roster": "roster", "target_rate": "sample_rate",
                                "confidence_threshold": "confidence_threshold",
                                "max_gap": "max_gap", "allow_head": "allow_head"},
@@ -406,7 +423,6 @@ def test_preprocessing_defaults_are_the_run_settings_defaults():
             assert parameters[name].default == getattr(defaults, field), (function, name)
 
 
-_SHORT = make_series("a", np.zeros((1, 4, 2)))
 _T3, _KP3 = np.arange(3) / 10.0, np.full((3, 17, 3), 0.5)  # three frames, every keypoint valid
 
 
@@ -417,18 +433,12 @@ _T3, _KP3 = np.arange(3) / 10.0, np.full((3, 17, 3), 0.5)  # three frames, every
      "expected a non-empty (n_sites, n_frames) validity mask"),
     (lambda: repair_gaps(np.zeros((3, 2)), np.ones(3, dtype=bool)), ValueError,
      "expected a non-empty (n_sites, n_frames) validity mask"),
-    (lambda: truncate_series(_SHORT, 0), ConfigError, "series length must be at least 2"),
-    (lambda: truncate_series(_SHORT, 2, mode="last"), ValueError,
-     "subsample mode must be first or uniform, got 'last'"),
     (lambda: infer_sample_rate([0.0]), RateMismatchError,
      "need at least two timestamps to infer a rate"),
     (lambda: infer_sample_rate([0.0, 0.1, 0.0, -0.1]), RateMismatchError,
      "non-positive timestamp spacing"),
     (lambda: decimation_stride(10.0, 0.0), ConfigError, "sample rate must be positive and finite"),
     (lambda: decimation_stride(10.0, "10"), ConfigError, "sample rate must be a number, got '10'"),
-    (lambda: truncate_series(_SHORT, True), ConfigError,
-     "series length must be an integer, got True"),
-    (lambda: truncate_series(_SHORT, 1), ConfigError, "series length must be at least 2"),
     (lambda: select_sites("LW"), ConfigError,
      "roster must be a tuple or list of site ids, got 'LW'"),
     (lambda: select_sites(("LW", "HD"), allow_head="no"), ConfigError,
@@ -447,9 +457,8 @@ _T3, _KP3 = np.arange(3) / 10.0, np.full((3, 17, 3), 0.5)  # three frames, every
     (lambda: merge_keypoints(_KP3[:, :, 0]), ValueError, "expected (n, 17, 3) keypoints, got (3, 17)"),
     (lambda: preprocess_recording(_T3, _KP3[:2], "a"), ValueError,
      "expected (2,) timestamps, one per frame, got (3,)"),
-], ids=["mask-empty", "mask-one-dim", "truncate-length-0", "truncate-mode", "rate-one-timestamp",
-        "rate-falling-timestamps", "stride-target-0", "stride-target-text", "truncate-length-bool",
-        "truncate-length-1", "select-roster-text", "select-allow-head-text",
+], ids=["mask-empty", "mask-one-dim", "rate-one-timestamp", "rate-falling-timestamps",
+        "stride-target-0", "stride-target-text", "select-roster-text", "select-allow-head-text",
         "merge-threshold-text", "merge-threshold-1.5", "repair-gap-float", "repair-gap-negative",
         "preprocess-roster-text", "preprocess-gap-negative", "merge-keypoints-2d",
         "preprocess-timestamps-mismatch"])
@@ -461,10 +470,10 @@ def test_preprocessing_steps_reject_bad_arguments(call, error, message):
 # --- full preprocessing --------------------------------------------------------------
 
 def test_preprocess_end_to_end(raw_walk):
-    series = truncate_series(preprocess_recording(*raw_walk, "walk"), 50)
+    series = preprocess_recording(*raw_walk, "walk")
     assert series.activity_id == "walk"
     assert series.sites == DEFAULT_ROSTER
-    assert series.length == 50
+    assert series.points[:, :50].shape == (len(DEFAULT_ROSTER), 50, 2)
     assert series.sample_rate == pytest.approx(10.0)
 
 
@@ -474,9 +483,9 @@ def test_preprocess_full_length_when_uncapped(raw_walk):
 
 
 def test_preprocess_is_deterministic(raw_walk):
-    a = truncate_series(preprocess_recording(*raw_walk, "walk"), 50)
-    b = truncate_series(preprocess_recording(*raw_walk, "walk"), 50)
-    assert np.array_equal(a.points, b.points)
+    a = preprocess_recording(*raw_walk, "walk").points[:, :50]
+    b = preprocess_recording(*raw_walk, "walk").points[:, :50]
+    assert np.array_equal(a, b)
 
 
 def test_preprocess_decimates_to_target_rate(raw_walk):
@@ -493,9 +502,9 @@ def test_preprocess_repairs_confidence_dropouts(raw_walk):
     t, kp = raw_walk
     kp = kp.copy()
     kp[30, 9, 2] = 0.0  # LW invisible for one frame
-    series = truncate_series(preprocess_recording(t, kp, "walk"), 50)
-    assert series.length == 50
-    assert np.isfinite(series.points).all()
+    points = preprocess_recording(t, kp, "walk").points[:, :50]
+    assert points.shape[1] == 50
+    assert np.isfinite(points).all()
 
 
 def test_preprocess_rejects_tiny_recordings():
@@ -503,9 +512,12 @@ def test_preprocess_rejects_tiny_recordings():
         preprocess_recording(np.zeros(1), make_keypoints()[None], "walk")
 
 
-def test_preprocess_too_few_frames_after_pipeline(raw_walk):
-    with pytest.raises(TooShortError):
-        truncate_series(preprocess_recording(*raw_walk, "walk"), 500)
+def test_preprocess_too_few_frames_after_pipeline(tmp_path, raw_walk):
+    # 60 frames preprocess to 60, which hold no window of the default 500
+    path = tmp_path / "walk.csv"
+    pio.write_keypoint_file(path, *raw_walk)
+    with pytest.raises(ManifestError, match=f"^walk: {TooShortError(60, 500)}; "):
+        runner.load_window_sets([("walk", [path]), ("run", [path])], RunConfig())
 
 
 # --- timestamp holes -------------------------------------------------------------------

@@ -73,13 +73,15 @@ def _stdout_error(exc: OSError) -> DataError:
     return DataError(f"cannot write standard output: {exc.strerror or exc}")
 
 
-def _write(text: str) -> None:
+def _write(text: str, flush: bool = False) -> None:
     """Write ``text`` to standard output; a failed write exits 1 with one
     error line, as an output file that cannot be written does."""
     try:
         if sys.stdout is None:  # the process started without one (``>&-``)
             raise OSError(errno.EBADF, os.strerror(errno.EBADF))
         sys.stdout.write(text)
+        if flush:
+            sys.stdout.flush()
     except OSError as exc:
         raise _stdout_error(exc) from None
 
@@ -112,15 +114,33 @@ def _run_config(args):
     return load_config(args.config, overrides)
 
 
-def _cmd_validate(args) -> int:
-    config = _run_config(args)
-    from .run import run_validate
+def _fail(exc) -> int:
+    """Write the one error line of a failed command or file; return its exit
+    code."""
+    if isinstance(exc, ComputationError):
+        _complain(f"computation error: {exc}")
+        return 2
+    _complain(f"error: {exc}")
+    return 1
 
-    for path, frames, warnings in run_validate(args.paths, config):
-        _write(f"{path}: {'ok with warnings' if warnings else 'ok'}, {frames} frames\n")
-        for warning in warnings:
-            _write(f"  warning: {warning}\n")
-    return 0
+
+def _cmd_validate(args) -> int:
+    # every file is checked, in order; each file's lines are flushed, so they
+    # keep their place among the error lines when both streams share a file;
+    # the exit code is the worst one seen
+    config = _run_config(args)
+    from .run import validate_recording
+
+    code = 0
+    for path in args.paths:
+        try:
+            frames, warnings = validate_recording(path, config)
+        except (DataError, ComputationError) as exc:
+            code = max(code, _fail(exc))
+            continue
+        _write("".join([f"{path}: {'ok with warnings' if warnings else 'ok'}, {frames} frames\n",
+                        *(f"  warning: {warning}\n" for warning in warnings)]), flush=True)
+    return code
 
 
 def _cmd_rank(args) -> int:
@@ -228,12 +248,8 @@ def main(argv=None) -> int:
     try:
         args = build_parser().parse_args(argv)
         return args.func(args)
-    except DataError as exc:
-        _complain(f"error: {exc}")
-        return 1
-    except ComputationError as exc:
-        _complain(f"computation error: {exc}")
-        return 2
+    except (DataError, ComputationError) as exc:
+        return _fail(exc)
 
 
 def console_main():

@@ -6,10 +6,18 @@ report payload. Reports carry the resolved configuration fingerprint and
 never embed timestamps, so equal inputs and config give byte-identical
 outputs. ``compare`` and ``report`` run in ``tablerun``, which needs no
 numpy, and ``synth`` runs in ``synth``.
+
+On Linux with two or more usable CPUs, ``rank`` loads its recordings in two
+processes: a forked child parses and preprocesses the second half of the
+manifest's recordings while this process does the first, and sends its
+series back over a pipe. The outputs and every error are those of one
+process.
 """
 
 from __future__ import annotations
 
+import os
+import pickle
 from dataclasses import asdict, replace
 from itertools import islice
 from pathlib import Path
@@ -18,7 +26,7 @@ import numpy as np
 
 from . import io as pio
 from .config import RNG_NAME, RunConfig
-from .errors import DataError, ManifestError, TooShortError
+from .errors import ComputationError, DataError, ManifestError, TooShortError
 from .scoring import TIE_BREAK, enumerate_subsets, mean_scores, sort_ranking
 from .sites import SITE_ORDER
 from .skeleton import ActivitySet, SkeletonSeries, merge_keypoints, preprocess_recording
@@ -32,8 +40,8 @@ def _load_recording(path, activity_id: str,
                     config: RunConfig) -> tuple[np.ndarray, SkeletonSeries]:
     """Parse one keypoint file and preprocess it: ``(kp, series)``.
 
-    A preprocessing DataError is raised again with the file's path in front;
-    a parse error names the file already.
+    A preprocessing DataError or ComputationError is raised again with the
+    file's path in front; a parse error names the file already.
     """
     t, kp = pio.parse_keypoint_file(path)
     try:
@@ -44,6 +52,8 @@ def _load_recording(path, activity_id: str,
         )
     except DataError as exc:
         raise DataError(f"{path}: {exc}") from None
+    except ComputationError as exc:
+        raise ComputationError(f"{path}: {exc}") from None
 
 
 # --- validate ---------------------------------------------------------------
@@ -62,48 +72,108 @@ def _head_below_ankles(kp, confidence_threshold: float) -> tuple[int, int]:
     return int(np.count_nonzero(frames & (points[:, _HEAD, 1] > ankle_y))), int(frames.sum())
 
 
-def run_validate(paths, config: RunConfig) -> list[tuple]:
-    """Parse each keypoint file once and preprocess it as ``rank`` would.
+def validate_recording(path, config: RunConfig) -> tuple[int, list[str]]:
+    """Parse one keypoint file and preprocess it as ``rank`` would.
 
-    Returns ``(path, frames, warnings)`` per file: its frame count and a
-    warning for coordinate and for confidence values outside [0, 1], which
-    are legal but usually mean an estimator or scaling problem, and one
-    when the head lies below the ankles in more than half the frames that
-    show both, which usually means y points up. The first file that fails
-    raises DataError naming it (``_load_recording``). Window length is not
-    checked: ``rank`` applies it per activity, across recordings.
+    Returns its frame count and its warnings: one for coordinate and one for
+    confidence values outside [0, 1], which are legal but usually mean an
+    estimator or scaling problem, and one when the head lies below the
+    ankles in more than half the frames that show both, which usually means
+    y points up. A file that fails raises the error ``_load_recording``
+    gives, naming it. Window length is not checked: ``rank`` applies it per
+    activity, across recordings.
     """
-    checks = []
-    for path in paths:
-        kp, _ = _load_recording(path, str(path), config)
-        outside = np.count_nonzero((kp < 0.0) | (kp > 1.0), axis=(0, 1))  # x, y, confidence
-        counts = {"coordinate": outside[0] + outside[1], "confidence": outside[2]}
-        warnings = [f"{n} {what} values outside [0, 1]" for what, n in counts.items() if n]
-        below, frames = _head_below_ankles(kp, config.confidence_threshold)
-        if 2 * below > frames:
-            warnings.append(f"head below the ankles in {below} of {frames} frames "
-                            "(is y pointing up?)")
-        checks.append((path, len(kp), warnings))
-    return checks
+    kp, _ = _load_recording(path, str(path), config)
+    outside = np.count_nonzero((kp < 0.0) | (kp > 1.0), axis=(0, 1))  # x, y, confidence
+    counts = {"coordinate": outside[0] + outside[1], "confidence": outside[2]}
+    warnings = [f"{n} {what} values outside [0, 1]" for what, n in counts.items() if n]
+    below, frames = _head_below_ankles(kp, config.confidence_threshold)
+    if 2 * below > frames:
+        warnings.append(f"head below the ankles in {below} of {frames} frames "
+                        "(is y pointing up?)")
+    return len(kp), warnings
 
 
 # --- rank --------------------------------------------------------------------
+
+def _load_series(jobs, config: RunConfig) -> list:
+    """The preprocessed series of each ``(path, activity_id)`` job, or None
+    where ``_load_recording`` raised."""
+    loaded = []
+    for path, activity_id in jobs:
+        try:
+            loaded.append(_load_recording(path, activity_id, config)[1])
+        except Exception:  # the caller loads it again and gets the error
+            loaded.append(None)
+    return loaded
+
+
+def _load_in_two_processes(jobs, config: RunConfig) -> list:
+    """``_load_series(jobs)``, with a forked child loading the second half.
+
+    The child sends its list back as one pickle and ends with ``os._exit``.
+    If it dies or its data arrives incomplete, each of its jobs reads None.
+    The child is reaped before this returns or raises. Where the process
+    cannot fork, may run on one CPU only, or has fewer than two jobs, every
+    job is loaded here.
+    """
+    if not (len(jobs) >= 2 and hasattr(os, "fork") and hasattr(os, "sched_getaffinity")
+            and len(os.sched_getaffinity(0)) >= 2):
+        return _load_series(jobs, config)
+    half = len(jobs) // 2
+    read_fd, write_fd = os.pipe()
+    try:
+        pid = os.fork()
+    except OSError:
+        os.close(read_fd)
+        os.close(write_fd)
+        return _load_series(jobs, config)
+    if pid == 0:  # the child
+        try:
+            os.close(read_fd)
+            # it shares the parent's standard output and error, whose lines
+            # belong to the parent alone
+            devnull = os.open(os.devnull, os.O_WRONLY)
+            os.dup2(devnull, 1)
+            os.dup2(devnull, 2)
+            with open(write_fd, "wb") as pipe:
+                pickle.dump(_load_series(jobs[half:], config), pipe, pickle.HIGHEST_PROTOCOL)
+        finally:
+            os._exit(0)
+    os.close(write_fd)
+    with open(read_fd, "rb") as pipe:
+        try:
+            loaded = _load_series(jobs[:half], config)
+            data = pipe.read()
+        finally:
+            # the child has sent all it will, or is no longer wanted
+            os.kill(pid, 9)  # SIGKILL
+            os.waitpid(pid, 0)
+    try:
+        theirs = pickle.loads(data)
+    except Exception:  # an empty or truncated pickle: the child died
+        theirs = [None] * (len(jobs) - half)
+    return loaded + theirs
+
 
 def load_window_sets(manifest_entries, config: RunConfig):
     """Preprocess each activity's recordings and cut the windows the run
     scores: ``(window_sets, diagnostics)``, one diagnostic per activity.
 
     Every recording is parsed and preprocessed, so a bad one is reported
-    naming its file. Windows are L-frame views of the recordings' points,
-    L being ``series_length``: each recording holds consecutive disjoint
-    windows from its first frame, and none spans recordings. The k-th
-    listed recordings of all activities are paired: window set (k, w) holds
-    window w of each, for w below the smallest count at position k, and
-    sets come in (k, w) order. With ``multi_window`` every set is scored,
-    and every activity must list as many recordings; otherwise only the
-    first set is built. Either way some position must hold a full window
-    of every activity. Per-activity failures are reported together on one
-    line, joined by ``; ``.
+    naming its file; with two or more usable CPUs a forked child loads the
+    second half of them (``_load_in_two_processes``). Activities are then
+    taken in manifest order, and a recording that failed is loaded again
+    here, so each error is the one a single process gives. Windows are
+    L-frame views of the recordings' points, L being ``series_length``:
+    each recording holds consecutive disjoint windows from its first frame,
+    and none spans recordings. The k-th listed recordings of all activities
+    are paired: window set (k, w) holds window w of each, for w below the
+    smallest count at position k, and sets come in (k, w) order. With
+    ``multi_window`` every set is scored, and every activity must list as
+    many recordings; otherwise only the first set is built. Either way some
+    position must hold a full window of every activity. Per-activity
+    failures are reported together on one line, joined by ``; ``.
     """
     if len(manifest_entries) < 2:
         raise ManifestError(
@@ -118,10 +188,15 @@ def load_window_sets(manifest_entries, config: RunConfig):
                     f"lists {len(paths)} and {first_id} lists {len(first_paths)}"
                 )
     L = config.series_length
+    loaded = iter(_load_in_two_processes(
+        [(path, activity_id) for activity_id, paths in manifest_entries for path in paths],
+        config))
     kept, failures, diagnostics = [], [], []
     for activity_id, paths in manifest_entries:
+        cached = list(islice(loaded, len(paths)))
         try:
-            series = [_load_recording(path, activity_id, config)[1] for path in paths]
+            series = [full if full is not None else _load_recording(path, activity_id, config)[1]
+                      for path, full in zip(paths, cached)]
             windows = [[replace(full, points=full.points[:, a:a + L])
                         for a in range(0, full.length - L + 1, L)] for full in series]
             n_windows = sum(map(len, windows))

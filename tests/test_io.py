@@ -20,7 +20,7 @@ from sensorplace.errors import (
     ManifestError,
     NonMonotoneTimeError,
 )
-from sensorplace.run import run_validate
+from sensorplace.run import validate_recording
 from sensorplace.sites import subset_labels
 
 
@@ -140,8 +140,8 @@ def test_validate_flags_out_of_range_values(tmp_path):
     kp[1, 6, 2] = -0.2
     path = tmp_path / "rec.csv"
     pio.write_keypoint_file(path, t, kp)
-    [(checked, frames, warnings)] = run_validate([path], RunConfig())
-    assert (checked, frames) == (path, 3)
+    frames, warnings = validate_recording(path, RunConfig())
+    assert frames == 3
     assert warnings == [
         "1 coordinate values outside [0, 1]",
         "1 confidence values outside [0, 1]",
@@ -153,9 +153,9 @@ def test_validate_clean_file_is_ok(tmp_path):
     # below the ankles
     path = tmp_path / "rec.csv"
     pio.write_keypoint_file(path, *_frames(4, seed=3))
-    assert run_validate([path], RunConfig()) == [
-        (path, 4, ["head below the ankles in 3 of 4 frames (is y pointing up?)"])
-    ]
+    assert validate_recording(path, RunConfig()) == (
+        4, ["head below the ankles in 3 of 4 frames (is y pointing up?)"]
+    )
 
 
 @pytest.mark.parametrize("flip, warnings", [
@@ -169,7 +169,7 @@ def test_validate_warns_about_a_recording_with_y_pointing_up(tmp_path, flip, war
         kp[:, :, 1] = 1.0 - kp[:, :, 1]
     path = tmp_path / "rec.csv"
     pio.write_keypoint_file(path, t, kp)
-    assert run_validate([path], RunConfig()) == [(path, len(t), warnings)]
+    assert validate_recording(path, RunConfig()) == (len(t), warnings)
 
 
 # --- manifests -----------------------------------------------------------------

@@ -49,6 +49,29 @@ def _config(**kwargs):
     return RunConfig(**base)
 
 
+def _one_cpu(monkeypatch):
+    """Let the process use one CPU, so ``rank`` loads every recording itself
+    and must not fork."""
+    def fork():
+        raise AssertionError("forked with one usable CPU")
+
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
+    monkeypatch.setattr(os, "fork", fork)
+
+
+def _two_cpus(monkeypatch):
+    """Let the process use two CPUs; returns the list each fork appends to."""
+    forks, fork = [], os.fork
+
+    def counted():
+        forks.append(os.getpid())
+        return fork()
+
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+    monkeypatch.setattr(os, "fork", counted)
+    return forks
+
+
 # --- run_rank ------------------------------------------------------------------
 
 def test_rank_places_discriminative_singleton_first(tmp_path):
@@ -209,6 +232,7 @@ def test_windows_are_views_of_their_recordings(tmp_path, monkeypatch, multi_wind
         return recorded[-1]
 
     monkeypatch.setattr(runner, "preprocess_recording", preprocess)
+    _one_cpu(monkeypatch)  # a forked child's calls would not be recorded
     manifest = _corpus(tmp_path, length=160)
     config = _config(series_length=50, multi_window=multi_window)
     window_sets, diagnostics = runner.load_window_sets(pio.parse_manifest(manifest), config)
@@ -245,6 +269,7 @@ def test_multi_window_pairs_recordings_by_manifest_position(tmp_path, monkeypatc
         return recorded[-1]
 
     monkeypatch.setattr(runner, "preprocess_recording", preprocess)
+    _one_cpu(monkeypatch)  # a forked child's calls would not be recorded
     manifest = _two_corpora_manifest(tmp_path, "ab", "ba")
     config = _config(series_length=50, subset_sizes=(1,), multi_window=True)
     window_sets, diagnostics = runner.load_window_sets(pio.parse_manifest(manifest), config)
@@ -359,6 +384,114 @@ def test_rank_without_drift_matches_direct_generation_ordering(tmp_path):
     manifest = _corpus(tmp_path, drift=False)
     (labels, _), _ = runner.run_rank(manifest, _config(subset_sizes=(1,)))
     assert labels[0] == "LW"
+
+
+# --- loading in two processes -------------------------------------------------------
+
+def _paired_corpora(tmp_path, style):
+    # four activities, each listing a recording of two corpora: eight
+    # recordings, so the parent loads act01-act02 and the child act03-act04
+    for corpus, seed in (("a", 0), ("b", 1)):
+        _corpus(tmp_path / corpus, n=4, length=160, noise=0.01, seed=seed, style=style)
+    ext = "csv" if style == "csv" else "txt"
+    manifest = tmp_path / "manifest.txt"
+    manifest.write_text("".join(f"act0{k} a/corpus/act0{k}.{ext} b/corpus/act0{k}.{ext}\n"
+                                for k in range(1, 5)))
+    return manifest
+
+
+def _windows(window_sets):
+    return [[(w.activity_id, w.sites, w.sample_rate, w.points.dtype, w.points.shape,
+              w.points.tobytes()) for w in ws.activities] for ws in window_sets]
+
+
+@pytest.mark.parametrize("multi_window", [False, True], ids=["single-window", "multi-window"])
+@pytest.mark.parametrize("style", ["csv", "labeled"])
+def test_two_process_load_gives_the_one_process_bytes(tmp_path, monkeypatch, style,
+                                                      multi_window):
+    manifest = _paired_corpora(tmp_path, style)
+    config = _config(series_length=50, multi_window=multi_window)
+    runs = []
+    for cpus in (_one_cpu, _two_cpus):
+        with monkeypatch.context() as m:
+            forks = cpus(m)
+            loaded = runner.load_window_sets(pio.parse_manifest(manifest), config)
+            out = tmp_path / cpus.__name__
+            runner.run_rank(manifest, config, out_dir=out)
+        runs.append((_windows(loaded[0]), loaded[1], (out / "ranking.csv").read_bytes(),
+                     (out / "report.json").read_bytes()))
+    assert forks == [os.getpid()] * 2  # one child per load
+    assert runs[1] == runs[0]
+    assert len(runs[0][0]) == (6 if multi_window else 1)
+
+
+def _broken(corpus, data_error, computation_error):
+    # a malformed line 5 in one file, both hips at 1.5e308 in another
+    for name in data_error:
+        lines = (corpus / name).read_text().split("\n")
+        lines[4] = lines[4].replace(",", ";", 1)
+        (corpus / name).write_text("\n".join(lines))
+    for name in computation_error:
+        t, kp = pio.parse_keypoint_file(corpus / name)
+        kp[:, [11, 12], 0] = 1.5e308
+        pio.write_keypoint_file(corpus / name, t, kp)
+
+
+@pytest.mark.parametrize("data_error, computation_error, code", [
+    (["act04.csv"], [], 1),
+    (["act01.csv", "act04.csv"], [], 1),
+    (["act01.csv"], ["act03.csv"], 2),
+], ids=["data-error-in-child", "data-errors-in-both", "computation-error-in-child"])
+def test_errors_in_the_childs_half_are_the_one_process_errors(tmp_path, monkeypatch,
+                                                             data_error, computation_error, code):
+    manifest = _corpus(tmp_path, n=4, length=60)
+    _broken(manifest.parent, data_error, computation_error)
+    argv = ["rank", str(manifest), "--length", "50", "--out-dir", str(tmp_path / "out")]
+    runs = []
+    for cpus in (_one_cpu, _two_cpus):
+        with monkeypatch.context() as m:
+            forks = cpus(m)
+            runs.append(_run_cli(argv))
+    assert forks == [os.getpid()]
+    assert runs[1] == runs[0]
+    got, out, err = runs[0]
+    assert (got, out, err.count("\n")) == (code, "", 1), err
+    for name in data_error if code == 1 else computation_error:
+        assert str(manifest.parent / name) in err
+    assert not (tmp_path / "out").exists()
+
+
+def test_recordings_of_a_child_that_dies_are_loaded_again(tmp_path, monkeypatch):
+    manifest = _corpus(tmp_path, n=4, length=160)
+    config = _config(series_length=50, multi_window=True)
+    load_series, parent = runner._load_series, os.getpid()
+
+    def dying(jobs, config):
+        if os.getpid() != parent:
+            os._exit(1)
+        return load_series(jobs, config)
+
+    with monkeypatch.context() as m:
+        _one_cpu(m)
+        expected = _windows(runner.load_window_sets(pio.parse_manifest(manifest), config)[0])
+    _two_cpus(monkeypatch)
+    monkeypatch.setattr(runner, "_load_series", dying)
+    got = runner.load_window_sets(pio.parse_manifest(manifest), config)[0]
+    assert _windows(got) == expected
+
+
+def test_no_child_outlives_load_window_sets(tmp_path, monkeypatch):
+    forks = _two_cpus(monkeypatch)
+    manifest = _corpus(tmp_path, n=4, length=160)
+    runner.load_window_sets(pio.parse_manifest(manifest), _config(series_length=50))
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+    _broken(manifest.parent, ["act04.csv"], [])
+    with pytest.raises(ManifestError, match="act04.csv:5: "):
+        runner.load_window_sets(pio.parse_manifest(manifest), _config(series_length=50))
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+    assert len(forks) == 2
 
 
 # --- run_compare -----------------------------------------------------------------
@@ -679,7 +812,8 @@ def test_cli_norm_overflow_exits_2(tmp_path, capsys):
     code = cli.main(["rank", str(corpus / "manifest.txt"), "--length", "50",
                      "--out-dir", str(tmp_path / "out")])
     assert code == 2
-    assert capsys.readouterr().err.startswith("computation error: activity 'act02': ")
+    assert capsys.readouterr().err.startswith(
+        f"computation error: {corpus / 'act02.csv'}: activity 'act02': ")
     assert not (tmp_path / "out").exists()
 
 
@@ -699,7 +833,8 @@ def test_cli_validate_fails_coordinates_near_1e200_as_rank_does(tmp_path, capsys
         capsys.readouterr()
         assert cli.main(argv) == 2
         assert capsys.readouterr().err == (
-            f"computation error: activity {activity!r}: coordinates overflow in preprocessing\n"
+            f"computation error: {corpus / 'act02.csv'}: activity {activity!r}: "
+            "coordinates overflow in preprocessing\n"
         )
     assert not (tmp_path / "out").exists()
 
@@ -723,7 +858,8 @@ def test_cli_preprocessing_overflow_exits_2(tmp_path, capsys, command):
         code = cli.main(argv)
     assert code == 2
     assert capsys.readouterr().err == (
-        f"computation error: activity {activity!r}: coordinates overflow in preprocessing\n"
+        f"computation error: {corpus / 'act02.csv'}: activity {activity!r}: "
+        "coordinates overflow in preprocessing\n"
     )
     assert not caught  # numpy's overflow warnings would add lines to stderr
     assert not (tmp_path / "out").exists()
@@ -937,9 +1073,19 @@ def test_any_corpus_exits_0_1_or_2_with_one_message_line(tmp_path_factory, _corp
             code, stdout, err = _run_cli(argv)
             written = [p.read_bytes() for p in sorted(out.glob("*"))]
             runs.append((code, stdout, err, written))
-        code, _, err, _ = runs[0]
+        code, stdout, err, _ = runs[0]
         assert code in (0, 1, 2), (argv, code, err)
-        if code == 0:
+        if argv[0] == "validate":
+            # each file gets its ok line or one error line naming it, in order,
+            # and the exit code is the worst one
+            failed = [path for path in argv[1:] if f"\n{path}: ok" not in "\n" + stdout]
+            lines = err.splitlines()
+            assert len(lines) == len(failed), err
+            for path, line in zip(failed, lines):
+                assert line.startswith(("error: ", "computation error: ")) and path in line, err
+            assert code == max([0, *(2 if line.startswith("computation") else 1
+                                     for line in lines)])
+        elif code == 0:
             assert err == ""
         else:
             prefix = "computation error: " if code == 2 else "error: "
@@ -1091,6 +1237,46 @@ def test_cli_validate_rejects_timestamp_hole_as_rank_does(tmp_path, capsys):
     # validate reads the same settings as rank
     assert cli.main(["validate", str(path), "--max-gap", "200"]) == 0
     assert capsys.readouterr().out == f"{path}: ok, 300 frames\n"
+
+
+def test_cli_rank_computation_error_names_its_file(tmp_path, capsys):
+    # act02 lists two recordings, and only act02.csv overflows
+    corpus = tmp_path / "corpus"
+    cli.main(["synth", str(corpus), "--activities", "3", "--length", "60"])
+    (corpus / "act02b.csv").write_bytes((corpus / "act02.csv").read_bytes())
+    t, kp = pio.parse_keypoint_file(corpus / "act02.csv")
+    kp[:, [11, 12], 0] = 1.5e308
+    pio.write_keypoint_file(corpus / "act02.csv", t, kp)
+    manifest = corpus / "manifest.txt"
+    manifest.write_text(manifest.read_text().replace("act02 act02.csv",
+                                                     "act02 act02b.csv act02.csv"))
+    capsys.readouterr()
+    assert cli.main(["rank", str(manifest), "--length", "50",
+                     "--out-dir", str(tmp_path / "out")]) == 2
+    assert capsys.readouterr().err == (
+        f"computation error: {corpus / 'act02.csv'}: activity 'act02': "
+        "coordinates overflow in preprocessing\n"
+    )
+
+
+def test_cli_validate_reports_every_file_and_exits_with_the_worst_code(tmp_path, capsys):
+    manifest = _corpus(tmp_path, n=4, length=60)
+    corpus = manifest.parent
+    _broken(corpus, ["act02.csv"], ["act03.csv"])
+    paths = [str(corpus / f"act0{k}.csv") for k in (1, 2, 3, 4)]
+    capsys.readouterr()
+    assert cli.main(["validate", *paths]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == f"{paths[0]}: ok, 60 frames\n{paths[3]}: ok, 60 frames\n"
+    data_line, computation_line = captured.err.splitlines(keepends=True)
+    assert data_line.startswith(f"error: {paths[1]}:5: ")
+    assert computation_line == (f"computation error: {paths[2]}: activity {paths[2]!r}: "
+                                "coordinates overflow in preprocessing\n")
+    # a data error alone exits 1, and the files after it are still checked
+    assert cli.main(["validate", paths[1], paths[0]]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == f"{paths[0]}: ok, 60 frames\n"
+    assert captured.err == data_line
 
 
 def _squeezed_corpus(tmp_path):

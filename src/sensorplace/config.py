@@ -14,11 +14,6 @@ from .errors import ConfigError, DataError
 from .sites import BLANKS, SETTINGS, check_head, shown
 from .textio import _read_text, data_lines
 
-# The one random generator the package uses (numpy's PCG64, in ``synth``);
-# named in every fingerprint and report.
-RNG_NAME = "pcg64"
-
-
 def _check(self):
     # each setting on its own, then the rules across settings every command
     # needs; subset sizes meet the roster where ``rank`` enumerates subsets
@@ -28,9 +23,9 @@ def _check(self):
 
 
 def _fingerprint(self) -> str:
-    """sha256 over the canonical text form plus the RNG name."""
-    parts = [f"rng={RNG_NAME}"]
-    parts += (f"{f.name}={shown(getattr(self, f.name))}" for f in fields(self))
+    """sha256 over the canonical text form of every setting, in field
+    order."""
+    parts = (f"{f.name}={shown(getattr(self, f.name))}" for f in fields(self))
     return hashlib.sha256("\n".join(parts).encode("utf-8")).hexdigest()
 
 

@@ -25,12 +25,11 @@ from pathlib import Path
 import numpy as np
 
 from . import io as pio
-from .config import RNG_NAME, RunConfig
+from .config import RunConfig
 from .errors import ComputationError, DataError, ManifestError, TooShortError
 from .scoring import TIE_BREAK, enumerate_subsets, mean_scores, sort_ranking
 from .sites import SITE_ORDER
 from .skeleton import ActivitySet, SkeletonSeries, merge_keypoints, preprocess_recording
-from .textio import ranking_entries
 
 RANKING_FILENAME = "ranking.csv"
 RANK_REPORT_FILENAME = "report.json"
@@ -223,19 +222,18 @@ def rank_window_sets(window_sets, labels) -> tuple[list[str], list[float]]:
     return sort_ranking(labels, mean_scores(window_sets, labels).tolist())
 
 
-def rank_report_payload(labels, scores, config: RunConfig, diagnostics, n_windows: int) -> dict:
-    """The report of a ranking; ``diagnostics`` holds one entry per
+def rank_report_payload(config: RunConfig, diagnostics, n_windows: int) -> dict:
+    """The report of a ranking, which explains the run; the ranking itself
+    goes to the ranking table only. ``diagnostics`` holds one entry per
     activity."""
     return {
         "kind": "placement-ranking",
         "fingerprint": config.fingerprint(),
-        "rng": RNG_NAME,
         "config": asdict(config),
         "tie_break": TIE_BREAK,
         "n_activities": len(diagnostics),
         "n_windows": n_windows,
         "activities": diagnostics,
-        "entries": ranking_entries(labels, scores),
     }
 
 
@@ -250,7 +248,7 @@ def run_rank(manifest_path, config: RunConfig, out_dir=None):
     entries = pio.parse_manifest(manifest_path)
     window_sets, diagnostics = load_window_sets(entries, config)
     labels, scores = rank_window_sets(window_sets, labels)
-    payload = rank_report_payload(labels, scores, config, diagnostics, len(window_sets))
+    payload = rank_report_payload(config, diagnostics, len(window_sets))
     if out_dir is not None:
         out_dir = Path(out_dir)
         pio.write_ranking_file(out_dir / RANKING_FILENAME, labels, scores)

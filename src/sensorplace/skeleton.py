@@ -120,7 +120,8 @@ class SkeletonSeries:
 
 @dataclass(frozen=True)
 class ActivitySet:
-    """Two or more skeleton series sharing one site roster and length."""
+    """Two or more skeleton series sharing one site roster, length and
+    sample rate."""
 
     activities: tuple[SkeletonSeries, ...]
 
@@ -142,6 +143,11 @@ class ActivitySet:
                 raise ValueError(
                     f"length mismatch: {a.activity_id!r} has {a.length} frames, "
                     f"{first.activity_id!r} has {first.length}"
+                )
+            if a.sample_rate != first.sample_rate:
+                raise ValueError(
+                    f"sample rate mismatch: {a.activity_id!r} is at {a.sample_rate} Hz, "
+                    f"{first.activity_id!r} at {first.sample_rate} Hz"
                 )
         object.__setattr__(self, "activities", acts)
 
@@ -408,7 +414,7 @@ def preprocess_recording(
 
     repaired = np.ascontiguousarray(repaired[:, ::decimation_stride(input_rate, target_rate)])
     if not np.isfinite(np.square(repaired).sum()):
-        raise ComputationError(f"activity {activity_id!r}: coordinates overflow in preprocessing")
+        raise ComputationError("coordinates overflow in preprocessing")
 
     return SkeletonSeries(
         activity_id=activity_id,

@@ -1,7 +1,7 @@
 """Seeded synthetic activity generation.
 
 Each site traces a circle: base + amplitude * (sin, cos)(2*pi*f*t + phase),
-plus optional Gaussian noise from numpy's PCG64 generator (the one named,
+plus optional Gaussian noise from numpy's PCG64 generator (the one
 portable RNG this package uses; seeds reproduce corpora bit for bit).
 Generated series are emitted directly in preprocessed form, with site bases
 arranged so their centroid sits at (0.5, 0.5); no per-frame recentering is

@@ -269,46 +269,12 @@ def read_ranking_file(path) -> tuple[list[str], list[float | None]]:
 
 # --- structured reports --------------------------------------------------------
 
-def ranking_entries(labels, scores) -> list[dict]:
-    """A ranking report's ``entries``, best first, with the keys, types and
-    key order that ``render_json_report``'s template writes."""
-    return [
-        {"rank": rank, "sites": label, "size": label.count("+") + 1, "score": score}
-        for rank, (label, score) in enumerate(zip(labels, scores), start=1)
-    ]
-
-
-def render_json_report(payload: dict) -> str:
-    """The text of ``json.dumps(payload, indent=2)``, made several times
-    faster for a ranking report.
-
-    Any ``indent`` makes ``json`` use its pure-Python encoder. So when
-    ``entries`` is the last of several keys, as in a ranking report, each
-    entry is rendered through one fixed template instead: ``sites`` quoted
-    as ``json.dumps`` quotes a string, ``repr`` for ``score`` (what
-    ``json`` writes for a finite float) and ``str`` for ``rank`` and
-    ``size``. Such entries must hold an int ``rank``, str ``sites``, int
-    ``size`` and finite float ``score``, in that order, as
-    ``ranking_entries`` builds them.
-    """
+def write_json_report(path, payload: dict) -> None:
+    """Write a report as ``json.dumps(payload, indent=2)``, keys in the
+    order given."""
     import json  # here, so that report does not load it
 
-    quote = json.encoder.encode_basestring_ascii
-    entries = payload.get("entries")
-    if not entries or len(payload) < 2 or list(payload)[-1] != "entries":
-        return json.dumps(payload, indent=2)
-    head = json.dumps({k: v for k, v in payload.items() if k != "entries"}, indent=2)
-    rows = ",\n".join(
-        f'    {{\n      "rank": {e["rank"]},\n      "sites": {quote(e["sites"])},\n'
-        f'      "size": {e["size"]},\n      "score": {e["score"]!r}\n    }}'
-        for e in entries
-    )
-    return f'{head[:-2]},\n  "entries": [\n{rows}\n  ]\n}}'
-
-
-def write_json_report(path, payload: dict) -> None:
-    """Write a report as pretty-printed JSON (stable key order as given)."""
-    atomic_write_text(path, render_json_report(payload) + "\n")
+    atomic_write_text(path, json.dumps(payload, indent=2) + "\n")
 
 
 def write_tau_table(path, reports: dict) -> None:

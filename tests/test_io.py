@@ -1,6 +1,5 @@
 """Keypoint files, manifests, ranking tables, atomic writes."""
 
-import json
 import tracemalloc
 from unittest import mock
 
@@ -776,6 +775,25 @@ def test_block_parser_defers_to_the_line_parser_in_the_second_block(tmp_path, st
     assert _outcome(pio.parse_keypoint_file, path) == _outcome(_line_parser, path)
 
 
+def test_labeled_keys_out_of_the_first_lines_order_take_the_line_parser(tmp_path):
+    # kp0_x and kp0_y swap places on line 3: both keys hold '_', so the line
+    # keeps its skeleton and only the key check declines the block reader
+    plain, swapped = tmp_path / "plain.txt", tmp_path / "swapped.txt"
+    pio.write_keypoint_file(plain, *_frames(5), style="labeled")
+    lines = plain.read_text().splitlines()
+    tokens = lines[2].split(" ")
+    tokens[1], tokens[2] = tokens[2], tokens[1]
+    assert tokens[1].startswith("kp0_y=") and tokens[2].startswith("kp0_x=")
+    lines[2] = " ".join(tokens)
+    swapped.write_text("\n".join(lines) + "\n")
+    with mock.patch.object(pio, "_parse_lines", wraps=pio._parse_lines) as fallback:
+        t, kp = pio.parse_keypoint_file(swapped)
+    assert fallback.called
+    expected_t, expected_kp = pio.parse_keypoint_file(plain)
+    assert t.tobytes() == expected_t.tobytes()
+    assert kp.tobytes() == expected_kp.tobytes()
+
+
 @pytest.mark.parametrize("style", ["csv", "labeled"])
 def test_block_parser_peak_memory_is_at_most_the_line_parsers(tmp_path, style):
     # 1700 frames is 27 blocks; converting the whole file at once peaked
@@ -939,37 +957,6 @@ def test_json_report_is_stable(tmp_path):
     first = path.read_bytes()
     pio.write_json_report(path, {"b": 1, "a": [1, 2]})
     assert path.read_bytes() == first
-
-
-@st.composite
-def rank_reports(draw):
-    """A ranking report's shape: header keys, then ``entries`` last."""
-    n = draw(st.integers(1, 5))
-    entries = [
-        {"rank": rank, "sites": draw(st.text(max_size=6) | st.sampled_from(["LW", "LW+RW"])),
-         "size": draw(st.integers(1, 12)), "score": draw(odd_floats | finite)}
-        for rank in range(1, n + 1)
-    ]
-    head = draw(st.dictionaries(st.text(max_size=4).filter(lambda k: k != "entries"),
-                                st.integers() | st.text(max_size=4) | st.lists(finite, max_size=2)
-                                | st.dictionaries(st.text(max_size=3), finite, max_size=2),
-                                min_size=1, max_size=3))
-    return {**head, "entries": entries}
-
-
-@given(rank_reports())
-def test_json_report_renders_as_json_dumps_indent_2(report):
-    assert textio.render_json_report(report) == json.dumps(report, indent=2)
-
-
-@pytest.mark.parametrize("payload", [
-    {"entries": [{"rank": 1, "sites": "LW", "size": 1, "score": 0.5}]},
-    {"entries": [], "kind": "x"},
-    {"entries": [{"rank": 1}], "kind": "x"},
-    {"kind": "ranking-agreement", "results": {"all": {"tau": -0.0, "n": 2}}},
-])
-def test_json_report_other_shapes_render_as_json_dumps_indent_2(payload):
-    assert textio.render_json_report(payload) == json.dumps(payload, indent=2)
 
 
 def test_tau_table_layout(tmp_path):

@@ -76,16 +76,14 @@ def _two_cpus(monkeypatch):
 
 def test_rank_places_discriminative_singleton_first(tmp_path):
     manifest = _corpus(tmp_path)
-    (labels, _), payload = runner.run_rank(manifest, _config(subset_sizes=(1,)))
+    (labels, _), _ = runner.run_rank(manifest, _config(subset_sizes=(1,)))
     assert labels[0] == "LW"
-    assert payload["entries"][0]["sites"] == "LW"
 
 
 def test_rank_all_sizes_yields_31_rows(tmp_path):
     manifest = _corpus(tmp_path, n=4)
-    (labels, _), payload = runner.run_rank(manifest, _config())
+    (labels, _), _ = runner.run_rank(manifest, _config())
     assert len(labels) == 31
-    assert [e["rank"] for e in payload["entries"]] == list(range(1, 32))
 
 
 def test_rank_single_activity_manifest_is_rejected(tmp_path):
@@ -143,9 +141,9 @@ def test_rank_round_trip_agrees_with_itself(tmp_path):
 
 def test_rank_multi_window_averages_over_full_windows(tmp_path):
     manifest = _corpus(tmp_path, length=1040)
-    _, payload = runner.run_rank(manifest, _config(multi_window=True))
+    (labels, _), payload = runner.run_rank(manifest, _config(multi_window=True))
     assert payload["n_windows"] == 2
-    assert payload["entries"][0]["sites"] == "LW"
+    assert labels[0] == "LW"
     for diag in payload["activities"]:
         assert diag["windows"] == 2
 
@@ -494,6 +492,24 @@ def test_no_child_outlives_load_window_sets(tmp_path, monkeypatch):
     assert len(forks) == 2
 
 
+def test_a_failed_fork_loads_every_recording_here(tmp_path, monkeypatch):
+    manifest = _corpus(tmp_path, n=4, length=160)
+    config = _config(series_length=50, multi_window=True)
+    with monkeypatch.context() as m:
+        _one_cpu(m)
+        expected = _windows(runner.load_window_sets(pio.parse_manifest(manifest), config)[0])
+
+    def fork():
+        raise OSError(errno.EAGAIN, "Resource temporarily unavailable")
+
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+    monkeypatch.setattr(os, "fork", fork)
+    open_fds = len(os.listdir("/proc/self/fd"))
+    got = runner.load_window_sets(pio.parse_manifest(manifest), config)[0]
+    assert len(os.listdir("/proc/self/fd")) == open_fds  # the pipe's two ends are closed
+    assert _windows(got) == expected
+
+
 # --- run_compare -----------------------------------------------------------------
 
 def test_compare_identical_files_all_scopes(tmp_path):
@@ -812,8 +828,8 @@ def test_cli_norm_overflow_exits_2(tmp_path, capsys):
     code = cli.main(["rank", str(corpus / "manifest.txt"), "--length", "50",
                      "--out-dir", str(tmp_path / "out")])
     assert code == 2
-    assert capsys.readouterr().err.startswith(
-        f"computation error: {corpus / 'act02.csv'}: activity 'act02': ")
+    assert capsys.readouterr().err == (
+        f"computation error: {corpus / 'act02.csv'}: coordinates overflow in preprocessing\n")
     assert not (tmp_path / "out").exists()
 
 
@@ -825,16 +841,15 @@ def test_cli_validate_fails_coordinates_near_1e200_as_rank_does(tmp_path, capsys
     t, kp = pio.parse_keypoint_file(corpus / "act02.csv")
     kp[:, :, :2] *= 1e200
     pio.write_keypoint_file(corpus / "act02.csv", t, kp)
-    for argv, activity in [
-        (["validate", str(corpus / "act02.csv")], str(corpus / "act02.csv")),
-        (["rank", str(corpus / "manifest.txt"), "--length", "50",
-          "--out-dir", str(tmp_path / "out")], "act02"),
+    for argv in [
+        ["validate", str(corpus / "act02.csv")],
+        ["rank", str(corpus / "manifest.txt"), "--length", "50",
+         "--out-dir", str(tmp_path / "out")],
     ]:
         capsys.readouterr()
         assert cli.main(argv) == 2
         assert capsys.readouterr().err == (
-            f"computation error: {corpus / 'act02.csv'}: activity {activity!r}: "
-            "coordinates overflow in preprocessing\n"
+            f"computation error: {corpus / 'act02.csv'}: coordinates overflow in preprocessing\n"
         )
     assert not (tmp_path / "out").exists()
 
@@ -849,17 +864,16 @@ def test_cli_preprocessing_overflow_exits_2(tmp_path, capsys, command):
     pio.write_keypoint_file(corpus / "act02.csv", t, kp)
     capsys.readouterr()
     if command == "rank":
-        argv, activity = ["rank", str(corpus / "manifest.txt"), "--length", "50",
-                          "--out-dir", str(tmp_path / "out")], "act02"
+        argv = ["rank", str(corpus / "manifest.txt"), "--length", "50",
+                "--out-dir", str(tmp_path / "out")]
     else:
-        argv, activity = ["validate", str(corpus / "act02.csv")], str(corpus / "act02.csv")
+        argv = ["validate", str(corpus / "act02.csv")]
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
         code = cli.main(argv)
     assert code == 2
     assert capsys.readouterr().err == (
-        f"computation error: {corpus / 'act02.csv'}: activity {activity!r}: "
-        "coordinates overflow in preprocessing\n"
+        f"computation error: {corpus / 'act02.csv'}: coordinates overflow in preprocessing\n"
     )
     assert not caught  # numpy's overflow warnings would add lines to stderr
     assert not (tmp_path / "out").exists()
@@ -1254,8 +1268,7 @@ def test_cli_rank_computation_error_names_its_file(tmp_path, capsys):
     assert cli.main(["rank", str(manifest), "--length", "50",
                      "--out-dir", str(tmp_path / "out")]) == 2
     assert capsys.readouterr().err == (
-        f"computation error: {corpus / 'act02.csv'}: activity 'act02': "
-        "coordinates overflow in preprocessing\n"
+        f"computation error: {corpus / 'act02.csv'}: coordinates overflow in preprocessing\n"
     )
 
 
@@ -1270,7 +1283,7 @@ def test_cli_validate_reports_every_file_and_exits_with_the_worst_code(tmp_path,
     assert captured.out == f"{paths[0]}: ok, 60 frames\n{paths[3]}: ok, 60 frames\n"
     data_line, computation_line = captured.err.splitlines(keepends=True)
     assert data_line.startswith(f"error: {paths[1]}:5: ")
-    assert computation_line == (f"computation error: {paths[2]}: activity {paths[2]!r}: "
+    assert computation_line == (f"computation error: {paths[2]}: "
                                 "coordinates overflow in preprocessing\n")
     # a data error alone exits 1, and the files after it are still checked
     assert cli.main(["validate", paths[1], paths[0]]) == 1
@@ -1438,8 +1451,8 @@ def test_cli_single_dropped_frame_is_repaired(tmp_path):
     path = corpus / "act01.csv"
     lines = path.read_text().splitlines()
     path.write_text("\n".join(lines[:250] + lines[251:]) + "\n")
-    _, payload = runner.run_rank(corpus / "manifest.txt", _config())
-    assert payload["entries"][0]["sites"] == "LW"
+    (labels, _), _ = runner.run_rank(corpus / "manifest.txt", _config())
+    assert labels[0] == "LW"
 
 
 @pytest.mark.parametrize("command", ["validate", "rank", "report", "config"])

@@ -75,13 +75,17 @@ def test_skeleton_series_rejects_bad_contents(points, rate, message):
 
 
 @pytest.mark.parametrize("series, message", [
-    ([("a", 1, 3)], "an activity set needs at least two activities"),
-    ([("a", 1, 3), ("a", 1, 3)], "duplicate activity ids: ['a', 'a']"),
-    ([("a", 2, 3), ("b", 1, 3)], "site roster mismatch: 'b' has ('LW',), 'a' has ('LW', 'RW')"),
-    ([("a", 1, 4), ("b", 1, 3)], "length mismatch: 'b' has 3 frames, 'a' has 4"),
-], ids=["one-activity", "duplicate-ids", "roster-mismatch", "length-mismatch"])
+    ([("a", 1, 3, 10.0)], "an activity set needs at least two activities"),
+    ([("a", 1, 3, 10.0), ("a", 1, 3, 10.0)], "duplicate activity ids: ['a', 'a']"),
+    ([("a", 2, 3, 10.0), ("b", 1, 3, 10.0)],
+     "site roster mismatch: 'b' has ('LW',), 'a' has ('LW', 'RW')"),
+    ([("a", 1, 4, 10.0), ("b", 1, 3, 10.0)], "length mismatch: 'b' has 3 frames, 'a' has 4"),
+    ([("a", 1, 4, 10.0), ("b", 1, 4, 30.0)],
+     "sample rate mismatch: 'b' is at 30.0 Hz, 'a' at 10.0 Hz"),
+], ids=["one-activity", "duplicate-ids", "roster-mismatch", "length-mismatch", "rate-mismatch"])
 def test_activity_set_rejects_inconsistent_activities(series, message):
-    activities = tuple(make_series(aid, np.ones((n, length, 2))) for aid, n, length in series)
+    activities = tuple(make_series(aid, np.ones((n, length, 2)), sample_rate=rate)
+                       for aid, n, length, rate in series)
     with pytest.raises(ValueError, match=re.escape(message)):
         ActivitySet(activities=activities)
 
@@ -602,7 +606,7 @@ def test_coordinate_overflow_is_a_computation_error(raw_walk):
     kp[:, list(HIPS), 0] = 1.5e308
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        with pytest.raises(ComputationError, match="^activity 'walk': coordinates overflow in"):
+        with pytest.raises(ComputationError, match="^coordinates overflow in preprocessing$"):
             preprocess_recording(t, kp, "walk")
 
 

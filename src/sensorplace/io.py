@@ -34,7 +34,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import DataError, MalformedLineError, ManifestError, NonMonotoneTimeError
+from .errors import DataError, MalformedLineError, ManifestError
 from .skeleton import NUM_KEYPOINTS
 from .textio import (_lines_leave, _number, _read_text, atomic_write_text, data_lines,
                      format_float, words)
@@ -100,7 +100,10 @@ def _check_frames(values: np.ndarray, line_nos: list[int], path) -> None:
     if not finite[row].all():
         field = KEYPOINT_FIELDS[int(np.argmin(finite[row]))]
         raise MalformedLineError(path, line_nos[row], f"field {field!r}: non-finite value")
-    raise NonMonotoneTimeError(path, line_nos[row], float(t[row - 1]), float(t[row]))
+    raise MalformedLineError(
+        path, line_nos[row],
+        f"timestamp {float(t[row])!r} does not increase over {float(t[row - 1])!r}",
+    )
 
 
 def _parse_lines(line_nos: list[int], lines: list[str], path, parse_line) -> np.ndarray:

@@ -14,7 +14,7 @@ from __future__ import annotations
 from bisect import bisect_right
 from collections import namedtuple
 
-from .errors import InvalidRankError, UniverseMismatchError
+from .errors import DataError, InvalidRankError
 from .sites import positions, whole
 
 
@@ -35,7 +35,10 @@ class TauReport(namedtuple("TauReport", "tau n concordant discordant")):
 def _check_same_items(first, second) -> None:
     first, second = set(first), set(second)
     if first != second:
-        raise UniverseMismatchError(first - second, second - first)
+        parts = [f"only in {which}: {', '.join(sorted(items))}"
+                 for which, items in (("first", first - second), ("second", second - first))
+                 if items]
+        raise DataError("rankings cover different subsets; " + "; ".join(parts))
 
 
 def _discordant_pairs(order: list[int]) -> int:

@@ -26,7 +26,7 @@ import numpy as np
 
 from . import io as pio
 from .config import RunConfig
-from .errors import ComputationError, DataError, ManifestError, TooShortError
+from .errors import ComputationError, DataError, ManifestError
 from .scoring import TIE_BREAK, enumerate_subsets, mean_scores, sort_ranking
 from .sites import SITE_ORDER
 from .skeleton import ActivitySet, SkeletonSeries, merge_keypoints, preprocess_recording
@@ -97,12 +97,13 @@ def validate_recording(path, config: RunConfig) -> tuple[int, list[str]]:
 
 def _load_series(jobs, config: RunConfig) -> list:
     """The preprocessed series of each ``(path, activity_id)`` job, or None
-    where ``_load_recording`` raised."""
+    where ``_load_recording`` raised a DataError or ComputationError. Any
+    other exception is a fault of the program, and propagates."""
     loaded = []
     for path, activity_id in jobs:
         try:
             loaded.append(_load_recording(path, activity_id, config)[1])
-        except Exception:  # the caller loads it again and gets the error
+        except (DataError, ComputationError):  # the caller reloads it for the error
             loaded.append(None)
     return loaded
 
@@ -111,10 +112,10 @@ def _load_in_two_processes(jobs, config: RunConfig) -> list:
     """``_load_series(jobs)``, with a forked child loading the second half.
 
     The child sends its list back as one pickle and ends with ``os._exit``.
-    If it dies or its data arrives incomplete, each of its jobs reads None.
-    The child is reaped before this returns or raises. Where the process
-    cannot fork, may run on one CPU only, or has fewer than two jobs, every
-    job is loaded here.
+    If it raises, dies or its data arrives incomplete, each of its jobs
+    reads None. The child is reaped before this returns or raises. Where the
+    process cannot fork, may run on one CPU only, or has fewer than two
+    jobs, every job is loaded here.
     """
     if not (len(jobs) >= 2 and hasattr(os, "fork") and hasattr(os, "sched_getaffinity")
             and len(os.sched_getaffinity(0)) >= 2):
@@ -200,7 +201,8 @@ def load_window_sets(manifest_entries, config: RunConfig):
                         for a in range(0, full.length - L + 1, L)] for full in series]
             n_windows = sum(map(len, windows))
             if not n_windows:
-                raise TooShortError(sum(full.length for full in series), L)
+                frames = sum(full.length for full in series)
+                raise DataError(f"series has {frames} frames, needs at least {L}")
         except DataError as exc:
             failures.append(f"{activity_id}: {exc}")
             continue

@@ -40,14 +40,7 @@ import math
 
 import numpy as np
 
-from .errors import (
-    ComputationError,
-    ConfigError,
-    LengthMismatchError,
-    SiteNotPresentError,
-    ZeroNormError,
-    ZeroVectorError,
-)
+from .errors import ComputationError, ConfigError, DataError
 from .sites import (
     canonical_label, canonical_sites, check_roster, check_sizes, positions, subset_labels,
 )
@@ -67,11 +60,11 @@ def cosine_distance(u: np.ndarray, v: np.ndarray) -> float:
     u = np.asarray(u, dtype=np.float64).reshape(-1)
     v = np.asarray(v, dtype=np.float64).reshape(-1)
     if u.shape != v.shape:
-        raise LengthMismatchError(f"vector lengths differ: {u.size} vs {v.size}")
+        raise ComputationError(f"vector lengths differ: {u.size} vs {v.size}")
     nu = float(np.linalg.norm(u))
     nv = float(np.linalg.norm(v))
     if nu == 0.0 or nv == 0.0:
-        raise ZeroNormError("cosine distance is undefined for zero-norm vectors")
+        raise ComputationError("cosine distance is undefined for zero-norm vectors")
     return abs(1.0 - float(np.dot(u, v)) / (nu * nv))
 
 
@@ -85,7 +78,7 @@ def _site_grams(activity_set: ActivitySet, sites) -> np.ndarray:
     rows = []
     for site in sites:
         if site not in activity_set.sites:
-            raise SiteNotPresentError(
+            raise DataError(
                 f"activity {activity_set.activities[0].activity_id!r}: "
                 f"site {site!r} not in series roster"
             )
@@ -104,8 +97,8 @@ def _bad_norm(activity_set: ActivitySet, sites, activity: int, norm2: float):
     if norm2 != 0:
         return ComputationError(f"activity {name}: vector norm is not finite (squared norm {norm2})")
     if series.points[[activity_set.sites.index(site) for site in sites]].any():
-        return ZeroVectorError(f"activity {name}: squared vector norm underflows to zero")
-    return ZeroVectorError(f"activity {name}: vector is identically zero")
+        return ComputationError(f"activity {name}: squared vector norm underflows to zero")
+    return ComputationError(f"activity {name}: vector is identically zero")
 
 
 def _cosine_distance_sums(stack: np.ndarray, first, second) -> np.ndarray:

@@ -16,7 +16,7 @@ of its median timestamp spacing). A spacing above 1.5 periods is a
 timestamp hole of ``round(dt / period) - 1`` frames with no valid point,
 so a single dropped frame is interpolated and a hole longer than
 ``max_gap`` frames is an error, like any other gap. A spacing of half a
-period or less is an error too (``RateMismatchError``, naming the later
+period or less is an error too (a ``DataError``, naming the later
 frame by index and timestamp): such a frame has no slot of its own, and
 counting it as a whole period would stretch the motion in time.
 
@@ -30,15 +30,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import (
-    AllMissingSiteError,
-    ComputationError,
-    EmptyEnvelopeError,
-    EmptyFrameError,
-    GapTooLongError,
-    RateMismatchError,
-    TooShortError,
-)
+from .errors import ComputationError, DataError, GapTooLongError
 from .sites import (_SITE_INDEX, DEFAULT_ROSTER, DEFAULTS, SITE_ORDER, check_allow_head, check_gap,
                     check_head, check_rate, check_roster, check_threshold)
 
@@ -214,7 +206,7 @@ def centralize(points: np.ndarray, valid: np.ndarray) -> np.ndarray:
         total += np.where(valid[:, s, None], points[:, s], 0.0)
     count = valid.sum(axis=1)
     if not count.all():
-        raise EmptyFrameError("cannot centralize a frame with no valid points")
+        raise DataError("cannot centralize a frame with no valid points")
     offset = total / count[:, None] - _CENTER
     offset[np.abs(offset).max(axis=1) <= _CENTER_SNAP] = 0.0
     return np.where(valid[..., None], points - offset[:, None, :], points)
@@ -265,10 +257,10 @@ def repair_gaps(
 
     for s in range(n_sites):
         if not valid[s].any():
-            raise AllMissingSiteError(f"site {labels[s]} has no valid sample")
+            raise DataError(f"site {labels[s]} has no valid sample")
     all_valid = np.flatnonzero(valid.all(axis=0))
     if all_valid.size == 0:
-        raise EmptyEnvelopeError("no frame has every site valid")
+        raise DataError("no frame has every site valid")
     lo, hi = int(all_valid[0]), int(all_valid[-1])
 
     out = points[:, lo : hi + 1].copy()
@@ -305,10 +297,10 @@ def infer_sample_rate(timestamps) -> float:
     """Nominal sample rate from the median timestamp spacing."""
     t = np.asarray(timestamps, dtype=np.float64)
     if t.size < 2:
-        raise RateMismatchError("need at least two timestamps to infer a rate")
+        raise DataError("need at least two timestamps to infer a rate")
     dt = _median(np.diff(t))
     if dt <= 0:
-        raise RateMismatchError("non-positive timestamp spacing")
+        raise DataError("non-positive timestamp spacing")
     return 1.0 / float(dt)
 
 
@@ -321,13 +313,13 @@ def decimation_stride(input_rate: float, target_rate: float) -> int:
     """
     ratio = input_rate / check_rate(target_rate)
     if not np.isfinite(ratio):
-        raise RateMismatchError(
+        raise DataError(
             f"input rate {input_rate:.6g} Hz over the target rate {target_rate:.6g} Hz "
             "is not a finite ratio"
         )
     stride = int(round(ratio))
     if stride < 1 or abs(ratio - stride) > _RATE_TOLERANCE * ratio:
-        raise RateMismatchError(
+        raise DataError(
             f"input rate {input_rate:.6g} Hz is not an integer multiple of "
             f"the target rate {target_rate:.6g} Hz"
         )
@@ -349,7 +341,7 @@ def _slot_grid(t: np.ndarray, rate: float, cap: int) -> tuple[np.ndarray, np.nda
     crowded = np.flatnonzero(steps <= _HALF_PERIOD)
     if crowded.size:
         k = int(crowded[0]) + 1
-        raise RateMismatchError(
+        raise DataError(
             f"frame {k} (t={float(t[k])!r}) is {steps[k - 1]:.3g} periods after frame {k - 1}; "
             f"a spacing of half a period or less does not fit the {rate:.6g} Hz grid"
         )
@@ -357,7 +349,7 @@ def _slot_grid(t: np.ndarray, rate: float, cap: int) -> tuple[np.ndarray, np.nda
     true_slots = np.concatenate(([0.0], np.cumsum(steps)))
     if true_slots[-1] == np.inf:
         k = int(np.argmax(true_slots == np.inf))
-        raise RateMismatchError(f"frame {k} (t={float(t[k])!r}) is too many periods from frame 0")
+        raise DataError(f"frame {k} (t={float(t[k])!r}) is too many periods from frame 0")
     slots = np.concatenate(([0.0], np.cumsum(np.minimum(steps, cap + 1))))
     return slots.astype(np.int64), true_slots
 
@@ -390,7 +382,7 @@ def preprocess_recording(
     if t.shape != np.shape(kp)[:1]:
         raise ValueError(f"expected {np.shape(kp)[:1]} timestamps, one per frame, got {t.shape}")
     if len(t) < 2:
-        raise TooShortError(len(t), 2)
+        raise DataError(f"series has {len(t)} frames, needs at least 2")
     rows = select_sites(roster, allow_head=allow_head)
 
     points, valid = merge_keypoints(kp, confidence_threshold)

@@ -1,5 +1,6 @@
 """Keypoint files, manifests, ranking tables, atomic writes."""
 
+import re
 import tracemalloc
 from unittest import mock
 
@@ -17,7 +18,6 @@ from sensorplace.errors import (
     InvalidRankError,
     MalformedLineError,
     ManifestError,
-    NonMonotoneTimeError,
 )
 from sensorplace.run import validate_recording
 from sensorplace.sites import subset_labels
@@ -60,7 +60,7 @@ def test_short_line_reports_line_number(tmp_path):
     path.write_text(good + "\n" + good.rsplit(",", 1)[0] + "\n")
     with pytest.raises(MalformedLineError) as err:
         pio.parse_keypoint_file(path)
-    assert err.value.line_no == 2
+    assert str(err.value).startswith(f"{path}:2: ")
     assert "51" in str(err.value)
 
 
@@ -88,9 +88,9 @@ def test_non_monotone_timestamps_are_rejected(tmp_path):
     lines = path.read_text().splitlines()
     lines.append(lines[-1])  # repeat the last timestamp
     path.write_text("\n".join(lines) + "\n")
-    with pytest.raises(NonMonotoneTimeError) as err:
+    with pytest.raises(MalformedLineError,
+                       match=f"^{re.escape(str(path))}:4: timestamp 0.2 does not increase over 0.2$"):
         pio.parse_keypoint_file(path)
-    assert err.value.line_no == 4
 
 
 def test_comments_and_blank_lines_are_skipped(tmp_path):
@@ -272,7 +272,7 @@ def test_ranking_labels_must_be_site_subsets(tmp_path, text, line, message):
     path.write_text(text)
     with pytest.raises(MalformedLineError, match=message) as info:
         textio.read_ranking_file(path)
-    assert info.value.line_no == line
+    assert str(info.value).startswith(f"{path}:{line}: ")
 
 
 def test_ranking_labels_are_read_in_canonical_site_order(tmp_path):
@@ -330,7 +330,7 @@ def test_ranking_fields_may_carry_spaces_and_errors_quote_them_stripped(tmp_path
         return
     with pytest.raises(MalformedLineError) as info:
         textio.read_ranking_file(path)
-    assert info.value.line_no == 2 and info.value.reason == message
+    assert str(info.value) == f"{path}:2: {message}"
 
 
 # --- unreadable text ----------------------------------------------------------------
@@ -514,12 +514,19 @@ def _corrupt_fields(data, lines):
     return k + 1, how
 
 
+def _line_no(exc, path) -> int:
+    """The line number that a MalformedLineError's ``PATH:LINE: reason`` names."""
+    prefix = f"{path}:"
+    assert str(exc).startswith(prefix)
+    return int(str(exc)[len(prefix):].split(":", 1)[0])
+
+
 def _parse_or_data_error(parse, path, line_count):
     """Parse, or raise a DataError; line-level faults name a line of the file."""
     try:
         return parse(path), None
-    except (MalformedLineError, NonMonotoneTimeError) as exc:
-        assert 1 <= exc.line_no <= line_count
+    except MalformedLineError as exc:
+        assert 1 <= _line_no(exc, path) <= line_count
         return None, exc
     except DataError as exc:
         return None, exc
@@ -545,7 +552,7 @@ def test_corrupted_keypoint_file_parses_or_raises_data_error(tmp_path_factory, r
         assert "cannot read" in str(exc)
     elif kind == "field" and how != "garbage":
         # a line one field short or long never parses
-        assert isinstance(exc, MalformedLineError) and exc.line_no == line_no
+        assert isinstance(exc, MalformedLineError) and _line_no(exc, path) == line_no
     elif exc is None:
         t, kp = result
         assert kp.shape == (len(t), 17, 3) and np.isfinite(kp).all()
@@ -724,8 +731,7 @@ def test_keypoint_values_are_ascii_without_underscores(tmp_path, style, spelling
     path.write_text("\n".join(lines) + "\n", encoding="utf-8")
     with pytest.raises(MalformedLineError) as info:
         pio.parse_keypoint_file(path)
-    assert info.value.line_no == 70
-    assert info.value.reason == f"field 'kp1_x': not a number: {spelling!r}"
+    assert str(info.value) == f"{path}:70: field 'kp1_x': not a number: {spelling!r}"
 
 
 @pytest.mark.parametrize("style", ["csv", "labeled"])
@@ -745,8 +751,7 @@ def test_keypoint_values_hold_only_the_whitespace_float_drops(tmp_path, style, s
     path.write_text("\n".join(lines) + "\n", encoding="utf-8")
     with pytest.raises(MalformedLineError) as info:
         pio.parse_keypoint_file(path)
-    assert info.value.line_no == 70
-    assert info.value.reason == f"field 'kp1_x': not a number: {spelling!r}"
+    assert str(info.value) == f"{path}:70: field 'kp1_x': not a number: {spelling!r}"
 
 
 @pytest.mark.parametrize("style, edit", [

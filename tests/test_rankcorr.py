@@ -10,7 +10,7 @@ from hypothesis import example, given
 from hypothesis import strategies as st
 
 from oracles import kendall_tau_ref
-from sensorplace.errors import InvalidRankError, UniverseMismatchError
+from sensorplace.errors import DataError, InvalidRankError
 from sensorplace.rankcorr import TauReport, compare_rankings, kendall_tau
 
 
@@ -158,7 +158,8 @@ def test_repeated_item_is_rejected():
 
 def test_non_permutation_is_rejected():
     # the second ordering is not a permutation of the first
-    with pytest.raises(UniverseMismatchError, match="only in first: b; only in second: c"):
+    with pytest.raises(DataError, match="^rankings cover different subsets; "
+                       "only in first: b; only in second: c$"):
         kendall_tau(["a", "b"], ["a", "c"])
 
 
@@ -202,11 +203,13 @@ def test_align_top_scope_truncates_both():
 
 
 def test_align_detects_universe_mismatch():
-    with pytest.raises(UniverseMismatchError) as err:
+    with pytest.raises(DataError, match="^rankings cover different subsets; "
+                       "only in first: RW; only in second: PE$") as err:
         compare_rankings(["LW", "RW"], ["LW", "PE"], scope="all")
     assert "RW" in str(err.value) and "PE" in str(err.value)
     # per-size checks every size group, singletons included
-    with pytest.raises(UniverseMismatchError, match="only in first: LW\\+RW"):
+    with pytest.raises(DataError, match="^rankings cover different subsets; "
+                       "only in first: LW\\+RW; only in second: LW\\+PE$"):
         compare_rankings(["LW", "RW", "LW+RW"], ["RW", "LW", "LW+PE"], scope="per-size")
 
 

@@ -510,6 +510,22 @@ def test_a_failed_fork_loads_every_recording_here(tmp_path, monkeypatch):
     assert _windows(got) == expected
 
 
+def test_a_fault_of_the_program_is_raised_at_its_first_recording(tmp_path, monkeypatch):
+    # only input and numeric errors are left for the walk to raise again
+    manifest = _corpus(tmp_path, n=4, length=60)
+    calls = []
+
+    def broken(*args, **kwargs):
+        calls.append(args[2])
+        raise TypeError("a fault of the program")
+
+    _one_cpu(monkeypatch)
+    monkeypatch.setattr(runner, "preprocess_recording", broken)
+    with pytest.raises(TypeError, match="^a fault of the program$"):
+        runner.load_window_sets(pio.parse_manifest(manifest), _config(series_length=50))
+    assert calls == ["act01"]
+
+
 # --- run_compare -----------------------------------------------------------------
 
 def test_compare_identical_files_all_scopes(tmp_path):
@@ -661,6 +677,62 @@ def test_cli_compare_universe_mismatch_exits_1(tmp_path, capsys):
     b.write_text("1,LW\n2,PE\n")
     assert cli.main(["compare", str(a), str(b), "--scope", "all"]) == 1
     assert "different subsets" in capsys.readouterr().err
+
+
+def _repeated_timestamp(t, kp):
+    t[4] = t[3]  # line 5 repeats line 4's timestamp
+    return t, kp
+
+
+def _at_15_hz(t, kp):
+    return np.arange(len(t)) / 15.0, kp
+
+
+def _left_wrist_unseen(t, kp):
+    kp[:, 9, 2] = 0.0  # the left wrist is site LW's only keypoint
+    return t, kp
+
+
+def _wrists_seen_apart(t, kp):
+    kp[:30, 9, 2] = 0.0  # LW is valid in frames 30-59 only
+    kp[30:, 10, 2] = 0.0  # and RW in frames 0-29 only
+    return t, kp
+
+
+@pytest.mark.parametrize("command, edit, length, expected", [
+    ("rank", _repeated_timestamp, "50",
+     "act01: {act01}:5: timestamp 0.3 does not increase over 0.3"),
+    ("validate", _repeated_timestamp, "50",
+     "{act01}:5: timestamp 0.3 does not increase over 0.3"),
+    ("rank", _at_15_hz, "50",
+     "act01: {act01}: input rate 15 Hz is not an integer multiple of the target rate 10 Hz"),
+    ("rank", _left_wrist_unseen, "50", "act01: {act01}: site LW has no valid sample"),
+    ("rank", _wrists_seen_apart, "50", "act01: {act01}: no frame has every site valid"),
+    ("rank", None, "61", "act01: series has 60 frames, needs at least 61; "
+     "act02: series has 60 frames, needs at least 61"),
+    ("compare", None, None,
+     "rankings cover different subsets; only in first: RW; only in second: PE"),
+], ids=["rank-repeated-timestamp", "validate-repeated-timestamp", "rate-not-a-multiple",
+        "site-never-valid", "empty-envelope", "too-short", "compare-different-subsets"])
+def test_cli_input_faults_print_their_one_line(tmp_path, capsys, command, edit, length,
+                                               expected):
+    act01 = tmp_path / "corpus" / "act01.csv"
+    if command == "compare":
+        (tmp_path / "a.csv").write_text("rank,sites\n1,LW\n2,RW\n")
+        (tmp_path / "b.csv").write_text("rank,sites\n1,LW\n2,PE\n")
+        argv = ["compare", str(tmp_path / "a.csv"), str(tmp_path / "b.csv"), "--scope", "all"]
+    else:
+        manifest = _corpus(tmp_path, n=2, length=60)
+        if edit is not None:
+            t, kp = pio.parse_keypoint_file(act01)
+            pio.write_keypoint_file(act01, *edit(t, kp))
+        argv = [command, str(act01 if command == "validate" else manifest),
+                "--length", length, "--rate", "10"]
+        if command == "rank":
+            argv += ["--out-dir", str(tmp_path / "out")]
+    capsys.readouterr()
+    assert cli.main(argv) == 1
+    assert capsys.readouterr().err == "error: " + expected.format(act01=act01) + "\n"
 
 
 def test_cli_compare_reads_labels_in_any_site_order(tmp_path, capsys):

@@ -31,8 +31,8 @@ _EXPORTS = {
         "cosine_distance",
         "enumerate_subsets",
         "max_score",
+        "mean_scores",
         "rank_placements",
-        "score_subsets",
         "sort_ranking",
     ),
     "sites": ("DEFAULT_ROSTER", "SITE_NAMES", "SITE_ORDER", "canonical_label", "canonical_sites"),

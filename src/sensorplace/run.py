@@ -27,7 +27,7 @@ import numpy as np
 from . import io as pio
 from .config import RunConfig
 from .errors import ComputationError, DataError, ManifestError
-from .scoring import TIE_BREAK, enumerate_subsets, mean_scores, sort_ranking
+from .scoring import TIE_BREAK, enumerate_subsets, rank_placements
 from .sites import SITE_ORDER
 from .skeleton import ActivitySet, SkeletonSeries, merge_keypoints, preprocess_recording
 
@@ -218,12 +218,6 @@ def load_window_sets(manifest_entries, config: RunConfig):
     return window_sets, diagnostics
 
 
-def rank_window_sets(window_sets, labels) -> tuple[list[str], list[float]]:
-    """Score the subsets ``labels`` and rank them by their mean over
-    windows (``scoring.mean_scores``): ``(labels, scores)`` best first."""
-    return sort_ranking(labels, mean_scores(window_sets, labels).tolist())
-
-
 def rank_report_payload(config: RunConfig, diagnostics, n_windows: int) -> dict:
     """The report of a ranking, which explains the run; the ranking itself
     goes to the ranking table only. ``diagnostics`` holds one entry per
@@ -249,7 +243,7 @@ def run_rank(manifest_path, config: RunConfig, out_dir=None):
     labels = enumerate_subsets(config.roster, config.subset_sizes)
     entries = pio.parse_manifest(manifest_path)
     window_sets, diagnostics = load_window_sets(entries, config)
-    labels, scores = rank_window_sets(window_sets, labels)
+    labels, scores = rank_placements(window_sets, labels)
     payload = rank_report_payload(config, diagnostics, len(window_sets))
     if out_dir is not None:
         out_dir = Path(out_dir)

@@ -25,7 +25,7 @@ it, each step one elementwise operation across the chunk. IEEE
 ``+ - * / sqrt abs`` round the same in numpy as in Python floats, so
 every score has the bits of scoring its subset alone, the same in every
 run. ``mean_scores`` adds each window set's scores in window order and
-divides by the window count; ``score_subsets`` is its one window.
+divides by the window count.
 
 A ranking is two lists, ``(labels, scores)``, best first, as ranking
 tables are read and written; ``sort_ranking`` puts one in ``TIE_BREAK``
@@ -169,11 +169,6 @@ def mean_scores(window_sets, labels) -> np.ndarray:
     return total / len(window_sets)
 
 
-def score_subsets(activity_set: ActivitySet, labels) -> np.ndarray:
-    """``mean_scores`` of the one activity set: its score of each subset."""
-    return mean_scores([activity_set], labels)
-
-
 def enumerate_subsets(roster, sizes=None) -> list[str]:
     """The labels of all site combinations of the requested sizes.
 
@@ -205,13 +200,14 @@ def sort_ranking(labels, scores) -> tuple[list[str], list[float]]:
     return [label for label, _ in pairs], [score for _, score in pairs]
 
 
-def rank_placements(activity_set: ActivitySet, labels) -> tuple[list[str], list[float]]:
-    """Score the subsets named by ``labels`` against the activity set and
-    rank them: ``(labels, scores)`` best first, with canonical labels."""
+def rank_placements(window_sets, labels) -> tuple[list[str], list[float]]:
+    """Score the subsets named by ``labels`` by their mean over the activity
+    sets ``window_sets`` (``mean_scores``) and rank them: ``(labels,
+    scores)`` best first, with canonical labels."""
     labels = list(labels)
     if not labels:
         raise ConfigError("no subsets to rank")
-    return sort_ranking(labels, score_subsets(activity_set, labels).tolist())
+    return sort_ranking(labels, mean_scores(window_sets, labels).tolist())
 
 
 def max_score(n_activities: int) -> float:

@@ -147,10 +147,6 @@ class ActivitySet:
     def sites(self) -> tuple[str, ...]:
         return self.activities[0].sites
 
-    @property
-    def length(self) -> int:
-        return self.activities[0].length
-
     def __len__(self) -> int:
         return len(self.activities)
 

@@ -26,8 +26,8 @@ from sensorplace.rankcorr import kendall_tau
 from sensorplace.scoring import (
     cosine_distance,
     enumerate_subsets,
+    mean_scores,
     rank_placements,
-    score_subsets,
 )
 from sensorplace.skeleton import (
     DEFAULT_ROSTER,
@@ -67,7 +67,7 @@ def test_01_subset_score_matches_brute_force_oracle():
     start = time.perf_counter()
     for _ in range(instances):
         aset, sites, arrays = _random_activity_set(rng)
-        got = score_subsets(aset, ["+".join(sites)])[0]
+        got = mean_scores([aset], ["+".join(sites)])[0]
         want = pairwise_distance_sum_ref([a.reshape(-1) for a in arrays])
         rel = abs(got - want) / max(abs(want), 1e-300)
         worst = max(worst, rel)
@@ -102,7 +102,7 @@ def test_03_scaling_an_activity_changes_nothing():
         )
     )
     subsets = enumerate_subsets(DEFAULT_ROSTER)
-    base = rank_placements(aset, subsets)
+    base = rank_placements([aset], subsets)
     worst = 0.0
     orders_equal = True
     for idx in range(arrays.shape[0]):
@@ -115,7 +115,7 @@ def test_03_scaling_an_activity_changes_nothing():
                     for i, arr in enumerate(scaled)
                 )
             )
-            r = rank_placements(sset, subsets)
+            r = rank_placements([sset], subsets)
             orders_equal &= r[0] == base[0]
             for a, b in zip(base[1], r[1]):
                 denom = max(abs(a), 1e-300)
@@ -175,10 +175,10 @@ def test_06_discriminative_site_is_recovered():
     runs = 100
     for k in range(runs):
         aset = make_separable_set(13, ["LW"], seed=k, noise_sigma=0.0)
-        if rank_placements(aset, singletons)[0][0] == "LW":
+        if rank_placements([aset], singletons)[0][0] == "LW":
             clean_hits += 1
         noisy = make_separable_set(13, ["LW"], seed=10_000 + k, noise_sigma=0.01)
-        if rank_placements(noisy, singletons)[0][0] == "LW":
+        if rank_placements([noisy], singletons)[0][0] == "LW":
             noisy_hits += 1
     _verdict(
         "discriminative wrist site ranks first",
@@ -239,9 +239,9 @@ def _raw(xy):
 def test_08_ranking_speed(tmp_path):
     aset = make_separable_set(13, ["LW"], seed=0, noise_sigma=0.01)
     subsets = enumerate_subsets(DEFAULT_ROSTER)
-    rank_placements(aset, subsets)  # warm every code path once
+    rank_placements([aset], subsets)  # warm every code path once
     start = time.perf_counter()
-    rank_placements(aset, subsets)
+    rank_placements([aset], subsets)
     core = time.perf_counter() - start
 
     manifest = synth.run_synth(

@@ -9,11 +9,10 @@ pipeline. ``synth`` is not used: its sin and cos come from the platform's
 libm.
 
 The runs: ``rank`` on a 13-activity CSV corpus (default roster, sizes
-1-5), on all 12 sites (4095 subsets, written through the report
-template), and with ``--multi-window`` on a labeled corpus with two
-equal-length recordings per activity; ``compare`` of the first and the
-third table with ``--scope all`` and ``per-size``; and ``report`` of the
-first table. ``golden/SHA256SUMS`` holds the digest of every file, and
+1-5), on all 12 sites (4095 subsets), and with ``--multi-window`` on a
+labeled corpus with two equal-length recordings per activity;
+``compare`` of the first and the third table with ``--scope all`` and
+``per-size``; and ``report`` of the first table. ``golden/SHA256SUMS`` holds the digest of every file, and
 ``golden/ranking.csv`` the first table as text.
 
 A change that moves output on purpose rewrites both files with

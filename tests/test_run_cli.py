@@ -156,7 +156,7 @@ def test_rank_multi_window_score_is_the_sequential_mean_of_window_scores(tmp_pat
     window_sets, _ = runner.load_window_sets(pio.parse_manifest(manifest), config)
     assert len(window_sets) == 10
     subsets = enumerate_subsets(config.roster, config.subset_sizes)
-    per_window = [dict(zip(*rank_placements(ws, subsets))) for ws in window_sets]
+    per_window = [dict(zip(*rank_placements([ws], subsets))) for ws in window_sets]
     (labels, scores), _ = runner.run_rank(manifest, config)
     assert len(labels) == len(subsets)
     for label, score in zip(labels, scores):
@@ -173,7 +173,21 @@ def test_rank_single_window_is_the_ranking_of_its_window_set(tmp_path):
     assert len(window_sets) == 1
     subsets = enumerate_subsets(config.roster, config.subset_sizes)
     ranking, _ = runner.run_rank(manifest, config)
-    assert ranking == rank_placements(window_sets[0], subsets)
+    assert ranking == rank_placements([window_sets[0]], subsets)
+
+
+def test_rank_ranks_every_window_set_in_one_library_call(tmp_path, monkeypatch):
+    calls = []
+
+    def recorder(window_sets, labels):
+        calls.append((len(window_sets), len(labels)))
+        return rank_placements(window_sets, labels)
+
+    monkeypatch.setattr(runner, "rank_placements", recorder)
+    manifest = _corpus(tmp_path, n=4, length=520, noise=0.3)
+    _, payload = runner.run_rank(manifest, _config(series_length=50, multi_window=True))
+    assert payload["n_windows"] == 10
+    assert calls == [(payload["n_windows"], 31)]
 
 
 def test_windows_are_cut_per_recording_in_manifest_order(tmp_path):
@@ -670,15 +684,6 @@ def test_cli_unwritable_output_path_exits_1(tmp_path, capsys, command, blocked):
     assert not list(tmp_path.rglob("*.tmp"))
 
 
-def test_cli_compare_universe_mismatch_exits_1(tmp_path, capsys):
-    a = tmp_path / "a.csv"
-    a.write_text("1,LW\n2,RW\n")
-    b = tmp_path / "b.csv"
-    b.write_text("1,LW\n2,PE\n")
-    assert cli.main(["compare", str(a), str(b), "--scope", "all"]) == 1
-    assert "different subsets" in capsys.readouterr().err
-
-
 def _repeated_timestamp(t, kp):
     t[4] = t[3]  # line 5 repeats line 4's timestamp
     return t, kp
@@ -719,7 +724,7 @@ def test_cli_input_faults_print_their_one_line(tmp_path, capsys, command, edit, 
     act01 = tmp_path / "corpus" / "act01.csv"
     if command == "compare":
         (tmp_path / "a.csv").write_text("rank,sites\n1,LW\n2,RW\n")
-        (tmp_path / "b.csv").write_text("rank,sites\n1,LW\n2,PE\n")
+        (tmp_path / "b.csv").write_text("1,LW\n2,PE\n")  # a table may omit its header
         argv = ["compare", str(tmp_path / "a.csv"), str(tmp_path / "b.csv"), "--scope", "all"]
     else:
         manifest = _corpus(tmp_path, n=2, length=60)

@@ -27,7 +27,6 @@ from sensorplace.scoring import (
     max_score,
     mean_scores,
     rank_placements,
-    score_subsets,
     sort_ranking,
 )
 from sensorplace.sites import canonical_label, canonical_sites, subset_labels
@@ -97,13 +96,13 @@ def test_score_three_orthogonal_activities_sums_to_three():
         [[[0.0, 0.0], [1.0, 0.0]]],
     ]
     aset = _set_from_arrays(arrays, sites=("LW",))
-    assert score_subsets(aset, ["LW"])[0] == pytest.approx(3.0, abs=1e-12)
+    assert mean_scores([aset], ["LW"])[0] == pytest.approx(3.0, abs=1e-12)
 
 
 def test_score_identical_activities_is_zero():
     arr = np.random.default_rng(5).uniform(0.1, 0.9, size=(2, 20, 2))
     aset = _set_from_arrays([arr, arr.copy(), arr.copy()], sites=("LW", "RW"))
-    assert score_subsets(aset, ["LW+RW"])[0] <= 1e-12
+    assert mean_scores([aset], ["LW+RW"])[0] <= 1e-12
 
 
 @given(st.integers(0, 500))
@@ -115,7 +114,7 @@ def test_score_matches_reference_implementation(seed):
     arrays = rng.normal(size=(n, s, L, 2)) + 2.0
     sites = DEFAULT_ROSTER[:s]
     aset = _set_from_arrays(arrays, sites=sites)
-    score = score_subsets(aset, ["+".join(sites)])[0]
+    score = mean_scores([aset], ["+".join(sites)])[0]
     ref = pairwise_distance_sum_ref([a.reshape(-1) for a in arrays])
     assert score == pytest.approx(ref, rel=1e-9, abs=1e-12)
 
@@ -126,7 +125,7 @@ def test_score_within_pair_bound(seed):
     n = int(rng.integers(2, 7))
     arrays = rng.normal(size=(n, 1, 6, 2)) + 1.5
     aset = _set_from_arrays(arrays, sites=("PE",))
-    assert 0.0 <= score_subsets(aset, ["PE"])[0] <= max_score(n) + 1e-12
+    assert 0.0 <= mean_scores([aset], ["PE"])[0] <= max_score(n) + 1e-12
 
 
 def test_scale_one_activity_leaves_scores_and_order(seed=17):
@@ -134,11 +133,11 @@ def test_scale_one_activity_leaves_scores_and_order(seed=17):
     arrays = rng.uniform(0.2, 0.8, size=(4, 2, 30, 2))
     sites = ("LW", "RW")
     subsets = enumerate_subsets(sites)
-    base = rank_placements(_set_from_arrays(arrays, sites), subsets)
+    base = rank_placements([_set_from_arrays(arrays, sites)], subsets)
     for c in (1e-3, 1.0, 1e3):
         scaled = arrays.copy()
         scaled[2] *= c
-        labels, scores = rank_placements(_set_from_arrays(scaled, sites), subsets)
+        labels, scores = rank_placements([_set_from_arrays(scaled, sites)], subsets)
         assert labels == base[0]
         assert scores == pytest.approx(base[1], rel=1e-9, abs=1e-12)
 
@@ -199,11 +198,11 @@ def test_nothing_to_enumerate_or_rank_is_an_error():
     with pytest.raises(ConfigError, match="^at least one subset size is required$"):
         enumerate_subsets(DEFAULT_ROSTER, sizes=())
     with pytest.raises(ConfigError, match="^no subsets to rank$"):
-        rank_placements(aset, [])
-    assert score_subsets(aset, []).shape == (0,)
+        rank_placements([aset], [])
+    assert mean_scores([aset], []).shape == (0,)
     # a subset named twice raises the error Kendall's tau raises for a repeat
     with pytest.raises(InvalidRankError, match="^item 'LW' appears twice in one ranking$"):
-        rank_placements(aset, ["LW", "LW"])
+        rank_placements([aset], ["LW", "LW"])
     with pytest.raises(InvalidRankError, match=re.escape("item 'LW+RW' appears twice")):
         sort_ranking(["LW+RW", "RW+LW"], [1.0, 0.5])
     assert sort_ranking(["RW+LW"], [1.0]) == (["LW+RW"], [1.0])
@@ -243,7 +242,7 @@ def test_rank_placements_breaks_ties_in_tie_break_order_from_any_input_order():
     rng = np.random.default_rng(83)
     for _ in range(3):
         shuffled = [labels[k] for k in rng.permutation(len(labels))]
-        got_labels, got_scores = rank_placements(aset, shuffled)
+        got_labels, got_scores = rank_placements([aset], shuffled)
         assert set(got_scores) == {3.0}
         assert got_labels == labels
 
@@ -251,13 +250,13 @@ def test_rank_placements_breaks_ties_in_tie_break_order_from_any_input_order():
 def test_rank_placements_reads_labels_in_any_site_order():
     arrays = np.random.default_rng(89).uniform(0.1, 0.9, size=(4, 3, 6, 2))
     aset = _set_from_arrays(arrays, sites=("LW", "RW", "PE"))
-    canonical = rank_placements(aset, ["LW+PE", "RW", "LW+RW+PE"])
-    assert rank_placements(aset, ["PE+LW", "RW", "PE+RW+LW"]) == canonical
+    canonical = rank_placements([aset], ["LW+PE", "RW", "LW+RW+PE"])
+    assert rank_placements([aset], ["PE+LW", "RW", "PE+RW+LW"]) == canonical
     assert sorted(canonical[0]) == ["LW+PE", "LW+RW+PE", "RW"]
     with pytest.raises(UnknownSiteError, match="unknown site id 'ZZ'"):
-        rank_placements(aset, ["LW", "LW+ZZ"])
+        rank_placements([aset], ["LW", "LW+ZZ"])
     with pytest.raises(UnknownSiteError, match="duplicate site ids"):
-        score_subsets(aset, ["LW+LW"])
+        mean_scores([aset], ["LW+LW"])
 
 
 def test_rank_placements_is_repeatable():
@@ -265,14 +264,14 @@ def test_rank_placements_is_repeatable():
     arrays = rng.uniform(0.1, 0.9, size=(5, 5, 40, 2))
     aset = _set_from_arrays(arrays, sites=DEFAULT_ROSTER)
     subsets = enumerate_subsets(DEFAULT_ROSTER)
-    assert rank_placements(aset, subsets) == rank_placements(aset, subsets)
+    assert rank_placements([aset], subsets) == rank_placements([aset], subsets)
 
 
 def test_rank_placements_rejects_site_missing_from_series():
     arrays = np.random.default_rng(3).uniform(0.1, 0.9, size=(3, 2, 5, 2))
     aset = _set_from_arrays(arrays, sites=("LW", "RW"))
     with pytest.raises(DataError, match="^activity 'a0': site 'PE' not in series roster$"):
-        rank_placements(aset, ["LW", "PE"])
+        rank_placements([aset], ["LW", "PE"])
 
 
 def _full_roster_set(seed):
@@ -286,16 +285,16 @@ def _full_roster_set(seed):
 def test_one_subset_scores_as_rank_placements_scores_it_bit_for_bit():
     aset, _ = _full_roster_set(29)
     subsets = enumerate_subsets(SITE_ORDER)
-    ranked = dict(zip(*rank_placements(aset, subsets)))
+    ranked = dict(zip(*rank_placements([aset], subsets)))
     assert len(ranked) == 4095
     for subset in subsets:
-        assert score_subsets(aset, [subset])[0] == ranked[subset]
+        assert mean_scores([aset], [subset])[0] == ranked[subset]
 
 
 def test_full_roster_scores_match_reference():
     aset, arrays = _full_roster_set(31)
     subsets = enumerate_subsets(SITE_ORDER)
-    ranked = dict(zip(*rank_placements(aset, subsets)))
+    ranked = dict(zip(*rank_placements([aset], subsets)))
     rng = np.random.default_rng(37)
     for k in rng.choice(len(subsets), size=40, replace=False):
         subset = subsets[k]
@@ -311,11 +310,11 @@ def test_zero_vector_subsets_are_rejected_and_others_still_score():
     sites = ("LW", "RW", "PE")
     aset = _set_from_arrays(arrays, sites=sites)
     with pytest.raises(ComputationError, match="^activity 'a1': vector is identically zero$"):
-        score_subsets(aset, ["PE"])
+        mean_scores([aset], ["PE"])
     with pytest.raises(ComputationError, match="^activity 'a1': vector is identically zero$"):
-        rank_placements(aset, enumerate_subsets(sites))
+        rank_placements([aset], enumerate_subsets(sites))
     others = [s for s in enumerate_subsets(sites) if s != "PE"]
-    labels, scores = rank_placements(aset, others)
+    labels, scores = rank_placements([aset], others)
     assert len(labels) == 6
     for label, score in zip(labels, scores):
         rows = [sites.index(site) for site in label.split("+")]
@@ -381,7 +380,7 @@ def _reference_ranking(aset, subsets):
 
 
 def _assert_same_ranking(aset, subsets):
-    labels, scores = rank_placements(aset, subsets)
+    labels, scores = rank_placements([aset], subsets)
     assert (labels, scores) == _reference_ranking(aset, subsets)
     assert all(type(score) is float for score in scores)
 
@@ -403,23 +402,23 @@ def test_shuffled_mixed_sizes_match_per_subset_loop_bit_for_bit():
     shuffled = [subsets[k] for k in order]
     _assert_same_ranking(aset, shuffled)
     # three chunks, scores in list order
-    assert score_subsets(aset, shuffled).tolist() == [score_subsets(aset, [s])[0] for s in shuffled]
+    assert mean_scores([aset], shuffled).tolist() == [mean_scores([aset], [s])[0] for s in shuffled]
 
 
 def test_batch_of_one_matches_per_subset_loop_bit_for_bit():
     aset, _ = _full_roster_set(53)
     for subset in enumerate_subsets(SITE_ORDER)[::97]:
-        assert score_subsets(aset, [subset]).tolist() == _reference_scores(aset, [subset])
+        assert mean_scores([aset], [subset]).tolist() == _reference_scores(aset, [subset])
         _assert_same_ranking(aset, [subset])
 
 
 def test_kernel_scores_a_stack_like_its_matrices_one_by_one():
     aset, _ = _full_roster_set(59)
     gram = _site_grams(aset, SITE_ORDER)
-    stacked = score_subsets(aset, list(SITE_ORDER))
+    stacked = mean_scores([aset], list(SITE_ORDER))
     assert stacked.shape == (12,)
     assert stacked.tolist() == [_reference_kernel(g) for g in gram]
-    assert stacked.tolist() == [score_subsets(aset, [site])[0] for site in SITE_ORDER]
+    assert stacked.tolist() == [mean_scores([aset], [site])[0] for site in SITE_ORDER]
 
 
 def _random_mat(seed, n=None, m=None):
@@ -440,7 +439,7 @@ def _set_from_rows(mat):
 @given(st.integers(0, 400))
 def test_kernel_matches_reference(seed):
     mat = _random_mat(seed)
-    [got] = score_subsets(_set_from_rows(mat), ["LW"])
+    [got] = mean_scores([_set_from_rows(mat)], ["LW"])
     want = pairwise_distance_sum_ref([row for row in mat])
     assert got == pytest.approx(want, rel=1e-9, abs=1e-12)
 
@@ -448,7 +447,7 @@ def test_kernel_matches_reference(seed):
 @given(st.integers(0, 200))
 def test_kernel_is_bitwise_repeatable(seed):
     aset = _set_from_rows(_random_mat(seed))
-    first, second = (score_subsets(aset, ["LW"]).tolist() for _ in range(2))
+    first, second = (mean_scores([aset], ["LW"]).tolist() for _ in range(2))
     assert first == second
 
 
@@ -462,7 +461,7 @@ def test_accumulation_stays_accurate_over_many_tiny_terms():
     mat = np.tile(base, (50, 1)) + rng.normal(scale=1e-9, size=(50, 40))
     aset = _set_from_rows(mat)
     [gram] = _site_grams(aset, ["LW"])
-    [got] = score_subsets(aset, ["LW"])
+    [got] = mean_scores([aset], ["LW"])
     norms = np.sqrt(np.diagonal(gram))
     terms = [
         abs(1.0 - float(gram[i, j]) / (norms[i] * norms[j]))
@@ -488,9 +487,9 @@ def test_a_norm_out_of_float_range_is_an_error_not_a_score(scale, error, message
     aset = _set_from_arrays(arrays, sites=("LW", "RW"))
     for labels in inputs:
         with pytest.raises(error, match=f"^activity 'a1': {message}$"):
-            score_subsets(aset, labels)
+            mean_scores([aset], labels)
     with pytest.raises(error, match="^activity 'a1'"):
-        rank_placements(aset, enumerate_subsets(("LW", "RW")))
+        rank_placements([aset], enumerate_subsets(("LW", "RW")))
 
 
 def _zero_at(sites, zeros, n_activities=7, seed=61):
@@ -515,7 +514,7 @@ def test_zero_vector_error_names_the_first_zero_subset_in_list_order(rk_at, rs_a
     want = "a5" if rk_at < rs_at else "a1"
     with pytest.raises(ComputationError,
                        match=f"^activity '{want}': vector is identically zero$"):
-        rank_placements(aset, subsets)
+        rank_placements([aset], subsets)
     with pytest.raises(ComputationError,
                        match=f"^activity '{want}': vector is identically zero$"):
         _reference_scores(aset, subsets)
@@ -529,7 +528,7 @@ def test_missing_site_is_reported_before_any_zero_subset():
     subsets.insert(300, "HD")
     with pytest.raises(DataError,
                        match="^activity 'a0': site 'HD' not in series roster$"):
-        rank_placements(aset, subsets)
+        rank_placements([aset], subsets)
 
 
 def test_peak_memory_is_at_most_twice_the_per_subset_loops():
@@ -547,5 +546,5 @@ def test_peak_memory_is_at_most_twice_the_per_subset_loops():
             tracemalloc.stop()
 
     want = peak(lambda: _reference_ranking(aset, subsets))
-    got = peak(lambda: rank_placements(aset, subsets))
+    got = peak(lambda: rank_placements([aset], subsets))
     assert got <= 2 * want, (got, want)

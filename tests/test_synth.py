@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from sensorplace.errors import UnknownSiteError
-from sensorplace.scoring import score_subsets
+from sensorplace.scoring import mean_scores
 from sensorplace.skeleton import DEFAULT_ROSTER, SITE_ORDER
 from sensorplace.synth import (
     DEFAULT_POSE,
@@ -117,18 +117,18 @@ def test_static_sites_identical_across_activities():
 
 def test_non_discriminative_subset_scores_zero():
     aset = make_separable_set(2, ["LW"], seed=3)
-    assert score_subsets(aset, ["RW"])[0] <= 1e-12
+    assert mean_scores([aset], ["RW"])[0] <= 1e-12
 
 
 def test_discriminative_pair_beats_static_pair():
     aset = make_separable_set(4, ["LW", "RW"], seed=5)
-    moving, still = score_subsets(aset, ["LW+RW", "PE+LF"])
+    moving, still = mean_scores([aset], ["LW+RW", "PE+LF"])
     assert moving > still
 
 
 def test_separability_ordering_over_singletons():
     aset = make_separable_set(5, ["LW", "RF"], seed=8)
-    scores = dict(zip(DEFAULT_ROSTER, score_subsets(aset, DEFAULT_ROSTER)))
+    scores = dict(zip(DEFAULT_ROSTER, mean_scores([aset], DEFAULT_ROSTER)))
     for inside in ("LW", "RF"):
         for outside in ("RW", "PE", "LF"):
             assert scores[inside] > scores[outside]

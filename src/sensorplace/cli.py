@@ -125,19 +125,20 @@ def _fail(exc) -> int:
 
 
 def _cmd_validate(args) -> int:
-    # every file is checked, in order; each file's lines are flushed, so they
-    # keep their place among the error lines when both streams share a file;
-    # the exit code is the worst one seen
+    # every file is loaded first, as rank loads its recordings; then each
+    # file's lines are written in order and flushed, so they keep their
+    # place among the error lines when both streams share a file; the exit
+    # code is the worst one seen
     config = _run_config(args)
-    from .run import validate_recording
+    from .run import _load_in_two_processes, validate_recording
 
     code = 0
-    for path in args.paths:
-        try:
-            frames, warnings = validate_recording(path, config)
-        except (DataError, ComputationError) as exc:
-            code = max(code, _fail(exc))
+    jobs = [(path, config) for path in args.paths]
+    for path, result in zip(args.paths, _load_in_two_processes(validate_recording, jobs)):
+        if isinstance(result, Exception):
+            code = max(code, _fail(result))
             continue
+        frames, warnings = result
         _write("".join([f"{path}: {'ok with warnings' if warnings else 'ok'}, {frames} frames\n",
                         *(f"  warning: {warning}\n" for warning in warnings)]), flush=True)
     return code

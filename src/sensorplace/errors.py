@@ -25,7 +25,13 @@ class MalformedLineError(DataError):
     """A line of an input file is malformed: ``PATH:LINE: reason``."""
 
     def __init__(self, path, line_no, reason):
+        self.path = path
+        self.line_no = line_no
+        self.reason = reason
         super().__init__(f"{path}:{line_no}: {reason}")
+
+    def __reduce__(self):  # pickle's default passes the message alone to __init__
+        return type(self), (self.path, self.line_no, self.reason)
 
 
 class ManifestError(DataError):
@@ -55,6 +61,9 @@ class GapTooLongError(DataError):
             f"site {site}: gap of {end - start} frames at [{start}, {end}) "
             "exceeds the repair limit"
         )
+
+    def __reduce__(self):
+        return type(self), (self.site, self.start, self.end)
 
 
 class InvalidRankError(DataError):

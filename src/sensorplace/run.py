@@ -7,11 +7,11 @@ never embed timestamps, so equal inputs and config give byte-identical
 outputs. ``compare`` and ``report`` run in ``tablerun``, which needs no
 numpy, and ``synth`` runs in ``synth``.
 
-On Linux with two or more usable CPUs, ``rank`` loads its recordings in two
-processes: a forked child parses and preprocesses the second half of the
-manifest's recordings while this process does the first, and sends its
-series back over a pipe. The outputs and every error are those of one
-process.
+On Linux with two or more usable CPUs, ``rank`` and ``validate`` load their
+recordings in two processes: a forked child parses and preprocesses the
+second half of them while this process does the first, and sends back over
+a pipe each one's result or error. The outputs and every error are those of
+one process.
 """
 
 from __future__ import annotations
@@ -95,31 +95,32 @@ def validate_recording(path, config: RunConfig) -> tuple[int, list[str]]:
 
 # --- rank --------------------------------------------------------------------
 
-def _load_series(jobs, config: RunConfig) -> list:
-    """The preprocessed series of each ``(path, activity_id)`` job, or None
-    where ``_load_recording`` raised a DataError or ComputationError. Any
-    other exception is a fault of the program, and propagates."""
+def _load_each(load, jobs) -> list:
+    """``load(*job)`` for each job, or the DataError or ComputationError it
+    raised as that family's base class with the same message, which pickles
+    and holds no traceback. Any other exception propagates: a fault."""
     loaded = []
-    for path, activity_id in jobs:
+    for job in jobs:
         try:
-            loaded.append(_load_recording(path, activity_id, config)[1])
-        except (DataError, ComputationError):  # the caller reloads it for the error
-            loaded.append(None)
+            loaded.append(load(*job))
+        except (DataError, ComputationError) as exc:
+            loaded.append((ComputationError if isinstance(exc, ComputationError)
+                           else DataError)(str(exc)))
     return loaded
 
 
-def _load_in_two_processes(jobs, config: RunConfig) -> list:
-    """``_load_series(jobs)``, with a forked child loading the second half.
+def _load_in_two_processes(load, jobs) -> list:
+    """``_load_each(load, jobs)``, a forked child loading the second half.
 
     The child sends its list back as one pickle and ends with ``os._exit``.
-    If it raises, dies or its data arrives incomplete, each of its jobs
-    reads None. The child is reaped before this returns or raises. Where the
-    process cannot fork, may run on one CPU only, or has fewer than two
+    If it raises, dies or its data arrives incomplete, its jobs are loaded
+    here instead. The child is reaped before this returns or raises. Where
+    the process cannot fork, may run on one CPU only, or has fewer than two
     jobs, every job is loaded here.
     """
     if not (len(jobs) >= 2 and hasattr(os, "fork") and hasattr(os, "sched_getaffinity")
             and len(os.sched_getaffinity(0)) >= 2):
-        return _load_series(jobs, config)
+        return _load_each(load, jobs)
     half = len(jobs) // 2
     read_fd, write_fd = os.pipe()
     try:
@@ -127,7 +128,7 @@ def _load_in_two_processes(jobs, config: RunConfig) -> list:
     except OSError:
         os.close(read_fd)
         os.close(write_fd)
-        return _load_series(jobs, config)
+        return _load_each(load, jobs)
     if pid == 0:  # the child
         try:
             os.close(read_fd)
@@ -137,13 +138,13 @@ def _load_in_two_processes(jobs, config: RunConfig) -> list:
             os.dup2(devnull, 1)
             os.dup2(devnull, 2)
             with open(write_fd, "wb") as pipe:
-                pickle.dump(_load_series(jobs[half:], config), pipe, pickle.HIGHEST_PROTOCOL)
+                pickle.dump(_load_each(load, jobs[half:]), pipe, pickle.HIGHEST_PROTOCOL)
         finally:
             os._exit(0)
     os.close(write_fd)
     with open(read_fd, "rb") as pipe:
         try:
-            loaded = _load_series(jobs[:half], config)
+            loaded = _load_each(load, jobs[:half])
             data = pipe.read()
         finally:
             # the child has sent all it will, or is no longer wanted
@@ -152,7 +153,7 @@ def _load_in_two_processes(jobs, config: RunConfig) -> list:
     try:
         theirs = pickle.loads(data)
     except Exception:  # an empty or truncated pickle: the child died
-        theirs = [None] * (len(jobs) - half)
+        theirs = _load_each(load, jobs[half:])
     return loaded + theirs
 
 
@@ -160,11 +161,11 @@ def load_window_sets(manifest_entries, config: RunConfig):
     """Preprocess each activity's recordings and cut the windows the run
     scores: ``(window_sets, diagnostics)``, one diagnostic per activity.
 
-    Every recording is parsed and preprocessed, so a bad one is reported
-    naming its file; with two or more usable CPUs a forked child loads the
-    second half of them (``_load_in_two_processes``). Activities are then
-    taken in manifest order, and a recording that failed is loaded again
-    here, so each error is the one a single process gives. Windows are
+    Every recording is parsed and preprocessed once, so a bad one is
+    reported naming its file; with two or more usable CPUs a forked child
+    loads the second half of them (``_load_in_two_processes``). Activities
+    are then taken in manifest order, each failing on its first recording's
+    error, so each error is the one a single process gives. Windows are
     L-frame views of the recordings' points, L being ``series_length``:
     each recording holds consecutive disjoint windows from its first frame,
     and none spans recordings. The k-th listed recordings of all activities
@@ -189,14 +190,14 @@ def load_window_sets(manifest_entries, config: RunConfig):
                 )
     L = config.series_length
     loaded = iter(_load_in_two_processes(
-        [(path, activity_id) for activity_id, paths in manifest_entries for path in paths],
-        config))
+        lambda path, activity_id: _load_recording(path, activity_id, config)[1],
+        [(path, activity_id) for activity_id, paths in manifest_entries for path in paths]))
     kept, failures, diagnostics = [], [], []
     for activity_id, paths in manifest_entries:
-        cached = list(islice(loaded, len(paths)))
+        series = list(islice(loaded, len(paths)))
         try:
-            series = [full if full is not None else _load_recording(path, activity_id, config)[1]
-                      for path, full in zip(paths, cached)]
+            if errors := [full for full in series if isinstance(full, Exception)]:
+                raise errors[0]
             windows = [[replace(full, points=full.points[:, a:a + L])
                         for a in range(0, full.length - L + 1, L)] for full in series]
             n_windows = sum(map(len, windows))

@@ -5,6 +5,7 @@ import errno
 import io
 import json
 import os
+import pickle
 import subprocess
 import sys
 import warnings
@@ -17,7 +18,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import sensorplace
-from sensorplace import cli
+from sensorplace import cli, errors
 from sensorplace import io as pio
 from sensorplace import run as runner
 from sensorplace import sites, synth, tablerun, textio
@@ -449,16 +450,25 @@ def _broken(corpus, data_error, computation_error):
         pio.write_keypoint_file(corpus / name, t, kp)
 
 
-@pytest.mark.parametrize("data_error, computation_error, code", [
-    (["act04.csv"], [], 1),
-    (["act01.csv", "act04.csv"], [], 1),
-    (["act01.csv"], ["act03.csv"], 2),
-], ids=["data-error-in-child", "data-errors-in-both", "computation-error-in-child"])
-def test_errors_in_the_childs_half_are_the_one_process_errors(tmp_path, monkeypatch,
+_CHILD_ERRORS = {"data-error-in-child": (["act04.csv"], [], 1),
+                 "data-errors-in-both": (["act01.csv", "act04.csv"], [], 1),
+                 "computation-error-in-child": (["act01.csv"], ["act03.csv"], 2)}
+
+
+@pytest.mark.parametrize("command, data_error, computation_error, code", [
+    pytest.param(command, *case, id=prefix + name)
+    for command, prefix in (("rank", ""), ("validate", "validate-"))
+    for name, case in _CHILD_ERRORS.items()])
+def test_errors_in_the_childs_half_are_the_one_process_errors(tmp_path, monkeypatch, command,
                                                              data_error, computation_error, code):
+    # rank loads four activities of one recording each, validate their four
+    # files: the parent loads act01-act02 and the child act03-act04
     manifest = _corpus(tmp_path, n=4, length=60)
     _broken(manifest.parent, data_error, computation_error)
-    argv = ["rank", str(manifest), "--length", "50", "--out-dir", str(tmp_path / "out")]
+    if command == "rank":
+        argv = ["rank", str(manifest), "--length", "50", "--out-dir", str(tmp_path / "out")]
+    else:
+        argv = ["validate", *(str(manifest.parent / f"act0{k}.csv") for k in range(1, 5))]
     runs = []
     for cpus in (_one_cpu, _two_cpus):
         with monkeypatch.context() as m:
@@ -467,29 +477,67 @@ def test_errors_in_the_childs_half_are_the_one_process_errors(tmp_path, monkeypa
     assert forks == [os.getpid()]
     assert runs[1] == runs[0]
     got, out, err = runs[0]
-    assert (got, out, err.count("\n")) == (code, "", 1), err
+    if command == "rank":
+        assert (got, out, err.count("\n")) == (code, "", 1), err
+    else:  # one line per file, in order
+        broken = len(data_error) + len(computation_error)
+        assert (got, out.count(" ok, "), err.count("\n")) == (code, 4 - broken, broken), err
     for name in data_error if code == 1 else computation_error:
         assert str(manifest.parent / name) in err
     assert not (tmp_path / "out").exists()
 
 
-def test_recordings_of_a_child_that_dies_are_loaded_again(tmp_path, monkeypatch):
+def test_recordings_of_a_child_that_dies_are_loaded_here(tmp_path, monkeypatch):
     manifest = _corpus(tmp_path, n=4, length=160)
     config = _config(series_length=50, multi_window=True)
-    load_series, parent = runner._load_series, os.getpid()
+    load_each, parent = runner._load_each, os.getpid()
 
-    def dying(jobs, config):
+    def dying(load, jobs):
         if os.getpid() != parent:
             os._exit(1)
-        return load_series(jobs, config)
+        return load_each(load, jobs)
 
     with monkeypatch.context() as m:
         _one_cpu(m)
         expected = _windows(runner.load_window_sets(pio.parse_manifest(manifest), config)[0])
     _two_cpus(monkeypatch)
-    monkeypatch.setattr(runner, "_load_series", dying)
+    monkeypatch.setattr(runner, "_load_each", dying)
     got = runner.load_window_sets(pio.parse_manifest(manifest), config)[0]
     assert _windows(got) == expected
+
+
+def test_each_recording_is_parsed_once(tmp_path, monkeypatch):
+    # a failing recording's error comes back with its result; it is not
+    # parsed again to get it
+    _one_cpu(monkeypatch)
+    manifest = _corpus(tmp_path, n=4, length=60)
+    _broken(manifest.parent, ["act02.csv"], [])
+    parsed, parse = [], pio.parse_keypoint_file
+
+    def counted(path):
+        parsed.append(Path(path).name)
+        return parse(path)
+
+    monkeypatch.setattr(pio, "parse_keypoint_file", counted)
+    with pytest.raises(ManifestError, match="act02.csv:5: "):
+        runner.load_window_sets(pio.parse_manifest(manifest), _config(series_length=50))
+    assert parsed == ["act01.csv", "act02.csv", "act03.csv", "act04.csv"]
+
+
+def test_every_package_error_pickles_with_its_type_message_and_attributes():
+    # a library caller's worker processes send errors back as pickles
+    arguments = {errors.MalformedLineError: ("a.csv", 5, "bad"),
+                 errors.GapTooLongError: ("LW", 1, 20)}
+    classes = [c for c in vars(errors).values()
+               if isinstance(c, type) and issubclass(c, errors.SensorPlaceError)]
+    assert set(arguments) < set(classes)
+    for cls in classes:
+        exc = cls(*arguments.get(cls, ("a message",)))
+        back = pickle.loads(pickle.dumps(exc))
+        assert type(back) is cls
+        assert (str(back), back.args, vars(back)) == (str(exc), exc.args, vars(exc))
+    assert vars(pickle.loads(pickle.dumps(errors.MalformedLineError("a.csv", 5, "bad")))) == {
+        "path": "a.csv", "line_no": 5, "reason": "bad"}
 
 
 def test_no_child_outlives_load_window_sets(tmp_path, monkeypatch):

@@ -37,7 +37,6 @@ _EXPORTS = {
     ),
     "sites": ("DEFAULT_ROSTER", "SITE_NAMES", "SITE_ORDER", "canonical_label", "canonical_sites"),
     "skeleton": (
-        "ActivitySet",
         "SkeletonSeries",
         "centralize",
         "merge_keypoints",

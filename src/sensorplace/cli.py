@@ -10,7 +10,7 @@ Each command imports its modules when it runs. ``validate`` and ``rank``
 compute on arrays in ``run`` and read their settings through ``config``,
 which loads only once every flag has passed its ``sites`` check, so a bad
 settings value is reported before numpy loads. ``synth`` lives in
-``synth``, and ``compare`` and ``report`` in ``tablerun``. Building the
+``synth``, and ``compare`` and ``report`` in ``textio``. Building the
 parser needs only ``sites``, so ``--version``, ``--help`` and usage errors
 load none of them, and ``compare`` and ``report`` never load numpy or
 ``config``.
@@ -157,16 +157,16 @@ def _cmd_rank(args) -> int:
 
 
 def _cmd_compare(args) -> int:
-    from . import tablerun
+    from . import textio
 
-    reports, payload = tablerun.run_compare(
+    reports, payload = textio.run_compare(
         args.first, args.second, scope=args.scope, top_k=args.top_k,
         out_dir=args.out_dir,
     )
-    _write(tablerun.render_compare_text(payload))
+    _write(textio.render_compare_text(payload))
     if args.out_dir is not None:
         out_dir = Path(args.out_dir)
-        _write(f"wrote {out_dir / tablerun.TAU_TABLE_FILENAME} and {out_dir / tablerun.TAU_REPORT_FILENAME}\n")
+        _write(f"wrote {out_dir / textio.TAU_TABLE_FILENAME} and {out_dir / textio.TAU_REPORT_FILENAME}\n")
     return 0
 
 
@@ -183,7 +183,7 @@ def _cmd_synth(args) -> int:
 
 
 def _cmd_report(args) -> int:
-    from .tablerun import run_report
+    from .textio import run_report
 
     text = run_report(args.ranking, out_path=args.out)
     if args.out is None:

@@ -30,6 +30,7 @@ never observe a partial file, and no output embeds a timestamp.
 
 from __future__ import annotations
 
+import os
 from pathlib import Path
 
 import numpy as np
@@ -237,7 +238,7 @@ def parse_manifest(path) -> list[tuple[str, list[Path]]]:
     base = path.parent
     entries: list[tuple[str, list[Path]]] = []
     seen = set()
-    listed: dict[Path, int] = {}
+    listed: dict[str, int] = {}  # real path -> line
     for line_no, line in zip(*data_lines(text)):
         tokens = words(line)
         if len(tokens) < 2 or not "".join(tokens).isprintable():
@@ -250,7 +251,7 @@ def parse_manifest(path) -> list[tuple[str, list[Path]]]:
         seen.add(activity_id)
         paths = [base / tok for tok in tokens[1:]]
         for recording in paths:
-            key = recording.resolve()
+            key = os.path.realpath(recording)  # unlike Path.resolve, never raises on a loop
             if key in listed:
                 raise ManifestError(
                     f"{path}:{line_no}: {recording} is already listed on line {listed[key]}"

@@ -4,7 +4,7 @@ Each run function is pure apart from its explicit output files: it parses
 inputs, executes the pipeline, and returns the result plus a JSON-ready
 report payload. Reports carry the resolved configuration fingerprint and
 never embed timestamps, so equal inputs and config give byte-identical
-outputs. ``compare`` and ``report`` run in ``tablerun``, which needs no
+outputs. ``compare`` and ``report`` run in ``textio``, which needs no
 numpy, and ``synth`` runs in ``synth``.
 
 On Linux with two or more usable CPUs, ``rank`` and ``validate`` load their
@@ -29,7 +29,7 @@ from .config import RunConfig
 from .errors import ComputationError, DataError, ManifestError
 from .scoring import TIE_BREAK, enumerate_subsets, rank_placements
 from .sites import SITE_ORDER
-from .skeleton import ActivitySet, SkeletonSeries, merge_keypoints, preprocess_recording
+from .skeleton import SkeletonSeries, merge_keypoints, preprocess_recording
 
 RANKING_FILENAME = "ranking.csv"
 RANK_REPORT_FILENAME = "report.json"
@@ -169,12 +169,13 @@ def load_window_sets(manifest_entries, config: RunConfig):
     L-frame views of the recordings' points, L being ``series_length``:
     each recording holds consecutive disjoint windows from its first frame,
     and none spans recordings. The k-th listed recordings of all activities
-    are paired: window set (k, w) holds window w of each, for w below the
-    smallest count at position k, and sets come in (k, w) order. With
-    ``multi_window`` every set is scored, and every activity must list as
-    many recordings; otherwise only the first set is built. Either way some
-    position must hold a full window of every activity. Per-activity
-    failures are reported together on one line, joined by ``; ``.
+    are paired: window set (k, w) is the tuple of window w of each, in
+    manifest order, for w below the smallest count at position k, and sets
+    come in (k, w) order. With ``multi_window`` every set is scored, and
+    every activity must list as many recordings; otherwise only the first
+    set is built. Either way some position must hold a full window of every
+    activity. Per-activity failures are reported together on one line,
+    joined by ``; ``.
     """
     if len(manifest_entries) < 2:
         raise ManifestError(
@@ -212,7 +213,7 @@ def load_window_sets(manifest_entries, config: RunConfig):
                             "windows": n_windows})
     if failures:
         raise ManifestError("; ".join(failures))
-    sets = (ActivitySet(activities=ws) for position in zip(*kept) for ws in zip(*position))
+    sets = (ws for position in zip(*kept) for ws in zip(*position))
     window_sets = list(sets if config.multi_window else islice(sets, 1))
     if not window_sets:
         raise ManifestError("no manifest position holds a full window of every activity")

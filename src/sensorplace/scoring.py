@@ -12,7 +12,7 @@ higher score.
 
 Because flattening is site-major, ``u_S . v_S`` is the sum over the sites
 s in S of ``u_s . v_s``. Scoring therefore builds the per-site Gram tensor
-once per activity set and scores each subset from the sum of its sites'
+once per window set and scores each subset from the sum of its sites'
 Gram entries, never from the flattened vectors themselves. Each site's
 Gram matrix is packed into one row: the n activities' squared norms, then
 the n(n-1)/2 pair dots in ascending (i, j) order, the only entries a score
@@ -44,7 +44,6 @@ from .errors import ComputationError, ConfigError, DataError
 from .sites import (
     canonical_label, canonical_sites, check_roster, check_sizes, positions, subset_labels,
 )
-from .skeleton import ActivitySet
 
 TIE_BREAK = "score desc, then subset size asc, then canonical site order"
 
@@ -68,35 +67,35 @@ def cosine_distance(u: np.ndarray, v: np.ndarray) -> float:
     return abs(1.0 - float(np.dot(u, v)) / (nu * nv))
 
 
-def _site_grams(activity_set: ActivitySet, sites) -> np.ndarray:
-    """Per-site Gram tensor of the activity set over ``sites``.
+def _site_grams(window_set, sites) -> np.ndarray:
+    """Per-site Gram tensor of the window set over ``sites``.
 
     ``gram[s, i, j]`` is the dot product of activities i and j restricted
     to site s. The einsum runs without ``optimize``, so no BLAS call is made
     and the bits do not depend on the thread count.
     """
+    roster = window_set[0].sites
     rows = []
     for site in sites:
-        if site not in activity_set.sites:
+        if site not in roster:
             raise DataError(
-                f"activity {activity_set.activities[0].activity_id!r}: "
-                f"site {site!r} not in series roster"
+                f"activity {window_set[0].activity_id!r}: site {site!r} not in series roster"
             )
-        rows.append(activity_set.sites.index(site))
+        rows.append(roster.index(site))
     stacked = np.stack(
-        [a.points[rows].reshape(len(rows), 2 * a.length) for a in activity_set.activities], axis=1
+        [a.points[rows].reshape(len(rows), 2 * a.length) for a in window_set], axis=1
     )
     return np.einsum("sik,sjk->sij", stacked, stacked)
 
 
-def _bad_norm(activity_set: ActivitySet, sites, activity: int, norm2: float):
+def _bad_norm(window_set, sites, activity: int, norm2: float):
     """The error for an activity whose squared norm under the subset of
     ``sites`` is zero or not finite."""
-    series = activity_set.activities[activity]
+    series = window_set[activity]
     name = repr(series.activity_id)
     if norm2 != 0:
         return ComputationError(f"activity {name}: vector norm is not finite (squared norm {norm2})")
-    if series.points[[activity_set.sites.index(site) for site in sites]].any():
+    if series.points[[window_set[0].sites.index(site) for site in sites]].any():
         return ComputationError(f"activity {name}: squared vector norm underflows to zero")
     return ComputationError(f"activity {name}: vector is identically zero")
 
@@ -136,22 +135,48 @@ def _membership(labels) -> tuple[tuple[str, ...], np.ndarray]:
 
 
 def mean_scores(window_sets, labels) -> np.ndarray:
-    """Each subset's mean score over the activity sets ``window_sets``, one
-    float64 per label of ``labels`` in label order. The first subset in list
-    order with a zero or non-finite squared norm raises, naming the first
-    such activity. Every window set holds the first set's activity ids."""
+    """Each subset's mean score over ``window_sets``, one float64 per label
+    of ``labels`` in label order; a window set is a tuple or list of
+    ``SkeletonSeries``, one per activity. Before any Gram is built, every
+    set is checked, a failure raising ConfigError: set 0 holds two or more
+    distinct ids, every set holds them in its order, and the series of each
+    set share one roster, length and rate, a mismatch naming both ids. Then
+    the first subset in list order with a zero or non-finite squared norm
+    raises, naming the first such activity."""
     if not window_sets:
         raise ConfigError("no window sets to score")
-    ids = [series.activity_id for series in window_sets[0].activities]
-    for index, activity_set in enumerate(window_sets):
-        if [series.activity_id for series in activity_set.activities] != ids:
+    ids = [series.activity_id for series in window_sets[0]]
+    if len(ids) < 2:
+        raise ConfigError("an activity set needs at least two activities")
+    if len(set(ids)) != len(ids):
+        raise ConfigError(f"duplicate activity ids: {ids}")
+    for index, window_set in enumerate(window_sets):
+        if [series.activity_id for series in window_set] != ids:
             raise ConfigError(f"window set {index}: activity ids differ from window set 0's")
+    for window_set in window_sets:
+        lead = window_set[0]
+        for a in window_set[1:]:
+            if a.sites != lead.sites:
+                raise ConfigError(
+                    f"site roster mismatch: {a.activity_id!r} has {a.sites}, "
+                    f"{lead.activity_id!r} has {lead.sites}"
+                )
+            if a.length != lead.length:
+                raise ConfigError(
+                    f"length mismatch: {a.activity_id!r} has {a.length} frames, "
+                    f"{lead.activity_id!r} has {lead.length}"
+                )
+            if a.sample_rate != lead.sample_rate:
+                raise ConfigError(
+                    f"sample rate mismatch: {a.activity_id!r} is at {a.sample_rate} Hz, "
+                    f"{lead.activity_id!r} at {lead.sample_rate} Hz"
+                )
     sites, member = _membership(labels)
     n = len(ids)
     first, second = np.triu_indices(n, 1)
     total = np.zeros(len(member))
-    for activity_set in window_sets:
-        gram = _site_grams(activity_set, sites)
+    for window_set in window_sets:
+        gram = _site_grams(window_set, sites)
         norms2 = np.diagonal(gram, axis1=1, axis2=2)
         packed = np.concatenate([norms2, gram[:, first, second]], axis=1)
         for begin in range(0, len(member), SUBSET_CHUNK):
@@ -164,7 +189,7 @@ def mean_scores(window_sets, labels) -> np.ndarray:
             if not usable.all():
                 first_bad, activity = np.argwhere(~usable)[0]  # row-major: first subset first
                 held = compress(sites, chunk[first_bad])
-                raise _bad_norm(activity_set, held, activity, float(norm2[first_bad, activity]))
+                raise _bad_norm(window_set, held, activity, float(norm2[first_bad, activity]))
             total[begin:begin + len(chunk)] += _cosine_distance_sums(stack, first, second)
     return total / len(window_sets)
 
@@ -201,9 +226,9 @@ def sort_ranking(labels, scores) -> tuple[list[str], list[float]]:
 
 
 def rank_placements(window_sets, labels) -> tuple[list[str], list[float]]:
-    """Score the subsets named by ``labels`` by their mean over the activity
-    sets ``window_sets`` (``mean_scores``) and rank them: ``(labels,
-    scores)`` best first, with canonical labels."""
+    """Score the subsets named by ``labels`` by their mean over
+    ``window_sets`` (``mean_scores``, which checks the window sets) and
+    rank them: ``(labels, scores)`` best first, with canonical labels."""
     labels = list(labels)
     if not labels:
         raise ConfigError("no subsets to rank")

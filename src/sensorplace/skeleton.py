@@ -110,47 +110,6 @@ class SkeletonSeries:
         return self.points.shape[1]
 
 
-@dataclass(frozen=True)
-class ActivitySet:
-    """Two or more skeleton series sharing one site roster, length and
-    sample rate."""
-
-    activities: tuple[SkeletonSeries, ...]
-
-    def __post_init__(self):
-        acts = tuple(self.activities)
-        if len(acts) < 2:
-            raise ValueError("an activity set needs at least two activities")
-        ids = [a.activity_id for a in acts]
-        if len(set(ids)) != len(ids):
-            raise ValueError(f"duplicate activity ids: {ids}")
-        first = acts[0]
-        for a in acts[1:]:
-            if a.sites != first.sites:
-                raise ValueError(
-                    f"site roster mismatch: {a.activity_id!r} has {a.sites}, "
-                    f"{first.activity_id!r} has {first.sites}"
-                )
-            if a.length != first.length:
-                raise ValueError(
-                    f"length mismatch: {a.activity_id!r} has {a.length} frames, "
-                    f"{first.activity_id!r} has {first.length}"
-                )
-            if a.sample_rate != first.sample_rate:
-                raise ValueError(
-                    f"sample rate mismatch: {a.activity_id!r} is at {a.sample_rate} Hz, "
-                    f"{first.activity_id!r} at {first.sample_rate} Hz"
-                )
-        object.__setattr__(self, "activities", acts)
-
-    @property
-    def sites(self) -> tuple[str, ...]:
-        return self.activities[0].sites
-
-    def __len__(self) -> int:
-        return len(self.activities)
-
-
 def merge_keypoints(
     kp: np.ndarray, confidence_threshold: float = DEFAULTS["confidence_threshold"]
 ) -> tuple[np.ndarray, np.ndarray]:

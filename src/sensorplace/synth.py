@@ -27,7 +27,7 @@ import numpy as np
 
 from .errors import ConfigError
 from .sites import DEFAULT_ROSTER, DEFAULTS, SITE_ORDER, canonical_sites, check_rate
-from .skeleton import KEYPOINT_SITE, MERGE_SOURCES, NUM_KEYPOINTS, ActivitySet, SkeletonSeries
+from .skeleton import KEYPOINT_SITE, MERGE_SOURCES, NUM_KEYPOINTS, SkeletonSeries
 
 # Rough humanoid layout in normalized image coordinates (y grows downward).
 DEFAULT_POSE = {
@@ -180,12 +180,14 @@ def separable_specs(
     return specs
 
 
-def make_separable_set(n_activities: int, discriminative_sites, **options) -> ActivitySet:
-    """Generate an activity set whose activities differ only at the
-    discriminative sites; ``options`` are the keyword arguments of
-    ``separable_specs``."""
+def make_separable_set(n_activities: int, discriminative_sites,
+                       **options) -> tuple[SkeletonSeries, ...]:
+    """Generate a window set, one series per activity, whose activities
+    differ only at the discriminative sites; ``options`` are the keyword
+    arguments of ``separable_specs``. Its series share one roster, length
+    and rate, as ``scoring.mean_scores`` requires."""
     specs = separable_specs(n_activities, discriminative_sites, **options)
-    return ActivitySet(activities=tuple(generate_activity(s) for s in specs))
+    return tuple(generate_activity(s) for s in specs)
 
 
 # --- the synth command ------------------------------------------------------
@@ -245,13 +247,13 @@ def run_synth(out_dir, n_activities: int = 3, discriminative_sites=("LW",), styl
 
     out_dir = Path(out_dir)
     try:
-        activity_set = make_separable_set(n_activities, discriminative_sites,
-                                          roster=SITE_ORDER, **options)
+        window_set = make_separable_set(n_activities, discriminative_sites,
+                                        roster=SITE_ORDER, **options)
     except ValueError as exc:
         raise ConfigError(str(exc)) from None
     extension = "csv" if style == "csv" else "txt"
     manifest_lines = []
-    for series in activity_set.activities:
+    for series in window_set:
         t, kp = series_to_frames(series, drift=drift)
         filename = f"{series.activity_id}.{extension}"
         pio.write_keypoint_file(out_dir / filename, t, kp, style=style)

@@ -1,5 +1,6 @@
 """Text files that need no array code: UTF-8 reading, atomic writes,
-ranking and tau tables, and JSON reports.
+ranking and tau tables, and JSON reports; and the runs behind ``compare``
+and ``report``, which only read and write ranking tables.
 
 Ranking tables are CSV with header ``rank,score,sites`` (sites as
 ``+``-joined canonical ids); external rankings may omit the score column
@@ -12,8 +13,9 @@ or non-UTF-8 file, and every malformed line, into a ``DataError`` with a
 one-line message. All writers go through a write-then-rename step so
 consumers never observe a partial file, and no output embeds a timestamp.
 
-This module and its imports load no numpy, so ``compare`` and ``report``
-start without it.
+Like the runs in ``run``, each run returns its result and writes only its
+explicit output files. This module and its imports load no numpy, so
+``compare`` and ``report`` start without it.
 """
 
 from __future__ import annotations
@@ -26,7 +28,7 @@ import tempfile
 from pathlib import Path
 
 from .errors import DataError, InvalidRankError, MalformedLineError, UnknownSiteError
-from .sites import BLANKS, canonical_label, number, subset_labels
+from .sites import BLANKS, SITE_NAMES, canonical_label, number, subset_labels
 
 
 def _read_text(path, what: str, error=DataError) -> str:
@@ -286,3 +288,77 @@ def write_tau_table(path, reports: dict) -> None:
             f"{key},{format_float(r.tau)},{r.n},{r.pairs},{r.concordant},{r.discordant}"
         )
     atomic_write_text(path, "\n".join(lines) + "\n")
+
+
+# --- the compare command -----------------------------------------------------
+
+TAU_TABLE_FILENAME = "tau.csv"
+TAU_REPORT_FILENAME = "tau.json"
+
+
+def run_compare(first_path, second_path, scope: str = "per-size", top_k: int = 3, out_dir=None):
+    """Kendall's tau between two ranking files, per comparison scope."""
+    from .rankcorr import compare_rankings  # here, so that report does not load it
+
+    first, _ = read_ranking_file(first_path)
+    second, _ = read_ranking_file(second_path)
+    reports = compare_rankings(first, second, scope=scope, top_k=top_k)
+    payload = {
+        "kind": "ranking-agreement",
+        "scope": scope,
+        "first": str(first_path),
+        "second": str(second_path),
+        "results": {
+            key: {
+                "tau": r.tau,
+                "n": r.n,
+                "pairs": r.pairs,
+                "concordant": r.concordant,
+                "discordant": r.discordant,
+            }
+            for key, r in sorted(reports.items())
+        },
+    }
+    if out_dir is not None:
+        out_dir = Path(out_dir)
+        write_tau_table(out_dir / TAU_TABLE_FILENAME, reports)
+        write_json_report(out_dir / TAU_REPORT_FILENAME, payload)
+    return reports, payload
+
+
+def render_compare_text(payload: dict) -> str:
+    lines = [
+        "ranking agreement (Kendall's tau)",
+        f"  first:  {payload['first']}",
+        f"  second: {payload['second']}",
+        f"  scope:  {payload['scope']}",
+    ]
+    for key, r in payload["results"].items():
+        lines.append(
+            f"  {key}: tau={r['tau']:+.6f}  n={r['n']}"
+            f"  concordant={r['concordant']}  discordant={r['discordant']}"
+        )
+    return "\n".join(lines) + "\n"
+
+
+# --- the report command ------------------------------------------------------
+
+def render_ranking_text(labels, scores, title: str = "placement ranking") -> str:
+    """Human-readable table of a ranking read as ``(labels, scores)``, best
+    first; rows are numbered by position."""
+    lines = [title, ""]
+    width = max(map(len, labels))
+    for rank, (label, score) in enumerate(zip(labels, scores), start=1):
+        names = ", ".join(SITE_NAMES[s] for s in label.split("+"))
+        shown = "" if score is None else f"  score={format(score, '.6f')}"
+        lines.append(f"  {rank:>3}. {label:<{width}}{shown}  ({names})")
+    return "\n".join(lines) + "\n"
+
+
+def run_report(ranking_path, out_path=None) -> str:
+    """Render a ranking table as human-readable text."""
+    labels, scores = read_ranking_file(ranking_path)
+    text = render_ranking_text(labels, scores, title=f"placement ranking: {ranking_path}")
+    if out_path is not None:
+        atomic_write_text(out_path, text)
+    return text

@@ -19,7 +19,7 @@ from conftest import make_series
 from oracles import kendall_tau_ref, pairwise_distance_sum_ref
 from sensorplace import io as pio
 from sensorplace import run as runner
-from sensorplace import synth, tablerun
+from sensorplace import synth, textio
 from sensorplace.config import RunConfig
 from sensorplace.errors import ManifestError
 from sensorplace.rankcorr import kendall_tau
@@ -31,7 +31,6 @@ from sensorplace.scoring import (
 )
 from sensorplace.skeleton import (
     DEFAULT_ROSTER,
-    ActivitySet,
     centralize,
     merge_keypoints,
     preprocess_recording,
@@ -52,11 +51,7 @@ def _random_activity_set(rng):
     L = int(rng.integers(1, 21))     # frames
     sites = DEFAULT_ROSTER[:s]
     arrays = rng.normal(size=(n, s, L, 2)) + 2.0
-    aset = ActivitySet(
-        activities=tuple(
-            make_series(f"a{i}", arr, sites=sites) for i, arr in enumerate(arrays)
-        )
-    )
+    aset = tuple(make_series(f"a{i}", arr, sites=sites) for i, arr in enumerate(arrays))
     return aset, sites, arrays
 
 
@@ -96,11 +91,7 @@ def test_02_cosine_geometry_is_exact():
 def test_03_scaling_an_activity_changes_nothing():
     rng = np.random.default_rng(7)
     arrays = rng.uniform(0.2, 0.8, size=(5, 5, 50, 2))
-    aset = ActivitySet(
-        activities=tuple(
-            make_series(f"a{i}", arr, sites=DEFAULT_ROSTER) for i, arr in enumerate(arrays)
-        )
-    )
+    aset = tuple(make_series(f"a{i}", arr, sites=DEFAULT_ROSTER) for i, arr in enumerate(arrays))
     subsets = enumerate_subsets(DEFAULT_ROSTER)
     base = rank_placements([aset], subsets)
     worst = 0.0
@@ -109,11 +100,8 @@ def test_03_scaling_an_activity_changes_nothing():
         for c in (1e-3, 1.0, 1e3):
             scaled = arrays.copy()
             scaled[idx] *= c
-            sset = ActivitySet(
-                activities=tuple(
-                    make_series(f"a{i}", arr, sites=DEFAULT_ROSTER)
-                    for i, arr in enumerate(scaled)
-                )
+            sset = tuple(
+                make_series(f"a{i}", arr, sites=DEFAULT_ROSTER) for i, arr in enumerate(scaled)
             )
             r = rank_placements([sset], subsets)
             orders_equal &= r[0] == base[0]
@@ -162,7 +150,7 @@ def test_05_rank_correlation_is_exact(tmp_path):
     ):
         a = tmp_path / f"a-{scope}.csv"
         a.write_text("\n".join(rows) + "\n")
-        reports, _ = tablerun.run_compare(a, a, scope=scope)
+        reports, _ = textio.run_compare(a, a, scope=scope)
         ok &= all(r.tau == 1.0 for r in reports.values())
     detail.append("identical rankings -> tau=1.0 via compare")
     _verdict("Kendall's tau is exact", ok, "; ".join(detail))
@@ -220,7 +208,7 @@ def test_07_preprocessing_invariants(tmp_path):
                 f"{name}: series has 499 frames, needs at least 500" for name in ("a", "b"))
             continue
         ok &= frames == 500 and len(window_sets) == 1
-        for window, (_, [path]) in zip(window_sets[0].activities, entries):
+        for window, (_, [path]) in zip(window_sets[0], entries):
             full = preprocess_recording(*pio.parse_keypoint_file(path), window.activity_id)
             ok &= window.length == 500 and np.array_equal(window.points, full.points)
     _verdict(

@@ -21,13 +21,13 @@ import sensorplace
 from sensorplace import cli, errors
 from sensorplace import io as pio
 from sensorplace import run as runner
-from sensorplace import sites, synth, tablerun, textio
+from sensorplace import sites, synth, textio
 from sensorplace.config import _PARSERS, RunConfig
 from sensorplace.errors import ComputationError, ConfigError, ManifestError
 from sensorplace.rankcorr import compare_rankings
 from sensorplace.scoring import enumerate_subsets, rank_placements
 from sensorplace.sites import SETTINGS, SITE_ORDER
-from sensorplace.skeleton import ActivitySet, preprocess_recording
+from sensorplace.skeleton import preprocess_recording
 
 
 def _corpus(tmp_path, n=3, length=520, noise=0.0, seed=0, style="csv", **kwargs):
@@ -254,7 +254,7 @@ def test_windows_are_views_of_their_recordings(tmp_path, monkeypatch, multi_wind
     for ws in window_sets:
         assert len(ws) == len(recorded)
     for w, ws in enumerate(window_sets):
-        for window, full in zip(ws.activities, recorded):
+        for window, full in zip(ws, recorded):
             assert np.shares_memory(window.points, full.points)
             assert np.array_equal(window.points, full.points[:, 50 * w:50 * (w + 1)])
 
@@ -291,7 +291,7 @@ def test_multi_window_pairs_recordings_by_manifest_position(tmp_path, monkeypatc
     expected = [(k, w) for k in range(2) for w in range(3)]
     assert len(window_sets) == len(expected)
     for ws, (k, w) in zip(window_sets, expected):
-        for window, full in zip(ws.activities, (act01[k], act02[k])):
+        for window, full in zip(ws, (act01[k], act02[k])):
             assert np.shares_memory(window.points, full.points)
             assert np.array_equal(window.points, full.points[:, 50 * w:50 * (w + 1)])
 
@@ -325,8 +325,7 @@ def _offset_manifest(tmp_path, act02):
     return manifest
 
 
-def test_single_window_scores_the_first_window_set_of_the_position_pairing(
-        tmp_path, capsys, monkeypatch):
+def test_single_window_scores_the_first_window_set_of_the_position_pairing(tmp_path, capsys):
     # act01's first full window is at position 1, so act02's is taken there
     # too: c1 against c1, where the first full window in manifest order
     # would score c1's act01 against c2's act02
@@ -338,14 +337,11 @@ def test_single_window_scores_the_first_window_set_of_the_position_pairing(
     assert "best placement: LW (score 0.031996)" in capsys.readouterr().out
     ranking = (tmp_path / "manifest" / runner.RANKING_FILENAME).read_bytes()
     assert ranking == (tmp_path / "c1" / runner.RANKING_FILENAME).read_bytes()
-    # the one set scored is the only one built
-    built = []
-    monkeypatch.setattr(runner, "ActivitySet", lambda **kw: built.append(kw) or ActivitySet(**kw))
     entries = pio.parse_manifest(manifest)
     window_sets, _ = runner.load_window_sets(entries, _config(series_length=50))
-    assert len(window_sets) == len(built) == 1
+    assert len(window_sets) == 1
     window_sets, _ = runner.load_window_sets(entries, _config(series_length=50, multi_window=True))
-    assert len(window_sets) == len(built) - 1 == 4
+    assert len(window_sets) == 4
 
 
 def test_cli_single_window_needs_a_position_holding_every_activity(tmp_path, capsys):
@@ -415,7 +411,7 @@ def _paired_corpora(tmp_path, style):
 
 def _windows(window_sets):
     return [[(w.activity_id, w.sites, w.sample_rate, w.points.dtype, w.points.shape,
-              w.points.tobytes()) for w in ws.activities] for ws in window_sets]
+              w.points.tobytes()) for w in ws] for ws in window_sets]
 
 
 @pytest.mark.parametrize("multi_window", [False, True], ids=["single-window", "multi-window"])
@@ -595,13 +591,13 @@ def test_compare_identical_files_all_scopes(tmp_path):
     out = tmp_path / "out"
     runner.run_rank(manifest, _config(), out_dir=out)
     table = out / runner.RANKING_FILENAME
-    reports, payload = tablerun.run_compare(table, table, scope="per-size", out_dir=out)
+    reports, payload = textio.run_compare(table, table, scope="per-size", out_dir=out)
     # size-5 holds a single subset, so there is no pair to correlate
     assert set(reports) == {"size-1", "size-2", "size-3", "size-4"}
     assert all(r.tau == 1.0 for r in reports.values())
-    tau_lines = (out / tablerun.TAU_TABLE_FILENAME).read_text().splitlines()
+    tau_lines = (out / textio.TAU_TABLE_FILENAME).read_text().splitlines()
     assert len(tau_lines) == 5
-    saved = json.loads((out / tablerun.TAU_REPORT_FILENAME).read_text())
+    saved = json.loads((out / textio.TAU_REPORT_FILENAME).read_text())
     assert saved["results"]["size-2"]["tau"] == 1.0
 
 
@@ -610,7 +606,7 @@ def test_compare_against_external_truth(tmp_path):
     truth.write_text("rank,sites\n1,LW+PE\n2,RW+PE\n3,LW+RW\n")
     predicted = tmp_path / "predicted.csv"
     predicted.write_text("rank,score,sites\n1,0.9,LW+RW\n2,0.5,LW+PE\n3,0.1,RW+PE\n")
-    reports, _ = tablerun.run_compare(truth, predicted, scope="per-size")
+    reports, _ = textio.run_compare(truth, predicted, scope="per-size")
     assert reports["size-2"].tau == pytest.approx(-1 / 3, abs=1e-15)
 
 
@@ -1481,6 +1477,26 @@ def test_cli_file_listed_under_two_activities_exits_1(tmp_path, capsys):
     assert f"{manifest}:3: {corpus / 'act02.csv'} is already listed on line 2" in _one_error_line(capsys)
 
 
+def test_cli_symlink_loop_in_a_manifest_is_one_error_line(tmp_path):
+    # a file that links to itself cannot be read: one error line naming its
+    # activity, no traceback; listed twice, it is a file listed twice
+    cli.main(["synth", str(tmp_path / "d"), "--activities", "3", "--length", "60"])
+    (tmp_path / "loop.csv").symlink_to("loop.csv")
+    manifest = tmp_path / "manifest.txt"
+    manifest.write_text("act01 d/act01.csv\nact02 loop.csv\n")
+    proc = subprocess.run([sys.executable, "-m", "sensorplace.cli", "rank", str(manifest),
+                           "--length", "50", "--out-dir", str(tmp_path / "out")],
+                          capture_output=True, text=True, env=_process_env())
+    assert proc.returncode == 1
+    assert "Traceback" not in proc.stderr
+    assert proc.stderr.count("\n") == 1
+    assert proc.stderr.startswith(f"error: act02: cannot read keypoint file {tmp_path / 'loop.csv'}")
+    manifest.write_text("act01 d/act01.csv\nact02 loop.csv\nact03 loop.csv\n")
+    code, _, err = _run_cli(["rank", str(manifest), "--length", "50"])
+    assert (code, err) == (1, f"error: {manifest}:3: {tmp_path / 'loop.csv'} "
+                              "is already listed on line 2\n")
+
+
 @pytest.mark.parametrize("command", ["rank", "validate"])
 @pytest.mark.parametrize("flags, message", [
     (["--roster", "LW,RW,PE,ZZ"], "argument --roster: unknown site id 'ZZ'"),
@@ -1646,7 +1662,8 @@ def test_every_public_name_resolves_and_is_listed():
 
 
 # Runs cli.main in a fresh interpreter and prints its exit code and which
-# of the modules a command may not need it loaded ("-" for none).
+# of the modules a command may not need it loaded ("-" for none), then, on
+# a line of their own, every package module it loaded.
 _NUMPY_PROBE = """
 import sys
 from sensorplace import cli
@@ -1658,6 +1675,7 @@ heavy = ("numpy", "numpy.ma", "dataclasses", "hashlib", "fractions")
 ran = [name for name in ("config", "run", "synth", "rankcorr")
        if f"sensorplace.{name}" in sys.modules]
 print(code, " ".join(name for name in heavy if name in sys.modules) or "-", " ".join(ran) or "-")
+print(*sorted(name for name in sys.modules if name.partition(".")[0] == "sensorplace"))
 """
 
 
@@ -1681,6 +1699,12 @@ print(code, " ".join(name for name in heavy if name in sys.modules) or "-", " ".
         "version", "help", "usage-error", "bad-flag-value", "bad-config-value", "rank",
         "validate", "synth"])
 def test_only_commands_that_compute_on_arrays_load_numpy(tmp_path, argv, outcome):
+    assert _probe_modules(tmp_path, argv)[0] == outcome
+
+
+def _probe_modules(tmp_path, argv):
+    """The two lines ``_NUMPY_PROBE`` prints for ``argv`` run on a small
+    ranking table and corpus."""
     table = tmp_path / "ranking.csv"
     table.write_text("rank,score,sites\n1,0.5,LW\n2,0.25,RW\n3,0.125,LW+RW\n")
     (tmp_path / "short.cfg").write_text("series_length = 1\n")
@@ -1690,11 +1714,29 @@ def test_only_commands_that_compute_on_arrays_load_numpy(tmp_path, argv, outcome
     proc = subprocess.run([sys.executable, "-c", _NUMPY_PROBE, *argv],
                           env=env, capture_output=True, text=True)
     assert "Traceback" not in proc.stderr
-    assert proc.stdout.splitlines()[-1] == outcome
+    return proc.stdout.splitlines()[-2:]
+
+
+_TEXT_MODULES = ["sensorplace", "sensorplace.cli", "sensorplace.errors", "sensorplace.sites",
+                 "sensorplace.textio"]
+
+
+@pytest.mark.parametrize("argv, modules", [
+    (["compare", "{t}", "{t}", "--scope", "all"], [*_TEXT_MODULES, "sensorplace.rankcorr"]),
+    (["compare", "{t}", "{t}", "--scope", "per-size", "--out-dir", "{tmp}/tau"],
+     [*_TEXT_MODULES, "sensorplace.rankcorr"]),
+    (["compare", "{t}", "{t}", "--scope", "top", "--top-k", "2"],
+     [*_TEXT_MODULES, "sensorplace.rankcorr"]),
+    (["report", "{t}"], _TEXT_MODULES),
+    (["report", "{t}", "--out", "{tmp}/report.txt"], _TEXT_MODULES),
+], ids=["compare-all", "compare-per-size", "compare-top", "report", "report-out"])
+def test_text_commands_load_exactly_their_modules(tmp_path, argv, modules):
+    # the modules README's table names for compare and report, and no other
+    assert _probe_modules(tmp_path, argv)[1].split() == sorted(modules)
 
 
 def test_importing_cli_loads_no_command_module():
-    probe = ("import sys\nimport sensorplace.cli\nprint(*(m for m in ('run', 'config', 'tablerun', "
+    probe = ("import sys\nimport sensorplace.cli\nprint(*(m for m in ('run', 'config', 'textio', "
              "'synth') if f'sensorplace.{m}' in sys.modules))")
     env = dict(os.environ, PYTHONPATH=str(Path(sensorplace.__file__).resolve().parents[1]))
     proc = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True, text=True)

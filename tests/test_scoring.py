@@ -30,16 +30,12 @@ from sensorplace.scoring import (
     sort_ranking,
 )
 from sensorplace.sites import canonical_label, canonical_sites, subset_labels
-from sensorplace.skeleton import ActivitySet, DEFAULT_ROSTER, SITE_ORDER
+from sensorplace.skeleton import DEFAULT_ROSTER, SITE_ORDER
 from sensorplace.synth import make_separable_set
 
 
 def _set_from_arrays(arrays, sites):
-    return ActivitySet(
-        activities=tuple(
-            make_series(f"a{i}", arr, sites=sites) for i, arr in enumerate(arrays)
-        )
-    )
+    return tuple(make_series(f"a{i}", arr, sites=sites) for i, arr in enumerate(arrays))
 
 
 # --- cosine distance -------------------------------------------------------------
@@ -218,11 +214,29 @@ def test_no_window_sets_to_score_is_an_error():
 def test_window_sets_of_other_activities_are_an_error():
     three = make_separable_set(3, ["LW"], seed=1, length=20)
     four = make_separable_set(4, ["LW"], seed=2, length=20)
-    renamed = _set_from_arrays([series.points for series in three.activities], sites=three.sites)
+    renamed = _set_from_arrays([series.points for series in three], sites=three[0].sites)
     for window_sets in ([three, three, four], [three, three, renamed]):
         with pytest.raises(ConfigError,
                            match="^window set 2: activity ids differ from window set 0's$"):
             mean_scores(window_sets, ["LW"])
+
+
+@pytest.mark.parametrize("sites, length, rate, message", [
+    (("LW",), 4, 10.0, "site roster mismatch: 'b' has ('LW',), 'a' has ('LW', 'RW')"),
+    (("LW", "RW"), 3, 10.0, "length mismatch: 'b' has 3 frames, 'a' has 4"),
+    (("LW", "RW"), 4, 30.0, "sample rate mismatch: 'b' is at 30.0 Hz, 'a' at 10.0 Hz"),
+], ids=["roster-mismatch", "length-mismatch", "rate-mismatch"])
+def test_a_bad_window_set_after_the_first_is_an_error(sites, length, rate, message):
+    # every window set is checked, not the first alone
+    rng = np.random.default_rng(3)
+    good = tuple(make_series(aid, rng.normal(size=(2, 4, 2)), sites=("LW", "RW"))
+                 for aid in ("a", "b"))
+    bad = (good[0], make_series("b", rng.normal(size=(len(sites), length, 2)), sites=sites,
+                                sample_rate=rate))
+    with pytest.raises(ConfigError, match=f"^{re.escape(message)}$"):
+        mean_scores([good, bad], ["LW"])
+    with pytest.raises(ConfigError, match=f"^{re.escape(message)}$"):
+        rank_placements([good, good, bad], ["LW", "RW"])
 
 
 def test_ranking_sorts_desc_with_canonical_tie_break():
@@ -279,7 +293,7 @@ def _full_roster_set(seed):
     # pair terms are tiny and cancellation would expose a sloppy sum
     aset = make_separable_set(8, ["LW"], seed=seed, noise_sigma=0.01, length=40,
                               roster=SITE_ORDER)
-    return aset, [series.points for series in aset.activities]
+    return aset, [series.points for series in aset]
 
 
 def test_one_subset_scores_as_rank_placements_scores_it_bit_for_bit():
@@ -362,7 +376,7 @@ def _reference_scores(aset, subsets):
             total = total + gram[k]
         moving = np.diagonal(total) > 0
         if not moving.all():
-            activity_id = aset.activities[int(np.argmin(moving))].activity_id
+            activity_id = aset[int(np.argmin(moving))].activity_id
             raise ComputationError(f"activity {activity_id!r}: vector is identically zero")
         scores.append(_reference_kernel(total))
     return scores

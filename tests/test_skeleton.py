@@ -22,11 +22,11 @@ from sensorplace.errors import (
     SiteExcludedError,
     UnknownSiteError,
 )
+from sensorplace.scoring import mean_scores
 from sensorplace.skeleton import (
     DEFAULT_ROSTER,
     MERGE_SOURCES,
     SITE_ORDER,
-    ActivitySet,
     _median,
     centralize,
     decimation_stride,
@@ -80,10 +80,10 @@ def test_skeleton_series_rejects_bad_contents(points, rate, message):
      "sample rate mismatch: 'b' is at 30.0 Hz, 'a' at 10.0 Hz"),
 ], ids=["one-activity", "duplicate-ids", "roster-mismatch", "length-mismatch", "rate-mismatch"])
 def test_activity_set_rejects_inconsistent_activities(series, message):
-    activities = tuple(make_series(aid, np.ones((n, length, 2)), sample_rate=rate)
+    window_set = tuple(make_series(aid, np.ones((n, length, 2)), sample_rate=rate)
                        for aid, n, length, rate in series)
-    with pytest.raises(ValueError, match=re.escape(message)):
-        ActivitySet(activities=activities)
+    with pytest.raises(ConfigError, match=f"^{re.escape(message)}$"):
+        mean_scores([window_set], ["LW"])
 
 
 # --- merging ----------------------------------------------------------------
@@ -350,7 +350,7 @@ def test_truncate_exact_length_is_identity(tmp_path):
     entries, points = _recordings(tmp_path, 500)
     window_sets, diagnostics = runner.load_window_sets(entries, RunConfig(series_length=500))
     assert len(window_sets) == 1 and [d["windows"] for d in diagnostics] == [1, 1]
-    for window, full in zip(window_sets[0].activities, points):
+    for window, full in zip(window_sets[0], points):
         assert window.points.shape == full.shape
         np.testing.assert_array_equal(window.points, full)
 
@@ -366,7 +366,7 @@ def test_truncate_first_keeps_prefix(tmp_path):
     entries, points = _recordings(tmp_path, 10)
     window_sets, _ = runner.load_window_sets(entries, RunConfig(series_length=4))
     assert len(window_sets) == 1
-    for window, full in zip(window_sets[0].activities, points):
+    for window, full in zip(window_sets[0], points):
         np.testing.assert_array_equal(window.points, full[:, :4])
 
 

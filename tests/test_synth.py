@@ -110,8 +110,8 @@ def test_an_unknown_roster_site_is_named(call):
 def test_static_sites_identical_across_activities():
     aset = make_separable_set(3, ["LW"], seed=11)
     for site in ("RW", "PE", "LF", "RF"):
-        first = aset.activities[0].points[aset.sites.index(site)]
-        for act in aset.activities[1:]:
+        first = aset[0].points[aset[0].sites.index(site)]
+        for act in aset[1:]:
             np.testing.assert_array_equal(act.points[act.sites.index(site)], first)
 
 

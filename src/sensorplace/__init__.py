@@ -29,13 +29,13 @@ _EXPORTS = {
     "rankcorr": ("TauReport", "compare_rankings", "kendall_tau"),
     "scoring": (
         "cosine_distance",
-        "enumerate_subsets",
         "max_score",
         "mean_scores",
         "rank_placements",
         "sort_ranking",
     ),
-    "sites": ("DEFAULT_ROSTER", "SITE_NAMES", "SITE_ORDER", "canonical_label", "canonical_sites"),
+    "sites": ("DEFAULT_ROSTER", "SITE_NAMES", "SITE_ORDER", "canonical_label", "canonical_sites",
+              "enumerate_subsets"),
     "skeleton": (
         "SkeletonSeries",
         "centralize",

@@ -261,6 +261,11 @@ def console_main():
     a ``compare`` on 2 vCPUs. Output files are closed and renamed before
     ``main`` returns; ``atexit`` handlers do not run. An exception ``main``
     does not handle ends the process the normal way, with its traceback."""
+    # one BLAS thread unless the environment names a count, set before numpy
+    # loads: rank and validate then fork a single-threaded process, and no
+    # command makes a BLAS call
+    for name in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+        os.environ.setdefault(name, "1")
     try:
         code = main()
     except SystemExit as exc:  # argparse: --help, --version and usage errors

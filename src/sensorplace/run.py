@@ -27,8 +27,8 @@ import numpy as np
 from . import io as pio
 from .config import RunConfig
 from .errors import ComputationError, DataError, ManifestError
-from .scoring import TIE_BREAK, enumerate_subsets, rank_placements
-from .sites import SITE_ORDER
+from .scoring import TIE_BREAK, rank_placements
+from .sites import SITE_ORDER, enumerate_subsets
 from .skeleton import SkeletonSeries, merge_keypoints, preprocess_recording
 
 RANKING_FILENAME = "ranking.csv"

@@ -29,21 +29,19 @@ divides by the window count.
 
 A ranking is two lists, ``(labels, scores)``, best first, as ranking
 tables are read and written; ``sort_ranking`` puts one in ``TIE_BREAK``
-order.
+order, whose subset order ``sites.enumerate_subsets`` alone generates.
 """
 
 from __future__ import annotations
 
-from itertools import combinations, compress
+from itertools import compress
 from operator import itemgetter
 import math
 
 import numpy as np
 
 from .errors import ComputationError, ConfigError, DataError
-from .sites import (
-    canonical_label, canonical_sites, check_roster, check_sizes, positions, subset_labels,
-)
+from .sites import canonical_label, canonical_sites, positions, subset_labels
 
 TIE_BREAK = "score desc, then subset size asc, then canonical site order"
 
@@ -194,27 +192,14 @@ def mean_scores(window_sets, labels) -> np.ndarray:
     return total / len(window_sets)
 
 
-def enumerate_subsets(roster, sizes=None) -> list[str]:
-    """The labels of all site combinations of the requested sizes.
-
-    ``sizes=None`` means every size 1..len(roster). Output order is size
-    ascending, then lexicographic in canonical site order, which is the
-    tie-break order; a 5-site roster with all sizes yields 31 labels.
-    """
-    roster = check_roster(roster)
-    wanted = range(1, len(roster) + 1) if sizes is None else check_sizes(sizes, roster)
-    # combinations of a canonical roster are canonical themselves
-    return ["+".join(combo) for s in wanted for combo in combinations(roster, s)]
-
-
 def sort_ranking(labels, scores) -> tuple[list[str], list[float]]:
     """Order ``labels`` and their ``scores`` best first under ``TIE_BREAK``,
     with canonical labels; a subset named twice raises InvalidRankError.
 
     The pairs are put in tie-break order, the order of ``subset_labels``,
     which takes linear time for labels already in it, as
-    ``enumerate_subsets`` gives them. One stable sort by score, descending,
-    then keeps equal scores in that order.
+    ``sites.enumerate_subsets`` gives them. One stable sort by score,
+    descending, then keeps equal scores in that order.
     """
     position = subset_labels()
     labels = [canonical_label(label) for label in labels]

@@ -1,8 +1,10 @@
-"""Placement sites: their ids, names and canonical order; the check that
-a ranking names each subset once; the parsers of the values flags and
-config files give (site lists, subset sizes, numbers, on/off switches);
-and ``SETTINGS``, the one table of run settings, with their defaults and
-value rules.
+"""Placement sites: their ids, names and canonical order; the subsets of
+a roster in the tie-break order (``enumerate_subsets``, the one generator
+of that order, which ``subset_labels`` reads for all 12 sites); the check
+that a ranking names each subset once; the parsers of the values flags
+and config files give (site lists, subset sizes, numbers, on/off
+switches); and ``SETTINGS``, the one table of run settings, with their
+defaults and value rules.
 
 Plain Python with no array code, so the commands that only read and write
 rankings (``compare``, ``report``) and the CLI's parser can use it without
@@ -58,16 +60,6 @@ def canonical_sites(sites) -> tuple[str, ...]:
     return tuple(sorted(sites, key=_SITE_INDEX.__getitem__))
 
 
-@cache
-def subset_labels() -> dict[str, int]:
-    """The label of every subset of the 12 sites, in canonical order, mapped
-    to its place in the tie-break order: size ascending, then canonical
-    site order."""
-    sizes = range(1, len(SITE_ORDER) + 1)
-    labels = ("+".join(c) for k in sizes for c in combinations(SITE_ORDER, k))
-    return {label: place for place, label in enumerate(labels)}
-
-
 def canonical_label(label: str) -> str:
     """The canonical label of the subset ``label`` names: its sites joined
     by ``+`` in canonical order. Each site must be known and given once, in
@@ -75,7 +67,6 @@ def canonical_label(label: str) -> str:
     if label in subset_labels():
         return label
     return "+".join(canonical_sites(label.split("+")))
-
 
 
 def positions(ordering) -> dict[str, int]:
@@ -225,6 +216,26 @@ def check_sizes(sizes, roster) -> tuple[int, ...]:
     if sizes[-1] > len(roster):
         raise ConfigError(f"subset sizes {sizes} out of range for a roster of {len(roster)}")
     return sizes
+
+
+def enumerate_subsets(roster, sizes=None) -> list[str]:
+    """The labels of all site combinations of the requested sizes, in the
+    tie-break order: size ascending, then canonical site order.
+
+    ``sizes=None`` means every size 1..len(roster); a 5-site roster with
+    all sizes yields 31 labels. This is the one generator of that order.
+    """
+    roster = check_roster(roster)
+    wanted = range(1, len(roster) + 1) if sizes is None else check_sizes(sizes, roster)
+    # combinations of a canonical roster are canonical themselves
+    return ["+".join(combo) for s in wanted for combo in combinations(roster, s)]
+
+
+@cache
+def subset_labels() -> dict[str, int]:
+    """The label of every subset of the 12 sites mapped to its place in
+    the tie-break order, as ``enumerate_subsets`` gives them."""
+    return {label: place for place, label in enumerate(enumerate_subsets(SITE_ORDER))}
 
 
 # A run setting: its RunConfig field (also its config-file and report key),

@@ -6,8 +6,9 @@ Ranking tables are CSV with header ``rank,score,sites`` (sites as
 ``+``-joined canonical ids); external rankings may omit the score column
 (``rank,sites``). A table is written and read as one ordering, ``(labels,
 scores)``: its labels best first and their scores. Ranks are ASCII
-digits, and every number read is ASCII without ``_``. Tau tables hold one
-row per comparison scope. Every input file is read by ``_read_text`` and
+digits, and every number read is ASCII without ``_``. Tau tables and
+``tau.json`` hold one result per comparison scope, its fields those of
+``TAU_FIELDS`` in order. Every input file is read by ``_read_text`` and
 ``data_lines``, the one line grammar. Readers turn a missing, unreadable
 or non-UTF-8 file, and every malformed line, into a ``DataError`` with a
 one-line message. All writers go through a write-then-rename step so
@@ -279,14 +280,16 @@ def write_json_report(path, payload: dict) -> None:
     atomic_write_text(path, json.dumps(payload, indent=2) + "\n")
 
 
+# A tau result's fields, in the order tau.csv and tau.json write them.
+TAU_FIELDS = ("tau", "n", "pairs", "concordant", "discordant")
+
+
 def write_tau_table(path, reports: dict) -> None:
-    """Machine-readable tau table: one row per comparison scope."""
-    lines = ["scope,tau,n,pairs,concordant,discordant"]
-    for key in sorted(reports):
-        r = reports[key]
-        lines.append(
-            f"{key},{format_float(r.tau)},{r.n},{r.pairs},{r.concordant},{r.discordant}"
-        )
+    """Machine-readable tau table: one row per comparison scope, in the
+    order of ``reports``, and one column per ``TAU_FIELDS`` entry."""
+    lines = [",".join(["scope", *TAU_FIELDS])]
+    lines += [",".join([key, format_float(r.tau), *(str(getattr(r, f)) for f in TAU_FIELDS[1:])])
+              for key, r in reports.items()]
     atomic_write_text(path, "\n".join(lines) + "\n")
 
 
@@ -297,7 +300,9 @@ TAU_REPORT_FILENAME = "tau.json"
 
 
 def run_compare(first_path, second_path, scope: str = "per-size", top_k: int = 3, out_dir=None):
-    """Kendall's tau between two ranking files, per comparison scope."""
+    """Kendall's tau between two ranking files, per comparison scope. The
+    scopes keep ``compare_rankings``' order (``size-1``, ``size-2``, ...)
+    in the payload, ``tau.csv`` and the text."""
     from .rankcorr import compare_rankings  # here, so that report does not load it
 
     first, _ = read_ranking_file(first_path)
@@ -308,16 +313,8 @@ def run_compare(first_path, second_path, scope: str = "per-size", top_k: int = 3
         "scope": scope,
         "first": str(first_path),
         "second": str(second_path),
-        "results": {
-            key: {
-                "tau": r.tau,
-                "n": r.n,
-                "pairs": r.pairs,
-                "concordant": r.concordant,
-                "discordant": r.discordant,
-            }
-            for key, r in sorted(reports.items())
-        },
+        "results": {key: {field: getattr(r, field) for field in TAU_FIELDS}
+                    for key, r in reports.items()},
     }
     if out_dir is not None:
         out_dir = Path(out_dir)

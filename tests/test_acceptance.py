@@ -25,10 +25,10 @@ from sensorplace.errors import ManifestError
 from sensorplace.rankcorr import kendall_tau
 from sensorplace.scoring import (
     cosine_distance,
-    enumerate_subsets,
     mean_scores,
     rank_placements,
 )
+from sensorplace.sites import enumerate_subsets
 from sensorplace.skeleton import (
     DEFAULT_ROSTER,
     centralize,

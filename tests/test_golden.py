@@ -11,9 +11,11 @@ libm.
 The runs: ``rank`` on a 13-activity CSV corpus (default roster, sizes
 1-5), on all 12 sites (4095 subsets), and with ``--multi-window`` on a
 labeled corpus with two equal-length recordings per activity;
-``compare`` of the first and the third table with ``--scope all`` and
-``per-size``; and ``report`` of the first table. ``golden/SHA256SUMS`` holds the digest of every file, and
-``golden/ranking.csv`` the first table as text.
+``compare`` of the first and the third table with ``--scope all``,
+``per-size`` and ``top --top-k 30``, and of the 12-site table with itself
+``per-size``, whose 11 keys must come in size order; and ``report`` of
+the first table. ``golden/SHA256SUMS`` holds the digest of every file,
+and ``golden/ranking.csv`` the first table as text.
 
 A change that moves output on purpose rewrites both files with
 ``PYTHONPATH=src python tests/test_golden.py`` and declares the move.
@@ -44,6 +46,11 @@ RUNS = (
     ["compare", TABLE, "rank-windows/ranking.csv", "--scope", "all", "--out-dir", "tau-all"],
     ["compare", TABLE, "rank-windows/ranking.csv", "--scope", "per-size",
      "--out-dir", "tau-per-size"],
+    # below 30 rows the two tables' tops hold different subsets, an input error
+    ["compare", TABLE, "rank-windows/ranking.csv", "--scope", "top", "--top-k", "30",
+     "--out-dir", "tau-top"],
+    ["compare", "rank-12/ranking.csv", "rank-12/ranking.csv", "--scope", "per-size",
+     "--out-dir", "tau-per-size-12"],
     ["report", TABLE, "--out", "report.txt"],
 )
 

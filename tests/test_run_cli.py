@@ -25,8 +25,8 @@ from sensorplace import sites, synth, textio
 from sensorplace.config import _PARSERS, RunConfig
 from sensorplace.errors import ComputationError, ConfigError, ManifestError
 from sensorplace.rankcorr import compare_rankings
-from sensorplace.scoring import enumerate_subsets, rank_placements
-from sensorplace.sites import SETTINGS, SITE_ORDER
+from sensorplace.scoring import rank_placements
+from sensorplace.sites import SETTINGS, SITE_ORDER, enumerate_subsets
 from sensorplace.skeleton import preprocess_recording
 
 
@@ -608,6 +608,24 @@ def test_compare_against_external_truth(tmp_path):
     predicted.write_text("rank,score,sites\n1,0.9,LW+RW\n2,0.5,LW+PE\n3,0.1,RW+PE\n")
     reports, _ = textio.run_compare(truth, predicted, scope="per-size")
     assert reports["size-2"].tau == pytest.approx(-1 / 3, abs=1e-15)
+
+
+def test_per_size_scopes_come_in_size_order(tmp_path, capsys):
+    # twelve sites give sizes 1-12, and size 12 holds one subset: the keys
+    # run size-1 ... size-11 in stdout, tau.csv and tau.json alike
+    first = _full_table(tmp_path / "first.csv")
+    rows = (f"{rank},{label}" for rank, label in enumerate(reversed(sites.subset_labels()), 1))
+    second = tmp_path / "second.csv"
+    second.write_text("\n".join(["rank,sites", *rows]) + "\n")
+    out = tmp_path / "tau"
+    capsys.readouterr()
+    assert cli.main(["compare", str(first), str(second), "--out-dir", str(out)]) == 0
+    keys = [f"size-{size}" for size in range(1, 12)]
+    text = capsys.readouterr().out.splitlines()
+    assert [line.split(":")[0].strip() for line in text if line.startswith("  size-")] == keys
+    table = (out / textio.TAU_TABLE_FILENAME).read_text().splitlines()
+    assert [line.split(",")[0] for line in table[1:]] == keys
+    assert list(json.loads((out / textio.TAU_REPORT_FILENAME).read_text())["results"]) == keys
 
 
 # --- CLI ---------------------------------------------------------------------------
@@ -1816,6 +1834,37 @@ def test_the_process_entry_writes_what_main_writes(_entry_inputs, monkeypatch, c
                               stdout=fh, stderr=subprocess.PIPE, env=_process_env())
     assert (proc.returncode, stdout.read_bytes(), proc.stderr) == (code, out.encode(), err.encode())
     assert code in (0, 1, 2) and (out or err)
+
+
+_FORK_PROBE = """
+import os, sys
+fork, path = os.fork, sys.argv.pop(1)
+def counted():
+    with open(path, "a") as fh:
+        fh.write(f"{len(os.listdir('/proc/self/task'))}\\n")
+    return fork()
+os.fork = counted
+from sensorplace.cli import console_main
+console_main()
+"""
+
+
+@pytest.mark.skipif(not (os.path.isdir("/proc/self/task") and hasattr(os, "sched_getaffinity")
+                         and len(os.sched_getaffinity(0)) >= 2),
+                    reason="rank forks only on Linux with two or more usable CPUs")
+def test_the_process_entry_forks_a_single_threaded_process(tmp_path):
+    # numpy's BLAS starts a thread pool as it loads unless held to one
+    # thread; the entry holds it, so rank forks with no other thread running
+    manifest = synth.run_synth(tmp_path / "corpus", n_activities=3, length=60)
+    env = _process_env()
+    for name in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+        env.pop(name, None)
+    threads = tmp_path / "threads.txt"
+    proc = subprocess.run([sys.executable, "-c", _FORK_PROBE, str(threads), "rank", str(manifest),
+                           "--length", "50", "--out-dir", str(tmp_path / "out")],
+                          env=env, capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert threads.read_text() == "1\n"
 
 
 @pytest.mark.parametrize("stderr_closed, unbuffered", [

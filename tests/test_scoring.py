@@ -23,13 +23,12 @@ from sensorplace.scoring import (
     SUBSET_CHUNK,
     _site_grams,
     cosine_distance,
-    enumerate_subsets,
     max_score,
     mean_scores,
     rank_placements,
     sort_ranking,
 )
-from sensorplace.sites import canonical_label, canonical_sites, subset_labels
+from sensorplace.sites import canonical_label, canonical_sites, enumerate_subsets, subset_labels
 from sensorplace.skeleton import DEFAULT_ROSTER, SITE_ORDER
 from sensorplace.synth import make_separable_set
 

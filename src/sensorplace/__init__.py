@@ -27,13 +27,7 @@ _EXPORTS = {
         "SensorPlaceError",
     ),
     "rankcorr": ("TauReport", "compare_rankings", "kendall_tau"),
-    "scoring": (
-        "cosine_distance",
-        "max_score",
-        "mean_scores",
-        "rank_placements",
-        "sort_ranking",
-    ),
+    "scoring": ("mean_scores", "rank_placements", "sort_ranking"),
     "sites": ("DEFAULT_ROSTER", "SITE_NAMES", "SITE_ORDER", "canonical_label", "canonical_sites",
               "enumerate_subsets"),
     "skeleton": (

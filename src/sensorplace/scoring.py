@@ -36,7 +36,6 @@ from __future__ import annotations
 
 from itertools import compress
 from operator import itemgetter
-import math
 
 import numpy as np
 
@@ -47,22 +46,6 @@ TIE_BREAK = "score desc, then subset size asc, then canonical site order"
 
 # Subsets scored per Kahan pass; bounds the packed stack a pass holds.
 SUBSET_CHUNK = 256
-
-
-def cosine_distance(u: np.ndarray, v: np.ndarray) -> float:
-    """Absolute cosine distance |1 - u.v / (|u||v|)| between two vectors.
-
-    0 for identical direction, 1 for orthogonal, 2 for antiparallel.
-    """
-    u = np.asarray(u, dtype=np.float64).reshape(-1)
-    v = np.asarray(v, dtype=np.float64).reshape(-1)
-    if u.shape != v.shape:
-        raise ComputationError(f"vector lengths differ: {u.size} vs {v.size}")
-    nu = float(np.linalg.norm(u))
-    nv = float(np.linalg.norm(v))
-    if nu == 0.0 or nv == 0.0:
-        raise ComputationError("cosine distance is undefined for zero-norm vectors")
-    return abs(1.0 - float(np.dot(u, v)) / (nu * nv))
 
 
 def _site_grams(window_set, sites) -> np.ndarray:
@@ -219,7 +202,3 @@ def rank_placements(window_sets, labels) -> tuple[list[str], list[float]]:
         raise ConfigError("no subsets to rank")
     return sort_ranking(labels, mean_scores(window_sets, labels).tolist())
 
-
-def max_score(n_activities: int) -> float:
-    """Upper bound on a subset score: 2 per pair over all activity pairs."""
-    return 2.0 * math.comb(n_activities, 2)

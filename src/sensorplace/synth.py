@@ -150,6 +150,12 @@ def separable_specs(
 
     bases = centered_bases(roster)
     nyquist = sample_rate / 2.0
+    # the top frequency as the spread below computes it, in Python floats,
+    # which overflow without a warning: past float max / (2*pi) its angles
+    # are all nan
+    top = 0.5 + (float(nyquist) - 1.0) * float(n_activities - 1) / max(n_activities - 1, 1)
+    if not np.isfinite(2.0 * np.pi * top):
+        raise ConfigError(f"sample rate {sample_rate:g} Hz is too high: the motion angles overflow")
     # Spread frequencies across (0, nyquist) with distinct values per activity.
     freqs = 0.5 + (nyquist - 1.0) * np.arange(n_activities) / max(n_activities - 1, 1)
     child_seeds = np.random.default_rng(seed).integers(0, 2**63, size=n_activities)

@@ -23,11 +23,7 @@ from sensorplace import synth, textio
 from sensorplace.config import RunConfig
 from sensorplace.errors import ManifestError
 from sensorplace.rankcorr import kendall_tau
-from sensorplace.scoring import (
-    cosine_distance,
-    mean_scores,
-    rank_placements,
-)
+from sensorplace.scoring import mean_scores, rank_placements
 from sensorplace.sites import enumerate_subsets
 from sensorplace.skeleton import (
     DEFAULT_ROSTER,
@@ -75,11 +71,17 @@ def test_01_subset_score_matches_brute_force_oracle():
 
 
 def test_02_cosine_geometry_is_exact():
-    u = np.array([0.3, -1.2, 2.5, 4.0])
+    # two activities at one site: the score is their one pair's |1 - cos|
+    u = np.array([0.3, -1.2, 2.5, 4.0]).reshape(1, 2, 2)
+
+    def score(a, b):
+        pair = (make_series("a0", a, sites=("LW",)), make_series("a1", b, sites=("LW",)))
+        return mean_scores([pair], ["LW"])[0]
+
     errs = (
-        cosine_distance(u, u),
-        abs(cosine_distance([1.0, 0.0], [0.0, 1.0]) - 1.0),
-        abs(cosine_distance(u, -u) - 2.0),
+        score(u, u),
+        abs(score([[[1.0, 0.0]]], [[[0.0, 1.0]]]) - 1.0),
+        abs(score(u, -u) - 2.0),
     )
     _verdict(
         "cosine distance hits 0/1/2 for identical/orthogonal/antiparallel",

@@ -2,6 +2,7 @@
 
 import re
 import tracemalloc
+from pathlib import Path
 from unittest import mock
 
 import numpy as np
@@ -389,6 +390,17 @@ def test_ranking_file_with_a_byte_order_mark_reads_alike(tmp_path):
 
 # --- one line grammar for every input -------------------------------------------------
 
+def test_no_reader_splits_lines_or_tokens_its_own_way():
+    # every reader takes its lines from textio.data_lines and its tokens
+    # from textio.words, so no other line or token split may appear
+    paths = sorted(Path(pio.__file__).parent.glob("*.py"))
+    assert Path(textio.__file__) in paths
+    found = [f"{path.name}:{number}: {line}" for path in paths
+             for number, line in enumerate(path.read_text(encoding="utf-8").split("\n"), 1)
+             if re.search(r"\.strip\(\)|\.split\(\)|splitlines", line)]
+    assert found == []
+
+
 def _keypoint_text(style):
     frames = _frames(4, seed=5)
     return "".join(_line(frames, i, style) + "\n" for i in range(4))
@@ -717,9 +729,11 @@ def _underscore_to_value(line):
 
 
 @pytest.mark.parametrize("style", ["csv", "labeled"])
-@pytest.mark.parametrize("spelling", ["0.1_0", "\u0660.5"], ids=["underscore", "arabic-indic"])
+@pytest.mark.parametrize("spelling", ["0.1_0", "\u0660.5", "=0.5"],
+                         ids=["underscore", "arabic-indic", "doubled-equals"])
 def test_keypoint_values_are_ascii_without_underscores(tmp_path, style, spelling):
-    # numpy reads both spellings on the block path; the line parser names the field
+    # numpy reads the first two spellings on the block path; the line parser
+    # names the field
     path = tmp_path / "rec.txt"
     pio.write_keypoint_file(path, *_frames(130), style=style)
     lines = path.read_text().splitlines()

@@ -110,24 +110,39 @@ def test_rank_reports_one_diagnostic_per_failed_activity(tmp_path):
 
 
 def test_rank_writes_table_and_report(tmp_path):
+    # report.json explains the run and holds these keys only, in this order:
+    # the ranking is in ranking.csv alone
+    keys = ["kind", "fingerprint", "config", "tie_break", "n_activities", "n_windows",
+            "activities"]
     manifest = _corpus(tmp_path)
-    out = tmp_path / "out"
-    ranking, payload = runner.run_rank(manifest, _config(), out_dir=out)
-    assert textio.read_ranking_file(out / runner.RANKING_FILENAME) == ranking
-    report = json.loads((out / runner.RANK_REPORT_FILENAME).read_text())
-    assert report["fingerprint"] == payload["fingerprint"]
-    assert report["n_activities"] == 3
-    assert "timestamp" not in json.dumps(report).lower()
+    for config, n_windows in ((_config(), 1), (_config(series_length=100, multi_window=True), 5)):
+        out = tmp_path / f"out-{n_windows}"
+        ranking, payload = runner.run_rank(manifest, config, out_dir=out)
+        assert textio.read_ranking_file(out / runner.RANKING_FILENAME) == ranking
+        report = json.loads((out / runner.RANK_REPORT_FILENAME).read_text())
+        assert list(report) == keys
+        assert report["fingerprint"] == payload["fingerprint"]
+        assert (report["n_activities"], report["n_windows"]) == (3, n_windows)
+        assert "timestamp" not in json.dumps(report).lower()
 
 
 def test_rank_output_is_byte_identical_across_runs(tmp_path):
+    # run to run, and with a byte-order mark before the manifest or CRLF line
+    # ends in every file of the corpus: neither is content
     manifest = _corpus(tmp_path)
+    crlf = tmp_path / "crlf"
+    crlf.mkdir()
+    for path in manifest.parent.iterdir():
+        (crlf / path.name).write_bytes(path.read_bytes().replace(b"\n", b"\r\n"))
+    bom = manifest.with_name("bom.txt")
+    bom.write_bytes(b"\xef\xbb\xbf" + manifest.read_bytes())
     outs = []
-    for k in range(3):
+    for k, listed in enumerate((manifest, manifest, manifest, bom, crlf / manifest.name)):
         out = tmp_path / f"out-{k}"
-        runner.run_rank(manifest, _config(), out_dir=out)
-        outs.append((out / runner.RANKING_FILENAME).read_bytes())
-    assert outs[0] == outs[1] == outs[2]
+        runner.run_rank(listed, _config(), out_dir=out)
+        outs.append(((out / runner.RANKING_FILENAME).read_bytes(),
+                     (out / runner.RANK_REPORT_FILENAME).read_bytes()))
+    assert outs.count(outs[0]) == len(outs)
 
 
 def test_rank_round_trip_agrees_with_itself(tmp_path):
@@ -383,9 +398,14 @@ def test_numpy_typed_settings_write_what_their_plain_values_write(tmp_path):
 
 
 def test_rank_ingests_labeled_corpus(tmp_path):
-    manifest = _corpus(tmp_path, style="labeled")
-    (labels, _), _ = runner.run_rank(manifest, _config(subset_sizes=(1,)))
-    assert labels[0] == "LW"
+    # labeled and CSV files of one seed rank to the same bytes
+    rankings = []
+    for style in ("csv", "labeled"):
+        manifest = _corpus(tmp_path / style, noise=0.01, seed=2, style=style)
+        (labels, _), _ = runner.run_rank(manifest, _config(), out_dir=tmp_path / style / "out")
+        assert labels[0] == "LW"
+        rankings.append((tmp_path / style / "out" / runner.RANKING_FILENAME).read_bytes())
+    assert rankings[0] == rankings[1]
 
 
 def test_rank_without_drift_matches_direct_generation_ordering(tmp_path):
@@ -664,21 +684,54 @@ def test_cli_config_file_with_flag_override(tmp_path, capsys):
     assert report["config"]["series_length"] == 500  # flag beat the file
 
 
-def test_cli_rank_gives_identical_bytes_across_processes(tmp_path):
-    corpus = tmp_path / "corpus"
-    cli.main(["synth", str(corpus), "--length", "520"])
-    outs = []
-    for k, threads in enumerate(("1", "1", "2")):
-        out = tmp_path / f"out-{k}"
-        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads, OMP_NUM_THREADS=threads,
-                   PYTHONPATH=str(Path(sensorplace.__file__).resolve().parents[1]))
-        subprocess.run(
-            [sys.executable, "-m", "sensorplace.cli", "rank", str(corpus / "manifest.txt"),
-             "--out-dir", str(out)],
-            env=env, check=True, capture_output=True,
-        )
-        outs.append(((out / "ranking.csv").read_bytes(), (out / "report.json").read_bytes()))
-    assert outs[0] == outs[1] == outs[2]
+_ALL_SITES = ["--roster", ",".join(SITE_ORDER), "--allow-head",
+              "--sizes", ",".join(str(size) for size in range(1, 13))]
+_FIVE_WINDOWS = ["--multi-window", "--length", "100"]
+
+
+@pytest.fixture(scope="module")
+def _rank_corpus(tmp_path_factory):
+    """The manifest of a 13-activity corpus of 520 frames."""
+    return synth.run_synth(tmp_path_factory.mktemp("rank-corpus"), n_activities=13,
+                           noise_sigma=0.01, length=520)
+
+
+def _rank_child(manifest, out, flags, threads, cpu=None):
+    """The ranking.csv and report.json bytes of ``rank`` run in a child
+    process with ``threads`` BLAS threads, pinned to ``cpu`` if one is
+    given."""
+    env = dict(_process_env(), OPENBLAS_NUM_THREADS=threads, OMP_NUM_THREADS=threads)
+    pin = None if cpu is None else (lambda: os.sched_setaffinity(0, {cpu}))
+    subprocess.run([sys.executable, "-m", "sensorplace.cli", "rank", str(manifest),
+                    "--out-dir", str(out), *flags],
+                   env=env, check=True, capture_output=True, preexec_fn=pin)
+    return (out / "ranking.csv").read_bytes(), (out / "report.json").read_bytes()
+
+
+def test_cli_rank_gives_identical_bytes_across_processes(tmp_path, _rank_corpus):
+    # on five sites and on all 12 (4095 subsets, scored in chunks), over one
+    # window and as the mean over five: the same bytes run to run and
+    # whatever the BLAS thread count
+    for k, (flags, rows, n_windows) in enumerate([
+        ([], 31, 1), (_FIVE_WINDOWS, 31, 5), (_ALL_SITES, 4096, 1),
+        ([*_ALL_SITES, *_FIVE_WINDOWS], 4096, 5),
+    ]):
+        outs = [_rank_child(_rank_corpus, tmp_path / f"out-{k}-{run}", flags, threads)
+                for run, threads in enumerate("112")]
+        assert outs[0] == outs[1] == outs[2]
+        ranking, report = outs[0]
+        assert ranking.count(b"\n") == rows
+        assert json.loads(report)["n_windows"] == n_windows
+
+
+@pytest.mark.skipif(not (hasattr(os, "sched_setaffinity") and len(os.sched_getaffinity(0)) >= 2),
+                    reason="pinning to one CPU changes the load only where two or more are usable")
+def test_cli_rank_pinned_to_one_cpu_gives_the_unpinned_bytes(tmp_path, _rank_corpus):
+    # unpinned, rank loads the recordings in two processes; pinned, in one
+    flags = [*_ALL_SITES, *_FIVE_WINDOWS]
+    cpu = min(os.sched_getaffinity(0))
+    unpinned = _rank_child(_rank_corpus, tmp_path / "unpinned", flags, "1")
+    assert _rank_child(_rank_corpus, tmp_path / "pinned", flags, "1", cpu) == unpinned
 
 
 def test_cli_synth_is_seed_deterministic(tmp_path):
@@ -1571,17 +1624,27 @@ def test_run_rank_checks_the_sizes_against_the_roster_before_the_manifest(tmp_pa
     (["synth", "{corpus}/s", "--rate", "0.5", "--length", "20"],
      "sample rate must be at least 1 Hz, got 0.5 Hz"),
     (["synth", "{corpus}/s", "--noise", "nan"], "noise_sigma must be finite"),
+    # 2*pi times the top frequency, about rate / 2, overflows; with 13
+    # activities the frequency spread itself does
+    (["synth", "{corpus}/s", "--activities", "2", "--length", "5", "--rate", "6e307"],
+     "sample rate 6e+307 Hz is too high: the motion angles overflow"),
+    (["synth", "{corpus}/s", "--activities", "13", "--length", "5", "--rate", "5e307"],
+     "sample rate 5e+307 Hz is too high: the motion angles overflow"),
 ], ids=["rank-rate-nan", "validate-rate-nan", "config-rate-nan", "validate-rate-tiny",
         "synth-one-activity", "synth-unknown-site", "synth-length-0", "synth-rate-0",
         "synth-negative-noise", "synth-rate-nan", "synth-rate-inf", "synth-rate-below-1",
-        "synth-noise-nan"])
-def test_cli_bad_rate_and_synth_arguments_exit_1(tmp_path, capsys, argv, message):
+        "synth-noise-nan", "synth-rate-6e307", "synth-13-activities-rate-5e307"])
+def test_cli_bad_rate_and_synth_arguments_exit_1(tmp_path, argv, message):
+    # run as a process, whose stderr would also hold any numpy warning
     corpus = tmp_path / "corpus"
     cli.main(["synth", str(corpus), "--length", "520"])
     (corpus / "nan.cfg").write_text("sample_rate = nan\n")
-    capsys.readouterr()
-    assert cli.main([arg.format(corpus=corpus) for arg in argv]) == 1
-    assert message.format(corpus=corpus) in _one_error_line(capsys)
+    proc = subprocess.run([sys.executable, "-m", "sensorplace.cli",
+                           *(arg.format(corpus=corpus) for arg in argv)],
+                          capture_output=True, text=True, env=_process_env())
+    assert (proc.returncode, proc.stdout) == (1, "")
+    assert proc.stderr.startswith("error: ") and proc.stderr.count("\n") == 1, proc.stderr
+    assert message.format(corpus=corpus) in proc.stderr
 
 
 def test_cli_synth_at_1_hz_succeeds(tmp_path):
@@ -1679,6 +1742,16 @@ def test_every_public_name_resolves_and_is_listed():
         assert name in listed
 
 
+def test_readme_library_use_prints_what_its_comments_say():
+    text = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    block = text.split("## Library use", 1)[1].split("```python\n", 1)[1].split("```", 1)[0]
+    expected = [line.partition("# ")[2] for line in block.splitlines() if line.startswith("print(")]
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        exec(block, {})
+    assert expected and out.getvalue().splitlines() == expected
+
+
 # Runs cli.main in a fresh interpreter and prints its exit code and which
 # of the modules a command may not need it loaded ("-" for none), then, on
 # a line of their own, every package module it loaded.
@@ -1689,7 +1762,8 @@ try:
     code = cli.main(sys.argv[1:])
 except SystemExit as exc:
     code = exc.code
-heavy = ("numpy", "numpy.ma", "dataclasses", "hashlib", "fractions")
+heavy = ("numpy", "numpy.ma", "dataclasses", "inspect", "hashlib", "fractions",
+         "multiprocessing", "concurrent")
 ran = [name for name in ("config", "run", "synth", "rankcorr")
        if f"sensorplace.{name}" in sys.modules]
 print(code, " ".join(name for name in heavy if name in sys.modules) or "-", " ".join(ran) or "-")
@@ -1705,17 +1779,19 @@ print(*sorted(name for name in sys.modules if name.partition(".")[0] == "sensorp
     (["report", "{t}", "--out", "{tmp}/report.txt"], "0 - -"),
     (["--version"], "0 - -"),
     (["--help"], "0 - -"),
+    (["rank", "--help"], "0 - -"),
+    (["synth", "--help"], "0 - -"),
     (["rank", "{corpus}/manifest.txt", "--length", "abc"], "1 - -"),
     (["rank", "{corpus}/manifest.txt", "--length", "1"], "1 - -"),
     (["rank", "{corpus}/manifest.txt", "--config", "{tmp}/short.cfg"],
-     "1 dataclasses hashlib config"),
+     "1 dataclasses inspect hashlib config"),
     (["rank", "{corpus}/manifest.txt", "--length", "50", "--out-dir", "{tmp}/out"],
-     "0 numpy dataclasses hashlib config run"),
-    (["validate", "{corpus}/act01.csv"], "0 numpy dataclasses hashlib config run"),
-    (["synth", "{tmp}/other", "--length", "60"], "0 numpy dataclasses hashlib synth"),
+     "0 numpy dataclasses inspect hashlib config run"),
+    (["validate", "{corpus}/act01.csv"], "0 numpy dataclasses inspect hashlib config run"),
+    (["synth", "{tmp}/other", "--length", "60"], "0 numpy dataclasses inspect hashlib synth"),
 ], ids=["compare-all", "compare-per-size", "compare-top", "report", "report-out",
-        "version", "help", "usage-error", "bad-flag-value", "bad-config-value", "rank",
-        "validate", "synth"])
+        "version", "help", "rank-help", "synth-help", "usage-error", "bad-flag-value",
+        "bad-config-value", "rank", "validate", "synth"])
 def test_only_commands_that_compute_on_arrays_load_numpy(tmp_path, argv, outcome):
     assert _probe_modules(tmp_path, argv)[0] == outcome
 

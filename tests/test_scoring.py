@@ -1,4 +1,4 @@
-"""Cosine distance, subset scoring, and ranking."""
+"""Subset scoring and ranking."""
 
 import math
 import re
@@ -22,8 +22,6 @@ from sensorplace.rankcorr import compare_rankings
 from sensorplace.scoring import (
     SUBSET_CHUNK,
     _site_grams,
-    cosine_distance,
-    max_score,
     mean_scores,
     rank_placements,
     sort_ranking,
@@ -35,49 +33,6 @@ from sensorplace.synth import make_separable_set
 
 def _set_from_arrays(arrays, sites):
     return tuple(make_series(f"a{i}", arr, sites=sites) for i, arr in enumerate(arrays))
-
-
-# --- cosine distance -------------------------------------------------------------
-
-def test_cosine_identical_orthogonal_antiparallel():
-    u = np.array([1.0, 2.0, 3.0])
-    assert cosine_distance(u, u) <= 1e-12
-    assert abs(cosine_distance([1.0, 0.0], [0.0, 1.0]) - 1.0) <= 1e-12
-    assert abs(cosine_distance(u, -u) - 2.0) <= 1e-12
-
-
-def test_cosine_rejects_zero_norm_and_length_mismatch():
-    with pytest.raises(ComputationError,
-                       match="^cosine distance is undefined for zero-norm vectors$"):
-        cosine_distance([0.0, 0.0], [1.0, 0.0])
-    with pytest.raises(ComputationError, match="^vector lengths differ: 3 vs 2$"):
-        cosine_distance([1.0, 0.0, 0.0], [1.0, 0.0])
-
-
-nonzeroish = st.one_of(
-    st.just(0.0), st.floats(1e-3, 100.0), st.floats(-100.0, -1e-3)
-)
-
-
-@given(
-    st.lists(nonzeroish, min_size=2, max_size=16).filter(lambda vs: any(vs)),
-    st.floats(1e-3, 1e3),
-)
-def test_cosine_positive_scale_invariance(values, c):
-    u = np.asarray(values)
-    v = np.linspace(1.0, 2.0, u.size)
-    d1 = cosine_distance(u, v)
-    d2 = cosine_distance(u * c, v)
-    assert d2 == pytest.approx(d1, rel=1e-9, abs=1e-12)
-
-
-@given(st.integers(0, 1000))
-def test_cosine_symmetry_and_range(seed):
-    rng = np.random.default_rng(seed)
-    u, v = rng.normal(size=(2, 8))
-    d = cosine_distance(u, v)
-    assert d == cosine_distance(v, u)
-    assert 0.0 <= d <= 2.0 + 1e-12
 
 
 # --- subset scoring -----------------------------------------------------------------
@@ -120,7 +75,7 @@ def test_score_within_pair_bound(seed):
     n = int(rng.integers(2, 7))
     arrays = rng.normal(size=(n, 1, 6, 2)) + 1.5
     aset = _set_from_arrays(arrays, sites=("PE",))
-    assert 0.0 <= mean_scores([aset], ["PE"])[0] <= max_score(n) + 1e-12
+    assert 0.0 <= mean_scores([aset], ["PE"])[0] <= 2 * math.comb(n, 2) + 1e-12
 
 
 def test_scale_one_activity_leaves_scores_and_order(seed=17):

@@ -79,11 +79,16 @@ def positions(ordering) -> dict[str, int]:
     return places
 
 
+def site_ids(value, what: str) -> tuple[str, ...]:
+    """``value``, a tuple or list of strings, as a tuple of plain strings."""
+    if not (isinstance(value, (tuple, list)) and all(isinstance(site, str) for site in value)):
+        raise ConfigError(f"{what} must be a tuple or list of site ids, got {value!r}")
+    return tuple(map(str, value))  # a numpy string becomes a plain one
+
+
 def check_roster(roster) -> tuple[str, ...]:
     """Return ``roster`` sorted canonically: a non-empty tuple or list of known site ids."""
-    if not (isinstance(roster, (tuple, list)) and all(isinstance(site, str) for site in roster)):
-        raise ConfigError(f"roster must be a tuple or list of site ids, got {roster!r}")
-    roster = canonical_sites(map(str, roster))  # a numpy string becomes a plain one
+    roster = canonical_sites(site_ids(roster, "roster"))
     if not roster:
         raise ConfigError("roster must not be empty")
     return roster

@@ -20,13 +20,15 @@ rate, so a corpus written with no options ranks at default settings.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 
-from .errors import ConfigError
-from .sites import DEFAULT_ROSTER, DEFAULTS, SITE_ORDER, canonical_sites, check_rate
+from .errors import ConfigError, UnknownSiteError
+from .sites import (DEFAULT_ROSTER, DEFAULTS, SITE_ORDER, _is_bool, _rule, canonical_sites,
+                    check_rate, check_roster, real, site_ids, whole)
 from .skeleton import KEYPOINT_SITE, MERGE_SOURCES, NUM_KEYPOINTS, SkeletonSeries
 
 # Rough humanoid layout in normalized image coordinates (y grows downward).
@@ -44,6 +46,37 @@ DEFAULT_POSE = {
     "LF": (0.42, 0.86),
     "RF": (0.58, 0.86),
 }
+AMPLITUDE = 0.12  # the radius of a discriminative site's circle
+
+
+# --- argument checks: one ``sites`` rule per argument, which names it ----------
+def _finite(what, at_least_0=False):
+    finite = _rule(lambda v: math.isfinite(real(v, what)), what + " must be finite", float)
+    return _rule(lambda v: finite(v) >= 0, what + " must be >= 0", float) if at_least_0 else finite
+
+
+_check_xy = _finite("base")
+_MOTION_RULES = {
+    "base": _rule(lambda b: isinstance(b, (tuple, list)) and len(b) == 2,
+                  "base must be an (x, y) pair, got {!r}", lambda b: tuple(map(_check_xy, b))),
+    "phase": _finite("phase"),
+    **{field: _finite(field, True) for field in ("amplitude", "frequency", "noise_sigma")},
+}
+_check_seed = _rule(lambda n: whole(n, "seed") >= 0, "seed must be >= 0", int)
+_SPEC_RULES = {
+    "motions": _rule(lambda m: isinstance(m, dict) and canonical_sites(m) and all(  # site ids
+        isinstance(motion, SiteMotion) for motion in m.values()),
+        "motions must be a non-empty dict of SiteMotion, got {!r}", dict),
+    "length": _rule(lambda n: whole(n, "length") >= 1, "length must be at least 1", int),
+    "sample_rate": check_rate,
+    "seed": _check_seed,
+}
+_check_activities = _rule(lambda n: whole(n, "activities") >= 2, "need at least two activities", int)
+# the top frequency of a separable set, nyquist - 0.5, is negative under 1 Hz
+_check_separable_rate = _rule(lambda r: check_rate(r) >= 1.0,
+                              "sample rate must be at least 1 Hz, got {:g} Hz", float)
+_check_style = _rule(lambda s: s in ("csv", "labeled"), "style must be csv or labeled, got {!r}", str)
+_check_drift = _rule(_is_bool, "drift must be True or False, got {!r}", bool)
 
 
 @dataclass(frozen=True)
@@ -56,12 +89,9 @@ class SiteMotion:
     phase: float = 0.0
     noise_sigma: float = 0.0
 
-    def __post_init__(self):
-        values = (*self.base, self.amplitude, self.frequency, self.phase, self.noise_sigma)
-        if not np.isfinite(values).all():
-            raise ValueError("base, amplitude, frequency, phase, and noise_sigma must be finite")
-        if self.amplitude < 0 or self.frequency < 0 or self.noise_sigma < 0:
-            raise ValueError("amplitude, frequency, and noise_sigma must be >= 0")
+    def __post_init__(self):  # each field as its rule returns it
+        for field, check in _MOTION_RULES.items():
+            object.__setattr__(self, field, check(getattr(self, field)))
 
 
 @dataclass(frozen=True)
@@ -75,12 +105,8 @@ class MotionSpec:
     seed: int = 0
 
     def __post_init__(self):
-        if self.length < 1:
-            raise ValueError("length must be at least 1")
-        check_rate(self.sample_rate)
-        if not self.motions:
-            raise ValueError("at least one site motion is required")
-        object.__setattr__(self, "motions", dict(self.motions))
+        for field, check in _SPEC_RULES.items():
+            object.__setattr__(self, field, check(getattr(self, field)))
 
 
 def centered_bases(roster) -> dict[str, tuple[float, float]]:
@@ -110,79 +136,52 @@ def generate_activity(spec: MotionSpec) -> SkeletonSeries:
         points[row, :, 1] = m.base[1] + m.amplitude * np.cos(angle)
         if m.noise_sigma > 0:
             points[row] += rng.normal(0.0, m.noise_sigma, size=(spec.length, 2))
-    return SkeletonSeries(
-        activity_id=spec.activity_id,
-        sites=sites,
-        points=points,
-        sample_rate=spec.sample_rate,
-    )
+    return SkeletonSeries(spec.activity_id, sites, points, spec.sample_rate)
 
 
-def separable_specs(
-    n_activities: int,
-    discriminative_sites,
-    seed: int = 0,
-    noise_sigma: float = 0.0,
-    length: int = DEFAULTS["series_length"],
-    sample_rate: float = DEFAULTS["sample_rate"],
-    roster=DEFAULT_ROSTER,
-    amplitude: float = 0.12,
-) -> list[MotionSpec]:
+def separable_specs(n_activities: int, discriminative_sites, seed: int = 0,
+                    noise_sigma: float = 0.0, length: int = DEFAULTS["series_length"],
+                    sample_rate: float = DEFAULTS["sample_rate"],
+                    roster=DEFAULT_ROSTER) -> list[MotionSpec]:
     """Motion specs for a set of activities separable only at the
-    discriminative sites.
+    discriminative sites, a tuple or list of site ids in ``roster``.
 
     Discriminative sites get a distinct frequency and phase per activity;
     all other sites keep amplitude zero, so with zero noise their series
-    are identical across activities.
+    are identical across activities. The sample rate is at least 1 Hz.
     """
-    if n_activities < 2:
-        raise ValueError("need at least two activities")
-    check_rate(sample_rate)  # before the frequencies are derived from it
-    # the top frequency below, nyquist - 0.5, is negative under 1 Hz
-    if sample_rate < 1.0:
-        raise ValueError(f"sample rate must be at least 1 Hz, got {sample_rate:g} Hz")
-    roster = canonical_sites(roster)
-    discriminative = tuple(discriminative_sites)
+    n_activities = _check_activities(n_activities)
+    sample_rate = _check_separable_rate(sample_rate)  # before the frequencies
+    seed = _check_seed(seed)
+    roster = check_roster(roster)
+    discriminative = site_ids(discriminative_sites, "discriminative sites")
     unknown = [s for s in discriminative if s not in roster]
     if unknown:
-        raise ValueError(f"discriminative sites {unknown} not in roster {roster}")
-    canonical_sites(discriminative)  # a repeated site is bad input
+        raise UnknownSiteError(f"discriminative sites {unknown} not in roster {roster}")
+    if len(set(discriminative)) != len(discriminative):
+        raise UnknownSiteError(f"discriminative sites {list(discriminative)} repeat a site")
 
     bases = centered_bases(roster)
     nyquist = sample_rate / 2.0
-    # the top frequency as the spread below computes it, in Python floats,
-    # which overflow without a warning: past float max / (2*pi) its angles
-    # are all nan
-    top = 0.5 + (float(nyquist) - 1.0) * float(n_activities - 1) / max(n_activities - 1, 1)
+    # the top frequency as the spread below computes it, in Python floats, which
+    # overflow without a warning: past float max / (2*pi) its angles are all nan
+    top = 0.5 + (float(nyquist) - 1.0) * float(n_activities - 1) / (n_activities - 1)
     if not np.isfinite(2.0 * np.pi * top):
         raise ConfigError(f"sample rate {sample_rate:g} Hz is too high: the motion angles overflow")
     # Spread frequencies across (0, nyquist) with distinct values per activity.
-    freqs = 0.5 + (nyquist - 1.0) * np.arange(n_activities) / max(n_activities - 1, 1)
+    freqs = 0.5 + (nyquist - 1.0) * np.arange(n_activities) / (n_activities - 1)
     child_seeds = np.random.default_rng(seed).integers(0, 2**63, size=n_activities)
 
+    still = {site: SiteMotion(base=bases[site], noise_sigma=noise_sigma) for site in roster}
     specs = []
     for i in range(n_activities):
-        motions = {}
-        for site in roster:
-            if site in discriminative:
-                motions[site] = SiteMotion(
-                    base=bases[site],
-                    amplitude=amplitude,
-                    frequency=float(freqs[i]),
-                    phase=2.0 * np.pi * i / n_activities,
-                    noise_sigma=noise_sigma,
-                )
-            else:
-                motions[site] = SiteMotion(base=bases[site], noise_sigma=noise_sigma)
-        specs.append(
-            MotionSpec(
-                activity_id=f"act{i + 1:02d}",
-                motions=motions,
-                length=length,
-                sample_rate=sample_rate,
-                seed=int(child_seeds[i]),
-            )
-        )
+        motions = dict(still)
+        for site in discriminative:
+            motions[site] = SiteMotion(bases[site], amplitude=AMPLITUDE,
+                                       frequency=float(freqs[i]),
+                                       phase=2.0 * np.pi * i / n_activities, noise_sigma=noise_sigma)
+        specs.append(MotionSpec(f"act{i + 1:02d}", motions, length=length,
+                                sample_rate=sample_rate, seed=int(child_seeds[i])))
     return specs
 
 
@@ -246,17 +245,15 @@ def run_synth(out_dir, n_activities: int = 3, discriminative_sites=("LW",), styl
 
     Activities are generated over all 12 sites (so the full 17-keypoint
     expansion is well-defined) and written one file per activity. Returns
-    the manifest path. Generator arguments it cannot use raise ConfigError.
+    the manifest path. Every argument is checked before any file is
+    written.
     """
     from . import io as pio
     from .textio import atomic_write_text
 
     out_dir = Path(out_dir)
-    try:
-        window_set = make_separable_set(n_activities, discriminative_sites,
-                                        roster=SITE_ORDER, **options)
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from None
+    style, drift = _check_style(style), _check_drift(drift)
+    window_set = make_separable_set(n_activities, discriminative_sites, roster=SITE_ORDER, **options)
     extension = "csv" if style == "csv" else "txt"
     manifest_lines = []
     for series in window_set:

@@ -195,7 +195,6 @@ def _read_clean_table(lines: list[str]) -> tuple[list[str], list[float | None]] 
 def _read_table_rows(line_nos, lines, path) -> tuple[list[str], list[float | None]]:
     """The row loop behind ``read_ranking_file``: reads any table it
     accepts and is the one source of every error."""
-    known = subset_labels()
     ranks: dict[str, int] = {}  # label -> rank, in file order
     scores: list[float | None] = []
     row_line_nos: list[int] = []
@@ -219,11 +218,10 @@ def _read_table_rows(line_nos, lines, path) -> tuple[list[str], list[float | Non
             if not math.isfinite(score):
                 raise MalformedLineError(path, line_no, "field 'score': non-finite value")
         label = label.strip(BLANKS)
-        if label not in known:
-            try:
-                label = canonical_label(label)
-            except UnknownSiteError as exc:
-                raise MalformedLineError(path, line_no, f"sites {label!r}: {exc}") from None
+        try:
+            label = canonical_label(label)
+        except UnknownSiteError as exc:
+            raise MalformedLineError(path, line_no, f"sites {label!r}: {exc}") from None
         if label in ranks:
             raise InvalidRankError(f"{path}:{line_no}: {label} already has rank {ranks[label]}")
         ranks[label] = rank

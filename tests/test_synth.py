@@ -1,9 +1,17 @@
 """Seeded synthetic corpus generation."""
 
+import importlib.util
+import sys
+from functools import partial
+from pathlib import Path
+
 import numpy as np
 import pytest
 
-from sensorplace.errors import UnknownSiteError
+from sensorplace.config import RunConfig
+from sensorplace.errors import DataError, UnknownSiteError
+from sensorplace.io import parse_manifest
+from sensorplace.run import run_rank
 from sensorplace.scoring import mean_scores
 from sensorplace.skeleton import DEFAULT_ROSTER, SITE_ORDER
 from sensorplace.synth import (
@@ -13,6 +21,7 @@ from sensorplace.synth import (
     centered_bases,
     generate_activity,
     make_separable_set,
+    run_synth,
     separable_specs,
 )
 
@@ -68,15 +77,6 @@ def test_circular_motion_radius_and_period():
     assert turns == pytest.approx(49.9, abs=0.2)  # 499 sampled intervals
 
 
-def test_spec_validation():
-    with pytest.raises(ValueError):
-        SiteMotion(base=(0.5, 0.5), amplitude=-0.1)
-    with pytest.raises(ValueError):
-        MotionSpec("a", {}, length=10)
-    with pytest.raises(ValueError):
-        MotionSpec("a", {"LW": SiteMotion(base=(0.5, 0.5))}, length=0)
-
-
 @pytest.mark.parametrize("field, value", [
     ("base", (0.5, float("inf"))),
     ("amplitude", float("nan")),
@@ -88,6 +88,79 @@ def test_site_motion_rejects_non_finite_values(field, value):
     # nan passes every `< 0` check, so `--noise nan` once wrote a noise-free corpus
     with pytest.raises(ValueError, match="must be finite"):
         SiteMotion(**{"base": (0.5, 0.5), field: value})
+
+
+# --- argument checks ------------------------------------------------------------------
+
+_STILL = {"LW": SiteMotion(base=(0.5, 0.5))}
+
+
+@pytest.mark.parametrize("call, message", [
+    (partial(run_synth, n_activities=2.5), "activities must be an integer, got 2.5"),
+    (partial(run_synth, n_activities=True), "activities must be an integer, got True"),
+    (partial(run_synth, n_activities=1), "need at least two activities"),
+    (partial(run_synth, length=2.5), "length must be an integer, got 2.5"),
+    (partial(run_synth, length=True), "length must be an integer, got True"),
+    (partial(run_synth, noise_sigma="0.1"), "noise_sigma must be a number, got '0.1'"),
+    (partial(run_synth, noise_sigma=-1), "noise_sigma must be >= 0"),
+    (partial(run_synth, noise_sigma=float("nan")), "noise_sigma must be finite"),
+    (partial(run_synth, seed=-1), "seed must be >= 0"),
+    (partial(run_synth, seed=1.5), "seed must be an integer, got 1.5"),
+    (partial(run_synth, discriminative_sites="LW"),
+     "discriminative sites must be a tuple or list of site ids, got 'LW'"),
+    (partial(run_synth, discriminative_sites=["LW", "LW"]),
+     "discriminative sites ['LW', 'LW'] repeat a site"),
+    (partial(run_synth, style="xml"), "style must be csv or labeled, got 'xml'"),
+    (partial(run_synth, drift="no"), "drift must be True or False, got 'no'"),
+    (lambda out: separable_specs(3, ["HD"]),
+     "discriminative sites ['HD'] not in roster ('LW', 'RW', 'PE', 'LF', 'RF')"),
+    (lambda out: make_separable_set(2, ["LW"], roster="LW"),
+     "roster must be a tuple or list of site ids, got 'LW'"),
+    (lambda out: SiteMotion(base=(0.5, 0.5), amplitude=-0.1), "amplitude must be >= 0"),
+    (lambda out: SiteMotion(base=0.5), "base must be an (x, y) pair, got 0.5"),
+    (lambda out: MotionSpec("a", {}, length=10),
+     "motions must be a non-empty dict of SiteMotion, got {}"),
+    (lambda out: MotionSpec("a", {"ZZ": _STILL["LW"]}), "unknown site id 'ZZ'"),
+    (lambda out: MotionSpec("a", _STILL, length=0), "length must be at least 1"),
+    (lambda out: MotionSpec("a", _STILL, sample_rate="10"), "sample rate must be a number, got '10'"),
+], ids=["activities-2.5", "activities-true", "activities-1", "length-2.5", "length-true",
+        "noise-string", "noise-negative", "noise-nan", "seed-negative", "seed-1.5",
+        "discriminative-string", "discriminative-repeated", "style-xml", "drift-no",
+        "discriminative-not-in-roster", "roster-string", "motion-negative-amplitude",
+        "motion-base-not-a-pair", "spec-no-motions", "spec-unknown-site", "spec-length-0",
+        "spec-rate-string"])
+def test_a_bad_synth_argument_raises_one_data_error_naming_it(tmp_path, call, message):
+    with pytest.raises(DataError) as excinfo:
+        call(tmp_path / "out")
+    assert str(excinfo.value) == message
+    assert not (tmp_path / "out").exists()
+
+
+def _perfbench_inputs(monkeypatch):
+    """The benchmark's input module, loaded from its file."""
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "inputs.py"
+    spec = importlib.util.spec_from_file_location("perfbench_inputs", path)
+    module = importlib.util.module_from_spec(spec)
+    monkeypatch.setitem(sys.modules, spec.name, module)  # its dataclass looks it up
+    spec.loader.exec_module(module)
+    return module
+
+
+@pytest.mark.parametrize("rate, labeled, dropouts", [(10.0, False, 0), (30.0, True, 2)],
+                         ids=["csv-10hz", "labeled-30hz"])
+def test_the_benchmark_corpus_generator_runs_on_synth(tmp_path, monkeypatch, rate, labeled,
+                                                      dropouts):
+    # the benchmark's set-up calls separable_specs and replaces the specs'
+    # sample rate; a corpus it writes must rank with the planted site first
+    inputs = _perfbench_inputs(monkeypatch)
+    corpus, synth_s = inputs.make_corpus(tmp_path / "corpus", 1, 3, 2, 60, rate, labeled,
+                                         dropouts, extra_frames=3)
+    assert synth_s > 0
+    assert [activity for activity, _ in parse_manifest(corpus.manifest)] == [
+        "act01", "act02", "act03"]
+    assert sorted(frames for frames, _ in corpus.files.values()) == [60, 60, 60, 63, 63, 63]
+    (labels, _), _ = run_rank(corpus.manifest, RunConfig(series_length=20, subset_sizes=(1,)))
+    assert labels[0] == inputs.PLANTED_SITE
 
 
 # --- separable sets ------------------------------------------------------------------
@@ -132,13 +205,6 @@ def test_separability_ordering_over_singletons():
     for inside in ("LW", "RF"):
         for outside in ("RW", "PE", "LF"):
             assert scores[inside] > scores[outside]
-
-
-def test_separable_specs_validate_inputs():
-    with pytest.raises(ValueError):
-        separable_specs(1, ["LW"])
-    with pytest.raises(ValueError):
-        separable_specs(3, ["HD"])  # not in the default roster
 
 
 def test_separable_frequencies_stay_distinct_and_below_nyquist():

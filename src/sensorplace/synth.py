@@ -119,6 +119,8 @@ def centered_bases(roster) -> dict[str, tuple[float, float]]:
     return {s: (float(p[0]), float(p[1])) for s, p in zip(roster, centered)}
 
 
+# a site's points are checked once, so numpy's overflow warnings add nothing
+@np.errstate(over="ignore", invalid="ignore")
 def generate_activity(spec: MotionSpec) -> SkeletonSeries:
     """Generate one activity's skeleton series from its motion spec.
 
@@ -136,13 +138,26 @@ def generate_activity(spec: MotionSpec) -> SkeletonSeries:
         points[row, :, 1] = m.base[1] + m.amplitude * np.cos(angle)
         if m.noise_sigma > 0:
             points[row] += rng.normal(0.0, m.noise_sigma, size=(spec.length, 2))
-    return SkeletonSeries(spec.activity_id, sites, points, spec.sample_rate)
+        if not np.isfinite(points[row]).all():  # a sum past float max, or sin(inf)
+            raise ConfigError(f"site {site} of {spec.activity_id}: base, amplitude, frequency or "
+                              f"noise_sigma {m.noise_sigma:g} is too large: the points overflow")
+    return SkeletonSeries(
+        activity_id=spec.activity_id,
+        sites=sites,
+        points=points,
+        sample_rate=spec.sample_rate,
+    )
 
 
-def separable_specs(n_activities: int, discriminative_sites, seed: int = 0,
-                    noise_sigma: float = 0.0, length: int = DEFAULTS["series_length"],
-                    sample_rate: float = DEFAULTS["sample_rate"],
-                    roster=DEFAULT_ROSTER) -> list[MotionSpec]:
+def separable_specs(
+    n_activities: int,
+    discriminative_sites,
+    seed: int = 0,
+    noise_sigma: float = 0.0,
+    length: int = DEFAULTS["series_length"],
+    sample_rate: float = DEFAULTS["sample_rate"],
+    roster=DEFAULT_ROSTER,
+) -> list[MotionSpec]:
     """Motion specs for a set of activities separable only at the
     discriminative sites, a tuple or list of site ids in ``roster``.
 
@@ -163,8 +178,9 @@ def separable_specs(n_activities: int, discriminative_sites, seed: int = 0,
 
     bases = centered_bases(roster)
     nyquist = sample_rate / 2.0
-    # the top frequency as the spread below computes it, in Python floats, which
-    # overflow without a warning: past float max / (2*pi) its angles are all nan
+    # the top frequency as the spread below computes it, in Python floats,
+    # which overflow without a warning: past float max / (2*pi) its angles
+    # are all nan
     top = 0.5 + (float(nyquist) - 1.0) * float(n_activities - 1) / (n_activities - 1)
     if not np.isfinite(2.0 * np.pi * top):
         raise ConfigError(f"sample rate {sample_rate:g} Hz is too high: the motion angles overflow")
@@ -177,11 +193,22 @@ def separable_specs(n_activities: int, discriminative_sites, seed: int = 0,
     for i in range(n_activities):
         motions = dict(still)
         for site in discriminative:
-            motions[site] = SiteMotion(bases[site], amplitude=AMPLITUDE,
-                                       frequency=float(freqs[i]),
-                                       phase=2.0 * np.pi * i / n_activities, noise_sigma=noise_sigma)
-        specs.append(MotionSpec(f"act{i + 1:02d}", motions, length=length,
-                                sample_rate=sample_rate, seed=int(child_seeds[i])))
+            motions[site] = SiteMotion(
+                base=bases[site],
+                amplitude=AMPLITUDE,
+                frequency=float(freqs[i]),
+                phase=2.0 * np.pi * i / n_activities,
+                noise_sigma=noise_sigma,
+            )
+        specs.append(
+            MotionSpec(
+                activity_id=f"act{i + 1:02d}",
+                motions=motions,
+                length=length,
+                sample_rate=sample_rate,
+                seed=int(child_seeds[i]),
+            )
+        )
     return specs
 
 

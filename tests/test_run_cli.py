@@ -1630,10 +1630,15 @@ def test_run_rank_checks_the_sizes_against_the_roster_before_the_manifest(tmp_pa
      "sample rate 6e+307 Hz is too high: the motion angles overflow"),
     (["synth", "{corpus}/s", "--activities", "13", "--length", "5", "--rate", "5e307"],
      "sample rate 5e+307 Hz is too high: the motion angles overflow"),
+    # a finite noise whose normal draws pass float max
+    (["synth", "{corpus}/s", "--noise", "1e308", "--length", "5"],
+     "noise_sigma 1e+308 is too large"),
+    (["synth", "{corpus}/s", "--noise", "5e307"], "noise_sigma 5e+307 is too large"),
 ], ids=["rank-rate-nan", "validate-rate-nan", "config-rate-nan", "validate-rate-tiny",
         "synth-one-activity", "synth-unknown-site", "synth-length-0", "synth-rate-0",
         "synth-negative-noise", "synth-rate-nan", "synth-rate-inf", "synth-rate-below-1",
-        "synth-noise-nan", "synth-rate-6e307", "synth-13-activities-rate-5e307"])
+        "synth-noise-nan", "synth-rate-6e307", "synth-13-activities-rate-5e307",
+        "synth-noise-1e308", "synth-noise-5e307"])
 def test_cli_bad_rate_and_synth_arguments_exit_1(tmp_path, argv, message):
     # run as a process, whose stderr would also hold any numpy warning
     corpus = tmp_path / "corpus"

@@ -104,6 +104,8 @@ _STILL = {"LW": SiteMotion(base=(0.5, 0.5))}
     (partial(run_synth, noise_sigma="0.1"), "noise_sigma must be a number, got '0.1'"),
     (partial(run_synth, noise_sigma=-1), "noise_sigma must be >= 0"),
     (partial(run_synth, noise_sigma=float("nan")), "noise_sigma must be finite"),
+    (partial(run_synth, noise_sigma=1e308), "site LW of act01: base, amplitude, frequency or "
+     "noise_sigma 1e+308 is too large: the points overflow"),
     (partial(run_synth, seed=-1), "seed must be >= 0"),
     (partial(run_synth, seed=1.5), "seed must be an integer, got 1.5"),
     (partial(run_synth, discriminative_sites="LW"),
@@ -123,12 +125,14 @@ _STILL = {"LW": SiteMotion(base=(0.5, 0.5))}
     (lambda out: MotionSpec("a", {"ZZ": _STILL["LW"]}), "unknown site id 'ZZ'"),
     (lambda out: MotionSpec("a", _STILL, length=0), "length must be at least 1"),
     (lambda out: MotionSpec("a", _STILL, sample_rate="10"), "sample rate must be a number, got '10'"),
+    (lambda out: generate_activity(MotionSpec("a", {"LW": SiteMotion((1e308, 0.5), 1e308, phase=1.0)})),
+     "site LW of a: base, amplitude, frequency or noise_sigma 0 is too large: the points overflow"),
 ], ids=["activities-2.5", "activities-true", "activities-1", "length-2.5", "length-true",
-        "noise-string", "noise-negative", "noise-nan", "seed-negative", "seed-1.5",
+        "noise-string", "noise-negative", "noise-nan", "noise-1e308", "seed-negative", "seed-1.5",
         "discriminative-string", "discriminative-repeated", "style-xml", "drift-no",
         "discriminative-not-in-roster", "roster-string", "motion-negative-amplitude",
         "motion-base-not-a-pair", "spec-no-motions", "spec-unknown-site", "spec-length-0",
-        "spec-rate-string"])
+        "spec-rate-string", "spec-points-overflow"])
 def test_a_bad_synth_argument_raises_one_data_error_naming_it(tmp_path, call, message):
     with pytest.raises(DataError) as excinfo:
         call(tmp_path / "out")

@@ -32,6 +32,7 @@ _EXPORTS = {
               "enumerate_subsets"),
     "skeleton": (
         "SkeletonSeries",
+        "WindowSets",
         "centralize",
         "merge_keypoints",
         "preprocess_recording",

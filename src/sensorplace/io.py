@@ -36,6 +36,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import DataError, MalformedLineError, ManifestError
+from .sites import _rule
 from .skeleton import NUM_KEYPOINTS
 from .textio import (_lines_leave, _number, _read_text, atomic_write_text, data_lines,
                      format_float, words)
@@ -202,22 +203,24 @@ def parse_keypoint_file(path) -> tuple[np.ndarray, np.ndarray]:
     return values[:, 0].copy(), values[:, 1:].reshape(-1, NUM_KEYPOINTS, 3)
 
 
+_check_style = _rule(lambda s: s in ("csv", "labeled"),
+                     "style must be csv or labeled, got {!r}", str)
+
+
 def format_keypoint_frame(t: float, keypoints: np.ndarray, style: str = "csv") -> str:
     """Render one frame, a timestamp and its (17, 3) keypoint row, as a
     CSV or labeled line."""
+    style = _check_style(style)
     values = [float(t)] + [float(v) for v in np.reshape(keypoints, -1)]
     if style == "csv":
         return ",".join(format_float(v) for v in values)
-    if style == "labeled":
-        return " ".join(
-            f"{name}={format_float(v)}" for name, v in zip(KEYPOINT_FIELDS, values)
-        )
-    raise ValueError(f"unknown keypoint file style {style!r}")
+    return " ".join(f"{name}={format_float(v)}" for name, v in zip(KEYPOINT_FIELDS, values))
 
 
 def write_keypoint_file(path, t, kp, style: str = "csv") -> None:
     """Write timestamps ``t[n]`` and keypoints ``kp[n, 17, 3]``, one line
-    per frame."""
+    per frame in ``style``, which is checked before any file is written."""
+    style = _check_style(style)
     lines = [format_keypoint_frame(ti, row, style=style) for ti, row in zip(t, kp)]
     atomic_write_text(path, "\n".join(lines) + "\n")
 

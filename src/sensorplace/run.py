@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import os
 import pickle
-from dataclasses import asdict, replace
+from dataclasses import asdict
 from itertools import islice
 from pathlib import Path
 
@@ -29,7 +29,7 @@ from .config import RunConfig
 from .errors import ComputationError, DataError, ManifestError
 from .scoring import TIE_BREAK, rank_placements
 from .sites import SITE_ORDER, enumerate_subsets
-from .skeleton import SkeletonSeries, merge_keypoints, preprocess_recording
+from .skeleton import SkeletonSeries, WindowSets, merge_keypoints, preprocess_recording
 
 RANKING_FILENAME = "ranking.csv"
 RANK_REPORT_FILENAME = "report.json"
@@ -159,23 +159,20 @@ def _load_in_two_processes(load, jobs) -> list:
 
 def load_window_sets(manifest_entries, config: RunConfig):
     """Preprocess each activity's recordings and cut the windows the run
-    scores: ``(window_sets, diagnostics)``, one diagnostic per activity.
+    scores: ``(points, diagnostics)``, the points of a ``WindowSets`` over
+    the manifest's ids and the roster, and one diagnostic per activity.
 
     Every recording is parsed and preprocessed once, so a bad one is
     reported naming its file; with two or more usable CPUs a forked child
     loads the second half of them (``_load_in_two_processes``). Activities
     are then taken in manifest order, each failing on its first recording's
-    error, so each error is the one a single process gives. Windows are
-    L-frame views of the recordings' points, L being ``series_length``:
-    each recording holds consecutive disjoint windows from its first frame,
-    and none spans recordings. The k-th listed recordings of all activities
-    are paired: window set (k, w) is the tuple of window w of each, in
-    manifest order, for w below the smallest count at position k, and sets
-    come in (k, w) order. With ``multi_window`` every set is scored, and
-    every activity must list as many recordings; otherwise only the first
-    set is built. Either way some position must hold a full window of every
-    activity. Per-activity failures are reported together on one line,
-    joined by ``; ``.
+    error, as in one process; their failures are reported together on one
+    line, joined by ``; ``. Each recording holds consecutive disjoint
+    windows of ``series_length`` frames from its first frame. Window set
+    (k, w) holds window w of the k-th listed recording of every activity,
+    for w below the smallest count at position k, and sets come in (k, w)
+    order. With ``multi_window`` every set is kept, and every activity must
+    list as many recordings; otherwise only the first set is.
     """
     if len(manifest_entries) < 2:
         raise ManifestError(
@@ -199,25 +196,28 @@ def load_window_sets(manifest_entries, config: RunConfig):
         try:
             if errors := [full for full in series if isinstance(full, Exception)]:
                 raise errors[0]
-            windows = [[replace(full, points=full.points[:, a:a + L])
-                        for a in range(0, full.length - L + 1, L)] for full in series]
-            n_windows = sum(map(len, windows))
+            n_windows = sum(full.length // L for full in series)
             if not n_windows:
                 frames = sum(full.length for full in series)
                 raise DataError(f"series has {frames} frames, needs at least {L}")
         except DataError as exc:
             failures.append(f"{activity_id}: {exc}")
             continue
-        kept.append(windows)
+        kept.append(series)
         diagnostics.append({"activity": activity_id, "recordings": len(paths),
                             "windows": n_windows})
     if failures:
         raise ManifestError("; ".join(failures))
-    sets = (ws for position in zip(*kept) for ws in zip(*position))
-    window_sets = list(sets if config.multi_window else islice(sets, 1))
-    if not window_sets:
+    sets = [(k, w) for k, position in enumerate(zip(*kept))
+            for w in range(min(full.length for full in position) // L)]
+    if not sets:
         raise ManifestError("no manifest position holds a full window of every activity")
-    return window_sets, diagnostics
+    sets = sets if config.multi_window else sets[:1]
+    points = np.empty((len(sets), len(kept), len(config.roster), L, 2))
+    for s, (k, w) in enumerate(sets):
+        for a, recordings in enumerate(kept):
+            points[s, a] = recordings[k].points[:, w * L:(w + 1) * L]
+    return points, diagnostics
 
 
 def rank_report_payload(config: RunConfig, diagnostics, n_windows: int) -> dict:
@@ -244,9 +244,10 @@ def run_rank(manifest_path, config: RunConfig, out_dir=None):
     """
     labels = enumerate_subsets(config.roster, config.subset_sizes)
     entries = pio.parse_manifest(manifest_path)
-    window_sets, diagnostics = load_window_sets(entries, config)
-    labels, scores = rank_placements(window_sets, labels)
-    payload = rank_report_payload(config, diagnostics, len(window_sets))
+    points, diagnostics = load_window_sets(entries, config)
+    ids = tuple(activity_id for activity_id, _ in entries)
+    labels, scores = rank_placements(WindowSets(ids, config.roster, points), labels)
+    payload = rank_report_payload(config, diagnostics, len(points))
     if out_dir is not None:
         out_dir = Path(out_dir)
         pio.write_ranking_file(out_dir / RANKING_FILENAME, labels, scores)

@@ -24,8 +24,9 @@ that hold the site, then one Kahan pass in ascending pair order scores
 it, each step one elementwise operation across the chunk. IEEE
 ``+ - * / sqrt abs`` round the same in numpy as in Python floats, so
 every score has the bits of scoring its subset alone, the same in every
-run. ``mean_scores`` adds each window set's scores in window order and
-divides by the window count.
+run. ``mean_scores`` reads every window set from the one array of a
+``skeleton.WindowSets``, adds each set's scores in set order and divides
+by the set count.
 
 A ranking is two lists, ``(labels, scores)``, best first, as ranking
 tables are read and written; ``sort_ranking`` puts one in ``TIE_BREAK``
@@ -34,13 +35,12 @@ order, whose subset order ``sites.enumerate_subsets`` alone generates.
 
 from __future__ import annotations
 
-from itertools import compress
 from operator import itemgetter
 
 import numpy as np
 
 from .errors import ComputationError, ConfigError, DataError
-from .sites import canonical_label, canonical_sites, positions, subset_labels
+from .sites import canonical_label, canonical_sites, positions, site_ids, subset_labels
 
 TIE_BREAK = "score desc, then subset size asc, then canonical site order"
 
@@ -48,35 +48,27 @@ TIE_BREAK = "score desc, then subset size asc, then canonical site order"
 SUBSET_CHUNK = 256
 
 
-def _site_grams(window_set, sites) -> np.ndarray:
-    """Per-site Gram tensor of the window set over ``sites``.
+def _site_grams(window_set: np.ndarray, rows) -> np.ndarray:
+    """Per-site Gram tensor of one window set, (activities, sites, frames,
+    2), over its sites at ``rows``.
 
     ``gram[s, i, j]`` is the dot product of activities i and j restricted
-    to site s. The einsum runs without ``optimize``, so no BLAS call is made
+    to site ``rows[s]``. The einsum reads one contiguous (sites, activities,
+    2 * frames) stack and runs without ``optimize``, so no BLAS call is made
     and the bits do not depend on the thread count.
     """
-    roster = window_set[0].sites
-    rows = []
-    for site in sites:
-        if site not in roster:
-            raise DataError(
-                f"activity {window_set[0].activity_id!r}: site {site!r} not in series roster"
-            )
-        rows.append(roster.index(site))
-    stacked = np.stack(
-        [a.points[rows].reshape(len(rows), 2 * a.length) for a in window_set], axis=1
-    )
+    stacked = np.ascontiguousarray(window_set.transpose(1, 0, 2, 3)[rows])
+    stacked = stacked.reshape(len(rows), len(window_set), 2 * window_set.shape[2])
     return np.einsum("sik,sjk->sij", stacked, stacked)
 
 
-def _bad_norm(window_set, sites, activity: int, norm2: float):
-    """The error for an activity whose squared norm under the subset of
-    ``sites`` is zero or not finite."""
-    series = window_set[activity]
-    name = repr(series.activity_id)
+def _bad_norm(activity_id, points: np.ndarray, norm2: float):
+    """The error for an activity whose squared norm over ``points``, its
+    points at a subset's sites, is zero or not finite."""
+    name = repr(activity_id)
     if norm2 != 0:
         return ComputationError(f"activity {name}: vector norm is not finite (squared norm {norm2})")
-    if series.points[[window_set[0].sites.index(site) for site in sites]].any():
+    if points.any():
         return ComputationError(f"activity {name}: squared vector norm underflows to zero")
     return ComputationError(f"activity {name}: vector is identically zero")
 
@@ -115,49 +107,39 @@ def _membership(labels) -> tuple[tuple[str, ...], np.ndarray]:
     return sites, member
 
 
-def mean_scores(window_sets, labels) -> np.ndarray:
-    """Each subset's mean score over ``window_sets``, one float64 per label
-    of ``labels`` in label order; a window set is a tuple or list of
-    ``SkeletonSeries``, one per activity. Before any Gram is built, every
-    set is checked, a failure raising ConfigError: set 0 holds two or more
-    distinct ids, every set holds them in its order, and the series of each
-    set share one roster, length and rate, a mismatch naming both ids. Then
-    the first subset in list order with a zero or non-finite squared norm
-    raises, naming the first such activity."""
-    if not window_sets:
-        raise ConfigError("no window sets to score")
-    ids = [series.activity_id for series in window_sets[0]]
+def mean_scores(windows, labels) -> np.ndarray:
+    """Each subset's mean score over the window sets of ``windows``, a
+    ``skeleton.WindowSets``, one float64 per label in label order. First the
+    record must hold two or more distinct ids (else ConfigError), known and
+    distinct sites, and finite points of shape (sets, ids, sites, frames, 2)
+    with a set and a frame (else ValueError), and the labels no other site
+    (else DataError); then the first subset in list order with a zero or
+    non-finite squared norm raises, naming its first such activity."""
+    ids = list(windows.ids)
     if len(ids) < 2:
         raise ConfigError("an activity set needs at least two activities")
     if len(set(ids)) != len(ids):
         raise ConfigError(f"duplicate activity ids: {ids}")
-    for index, window_set in enumerate(window_sets):
-        if [series.activity_id for series in window_set] != ids:
-            raise ConfigError(f"window set {index}: activity ids differ from window set 0's")
-    for window_set in window_sets:
-        lead = window_set[0]
-        for a in window_set[1:]:
-            if a.sites != lead.sites:
-                raise ConfigError(
-                    f"site roster mismatch: {a.activity_id!r} has {a.sites}, "
-                    f"{lead.activity_id!r} has {lead.sites}"
-                )
-            if a.length != lead.length:
-                raise ConfigError(
-                    f"length mismatch: {a.activity_id!r} has {a.length} frames, "
-                    f"{lead.activity_id!r} has {lead.length}"
-                )
-            if a.sample_rate != lead.sample_rate:
-                raise ConfigError(
-                    f"sample rate mismatch: {a.activity_id!r} is at {a.sample_rate} Hz, "
-                    f"{lead.activity_id!r} at {lead.sample_rate} Hz"
-                )
+    roster = site_ids(windows.sites, "window sites")
+    canonical_sites(roster)  # known and distinct; the points keep their order
+    points = np.asarray(windows.points, dtype=np.float64)
+    if points.ndim != 5 or points.shape[1:3] != (len(ids), len(roster)) or points.shape[4] != 2:
+        raise ValueError(f"expected (window sets, {len(ids)}, {len(roster)}, frames, 2) points, "
+                         f"got {points.shape}")
+    if not len(points):
+        raise ConfigError("no window sets to score")
+    if not points.shape[3]:
+        raise ValueError("series must contain at least one frame")
+    if not np.isfinite(points).all():
+        raise ValueError("series contains non-finite points")
     sites, member = _membership(labels)
-    n = len(ids)
-    first, second = np.triu_indices(n, 1)
+    if missing := [site for site in sites if site not in roster]:
+        raise DataError(f"site {missing[0]!r} not in the windows' sites {roster}")
+    rows = [roster.index(site) for site in sites]
+    first, second = np.triu_indices(len(ids), 1)
     total = np.zeros(len(member))
-    for window_set in window_sets:
-        gram = _site_grams(window_set, sites)
+    for window_set in points:
+        gram = _site_grams(window_set, rows)
         norms2 = np.diagonal(gram, axis1=1, axis2=2)
         packed = np.concatenate([norms2, gram[:, first, second]], axis=1)
         for begin in range(0, len(member), SUBSET_CHUNK):
@@ -165,14 +147,14 @@ def mean_scores(window_sets, labels) -> np.ndarray:
             stack = np.zeros((len(chunk), packed.shape[1]))
             for s, row in enumerate(packed):
                 np.add(stack, row, out=stack, where=chunk[:, s, None])
-            norm2 = stack[:, :n]
+            norm2 = stack[:, :len(ids)]
             usable = (norm2 > 0) & (norm2 < np.inf)
             if not usable.all():
                 first_bad, activity = np.argwhere(~usable)[0]  # row-major: first subset first
-                held = compress(sites, chunk[first_bad])
-                raise _bad_norm(window_set, held, activity, float(norm2[first_bad, activity]))
+                raise _bad_norm(ids[activity], window_set[activity, rows][chunk[first_bad]],
+                                float(norm2[first_bad, activity]))
             total[begin:begin + len(chunk)] += _cosine_distance_sums(stack, first, second)
-    return total / len(window_sets)
+    return total / len(points)
 
 
 def sort_ranking(labels, scores) -> tuple[list[str], list[float]]:
@@ -193,12 +175,12 @@ def sort_ranking(labels, scores) -> tuple[list[str], list[float]]:
     return [label for label, _ in pairs], [score for _, score in pairs]
 
 
-def rank_placements(window_sets, labels) -> tuple[list[str], list[float]]:
-    """Score the subsets named by ``labels`` by their mean over
-    ``window_sets`` (``mean_scores``, which checks the window sets) and
-    rank them: ``(labels, scores)`` best first, with canonical labels."""
+def rank_placements(windows, labels) -> tuple[list[str], list[float]]:
+    """Score the subsets named by ``labels`` by their mean over the window
+    sets of ``windows`` (``mean_scores``, which checks the record) and rank
+    them: ``(labels, scores)`` best first, with canonical labels."""
     labels = list(labels)
     if not labels:
         raise ConfigError("no subsets to rank")
-    return sort_ranking(labels, mean_scores(window_sets, labels).tolist())
+    return sort_ranking(labels, mean_scores(windows, labels).tolist())
 

@@ -9,7 +9,7 @@ into one head point, the two hips into one pelvis point), translates each
 frame so the centroid of its valid points sits at (0.5, 0.5), selects the
 configured placement roster, repairs short gaps by linear interpolation,
 and optionally decimates to a target sample rate. ``run`` then cuts the
-preprocessed recordings into windows of one length.
+preprocessed recordings into the windows of one ``WindowSets`` array.
 
 Gaps are counted on the uniform grid of the recording's rate (the inverse
 of its median timestamp spacing). A spacing above 1.5 periods is a
@@ -27,6 +27,7 @@ legal (estimators can emit slightly out-of-frame points).
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -108,6 +109,16 @@ class SkeletonSeries:
     @property
     def length(self) -> int:
         return self.points.shape[1]
+
+
+class WindowSets(NamedTuple):
+    """The windows a ranking scores. ``points`` is float64 of shape (window
+    sets, activities, sites, frames, 2): ``points[w, a]`` is activity
+    ``ids[a]``'s window in set w, its sites in the order of ``sites``."""
+
+    ids: tuple[str, ...]
+    sites: tuple[str, ...]
+    points: np.ndarray
 
 
 def merge_keypoints(
@@ -330,8 +341,8 @@ def preprocess_recording(
     valid skeleton, select the roster sites, place the frames on the grid of
     the inferred rate (a timestamp hole becomes frames with no valid point),
     repair gaps (at the native rate) and decimate to the target rate, into
-    one compact array, so windows cut from it as views hold no native-rate
-    frames. Coordinates too large to square and sum raise ComputationError.
+    one compact array that holds no native-rate frames. Coordinates too
+    large to square and sum raise ComputationError.
     """
     t = np.asarray(t, dtype=np.float64)
     if t.shape != np.shape(kp)[:1]:

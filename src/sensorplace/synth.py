@@ -29,7 +29,7 @@ import numpy as np
 from .errors import ConfigError, UnknownSiteError
 from .sites import (DEFAULT_ROSTER, DEFAULTS, SITE_ORDER, _is_bool, _rule, canonical_sites,
                     check_rate, check_roster, real, site_ids, whole)
-from .skeleton import KEYPOINT_SITE, MERGE_SOURCES, NUM_KEYPOINTS, SkeletonSeries
+from .skeleton import KEYPOINT_SITE, MERGE_SOURCES, NUM_KEYPOINTS, SkeletonSeries, WindowSets
 
 # Rough humanoid layout in normalized image coordinates (y grows downward).
 DEFAULT_POSE = {
@@ -75,7 +75,6 @@ _check_activities = _rule(lambda n: whole(n, "activities") >= 2, "need at least 
 # the top frequency of a separable set, nyquist - 0.5, is negative under 1 Hz
 _check_separable_rate = _rule(lambda r: check_rate(r) >= 1.0,
                               "sample rate must be at least 1 Hz, got {:g} Hz", float)
-_check_style = _rule(lambda s: s in ("csv", "labeled"), "style must be csv or labeled, got {!r}", str)
 _check_drift = _rule(_is_bool, "drift must be True or False, got {!r}", bool)
 
 
@@ -212,14 +211,14 @@ def separable_specs(
     return specs
 
 
-def make_separable_set(n_activities: int, discriminative_sites,
-                       **options) -> tuple[SkeletonSeries, ...]:
-    """Generate a window set, one series per activity, whose activities
-    differ only at the discriminative sites; ``options`` are the keyword
-    arguments of ``separable_specs``. Its series share one roster, length
-    and rate, as ``scoring.mean_scores`` requires."""
+def make_separable_set(n_activities: int, discriminative_sites, **options) -> WindowSets:
+    """Generate one window set whose activities differ only at the
+    discriminative sites, as the ``WindowSets`` ``scoring.mean_scores``
+    takes; ``options`` are the keyword arguments of ``separable_specs``."""
     specs = separable_specs(n_activities, discriminative_sites, **options)
-    return tuple(generate_activity(s) for s in specs)
+    series = [generate_activity(spec) for spec in specs]
+    return WindowSets(tuple(a.activity_id for a in series), series[0].sites,
+                      np.stack([a.points for a in series])[None])
 
 
 # --- the synth command ------------------------------------------------------
@@ -251,6 +250,7 @@ def series_to_frames(series: SkeletonSeries, drift: bool = True) -> tuple[np.nda
     whole-body translation is added per frame; per-frame centralization
     removes it on ingestion. All confidences are 1.0.
     """
+    drift = _check_drift(drift)
     if set(series.sites) != set(SITE_ORDER):
         raise ValueError("keypoint export needs a series covering all 12 sites")
     L = series.length
@@ -279,11 +279,12 @@ def run_synth(out_dir, n_activities: int = 3, discriminative_sites=("LW",), styl
     from .textio import atomic_write_text
 
     out_dir = Path(out_dir)
-    style, drift = _check_style(style), _check_drift(drift)
-    window_set = make_separable_set(n_activities, discriminative_sites, roster=SITE_ORDER, **options)
+    style, drift = pio._check_style(style), _check_drift(drift)
+    specs = separable_specs(n_activities, discriminative_sites, roster=SITE_ORDER, **options)
+    activities = [generate_activity(spec) for spec in specs]
     extension = "csv" if style == "csv" else "txt"
     manifest_lines = []
-    for series in window_set:
+    for series in activities:
         t, kp = series_to_frames(series, drift=drift)
         filename = f"{series.activity_id}.{extension}"
         pio.write_keypoint_file(out_dir / filename, t, kp, style=style)

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import settings
 
 from sensorplace.skeleton import MERGE_SOURCES, NUM_KEYPOINTS, SITE_ORDER
-from sensorplace.skeleton import SkeletonSeries
+from sensorplace.skeleton import SkeletonSeries, WindowSets
 
 # Series-level property tests build real arrays per example; keep deadlines
 # off so a slow example on a loaded machine cannot flake a run. Examples are
@@ -39,6 +39,13 @@ def make_series(activity_id, points, sites=None, sample_rate=10.0):
         points=points,
         sample_rate=sample_rate,
     )
+
+
+def make_windows(arrays, sites):
+    """One window set whose activities ``a0``, ``a1``, ... have the
+    (sites, frames, 2) points of ``arrays``, in order."""
+    arrays = np.asarray(arrays, dtype=np.float64)
+    return WindowSets(tuple(f"a{i}" for i in range(len(arrays))), tuple(sites), arrays[None])
 
 
 @pytest.fixture

@@ -15,7 +15,7 @@ from itertools import permutations
 import numpy as np
 import pytest
 
-from conftest import make_series
+from conftest import make_windows
 from oracles import kendall_tau_ref, pairwise_distance_sum_ref
 from sensorplace import io as pio
 from sensorplace import run as runner
@@ -47,8 +47,7 @@ def _random_activity_set(rng):
     L = int(rng.integers(1, 21))     # frames
     sites = DEFAULT_ROSTER[:s]
     arrays = rng.normal(size=(n, s, L, 2)) + 2.0
-    aset = tuple(make_series(f"a{i}", arr, sites=sites) for i, arr in enumerate(arrays))
-    return aset, sites, arrays
+    return make_windows(arrays, sites), sites, arrays
 
 
 def test_01_subset_score_matches_brute_force_oracle():
@@ -58,7 +57,7 @@ def test_01_subset_score_matches_brute_force_oracle():
     start = time.perf_counter()
     for _ in range(instances):
         aset, sites, arrays = _random_activity_set(rng)
-        got = mean_scores([aset], ["+".join(sites)])[0]
+        got = mean_scores(aset, ["+".join(sites)])[0]
         want = pairwise_distance_sum_ref([a.reshape(-1) for a in arrays])
         rel = abs(got - want) / max(abs(want), 1e-300)
         worst = max(worst, rel)
@@ -75,8 +74,7 @@ def test_02_cosine_geometry_is_exact():
     u = np.array([0.3, -1.2, 2.5, 4.0]).reshape(1, 2, 2)
 
     def score(a, b):
-        pair = (make_series("a0", a, sites=("LW",)), make_series("a1", b, sites=("LW",)))
-        return mean_scores([pair], ["LW"])[0]
+        return mean_scores(make_windows([a, b], ("LW",)), ["LW"])[0]
 
     errs = (
         score(u, u),
@@ -93,19 +91,16 @@ def test_02_cosine_geometry_is_exact():
 def test_03_scaling_an_activity_changes_nothing():
     rng = np.random.default_rng(7)
     arrays = rng.uniform(0.2, 0.8, size=(5, 5, 50, 2))
-    aset = tuple(make_series(f"a{i}", arr, sites=DEFAULT_ROSTER) for i, arr in enumerate(arrays))
+    aset = make_windows(arrays, DEFAULT_ROSTER)
     subsets = enumerate_subsets(DEFAULT_ROSTER)
-    base = rank_placements([aset], subsets)
+    base = rank_placements(aset, subsets)
     worst = 0.0
     orders_equal = True
     for idx in range(arrays.shape[0]):
         for c in (1e-3, 1.0, 1e3):
             scaled = arrays.copy()
             scaled[idx] *= c
-            sset = tuple(
-                make_series(f"a{i}", arr, sites=DEFAULT_ROSTER) for i, arr in enumerate(scaled)
-            )
-            r = rank_placements([sset], subsets)
+            r = rank_placements(make_windows(scaled, DEFAULT_ROSTER), subsets)
             orders_equal &= r[0] == base[0]
             for a, b in zip(base[1], r[1]):
                 denom = max(abs(a), 1e-300)
@@ -165,10 +160,10 @@ def test_06_discriminative_site_is_recovered():
     runs = 100
     for k in range(runs):
         aset = make_separable_set(13, ["LW"], seed=k, noise_sigma=0.0)
-        if rank_placements([aset], singletons)[0][0] == "LW":
+        if rank_placements(aset, singletons)[0][0] == "LW":
             clean_hits += 1
         noisy = make_separable_set(13, ["LW"], seed=10_000 + k, noise_sigma=0.01)
-        if rank_placements([noisy], singletons)[0][0] == "LW":
+        if rank_placements(noisy, singletons)[0][0] == "LW":
             noisy_hits += 1
     _verdict(
         "discriminative wrist site ranks first",
@@ -204,15 +199,15 @@ def test_07_preprocessing_invariants(tmp_path):
                                     _raw(rng.uniform(size=(frames, 17, 2))))
             entries.append((name, [path]))
         try:
-            window_sets, _ = runner.load_window_sets(entries, RunConfig())
+            windows, _ = runner.load_window_sets(entries, RunConfig())
         except ManifestError as exc:
             ok &= frames == 499 and str(exc) == "; ".join(
                 f"{name}: series has 499 frames, needs at least 500" for name in ("a", "b"))
             continue
-        ok &= frames == 500 and len(window_sets) == 1
-        for window, (_, [path]) in zip(window_sets[0], entries):
-            full = preprocess_recording(*pio.parse_keypoint_file(path), window.activity_id)
-            ok &= window.length == 500 and np.array_equal(window.points, full.points)
+        ok &= frames == 500 and len(windows) == 1
+        for window, (name, [path]) in zip(windows[0], entries):
+            full = preprocess_recording(*pio.parse_keypoint_file(path), name)
+            ok &= window.shape[1] == 500 and np.array_equal(window, full.points)
     _verdict(
         "centralization and 500-frame boundary behave",
         ok,
@@ -229,9 +224,9 @@ def _raw(xy):
 def test_08_ranking_speed(tmp_path):
     aset = make_separable_set(13, ["LW"], seed=0, noise_sigma=0.01)
     subsets = enumerate_subsets(DEFAULT_ROSTER)
-    rank_placements([aset], subsets)  # warm every code path once
+    rank_placements(aset, subsets)  # warm every code path once
     start = time.perf_counter()
-    rank_placements([aset], subsets)
+    rank_placements(aset, subsets)
     core = time.perf_counter() - start
 
     manifest = synth.run_synth(

@@ -27,7 +27,7 @@ from sensorplace.errors import ComputationError, ConfigError, ManifestError
 from sensorplace.rankcorr import compare_rankings
 from sensorplace.scoring import rank_placements
 from sensorplace.sites import SETTINGS, SITE_ORDER, enumerate_subsets
-from sensorplace.skeleton import preprocess_recording
+from sensorplace.skeleton import WindowSets, preprocess_recording
 
 
 def _corpus(tmp_path, n=3, length=520, noise=0.0, seed=0, style="csv", **kwargs):
@@ -164,15 +164,22 @@ def test_rank_multi_window_averages_over_full_windows(tmp_path):
         assert diag["windows"] == 2
 
 
+def _one_set(entries, config, points):
+    """The record of one window set of ``load_window_sets``' points."""
+    return WindowSets(tuple(activity for activity, _ in entries), config.roster, points[None])
+
+
 def test_rank_multi_window_score_is_the_sequential_mean_of_window_scores(tmp_path):
     # heavy noise spreads the window scores, so any other summation order
     # changes the last bits of many subsets
     manifest = _corpus(tmp_path, n=4, length=520, noise=0.3)
     config = _config(series_length=50, multi_window=True)
-    window_sets, _ = runner.load_window_sets(pio.parse_manifest(manifest), config)
-    assert len(window_sets) == 10
+    entries = pio.parse_manifest(manifest)
+    points, _ = runner.load_window_sets(entries, config)
+    assert len(points) == 10
     subsets = enumerate_subsets(config.roster, config.subset_sizes)
-    per_window = [dict(zip(*rank_placements([ws], subsets))) for ws in window_sets]
+    per_window = [dict(zip(*rank_placements(_one_set(entries, config, ws), subsets)))
+                  for ws in points]
     (labels, scores), _ = runner.run_rank(manifest, config)
     assert len(labels) == len(subsets)
     for label, score in zip(labels, scores):
@@ -185,19 +192,20 @@ def test_rank_multi_window_score_is_the_sequential_mean_of_window_scores(tmp_pat
 def test_rank_single_window_is_the_ranking_of_its_window_set(tmp_path):
     manifest = _corpus(tmp_path, n=4, noise=0.3)
     config = _config(series_length=50)
-    window_sets, _ = runner.load_window_sets(pio.parse_manifest(manifest), config)
-    assert len(window_sets) == 1
+    entries = pio.parse_manifest(manifest)
+    points, _ = runner.load_window_sets(entries, config)
+    assert len(points) == 1
     subsets = enumerate_subsets(config.roster, config.subset_sizes)
     ranking, _ = runner.run_rank(manifest, config)
-    assert ranking == rank_placements([window_sets[0]], subsets)
+    assert ranking == rank_placements(_one_set(entries, config, points[0]), subsets)
 
 
 def test_rank_ranks_every_window_set_in_one_library_call(tmp_path, monkeypatch):
     calls = []
 
-    def recorder(window_sets, labels):
-        calls.append((len(window_sets), len(labels)))
-        return rank_placements(window_sets, labels)
+    def recorder(windows, labels):
+        calls.append((len(windows.points), len(labels)))
+        return rank_placements(windows, labels)
 
     monkeypatch.setattr(runner, "rank_placements", recorder)
     manifest = _corpus(tmp_path, n=4, length=520, noise=0.3)
@@ -251,7 +259,7 @@ def test_windows_are_cut_per_recording_in_manifest_order(tmp_path):
 
 
 @pytest.mark.parametrize("multi_window, n_sets", [(True, 3), (False, 1)])
-def test_windows_are_views_of_their_recordings(tmp_path, monkeypatch, multi_window, n_sets):
+def test_windows_are_slices_of_their_recordings(tmp_path, monkeypatch, multi_window, n_sets):
     # the points preprocessing gives each recording, in manifest order
     recorded = []
 
@@ -263,15 +271,12 @@ def test_windows_are_views_of_their_recordings(tmp_path, monkeypatch, multi_wind
     _one_cpu(monkeypatch)  # a forked child's calls would not be recorded
     manifest = _corpus(tmp_path, length=160)
     config = _config(series_length=50, multi_window=multi_window)
-    window_sets, diagnostics = runner.load_window_sets(pio.parse_manifest(manifest), config)
-    assert len(window_sets) == n_sets
+    points, diagnostics = runner.load_window_sets(pio.parse_manifest(manifest), config)
+    assert points.shape == (n_sets, len(recorded), len(config.roster), 50, 2)
     assert [d["windows"] for d in diagnostics] == [3, 3, 3]
-    for ws in window_sets:
-        assert len(ws) == len(recorded)
-    for w, ws in enumerate(window_sets):
+    for w, ws in enumerate(points):
         for window, full in zip(ws, recorded):
-            assert np.shares_memory(window.points, full.points)
-            assert np.array_equal(window.points, full.points[:, 50 * w:50 * (w + 1)])
+            assert np.array_equal(window, full.points[:, 50 * w:50 * (w + 1)])
 
 
 def _two_corpora_manifest(tmp_path, act01, act02):
@@ -300,15 +305,14 @@ def test_multi_window_pairs_recordings_by_manifest_position(tmp_path, monkeypatc
     _one_cpu(monkeypatch)  # a forked child's calls would not be recorded
     manifest = _two_corpora_manifest(tmp_path, "ab", "ba")
     config = _config(series_length=50, subset_sizes=(1,), multi_window=True)
-    window_sets, diagnostics = runner.load_window_sets(pio.parse_manifest(manifest), config)
+    points, diagnostics = runner.load_window_sets(pio.parse_manifest(manifest), config)
     assert [d["windows"] for d in diagnostics] == [7, 7]
     act01, act02 = recorded[:2], recorded[2:]
     expected = [(k, w) for k in range(2) for w in range(3)]
-    assert len(window_sets) == len(expected)
-    for ws, (k, w) in zip(window_sets, expected):
+    assert len(points) == len(expected)
+    for ws, (k, w) in zip(points, expected):
         for window, full in zip(ws, (act01[k], act02[k])):
-            assert np.shares_memory(window.points, full.points)
-            assert np.array_equal(window.points, full.points[:, 50 * w:50 * (w + 1)])
+            assert np.array_equal(window, full.points[:, 50 * w:50 * (w + 1)])
 
 
 @pytest.mark.parametrize("act02, length, message", [
@@ -353,10 +357,10 @@ def test_single_window_scores_the_first_window_set_of_the_position_pairing(tmp_p
     ranking = (tmp_path / "manifest" / runner.RANKING_FILENAME).read_bytes()
     assert ranking == (tmp_path / "c1" / runner.RANKING_FILENAME).read_bytes()
     entries = pio.parse_manifest(manifest)
-    window_sets, _ = runner.load_window_sets(entries, _config(series_length=50))
-    assert len(window_sets) == 1
-    window_sets, _ = runner.load_window_sets(entries, _config(series_length=50, multi_window=True))
-    assert len(window_sets) == 4
+    points, _ = runner.load_window_sets(entries, _config(series_length=50))
+    assert len(points) == 1
+    points, _ = runner.load_window_sets(entries, _config(series_length=50, multi_window=True))
+    assert len(points) == 4
 
 
 def test_cli_single_window_needs_a_position_holding_every_activity(tmp_path, capsys):
@@ -429,9 +433,8 @@ def _paired_corpora(tmp_path, style):
     return manifest
 
 
-def _windows(window_sets):
-    return [[(w.activity_id, w.sites, w.sample_rate, w.points.dtype, w.points.shape,
-              w.points.tobytes()) for w in ws] for ws in window_sets]
+def _windows(points):
+    return points.dtype, points.shape, points.tobytes()
 
 
 @pytest.mark.parametrize("multi_window", [False, True], ids=["single-window", "multi-window"])
@@ -451,7 +454,7 @@ def test_two_process_load_gives_the_one_process_bytes(tmp_path, monkeypatch, sty
                      (out / "report.json").read_bytes()))
     assert forks == [os.getpid()] * 2  # one child per load
     assert runs[1] == runs[0]
-    assert len(runs[0][0]) == (6 if multi_window else 1)
+    assert runs[0][0][1][0] == (6 if multi_window else 1)  # the window sets
 
 
 def _broken(corpus, data_error, computation_error):
@@ -1831,6 +1834,23 @@ _TEXT_MODULES = ["sensorplace", "sensorplace.cli", "sensorplace.errors", "sensor
 ], ids=["compare-all", "compare-per-size", "compare-top", "report", "report-out"])
 def test_text_commands_load_exactly_their_modules(tmp_path, argv, modules):
     # the modules README's table names for compare and report, and no other
+    assert _probe_modules(tmp_path, argv)[1].split() == sorted(modules)
+
+
+_ARRAY_MODULES = ["sensorplace", "sensorplace.cli", "sensorplace.errors", "sensorplace.sites",
+                  "sensorplace.textio", "sensorplace.io", "sensorplace.skeleton"]
+
+
+@pytest.mark.parametrize("argv, modules", [
+    (["validate", "{corpus}/act01.csv"],
+     [*_ARRAY_MODULES, "sensorplace.run", "sensorplace.config", "sensorplace.scoring"]),
+    (["rank", "{corpus}/manifest.txt", "--length", "50", "--out-dir", "{tmp}/out"],
+     [*_ARRAY_MODULES, "sensorplace.run", "sensorplace.config", "sensorplace.scoring"]),
+    (["synth", "{tmp}/other", "--length", "60"], [*_ARRAY_MODULES, "sensorplace.synth"]),
+], ids=["validate", "rank", "synth"])
+def test_array_commands_load_exactly_their_modules(tmp_path, argv, modules):
+    # the modules README's table names for validate, rank and synth, and no
+    # other: synth loads neither the run configuration nor the scoring code
     assert _probe_modules(tmp_path, argv)[1].split() == sorted(modules)
 
 

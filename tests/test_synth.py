@@ -9,8 +9,8 @@ import numpy as np
 import pytest
 
 from sensorplace.config import RunConfig
-from sensorplace.errors import DataError, UnknownSiteError
-from sensorplace.io import parse_manifest
+from sensorplace.errors import ConfigError, DataError, UnknownSiteError
+from sensorplace.io import format_keypoint_frame, parse_manifest, write_keypoint_file
 from sensorplace.run import run_rank
 from sensorplace.scoring import mean_scores
 from sensorplace.skeleton import DEFAULT_ROSTER, SITE_ORDER
@@ -23,6 +23,7 @@ from sensorplace.synth import (
     make_separable_set,
     run_synth,
     separable_specs,
+    series_to_frames,
 )
 
 
@@ -140,6 +141,20 @@ def test_a_bad_synth_argument_raises_one_data_error_naming_it(tmp_path, call, me
     assert not (tmp_path / "out").exists()
 
 
+def test_the_writer_and_the_frame_expansion_check_style_and_drift_as_synth_does(tmp_path):
+    series = generate_activity(separable_specs(2, ["LW"], roster=SITE_ORDER, length=3)[0])
+    with pytest.raises(ConfigError, match="^drift must be True or False, got 'no'$"):
+        series_to_frames(series, drift="no")
+    t, kp = series_to_frames(series)
+    style = "^style must be csv or labeled, got 'xml'$"
+    with pytest.raises(ConfigError, match=style):
+        format_keypoint_frame(t[0], kp[0], style="xml")
+    for frames in (3, 0):  # a file of no frames formats none
+        with pytest.raises(ConfigError, match=style):
+            write_keypoint_file(tmp_path / "out.xml", t[:frames], kp[:frames], style="xml")
+    assert list(tmp_path.iterdir()) == []
+
+
 def _perfbench_inputs(monkeypatch):
     """The benchmark's input module, loaded from its file."""
     path = Path(__file__).resolve().parents[1] / "perfbench" / "inputs.py"
@@ -187,25 +202,25 @@ def test_an_unknown_roster_site_is_named(call):
 def test_static_sites_identical_across_activities():
     aset = make_separable_set(3, ["LW"], seed=11)
     for site in ("RW", "PE", "LF", "RF"):
-        first = aset[0].points[aset[0].sites.index(site)]
-        for act in aset[1:]:
-            np.testing.assert_array_equal(act.points[act.sites.index(site)], first)
+        first, *others = aset.points[0, :, aset.sites.index(site)]
+        for act in others:
+            np.testing.assert_array_equal(act, first)
 
 
 def test_non_discriminative_subset_scores_zero():
     aset = make_separable_set(2, ["LW"], seed=3)
-    assert mean_scores([aset], ["RW"])[0] <= 1e-12
+    assert mean_scores(aset, ["RW"])[0] <= 1e-12
 
 
 def test_discriminative_pair_beats_static_pair():
     aset = make_separable_set(4, ["LW", "RW"], seed=5)
-    moving, still = mean_scores([aset], ["LW+RW", "PE+LF"])
+    moving, still = mean_scores(aset, ["LW+RW", "PE+LF"])
     assert moving > still
 
 
 def test_separability_ordering_over_singletons():
     aset = make_separable_set(5, ["LW", "RF"], seed=8)
-    scores = dict(zip(DEFAULT_ROSTER, mean_scores([aset], DEFAULT_ROSTER)))
+    scores = dict(zip(DEFAULT_ROSTER, mean_scores(aset, DEFAULT_ROSTER)))
     for inside in ("LW", "RF"):
         for outside in ("RW", "PE", "LF"):
             assert scores[inside] > scores[outside]

@@ -219,8 +219,15 @@ def format_keypoint_frame(t: float, keypoints: np.ndarray, style: str = "csv") -
 
 def write_keypoint_file(path, t, kp, style: str = "csv") -> None:
     """Write timestamps ``t[n]`` and keypoints ``kp[n, 17, 3]``, one line
-    per frame in ``style``, which is checked before any file is written."""
+    per frame in ``style``. The style and both shapes are checked before
+    any file is written; the values are written as they are, so a file may
+    hold what the parser rejects."""
     style = _check_style(style)
+    shape = np.shape(kp)
+    if len(shape) != 3 or shape[1:] != (NUM_KEYPOINTS, 3):
+        raise ValueError(f"expected (n, {NUM_KEYPOINTS}, 3) keypoints, got {shape}")
+    if np.shape(t) != shape[:1]:
+        raise ValueError(f"expected {shape[:1]} timestamps, one per frame, got {np.shape(t)}")
     lines = [format_keypoint_frame(ti, row, style=style) for ti, row in zip(t, kp)]
     atomic_write_text(path, "\n".join(lines) + "\n")
 

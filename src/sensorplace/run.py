@@ -29,15 +29,15 @@ from .config import RunConfig
 from .errors import ComputationError, DataError, ManifestError
 from .scoring import TIE_BREAK, rank_placements
 from .sites import SITE_ORDER, enumerate_subsets
-from .skeleton import SkeletonSeries, WindowSets, merge_keypoints, preprocess_recording
+from .skeleton import WindowSets, merge_keypoints, preprocess_recording
 
 RANKING_FILENAME = "ranking.csv"
 RANK_REPORT_FILENAME = "report.json"
 
 
-def _load_recording(path, activity_id: str,
-                    config: RunConfig) -> tuple[np.ndarray, SkeletonSeries]:
-    """Parse one keypoint file and preprocess it: ``(kp, series)``.
+def _load_recording(path, config: RunConfig) -> tuple[np.ndarray, np.ndarray]:
+    """Parse one keypoint file and preprocess it: ``(kp, points)``, its raw
+    keypoints and the (sites, frames, 2) points of its ``SkeletonSeries``.
 
     A preprocessing DataError or ComputationError is raised again with the
     file's path in front; a parse error names the file already.
@@ -45,10 +45,10 @@ def _load_recording(path, activity_id: str,
     t, kp = pio.parse_keypoint_file(path)
     try:
         return kp, preprocess_recording(
-            t, kp, activity_id, roster=config.roster, target_rate=config.sample_rate,
+            t, kp, roster=config.roster, target_rate=config.sample_rate,
             confidence_threshold=config.confidence_threshold, max_gap=config.max_gap,
             allow_head=config.allow_head,
-        )
+        ).points
     except DataError as exc:
         raise DataError(f"{path}: {exc}") from None
     except ComputationError as exc:
@@ -82,7 +82,7 @@ def validate_recording(path, config: RunConfig) -> tuple[int, list[str]]:
     gives, naming it. Window length is not checked: ``rank`` applies it per
     activity, across recordings.
     """
-    kp, _ = _load_recording(path, str(path), config)
+    kp, _ = _load_recording(path, config)
     outside = np.count_nonzero((kp < 0.0) | (kp > 1.0), axis=(0, 1))  # x, y, confidence
     counts = {"coordinate": outside[0] + outside[1], "confidence": outside[2]}
     warnings = [f"{n} {what} values outside [0, 1]" for what, n in counts.items() if n]
@@ -188,17 +188,17 @@ def load_window_sets(manifest_entries, config: RunConfig):
                 )
     L = config.series_length
     loaded = iter(_load_in_two_processes(
-        lambda path, activity_id: _load_recording(path, activity_id, config)[1],
-        [(path, activity_id) for activity_id, paths in manifest_entries for path in paths]))
+        lambda path: _load_recording(path, config)[1],
+        [(path,) for _, paths in manifest_entries for path in paths]))
     kept, failures, diagnostics = [], [], []
     for activity_id, paths in manifest_entries:
         series = list(islice(loaded, len(paths)))
         try:
             if errors := [full for full in series if isinstance(full, Exception)]:
                 raise errors[0]
-            n_windows = sum(full.length // L for full in series)
+            n_windows = sum(full.shape[1] // L for full in series)
             if not n_windows:
-                frames = sum(full.length for full in series)
+                frames = sum(full.shape[1] for full in series)
                 raise DataError(f"series has {frames} frames, needs at least {L}")
         except DataError as exc:
             failures.append(f"{activity_id}: {exc}")
@@ -209,14 +209,14 @@ def load_window_sets(manifest_entries, config: RunConfig):
     if failures:
         raise ManifestError("; ".join(failures))
     sets = [(k, w) for k, position in enumerate(zip(*kept))
-            for w in range(min(full.length for full in position) // L)]
+            for w in range(min(full.shape[1] for full in position) // L)]
     if not sets:
         raise ManifestError("no manifest position holds a full window of every activity")
     sets = sets if config.multi_window else sets[:1]
     points = np.empty((len(sets), len(kept), len(config.roster), L, 2))
     for s, (k, w) in enumerate(sets):
         for a, recordings in enumerate(kept):
-            points[s, a] = recordings[k].points[:, w * L:(w + 1) * L]
+            points[s, a] = recordings[k][:, w * L:(w + 1) * L]
     return points, diagnostics
 
 

@@ -26,7 +26,6 @@ legal (estimators can emit slightly out-of-frame points).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
@@ -80,35 +79,15 @@ _HALF_PERIOD = 0.5 + 1e-6
 _RATE_TOLERANCE = 0.01
 
 
-@dataclass(frozen=True)
-class SkeletonSeries:
-    """Gap-free, uniform-length 2D trajectories for one activity.
+class SkeletonSeries(NamedTuple):
+    """One activity's gap-free trajectories: ``points`` is float64 of shape
+    (sites, frames, 2), its sites in the order of ``sites``. The record
+    checks nothing: ``preprocess_recording`` and ``synth.generate_activity``
+    make finite points of at least one frame, and ``synth.series_to_frames``
+    checks a series a caller builds."""
 
-    ``points`` is (n_sites, length, 2); every site has the same number of
-    frames and no missing samples.
-    """
-
-    activity_id: str
     sites: tuple[str, ...]
     points: np.ndarray
-    sample_rate: float
-
-    def __post_init__(self):
-        pts = np.asarray(self.points, dtype=np.float64)
-        sites = tuple(self.sites)
-        if pts.ndim != 3 or pts.shape[0] != len(sites) or pts.shape[2] != 2:
-            raise ValueError(f"expected (n_sites, length, 2) points, got {pts.shape}")
-        if pts.shape[1] < 1:
-            raise ValueError("series must contain at least one frame")
-        if not np.all(np.isfinite(pts)):
-            raise ValueError("series contains non-finite points")
-        check_rate(self.sample_rate)
-        object.__setattr__(self, "points", pts)
-        object.__setattr__(self, "sites", sites)
-
-    @property
-    def length(self) -> int:
-        return self.points.shape[1]
 
 
 class WindowSets(NamedTuple):
@@ -327,7 +306,6 @@ def _slot_grid(t: np.ndarray, rate: float, cap: int) -> tuple[np.ndarray, np.nda
 def preprocess_recording(
     t,
     kp,
-    activity_id: str,
     roster=DEFAULT_ROSTER,
     target_rate: float = DEFAULTS["sample_rate"],
     confidence_threshold: float = DEFAULTS["confidence_threshold"],
@@ -341,8 +319,9 @@ def preprocess_recording(
     valid skeleton, select the roster sites, place the frames on the grid of
     the inferred rate (a timestamp hole becomes frames with no valid point),
     repair gaps (at the native rate) and decimate to the target rate, into
-    one compact array that holds no native-rate frames. Coordinates too
-    large to square and sum raise ComputationError.
+    one compact array that holds no native-rate frames. Returns
+    ``SkeletonSeries(tuple(roster), points)``. Coordinates too large to
+    square and sum raise ComputationError, so the points are finite.
     """
     t = np.asarray(t, dtype=np.float64)
     if t.shape != np.shape(kp)[:1]:
@@ -374,9 +353,4 @@ def preprocess_recording(
     if not np.isfinite(np.square(repaired).sum()):
         raise ComputationError("coordinates overflow in preprocessing")
 
-    return SkeletonSeries(
-        activity_id=activity_id,
-        sites=roster,
-        points=repaired,
-        sample_rate=target_rate,
-    )
+    return SkeletonSeries(tuple(roster), repaired)

@@ -140,12 +140,7 @@ def generate_activity(spec: MotionSpec) -> SkeletonSeries:
         if not np.isfinite(points[row]).all():  # a sum past float max, or sin(inf)
             raise ConfigError(f"site {site} of {spec.activity_id}: base, amplitude, frequency or "
                               f"noise_sigma {m.noise_sigma:g} is too large: the points overflow")
-    return SkeletonSeries(
-        activity_id=spec.activity_id,
-        sites=sites,
-        points=points,
-        sample_rate=spec.sample_rate,
-    )
+    return SkeletonSeries(sites, points)
 
 
 def separable_specs(
@@ -217,7 +212,7 @@ def make_separable_set(n_activities: int, discriminative_sites, **options) -> Wi
     takes; ``options`` are the keyword arguments of ``separable_specs``."""
     specs = separable_specs(n_activities, discriminative_sites, **options)
     series = [generate_activity(spec) for spec in specs]
-    return WindowSets(tuple(a.activity_id for a in series), series[0].sites,
+    return WindowSets(tuple(spec.activity_id for spec in specs), series[0].sites,
                       np.stack([a.points for a in series])[None])
 
 
@@ -240,28 +235,39 @@ _KEYPOINT_OFFSETS[list(MERGE_SOURCES["HD"])] = (
 _KEYPOINT_OFFSETS[list(MERGE_SOURCES["PE"])] = ((-0.03, 0.0), (0.03, 0.0))
 
 
-def series_to_frames(series: SkeletonSeries, drift: bool = True) -> tuple[np.ndarray, np.ndarray]:
-    """Expand a 12-site series into timestamps ``t[L]`` and raw keypoints
-    ``kp[L, 17, 3]``.
+def series_to_frames(series: SkeletonSeries, sample_rate: float,
+                     drift: bool = True) -> tuple[np.ndarray, np.ndarray]:
+    """Expand a 12-site series sampled at ``sample_rate`` into timestamps
+    ``t[L]`` and raw keypoints ``kp[L, 17, 3]``.
 
     The five facial keypoints are placed around the head point with
     zero-sum offsets and the two hips symmetrically around the pelvis, so
     consolidation recovers the original sites. With ``drift`` a smooth
     whole-body translation is added per frame; per-frame centralization
-    removes it on ingestion. All confidences are 1.0.
+    removes it on ingestion. All confidences are 1.0. Points other than
+    finite (sites, frames, 2) of at least one frame raise ValueError, as
+    do sites other than the 12, each once.
     """
     drift = _check_drift(drift)
-    if set(series.sites) != set(SITE_ORDER):
-        raise ValueError("keypoint export needs a series covering all 12 sites")
-    L = series.length
-    t = np.arange(L, dtype=np.float64) / series.sample_rate
+    points = np.asarray(series.points, dtype=np.float64)
+    if points.ndim != 3 or points.shape[0] != len(series.sites) or points.shape[2] != 2:
+        raise ValueError(f"expected (n_sites, length, 2) points, got {points.shape}")
+    if points.shape[1] < 1:
+        raise ValueError("series must contain at least one frame")
+    if not np.all(np.isfinite(points)):
+        raise ValueError("series contains non-finite points")
+    sample_rate = check_rate(sample_rate)
+    if len(series.sites) != len(SITE_ORDER) or set(series.sites) != set(SITE_ORDER):
+        raise ValueError("keypoint export needs a series of the 12 sites, each once")
+    L = points.shape[1]
+    t = np.arange(L, dtype=np.float64) / sample_rate
     shift = np.zeros((L, 2))
     if drift:
         shift[:, 0] = 0.05 * np.sin(2.0 * np.pi * 0.2 * t) + 0.001 * t
         shift[:, 1] = 0.05 * np.cos(2.0 * np.pi * 0.3 * t)
     rows = [series.sites.index(site) for site in KEYPOINT_SITE]
     kp = np.ones((L, NUM_KEYPOINTS, 3), dtype=np.float64)
-    kp[:, :, :2] = (series.points[rows].transpose(1, 0, 2) + _KEYPOINT_OFFSETS) + shift[:, None]
+    kp[:, :, :2] = (points[rows].transpose(1, 0, 2) + _KEYPOINT_OFFSETS) + shift[:, None]
     return t, kp
 
 
@@ -284,11 +290,11 @@ def run_synth(out_dir, n_activities: int = 3, discriminative_sites=("LW",), styl
     activities = [generate_activity(spec) for spec in specs]
     extension = "csv" if style == "csv" else "txt"
     manifest_lines = []
-    for series in activities:
-        t, kp = series_to_frames(series, drift=drift)
-        filename = f"{series.activity_id}.{extension}"
+    for spec, series in zip(specs, activities):
+        t, kp = series_to_frames(series, spec.sample_rate, drift=drift)
+        filename = f"{spec.activity_id}.{extension}"
         pio.write_keypoint_file(out_dir / filename, t, kp, style=style)
-        manifest_lines.append(f"{series.activity_id} {filename}")
+        manifest_lines.append(f"{spec.activity_id} {filename}")
     manifest_path = out_dir / MANIFEST_FILENAME
     atomic_write_text(manifest_path, "\n".join(manifest_lines) + "\n")
     return manifest_path

@@ -4,8 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import settings
 
-from sensorplace.skeleton import MERGE_SOURCES, NUM_KEYPOINTS, SITE_ORDER
-from sensorplace.skeleton import SkeletonSeries, WindowSets
+from sensorplace.skeleton import MERGE_SOURCES, NUM_KEYPOINTS, WindowSets
 
 # Series-level property tests build real arrays per example; keep deadlines
 # off so a slow example on a loaded machine cannot flake a run. Examples are
@@ -27,18 +26,6 @@ def make_keypoints(xy=None, conf=1.0, seed=None):
     kps[:, :2] = np.asarray(xy, dtype=np.float64)
     kps[:, 2] = conf
     return kps
-
-
-def make_series(activity_id, points, sites=None, sample_rate=10.0):
-    points = np.asarray(points, dtype=np.float64)
-    if sites is None:
-        sites = SITE_ORDER[: points.shape[0]]
-    return SkeletonSeries(
-        activity_id=activity_id,
-        sites=tuple(sites),
-        points=points,
-        sample_rate=sample_rate,
-    )
 
 
 def make_windows(arrays, sites):

@@ -206,7 +206,7 @@ def test_07_preprocessing_invariants(tmp_path):
             continue
         ok &= frames == 500 and len(windows) == 1
         for window, (name, [path]) in zip(windows[0], entries):
-            full = preprocess_recording(*pio.parse_keypoint_file(path), name)
+            full = preprocess_recording(*pio.parse_keypoint_file(path))
             ok &= window.shape[1] == 500 and np.array_equal(window, full.points)
     _verdict(
         "centralization and 500-frame boundary behave",

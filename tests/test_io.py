@@ -50,6 +50,32 @@ def test_keypoint_round_trip_is_exact(tmp_path, style):
     assert np.array_equal(kp_back, kp)
 
 
+@pytest.mark.parametrize("t, kp, message", [
+    (np.arange(4) / 10.0, np.ones((5, 17, 3)), "expected (5,) timestamps, one per frame, got (4,)"),
+    (np.arange(6) / 10.0, np.ones((5, 17, 3)), "expected (5,) timestamps, one per frame, got (6,)"),
+    (np.zeros((5, 1)), np.ones((5, 17, 3)), "expected (5,) timestamps, one per frame, got (5, 1)"),
+    (np.arange(3) / 10.0, np.ones((3, 12, 2)), "expected (n, 17, 3) keypoints, got (3, 12, 2)"),
+    (np.arange(3) / 10.0, np.ones((3, 51)), "expected (n, 17, 3) keypoints, got (3, 51)"),
+], ids=["fewer-timestamps", "more-timestamps", "timestamps-2d", "site-points", "flat-rows"])
+def test_keypoint_writer_rejects_other_shapes_before_any_file(tmp_path, t, kp, message):
+    # zipping t with kp once wrote the shorter of the two, or 25-field lines
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        pio.write_keypoint_file(tmp_path / "rec.csv", t, kp)
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_keypoint_writer_writes_faulty_values_as_they_are(tmp_path):
+    # tests build faulty files with the writer: repeated timestamps and
+    # non-finite values reach the file, for the parser to reject
+    t, kp = _frames(3)
+    t[2], kp[1, 4, 0] = t[1], np.nan
+    path = tmp_path / "rec.csv"
+    pio.write_keypoint_file(path, t, kp)
+    lines = path.read_text().splitlines()
+    assert [line.split(",")[0] for line in lines] == ["0.0", "0.1", "0.1"]
+    assert lines[1].split(",")[13] == "nan"
+
+
 def test_csv_line_has_52_fields(tmp_path):
     line = _line(_frames())
     assert len(line.split(",")) == pio.FIELDS_PER_FRAME == 52

@@ -594,17 +594,22 @@ def test_a_failed_fork_loads_every_recording_here(tmp_path, monkeypatch):
 def test_a_fault_of_the_program_is_raised_at_its_first_recording(tmp_path, monkeypatch):
     # only input and numeric errors are left for the walk to raise again
     manifest = _corpus(tmp_path, n=4, length=60)
-    calls = []
+    parsed = []
+    parse = pio.parse_keypoint_file
+
+    def parse_and_record(path):
+        parsed.append(Path(path).name)
+        return parse(path)
 
     def broken(*args, **kwargs):
-        calls.append(args[2])
         raise TypeError("a fault of the program")
 
     _one_cpu(monkeypatch)
+    monkeypatch.setattr(pio, "parse_keypoint_file", parse_and_record)
     monkeypatch.setattr(runner, "preprocess_recording", broken)
     with pytest.raises(TypeError, match="^a fault of the program$"):
         runner.load_window_sets(pio.parse_manifest(manifest), _config(series_length=50))
-    assert calls == ["act01"]
+    assert parsed == ["act01.csv"]
 
 
 # --- run_compare -----------------------------------------------------------------

@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import make_keypoints, make_series
+from conftest import make_keypoints
 from sensorplace import io as pio
 from sensorplace import run as runner
 from sensorplace.config import RunConfig
@@ -57,19 +57,6 @@ def _at(points, site):
 
 
 # --- containers -------------------------------------------------------------
-
-@pytest.mark.parametrize("points, rate, message", [
-    (np.zeros((2, 5)), 10.0, "expected (n_sites, length, 2) points, got (2, 5)"),
-    (np.zeros((2, 5, 3)), 10.0, "expected (n_sites, length, 2) points, got (2, 5, 3)"),
-    (np.zeros((1, 0, 2)), 10.0, "series must contain at least one frame"),
-    (np.full((1, 3, 2), np.inf), 10.0, "series contains non-finite points"),
-    (np.zeros((1, 3, 2)), 0.0, "sample rate must be positive"),
-    (np.zeros((1, 3, 2)), np.nan, "sample rate must be positive and finite"),
-], ids=["two-dims", "three-coordinates", "no-frame", "non-finite", "rate-zero", "rate-nan"])
-def test_skeleton_series_rejects_bad_contents(points, rate, message):
-    with pytest.raises(ValueError, match=re.escape(message)):
-        make_series("a", points, sites=("LW",) * len(points), sample_rate=rate)
-
 
 @pytest.mark.parametrize("ids, message", [
     (("a",), "an activity set needs at least two activities"),
@@ -336,7 +323,7 @@ def _recordings(tmp_path, frames):
         path = tmp_path / f"{name}.csv"
         pio.write_keypoint_file(path, np.arange(frames) / 10.0, kp)
         entries.append((name, [path]))
-        points.append(preprocess_recording(*pio.parse_keypoint_file(path), name).points)
+        points.append(preprocess_recording(*pio.parse_keypoint_file(path)).points)
     return entries, points
 
 
@@ -447,18 +434,21 @@ _T3, _KP3 = np.arange(3) / 10.0, np.full((3, 17, 3), 0.5)  # three frames, every
      ConfigError, "max gap must be an integer, got 1.0"),
     (lambda: repair_gaps(np.zeros((1, 3, 2)), np.array([[True, False, True]]), max_gap=-1),
      ConfigError, "max gap must be >= 0"),
-    (lambda: preprocess_recording(_T3, _KP3, "a", roster="LW"), ConfigError,
+    (lambda: preprocess_recording(_T3, _KP3, roster="LW"), ConfigError,
      "roster must be a tuple or list of site ids, got 'LW'"),
-    (lambda: preprocess_recording(_T3, _KP3, "a", max_gap=-5), ConfigError,
+    (lambda: preprocess_recording(_T3, _KP3, max_gap=-5), ConfigError,
      "max gap must be >= 0"),
     (lambda: merge_keypoints(_KP3[:, :, 0]), ValueError, "expected (n, 17, 3) keypoints, got (3, 17)"),
-    (lambda: preprocess_recording(_T3, _KP3[:2], "a"), ValueError,
+    (lambda: preprocess_recording(_T3, _KP3[:2]), ValueError,
      "expected (2,) timestamps, one per frame, got (3,)"),
+    # the third positional parameter is the roster: an activity id there is one
+    (lambda: preprocess_recording(_T3, _KP3, "walk"), ConfigError,
+     "roster must be a tuple or list of site ids, got 'walk'"),
 ], ids=["mask-empty", "mask-one-dim", "rate-one-timestamp", "rate-falling-timestamps",
         "stride-target-0", "stride-target-text", "select-roster-text", "select-allow-head-text",
         "merge-threshold-text", "merge-threshold-1.5", "repair-gap-float", "repair-gap-negative",
         "preprocess-roster-text", "preprocess-gap-negative", "merge-keypoints-2d",
-        "preprocess-timestamps-mismatch"])
+        "preprocess-timestamps-mismatch", "preprocess-activity-id"])
 def test_preprocessing_steps_reject_bad_arguments(call, error, message):
     with pytest.raises(error, match=re.escape(message)):
         call()
@@ -467,46 +457,44 @@ def test_preprocessing_steps_reject_bad_arguments(call, error, message):
 # --- full preprocessing --------------------------------------------------------------
 
 def test_preprocess_end_to_end(raw_walk):
-    series = preprocess_recording(*raw_walk, "walk")
-    assert series.activity_id == "walk"
+    # the record holds the roster, as a tuple, and the points alone
+    series = preprocess_recording(*raw_walk, roster=list(DEFAULT_ROSTER))
+    assert series._fields == ("sites", "points")
     assert series.sites == DEFAULT_ROSTER
+    assert series.points.dtype == np.float64
     assert series.points[:, :50].shape == (len(DEFAULT_ROSTER), 50, 2)
-    assert series.sample_rate == pytest.approx(10.0)
 
 
 def test_preprocess_full_length_when_uncapped(raw_walk):
-    series = preprocess_recording(*raw_walk, "walk")
-    assert series.length == 60
+    series = preprocess_recording(*raw_walk)
+    assert series.points.shape[1] == 60
 
 
 def test_preprocess_is_deterministic(raw_walk):
-    a = preprocess_recording(*raw_walk, "walk").points[:, :50]
-    b = preprocess_recording(*raw_walk, "walk").points[:, :50]
+    a = preprocess_recording(*raw_walk).points[:, :50]
+    b = preprocess_recording(*raw_walk).points[:, :50]
     assert np.array_equal(a, b)
 
 
 def test_preprocess_decimates_to_target_rate(raw_walk):
     _, kp = raw_walk
     fast = np.repeat(kp, 3, axis=0)
-    series = preprocess_recording(
-        np.arange(len(fast)) / 30.0, fast, "walk", target_rate=10.0
-    )
-    assert series.length == 60
-    assert series.sample_rate == pytest.approx(10.0)
+    series = preprocess_recording(np.arange(len(fast)) / 30.0, fast, target_rate=10.0)
+    assert series.points.shape[1] == 60
 
 
 def test_preprocess_repairs_confidence_dropouts(raw_walk):
     t, kp = raw_walk
     kp = kp.copy()
     kp[30, 9, 2] = 0.0  # LW invisible for one frame
-    points = preprocess_recording(t, kp, "walk").points[:, :50]
+    points = preprocess_recording(t, kp).points[:, :50]
     assert points.shape[1] == 50
     assert np.isfinite(points).all()
 
 
 def test_preprocess_rejects_tiny_recordings():
     with pytest.raises(DataError, match="^series has 1 frames, needs at least 2$"):
-        preprocess_recording(np.zeros(1), make_keypoints()[None], "walk")
+        preprocess_recording(np.zeros(1), make_keypoints()[None])
 
 
 def test_preprocess_too_few_frames_after_pipeline(tmp_path, raw_walk):
@@ -526,7 +514,7 @@ def test_spacing_of_half_a_period_is_a_rate_error(raw_walk):
     with pytest.raises(DataError, match="^" + re.escape(
             "frame 31 (t=3.0500000000000003) is 0.5 periods after frame 30; "
             "a spacing of half a period or less does not fit the 10 Hz grid") + "$"):
-        preprocess_recording(t, kp, "walk")
+        preprocess_recording(t, kp)
 
 
 def test_frame_too_far_to_count_periods_is_a_rate_error(raw_walk):
@@ -537,34 +525,34 @@ def test_frame_too_far_to_count_periods_is_a_rate_error(raw_walk):
     t[0] = -1e308
     with pytest.raises(DataError,
                        match=r"^frame 1 \(t=0\.1\) is too many periods from frame 0$"):
-        preprocess_recording(t, kp, "walk")
+        preprocess_recording(t, kp)
 
 
 def test_spacing_just_over_half_a_period_is_one_frame(raw_walk):
     t, kp = raw_walk
     jittered = t.copy()
     jittered[31:] -= 0.045
-    series = preprocess_recording(jittered, kp, "walk")
-    assert np.array_equal(series.points, preprocess_recording(t, kp, "walk").points)
+    series = preprocess_recording(jittered, kp)
+    assert np.array_equal(series.points, preprocess_recording(t, kp).points)
 
 
 def test_decimated_points_own_a_target_rate_buffer():
     # windows cut from the points keep no native-rate frames alive
     t = np.arange(90) / 30.0
     kp = np.repeat(make_keypoints(seed=3)[None], 90, axis=0)
-    series = preprocess_recording(t, kp, "walk", target_rate=10.0)
+    series = preprocess_recording(t, kp, target_rate=10.0)
     assert series.points.shape == (5, 30, 2)
     assert series.points.base is None and series.points.flags.c_contiguous
 
 
 def test_single_dropped_frame_is_interpolated(raw_walk):
     t, kp = raw_walk
-    dropped = preprocess_recording(np.delete(t, 30), np.delete(kp, 30, axis=0), "walk")
+    dropped = preprocess_recording(np.delete(t, 30), np.delete(kp, 30, axis=0))
     # a dropped frame is a frame with no valid point: same slot, same repair
     blank = kp.copy()
     blank[30, :, 2] = 0.0
-    assert dropped.length == 60
-    assert np.array_equal(dropped.points, preprocess_recording(t, blank, "walk").points)
+    assert dropped.points.shape[1] == 60
+    assert np.array_equal(dropped.points, preprocess_recording(t, blank).points)
 
 
 def test_twenty_second_hole_is_a_gap_too_long():
@@ -572,7 +560,7 @@ def test_twenty_second_hole_is_a_gap_too_long():
     kp = np.repeat(make_keypoints(seed=12)[None], 500, axis=0)
     keep = np.r_[0:100, 300:500]  # lines 101-300 of the file removed
     with pytest.raises(GapTooLongError) as err:
-        preprocess_recording(t[keep], kp[keep], "walk")
+        preprocess_recording(t[keep], kp[keep])
     assert (err.value.start, err.value.end) == (100, 300)
 
 
@@ -582,7 +570,7 @@ def test_hole_span_is_reported_at_full_length():
     t[-1] = 1e6
     kp = np.repeat(make_keypoints(seed=13)[None], 60, axis=0)
     with pytest.raises(GapTooLongError) as err:
-        preprocess_recording(t, kp, "walk", max_gap=3)
+        preprocess_recording(t, kp, max_gap=3)
     assert (err.value.start, err.value.end) == (59, 10_000_000)
 
 
@@ -591,8 +579,8 @@ def test_hole_outside_the_envelope_is_trimmed(raw_walk):
     t = np.concatenate([t[:5], t[5:] + 100.0])
     kp = kp.copy()
     kp[:5, 9, 2] = 0.0  # LW unseen before the hole, so the envelope starts after it
-    series = preprocess_recording(t, kp, "walk")
-    assert np.array_equal(series.points, preprocess_recording(*raw_walk, "walk").points[:, 5:])
+    series = preprocess_recording(t, kp)
+    assert np.array_equal(series.points, preprocess_recording(*raw_walk).points[:, 5:])
 
 
 def test_coordinate_overflow_is_a_computation_error(raw_walk):
@@ -603,7 +591,7 @@ def test_coordinate_overflow_is_a_computation_error(raw_walk):
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         with pytest.raises(ComputationError, match="^coordinates overflow in preprocessing$"):
-            preprocess_recording(t, kp, "walk")
+            preprocess_recording(t, kp)
 
 
 def test_site_order_default_roster_come_first():
@@ -684,9 +672,9 @@ def _matches_reference(t, kp, roster):
         want = _reference_preprocess(t, kp, roster)
     except DataError as exc:
         with pytest.raises(type(exc), match=re.escape(str(exc))):
-            preprocess_recording(t, kp, "a", roster=roster, allow_head=True)
+            preprocess_recording(t, kp, roster=roster, allow_head=True)
         return False
-    got = preprocess_recording(t, kp, "a", roster=roster, allow_head=True)
+    got = preprocess_recording(t, kp, roster=roster, allow_head=True)
     assert got.points.tobytes() == want.tobytes()
     return True
 

@@ -1,6 +1,10 @@
 """Seeded synthetic corpus generation."""
 
 import importlib.util
+import json
+import re
+import shutil
+import subprocess
 import sys
 from functools import partial
 from pathlib import Path
@@ -13,7 +17,7 @@ from sensorplace.errors import ConfigError, DataError, UnknownSiteError
 from sensorplace.io import format_keypoint_frame, parse_manifest, write_keypoint_file
 from sensorplace.run import run_rank
 from sensorplace.scoring import mean_scores
-from sensorplace.skeleton import DEFAULT_ROSTER, SITE_ORDER
+from sensorplace.skeleton import DEFAULT_ROSTER, SITE_ORDER, SkeletonSeries
 from sensorplace.synth import (
     DEFAULT_POSE,
     MotionSpec,
@@ -38,7 +42,7 @@ def _static_spec(length=20, seed=0, noise=0.0):
 
 def test_static_spec_yields_constant_series():
     series = generate_activity(_static_spec())
-    assert series.length == 20
+    assert series.points.shape[1] == 20
     for row in range(series.points.shape[0]):
         assert (series.points[row] == series.points[row][0]).all()
 
@@ -144,8 +148,8 @@ def test_a_bad_synth_argument_raises_one_data_error_naming_it(tmp_path, call, me
 def test_the_writer_and_the_frame_expansion_check_style_and_drift_as_synth_does(tmp_path):
     series = generate_activity(separable_specs(2, ["LW"], roster=SITE_ORDER, length=3)[0])
     with pytest.raises(ConfigError, match="^drift must be True or False, got 'no'$"):
-        series_to_frames(series, drift="no")
-    t, kp = series_to_frames(series)
+        series_to_frames(series, 10.0, drift="no")
+    t, kp = series_to_frames(series, 10.0)
     style = "^style must be csv or labeled, got 'xml'$"
     with pytest.raises(ConfigError, match=style):
         format_keypoint_frame(t[0], kp[0], style="xml")
@@ -153,6 +157,31 @@ def test_the_writer_and_the_frame_expansion_check_style_and_drift_as_synth_does(
         with pytest.raises(ConfigError, match=style):
             write_keypoint_file(tmp_path / "out.xml", t[:frames], kp[:frames], style="xml")
     assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("points, rate, message", [
+    (np.zeros((12, 5)), 10.0, "expected (n_sites, length, 2) points, got (12, 5)"),
+    (np.zeros((12, 5, 3)), 10.0, "expected (n_sites, length, 2) points, got (12, 5, 3)"),
+    (np.zeros((12, 0, 2)), 10.0, "series must contain at least one frame"),
+    (np.full((12, 3, 2), np.inf), 10.0, "series contains non-finite points"),
+    (np.zeros((12, 3, 2)), 0.0, "sample rate must be positive"),
+    (np.zeros((12, 3, 2)), np.nan, "sample rate must be positive and finite"),
+], ids=["two-dims", "three-coordinates", "no-frame", "non-finite", "rate-zero", "rate-nan"])
+def test_series_to_frames_rejects_bad_contents(points, rate, message):
+    # a SkeletonSeries checks nothing; the one function that takes a
+    # caller-built series checks it
+    with pytest.raises(ValueError, match=re.escape(message)):
+        series_to_frames(SkeletonSeries(SITE_ORDER, points), rate)
+
+
+@pytest.mark.parametrize("sites", [SITE_ORDER[:-1], SITE_ORDER + ("LW",)],
+                         ids=["missing-site", "repeated-site"])
+def test_series_to_frames_needs_each_site_once(sites):
+    # a repeated site once passed, and its second row was dropped unread
+    series = SkeletonSeries(sites, np.zeros((len(sites), 3, 2)))
+    with pytest.raises(ValueError, match="^keypoint export needs a series of the 12 sites, "
+                       "each once$"):
+        series_to_frames(series, 10.0)
 
 
 def _perfbench_inputs(monkeypatch):
@@ -180,6 +209,33 @@ def test_the_benchmark_corpus_generator_runs_on_synth(tmp_path, monkeypatch, rat
     assert sorted(frames for frames, _ in corpus.files.values()) == [60, 60, 60, 63, 63, 63]
     (labels, _), _ = run_rank(corpus.manifest, RunConfig(series_length=20, subset_sizes=(1,)))
     assert labels[0] == inputs.PLANTED_SITE
+
+
+@pytest.mark.skipif(int(np.__version__.split(".")[0]) < 2,
+                    reason="CI runs the benchmark on the latest numpy only")
+def test_the_traced_benchmark_counts_every_live_layer(tmp_path):
+    # perfbench's tracer times each layer by wrapping a program function by
+    # name: a renamed function zeroes its layer. Its window and frame counts
+    # read load_window_sets' and preprocess_recording's results, so a changed
+    # result shape fails too. It runs from a copy, since perfbench writes its
+    # spans beside the directories it runs from.
+    root = Path(__file__).resolve().parents[1]
+    for part in ("perfbench", "src"):
+        shutil.copytree(root / part, tmp_path / part,
+                        ignore=shutil.ignore_patterns("__pycache__", ".perfbench_work"))
+    proc = subprocess.run(
+        [sys.executable, "perfbench/run.py", "--workload", "full_roster", "--seed", "1",
+         "--seconds", "1", "--trace", "1"],
+        cwd=tmp_path, capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    result = json.loads(proc.stdout.splitlines()[-1])
+    metrics = {name: m["value"] for name, m in result["metrics"].items()}
+    assert result["correct"] is True and result["failed"] == 0
+    assert metrics["scoring.subsets_scored"] == 4095
+    assert metrics["run.window_sets"] == 1
+    assert metrics["skeleton.frames_out"] > 0
+    live = ["io.parse_s", "skeleton.preprocess_s", "run.load_s", "scoring.rank_s", "io.write_s"]
+    assert all(metrics[name] > 0 for name in live), metrics
 
 
 # --- separable sets ------------------------------------------------------------------

@@ -36,8 +36,6 @@ _EXPORTS = {
         "centralize",
         "merge_keypoints",
         "preprocess_recording",
-        "repair_gaps",
-        "select_sites",
     ),
     "synth": (
         "MotionSpec",

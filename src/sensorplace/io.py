@@ -5,9 +5,11 @@ one frame per line, 52 fields: ``t,kp0_x,kp0_y,kp0_c,...,kp16_x,kp16_y,
 kp16_c``. The labeled form carries the same 52 fields per line as
 ``key=value`` tokens split by blanks, in any order. A parsed recording
 is two arrays, timestamps ``t[n]`` and keypoints ``kp[n, 17, 3]``; the
-writer, which ``synth`` uses, takes the same arrays. ``validate`` makes
-its own checks of the values. Ranking tables, tau tables and JSON reports
-live in ``textio``, which needs no numpy.
+writer, which ``synth`` uses, takes the same arrays, checks their shapes
+and writes each value as ``repr`` spells it, the shortest text that reads
+back as the same float. ``validate`` makes its own checks of the values.
+Ranking tables, tau tables and JSON reports live in ``textio``, which
+needs no numpy.
 
 A keypoint file's data lines are converted by one call to numpy's C text
 reader, ``np.loadtxt``, once ``bytes.translate`` keeps them to what the
@@ -207,28 +209,23 @@ _check_style = _rule(lambda s: s in ("csv", "labeled"),
                      "style must be csv or labeled, got {!r}", str)
 
 
-def format_keypoint_frame(t: float, keypoints: np.ndarray, style: str = "csv") -> str:
-    """Render one frame, a timestamp and its (17, 3) keypoint row, as a
-    CSV or labeled line."""
-    style = _check_style(style)
-    values = [float(t)] + [float(v) for v in np.reshape(keypoints, -1)]
-    if style == "csv":
-        return ",".join(format_float(v) for v in values)
-    return " ".join(f"{name}={format_float(v)}" for name, v in zip(KEYPOINT_FIELDS, values))
-
-
 def write_keypoint_file(path, t, kp, style: str = "csv") -> None:
-    """Write timestamps ``t[n]`` and keypoints ``kp[n, 17, 3]``, one line
-    per frame in ``style``. The style and both shapes are checked before
-    any file is written; the values are written as they are, so a file may
-    hold what the parser rejects."""
+    """Write timestamps ``t[n]`` and keypoints ``kp[n, 17, 3]``, one CSV or
+    labeled line per frame in ``style``. The style and both shapes are
+    checked before any file is written; the values are written as they are,
+    so a file may hold what the parser rejects."""
     style = _check_style(style)
     shape = np.shape(kp)
     if len(shape) != 3 or shape[1:] != (NUM_KEYPOINTS, 3):
         raise ValueError(f"expected (n, {NUM_KEYPOINTS}, 3) keypoints, got {shape}")
     if np.shape(t) != shape[:1]:
         raise ValueError(f"expected {shape[:1]} timestamps, one per frame, got {np.shape(t)}")
-    lines = [format_keypoint_frame(ti, row, style=style) for ti, row in zip(t, kp)]
+    rows = np.column_stack((t, np.reshape(kp, (shape[0], FIELDS_PER_FRAME - 1)))).tolist()
+    if style == "csv":
+        lines = [",".join(map(format_float, row)) for row in rows]
+    else:
+        lines = [" ".join(f"{name}={format_float(v)}" for name, v in zip(KEYPOINT_FIELDS, row))
+                 for row in rows]
     atomic_write_text(path, "\n".join(lines) + "\n")
 
 

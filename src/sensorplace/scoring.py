@@ -159,7 +159,8 @@ def mean_scores(windows, labels) -> np.ndarray:
 
 def sort_ranking(labels, scores) -> tuple[list[str], list[float]]:
     """Order ``labels`` and their ``scores`` best first under ``TIE_BREAK``,
-    with canonical labels; a subset named twice raises InvalidRankError.
+    with canonical labels; a subset named twice raises InvalidRankError,
+    and lists of unequal length ValueError.
 
     The pairs are put in tie-break order, the order of ``subset_labels``,
     which takes linear time for labels already in it, as
@@ -170,7 +171,7 @@ def sort_ranking(labels, scores) -> tuple[list[str], list[float]]:
     labels = [canonical_label(label) for label in labels]
     if len(set(labels)) < len(labels):
         positions(labels)  # raises, naming the first subset given twice
-    pairs = sorted(zip(labels, scores), key=lambda pair: position[pair[0]])
+    pairs = sorted(zip(labels, scores, strict=True), key=lambda pair: position[pair[0]])
     pairs.sort(key=itemgetter(1), reverse=True)
     return [label for label, _ in pairs], [score for _, score in pairs]
 

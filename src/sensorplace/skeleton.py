@@ -8,8 +8,11 @@ consolidates them to 12 placement sites (the five facial keypoints merge
 into one head point, the two hips into one pelvis point), translates each
 frame so the centroid of its valid points sits at (0.5, 0.5), selects the
 configured placement roster, repairs short gaps by linear interpolation,
-and optionally decimates to a target sample rate. ``run`` then cuts the
-preprocessed recordings into the windows of one ``WindowSets`` array.
+and optionally decimates to a target sample rate. Site selection and gap
+repair have no public step of their own: they run inside
+``preprocess_recording``, which checks the roster and ``max_gap`` once.
+``run`` then cuts the preprocessed recordings into the windows of one
+``WindowSets`` array.
 
 Gaps are counted on the uniform grid of the recording's rate (the inverse
 of its median timestamp spacing). A spacing above 1.5 periods is a
@@ -157,33 +160,10 @@ def centralize(points: np.ndarray, valid: np.ndarray) -> np.ndarray:
     return np.where(valid[..., None], points - offset[:, None, :], points)
 
 
-def select_sites(roster, allow_head: bool = DEFAULTS["allow_head"]) -> np.ndarray:
-    """Rows of ``roster``'s sites in the canonical 12-site order, in roster
-    order.
-
-    The head site is excluded from placement unless ``allow_head`` is set.
-    """
-    check_head(check_roster(roster), check_allow_head(allow_head))
-    return np.array([_SITE_INDEX[site] for site in roster], dtype=np.intp)
-
-
-def repair_gaps(
-    points: np.ndarray,
-    valid: np.ndarray,
-    max_gap: int = DEFAULTS["max_gap"],
-    sites: tuple[str, ...] | None = None,
-) -> np.ndarray:
-    """Fill interior missing samples by per-coordinate linear interpolation.
-
-    Parameters
-    ----------
-    points : (n_sites, n_frames, 2) array
-        Per-site trajectories; entries at invalid positions are ignored.
-    valid : (n_sites, n_frames) bool array
-        Which samples are known.
-    max_gap : int
-        Longest run of consecutive missing frames that may be filled.
-    sites : optional site ids used in error messages.
+def _repair_gaps(points: np.ndarray, valid: np.ndarray, max_gap: int, sites) -> np.ndarray:
+    """Fill the interior missing samples of ``points`` (sites, frames, 2)
+    by per-coordinate linear interpolation. ``valid`` (sites, frames) marks
+    the known samples, and ``sites`` names the rows in error messages.
 
     The series is first trimmed to the envelope bounded by the first and
     last frames where every site is valid, so each missing sample has valid
@@ -192,17 +172,9 @@ def repair_gaps(
     Otherwise all gaps are filled in one pass. Valid samples are never
     altered.
     """
-    max_gap = check_gap(max_gap)
-    points = np.asarray(points, dtype=np.float64)
-    valid = np.asarray(valid, dtype=bool)
-    if valid.ndim != 2 or valid.size == 0:
-        raise ValueError("expected a non-empty (n_sites, n_frames) validity mask")
-    n_sites, n_frames = valid.shape
-    labels = tuple(sites) if sites is not None else tuple(str(i) for i in range(n_sites))
-
-    for s in range(n_sites):
-        if not valid[s].any():
-            raise DataError(f"site {labels[s]} has no valid sample")
+    for site, known in zip(sites, valid):
+        if not known.any():
+            raise DataError(f"site {site} has no valid sample")
     all_valid = np.flatnonzero(valid.all(axis=0))
     if all_valid.size == 0:
         raise DataError("no frame has every site valid")
@@ -219,7 +191,7 @@ def repair_gaps(
     too_long = np.flatnonzero(a - b - 1 > max_gap)
     if too_long.size:
         k = too_long[0]
-        raise GapTooLongError(labels[s[k]], int(lo + b[k] + 1), int(lo + a[k]))
+        raise GapTooLongError(sites[s[k]], int(lo + b[k] + 1), int(lo + a[k]))
     left, right = out[s, b], out[s, a]
     out[s, f] = left + (right - left) * ((f - b) / (a - b))[:, None]
     return out
@@ -316,32 +288,40 @@ def preprocess_recording(
 
     ``t`` (n,) and ``kp`` (n, 17, 3) are the arrays ``io.parse_keypoint_file``
     returns. Steps: consolidate keypoints to sites, centralize each frame's
-    valid skeleton, select the roster sites, place the frames on the grid of
-    the inferred rate (a timestamp hole becomes frames with no valid point),
-    repair gaps (at the native rate) and decimate to the target rate, into
-    one compact array that holds no native-rate frames. Returns
-    ``SkeletonSeries(tuple(roster), points)``. Coordinates too large to
-    square and sum raise ComputationError, so the points are finite.
+    valid skeleton, select the roster sites in roster order (the head site
+    only with ``allow_head``), place the frames on the grid of the inferred
+    rate (a timestamp hole becomes frames with no valid point), repair gaps
+    (at the native rate) and decimate to the target rate, into one compact
+    array that holds no native-rate frames. Returns
+    ``SkeletonSeries(tuple(roster), points)``.
+
+    A site with no valid sample, a recording with no frame where every site
+    is valid and a gap longer than ``max_gap`` frames raise DataError; a
+    gap's span counts every frame of a timestamp hole. Coordinates too
+    large to square and sum raise ComputationError, so the points are
+    finite.
     """
     t = np.asarray(t, dtype=np.float64)
     if t.shape != np.shape(kp)[:1]:
         raise ValueError(f"expected {np.shape(kp)[:1]} timestamps, one per frame, got {t.shape}")
     if len(t) < 2:
         raise DataError(f"series has {len(t)} frames, needs at least 2")
-    rows = select_sites(roster, allow_head=allow_head)
+    check_head(check_roster(roster), check_allow_head(allow_head))
+    rows = [_SITE_INDEX[site] for site in roster]  # in roster order
 
     points, valid = merge_keypoints(kp, confidence_threshold)
     seen = valid.any(axis=1)  # frames with no valid point stay missing for every site
     points[seen] = centralize(points[seen], valid[seen])
 
     input_rate = infer_sample_rate(t)
-    slots, true_slots = _slot_grid(t, input_rate, check_gap(max_gap) + 1)
+    max_gap = check_gap(max_gap)
+    slots, true_slots = _slot_grid(t, input_rate, max_gap + 1)
     pts = np.zeros((len(roster), slots[-1] + 1, 2), dtype=np.float64)
     ok = np.zeros((len(roster), slots[-1] + 1), dtype=bool)
     pts[:, slots] = points[:, rows].transpose(1, 0, 2)
     ok[:, slots] = valid[:, rows].T
     try:
-        repaired = repair_gaps(pts, ok, max_gap=max_gap, sites=roster)
+        repaired = _repair_gaps(pts, ok, max_gap, roster)
     except GapTooLongError as exc:
         # report the span on the grid with every hole at its full length
         def uncapped(slot):

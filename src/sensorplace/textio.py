@@ -135,7 +135,7 @@ def render_ranking_table(labels, scores) -> str:
     position."""
     rows = (
         f"{rank},{format_float(score)},{label}"
-        for rank, (label, score) in enumerate(zip(labels, scores), start=1)
+        for rank, (label, score) in enumerate(zip(labels, scores, strict=True), start=1)
     )
     return "\n".join([RANKING_HEADER, *rows]) + "\n"
 
@@ -343,7 +343,7 @@ def render_ranking_text(labels, scores, title: str = "placement ranking") -> str
     first; rows are numbered by position."""
     lines = [title, ""]
     width = max(map(len, labels))
-    for rank, (label, score) in enumerate(zip(labels, scores), start=1):
+    for rank, (label, score) in enumerate(zip(labels, scores, strict=True), start=1):
         names = ", ".join(SITE_NAMES[s] for s in label.split("+"))
         shown = "" if score is None else f"  score={format(score, '.6f')}"
         lines.append(f"  {rank:>3}. {label:<{width}}{shown}  ({names})")

@@ -1,6 +1,7 @@
 """Keypoint files, manifests, ranking tables, atomic writes."""
 
 import re
+import tempfile
 import tracemalloc
 from pathlib import Path
 from unittest import mock
@@ -32,9 +33,16 @@ def _frames(n=5, seed=0):
     return np.arange(n) / 10.0, kp
 
 
+def _written(frames, style="csv"):
+    """The lines ``write_keypoint_file`` writes for ``frames``."""
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "rec"
+        pio.write_keypoint_file(path, *frames, style=style)
+        return path.read_text().splitlines()
+
+
 def _line(frames, i=0, style="csv"):
-    t, kp = frames
-    return pio.format_keypoint_frame(t[i], kp[i], style=style)
+    return _written(frames, style)[i]
 
 
 # --- keypoint files ----------------------------------------------------------
@@ -74,6 +82,23 @@ def test_keypoint_writer_writes_faulty_values_as_they_are(tmp_path):
     lines = path.read_text().splitlines()
     assert [line.split(",")[0] for line in lines] == ["0.0", "0.1", "0.1"]
     assert lines[1].split(",")[13] == "nan"
+
+
+@pytest.mark.parametrize("style, sep", [("csv", ","), ("labeled", " ")])
+def test_keypoint_writer_writes_each_value_as_repr(style, sep):
+    # the golden inputs hold only finite multiples of 2**-10; these are not,
+    # and the timestamp 0.1 repeats
+    t = np.array([0.0, 0.1, 0.1])
+    kp = np.full((3, 17, 3), 0.5)
+    kp[0, 0] = [-0.0, 5e-324, 1e308]
+    kp[1, 16] = [np.nan, np.inf, -np.inf]
+    lines = _written((t, kp), style)
+    assert len(lines) == len(t)
+    for i, line in enumerate(lines):
+        values = [repr(float(v)) for v in [t[i], *kp[i].ravel()]]
+        if style == "labeled":
+            values = [f"{name}={v}" for name, v in zip(pio.KEYPOINT_FIELDS, values)]
+        assert line.split(sep) == values
 
 
 def test_csv_line_has_52_fields(tmp_path):
@@ -245,6 +270,17 @@ def test_ranking_round_trip_preserves_order_and_scores(tmp_path):
     path = tmp_path / "ranking.csv"
     pio.write_ranking_file(path, *_ranking())
     assert textio.read_ranking_file(path) == _ranking()  # repr round-trips exactly
+
+
+def test_ranking_writers_reject_lists_of_unequal_length(tmp_path):
+    # each once wrote the rows of the shorter list
+    labels, scores = _ranking()
+    for render in (textio.render_ranking_table, textio.render_ranking_text):
+        with pytest.raises(ValueError, match="^zip\\(\\) argument 2 is shorter than argument 1$"):
+            render(labels, scores[:2])
+    with pytest.raises(ValueError, match="^zip\\(\\) argument 2 is longer than argument 1$"):
+        pio.write_ranking_file(tmp_path / "ranking.csv", labels[:2], scores)
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_ranking_file_starts_with_header(tmp_path):
@@ -670,8 +706,8 @@ def keypoint_files(draw):
     sep = "," if style == "csv" else " "
     order = draw(st.permutations(range(pio.FIELDS_PER_FRAME)))
     lines = []
-    for i in range(n):
-        fields = pio.format_keypoint_frame(i / 30.0, kp[i], style).split(sep)
+    for line in _written((np.arange(n) / 30.0, kp), style):
+        fields = line.split(sep)
         lines.append(sep.join(fields[o] for o in order))
     fast = True
     for _ in range(draw(st.integers(0, 3))):

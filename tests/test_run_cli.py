@@ -2,10 +2,12 @@
 
 import contextlib
 import errno
+import importlib
 import io
 import json
 import os
 import pickle
+import re
 import subprocess
 import sys
 import warnings
@@ -1763,6 +1765,17 @@ def test_readme_library_use_prints_what_its_comments_say():
     with contextlib.redirect_stdout(out):
         exec(block, {})
     assert expected and out.getvalue().splitlines() == expected
+
+
+def test_readme_library_table_names_only_steps_that_resolve():
+    text = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    table = text.split("## Library use", 1)[1].split("| Step |", 1)[1].split("\n\n", 1)[0]
+    steps = [name for row in table.splitlines() if row.startswith("| `")
+             for name in re.findall(r"`([\w.]+)`", row.split("|")[1])]
+    assert "preprocess_recording" in steps
+    for name in steps:
+        module, _, attr = name.rpartition(".")
+        assert hasattr(importlib.import_module(module or "sensorplace"), attr), name
 
 
 # Runs cli.main in a fresh interpreter and prints its exit code and which

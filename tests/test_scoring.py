@@ -189,6 +189,12 @@ def test_a_bad_record_is_an_error_before_any_gram(field, value, error, message):
             score(bad, ["LW"])
 
 
+def test_sort_ranking_rejects_lists_of_unequal_length():
+    # it once ranked the labels of the shorter list
+    with pytest.raises(ValueError, match=r"^zip\(\) argument 2 is shorter than argument 1$"):
+        sort_ranking(["LW", "RW"], [1.0])
+
+
 def test_ranking_sorts_desc_with_canonical_tie_break():
     ranking = sort_ranking(["RW", "LW", "LW+RW", "PE", "RF"], [1.0, 1.0, 1.0, 2.0, -0.0])
     assert ranking == (["PE", "LW", "RW", "LW+RW", "RF"], [2.0, 1.0, 1.0, 1.0, -0.0])

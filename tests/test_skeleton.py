@@ -29,13 +29,12 @@ from sensorplace.skeleton import (
     SITE_ORDER,
     WindowSets,
     _median,
+    _repair_gaps,
     centralize,
     decimation_stride,
     infer_sample_rate,
     merge_keypoints,
     preprocess_recording,
-    repair_gaps,
-    select_sites,
 )
 
 FACE = MERGE_SOURCES["HD"]
@@ -194,28 +193,31 @@ def test_centralize_degenerate_coincident_points():
 
 # --- site selection -------------------------------------------------------------
 
-def test_select_sites_follows_roster_order():
-    points, _ = merge_keypoints(make_keypoints(seed=11)[None])
-    rows = select_sites(("RF", "LW"))
-    pts = points[0, rows]
-    assert pts.shape == (2, 2)
-    assert pts[0].tolist() == _at(points[0], "RF").tolist()
-    assert pts[1].tolist() == _at(points[0], "LW").tolist()
+def _all_sites(raw):
+    """``raw`` preprocessed over all 12 sites, one row per site in canonical order."""
+    return preprocess_recording(*raw, roster=SITE_ORDER, allow_head=True).points
 
 
-def test_select_sites_excludes_head_by_default():
-    with pytest.raises(SiteExcludedError):
-        select_sites(("HD", "LW"))
-    assert select_sites(("HD", "LW"), allow_head=True).tolist() == [
-        SITE_ORDER.index("HD"), SITE_ORDER.index("LW")
-    ]
+def test_select_sites_follows_roster_order(raw_walk):
+    series = preprocess_recording(*raw_walk, roster=("RF", "LW"))
+    assert series.sites == ("RF", "LW")
+    rows = [SITE_ORDER.index("RF"), SITE_ORDER.index("LW")]
+    assert np.array_equal(series.points, _all_sites(raw_walk)[rows])
 
 
-def test_select_sites_rejects_unknown_and_duplicates():
+def test_select_sites_excludes_head_by_default(raw_walk):
+    with pytest.raises(SiteExcludedError, match="^the head site is excluded from placement$"):
+        preprocess_recording(*raw_walk, roster=("HD", "LW"))
+    series = preprocess_recording(*raw_walk, roster=("HD", "LW"), allow_head=True)
+    rows = [SITE_ORDER.index("HD"), SITE_ORDER.index("LW")]
+    assert np.array_equal(series.points, _all_sites(raw_walk)[rows])
+
+
+def test_select_sites_rejects_unknown_and_duplicates(raw_walk):
     with pytest.raises(UnknownSiteError):
-        select_sites(("LW", "XX"))
+        preprocess_recording(*raw_walk, roster=("LW", "XX"))
     with pytest.raises(UnknownSiteError):
-        select_sites(("LW", "LW"))
+        preprocess_recording(*raw_walk, roster=("LW", "LW"))
 
 
 # --- gap repair -------------------------------------------------------------------
@@ -230,12 +232,17 @@ def _ramp(n_sites=2, n_frames=12):
     return points, valid
 
 
+def _repair(points, valid, max_gap):
+    """``_repair_gaps`` with the rows named by the first canonical sites."""
+    return _repair_gaps(points, valid, max_gap, SITE_ORDER[:len(points)])
+
+
 def test_repair_fills_single_interior_gap_linearly():
     points, valid = _ramp()
     corrupted = points.copy()
     corrupted[0, 5] = -999.0
     valid[0, 5] = False
-    out = repair_gaps(corrupted, valid, max_gap=3)
+    out = _repair(corrupted, valid, 3)
     np.testing.assert_allclose(out[0, 5], points[0, 5])
 
 
@@ -244,7 +251,7 @@ def test_repair_fills_longer_run_with_even_fractions():
     corrupted = points.copy()
     corrupted[1, 3:6] = 0.0
     valid[1, 3:6] = False
-    out = repair_gaps(corrupted, valid, max_gap=3)
+    out = _repair(corrupted, valid, 3)
     np.testing.assert_allclose(out[1], points[1])
 
 
@@ -253,7 +260,7 @@ def test_repair_never_touches_valid_samples():
     corrupted = points.copy()
     corrupted[0, 4:6] = 7.7
     valid[0, 4:6] = False
-    out = repair_gaps(corrupted, valid, max_gap=5)
+    out = _repair(corrupted, valid, 5)
     keep = valid[0]
     np.testing.assert_array_equal(out[0][keep], points[0][keep])
 
@@ -262,7 +269,7 @@ def test_repair_rejects_gap_over_limit():
     points, valid = _ramp(n_frames=20)
     valid[0, 5:9] = False
     with pytest.raises(GapTooLongError) as err:
-        repair_gaps(points, valid, max_gap=3, sites=("LW", "RW"))
+        _repair(points, valid, 3)
     assert "LW" in str(err.value)
 
 
@@ -270,7 +277,7 @@ def test_repair_trims_to_all_valid_envelope():
     points, valid = _ramp(n_frames=10)
     valid[0, 0] = False   # leading miss on site 0
     valid[1, 9] = False   # trailing miss on site 1
-    out = repair_gaps(points, valid, max_gap=3)
+    out = _repair(points, valid, 3)
     assert out.shape[1] == 8
     np.testing.assert_array_equal(out, points[:, 1:9])
 
@@ -278,8 +285,8 @@ def test_repair_trims_to_all_valid_envelope():
 def test_repair_rejects_site_with_no_samples():
     points, valid = _ramp()
     valid[1, :] = False
-    with pytest.raises(DataError, match="^site 1 has no valid sample$"):
-        repair_gaps(points, valid)
+    with pytest.raises(DataError, match="^site RW has no valid sample$"):
+        _repair(points, valid, 3)
 
 
 def test_repair_rejects_empty_envelope():
@@ -287,7 +294,7 @@ def test_repair_rejects_empty_envelope():
     valid[0, :3] = False
     valid[1, 3:] = False
     with pytest.raises(DataError, match="^no frame has every site valid$"):
-        repair_gaps(points, valid)
+        _repair(points, valid, 3)
 
 
 @given(st.data())
@@ -300,7 +307,7 @@ def test_repair_output_is_gap_free_and_preserves_valid(data):
             i = data.draw(st.integers(1, n_frames - 2))
             valid[s, i] = False
     try:
-        out = repair_gaps(points.copy(), valid, max_gap=4)
+        out = _repair(points.copy(), valid, 4)
     except GapTooLongError:
         return
     assert np.isfinite(out).all()
@@ -395,7 +402,6 @@ def test_preprocessing_defaults_are_the_run_settings_defaults():
     # library parameter -> RunConfig field
     taken = {
         merge_keypoints: {"confidence_threshold": "confidence_threshold"},
-        repair_gaps: {"max_gap": "max_gap"},
         preprocess_recording: {"roster": "roster", "target_rate": "sample_rate",
                                "confidence_threshold": "confidence_threshold",
                                "max_gap": "max_gap", "allow_head": "allow_head"},
@@ -413,27 +419,22 @@ _T3, _KP3 = np.arange(3) / 10.0, np.full((3, 17, 3), 0.5)  # three frames, every
 # a step checks each setting it takes with the rule RunConfig runs, so a value
 # of the wrong kind or out of range raises ConfigError in that rule's words
 @pytest.mark.parametrize("call, error, message", [
-    (lambda: repair_gaps(np.zeros((1, 0, 2)), np.zeros((1, 0), dtype=bool)), ValueError,
-     "expected a non-empty (n_sites, n_frames) validity mask"),
-    (lambda: repair_gaps(np.zeros((3, 2)), np.ones(3, dtype=bool)), ValueError,
-     "expected a non-empty (n_sites, n_frames) validity mask"),
     (lambda: infer_sample_rate([0.0]), DataError,
      "need at least two timestamps to infer a rate"),
     (lambda: infer_sample_rate([0.0, 0.1, 0.0, -0.1]), DataError,
      "non-positive timestamp spacing"),
     (lambda: decimation_stride(10.0, 0.0), ConfigError, "sample rate must be positive and finite"),
     (lambda: decimation_stride(10.0, "10"), ConfigError, "sample rate must be a number, got '10'"),
-    (lambda: select_sites("LW"), ConfigError,
-     "roster must be a tuple or list of site ids, got 'LW'"),
-    (lambda: select_sites(("LW", "HD"), allow_head="no"), ConfigError,
+    (lambda: preprocess_recording(_T3, _KP3, roster="LW,RW"), ConfigError,
+     "roster must be a tuple or list of site ids, got 'LW,RW'"),
+    (lambda: preprocess_recording(_T3, _KP3, roster=("LW", "HD"), allow_head="no"), ConfigError,
      "allow_head must be True or False, got 'no'"),
     (lambda: merge_keypoints(_KP3, "0.3"), ConfigError,
      "confidence threshold must be a number, got '0.3'"),
     (lambda: merge_keypoints(_KP3, 1.5), ConfigError, "confidence threshold must be within [0, 1]"),
-    (lambda: repair_gaps(np.zeros((1, 3, 2)), np.array([[True, False, True]]), max_gap=1.0),
-     ConfigError, "max gap must be an integer, got 1.0"),
-    (lambda: repair_gaps(np.zeros((1, 3, 2)), np.array([[True, False, True]]), max_gap=-1),
-     ConfigError, "max gap must be >= 0"),
+    (lambda: preprocess_recording(_T3, _KP3, max_gap=1.0), ConfigError,
+     "max gap must be an integer, got 1.0"),
+    (lambda: preprocess_recording(_T3, _KP3, max_gap=-1), ConfigError, "max gap must be >= 0"),
     (lambda: preprocess_recording(_T3, _KP3, roster="LW"), ConfigError,
      "roster must be a tuple or list of site ids, got 'LW'"),
     (lambda: preprocess_recording(_T3, _KP3, max_gap=-5), ConfigError,
@@ -444,7 +445,7 @@ _T3, _KP3 = np.arange(3) / 10.0, np.full((3, 17, 3), 0.5)  # three frames, every
     # the third positional parameter is the roster: an activity id there is one
     (lambda: preprocess_recording(_T3, _KP3, "walk"), ConfigError,
      "roster must be a tuple or list of site ids, got 'walk'"),
-], ids=["mask-empty", "mask-one-dim", "rate-one-timestamp", "rate-falling-timestamps",
+], ids=["rate-one-timestamp", "rate-falling-timestamps",
         "stride-target-0", "stride-target-text", "select-roster-text", "select-allow-head-text",
         "merge-threshold-text", "merge-threshold-1.5", "repair-gap-float", "repair-gap-negative",
         "preprocess-roster-text", "preprocess-gap-negative", "merge-keypoints-2d",

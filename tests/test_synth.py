@@ -14,7 +14,7 @@ import pytest
 
 from sensorplace.config import RunConfig
 from sensorplace.errors import ConfigError, DataError, UnknownSiteError
-from sensorplace.io import format_keypoint_frame, parse_manifest, write_keypoint_file
+from sensorplace.io import parse_manifest, write_keypoint_file
 from sensorplace.run import run_rank
 from sensorplace.scoring import mean_scores
 from sensorplace.skeleton import DEFAULT_ROSTER, SITE_ORDER, SkeletonSeries
@@ -151,8 +151,6 @@ def test_the_writer_and_the_frame_expansion_check_style_and_drift_as_synth_does(
         series_to_frames(series, 10.0, drift="no")
     t, kp = series_to_frames(series, 10.0)
     style = "^style must be csv or labeled, got 'xml'$"
-    with pytest.raises(ConfigError, match=style):
-        format_keypoint_frame(t[0], kp[0], style="xml")
     for frames in (3, 0):  # a file of no frames formats none
         with pytest.raises(ConfigError, match=style):
             write_keypoint_file(tmp_path / "out.xml", t[:frames], kp[:frames], style="xml")

@@ -86,12 +86,12 @@ def _write(text: str, flush: bool = False) -> None:
         raise _stdout_error(exc) from None
 
 
-def _add_config_flags(sub: argparse.ArgumentParser) -> None:
+def _add_config_flags(sub: argparse.ArgumentParser, settings) -> None:
     # All default to None so a config file can supply values; explicit
     # flags override the file.
     sub.add_argument("--config", type=Path, default=None,
                      help="key=value config file supplying defaults")
-    for setting in sites.SETTINGS:
+    for setting in settings:
         if setting.parse is sites.switch:
             kind = {"action": argparse.BooleanOptionalAction}
         else:
@@ -100,10 +100,10 @@ def _add_config_flags(sub: argparse.ArgumentParser) -> None:
                          help=f"{setting.help} (default {sites.shown(setting.default)})", **kind)
 
 
-def _run_config(args):
+def _run_config(args, settings):
     # each flag given is checked on its own first, so its error names it
     overrides = {}
-    for setting in sites.SETTINGS:
+    for setting in settings:
         if (value := getattr(args, setting.key)) is not None:
             try:
                 overrides[setting.key] = setting.check(value)
@@ -129,7 +129,7 @@ def _cmd_validate(args) -> int:
     # file's lines are written in order and flushed, so they keep their
     # place among the error lines when both streams share a file; the exit
     # code is the worst one seen
-    config = _run_config(args)
+    config = _run_config(args, sites.PREPROCESS_SETTINGS)
     from .run import _load_in_two_processes, validate_recording
 
     code = 0
@@ -145,7 +145,7 @@ def _cmd_validate(args) -> int:
 
 
 def _cmd_rank(args) -> int:
-    config = _run_config(args)
+    config = _run_config(args, sites.SETTINGS)
     from . import run
 
     (labels, scores), payload = run.run_rank(args.manifest, config, out_dir=args.out_dir)
@@ -157,11 +157,13 @@ def _cmd_rank(args) -> int:
 
 
 def _cmd_compare(args) -> int:
+    if args.top_k is not None and args.scope != "top":
+        raise ConfigError(f"argument --top-k: needs --scope top, got --scope {args.scope}")
     from . import textio
 
     reports, payload = textio.run_compare(
-        args.first, args.second, scope=args.scope, top_k=args.top_k,
-        out_dir=args.out_dir,
+        args.first, args.second, scope=args.scope,
+        top_k=3 if args.top_k is None else args.top_k, out_dir=args.out_dir,
     )
     _write(textio.render_compare_text(payload))
     if args.out_dir is not None:
@@ -203,20 +205,20 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = subs.add_parser("validate", help="parse and preprocess keypoint files as rank does")
     p.add_argument("paths", nargs="+", type=Path)
-    _add_config_flags(p)
+    _add_config_flags(p, sites.PREPROCESS_SETTINGS)
     p.set_defaults(func=_cmd_validate)
 
     p = subs.add_parser("rank", help="rank placement subsets from a manifest")
     p.add_argument("manifest", type=Path)
     p.add_argument("--out-dir", type=Path, default=Path("."))
-    _add_config_flags(p)
+    _add_config_flags(p, sites.SETTINGS)
     p.set_defaults(func=_cmd_rank)
 
     p = subs.add_parser("compare", help="Kendall's tau between two ranking files")
     p.add_argument("first", type=Path)
     p.add_argument("second", type=Path)
     p.add_argument("--scope", choices=("all", "per-size", "top"), default="per-size")
-    p.add_argument("--top-k", type=integer, default=3)
+    p.add_argument("--top-k", type=integer, default=None)
     p.add_argument("--out-dir", type=Path, default=None)
     p.set_defaults(func=_cmd_compare)
 

@@ -31,7 +31,7 @@ def _fingerprint(self) -> str:
 
 # The run settings of ``sites.SETTINGS`` as frozen fields, in its order and
 # with its defaults: each is a config-file key, a settings flag of ``rank``
-# and ``validate``, and a key of the report's ``config``.
+# (and of ``validate`` if in ``PREPROCESS_SETTINGS``) and a report ``config`` key.
 RunConfig = make_dataclass(
     "RunConfig",
     [(s.key, type(s.default), field(default=s.default)) for s in SETTINGS],

@@ -157,6 +157,19 @@ def _load_in_two_processes(load, jobs) -> list:
     return loaded + theirs
 
 
+def _reject_copies(paths, recordings) -> None:
+    """Raise a DataError naming the first two ``paths`` whose ``recordings``
+    are equal, grouped by shape and hash of bytes: a copy adds 0 to every score."""
+    seen = {}
+    for i, points in enumerate(recordings):
+        group = seen.setdefault((points.shape, hash(points.tobytes())), [])
+        for j in group:
+            if np.array_equal(recordings[j], points):
+                raise DataError(f"{paths[j]} and {paths[i]} hold the same points "
+                                "after preprocessing; is one a copy of the other?")
+        group.append(i)
+
+
 def load_window_sets(manifest_entries, config: RunConfig):
     """Preprocess each activity's recordings and cut the windows the run
     scores: ``(points, diagnostics)``, the points of a ``WindowSets`` over
@@ -167,7 +180,8 @@ def load_window_sets(manifest_entries, config: RunConfig):
     loads the second half of them (``_load_in_two_processes``). Activities
     are then taken in manifest order, each failing on its first recording's
     error, as in one process; their failures are reported together on one
-    line, joined by ``; ``. Each recording holds consecutive disjoint
+    line, joined by ``; ``. Two recordings with equal points are then an
+    error (``_reject_copies``). Each recording holds consecutive disjoint
     windows of ``series_length`` frames from its first frame. Window set
     (k, w) holds window w of the k-th listed recording of every activity,
     for w below the smallest count at position k, and sets come in (k, w)
@@ -187,12 +201,13 @@ def load_window_sets(manifest_entries, config: RunConfig):
                     f"lists {len(paths)} and {first_id} lists {len(first_paths)}"
                 )
     L = config.series_length
-    loaded = iter(_load_in_two_processes(
-        lambda path: _load_recording(path, config)[1],
-        [(path,) for _, paths in manifest_entries for path in paths]))
+    all_paths = [path for _, paths in manifest_entries for path in paths]
+    loaded = _load_in_two_processes(lambda path: _load_recording(path, config)[1],
+                                    [(path,) for path in all_paths])
+    recordings = iter(loaded)
     kept, failures, diagnostics = [], [], []
     for activity_id, paths in manifest_entries:
-        series = list(islice(loaded, len(paths)))
+        series = list(islice(recordings, len(paths)))
         try:
             if errors := [full for full in series if isinstance(full, Exception)]:
                 raise errors[0]
@@ -208,6 +223,7 @@ def load_window_sets(manifest_entries, config: RunConfig):
                             "windows": n_windows})
     if failures:
         raise ManifestError("; ".join(failures))
+    _reject_copies(all_paths, loaded)
     sets = [(k, w) for k, position in enumerate(zip(*kept))
             for w in range(min(full.shape[1] for full in position) // L)]
     if not sets:

@@ -267,3 +267,7 @@ SETTINGS = (
 )
 
 DEFAULTS = {setting.key: setting.default for setting in SETTINGS}
+
+# The settings preprocessing reads: ``validate``'s flags (``rank`` has all)
+PREPROCESS_SETTINGS = tuple(setting for setting in SETTINGS if setting.key in (
+    "roster", "sample_rate", "confidence_threshold", "max_gap", "allow_head"))

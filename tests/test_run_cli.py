@@ -377,12 +377,15 @@ def test_cli_single_window_needs_a_position_holding_every_activity(tmp_path, cap
 
 
 def test_run_settings_are_named_once(tmp_path):
-    # config file keys, the settings flags and the report all follow RunConfig
+    # config file keys, the settings flags and the report all follow RunConfig;
+    # rank has a flag for every setting, validate for the five preprocessing reads
     names = [f.name for f in fields(RunConfig)]
     assert list(_PARSERS) == names
-    for argv in (["rank", "manifest.txt"], ["validate", "a.csv"]):
+    validate_keys = ["roster", "sample_rate", "confidence_threshold", "max_gap", "allow_head"]
+    assert [s.key for s in sites.PREPROCESS_SETTINGS] == validate_keys
+    for argv, keys in ((["rank", "manifest.txt"], names), (["validate", "a.csv"], validate_keys)):
         args = vars(cli.build_parser().parse_args(argv))
-        assert set(args) - {"command", "func", "config", "manifest", "out_dir", "paths"} == set(names)
+        assert set(args) - {"command", "func", "config", "manifest", "out_dir", "paths"} == set(keys)
     out = tmp_path / "out"
     runner.run_rank(_corpus(tmp_path), _config(), out_dir=out)
     report = json.loads((out / runner.RANK_REPORT_FILENAME).read_text())
@@ -856,10 +859,9 @@ def test_cli_input_faults_print_their_one_line(tmp_path, capsys, command, edit, 
         if edit is not None:
             t, kp = pio.parse_keypoint_file(act01)
             pio.write_keypoint_file(act01, *edit(t, kp))
-        argv = [command, str(act01 if command == "validate" else manifest),
-                "--length", length, "--rate", "10"]
+        argv = [command, str(act01 if command == "validate" else manifest), "--rate", "10"]
         if command == "rank":
-            argv += ["--out-dir", str(tmp_path / "out")]
+            argv += ["--length", length, "--out-dir", str(tmp_path / "out")]
     capsys.readouterr()
     assert cli.main(argv) == 1
     assert capsys.readouterr().err == "error: " + expected.format(act01=act01) + "\n"
@@ -1362,7 +1364,9 @@ def test_any_settings_flag_value_exits_0_1_or_2_with_one_message_line(
         tmp_path_factory, _flag_corpus, flags):
     out = tmp_path_factory.mktemp("flags")
     given_flags = [part for flag, value in flags for part in (flag, value)]
-    for argv in (["validate", str(_flag_corpus / "act01.csv"), "--length", "20", *given_flags],
+    own = {setting.flag for setting in sites.PREPROCESS_SETTINGS}
+    validate_flags = [part for flag, value in flags if flag in own for part in (flag, value)]
+    for argv in (["validate", str(_flag_corpus / "act01.csv"), *validate_flags],
                  ["rank", str(_flag_corpus / "manifest.txt"), "--out-dir", str(out),
                   "--length", "20", *given_flags]):
         runs = []
@@ -1381,6 +1385,24 @@ def test_any_settings_flag_value_exits_0_1_or_2_with_one_message_line(
             assert last.startswith("error: ") or any(
                 f"argument {flag}:" in last for flag, _ in flags), (argv, err)
         assert runs[1] == runs[0]
+
+
+@pytest.mark.parametrize("scope, k", [("all", "7"), ("per-size", "1")])
+def test_cli_compare_top_k_needs_the_top_scope(tmp_path, capsys, scope, k):
+    a = tmp_path / "a.csv"
+    a.write_text("1,LW\n2,RW\n3,PE\n")
+    assert cli.main(["compare", str(a), str(a), "--scope", scope, "--top-k", k]) == 1
+    assert _one_error_line(capsys) == (
+        f"error: argument --top-k: needs --scope top, got --scope {scope}\n")
+
+
+def test_cli_compare_top_scope_compares_3_rows_by_default(tmp_path, capsys):
+    a = tmp_path / "a.csv"
+    a.write_text("1,LW\n2,RW\n3,PE\n4,LF\n")
+    out = tmp_path / "out"
+    assert cli.main(["compare", str(a), str(a), "--scope", "top", "--out-dir", str(out)]) == 0
+    assert "  top-3: tau=+1.000000  n=3" in capsys.readouterr().out
+    assert list(json.loads((out / textio.TAU_REPORT_FILENAME).read_text())["results"]) == ["top-3"]
 
 
 def test_cli_compare_top_k_beyond_the_table_exits_1(tmp_path, capsys):
@@ -1558,6 +1580,30 @@ def test_cli_file_listed_under_two_activities_exits_1(tmp_path, capsys):
     assert f"{manifest}:3: {corpus / 'act02.csv'} is already listed on line 2" in _one_error_line(capsys)
 
 
+@pytest.mark.parametrize("style", ["csv", "labeled"])
+def test_cli_a_copied_recording_exits_1_naming_both_files(tmp_path, capsys, style):
+    # act03 lists a byte copy of act02.csv, or its frames as labeled lines:
+    # equal preprocessed points, which would drop that pair from every score
+    corpus = tmp_path / "c"
+    cli.main(["synth", str(corpus), "--activities", "5", "--noise", "0.02", "--length", "300",
+              "--discriminative", "LW,RF"])
+    manifest = corpus / "manifest.txt"
+    if style == "csv":
+        copy = corpus / "act03.csv"
+        copy.write_bytes((corpus / "act02.csv").read_bytes())
+    else:
+        copy = corpus / "act03.txt"
+        pio.write_keypoint_file(copy, *pio.parse_keypoint_file(corpus / "act02.csv"), style=style)
+        manifest.write_text(manifest.read_text().replace("act03.csv", copy.name))
+    capsys.readouterr()
+    assert cli.main(["rank", str(manifest), "--length", "300", "--sizes", "1,2",
+                     "--out-dir", str(tmp_path / "out")]) == 1
+    assert _one_error_line(capsys) == (
+        f"error: {corpus / 'act02.csv'} and {copy} hold the same points after preprocessing; "
+        "is one a copy of the other?\n")
+    assert not (tmp_path / "out").exists()
+
+
 def test_cli_symlink_loop_in_a_manifest_is_one_error_line(tmp_path):
     # a file that links to itself cannot be read: one error line naming its
     # activity, no traceback; listed twice, it is a file listed twice
@@ -1578,17 +1624,22 @@ def test_cli_symlink_loop_in_a_manifest_is_one_error_line(tmp_path):
                               "is already listed on line 2\n")
 
 
-@pytest.mark.parametrize("command", ["rank", "validate"])
-@pytest.mark.parametrize("flags, message", [
-    (["--roster", "LW,RW,PE,ZZ"], "argument --roster: unknown site id 'ZZ'"),
-    (["--roster", "LW,HD", "--sizes", "1"], "the head site is excluded from placement"),
-    (["--roster", "LW,ZZ"], "argument --roster: unknown site id 'ZZ'"),
-    (["--sizes", "0"], "argument --sizes: subset sizes must be at least 1, got (0,)"),
-    (["--length", "1"], "argument --length: series length must be at least 2"),
-    (["--threshold", "2"], "argument --threshold: confidence threshold must be within [0, 1]"),
-    (["--max-gap", "-1"], "argument --max-gap: max gap must be >= 0"),
-], ids=["unknown-site", "head", "unknown-site-in-short-roster", "sizes-0", "length-1",
-        "threshold-2", "max-gap-negative"])
+@pytest.mark.parametrize("command, flags, message", [
+    pytest.param(command, flags, message, id=f"{name}-{command}")
+    for name, flags, message in [
+        ("unknown-site", ["--roster", "LW,RW,PE,ZZ"], "argument --roster: unknown site id 'ZZ'"),
+        ("head", ["--roster", "LW,HD"], "the head site is excluded from placement"),
+        ("unknown-site-in-short-roster", ["--roster", "LW,ZZ"],
+         "argument --roster: unknown site id 'ZZ'"),
+        ("sizes-0", ["--sizes", "0"],
+         "argument --sizes: subset sizes must be at least 1, got (0,)"),
+        ("length-1", ["--length", "1"], "argument --length: series length must be at least 2"),
+        ("threshold-2", ["--threshold", "2"],
+         "argument --threshold: confidence threshold must be within [0, 1]"),
+        ("max-gap-negative", ["--max-gap", "-1"], "argument --max-gap: max gap must be >= 0"),
+    ]
+    # only rank reads the subset sizes and the window length
+    for command in (("rank",) if flags[0] in ("--sizes", "--length") else ("rank", "validate"))])
 def test_cli_roster_is_checked_before_any_file_is_read(tmp_path, capsys, command, flags, message):
     corpus = tmp_path / "corpus"
     cli.main(["synth", str(corpus), "--length", "520"])
@@ -1596,6 +1647,28 @@ def test_cli_roster_is_checked_before_any_file_is_read(tmp_path, capsys, command
     capsys.readouterr()
     assert cli.main([command, str(target), *flags]) == 1
     assert _one_error_line(capsys) == f"error: {message}\n"
+
+
+@pytest.mark.parametrize("flags", [["--length", "3"], ["--sizes", "1,2"], ["--multi-window"]],
+                         ids=["length", "sizes", "multi-window"])
+def test_cli_validate_rejects_the_flags_only_rank_reads(tmp_path, flags):
+    corpus = tmp_path / "corpus"
+    cli.main(["synth", str(corpus), "--length", "60"])
+    code, out, err = _run_cli(["validate", str(corpus / "act01.csv"), *flags])
+    assert (code, out) == (1, "")
+    usage, error = err.splitlines()
+    assert usage.startswith("usage: sensorplace ")
+    assert error == f"sensorplace: error: unrecognized arguments: {' '.join(flags)}"
+
+
+def test_cli_validate_reads_no_rank_setting_of_a_config_file(tmp_path):
+    corpus = tmp_path / "corpus"
+    cli.main(["synth", str(corpus), "--length", "60"])
+    cfg = tmp_path / "c.cfg"
+    cfg.write_text("series_length = 3\nsubset_sizes = 1,2,3,4,5\nmulti_window = yes\n")
+    argv = ["validate", str(corpus / "act01.csv")]
+    assert _run_cli([*argv, "--config", str(cfg)]) == _run_cli(argv) == (
+        0, f"{corpus / 'act01.csv'}: ok, 60 frames\n", "")
 
 
 @pytest.mark.parametrize("roster", ["LW,RW", "LW"])
@@ -1736,8 +1809,10 @@ def test_cli_help_states_each_settings_default(capsys, command):
     for line in capsys.readouterr().out.split("\n  -")[1:]:
         flag, _, text = line.partition(" ")
         entries["-" + flag.split(",")[0]] = " ".join(text.split())
+    settings_ = SETTINGS if command == "rank" else sites.PREPROCESS_SETTINGS
+    assert set(entries) - {"-h", "--config", "--out-dir"} == {s.flag for s in settings_}
     defaults = RunConfig()
-    for setting in SETTINGS:
+    for setting in settings_:
         shown = sites.shown(getattr(defaults, setting.key))
         assert entries[setting.flag].endswith(f"(default {shown})"), setting.flag
 

@@ -425,8 +425,6 @@ _T3, _KP3 = np.arange(3) / 10.0, np.full((3, 17, 3), 0.5)  # three frames, every
      "non-positive timestamp spacing"),
     (lambda: decimation_stride(10.0, 0.0), ConfigError, "sample rate must be positive and finite"),
     (lambda: decimation_stride(10.0, "10"), ConfigError, "sample rate must be a number, got '10'"),
-    (lambda: preprocess_recording(_T3, _KP3, roster="LW,RW"), ConfigError,
-     "roster must be a tuple or list of site ids, got 'LW,RW'"),
     (lambda: preprocess_recording(_T3, _KP3, roster=("LW", "HD"), allow_head="no"), ConfigError,
      "allow_head must be True or False, got 'no'"),
     (lambda: merge_keypoints(_KP3, "0.3"), ConfigError,
@@ -434,7 +432,6 @@ _T3, _KP3 = np.arange(3) / 10.0, np.full((3, 17, 3), 0.5)  # three frames, every
     (lambda: merge_keypoints(_KP3, 1.5), ConfigError, "confidence threshold must be within [0, 1]"),
     (lambda: preprocess_recording(_T3, _KP3, max_gap=1.0), ConfigError,
      "max gap must be an integer, got 1.0"),
-    (lambda: preprocess_recording(_T3, _KP3, max_gap=-1), ConfigError, "max gap must be >= 0"),
     (lambda: preprocess_recording(_T3, _KP3, roster="LW"), ConfigError,
      "roster must be a tuple or list of site ids, got 'LW'"),
     (lambda: preprocess_recording(_T3, _KP3, max_gap=-5), ConfigError,
@@ -446,10 +443,10 @@ _T3, _KP3 = np.arange(3) / 10.0, np.full((3, 17, 3), 0.5)  # three frames, every
     (lambda: preprocess_recording(_T3, _KP3, "walk"), ConfigError,
      "roster must be a tuple or list of site ids, got 'walk'"),
 ], ids=["rate-one-timestamp", "rate-falling-timestamps",
-        "stride-target-0", "stride-target-text", "select-roster-text", "select-allow-head-text",
-        "merge-threshold-text", "merge-threshold-1.5", "repair-gap-float", "repair-gap-negative",
-        "preprocess-roster-text", "preprocess-gap-negative", "merge-keypoints-2d",
-        "preprocess-timestamps-mismatch", "preprocess-activity-id"])
+        "stride-target-0", "stride-target-text", "select-allow-head-text",
+        "merge-threshold-text", "merge-threshold-1.5", "repair-gap-float", "preprocess-roster-text",
+        "preprocess-gap-negative", "merge-keypoints-2d", "preprocess-timestamps-mismatch",
+        "preprocess-activity-id"])
 def test_preprocessing_steps_reject_bad_arguments(call, error, message):
     with pytest.raises(error, match=re.escape(message)):
         call()
